@@ -20,36 +20,26 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace liberty;
 
 namespace {
 
-/// --sim-engine NAME (default auto): the engine for the LSS benchmarks
-/// that don't sweep engines themselves, enabling whole-suite comparisons.
-/// The legacy --selective on|off and --sim-jobs N flags remain as
-/// aliases; they only matter when the engine is auto (the Options
-/// resolution rules then pick selective/wavefront from them, exactly as
-/// lssc does).
-sim::EngineKind GEngine = sim::EngineKind::Auto;
-
-/// --selective on|off (default on): legacy alias, see GEngine.
-bool GSelective = true;
-
-/// --sim-jobs N (default 1): legacy alias, see GEngine.
-unsigned GSimJobs = 1;
+/// --sim-engine NAME (default compiled): the engine for the LSS
+/// benchmarks that don't compare engines themselves, enabling whole-suite
+/// comparisons.
+sim::EngineKind GEngine = sim::EngineKind::Compiled;
 
 sim::Simulator::Options simOptions() {
   sim::Simulator::Options O;
-  O.Selective = GSelective;
-  O.Jobs = GSimJobs;
   O.Engine = GEngine;
   return O;
 }
@@ -184,9 +174,8 @@ BENCHMARK(BM_LssCpuModelC);
 
 /// A model dominated by quiescent combinational logic: one long adder
 /// chain fed by a constant (never changes after cycle 0) next to a short
-/// active chain fed by a counter (changes every cycle). The selective
-/// engine should skip the whole quiet chain every cycle; exhaustive
-/// evaluation pays for it regardless.
+/// active chain fed by a counter (changes every cycle). Both engines
+/// evaluate the whole quiet chain every cycle.
 std::string lowActivitySpec(int QuietN, int ActiveN) {
   return R"(
 module addchain {
@@ -220,12 +209,12 @@ act_chain.out -> act_sink.in;
 )";
 }
 
-/// A/B pair for the selective engine: Arg(0) = exhaustive, Arg(1) =
-/// selective. The acceptance bar is selective >= 1.3x cycles/s here.
+/// Engine A/B on the low-activity model: Arg(0) = interp, Arg(1) =
+/// compiled.
 void BM_LssLowActivity(benchmark::State &State) {
-  bool Selective = State.range(0) != 0;
   sim::Simulator::Options O;
-  O.Selective = Selective;
+  O.Engine = State.range(0) ? sim::EngineKind::Compiled
+                            : sim::EngineKind::Interp;
   auto C = driver::Compiler::compileForSim(
       invocationFor("lowact.lss", lowActivitySpec(200, 8), O));
   if (!C) {
@@ -235,16 +224,14 @@ void BM_LssLowActivity(benchmark::State &State) {
   sim::Simulator *Sim = C->getSimulator();
   for (auto _ : State)
     Sim->step(100);
-  State.SetLabel(Selective ? "selective=on" : "selective=off");
+  State.SetLabel(sim::engineName(O.Engine));
   State.counters["cycles/s"] = benchmark::Counter(
       100.0 * State.iterations(), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_LssLowActivity)->Arg(0)->Arg(1);
 
-/// A wide, embarrassingly parallel model: \p Lanes independent
-/// source->adder->sink strands. ASAP level packing puts all the adders
-/// (and all the sources) into one wide schedule level, so this is the
-/// wavefront engine's best case and the sweep's scaling workload.
+/// A wide model: \p Lanes independent source->adder->sink strands, every
+/// component a devirtualized kernel op — the sweep's workload.
 std::string wideLanesSpec(int Lanes) {
   std::string N = std::to_string(Lanes);
   return R"(
@@ -266,14 +253,9 @@ for (i = 0; i < )" + N + R"(; i = i + 1) {
 )";
 }
 
-/// Thread-count scaling on the wide model: Arg = worker threads.
 void BM_LssWideLanes(benchmark::State &State) {
-  unsigned Jobs = unsigned(State.range(0));
-  sim::Simulator::Options O;
-  O.Selective = GSelective;
-  O.Jobs = Jobs;
   auto C = driver::Compiler::compileForSim(
-      invocationFor("wide.lss", wideLanesSpec(64), O));
+      invocationFor("wide.lss", wideLanesSpec(64), simOptions()));
   if (!C) {
     State.SkipWithError("compile failed");
     return;
@@ -281,11 +263,10 @@ void BM_LssWideLanes(benchmark::State &State) {
   sim::Simulator *Sim = C->getSimulator();
   for (auto _ : State)
     Sim->step(100);
-  State.SetLabel("jobs=" + std::to_string(Jobs));
   State.counters["cycles/s"] = benchmark::Counter(
       100.0 * State.iterations(), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_LssWideLanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_LssWideLanes);
 
 void BM_HandCodedPipeline(benchmark::State &State) {
   baseline::PipelineConfig Cfg;
@@ -303,12 +284,12 @@ void BM_HandCodedPipeline(benchmark::State &State) {
 }
 BENCHMARK(BM_HandCodedPipeline);
 
-/// Measures steady-state cycles/s for one engine configuration on the
-/// wide model: warm up, then run 200-cycle batches until ~0.25 s of wall
-/// time has accumulated.
-double measureWideLanes(sim::Simulator::Options O) {
-  auto C = driver::Compiler::compileForSim(
-      invocationFor("wide.lss", wideLanesSpec(64), O));
+/// Measures steady-state cycles/s for one engine on \p Spec: warm up,
+/// then run 200-cycle batches until ~0.25 s of wall time has accumulated.
+double measureRate(const std::string &Spec, sim::EngineKind Engine) {
+  sim::Simulator::Options O;
+  O.Engine = Engine;
+  auto C = driver::Compiler::compileForSim(invocationFor("m.lss", Spec, O));
   if (!C)
     return -1.0;
   sim::Simulator *Sim = C->getSimulator();
@@ -325,46 +306,49 @@ double measureWideLanes(sim::Simulator::Options O) {
   return double(Cycles) / Elapsed;
 }
 
-/// `--sweep [FILE]`: the machine-readable per-engine sweep. One row per
-/// engine configuration (the wavefront engine at several thread counts),
-/// each with cycles/s and its speedup over the serial interpreter — the
-/// baseline every other engine is an optimization of.
+/// `--sweep [FILE]`: the machine-readable per-engine record. For the wide
+/// model and the low-activity model, each engine's cycles/s as the median
+/// of 5 measurements (with min and max), and compiled's speedup over the
+/// interp reference.
 int runSweep(const std::string &Path) {
   std::ofstream Out(Path);
   if (!Out) {
     std::cerr << "bench_simspeed: cannot write '" << Path << "'\n";
     return 1;
   }
-  struct Config {
-    sim::EngineKind Engine;
-    unsigned Jobs;
+  struct Model {
+    const char *Name;
+    std::string Spec;
   };
-  const Config Configs[] = {
-      {sim::EngineKind::Interp, 1},    {sim::EngineKind::Selective, 1},
-      {sim::EngineKind::Wavefront, 2}, {sim::EngineKind::Wavefront, 4},
-      {sim::EngineKind::Wavefront, 8}, {sim::EngineKind::Compiled, 1},
-  };
-  Out << "{\n  \"model\": \"wide_lanes_64\",\n  \"runs\": [";
-  double Serial = 0.0;
+  const Model Models[] = {{"wide_lanes_64", wideLanesSpec(64)},
+                          {"low_activity_200_8", lowActivitySpec(200, 8)}};
+  Out << "{\n  \"nproc\": " << std::thread::hardware_concurrency()
+      << ",\n  \"repeats\": 5,\n  \"runs\": [";
   bool First = true;
-  for (const Config &Cfg : Configs) {
-    sim::Simulator::Options O;
-    O.Engine = Cfg.Engine;
-    O.Jobs = Cfg.Jobs;
-    double Rate = measureWideLanes(O);
-    if (Cfg.Engine == sim::EngineKind::Interp)
-      Serial = Rate;
-    if (!First)
-      Out << ",";
-    First = false;
-    Out << "\n    {\"engine\": \"" << sim::engineName(Cfg.Engine)
-        << "\", \"jobs\": " << Cfg.Jobs << ", \"selective\": "
-        << (Cfg.Engine == sim::EngineKind::Selective ? "true" : "false")
-        << ", \"cycles_per_s\": " << Rate << ", \"speedup_vs_serial\": "
-        << (Serial > 0.0 ? Rate / Serial : 0.0) << "}";
-    std::cerr << "sweep: engine=" << sim::engineName(Cfg.Engine)
-              << " jobs=" << Cfg.Jobs << " -> " << uint64_t(Rate)
-              << " cycles/s\n";
+  for (const Model &M : Models) {
+    double InterpMedian = 0.0;
+    for (sim::EngineKind E : {sim::EngineKind::Interp,
+                              sim::EngineKind::Compiled}) {
+      std::vector<double> Rates;
+      for (int R = 0; R != 5; ++R)
+        Rates.push_back(measureRate(M.Spec, E));
+      std::sort(Rates.begin(), Rates.end());
+      double Median = Rates[2];
+      if (E == sim::EngineKind::Interp)
+        InterpMedian = Median;
+      Out << (First ? "" : ",") << "\n    {\"model\": \"" << M.Name
+          << "\", \"engine\": \"" << sim::engineName(E)
+          << "\", \"cycles_per_s_median\": " << Median
+          << ", \"cycles_per_s_min\": " << Rates.front()
+          << ", \"cycles_per_s_max\": " << Rates.back()
+          << ", \"speedup_vs_interp\": "
+          << (InterpMedian > 0.0 ? Median / InterpMedian : 0.0) << "}";
+      First = false;
+      std::cerr << "sweep: " << M.Name << " engine=" << sim::engineName(E)
+                << " -> " << uint64_t(Median) << " cycles/s (median of 5, "
+                << uint64_t(Rates.front()) << ".." << uint64_t(Rates.back())
+                << ")\n";
+    }
   }
   Out << "\n  ]\n}\n";
   std::cerr << "bench_simspeed: wrote " << Path << "\n";
@@ -373,11 +357,9 @@ int runSweep(const std::string &Path) {
 
 } // namespace
 
-// Custom main so the whole suite can be A/B'd with `--sim-engine NAME`
-// (or the legacy `--selective on|off` / `--sim-jobs N` aliases, which
-// feed the auto engine's resolution rules), and so `--sweep [FILE]` can
-// emit the machine-readable per-engine scaling record (all stripped
-// before Google Benchmark sees the arguments).
+// Custom main so the whole suite can be A/B'd with `--sim-engine NAME`,
+// and so `--sweep [FILE]` can emit the machine-readable per-engine record
+// (both stripped before Google Benchmark sees the arguments).
 int main(int argc, char **argv) {
   std::vector<char *> Args;
   bool Sweep = false;
@@ -388,22 +370,9 @@ int main(int argc, char **argv) {
         I + 1 < argc) {
       if (!sim::parseEngineName(argv[I + 1], GEngine)) {
         std::cerr << "bench_simspeed: unknown engine '" << argv[I + 1]
-                  << "' (expected interp, selective, wavefront, or "
-                     "compiled)\n";
+                  << "' (expected interp or compiled)\n";
         return 1;
       }
-      ++I;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--selective") == 0 && I + 1 < argc) {
-      GSelective = std::strcmp(argv[I + 1], "off") != 0;
-      ++I;
-      continue;
-    }
-    if (std::strcmp(argv[I], "--sim-jobs") == 0 && I + 1 < argc) {
-      GSimJobs = unsigned(std::strtoul(argv[I + 1], nullptr, 10));
-      if (GSimJobs == 0)
-        GSimJobs = 1;
       ++I;
       continue;
     }

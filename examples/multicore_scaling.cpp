@@ -66,10 +66,7 @@ int main() {
 
   for (int N : {1, 2, 4, 8}) {
     driver::Compiler C;
-    // Run on the wavefront engine: two worker threads here, but the
-    // traces and every counter below are identical for any thread count.
     driver::CompilerInvocation Inv;
-    Inv.Sim.Jobs = 2;
     if (!C.addCoreLibrary() || !C.addFile(models::uarchLssPath()) ||
         !C.addSource("cmp.lss", cmpSpec(N, InstrsPerCore)) ||
         !C.elaborate(Inv) || !C.inferTypes(Inv) || !C.buildSimulator(Inv)) {

@@ -17,8 +17,6 @@ bool LeafBehavior::readsCombinationally(const std::string &) const {
   return true;
 }
 
-bool LeafBehavior::hasPureEvaluate() const { return false; }
-
 BehaviorRegistry &BehaviorRegistry::global() {
   static BehaviorRegistry Instance;
   return Instance;

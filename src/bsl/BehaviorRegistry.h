@@ -115,17 +115,6 @@ public:
   /// True if evaluate() reads \p Port this cycle (creates a scheduling
   /// edge). Sequential elements return false so they can break cycles.
   virtual bool readsCombinationally(const std::string &Port) const;
-
-  /// Selective-trace contract (see docs/ARCHITECTURE.md). Returning true
-  /// asserts that evaluate()'s sends are a pure function of the values
-  /// currently on its input nets: no dependence on the cycle number,
-  /// mutable state, userpoints, or randomness; no declared-event emission
-  /// from evaluate(); and every input port read combinationally. The
-  /// simulator may then skip evaluate() in any cycle where no input net
-  /// changed, carrying the previous cycle's sends forward. Stateful or
-  /// cycle-dependent behaviors keep the default (false: evaluated every
-  /// cycle).
-  virtual bool hasPureEvaluate() const;
 };
 
 /// Maps tar_file-style behavior ids to factories.

@@ -363,9 +363,6 @@ public:
     for (int I = 0, W = Ctx.getWidth(Out); I != W; ++I)
       Ctx.setOutput(Out, I, Val);
   }
-  // Output depends only on a parameter (constant per run), so the
-  // selective engine may carry it forward after the first cycle.
-  bool hasPureEvaluate() const override { return true; }
 
 private:
   int Out = -1;
@@ -601,7 +598,6 @@ public:
     if (A && B)
       Ctx.setOutput(Out, 0, numericAdd(*A, *B));
   }
-  bool hasPureEvaluate() const override { return true; }
 
 private:
   int In1 = -1;
@@ -654,7 +650,6 @@ public:
       R = numericAdd(*A, *B);
     Ctx.setOutput(Out, 0, R);
   }
-  bool hasPureEvaluate() const override { return true; }
 
 private:
   int APort = -1;
@@ -680,7 +675,6 @@ public:
     if (const Value *V = Ctx.getInput(In, static_cast<int>(S)))
       Ctx.setOutput(Out, 0, *V);
   }
-  bool hasPureEvaluate() const override { return true; }
 
 private:
   int In = -1;
@@ -704,7 +698,6 @@ public:
     if (S >= 0 && S < Ctx.getWidth(Out))
       Ctx.setOutput(Out, static_cast<int>(S), *V);
   }
-  bool hasPureEvaluate() const override { return true; }
 
 private:
   int In = -1;
@@ -723,7 +716,6 @@ public:
       for (int I = 0, W = Ctx.getWidth(Out); I != W; ++I)
         Ctx.setOutput(Out, I, *V);
   }
-  bool hasPureEvaluate() const override { return true; }
 
 private:
   int In = -1;

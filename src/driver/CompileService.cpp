@@ -5,7 +5,6 @@
 #include "corelib/CoreLib.h"
 #include "infer/Solution.h"
 #include "netlist/Serializer.h"
-#include "sim/CompiledKernel.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -117,36 +116,12 @@ CompileResult CompileService::compile(const CompilerInvocation &Inv) {
     }
   }
 
-  // --- Simulator construction. The simulator itself is never cached (it
-  // is cheap and owns live runtime state), but the compiled engine's
-  // lowering plan is: a third artifact kind, "kernel" (LSSKRN), keyed off
-  // elabKey — the plan is a pure function of the elaborated netlist, so
-  // any compile that reuses the netlist can reuse the kernel. ------------
-  if (Inv.BuildSim) {
-    const bool WantKernel = Inv.Sim.Engine == sim::EngineKind::Compiled;
-    std::string KernelPayload;
-    const std::string *KernelArt = nullptr;
-    if (WantKernel && Opts.CacheEnabled &&
-        Cache.get(ElabKey, "kernel", KernelPayload))
-      KernelArt = &KernelPayload;
-    if (!C.buildSimulator(Inv, KernelArt) || C.getDiags().hasErrors()) {
-      R.Failed = CompileResult::Phase::SimBuild;
-      return R;
-    }
-    if (WantKernel) {
-      const sim::KernelStats *KS = C.getSimulator()->getKernelStats();
-      if (KS && KS->FromCache) {
-        R.KernelFromCache = true;
-      } else {
-        if (KernelArt)
-          C.getDiags().note(SourceLoc(),
-                            "ignoring unreadable cache entry for key " +
-                                ElabKey + " (kernel); recompiling");
-        std::string Out;
-        if (Opts.CacheEnabled && C.getSimulator()->serializeKernel(Out))
-          Cache.put(ElabKey, "kernel", Out);
-      }
-    }
+  // --- Simulator construction. Never cached: it owns live runtime state,
+  // and lowering the compiled kernel is cheaper than reloading it. -------
+  if (Inv.BuildSim &&
+      (!C.buildSimulator(Inv) || C.getDiags().hasErrors())) {
+    R.Failed = CompileResult::Phase::SimBuild;
+    return R;
   }
 
   // A live (non-warm) elaboration carries everything the incremental path

@@ -79,10 +79,6 @@ struct CompileResult {
   /// Which phases were satisfied from the artifact cache.
   bool ElabFromCache = false;
   bool SolutionFromCache = false;
-  /// True when the compiled engine adopted a cached LSSKRN kernel plan
-  /// instead of lowering the netlist from scratch. Always false for the
-  /// other engines (they build no kernel).
-  bool KernelFromCache = false;
 
   /// Incremental-recompilation outcome (compileIncremental only).
   IncrementalStats Incremental;
@@ -109,8 +105,8 @@ public:
   /// modules' subtrees while replaying the unchanged bodies from the
   /// previous netlist artifact, re-solves only the H3 constraint groups
   /// touching re-elaborated instances, and splices the previous per-group
-  /// solutions for the rest. The produced artifacts (netlist, solution,
-  /// kernel) are byte-identical to a cold compile of the same invocation;
+  /// solutions for the rest. The produced artifacts (netlist, solution)
+  /// are byte-identical to a cold compile of the same invocation;
   /// whenever any precondition is not met, this transparently falls back
   /// to compile() and records the reason in the result's IncrementalStats.
   CompileResult compileIncremental(const CompilerInvocation &Inv);

@@ -91,9 +91,8 @@ uint64_t CompilerInvocation::fingerprint() const {
   H.field("solve.maxsteps", Solve.MaxSteps);
   H.field("solve.deadline", Solve.DeadlineMs);
   H.field("sim.fixpoint", Sim.MaxFixpointIters);
-  H.field("sim.selective", Sim.Selective ? 1 : 0);
   H.field("sim.engine", uint64_t(Sim.Engine));
-  // Sim.Jobs and BuildSim excluded (see header).
+  // BuildSim excluded (see header).
   return H.get();
 }
 

@@ -29,7 +29,7 @@
 ///    decide *whether* a solve succeeds, never what the solution is, and
 ///    failed compiles are never cached.
 ///  - fingerprint(): everything above plus the budgets, MaxErrors, and the
-///    simulator options except Sim.Jobs; BuildSim is excluded. This is
+///    simulator options; BuildSim is excluded. This is
 ///    the whole-invocation identity (bench A/B labels, logs) — not a cache
 ///    key itself.
 ///
@@ -95,7 +95,7 @@ public:
   uint64_t depKey() const;
   /// Key of the inference-solution artifact. See the contract above.
   uint64_t solveKey() const;
-  /// Whole-invocation identity (excludes NumThreads/Jobs/BuildSim).
+  /// Whole-invocation identity (excludes NumThreads/BuildSim).
   uint64_t fingerprint() const;
 
   /// Renders a key as the 16-hex-digit form used in cache file names.

@@ -95,11 +95,6 @@ void FlagParser::custom(const char *Name, const char *Metavar,
   Flags.push_back(std::move(F));
 }
 
-void FlagParser::deprecate(const char *Name, const char *Note) {
-  if (Flag *F = find(Name))
-    F->DeprecationNote = Note;
-}
-
 //===----------------------------------------------------------------------===//
 // Shared flag declarations. These are the single point of truth for flags
 // both tools expose; help text and validation live here, not per-tool.
@@ -176,11 +171,6 @@ bool FlagParser::parse(int Argc, char **Argv,
       std::cerr << Tool << ": unknown option '" << Name << "'\n";
       return false;
     }
-    if (!F->DeprecationNote.empty() && !F->NoteShown) {
-      F->NoteShown = true;
-      std::cerr << Tool << ": note: " << F->Name << " is deprecated; "
-                << F->DeprecationNote << "\n";
-    }
     std::string Value;
     if (!F->Metavar.empty()) {
       if (HasInline) {
@@ -217,9 +207,7 @@ void FlagParser::printUsage(std::ostream &OS, const char *Synopsis,
       Left += "  ";
     else
       Left.resize(HelpCol, ' ');
-    std::string Help = F.Help;
-    if (!F.DeprecationNote.empty())
-      Help += "\n(deprecated; " + F.DeprecationNote + ")";
+    const std::string &Help = F.Help;
     size_t Pos = 0;
     bool First = true;
     while (Pos <= Help.size()) {

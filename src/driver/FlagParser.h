@@ -4,8 +4,7 @@
 /// Table-driven command-line parsing shared by the LSS tools. Each tool
 /// registers its flags (name, metavar, help, destination) once and gets
 /// parsing, `--flag VALUE` / `--flag=VALUE` handling, generated usage
-/// text, unknown-option diagnosis, and one-line deprecation notes for
-/// free.
+/// text, and unknown-option diagnosis for free.
 ///
 /// Flags that exist in more than one tool (the artifact-cache flags,
 /// `--fault-inject`, the `--watch-files` watch mode) are declared once in
@@ -59,11 +58,6 @@ public:
   void custom(const char *Name, const char *Metavar, const char *Help,
               std::function<bool(const std::string &Value)> Handler);
 
-  /// Marks an already-registered flag as a deprecated alias: first use
-  /// prints "<tool>: note: --name is deprecated; <note>" to stderr. The
-  /// flag keeps working — the note is a pointer, not a wall.
-  void deprecate(const char *Name, const char *Note);
-
   //===------------------------------------------------------------------===//
   // Flags shared between lssc and lssd, declared once.
   //===------------------------------------------------------------------===//
@@ -99,9 +93,7 @@ private:
     std::string Metavar;         ///< Empty = boolean switch.
     std::string Help;            ///< '\n'-separated continuation lines.
     std::string ValuePhrase;     ///< For "requires a <phrase>" errors.
-    std::string DeprecationNote; ///< Empty = not deprecated.
     bool RequirePositive = false;
-    bool NoteShown = false;
     std::function<bool(const std::string &)> Handler;
   };
 

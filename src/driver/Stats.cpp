@@ -154,27 +154,16 @@ void liberty::driver::printStatsJson(std::ostream &OS, const ModelStats &S,
 
   if (Sim) {
     const sim::ActivityStats &A = Sim->getActivityStats();
-    const sim::Simulator::BuildInfo &BI = Sim->getBuildInfo();
     OS << "  \"simulation\": {\n"
        << "    \"engine\": \"" << jsonEscape(Sim->getEngineName()) << "\",\n"
-       << "    \"selective\": " << (A.Selective ? "true" : "false") << ",\n"
-       << "    \"jobs\": " << Sim->getOptions().Jobs << ",\n"
-       << "    \"levels\": " << BI.NumLevels << ",\n"
-       << "    \"max_level_width\": " << BI.MaxLevelWidth << ",\n"
        << "    \"cycles\": " << A.Cycles << ",\n"
        << "    \"groups_evaluated\": " << A.GroupsEvaluated << ",\n"
-       << "    \"groups_skipped\": " << A.GroupsSkipped << ",\n"
        << "    \"leaf_evals\": " << A.LeafEvals << ",\n"
-       << "    \"leaf_evals_skipped\": " << A.LeafEvalsSkipped << ",\n"
        << "    \"fixpoint_iters\": " << A.FixpointIters << ",\n"
        << "    \"net_writes\": " << A.NetWrites << ",\n"
-       << "    \"net_changes\": " << A.NetChanges << ",\n"
-       << "    \"events_replayed\": " << A.EventsReplayed << ",\n"
-       << "    \"bypass_cycles\": " << A.BypassCycles;
+       << "    \"net_changes\": " << A.NetChanges;
     if (const sim::KernelStats *KS = Sim->getKernelStats()) {
       OS << ",\n"
-         << "    \"kernel_from_cache\": " << (KS->FromCache ? "true" : "false")
-         << ",\n"
          << "    \"kernel_build_ms\": " << std::fixed << std::setprecision(3)
          << KS->BuildMs << ",\n"
          << "    \"kernel_ops\": " << KS->NumOps << ",\n"
@@ -209,9 +198,7 @@ void liberty::driver::printStatsJson(std::ostream &OS, const ModelStats &S,
        << "    \"elab_from_cache\": "
        << (Cache->ElabFromCache ? "true" : "false") << ",\n"
        << "    \"solution_from_cache\": "
-       << (Cache->SolutionFromCache ? "true" : "false") << ",\n"
-       << "    \"kernel_from_cache\": "
-       << (Cache->KernelFromCache ? "true" : "false") << "\n"
+       << (Cache->SolutionFromCache ? "true" : "false") << "\n"
        << "  },\n";
   }
 

@@ -41,7 +41,7 @@ struct IncrementalStats;
 /// changes meaning; both emitters stamp it as "schema_version" so
 /// dashboards can gate on the shape they understand. check_docs.sh lints
 /// the emitted field names against docs/API.md.
-constexpr uint32_t StatsSchemaVersion = 2;
+constexpr uint32_t StatsSchemaVersion = 3;
 
 struct ModelStats {
   std::string Name;
@@ -102,7 +102,6 @@ struct CacheReport {
   CacheStats Stats;
   bool ElabFromCache = false;
   bool SolutionFromCache = false;
-  bool KernelFromCache = false;
 };
 
 /// Serializes one compilation's observability record as a JSON document:
@@ -110,9 +109,8 @@ struct CacheReport {
 /// record including per-H3-group unify-step counts, and the Table 2 reuse
 /// metrics. This is the payload of `lssc --stats-json`. When \p Sim is
 /// non-null (a simulation ran), a "simulation" section reports the
-/// engine configuration (resolved engine name, worker threads, wavefront
-/// level shape), the selective-trace activity counters, the compiled
-/// engine's kernel build record when one exists, and — when the caller
+/// engine name, the activity counters, the compiled engine's kernel
+/// shape and build time when one exists, and — when the caller
 /// measured it — the achieved simulation rate in cycles per second
 /// (\p CyclesPerSec; <= 0 omits the field). When \p Cache is non-null
 /// (the artifact cache was enabled), a "cache" section reports hit/miss

@@ -502,7 +502,7 @@ bool liberty::netlist::serializeNetlist(
 
 // The field splitter/decoder moved to the public header as
 // netlist::ArtifactLineReader so other artifact parsers (infer/Solution,
-// the simulator's LSSKRN kernel plans) share one hardened implementation.
+// driver/DepGraph) share one hardened implementation.
 using LineReader = liberty::netlist::ArtifactLineReader;
 using FieldDecoder = liberty::netlist::ArtifactFieldDecoder<LineReader>;
 

@@ -115,7 +115,7 @@ bool artifactUnescape(std::string_view S, std::string &Out);
 /// Splits one artifact line into space-separated fields and provides
 /// checked decoders. Every accessor reports failure instead of asserting:
 /// the input may be a mutated cache entry. Shared by every line-oriented
-/// artifact parser (LSSNL, LSSSOL, the simulator's LSSKRN kernel plans).
+/// artifact parser (LSSNL, LSSSOL, LSSDEP).
 class ArtifactLineReader {
 public:
   /// Splits on spaces without copying: fields are views into the line,

@@ -3,20 +3,16 @@
 /// \file
 /// The compiled engine's per-cycle loop. Each specialized op replays the
 /// corresponding corelib behavior's evaluate() body over dense net ids;
-/// the write helper mirrors Runtime::setOutput exactly, minus the
-/// selective-trace bookkeeping (DirtyCycle stamps, fixpoint dirty flags,
-/// replay records, activity counters) that exhaustive evaluation never
-/// observes. Event emission — one automatic port event per write call,
+/// the write helper mirrors Runtime::setOutput exactly, minus the fixpoint
+/// dirty flag and activity counters that singleton groups never observe. Event emission — one automatic port event per write call,
 /// payload read back from the net after the write — is kept call-for-call
-/// identical so traces match the serial interpreter bit for bit.
+/// identical so traces match the interp engine bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "sim/CompiledKernel.h"
 
 #include "sim/SimRuntime.h"
-
-#include <sstream>
 
 using namespace liberty;
 using namespace liberty::sim;
@@ -27,40 +23,10 @@ const std::string &CompiledKernel::sinkEventName() {
   return Name;
 }
 
-const char *CompiledKernel::opKindName(OpKind K) {
-  switch (K) {
-  case OpKind::Generic:
-    return "generic";
-  case OpKind::ConstSource:
-    return "const_source";
-  case OpKind::CounterSource:
-    return "counter_source";
-  case OpKind::Adder:
-    return "adder";
-  case OpKind::Fanout:
-    return "fanout";
-  case OpKind::DelayEval:
-    return "delay_eval";
-  case OpKind::Sink:
-    return "sink";
-  }
-  return "generic";
-}
-
-const char *CompiledKernel::seqKindName(SeqKind K) {
-  switch (K) {
-  case SeqKind::GenericEot:
-    return "eot";
-  case SeqKind::DelayLatch:
-    return "delay_latch";
-  }
-  return "eot";
-}
-
 namespace {
 
 /// Runtime::setOutput's net-update rule for a connected net, without the
-/// stats/selective bookkeeping: presence appears, and the stored value is
+/// stats bookkeeping: presence appears, and the stored value is
 /// only reassigned when it observably changed (same equals() guard, so
 /// Value identity churn matches the interpreter). Templated so the
 /// private Simulator::Net type is named only inside the friended caller.
@@ -91,12 +57,8 @@ template <class NetT> inline void writeNetInt(NetT &N, int64_t V) {
 
 void CompiledKernel::run(Simulator &Sim, uint64_t N) {
   // Collectors only attach between step() calls, so the emptiness test
-  // hoists out of the cycle loop. The compiled engine never skips or
-  // replays, so a mid-run attach needs no forced-full-cycle handling —
-  // but keep the version current so a later engine-agnostic caller sees
-  // consistent state.
+  // hoists out of the cycle loop.
   const bool Emit = !Sim.Instr.empty();
-  Sim.LastInstrVersion = Sim.Instr.getVersion();
   const int32_t *Pool = NetPool.data();
   Simulator::Net *Nets = Sim.Nets.data();
 
@@ -113,12 +75,12 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
       }
       switch (O.Kind) {
       case OpKind::Generic:
-        Sim.evaluateGroup(size_t(O.Group), Sim.Activity);
+        Sim.evaluateGroup(size_t(O.Group));
         break;
 
       case OpKind::ConstSource:
-        // Const is always makeInt(ImmA) (classifyGroup only specializes
-        // integer-valued const_source params).
+        // ConstSource::init reads the same integer parameter into its
+        // constant, so the value written is always makeInt(ImmA).
         for (int32_t K = 0; K != O.Out.Count; ++K) {
           Simulator::Net &Nt = Nets[Pool[O.Out.Begin + K]];
           writeNetInt(Nt, O.ImmA);
@@ -250,33 +212,4 @@ void CompiledKernel::run(Simulator &Sim, uint64_t N) {
     ++Sim.Cycle;
     ++Sim.Activity.Cycles;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// LSSKRN 1 serialization
-//===----------------------------------------------------------------------===//
-
-std::string CompiledKernel::serialize() const {
-  std::ostringstream OS;
-  OS << "LSSKRN 1\n";
-  OS << "counts " << Ops.size() << " " << SeqOps.size() << " "
-     << NetPool.size() << "\n";
-  auto EmitRange = [&](const char *Tag, const Range &R) {
-    OS << " " << Tag << " " << R.Count;
-    for (int32_t K = 0; K != R.Count; ++K)
-      OS << " " << NetPool[size_t(R.Begin + K)];
-  };
-  for (const Op &O : Ops) {
-    OS << "op " << opKindName(O.Kind) << " " << O.Group << " " << O.RuntimeIdx
-       << " " << O.ImmA << " " << O.ImmB;
-    EmitRange("prep", O.Prep);
-    EmitRange("out", O.Out);
-    EmitRange("in", O.In);
-    OS << "\n";
-  }
-  for (const SeqOp &S : SeqOps)
-    OS << "seq " << seqKindName(S.Kind) << " " << S.RuntimeIdx << " "
-       << S.InNet << "\n";
-  OS << "end\n";
-  return OS.str();
 }

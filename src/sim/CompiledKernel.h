@@ -3,12 +3,12 @@
 /// \file
 /// The compiled simulation engine's execution plan: the elaborated netlist,
 /// lowered by sim/KernelBuilder into a flat structure-of-arrays program that
-/// one tight loop replays every cycle. Where the interpreted engines walk
+/// one tight loop replays every cycle. Where the interp engine walks
 /// schedule groups and dispatch through LeafBehavior virtual calls, the
 /// kernel holds:
 ///
-///  - one Op per schedule group, in the precomputed ASAP evaluation order
-///    (ascending group index — the serial engine's order);
+///  - one Op per schedule group, in ascending group index (the interp
+///    engine's order);
 ///  - devirtualized op kinds for the hot corelib behaviors (const/counter
 ///    sources, adder, fanout, delay, sink), whose evaluate() bodies are
 ///    replayed directly over dense net ids with no virtual call, no
@@ -24,18 +24,10 @@
 /// layout keeps the per-cycle walk cache-linear.
 ///
 /// Semantics contract: running the kernel is bit-identical (events, final
-/// net values, runtime state) to the exhaustive serial interpreter, which
-/// the repo's differential tests pin to the selective and wavefront
-/// engines too. The kernel intentionally does not maintain the
-/// selective-trace machinery (DirtyCycle stamps, replay records) or the
-/// per-evaluate activity counters — neither is observable in exhaustive
-/// runs; ActivityStats under the compiled engine reports cycles and the
-/// generic-op counters only.
-///
-/// The structural plan serializes as the byte-stable "LSSKRN 1" artifact
-/// (see serialize()), cached by driver/CompileService keyed off the
-/// elaboration key; KernelBuilder::load revalidates every id against the
-/// live simulator before adopting a cached plan.
+/// net values, runtime state) to the interp engine. The kernel does not
+/// maintain the per-evaluate activity counters, which are not observable
+/// in traces; ActivityStats under the compiled engine reports cycles and
+/// the generic-op counters only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,11 +45,10 @@ namespace sim {
 
 class Simulator;
 
-/// How the kernel for a compiled-engine simulator came to be, reported
-/// through --stats-json.
+/// The shape and build time of a compiled-engine kernel, reported through
+/// --stats-json.
 struct KernelStats {
-  bool FromCache = false;   ///< Adopted from a cached LSSKRN artifact.
-  double BuildMs = 0.0;     ///< Wall time spent lowering (or validating).
+  double BuildMs = 0.0;           ///< Wall time spent lowering.
   unsigned NumOps = 0;            ///< Combinational ops (== schedule groups).
   unsigned NumSpecializedOps = 0; ///< Devirtualized singleton groups.
   unsigned NumGenericOps = 0;     ///< evaluateGroup fallbacks.
@@ -105,8 +96,6 @@ public:
     Range In;
     int64_t ImmA = 0; ///< CounterSource: start.
     int64_t ImmB = 0; ///< CounterSource: stride.
-    /// ConstSource: the materialized parameter value.
-    interp::Value Const;
     /// DelayEval: the "held" slot; Sink: the "received" slot. Stable
     /// across reset() (bsl::StateTable pointers survive resetValues).
     interp::Value *State = nullptr;
@@ -127,18 +116,9 @@ public:
   /// simulator this kernel was built against.
   void run(Simulator &Sim, uint64_t N);
 
-  /// Renders the structural plan as a byte-stable "LSSKRN 1" artifact.
-  /// Deterministic: the same simulator always serializes to the same
-  /// bytes, and a plan adopted via KernelBuilder::load re-serializes to
-  /// its canonical form.
-  std::string serialize() const;
-
   /// The declared event name Sink emits; kernel-owned so the emitted
   /// Event's name pointer has a stable address.
   static const std::string &sinkEventName();
-
-  static const char *opKindName(OpKind K);
-  static const char *seqKindName(SeqKind K);
 
   std::vector<Op> Ops;
   std::vector<SeqOp> SeqOps;

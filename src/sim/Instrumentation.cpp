@@ -19,7 +19,6 @@ void Instrumentation::attach(std::string PathPattern, std::string EventPattern,
                              CollectorFn Fn) {
   Collectors.push_back(
       Entry{std::move(PathPattern), std::move(EventPattern), std::move(Fn)});
-  ++Version;
 }
 
 uint64_t &Instrumentation::attachCounter(std::string PathPattern,

@@ -53,12 +53,6 @@ public:
   bool empty() const { return Collectors.empty(); }
   uint64_t totalEmitted() const { return NumEmitted; }
 
-  /// Incremented on every attach. The simulator compares this across
-  /// cycles so a collector attached mid-run forces one exhaustive cycle,
-  /// refreshing the replay records selective evaluation serves events
-  /// from.
-  unsigned getVersion() const { return Version; }
-
   static bool matches(const std::string &Pattern, const std::string &Text);
 
 private:
@@ -70,7 +64,6 @@ private:
   std::vector<Entry> Collectors;
   std::vector<std::unique_ptr<uint64_t>> Counters;
   uint64_t NumEmitted = 0;
-  unsigned Version = 0;
 };
 
 } // namespace sim

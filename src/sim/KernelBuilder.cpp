@@ -1,12 +1,8 @@
 //===- KernelBuilder.cpp - Netlist-to-kernel lowering -------------------------===//
 ///
 /// \file
-/// Classification, packing, and LSSKRN (de)serialization for the compiled
-/// engine. Lowering is a pure function of the constructed simulator:
-/// classify() recomputes the same structural plan whether called by
-/// build() (fresh lowering) or load() (revalidating a cached artifact),
-/// so an adopted cache entry is exactly the plan a cold build would have
-/// produced — a mismatch anywhere rejects the artifact.
+/// Classification and packing for the compiled engine. Lowering is a pure
+/// function of the constructed simulator.
 ///
 /// Devirtualization trusts behavior ids: "corelib/adder" is assumed to be
 /// the in-tree Adder, etc. That holds for this repo's global registry
@@ -17,63 +13,21 @@
 
 #include "sim/KernelBuilder.h"
 
-#include "netlist/Serializer.h"
 #include "sim/SimRuntime.h"
-
-#include <cstring>
 
 using namespace liberty;
 using namespace liberty::sim;
-using interp::Value;
 
 using OpKind = CompiledKernel::OpKind;
 using SeqKind = CompiledKernel::SeqKind;
 
 namespace {
 
-/// Structural-only op, before pointer materialization. This is what the
-/// LSSKRN artifact stores and what classification produces; equality
-/// between the two is the cache-validation test.
-struct OpPlan {
-  OpKind Kind = OpKind::Generic;
-  int32_t Group = -1;
-  int32_t RuntimeIdx = -1;
-  int64_t ImmA = 0;
-  int64_t ImmB = 0;
-  std::vector<int32_t> Prep, Out, In;
-
-  bool operator==(const OpPlan &O) const {
-    return Kind == O.Kind && Group == O.Group && RuntimeIdx == O.RuntimeIdx &&
-           ImmA == O.ImmA && ImmB == O.ImmB && Prep == O.Prep &&
-           Out == O.Out && In == O.In;
-  }
-};
-
-struct SeqPlan {
-  SeqKind Kind = SeqKind::GenericEot;
-  int32_t RuntimeIdx = -1;
-  int32_t InNet = -1;
-
-  bool operator==(const SeqPlan &O) const {
-    return Kind == O.Kind && RuntimeIdx == O.RuntimeIdx && InNet == O.InNet;
-  }
-};
-
-struct Plan {
-  std::vector<OpPlan> Ops;
-  std::vector<SeqPlan> SeqOps;
-  unsigned NumSeqElided = 0;
-};
-
 int64_t nodeParamInt(const netlist::InstanceNode *Node, const char *Name,
                      int64_t Default) {
   auto It = Node->Params.find(Name);
   return It != Node->Params.end() && It->second.isInt() ? It->second.getInt()
                                                         : Default;
-}
-
-std::vector<int32_t> toI32(const std::vector<int> &V) {
-  return std::vector<int32_t>(V.begin(), V.end());
 }
 
 /// Behavior ids whose endOfTimestep is the LeafBehavior no-op, verified
@@ -92,11 +46,16 @@ bool isEotFree(const std::string &Id) {
   return false;
 }
 
-} // namespace
+/// Appends \p Ids to the kernel's shared operand pool.
+CompiledKernel::Range pack(CompiledKernel &K, const std::vector<int> &Ids) {
+  CompiledKernel::Range R;
+  R.Begin = int32_t(K.NetPool.size());
+  R.Count = int32_t(Ids.size());
+  K.NetPool.insert(K.NetPool.end(), Ids.begin(), Ids.end());
+  return R;
+}
 
-//===----------------------------------------------------------------------===//
-// Classification
-//===----------------------------------------------------------------------===//
+} // namespace
 
 namespace liberty {
 namespace sim {
@@ -108,9 +67,9 @@ class KernelBuilderImpl {
 public:
   /// Connected net ids of \p Port in port-index order (unconnected indices
   /// dropped — their writes vanish in setOutput, preserving event order).
-  static std::vector<int32_t> connectedNets(const Simulator::Runtime *RT,
-                                            const char *Port) {
-    std::vector<int32_t> Out;
+  static std::vector<int> connectedNets(const Simulator::Runtime *RT,
+                                        const char *Port) {
+    std::vector<int> Out;
     int Pid = RT->findPortId(Port);
     if (Pid < 0)
       return Out;
@@ -122,7 +81,7 @@ public:
 
   /// Net id of (\p Port, index 0), or -1 (absent port / zero width /
   /// unconnected — all read as "no value" and swallow writes).
-  static int32_t portNet0(const Simulator::Runtime *RT, const char *Port) {
+  static int portNet0(const Simulator::Runtime *RT, const char *Port) {
     int Pid = RT->findPortId(Port);
     if (Pid < 0)
       return -1;
@@ -130,81 +89,83 @@ public:
     return Nets.empty() ? -1 : Nets[0];
   }
 
-  static OpPlan classifyGroup(Simulator &Sim, size_t G);
-  static Plan classify(Simulator &Sim);
-  static std::unique_ptr<CompiledKernel> materialize(Simulator &Sim,
-                                                     const Plan &P);
+  static CompiledKernel::Op lowerGroup(Simulator &Sim, CompiledKernel &K,
+                                       size_t G);
+  static std::unique_ptr<CompiledKernel> build(Simulator &Sim);
 };
 
-/// Lowers schedule group \p G to its structural op. Only singleton groups
-/// with a recognized corelib behavior (and resolvable state slots — init()
-/// has run, so bound slots exist) specialize; everything else stays
-/// Generic and keeps the interpreter's exact fixpoint/diagnostic path.
-OpPlan KernelBuilderImpl::classifyGroup(Simulator &Sim, size_t G) {
-  OpPlan P;
-  P.Group = int32_t(G);
+/// Lowers schedule group \p G to its op. Only singleton groups with a
+/// recognized corelib behavior (and resolvable state slots — init() has
+/// run, so bound slots exist) specialize; everything else stays Generic
+/// and keeps the interpreter's exact fixpoint/diagnostic path.
+CompiledKernel::Op KernelBuilderImpl::lowerGroup(Simulator &Sim,
+                                                 CompiledKernel &K, size_t G) {
+  CompiledKernel::Op O;
+  O.Group = int32_t(G);
   const std::vector<int> &Group = Sim.Sched.Groups[G];
   if (Group.size() != 1)
-    return P;
+    return O;
   int RTIdx = Group.front();
   Simulator::Runtime *RT = Sim.Runtimes[size_t(RTIdx)].get();
   if (!RT->Behavior)
-    return P;
+    return O;
   const std::string &Id = RT->Node->BehaviorId;
 
-  OpPlan S;
-  S.Group = int32_t(G);
-  S.RuntimeIdx = int32_t(RTIdx);
-  S.Prep = toI32(RT->OutputNets);
+  std::vector<int> Out, In;
   if (Id == "corelib/const_source") {
-    S.Kind = OpKind::ConstSource;
-    S.ImmA = nodeParamInt(RT->Node, "value", 0);
-    S.Out = connectedNets(RT, "out");
-    return S;
-  }
-  if (Id == "corelib/counter_source") {
-    S.Kind = OpKind::CounterSource;
-    S.ImmA = nodeParamInt(RT->Node, "start", 0);
-    S.ImmB = nodeParamInt(RT->Node, "stride", 1);
-    S.Out = connectedNets(RT, "out");
-    return S;
-  }
-  if (Id == "corelib/adder") {
-    S.Kind = OpKind::Adder;
-    S.In = {portNet0(RT, "in1"), portNet0(RT, "in2")};
+    O.Kind = OpKind::ConstSource;
+    O.ImmA = nodeParamInt(RT->Node, "value", 0);
+    Out = connectedNets(RT, "out");
+  } else if (Id == "corelib/counter_source") {
+    O.Kind = OpKind::CounterSource;
+    O.ImmA = nodeParamInt(RT->Node, "start", 0);
+    O.ImmB = nodeParamInt(RT->Node, "stride", 1);
+    Out = connectedNets(RT, "out");
+  } else if (Id == "corelib/adder") {
+    O.Kind = OpKind::Adder;
+    In = {portNet0(RT, "in1"), portNet0(RT, "in2")};
     // Adder::evaluate writes out[0] only.
-    if (int32_t OutNet = portNet0(RT, "out"); OutNet >= 0)
-      S.Out = {OutNet};
-    return S;
+    if (int OutNet = portNet0(RT, "out"); OutNet >= 0)
+      Out = {OutNet};
+  } else if (Id == "corelib/fanout") {
+    O.Kind = OpKind::Fanout;
+    In = {portNet0(RT, "in")};
+    Out = connectedNets(RT, "out");
+  } else if (Id == "corelib/delay.tar" && RT->StateVars.lookup("held")) {
+    O.Kind = OpKind::DelayEval;
+    O.State = RT->StateVars.lookup("held");
+    Out = connectedNets(RT, "out");
+  } else if (Id == "corelib/sink" && RT->StateVars.lookup("received")) {
+    O.Kind = OpKind::Sink;
+    O.State = RT->StateVars.lookup("received");
+    O.EventName = &CompiledKernel::sinkEventName();
+    In = connectedNets(RT, "in");
+  } else {
+    return O;
   }
-  if (Id == "corelib/fanout") {
-    S.Kind = OpKind::Fanout;
-    S.In = {portNet0(RT, "in")};
-    S.Out = connectedNets(RT, "out");
-    return S;
-  }
-  if (Id == "corelib/delay.tar") {
-    if (!RT->StateVars.lookup("held"))
-      return P;
-    S.Kind = OpKind::DelayEval;
-    S.Out = connectedNets(RT, "out");
-    return S;
-  }
-  if (Id == "corelib/sink") {
-    if (!RT->StateVars.lookup("received"))
-      return P;
-    S.Kind = OpKind::Sink;
-    S.In = connectedNets(RT, "in");
-    return S;
-  }
-  return P;
+  O.RuntimeIdx = int32_t(RTIdx);
+  O.Path = &RT->Node->Path;
+  if (O.Kind != OpKind::Sink)
+    if (int Pid = RT->findPortId("out"); Pid >= 0)
+      O.EventName = &RT->PortSlots[size_t(Pid)].EventName;
+  // Generic ops prepare inside evaluateGroup; only specialized ops carry a
+  // Prep range (preparing twice would corrupt PrevHas).
+  O.Prep = pack(K, RT->OutputNets);
+  O.Out = pack(K, Out);
+  O.In = pack(K, In);
+  return O;
 }
 
-Plan KernelBuilderImpl::classify(Simulator &Sim) {
-  Plan P;
-  P.Ops.reserve(Sim.Sched.Groups.size());
-  for (size_t G = 0; G != Sim.Sched.Groups.size(); ++G)
-    P.Ops.push_back(classifyGroup(Sim, G));
+std::unique_ptr<CompiledKernel> KernelBuilderImpl::build(Simulator &Sim) {
+  auto K = std::make_unique<CompiledKernel>();
+  K->Ops.reserve(Sim.Sched.Groups.size());
+  for (size_t G = 0; G != Sim.Sched.Groups.size(); ++G) {
+    K->Ops.push_back(lowerGroup(Sim, *K, G));
+    if (K->Ops.back().Kind == OpKind::Generic)
+      ++K->Stats.NumGenericOps;
+    else
+      ++K->Stats.NumSpecializedOps;
+  }
 
   // Sequential phase, in runtime index order (== runSequentialPhase).
   for (size_t RTIdx = 0; RTIdx != Sim.Runtimes.size(); ++RTIdx) {
@@ -213,82 +174,20 @@ Plan KernelBuilderImpl::classify(Simulator &Sim) {
       continue;
     const std::string &Id = RT->Node->BehaviorId;
     if (isEotFree(Id)) {
-      ++P.NumSeqElided;
+      ++K->Stats.NumSeqElided;
       continue;
     }
-    SeqPlan S;
+    CompiledKernel::SeqOp S;
     S.RuntimeIdx = int32_t(RTIdx);
     if (Id == "corelib/delay.tar" && RT->StateVars.lookup("held")) {
       S.Kind = SeqKind::DelayLatch;
       S.InNet = portNet0(RT, "in");
+      S.State = RT->StateVars.lookup("held");
     }
-    P.SeqOps.push_back(S);
-  }
-  return P;
-}
-
-/// Packs a validated plan into an executable kernel, resolving state,
-/// event-name, and path pointers against the live simulator. Plans come
-/// from classify(), so every lookup succeeds by construction.
-std::unique_ptr<CompiledKernel>
-KernelBuilderImpl::materialize(Simulator &Sim, const Plan &P) {
-  auto K = std::make_unique<CompiledKernel>();
-  auto Pack = [&K](const std::vector<int32_t> &Ids) {
-    CompiledKernel::Range R;
-    R.Begin = int32_t(K->NetPool.size());
-    R.Count = int32_t(Ids.size());
-    K->NetPool.insert(K->NetPool.end(), Ids.begin(), Ids.end());
-    return R;
-  };
-  K->Ops.reserve(P.Ops.size());
-  for (const OpPlan &OP : P.Ops) {
-    CompiledKernel::Op O;
-    O.Kind = OP.Kind;
-    O.Group = OP.Group;
-    O.RuntimeIdx = OP.RuntimeIdx;
-    O.ImmA = OP.ImmA;
-    O.ImmB = OP.ImmB;
-    O.Prep = Pack(OP.Prep);
-    O.Out = Pack(OP.Out);
-    O.In = Pack(OP.In);
-    if (OP.Kind != OpKind::Generic) {
-      Simulator::Runtime *RT = Sim.Runtimes[size_t(OP.RuntimeIdx)].get();
-      O.Path = &RT->Node->Path;
-      if (OP.Kind == OpKind::ConstSource)
-        O.Const = Value::makeInt(OP.ImmA);
-      if (OP.Kind == OpKind::DelayEval)
-        O.State = RT->StateVars.lookup("held");
-      if (OP.Kind == OpKind::Sink) {
-        O.State = RT->StateVars.lookup("received");
-        O.EventName = &CompiledKernel::sinkEventName();
-      } else if (int Pid = RT->findPortId("out"); Pid >= 0) {
-        O.EventName = &RT->PortSlots[size_t(Pid)].EventName;
-      }
-    } else {
-      // Generic ops prepare inside evaluateGroup; drop the range so the
-      // runner does not double-prepare (which would corrupt PrevHas).
-      O.Prep = CompiledKernel::Range();
-    }
-    K->Ops.push_back(std::move(O));
-    if (OP.Kind == OpKind::Generic)
-      ++K->Stats.NumGenericOps;
-    else
-      ++K->Stats.NumSpecializedOps;
-  }
-  K->SeqOps.reserve(P.SeqOps.size());
-  for (const SeqPlan &SP : P.SeqOps) {
-    CompiledKernel::SeqOp S;
-    S.Kind = SP.Kind;
-    S.RuntimeIdx = SP.RuntimeIdx;
-    S.InNet = SP.InNet;
-    if (SP.Kind == SeqKind::DelayLatch)
-      S.State =
-          Sim.Runtimes[size_t(SP.RuntimeIdx)]->StateVars.lookup("held");
     K->SeqOps.push_back(S);
   }
   K->Stats.NumOps = unsigned(K->Ops.size());
   K->Stats.NumSeqOps = unsigned(K->SeqOps.size());
-  K->Stats.NumSeqElided = P.NumSeqElided;
   return K;
 }
 
@@ -296,151 +195,5 @@ KernelBuilderImpl::materialize(Simulator &Sim, const Plan &P) {
 } // namespace liberty
 
 std::unique_ptr<CompiledKernel> KernelBuilder::build(Simulator &Sim) {
-  return KernelBuilderImpl::materialize(Sim, KernelBuilderImpl::classify(Sim));
-}
-
-//===----------------------------------------------------------------------===//
-// LSSKRN 1 parsing + revalidation
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-bool parseOpKind(std::string_view Tok, OpKind &Out) {
-  for (uint8_t K = 0; K <= uint8_t(OpKind::Sink); ++K)
-    if (Tok == CompiledKernel::opKindName(OpKind(K))) {
-      Out = OpKind(K);
-      return true;
-    }
-  return false;
-}
-
-bool parseSeqKind(std::string_view Tok, SeqKind &Out) {
-  for (uint8_t K = 0; K <= uint8_t(SeqKind::DelayLatch); ++K)
-    if (Tok == CompiledKernel::seqKindName(SeqKind(K))) {
-      Out = SeqKind(K);
-      return true;
-    }
-  return false;
-}
-
-bool parseI32(const netlist::ArtifactLineReader &L, size_t I, int32_t &Out) {
-  int64_t V;
-  if (!L.i64(I, V) || V < INT32_MIN || V > INT32_MAX)
-    return false;
-  Out = int32_t(V);
-  return true;
-}
-
-/// Reads "<tag> <n> <id>*n" starting at field \p I; advances \p I past it.
-bool parseIdList(const netlist::ArtifactLineReader &L, size_t &I,
-                 const char *Tag, std::vector<int32_t> &Out) {
-  if (I >= L.size() || L.raw(I) != Tag)
-    return false;
-  ++I;
-  int32_t N;
-  if (!parseI32(L, I, N) || N < 0 || size_t(N) > L.size() - I)
-    return false;
-  ++I;
-  Out.reserve(size_t(N));
-  for (int32_t K = 0; K != N; ++K, ++I) {
-    int32_t Id;
-    if (!parseI32(L, I, Id))
-      return false;
-    Out.push_back(Id);
-  }
-  return true;
-}
-
-/// Parses an LSSKRN 1 artifact into a structural plan. Purely syntactic —
-/// semantic validation happens by comparing against classify()'s output.
-bool parsePlan(const std::string &Text, Plan &P, size_t &PoolSize) {
-  size_t Pos = 0;
-  auto NextLine = [&](std::string_view &Line) {
-    if (Pos >= Text.size())
-      return false;
-    size_t End = Text.find('\n', Pos);
-    if (End == std::string::npos)
-      return false; // Every line must be newline-terminated.
-    Line = std::string_view(Text).substr(Pos, End - Pos);
-    Pos = End + 1;
-    return true;
-  };
-
-  std::string_view Line;
-  if (!NextLine(Line) || Line != "LSSKRN 1")
-    return false;
-  if (!NextLine(Line))
-    return false;
-  netlist::ArtifactLineReader Counts(Line);
-  int64_t NumOps, NumSeq, DeclaredPool;
-  if (Counts.size() != 4 || Counts.raw(0) != "counts" ||
-      !Counts.i64(1, NumOps) || !Counts.i64(2, NumSeq) ||
-      !Counts.i64(3, DeclaredPool) || NumOps < 0 || NumSeq < 0 ||
-      DeclaredPool < 0)
-    return false;
-
-  size_t Pool = 0;
-  while (NextLine(Line)) {
-    netlist::ArtifactLineReader L(Line);
-    if (L.size() == 0)
-      return false;
-    std::string_view Rec = L.raw(0);
-    if (Rec == "end") {
-      if (L.size() != 1 || Pos != Text.size())
-        return false; // Trailing bytes after the terminator.
-      if (P.Ops.size() != size_t(NumOps) || P.SeqOps.size() != size_t(NumSeq) ||
-          Pool != size_t(DeclaredPool))
-        return false;
-      PoolSize = Pool;
-      return true;
-    }
-    if (Rec == "op") {
-      if (!P.SeqOps.empty())
-        return false; // Ops must precede seq ops.
-      OpPlan O;
-      if (L.size() < 6 || !parseOpKind(L.raw(1), O.Kind) ||
-          !parseI32(L, 2, O.Group) || !parseI32(L, 3, O.RuntimeIdx) ||
-          !L.i64(4, O.ImmA) || !L.i64(5, O.ImmB))
-        return false;
-      size_t I = 6;
-      if (!parseIdList(L, I, "prep", O.Prep) ||
-          !parseIdList(L, I, "out", O.Out) || !parseIdList(L, I, "in", O.In) ||
-          I != L.size())
-        return false;
-      Pool += O.Prep.size() + O.Out.size() + O.In.size();
-      P.Ops.push_back(std::move(O));
-      continue;
-    }
-    if (Rec == "seq") {
-      SeqPlan S;
-      if (L.size() != 4 || !parseSeqKind(L.raw(1), S.Kind) ||
-          !parseI32(L, 2, S.RuntimeIdx) || !parseI32(L, 3, S.InNet))
-        return false;
-      P.SeqOps.push_back(S);
-      continue;
-    }
-    return false; // Unknown record kind.
-  }
-  return false; // Missing "end".
-}
-
-} // namespace
-
-std::unique_ptr<CompiledKernel> KernelBuilder::load(Simulator &Sim,
-                                                    const std::string &Artifact) {
-  Plan Parsed;
-  size_t PoolSize = 0;
-  if (!parsePlan(Artifact, Parsed, PoolSize))
-    return nullptr;
-  // Revalidate against the live simulator: the cached plan must be
-  // exactly what lowering this simulator produces (same groups, same
-  // kinds, same dense ids). This catches artifacts from a different
-  // netlist/solution that happen to share the cache key, and any mutated
-  // entry the envelope checksum missed.
-  Plan Fresh = KernelBuilderImpl::classify(Sim);
-  if (Parsed.Ops != Fresh.Ops || Parsed.SeqOps != Fresh.SeqOps)
-    return nullptr;
-  std::unique_ptr<CompiledKernel> K = KernelBuilderImpl::materialize(Sim, Fresh);
-  K->Stats.FromCache = true;
-  return K;
+  return KernelBuilderImpl::build(Sim);
 }

@@ -2,20 +2,12 @@
 ///
 /// \file
 /// Lowers a constructed Simulator into a CompiledKernel (the compiled
-/// engine's flat cycle program), and rebuilds kernels from cached
-/// "LSSKRN 1" artifacts. Lowering classifies each schedule group: a
-/// singleton group whose behavior id names one of the devirtualized
+/// engine's flat cycle program). Lowering classifies each schedule group:
+/// a singleton group whose behavior id names one of the devirtualized
 /// corelib kinds (and whose port/state slots resolve) becomes a
 /// specialized op over dense net ids; everything else becomes a Generic
 /// op that delegates to Simulator::evaluateGroup, preserving fixpoint and
 /// diagnostic semantics exactly.
-///
-/// load() trusts nothing: a cached plan is parsed with bounds-checked
-/// decoding, then every op is revalidated against the live simulator's
-/// schedule, behavior ids, and slot tables (the same classification the
-/// fresh build performs) — any mismatch rejects the whole artifact and
-/// the caller falls back to a fresh build. Mutated kernel artifacts are a
-/// fuzz target (fuzz_cache).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +17,6 @@
 #include "sim/CompiledKernel.h"
 
 #include <memory>
-#include <string>
 
 namespace liberty {
 namespace sim {
@@ -38,12 +29,6 @@ public:
   /// its state slots) into a fresh kernel. Never fails: unrecognized
   /// groups lower to Generic ops.
   static std::unique_ptr<CompiledKernel> build(Simulator &Sim);
-
-  /// Parses an "LSSKRN 1" artifact and revalidates it against \p Sim.
-  /// Returns null if the artifact is malformed or structurally
-  /// inconsistent with the simulator (the cache-miss path).
-  static std::unique_ptr<CompiledKernel> load(Simulator &Sim,
-                                              const std::string &Artifact);
 };
 
 } // namespace sim

@@ -8,47 +8,6 @@
 using namespace liberty;
 using namespace liberty::sim;
 
-namespace {
-
-/// Assigns each group its ASAP (longest-path) depth in the condensation:
-/// level 0 for groups with no predecessors, otherwise one more than the
-/// deepest predecessor. A single ascending sweep suffices because Tarjan's
-/// condensation order puts every edge source at a smaller group index than
-/// its target, so a group's level is final before any of its successors
-/// are relaxed. The DFS order interleaves independent chains, so levels
-/// are deliberately NOT contiguous index ranges — ASAP packing is what
-/// lets a wide netlist present all its independent groups in one level.
-void assignLevels(Schedule &S, int NumNodes,
-                  const std::vector<std::vector<int>> &Successors) {
-  int NumGroups = int(S.Groups.size());
-  std::vector<int> NodeGroup(NumNodes, -1);
-  for (int G = 0; G != NumGroups; ++G)
-    for (int Node : S.Groups[G])
-      NodeGroup[Node] = G;
-
-  S.GroupLevel.assign(NumGroups, 0);
-  int NumLevels = NumGroups ? 1 : 0;
-  for (int G = 0; G != NumGroups; ++G)
-    for (int Node : S.Groups[G])
-      for (int V : Successors[Node]) {
-        int GV = NodeGroup[V];
-        if (GV == G)
-          continue; // Intra-group (cyclic) edge.
-        assert(G < GV && "condensation order is not topological");
-        S.GroupLevel[GV] = std::max(S.GroupLevel[GV], S.GroupLevel[G] + 1);
-        NumLevels = std::max(NumLevels, S.GroupLevel[GV] + 1);
-      }
-
-  S.Levels.assign(NumLevels, {});
-  for (int G = 0; G != NumGroups; ++G)
-    S.Levels[S.GroupLevel[G]].push_back(G); // Ascending within each level.
-  S.MaxLevel = 0;
-  for (const std::vector<int> &L : S.Levels)
-    S.MaxLevel = std::max(S.MaxLevel, unsigned(L.size()));
-}
-
-} // namespace
-
 Schedule liberty::sim::computeSchedule(
     int NumNodes, const std::vector<std::vector<int>> &Successors) {
   assert(static_cast<int>(Successors.size()) == NumNodes &&
@@ -125,34 +84,5 @@ Schedule liberty::sim::computeSchedule(
     S.MaxGroup = std::max(S.MaxGroup, unsigned(G.size()));
   }
 
-  assignLevels(S, NumNodes, Successors);
   return S;
-}
-
-void liberty::sim::computeGroupSummaries(
-    Schedule &S, const std::vector<std::vector<int>> &NodeInputNets,
-    const std::vector<bool> &NodePure) {
-  S.GroupInputNets.assign(S.Groups.size(), {});
-  S.GroupSkippable.assign(S.Groups.size(), false);
-  S.NumSkippable = 0;
-  for (size_t G = 0; G != S.Groups.size(); ++G) {
-    std::vector<int> &Inputs = S.GroupInputNets[G];
-    bool AllPure = true;
-    for (int Node : S.Groups[G]) {
-      assert(Node >= 0 &&
-             static_cast<size_t>(Node) < NodeInputNets.size() &&
-             "node id out of range");
-      Inputs.insert(Inputs.end(), NodeInputNets[Node].begin(),
-                    NodeInputNets[Node].end());
-      AllPure = AllPure && NodePure[Node];
-    }
-    std::sort(Inputs.begin(), Inputs.end());
-    Inputs.erase(std::unique(Inputs.begin(), Inputs.end()), Inputs.end());
-    // Cyclic groups are never skipped: their fixpoint iteration already
-    // quiesces in one settled pass, and always evaluating them keeps the
-    // selective and exhaustive event streams identical.
-    S.GroupSkippable[G] = S.Groups[G].size() == 1 && AllPure;
-    if (S.GroupSkippable[G])
-      ++S.NumSkippable;
-  }
 }

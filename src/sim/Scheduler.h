@@ -8,20 +8,6 @@
 /// order; singleton groups evaluate exactly once per cycle, multi-node
 /// groups (combinational cycles) iterate to a fixpoint.
 ///
-/// On top of the linear order the scheduler assigns each group a *level*
-/// for the wavefront (level-parallel) engine: groups in the same level
-/// have no edges between them, and every edge source lives in a strictly
-/// earlier level, so all groups of one level may evaluate concurrently
-/// with a barrier between levels. Levels are ASAP (longest-path) depths
-/// over the condensation — a group's level is one more than the maximum
-/// level of its predecessors — which packs every independent group into
-/// the earliest possible wavefront and keeps wide netlists wide even
-/// though the DFS-based topological order interleaves producer/consumer
-/// chains. Level membership is therefore NOT contiguous in group index;
-/// the simulator restores the serial event order by buffering a whole
-/// cycle's events per group and flushing them in ascending group index at
-/// the end of the combinational phase.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIBERTY_SIM_SCHEDULER_H
@@ -37,54 +23,20 @@ struct Schedule {
   /// lists node ids (in deterministic ascending order within a group).
   std::vector<std::vector<int>> Groups;
 
-  /// Wavefront levels: Levels[L] lists the group indices (ascending)
-  /// evaluated concurrently as level L. Every group's predecessors (edge
-  /// sources) lie in levels < L. The levels partition [0, NumGroups).
-  std::vector<std::vector<int>> Levels;
-  /// GroupLevel[G] is the level index of group G.
-  std::vector<int> GroupLevel;
-
-  /// Selective-trace summaries, filled by computeGroupSummaries once the
-  /// caller knows each node's input nets and purity. GroupInputNets[G] is
-  /// the sorted, deduplicated union of the input nets the members of
-  /// group G read; GroupSkippable[G] is true when the per-cycle loop may
-  /// skip G outright whenever none of those nets changed this cycle
-  /// (singleton groups whose behavior has a pure evaluate — cyclic groups
-  /// always iterate, so their fixpoint restores any transient state).
-  std::vector<std::vector<int>> GroupInputNets;
-  std::vector<bool> GroupSkippable;
-
-  /// Cached structural counts, computed once during schedule construction
-  /// (computeSchedule / computeGroupSummaries) rather than rescanned on
-  /// every accessor call.
-  unsigned NumSkippable = 0;
+  /// Cached structural counts, computed once by computeSchedule rather
+  /// than rescanned on every accessor call.
   unsigned NumCyclic = 0;
   unsigned MaxGroup = 0;
-  unsigned MaxLevel = 0; ///< Widest level (group count).
 
-  unsigned numSkippableGroups() const { return NumSkippable; }
   unsigned numCyclicGroups() const { return NumCyclic; }
   unsigned maxGroupSize() const { return MaxGroup; }
-  unsigned numLevels() const { return unsigned(Levels.size()); }
-  unsigned maxLevelWidth() const { return MaxLevel; }
 };
 
 /// Computes the schedule for a graph of \p NumNodes nodes given forward
 /// adjacency \p Successors (duplicates allowed). Iterative Tarjan SCC, so
-/// large graphs cannot overflow the C++ stack. Also assigns wavefront
-/// levels and fills the cached structural counts (except NumSkippable,
-/// which computeGroupSummaries owns).
+/// large graphs cannot overflow the C++ stack.
 Schedule computeSchedule(int NumNodes,
                          const std::vector<std::vector<int>> &Successors);
-
-/// Precomputes the per-group activity summaries selective-trace
-/// evaluation consults each cycle. \p NodeInputNets and \p NodePure are
-/// indexed by the node ids stored in \p S.Groups (callers may have
-/// remapped them after computeSchedule), listing every input net a node
-/// reads and whether its behavior has a pure evaluate.
-void computeGroupSummaries(Schedule &S,
-                           const std::vector<std::vector<int>> &NodeInputNets,
-                           const std::vector<bool> &NodePure);
 
 } // namespace sim
 } // namespace liberty

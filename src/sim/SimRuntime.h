@@ -4,11 +4,10 @@
 /// The definition of Simulator::Runtime, the per-instance record through
 /// which leaf behaviors see the simulation (it implements
 /// bsl::BehaviorContext over the simulator's dense net array and the
-/// instance's slot tables). Historically a Simulator.cpp-private class; it
-/// lives in this internal header so the compiled-kernel lowering
-/// (sim/KernelBuilder) and the kernel interpreter (sim/CompiledKernel) can
-/// read the same slot tables the interpreted engines use. Not part of the
-/// public sim/ API — include Simulator.h instead.
+/// instance's slot tables). It lives in this internal header so the
+/// compiled-kernel lowering (sim/KernelBuilder) and the kernel runner
+/// (sim/CompiledKernel) can read the same slot tables the interp engine
+/// uses. Not part of the public sim/ API — include Simulator.h instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +17,6 @@
 #include "sim/Simulator.h"
 
 #include <map>
-#include <mutex>
 
 namespace liberty {
 namespace sim {
@@ -26,7 +24,7 @@ namespace sim {
 class Simulator::Runtime : public bsl::BehaviorContext {
 public:
   Runtime(Simulator &Sim, netlist::InstanceNode *Node)
-      : Sim(Sim), Node(Node), Stats(&Sim.Activity) {}
+      : Sim(Sim), Node(Node) {}
 
   Simulator &Sim;
   netlist::InstanceNode *Node;
@@ -70,31 +68,9 @@ public:
   std::map<std::string, CompiledUserpoint> Userpoints;
   int ScheduleNode = -1;
 
-  /// Behavior declares hasPureEvaluate(): sends are a function of input
-  /// net values only, so the selective engine may skip evaluate() in
-  /// quiescent cycles.
-  bool Pure = false;
-  /// Net ids this leaf drives / reads (deduplicated, for the selective
-  /// engine's per-group preparation and absence passes).
+  /// Net ids this leaf drives (deduplicated): the nets evaluateGroup
+  /// prepares before the group runs.
   std::vector<int> OutputNets;
-  std::vector<int> InputNets;
-  /// The automatic port events evaluate() emitted last time it ran, as
-  /// (event-name, net-id) pairs. Recorded only while instrumentation is
-  /// attached and the runtime is pure; replayed when the group is skipped
-  /// so collectors see a bit-identical event stream.
-  std::vector<std::pair<const std::string *, int>> LastSends;
-
-  /// Where activity counters go. Points at the simulator-global stats for
-  /// the serial engine; the wavefront engine repoints it at the executing
-  /// worker's shard before each evaluation.
-  ActivityStats *Stats;
-  /// The owning schedule group's fixpoint-dirty flag (&Sim.GroupDirty[G]);
-  /// points at OwnDirty for runtimes outside the schedule.
-  char *FixpointDirty = &OwnDirty;
-  char OwnDirty = 0;
-  /// The owning group's event buffer when the wavefront engine is active,
-  /// else null (events are emitted directly).
-  std::vector<BufferedEvent> *Buf = nullptr;
 
   void resetState() {
     // Blank values but keep slot identities: state ids bound in init() and
@@ -162,46 +138,32 @@ public:
     if (NetId < 0)
       return;
     Net &N = Sim.Nets[NetId];
-    ++Stats->NetWrites;
+    ++Sim.Activity.NetWrites;
     if (!N.Has) {
-      // First send this evaluation round. The group dirty flag feeds the
-      // cyclic groups' fixpoint test and must fire on presence appearing
-      // even if the value matches, preserving the iteration counts of
-      // exhaustive evaluation. DirtyCycle, by contrast, only stamps
-      // observable cross-cycle change (value differs, or the net was
-      // absent last cycle).
-      *FixpointDirty = 1;
+      // First send this evaluation round. The fixpoint dirty flag fires on
+      // presence appearing even if the value matches last cycle's, so a
+      // cyclic group always re-runs after its members' first sends; the
+      // stored value is only reassigned when it observably changed (value
+      // differs, or the net was absent last cycle).
+      Sim.FixpointDirty = true;
       if (!N.PrevHas || !N.V.equals(V)) {
         N.V = std::move(V);
-        N.DirtyCycle = Sim.Cycle;
-        ++Stats->NetChanges;
+        ++Sim.Activity.NetChanges;
       }
       N.Has = true;
     } else if (!N.V.equals(V)) {
       // Re-send with a different value (fixpoint iteration).
       N.V = std::move(V);
-      N.DirtyCycle = Sim.Cycle;
-      *FixpointDirty = 1;
-      ++Stats->NetChanges;
+      Sim.FixpointDirty = true;
+      ++Sim.Activity.NetChanges;
     }
     if (!Sim.Instr.empty() && PS.IsOutput) {
-      if (Sim.BufferEvents) {
-        BufferedEvent BE;
-        BE.InstancePath = &Node->Path;
-        BE.Name = &PS.EventName;
-        BE.Cycle = Sim.Cycle;
-        BE.Payload = N.V;
-        Buf->push_back(std::move(BE));
-      } else {
-        Event E;
-        E.InstancePath = &Node->Path;
-        E.Name = &PS.EventName;
-        E.Cycle = Sim.Cycle;
-        E.Payload = &N.V;
-        Sim.Instr.emit(E);
-      }
-      if (Pure)
-        LastSends.emplace_back(&PS.EventName, NetId);
+      Event E;
+      E.InstancePath = &Node->Path;
+      E.Name = &PS.EventName;
+      E.Cycle = Sim.Cycle;
+      E.Payload = &N.V;
+      Sim.Instr.emit(E);
     }
   }
 
@@ -227,21 +189,10 @@ public:
     }
     Env.RuntimeVars = &StateVars;
     Env.Params = &Node->Params;
-    if (Sim.Pool) {
-      // Wavefront engine: the diagnostic engine is not thread-safe, so
-      // userpoint execution (which may report runtime errors) is
-      // serialized. Userpoint-bearing behaviors are rare on the hot path.
-      std::lock_guard<std::mutex> Lock(Sim.DiagsMutex);
-      return runUserpointLocked(It->second, Env);
-    }
-    return runUserpointLocked(It->second, Env);
-  }
-
-  interp::Value runUserpointLocked(CompiledUserpoint &CU, bsl::BslEnv &Env) {
     unsigned ErrorsBefore = Sim.Diags.getNumErrors();
-    interp::Value Result = CU.Prog->run(Env, Sim.Diags);
+    interp::Value Result = It->second.Prog->run(Env, Sim.Diags);
     if (Sim.Diags.getNumErrors() != ErrorsBefore)
-      Sim.RuntimeErrors.store(true, std::memory_order_relaxed);
+      Sim.RuntimeErrors = true;
     return Result;
   }
 
@@ -258,17 +209,6 @@ public:
   void emitEvent(const std::string &EventName, interp::Value Payload) override {
     if (Sim.Instr.empty())
       return;
-    if (Sim.BufferEvents) {
-      // The name may be a caller temporary, so the buffered record owns a
-      // copy (NameStore); the payload is copied regardless.
-      BufferedEvent BE;
-      BE.InstancePath = &Node->Path;
-      BE.NameStore = EventName;
-      BE.Cycle = Sim.Cycle;
-      BE.Payload = std::move(Payload);
-      Buf->push_back(std::move(BE));
-      return;
-    }
     Event E;
     E.InstancePath = &Node->Path;
     E.Name = &EventName;

@@ -8,7 +8,6 @@
 #include "types/Type.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <map>
 
@@ -21,42 +20,17 @@ using interp::Value;
 //===----------------------------------------------------------------------===//
 
 const char *liberty::sim::engineName(EngineKind K) {
-  switch (K) {
-  case EngineKind::Auto:
-    return "auto";
-  case EngineKind::Interp:
-    return "interp";
-  case EngineKind::Selective:
-    return "selective";
-  case EngineKind::Wavefront:
-    return "wavefront";
-  case EngineKind::Compiled:
-    return "compiled";
-  }
-  return "auto";
+  return K == EngineKind::Interp ? "interp" : "compiled";
 }
 
 bool liberty::sim::parseEngineName(const std::string &Name, EngineKind &Out) {
-  for (EngineKind K : {EngineKind::Auto, EngineKind::Interp,
-                       EngineKind::Selective, EngineKind::Wavefront,
-                       EngineKind::Compiled})
+  for (EngineKind K : {EngineKind::Interp, EngineKind::Compiled})
     if (Name == engineName(K)) {
       Out = K;
       return true;
     }
   return false;
 }
-
-/// An explicit engine wins; Auto keeps the historical flag-driven
-/// selection so existing Options-only callers behave identically.
-static EngineKind resolveEngine(const Simulator::Options &O) {
-  if (O.Engine != EngineKind::Auto)
-    return O.Engine;
-  if (O.Jobs > 1)
-    return EngineKind::Wavefront;
-  return O.Selective ? EngineKind::Selective : EngineKind::Interp;
-}
-
 
 //===----------------------------------------------------------------------===//
 // Construction
@@ -78,49 +52,15 @@ std::unique_ptr<Simulator> Simulator::build(netlist::Netlist &NL,
                                             SourceMgr &SM,
                                             DiagnosticEngine &Diags,
                                             Options Opts) {
-  return build(NL, SM, Diags, Opts, nullptr);
-}
-
-std::unique_ptr<Simulator> Simulator::build(netlist::Netlist &NL,
-                                            SourceMgr &SM,
-                                            DiagnosticEngine &Diags,
-                                            Options Opts,
-                                            const std::string *KernelArtifact) {
-  // Normalize the legacy flags to the resolved engine so the construct()
-  // paths (wavefront resources, selective summaries) and reported options
-  // agree with what actually runs.
-  EngineKind E = resolveEngine(Opts);
-  Opts.Engine = E;
-  switch (E) {
-  case EngineKind::Auto: // Unreachable: resolveEngine never returns Auto.
-  case EngineKind::Interp:
-  case EngineKind::Compiled:
-    Opts.Selective = false;
-    Opts.Jobs = 1;
-    break;
-  case EngineKind::Selective:
-    Opts.Selective = true;
-    Opts.Jobs = 1;
-    break;
-  case EngineKind::Wavefront:
-    Opts.Jobs = std::max(Opts.Jobs, 2u);
-    break;
-  }
   std::unique_ptr<Simulator> Sim(new Simulator(NL, SM, Diags, Opts));
-  Sim->ResolvedEngine = E;
   if (!Sim->construct())
     return nullptr;
   Sim->reset();
-  if (E == EngineKind::Compiled) {
+  if (Opts.Engine == EngineKind::Compiled) {
     // Lower after reset(): behavior init() has bound the state slots the
     // kernel caches pointers to (slot identities survive later resets).
     auto T0 = std::chrono::steady_clock::now();
-    if (KernelArtifact)
-      Sim->Kernel = KernelBuilder::load(*Sim, *KernelArtifact);
-    bool FromCache = Sim->Kernel != nullptr;
-    if (!Sim->Kernel)
-      Sim->Kernel = KernelBuilder::build(*Sim);
-    Sim->Kernel->Stats.FromCache = FromCache;
+    Sim->Kernel = KernelBuilder::build(*Sim);
     Sim->Kernel->Stats.BuildMs =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - T0)
@@ -131,13 +71,6 @@ std::unique_ptr<Simulator> Simulator::build(netlist::Netlist &NL,
 
 const KernelStats *Simulator::getKernelStats() const {
   return Kernel ? &Kernel->Stats : nullptr;
-}
-
-bool Simulator::serializeKernel(std::string &Out) const {
-  if (!Kernel)
-    return false;
-  Out = Kernel->serialize();
-  return true;
 }
 
 bool Simulator::construct() {
@@ -251,7 +184,6 @@ bool Simulator::construct() {
           continue;
         if (P.isInput()) {
           NetReaders[NetId].push_back(Reader{(int)SN, &P.Name});
-          RT->InputNets.push_back(NetId);
           continue;
         }
         RT->OutputNets.push_back(NetId);
@@ -265,13 +197,10 @@ bool Simulator::construct() {
         N.DriverRuntime = LeafRuntimes[SN];
       }
     }
-    auto Dedup = [](std::vector<int> &V) {
-      std::sort(V.begin(), V.end());
-      V.erase(std::unique(V.begin(), V.end()), V.end());
-    };
-    Dedup(RT->InputNets);
-    Dedup(RT->OutputNets);
-    RT->Pure = RT->Behavior && RT->Behavior->hasPureEvaluate();
+    std::sort(RT->OutputNets.begin(), RT->OutputNets.end());
+    RT->OutputNets.erase(
+        std::unique(RT->OutputNets.begin(), RT->OutputNets.end()),
+        RT->OutputNets.end());
   }
 
   // 5. Build the combinational dependency graph and the static schedule.
@@ -293,42 +222,9 @@ bool Simulator::construct() {
     for (int &N : Group)
       N = LeafRuntimes[N];
 
-  // 6. Selective-trace summaries: per-group input-net unions and
-  //    skippability, precomputed once so the per-cycle loop only scans a
-  //    short sorted list per skippable group.
-  std::vector<std::vector<int>> NodeInputNets(Runtimes.size());
-  std::vector<bool> NodePure(Runtimes.size(), false);
-  for (size_t RTIdx = 0; RTIdx != Runtimes.size(); ++RTIdx) {
-    NodeInputNets[RTIdx] = Runtimes[RTIdx]->InputNets;
-    NodePure[RTIdx] = Runtimes[RTIdx]->Pure;
-  }
-  computeGroupSummaries(Sched, NodeInputNets, NodePure);
-  GroupEvaluated.assign(Sched.Groups.size(), 0);
-  GroupDirty.assign(Sched.Groups.size(), 0);
-  GroupOscillating.assign(Sched.Groups.size(), {});
-
-  // 7. Wavefront engine resources. Sized before the pointer wiring below
-  //    so &GroupDirty[G] / &GroupEventBufs[G] stay valid (neither vector
-  //    is ever resized afterwards).
-  if (Opts.Jobs > 1) {
-    GroupEventBufs.assign(Sched.Groups.size(), {});
-    FixpointFailed.assign(Sched.Groups.size(), 0);
-    StatShards.assign(Opts.Jobs, ActivityStats());
-    Pool = std::make_unique<ThreadPool>(Opts.Jobs);
-  }
-  for (size_t G = 0; G != Sched.Groups.size(); ++G)
-    for (int RTIdx : Sched.Groups[G]) {
-      Runtimes[RTIdx]->FixpointDirty = &GroupDirty[G];
-      if (Opts.Jobs > 1)
-        Runtimes[RTIdx]->Buf = &GroupEventBufs[G];
-    }
-
   Info.NumGroups = Sched.Groups.size();
   Info.NumCyclicGroups = Sched.numCyclicGroups();
   Info.MaxGroupSize = Sched.maxGroupSize();
-  Info.NumSkippableGroups = Sched.numSkippableGroups();
-  Info.NumLevels = Sched.numLevels();
-  Info.MaxLevelWidth = Sched.maxLevelWidth();
 
   return Diags.getNumErrors() == ErrorsBefore;
 }
@@ -339,30 +235,14 @@ bool Simulator::construct() {
 
 void Simulator::reset() {
   Cycle = 0;
-  RuntimeErrors.store(false, std::memory_order_relaxed);
+  RuntimeErrors = false;
   for (Net &N : Nets) {
     N.Has = false;
     N.PrevHas = false;
-    N.DirtyCycle = NeverDirty;
   }
   Activity = ActivityStats();
-  Activity.Selective = Opts.Selective;
-  GroupEvaluated.assign(Sched.Groups.size(), 0);
-  std::fill(GroupDirty.begin(), GroupDirty.end(), 0);
-  std::fill(FixpointFailed.begin(), FixpointFailed.end(), 0);
-  for (auto &O : GroupOscillating)
-    O.clear();
-  for (auto &B : GroupEventBufs)
-    B.clear();
-  for (ActivityStats &S : StatShards)
-    S = ActivityStats();
-  BufferEvents = false;
-  BypassCountdown = 0;
-  LastInstrVersion = Instr.getVersion();
-  for (auto &RT : Runtimes) {
+  for (auto &RT : Runtimes)
     RT->resetState();
-    RT->LastSends.clear();
-  }
   for (auto &RT : Runtimes)
     if (RT->Behavior)
       RT->Behavior->init(*RT);
@@ -389,12 +269,10 @@ void Simulator::runEndOfTimestepUserpoints() {
     RT->callUserpoint("end_of_timestep", {});
 }
 
-void Simulator::evaluateGroup(size_t GroupIdx, ActivityStats &A) {
+void Simulator::evaluateGroup(size_t GroupIdx) {
   const std::vector<int> &Group = Sched.Groups[GroupIdx];
   // Prepare the group's output nets: snapshot last cycle's presence, then
-  // clear it so this evaluation starts from a blank slate. (Replaces the
-  // old global per-cycle Has sweep — skipped groups keep their nets as-is,
-  // carrying the previous sends forward.)
+  // clear it so this evaluation starts from a blank slate.
   for (int RTIdx : Group)
     for (int NetId : Runtimes[RTIdx]->OutputNets) {
       Net &N = Nets[NetId];
@@ -405,19 +283,11 @@ void Simulator::evaluateGroup(size_t GroupIdx, ActivityStats &A) {
   if (Group.size() == 1) {
     Runtime *RT = Runtimes[Group.front()].get();
     if (RT->Behavior) {
-      RT->Stats = &A;
-      RT->LastSends.clear();
       RT->Behavior->evaluate(*RT);
-      ++A.LeafEvals;
+      ++Activity.LeafEvals;
     }
   } else {
-    // Combinational cycle: iterate to a fixpoint, using the group's own
-    // dirty flag as the convergence test. Per-group flags (instead of a
-    // simulator-global one) keep iteration counts identical when several
-    // cyclic groups of the same level run on different threads.
-    char &Dirty = GroupDirty[GroupIdx];
-    for (int RTIdx : Group)
-      Runtimes[RTIdx]->Stats = &A;
+    // Combinational cycle: iterate until a pass changes no net.
     bool Converged = false;
     // Watchdog snapshot of the group's output nets, taken before the final
     // allowed iteration: nets that still differ afterwards are the ones
@@ -425,8 +295,8 @@ void Simulator::evaluateGroup(size_t GroupIdx, ActivityStats &A) {
     std::vector<std::pair<int, interp::Value>> Watch;
     std::vector<char> WatchHas;
     for (unsigned Iter = 0; Iter != Opts.MaxFixpointIters; ++Iter) {
-      Dirty = 0;
-      ++A.FixpointIters;
+      FixpointDirty = false;
+      ++Activity.FixpointIters;
       if (Iter + 1 == Opts.MaxFixpointIters) {
         for (int RTIdx : Group)
           for (int NetId : Runtimes[RTIdx]->OutputNets) {
@@ -437,49 +307,31 @@ void Simulator::evaluateGroup(size_t GroupIdx, ActivityStats &A) {
       for (int RTIdx : Group) {
         Runtime *RT = Runtimes[RTIdx].get();
         if (RT->Behavior) {
-          RT->LastSends.clear();
           RT->Behavior->evaluate(*RT);
-          ++A.LeafEvals;
+          ++Activity.LeafEvals;
         }
       }
-      if (!Dirty) {
+      if (!FixpointDirty) {
         Converged = true;
         break;
       }
     }
-    if (!Converged) {
-      std::vector<int> &Osc = GroupOscillating[GroupIdx];
-      Osc.clear();
+    if (!Converged && !RuntimeErrors) {
+      std::vector<int> Osc;
       for (size_t W = 0; W != Watch.size() && Osc.size() < 8; ++W) {
         const Net &N = Nets[Watch[W].first];
         if (char(N.Has) != WatchHas[W] || !N.V.equals(Watch[W].second))
           Osc.push_back(Watch[W].first);
       }
-      if (Pool) {
-        // Parallel phase: defer the diagnostic to the main thread, which
-        // reports failures in ascending group order after the level.
-        FixpointFailed[GroupIdx] = 1;
-      } else if (!RuntimeErrors.load(std::memory_order_relaxed)) {
-        reportFixpointFailure(GroupIdx);
-        RuntimeErrors.store(true, std::memory_order_relaxed);
-      }
+      reportFixpointFailure(GroupIdx, Osc);
+      RuntimeErrors = true;
     }
   }
-
-  // Absence pass: a net that was driven last cycle but not this one is an
-  // observable change for downstream readers.
-  for (int RTIdx : Group)
-    for (int NetId : Runtimes[RTIdx]->OutputNets) {
-      Net &N = Nets[NetId];
-      if (N.PrevHas && !N.Has)
-        N.DirtyCycle = Cycle;
-    }
-
-  GroupEvaluated[GroupIdx] = 1;
-  ++A.GroupsEvaluated;
+  ++Activity.GroupsEvaluated;
 }
 
-void Simulator::reportFixpointFailure(size_t GroupIdx) {
+void Simulator::reportFixpointFailure(size_t GroupIdx,
+                                      const std::vector<int> &Osc) {
   const std::vector<int> &Group = Sched.Groups[GroupIdx];
   std::string Members;
   unsigned Listed = 0;
@@ -501,7 +353,6 @@ void Simulator::reportFixpointFailure(size_t GroupIdx) {
   // debugging the cycle. Each net is named after its first port instance
   // in creation order ("path.port[index]"); cold path, so the full scan
   // over the netlist is fine.
-  const std::vector<int> &Osc = GroupOscillating[GroupIdx];
   if (Osc.empty())
     return;
   std::map<int, std::string> NetName;
@@ -526,54 +377,6 @@ void Simulator::reportFixpointFailure(size_t GroupIdx) {
   }
 }
 
-void Simulator::skipGroup(size_t GroupIdx) {
-  ++Activity.GroupsSkipped;
-  ++Activity.LeafEvalsSkipped; // Skippable groups are singletons.
-  if (Instr.empty())
-    return;
-  // Replay the automatic port events the skipped evaluate() would have
-  // emitted, in recorded order, with the carried-forward net values.
-  Runtime *RT = Runtimes[Sched.Groups[GroupIdx].front()].get();
-  for (const auto &[EvName, NetId] : RT->LastSends) {
-    if (BufferEvents) {
-      BufferedEvent BE;
-      BE.InstancePath = &RT->Node->Path;
-      BE.Name = EvName;
-      BE.Cycle = Cycle;
-      BE.Payload = Nets[NetId].V;
-      GroupEventBufs[GroupIdx].push_back(std::move(BE));
-    } else {
-      Event E;
-      E.InstancePath = &RT->Node->Path;
-      E.Name = EvName;
-      E.Cycle = Cycle;
-      E.Payload = &Nets[NetId].V;
-      Instr.emit(E);
-    }
-    ++Activity.EventsReplayed;
-  }
-}
-
-void Simulator::flushCycleEvents() {
-  // Ascending group index — exactly the serial engine's emission order.
-  // Levels are not contiguous in group index (ASAP packing), so the flush
-  // happens once per cycle over every group rather than per level.
-  for (size_t G = 0; G != GroupEventBufs.size(); ++G) {
-    std::vector<BufferedEvent> &Buf = GroupEventBufs[G];
-    if (Buf.empty())
-      continue;
-    for (BufferedEvent &BE : Buf) {
-      Event E;
-      E.InstancePath = BE.InstancePath;
-      E.Name = BE.Name ? BE.Name : &BE.NameStore;
-      E.Cycle = BE.Cycle;
-      E.Payload = &BE.Payload;
-      Instr.emit(E);
-    }
-    Buf.clear();
-  }
-}
-
 void Simulator::runSequentialPhase() {
   for (auto &RT : Runtimes)
     if (RT->Behavior)
@@ -582,167 +385,13 @@ void Simulator::runSequentialPhase() {
 }
 
 void Simulator::step(uint64_t N) {
-  if (Kernel)
+  if (Kernel) {
     Kernel->run(*this, N);
-  else if (Pool)
-    stepWavefront(N);
-  else
-    stepSerial(N);
-}
-
-void Simulator::stepSerial(uint64_t N) {
-  for (uint64_t I = 0; I != N; ++I) {
-    // A collector attached since the last cycle invalidates the replay
-    // records (they only hold events recorded while instrumentation was
-    // live), so force one exhaustive cycle to rebuild them.
-    bool ForceFull = false;
-    if (Instr.getVersion() != LastInstrVersion) {
-      LastInstrVersion = Instr.getVersion();
-      ForceFull = true;
-    }
-    // All-dirty bypass: while armed, suppress the quiescence scan and
-    // evaluate everything — exactly the exhaustive engine's cycle, so
-    // traces are unchanged and on all-active models the selective
-    // engine's bookkeeping decays to one probe scan per window.
-    bool Bypass = false;
-    if (Opts.Selective && !ForceFull && BypassCountdown) {
-      --BypassCountdown;
-      Bypass = true;
-      ++Activity.BypassCycles;
-    }
-    uint64_t Eligible = 0, Skipped = 0;
-    for (size_t G = 0; G != Sched.Groups.size(); ++G) {
-      if (Opts.Selective && !ForceFull && !Bypass && Sched.GroupSkippable[G] &&
-          GroupEvaluated[G]) {
-        ++Eligible;
-        bool Quiescent = true;
-        for (int NetId : Sched.GroupInputNets[G])
-          if (Nets[NetId].DirtyCycle == Cycle) {
-            Quiescent = false;
-            break;
-          }
-        if (Quiescent) {
-          ++Skipped;
-          skipGroup(G);
-          continue;
-        }
-      }
-      evaluateGroup(G, Activity);
-    }
-    maybeArmBypass(Eligible, Skipped);
-    runSequentialPhase();
-    ++Cycle;
-    ++Activity.Cycles;
+    return;
   }
-}
-
-static void mergeActivity(ActivityStats &To, ActivityStats &From) {
-  To.GroupsEvaluated += From.GroupsEvaluated;
-  To.GroupsSkipped += From.GroupsSkipped;
-  To.LeafEvals += From.LeafEvals;
-  To.LeafEvalsSkipped += From.LeafEvalsSkipped;
-  To.FixpointIters += From.FixpointIters;
-  To.NetWrites += From.NetWrites;
-  To.NetChanges += From.NetChanges;
-  To.EventsReplayed += From.EventsReplayed;
-  To.BypassCycles += From.BypassCycles;
-  From = ActivityStats();
-}
-
-void Simulator::stepWavefront(uint64_t N) {
   for (uint64_t I = 0; I != N; ++I) {
-    bool ForceFull = false;
-    if (Instr.getVersion() != LastInstrVersion) {
-      LastInstrVersion = Instr.getVersion();
-      ForceFull = true;
-    }
-    const bool DoInstr = !Instr.empty();
-    // All-dirty bypass, identical to stepSerial's: decided on the main
-    // thread before dispatch, so stats and traces match the serial engine
-    // bit for bit at any thread count.
-    bool Bypass = false;
-    if (Opts.Selective && !ForceFull && BypassCountdown) {
-      --BypassCountdown;
-      Bypass = true;
-      ++Activity.BypassCycles;
-    }
-    uint64_t Eligible = 0, Skipped = 0;
-    // Route events into per-group buffers for the whole combinational
-    // phase (including main-thread skips, so replays interleave with live
-    // events exactly as in the serial engine).
-    BufferEvents = DoInstr;
-    for (const std::vector<int> &L : Sched.Levels) {
-      // Skip decisions run on the main thread before dispatch: they read
-      // DirtyCycle stamps written only by strictly earlier levels (a
-      // skippable group's inputs are all read combinationally, so each
-      // driver has a scheduling edge and therefore a smaller level).
-      LevelPending.clear();
-      for (int G : L) {
-        if (Opts.Selective && !ForceFull && !Bypass &&
-            Sched.GroupSkippable[G] && GroupEvaluated[G]) {
-          ++Eligible;
-          bool Quiescent = true;
-          for (int NetId : Sched.GroupInputNets[G])
-            if (Nets[NetId].DirtyCycle == Cycle) {
-              Quiescent = false;
-              break;
-            }
-          if (Quiescent) {
-            ++Skipped;
-            skipGroup(size_t(G));
-            continue;
-          }
-        }
-        LevelPending.push_back(G);
-      }
-      if (LevelPending.size() == 1) {
-        // Nothing to overlap: evaluate inline, counters into the global
-        // stats directly.
-        evaluateGroup(size_t(LevelPending.front()), Activity);
-      } else if (!LevelPending.empty()) {
-        // One task per worker-sized chunk, not per group: group
-        // evaluations are often sub-microsecond, so per-group enqueueing
-        // would drown the level in pool overhead. LevelPending stays
-        // untouched until the barrier, so tasks index it directly.
-        size_t NumChunks =
-            std::min<size_t>(Pool->getThreadCount(), LevelPending.size());
-        for (size_t Ck = 0; Ck != NumChunks; ++Ck) {
-          size_t Begin = Ck * LevelPending.size() / NumChunks;
-          size_t End = (Ck + 1) * LevelPending.size() / NumChunks;
-          Pool->async([this, Begin, End] {
-            int W = ThreadPool::currentWorkerIndex();
-            assert(W >= 0 && "group task running off-pool");
-            ActivityStats &A = StatShards[size_t(W)];
-            for (size_t I = Begin; I != End; ++I)
-              evaluateGroup(size_t(LevelPending[I]), A);
-          });
-        }
-        Pool->wait(); // Level barrier.
-      }
-    }
-    maybeArmBypass(Eligible, Skipped);
-    if (DoInstr)
-      flushCycleEvents();
-    // Deferred fixpoint diagnostics, in ascending group order (the serial
-    // engine's reporting order), on the main thread.
-    for (size_t G = 0; G != FixpointFailed.size(); ++G)
-      if (FixpointFailed[G]) {
-        FixpointFailed[G] = 0;
-        if (!RuntimeErrors.load(std::memory_order_relaxed)) {
-          reportFixpointFailure(G);
-          RuntimeErrors.store(true, std::memory_order_relaxed);
-        }
-      }
-    BufferEvents = false;
-    // Shard merge: sums are commutative, so totals are identical for any
-    // thread count and any work-stealing order. Re-point every runtime's
-    // stats at the merged totals first, so anything the sequential phase
-    // counts lands there directly (a shard write after the merge would
-    // slip to the next cycle — or be lost on the last one).
-    for (auto &RT : Runtimes)
-      RT->Stats = &Activity;
-    for (ActivityStats &S : StatShards)
-      mergeActivity(Activity, S);
+    for (size_t G = 0; G != Sched.Groups.size(); ++G)
+      evaluateGroup(G);
     runSequentialPhase();
     ++Cycle;
     ++Activity.Cycles;

@@ -10,20 +10,12 @@ unsigned ThreadPool::getHardwareParallelism() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-namespace {
-/// Set once per worker thread at startup; -1 on threads no pool owns.
-thread_local int CurrentWorker = -1;
-} // namespace
-
-int ThreadPool::currentWorkerIndex() { return CurrentWorker; }
-
 ThreadPool::ThreadPool(unsigned ThreadCount) {
   if (ThreadCount == 0)
     ThreadCount = getHardwareParallelism();
   Workers.reserve(ThreadCount);
   for (unsigned I = 0; I != ThreadCount; ++I)
-    Workers.emplace_back(
-        [this, I](std::stop_token Stop) { workerLoop(Stop, I); });
+    Workers.emplace_back([this](std::stop_token Stop) { workerLoop(Stop); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -64,8 +56,7 @@ size_t ThreadPool::cancelPending() {
   return Dropped;
 }
 
-void ThreadPool::workerLoop(std::stop_token Stop, unsigned Index) {
-  CurrentWorker = int(Index);
+void ThreadPool::workerLoop(std::stop_token Stop) {
   while (true) {
     std::function<void()> Task;
     {

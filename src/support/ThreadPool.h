@@ -59,13 +59,8 @@ public:
   /// (hardware_concurrency() may legally return 0).
   static unsigned getHardwareParallelism();
 
-  /// The calling thread's index within its owning pool ([0, ThreadCount)),
-  /// or -1 when called from a thread no pool owns (e.g. the main thread).
-  /// Lets tasks index per-worker scratch (stat shards) without locking.
-  static int currentWorkerIndex();
-
 private:
-  void workerLoop(std::stop_token Stop, unsigned Index);
+  void workerLoop(std::stop_token Stop);
 
   std::mutex Mutex;
   std::condition_variable_any WorkAvailable;

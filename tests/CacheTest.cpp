@@ -152,7 +152,6 @@ TEST(InvocationKeys, ThreadCountsAndBudgetsNeverInvalidate) {
   B.Solve.NumThreads = 8;
   B.Solve.MaxSteps = 1234;
   B.Solve.DeadlineMs = 99;
-  B.Sim.Jobs = 16;
   EXPECT_EQ(A.elabKey(), B.elabKey());
   EXPECT_EQ(A.solveKey(), B.solveKey());
 }

@@ -1,34 +1,29 @@
-//===- CompiledSimTest.cpp - Compiled-kernel differential tests ---------------===//
+//===- CompiledSimTest.cpp - Compiled engine vs the interp oracle -------------===//
 ///
-/// The compiled cycle kernel's correctness contract, enforced three ways:
+/// The compiled cycle kernel's correctness contract, enforced against the
+/// interp engine (the reference oracle) two ways:
 ///
-///  1. Cross-engine differential sweeps (EngineMatrix.h): every synthetic
-///     family, every paper model, and a wide-lanes stress model must have
-///     a bit-identical observable record on all four engines.
-///  2. Golden coverage: the compiled engine must reproduce the digest
-///     fixtures under tests/golden/ (written by the selective engine —
-///     shared fixtures are the cross-binary contract), plus full-trace
-///     fixtures for a uarch.lss-based model and the wide synthetic model,
-///     so a regression fails with a readable trace diff rather than a
-///     bare hash mismatch.
-///  3. Kernel artifact (LSSKRN) round-trips: serialization is
-///     deterministic and fixpoint-stable, a reloaded kernel drives an
-///     identical simulation, a corrupted artifact falls back to a fresh
-///     lowering, and the CompileService adopts cached kernels on warm
-///     compiles.
+///  1. Differential sweeps (EngineMatrix.h): every synthetic family, every
+///     paper model, and a wide-lanes stress model must have a bit-identical
+///     observable record on both engines. Runs that observe only part of
+///     the model (no collector, a mid-run attach, narrowed collectors) are
+///     checked in SelectiveSimTest.cpp.
+///  2. Golden coverage (GoldenTrace.*, also run as the golden_trace_diff
+///     ctest entry): both engines must reproduce the digest fixtures and
+///     the full-trace fixtures under tests/golden/. The full traces (a
+///     uarch.lss-based model and the wide synthetic model) make a
+///     regression fail with a readable trace diff rather than a bare hash
+///     mismatch.
 ///
-/// Run the binary with --regen-golden to rewrite the full-trace fixtures
-/// after an intentional trace change (digest fixtures are owned by
-/// selective_sim_test --regen-golden).
+/// Run the binary with --regen-golden to rewrite every fixture from the
+/// interp engine after an intentional trace change.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "EngineMatrix.h"
 
-#include "driver/CompileService.h"
 #include "sim/CompiledKernel.h"
 
-#include <filesystem>
 #include <fstream>
 
 using namespace liberty;
@@ -38,14 +33,8 @@ namespace {
 
 bool GRegenGolden = false;
 
-sim::Simulator::Options compiledOptions() {
-  sim::Simulator::Options O;
-  O.Engine = sim::EngineKind::Compiled;
-  return O;
-}
-
 //===----------------------------------------------------------------------===//
-// Cross-engine differential matrix
+// Differential: compiled == interp
 //===----------------------------------------------------------------------===//
 
 TEST(CompiledDifferential, SyntheticFamilies) {
@@ -67,11 +56,11 @@ TEST(CompiledDifferential, WideLanes) {
 }
 
 TEST(CompiledDifferential, SpecializesRecognizedBehaviors) {
-  auto C = compileSim("wide.lss", wideIndependentLanes(16), compiledOptions());
+  auto C = compileSim("wide.lss", wideIndependentLanes(16),
+                      engineOptions(sim::EngineKind::Compiled));
   ASSERT_NE(C, nullptr);
   const sim::KernelStats *KS = C->getSimulator()->getKernelStats();
   ASSERT_NE(KS, nullptr);
-  EXPECT_FALSE(KS->FromCache);
   // 16 counter sources, 16 adders, one sink: all devirtualized, and every
   // one of them is endOfTimestep-free so the sequential phase is empty.
   EXPECT_EQ(KS->NumOps, KS->NumSpecializedOps);
@@ -80,59 +69,25 @@ TEST(CompiledDifferential, SpecializesRecognizedBehaviors) {
   EXPECT_EQ(KS->NumSeqElided, 33u);
 }
 
-TEST(CompiledDifferential, OtherEnginesBuildNoKernel) {
-  for (const EngineConfig &E : engineMatrix()) {
-    if (E.Opts.Engine == sim::EngineKind::Compiled)
-      continue;
-    auto C = compileSim("chain.lss", delayChain(4), E.Opts);
-    ASSERT_NE(C, nullptr) << E.Name;
-    EXPECT_EQ(C->getSimulator()->getKernelStats(), nullptr) << E.Name;
-    std::string Bytes;
-    EXPECT_FALSE(C->getSimulator()->serializeKernel(Bytes)) << E.Name;
-  }
+TEST(CompiledDifferential, InterpBuildsNoKernel) {
+  auto C = compileSim("chain.lss", delayChain(4),
+                      engineOptions(sim::EngineKind::Interp));
+  ASSERT_NE(C, nullptr);
+  EXPECT_EQ(C->getSimulator()->getKernelStats(), nullptr);
 }
 
 //===----------------------------------------------------------------------===//
-// Golden coverage
+// Golden fixtures
 //===----------------------------------------------------------------------===//
 
-std::string goldenPath(const std::string &File) {
-  return std::string(LIBERTY_GOLDEN_DIR) + "/" + File;
-}
-
-/// The compiled engine must reproduce the digest fixtures the selective
-/// engine wrote: identical observable records imply identical digests.
-/// Read-only by design — regenerating them is selective_sim_test's job.
-TEST(CompiledGolden, DigestFixtures) {
-  for (const SyntheticFamily &F : syntheticFamilies()) {
-    SCOPED_TRACE(F.Name);
-    auto C =
-        compileSim(std::string(F.Name) + ".lss", F.Text, compiledOptions());
-    ASSERT_NE(C, nullptr);
-    std::ifstream In(goldenPath(std::string(F.Name) + ".trace"));
-    ASSERT_TRUE(In.good()) << "missing golden fixture for " << F.Name;
-    std::stringstream Buf;
-    Buf << In.rdbuf();
-    EXPECT_EQ(Buf.str(), goldenLine(runRecorded(*C, F.Cycles)))
-        << "compiled trace digest diverges from the selective-engine "
-           "fixture for "
-        << F.Name;
-  }
-}
-
-/// Full-trace fixture: every event line, a separator, then every final
-/// net line. Failures report the first diverging line.
-std::vector<std::string> fullTraceLines(const TraceRecord &R) {
-  std::vector<std::string> Lines = R.Events;
-  Lines.push_back("--- final nets ---");
-  Lines.insert(Lines.end(), R.FinalNets.begin(), R.FinalNets.end());
-  return Lines;
-}
-
-void checkFullTrace(const std::string &Name, const TraceRecord &R) {
-  std::string Path = goldenPath(Name + ".fulltrace");
-  std::vector<std::string> Got = fullTraceLines(R);
-  if (GRegenGolden) {
+/// Compares \p Got, one entry per line, with tests/golden/<File> and
+/// reports the first diverging line. Under --regen-golden the interp
+/// engine's record is written first, so the compiled engine is then
+/// checked against the fresh fixture.
+void checkFixture(const std::string &File, const std::string &Engine,
+                  const std::vector<std::string> &Got) {
+  std::string Path = std::string(LIBERTY_GOLDEN_DIR) + "/" + File;
+  if (GRegenGolden && Engine == "interp") {
     std::ofstream Out(Path);
     ASSERT_TRUE(Out.good()) << "cannot write " << Path;
     for (const std::string &L : Got)
@@ -154,7 +109,7 @@ void checkFullTrace(const std::string &Name, const TraceRecord &R) {
       First = I;
       break;
     }
-  ADD_FAILURE() << Name << ": full trace diverges from " << Path << " ("
+  ADD_FAILURE() << Engine << " engine diverges from " << Path << " ("
                 << Want.size() << " golden lines, " << Got.size()
                 << " actual); first difference at line " << First + 1
                 << ":\n  golden: "
@@ -165,155 +120,56 @@ void checkFullTrace(const std::string &Name, const TraceRecord &R) {
                    "--regen-golden";
 }
 
-TEST(CompiledGolden, FullTraceUarchModel) {
+/// Full-trace fixture: every event line, a separator, then every final
+/// net line.
+std::vector<std::string> fullTraceLines(const TraceRecord &R) {
+  std::vector<std::string> Lines = R.Events;
+  Lines.push_back("--- final nets ---");
+  Lines.insert(Lines.end(), R.FinalNets.begin(), R.FinalNets.end());
+  return Lines;
+}
+
+TEST(GoldenTrace, SyntheticFamilies) {
+  for (const SyntheticFamily &F : syntheticFamilies())
+    for (const EngineConfig &E : engineMatrix()) {
+      SCOPED_TRACE(std::string(F.Name) + " on " + E.Name);
+      auto C = compileSim(std::string(F.Name) + ".lss", F.Text, E.Opts);
+      ASSERT_NE(C, nullptr);
+      checkFixture(std::string(F.Name) + ".trace", E.Name,
+                   {goldenLine(runRecorded(*C, F.Cycles))});
+    }
+}
+
+TEST(GoldenTrace, PaperModels) {
+  for (const std::string &Id : models::modelIds())
+    for (const EngineConfig &E : engineMatrix()) {
+      SCOPED_TRACE("model " + Id + " on " + E.Name);
+      driver::Compiler C;
+      ASSERT_TRUE(buildModelSim(C, Id, E.Opts)) << C.diagnosticsText();
+      checkFixture("model_" + Id + ".trace", E.Name,
+                   {goldenLine(runRecorded(C, 50))});
+    }
+}
+
+TEST(GoldenTrace, FullTraceUarchModel) {
   // Model A instantiates the uarch.lss component library, so this pins
-  // the compiled engine's behavior on the paper's shared building blocks.
-  driver::Compiler C;
-  ASSERT_TRUE(buildModelSim(C, "a", compiledOptions()))
-      << C.diagnosticsText();
-  checkFullTrace("full_model_a", runRecorded(C, 50));
-}
-
-TEST(CompiledGolden, FullTraceWideLanes) {
-  auto C = compileSim("wide.lss", wideIndependentLanes(64), compiledOptions());
-  ASSERT_NE(C, nullptr);
-  checkFullTrace("full_wide_lanes_64", runRecorded(*C, 30));
-}
-
-//===----------------------------------------------------------------------===//
-// LSSKRN artifact round-trips
-//===----------------------------------------------------------------------===//
-
-TEST(KernelArtifact, SerializationIsDeterministic) {
-  std::string A, B;
-  {
-    auto C = compileSim("q.lss", queueWithStall(), compiledOptions());
-    ASSERT_NE(C, nullptr);
-    ASSERT_TRUE(C->getSimulator()->serializeKernel(A));
-  }
-  {
-    auto C = compileSim("q.lss", queueWithStall(), compiledOptions());
-    ASSERT_NE(C, nullptr);
-    ASSERT_TRUE(C->getSimulator()->serializeKernel(B));
-  }
-  EXPECT_EQ(A, B);
-  EXPECT_EQ(A.compare(0, 9, "LSSKRN 1\n"), 0);
-}
-
-TEST(KernelArtifact, ReloadedKernelRunsIdentically) {
-  std::string Bytes;
-  TraceRecord Fresh;
-  {
-    auto C = compileSim("farm.lss", lowActivityFarm(8), compiledOptions());
-    ASSERT_NE(C, nullptr);
-    ASSERT_TRUE(C->getSimulator()->serializeKernel(Bytes));
-    Fresh = runRecorded(*C, 40);
-  }
-  driver::Compiler C;
-  driver::CompilerInvocation Inv =
-      invocationFor("farm.lss", lowActivityFarm(8), compiledOptions());
-  ASSERT_TRUE(C.addSources(Inv) && C.elaborate(Inv) && C.inferTypes(Inv));
-  ASSERT_NE(C.buildSimulator(Inv, &Bytes), nullptr);
-  const sim::KernelStats *KS = C.getSimulator()->getKernelStats();
-  ASSERT_NE(KS, nullptr);
-  EXPECT_TRUE(KS->FromCache) << "valid artifact was rejected";
-  TraceRecord Reloaded = runRecorded(C, 40);
-  expectTraceEqual("reloaded kernel vs fresh build", Fresh, Reloaded);
-
-  // Fixpoint: re-serializing the adopted kernel reproduces the artifact.
-  std::string Again;
-  ASSERT_TRUE(C.getSimulator()->serializeKernel(Again));
-  EXPECT_EQ(Bytes, Again);
-}
-
-TEST(KernelArtifact, CorruptArtifactFallsBackToFreshLowering) {
-  std::string Bytes;
-  {
-    auto C = compileSim("tree.lss", adderTree(), compiledOptions());
-    ASSERT_NE(C, nullptr);
-    ASSERT_TRUE(C->getSimulator()->serializeKernel(Bytes));
-  }
-  // Flip one byte somewhere in the middle, truncate, and garble the
-  // header: all must be rejected, and the build must still succeed with
-  // a fresh (FromCache=false) lowering producing the reference trace.
-  std::vector<std::string> Mutants;
-  std::string Flip = Bytes;
-  Flip[Flip.size() / 2] ^= 0x20;
-  Mutants.push_back(Flip);
-  Mutants.push_back(Bytes.substr(0, Bytes.size() / 2));
-  Mutants.push_back("LSSKRN 9\n" + Bytes.substr(9));
-  Mutants.push_back("");
-
-  driver::Compiler Ref;
-  driver::CompilerInvocation RefInv =
-      invocationFor("tree.lss", adderTree(), compiledOptions());
-  ASSERT_TRUE(Ref.addSources(RefInv) && Ref.elaborate(RefInv) &&
-              Ref.inferTypes(RefInv) && Ref.buildSimulator(RefInv));
-  TraceRecord Want = runRecorded(Ref, 40);
-
-  for (size_t I = 0; I != Mutants.size(); ++I) {
-    SCOPED_TRACE("mutant " + std::to_string(I));
+  // both engines on the paper's shared building blocks.
+  for (const EngineConfig &E : engineMatrix()) {
+    SCOPED_TRACE(E.Name);
     driver::Compiler C;
-    driver::CompilerInvocation Inv =
-        invocationFor("tree.lss", adderTree(), compiledOptions());
-    ASSERT_TRUE(C.addSources(Inv) && C.elaborate(Inv) && C.inferTypes(Inv));
-    ASSERT_NE(C.buildSimulator(Inv, &Mutants[I]), nullptr);
-    const sim::KernelStats *KS = C.getSimulator()->getKernelStats();
-    ASSERT_NE(KS, nullptr);
-    // A mutant that still parses AND matches the fresh plan is fine to
-    // adopt (it is the same plan); anything else must rebuild.
-    TraceRecord Got = runRecorded(C, 40);
-    expectTraceEqual("mutant artifact build", Want, Got);
+    ASSERT_TRUE(buildModelSim(C, "a", E.Opts)) << C.diagnosticsText();
+    checkFixture("full_model_a.fulltrace", E.Name,
+                 fullTraceLines(runRecorded(C, 50)));
   }
 }
 
-TEST(KernelArtifact, ServiceCachesKernelAcrossCompiles) {
-  // TempDir() persists across test-binary runs; start from an empty cache
-  // so the first compile is genuinely cold.
-  std::string Dir = testing::TempDir() + "/lsskrn_cache";
-  std::filesystem::remove_all(Dir);
-  driver::CompileService::Options SO;
-  SO.Cache.DiskDir = Dir;
-
-  driver::CompilerInvocation Inv =
-      invocationFor("farm.lss", lowActivityFarm(8), compiledOptions());
-  Inv.BuildSim = true;
-
-  TraceRecord Cold, Warm;
-  {
-    driver::CompileService Svc(SO);
-    driver::CompileResult R = Svc.compile(Inv);
-    ASSERT_TRUE(R.Success) << R.C->diagnosticsText();
-    EXPECT_FALSE(R.KernelFromCache);
-    const sim::KernelStats *KS = R.C->getSimulator()->getKernelStats();
-    ASSERT_NE(KS, nullptr);
-    EXPECT_FALSE(KS->FromCache);
-    Cold = runRecorded(*R.C, 40);
-  }
-  {
-    // A second service sharing only the disk directory: the kernel must
-    // come back from the cache and drive an identical simulation.
-    driver::CompileService Svc(SO);
-    driver::CompileResult R = Svc.compile(Inv);
-    ASSERT_TRUE(R.Success) << R.C->diagnosticsText();
-    EXPECT_TRUE(R.KernelFromCache);
-    const sim::KernelStats *KS = R.C->getSimulator()->getKernelStats();
-    ASSERT_NE(KS, nullptr);
-    EXPECT_TRUE(KS->FromCache);
-    Warm = runRecorded(*R.C, 40);
-  }
-  expectTraceEqual("warm (cached kernel) vs cold", Cold, Warm);
-
-  // Non-compiled engines must not consult or populate the kernel phase.
-  {
-    driver::CompileService Svc(SO);
-    driver::CompilerInvocation SerialInv =
-        invocationFor("farm.lss", lowActivityFarm(8), engineOptions(false));
-    SerialInv.BuildSim = true;
-    driver::CompileResult R = Svc.compile(SerialInv);
-    ASSERT_TRUE(R.Success);
-    EXPECT_FALSE(R.KernelFromCache);
-    EXPECT_EQ(R.C->getSimulator()->getKernelStats(), nullptr);
+TEST(GoldenTrace, FullTraceWideLanes) {
+  for (const EngineConfig &E : engineMatrix()) {
+    SCOPED_TRACE(E.Name);
+    auto C = compileSim("wide.lss", wideIndependentLanes(64), E.Opts);
+    ASSERT_NE(C, nullptr);
+    checkFixture("full_wide_lanes_64.fulltrace", E.Name,
+                 fullTraceLines(runRecorded(*C, 30)));
   }
 }
 

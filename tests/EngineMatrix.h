@@ -1,17 +1,16 @@
 //===- EngineMatrix.h - Cross-engine differential harness -------*- C++ -*-===//
 ///
 /// \file
-/// The four-way engine matrix: run any model on the serial interpreter,
-/// the selective-trace engine, the wavefront engine, and the compiled
-/// cycle kernel, and assert that every engine produces a bit-identical
+/// The engine matrix: run any model on the interp engine and the compiled
+/// cycle kernel, and assert that the kernel produces a bit-identical
 /// observable record (event stream, final net values, total emission
-/// count) against the serial interpreter reference.
+/// count) against the interp reference.
 ///
 /// This is the enforcement point for the engines' shared contract: the
-/// serial interpreter defines the semantics, and every other engine is an
-/// optimization that must be observationally invisible. Any test binary
-/// can include this header (on top of SimTestModels.h) and sweep a model
-/// across the matrix with one call.
+/// interpreter defines the semantics, and the kernel is an optimization
+/// that must be observationally invisible. Any test binary can include
+/// this header (on top of SimTestModels.h) and sweep a model across the
+/// matrix with one call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,33 +26,11 @@ struct EngineConfig {
   liberty::sim::Simulator::Options Opts;
 };
 
-/// Every engine the simulator can resolve to. The wavefront entry pins
-/// Jobs=3 so shard merging is exercised even on single-core hosts.
+/// Both engines, the interp reference first.
 inline std::vector<EngineConfig> engineMatrix() {
   using liberty::sim::EngineKind;
-  std::vector<EngineConfig> Out;
-  {
-    EngineConfig E{"interp", {}};
-    E.Opts.Engine = EngineKind::Interp;
-    Out.push_back(E);
-  }
-  {
-    EngineConfig E{"selective", {}};
-    E.Opts.Engine = EngineKind::Selective;
-    Out.push_back(E);
-  }
-  {
-    EngineConfig E{"wavefront", {}};
-    E.Opts.Engine = EngineKind::Wavefront;
-    E.Opts.Jobs = 3;
-    Out.push_back(E);
-  }
-  {
-    EngineConfig E{"compiled", {}};
-    E.Opts.Engine = EngineKind::Compiled;
-    Out.push_back(E);
-  }
-  return Out;
+  return {{"interp", engineOptions(EngineKind::Interp)},
+          {"compiled", engineOptions(EngineKind::Compiled)}};
 }
 
 /// Requires \p Got to equal the reference record \p Ref, reporting the
@@ -86,7 +63,7 @@ inline void expectTraceEqual(const std::string &What, const TraceRecord &Ref,
 }
 
 /// Compiles \p Text once per engine, runs each for \p Cycles, and
-/// requires all records to match the serial-interpreter reference.
+/// requires the records to match the interp reference.
 inline void expectAllEnginesMatch(const std::string &Name,
                                   const std::string &Text, uint64_t Cycles) {
   TraceRecord Ref;

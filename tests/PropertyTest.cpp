@@ -288,10 +288,8 @@ TEST_P(RandomNetlistTest, LssEnginesMatchOopBaseline) {
     Inv.Sim.Engine = Engine;
     return driver::Compiler::compileForSim(Inv);
   };
-  auto Sel = MakeSim(sim::EngineKind::Selective);
   auto Exh = MakeSim(sim::EngineKind::Interp);
   auto Krn = MakeSim(sim::EngineKind::Compiled);
-  ASSERT_NE(Sel, nullptr) << "seed=" << Seed;
   ASSERT_NE(Exh, nullptr) << "seed=" << Seed;
   ASSERT_NE(Krn, nullptr) << "seed=" << Seed;
 
@@ -325,17 +323,13 @@ TEST_P(RandomNetlistTest, LssEnginesMatchOopBaseline) {
   E.reset();
 
   for (uint64_t C = 0; C != Cycles; ++C) {
-    Sel->getSimulator()->step(1);
     Exh->getSimulator()->step(1);
     Krn->getSimulator()->step(1);
     E.step(1);
     for (size_t I = 0; I != Nodes.size(); ++I) {
       const std::string Nm = "n" + std::to_string(I);
-      const interp::Value *VS = Sel->getSimulator()->peekPort(Nm, "out", 0);
       const interp::Value *VE = Exh->getSimulator()->peekPort(Nm, "out", 0);
       const interp::Value *VK = Krn->getSimulator()->peekPort(Nm, "out", 0);
-      ASSERT_NE(VS, nullptr) << "seed=" << Seed << " node=" << I
-                             << " cycle=" << C << " (selective absent)";
       ASSERT_NE(VE, nullptr) << "seed=" << Seed << " node=" << I
                              << " cycle=" << C << " (exhaustive absent)";
       ASSERT_NE(VK, nullptr) << "seed=" << Seed << " node=" << I
@@ -343,8 +337,6 @@ TEST_P(RandomNetlistTest, LssEnginesMatchOopBaseline) {
       ASSERT_TRUE(Wires[I]->hasValue())
           << "seed=" << Seed << " node=" << I << " cycle=" << C;
       const int64_t Oop = Wires[I]->get();
-      EXPECT_EQ(VS->getInt(), Oop) << "seed=" << Seed << " node=" << I
-                                   << " cycle=" << C << " (selective)";
       EXPECT_EQ(VE->getInt(), Oop) << "seed=" << Seed << " node=" << I
                                    << " cycle=" << C << " (exhaustive)";
       EXPECT_EQ(VK->getInt(), Oop) << "seed=" << Seed << " node=" << I

@@ -1,11 +1,11 @@
 //===- SimTestModels.h - Shared simulation-test harness ---------*- C++ -*-===//
 ///
 /// \file
-/// The differential-test harness shared by SelectiveSimTest.cpp and
-/// ParallelSimTest.cpp: engine option helpers, full-run trace recording
-/// (event stream + final net values), the synthetic netlist families
-/// introduced with the selective engine, and the FNV-1a trace digest used
-/// by the golden fixtures under tests/golden/.
+/// The differential-test harness behind EngineMatrix.h,
+/// CompiledSimTest.cpp and SelectiveSimTest.cpp: engine option helpers, full-run trace recording
+/// (event stream + final net values), the synthetic netlist families, and
+/// the FNV-1a trace digest used by the golden fixtures under
+/// tests/golden/.
 ///
 /// Everything lives in namespace simtest and is inline: each test binary
 /// includes this header on its own.
@@ -30,11 +30,9 @@ namespace simtest {
 
 using namespace liberty;
 
-inline sim::Simulator::Options engineOptions(bool Selective,
-                                             unsigned Jobs = 1) {
+inline sim::Simulator::Options engineOptions(sim::EngineKind E) {
   sim::Simulator::Options O;
-  O.Selective = Selective;
-  O.Jobs = Jobs;
+  O.Engine = E;
   return O;
 }
 
@@ -93,9 +91,8 @@ inline TraceRecord runRecorded(driver::Compiler &C, uint64_t Cycles) {
   TraceRecord R;
   sim::Simulator *Sim = C.getSimulator();
   attachRecorder(*Sim, R.Events);
-  // The collector was attached after build()'s reset; re-reset so every
-  // engine configuration starts from the same instrumentation version
-  // state.
+  // The collector was attached after build()'s reset; re-reset so the
+  // init-time events are recorded too.
   Sim->reset();
   Sim->step(Cycles);
   R.FinalNets = collectFinalNets(C);
@@ -158,7 +155,7 @@ a3.out -> s.in;
 
 /// Mux whose sel counts 0,1,2,3,...: cycles 0-2 route different inputs,
 /// later cycles select out of range so the output net goes absent —
-/// exercising presence transitions under skipping.
+/// exercising presence transitions.
 inline std::string muxRouting() {
   return R"(
 instance sel:counter_source;
@@ -197,7 +194,7 @@ d.out[1] -> s1.in;
 
 /// A true combinational cycle between two pure muxes (the f2->f1 edge is
 /// structural; sel=0 keeps the dataflow acyclic so the fixpoint
-/// converges). Cyclic groups must never be skipped. f2's output is
+/// converges). f2's output is
 /// replicated through a fanout (mux drives only out[0]) so the sink
 /// observes the looped value; the fanout itself becomes a member of the
 /// cyclic group.
@@ -279,10 +276,8 @@ a.out -> s.in;
 )";
 }
 
-/// A wide model: \p Lanes independent (source -> adder -> sink) strands
-/// whose adders all land in one schedule level — the wavefront engine's
-/// best case, and the shape the parallel differential suite stresses for
-/// shard-merge and flush-order determinism.
+/// A wide model: \p Lanes independent (source -> adder -> sink) strands,
+/// every component a devirtualized kernel op.
 inline std::string wideIndependentLanes(int Lanes) {
   std::string N = std::to_string(Lanes);
   return R"(
@@ -349,11 +344,11 @@ inline std::string traceDigest(const TraceRecord &R) {
 }
 
 /// The fixture line checked against tests/golden/<name>.trace:
-/// "<fnv1a-64-hex> <events> <nets>\n".
+/// "<fnv1a-64-hex> <events> <nets>".
 inline std::string goldenLine(const TraceRecord &R) {
   std::ostringstream Line;
   Line << traceDigest(R) << " " << R.Events.size() << " "
-       << R.FinalNets.size() << "\n";
+       << R.FinalNets.size();
   return Line.str();
 }
 

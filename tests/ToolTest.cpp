@@ -189,15 +189,19 @@ TEST(Lssc, IncrementalRequiresSomewhereToFindThePreviousCompile) {
             std::string::npos);
 }
 
-TEST(Lssc, DeprecatedAliasesNoteTheReplacement) {
-  // The legacy engine aliases keep working but point at --sim-engine.
-  ToolResult R =
-      runTool("--run 5 --no-selective --sim-jobs 2 " + modelArgs("c.lss"));
+TEST(Lssc, SimEngineSelectsInterpOrCompiled) {
+  ToolResult R = runTool("--run 5 " + modelArgs("c.lss"));
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
-  EXPECT_NE(R.Output.find("--no-selective is deprecated"),
-            std::string::npos);
-  EXPECT_NE(R.Output.find("use --sim-engine wavefront"), std::string::npos);
-  EXPECT_NE(R.Output.find("ran 5 cycles"), std::string::npos);
+  EXPECT_NE(R.Output.find("ran 5 cycles on the compiled engine"),
+            std::string::npos)
+      << R.Output;
+  R = runTool("--run 5 --sim-engine interp " + modelArgs("c.lss"));
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("ran 5 cycles on the interp engine"),
+            std::string::npos)
+      << R.Output;
+  R = runTool("--run 5 --sim-engine bogus " + modelArgs("c.lss"));
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
 }
 
 TEST(Lssc, IncrementalCompilesThroughTheDiskCache) {

@@ -13,12 +13,9 @@
 ///   --jobs N            solve H3 inference groups on N threads
 ///   --emit-static       print the flattened static structural spec
 ///   --run N             build the simulator and run N cycles
-///   --sim-jobs N        with --run: evaluate schedule levels on N worker
-///                       threads (wavefront engine; 1 = serial)
+///   --sim-engine E      with --run: interp (the reference interpreter) or
+///                       compiled (the default cycle kernel)
 ///   --watch PATTERN     with --run: count events matching "path event"
-///   --no-selective      with --run: exhaustive evaluation (disable the
-///                       selective-trace engine); deprecated alias for
-///                       --sim-engine interp
 ///   --no-infer-heuristics  solve types with the naive algorithm (slow!)
 ///   --trace-order       print the instantiation-stack processing order
 ///   --max-errors N      stop after N errors (0 = unlimited; default 50)
@@ -116,14 +113,7 @@ struct CliOptions {
   unsigned Jobs = 0; ///< H3 solver threads; 0 = one per hardware thread.
   std::string StatsJsonPath;
   uint64_t RunCycles = 0;
-  bool Selective = true;
-  /// The deprecated --no-selective alias (mapped onto Selective after
-  /// parsing so the alias and --sim-engine cannot fight mid-parse).
-  bool NoSelectiveAlias = false;
-  unsigned SimJobs = 1; ///< Wavefront worker threads; 1 = serial engine.
-  /// Explicit engine selection; Auto derives the engine from the legacy
-  /// --no-selective / --sim-jobs flags.
-  sim::EngineKind SimEngine = sim::EngineKind::Auto;
+  sim::EngineKind SimEngine = sim::EngineKind::Compiled;
   std::vector<std::pair<std::string, std::string>> Watches;
   /// Error cap shared by the parser, elaboration, and inference through
   /// the DiagnosticEngine; 0 = unlimited.
@@ -191,20 +181,14 @@ void registerFlags(driver::FlagParser &P, CliOptions &Opts) {
             "print a Graphviz digraph of the model");
   P.unsignedNum("--run", "N", &Opts.RunCycles, "simulate N cycles",
                 "cycle count");
-  P.unsignedNum("--sim-jobs", "N", &Opts.SimJobs,
-                "simulate with N worker threads (wavefront\n"
-                "engine; identical traces for any N)",
-                "thread count", /*RequirePositive=*/true);
   P.custom("--sim-engine", "E",
-           "select the simulation engine: interp,\n"
-           "selective, wavefront, or compiled (all\n"
-           "produce identical traces); default picks\n"
-           "from --no-selective / --sim-jobs",
+           "select the simulation engine: compiled\n"
+           "(default) or interp, the reference\n"
+           "interpreter; both produce identical traces",
            [&Opts](const std::string &Name) {
              if (!sim::parseEngineName(Name, Opts.SimEngine)) {
                std::cerr << "lssc: unknown engine '" << Name
-                         << "' (expected interp, selective, wavefront, or "
-                            "compiled)\n";
+                         << "' (expected interp or compiled)\n";
                return false;
              }
              return true;
@@ -220,10 +204,6 @@ void registerFlags(driver::FlagParser &P, CliOptions &Opts) {
                                          Spec.substr(Space + 1));
              return true;
            });
-  P.boolean("--no-selective", &Opts.NoSelectiveAlias,
-            "evaluate every component every cycle\n"
-            "(disable change-driven evaluation)");
-  P.deprecate("--no-selective", "use --sim-engine interp");
   P.boolean("--no-infer-heuristics", &Opts.NaiveInference,
             "use the naive exponential solver");
   P.boolean("--trace-order", &Opts.TraceOrder,
@@ -291,16 +271,6 @@ int parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     usage();
     return ExitUsage;
   };
-  // The deprecated engine aliases map onto the explicit selection here.
-  // --no-selective already printed its note; --sim-jobs only notes when
-  // it is actually selecting the engine (the flag keeps its worker-count
-  // role under --sim-engine wavefront).
-  if (Opts.NoSelectiveAlias)
-    Opts.Selective = false;
-  if (Opts.SimJobs > 1 && Opts.SimEngine == sim::EngineKind::Auto)
-    std::cerr << "lssc: note: selecting the engine via --sim-jobs is "
-                 "deprecated; use --sim-engine wavefront (with --sim-jobs "
-                 "N for the worker count)\n";
   if (!Opts.BatchFile.empty() && !Opts.Inputs.empty())
     return reject("--batch cannot be combined with input files");
   if (Opts.Inputs.empty() && Opts.BatchFile.empty())
@@ -362,8 +332,6 @@ driver::CompilerInvocation makeInvocation(const CliOptions &Opts) {
                                   : infer::SolveOptions();
   Inv.Solve.NumThreads = Opts.Jobs; // 0 = one per hardware thread.
   Inv.Solve.DeadlineMs = Opts.InferDeadlineMs;
-  Inv.Sim.Selective = Opts.Selective;
-  Inv.Sim.Jobs = Opts.SimJobs;
   Inv.Sim.Engine = Opts.SimEngine;
   Inv.BuildSim = Opts.RunCycles > 0;
   return Inv;
@@ -865,7 +833,6 @@ int main(int Argc, char **Argv) {
     CacheRep.Stats = Svc.getCache().getStats();
     CacheRep.ElabFromCache = R.ElabFromCache;
     CacheRep.SolutionFromCache = R.SolutionFromCache;
-    CacheRep.KernelFromCache = R.KernelFromCache;
     return &CacheRep;
   };
 
@@ -940,23 +907,13 @@ int main(int Argc, char **Argv) {
       CyclesPerSec = double(Opts.RunCycles) / RunSecs;
     std::fprintf(HumanFile,
                  "ran %llu cycles on the %s engine (%u leaves, %u nets, "
-                 "%u schedule groups, %u levels, %u jobs)\n",
+                 "%u schedule groups)\n",
                  (unsigned long long)Sim->getCycle(), Sim->getEngineName(),
                  Sim->getBuildInfo().NumLeaves, Sim->getBuildInfo().NumNets,
-                 Sim->getBuildInfo().NumGroups, Sim->getBuildInfo().NumLevels,
-                 Sim->getOptions().Jobs);
-    const sim::ActivityStats &A = Sim->getActivityStats();
-    std::fprintf(HumanFile,
-                 "selective: %s (%u skippable groups; %llu evaluated, "
-                 "%llu skipped, %llu leaf evals)\n",
-                 A.Selective ? "on" : "off",
-                 Sim->getBuildInfo().NumSkippableGroups,
-                 (unsigned long long)A.GroupsEvaluated,
-                 (unsigned long long)A.GroupsSkipped,
-                 (unsigned long long)A.LeafEvals);
-    // Cache status and build time stay out of the human line so stdout is
-    // byte-identical cold vs. warm (see tools/check_cache_stability.sh);
-    // both are reported in --stats-json.
+                 Sim->getBuildInfo().NumGroups);
+    // Build time stays out of the human line so stdout is byte-identical
+    // cold vs. warm (see tools/check_cache_stability.sh); --stats-json
+    // reports it.
     if (const sim::KernelStats *KS = Sim->getKernelStats())
       std::fprintf(HumanFile,
                    "kernel: %u ops (%u specialized, %u generic), %u seq ops "
