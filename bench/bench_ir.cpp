@@ -1,23 +1,17 @@
 //===- bench_ir.cpp - Dense interned IR benchmark (BENCH_ir.json) -------------===//
 ///
-/// Proves the dense interned netlist IR at scale. For synthetic workloads
-/// of 1k/4k/10k leaf instances (infer::buildSyntheticNetlist) it measures:
+/// Measures the dense interned netlist IR at scale. For synthetic
+/// workloads of 1k/4k/10k leaf instances (infer::buildSyntheticNetlist):
 ///
 ///  - elaboration: netlist construction plus freezeIds() id assignment;
-///  - constraint generation: the dense id-indexed generator
-///    (infer::buildNetlistConstraints) against a faithful in-bench replica
-///    of the old string-keyed generator (per-port path concatenation,
-///    eagerly rendered context strings, by-name port scans);
-///  - LSSNL artifact bytes, v1 (in-place strings) vs v2 (interned table);
-///  - warm cache load: deserializeNetlist wall time on each format.
+///  - constraint generation: infer::buildNetlistConstraints;
+///  - LSSNL artifact bytes;
+///  - warm cache load: deserializeNetlist wall time.
 ///
 /// Results go to BENCH_ir.json (override with --out FILE). --smoke runs
-/// only the 1k point and skips the performance acceptance gates — it is
-/// the bench_smoke ctest entry, so it must stay fast and insensitive to
-/// machine load — but still self-checks the emitted JSON schema. A full
-/// run exits nonzero unless, at the largest size, dense constraint-gen is
-/// >= 1.5x the string-keyed baseline, v2 artifacts are >= 20% smaller
-/// than v1, and the v2 warm load is no slower than v1.
+/// only the 1k point — it is the bench_smoke ctest entry, so it must stay
+/// fast — and self-checks the emitted JSON schema. Every run exits nonzero
+/// on a missing schema key or a degenerate (zero) measurement.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,47 +56,6 @@ double bestOf(unsigned Reps, const std::function<void()> &Fn) {
   return Best;
 }
 
-/// The pre-dense-IR constraint generator, reproduced verbatim from the
-/// string-keyed implementation this PR replaced: fresh variables named by
-/// a per-port "<path>.<port>" concatenation, diagnostic context strings
-/// rendered eagerly for every constraint, and connection endpoints
-/// resolved with by-name linear port scans. This is the baseline the
-/// acceptance gate compares against.
-std::vector<Constraint> buildConstraintsStringKeyed(netlist::Netlist &NL,
-                                                    types::TypeContext &TC) {
-  std::vector<Constraint> Cs;
-  for (const auto &Inst : NL.getInstances()) {
-    for (netlist::Port &P : Inst->Ports) {
-      P.InferVar = TC.freshVar(Inst->Path + "." + P.Name);
-      if (P.Scheme)
-        Cs.push_back(Constraint{P.InferVar, P.Scheme, P.Loc,
-                                "annotation of port '" + P.Name +
-                                    "' on instance '" + Inst->Path + "'",
-                                Inst->Path});
-    }
-    for (const auto &[LHS, RHS] : Inst->ExtraConstraints)
-      Cs.push_back(Constraint{LHS, RHS, Inst->Loc,
-                              "constrain statement of instance '" +
-                                  Inst->Path + "'",
-                              Inst->Path});
-  }
-  for (const auto &Conn : NL.getConnections()) {
-    if (!Conn->isFullyResolved())
-      continue;
-    netlist::Port *PF = Conn->From.Inst->findPort(Conn->From.Port);
-    netlist::Port *PT = Conn->To.Inst->findPort(Conn->To.Port);
-    if (!PF || !PT || !PF->InferVar || !PT->InferVar)
-      continue;
-    Cs.push_back(Constraint{PF->InferVar, PT->InferVar, Conn->Loc,
-                            "connection", Conn->From.Inst->Path});
-    if (Conn->Annotation)
-      Cs.push_back(Constraint{PF->InferVar, Conn->Annotation, Conn->Loc,
-                              "connection annotation",
-                              Conn->From.Inst->Path});
-  }
-  return Cs;
-}
-
 struct SizeResult {
   unsigned Instances = 0;
   unsigned Lanes = 0;
@@ -112,21 +65,8 @@ struct SizeResult {
   unsigned Constraints = 0;
   double ElaborateMs = 0;
   double GenDenseMs = 0;
-  double GenStringMs = 0;
-  double V1Bytes = 0;
-  double V2Bytes = 0;
-  double LoadV1Ms = 0;
-  double LoadV2Ms = 0;
-
-  double genSpeedup() const {
-    return GenDenseMs > 0 ? GenStringMs / GenDenseMs : 0;
-  }
-  double bytesSavedPct() const {
-    return V1Bytes > 0 ? 100.0 * (V1Bytes - V2Bytes) / V1Bytes : 0;
-  }
-  double loadSpeedup() const {
-    return LoadV2Ms > 0 ? LoadV1Ms / LoadV2Ms : 0;
-  }
+  double LssnlBytes = 0;
+  double LoadMs = 0;
 };
 
 SizeResult runSize(unsigned Instances, unsigned Reps) {
@@ -156,48 +96,29 @@ SizeResult runSize(unsigned Instances, unsigned Reps) {
   R.GenDenseMs =
       bestOf(Reps, [&] { Cs = infer::buildNetlistConstraints(NL, TC); });
   R.Constraints = unsigned(Cs.size());
-  R.GenStringMs =
-      bestOf(Reps, [&] { Cs = buildConstraintsStringKeyed(NL, TC); });
-  // The string-keyed pass overwrote every InferVar; regenerate densely so
-  // the netlist leaves the bench in the state the real pipeline produces.
-  Cs = infer::buildNetlistConstraints(NL, TC);
 
   std::set<std::string> LibraryModules;
   std::vector<Diagnostic> NoDiags;
-  std::string V1, V2;
-  if (!netlist::serializeNetlist(NL, LibraryModules, 0, NoDiags, V1, 1) ||
-      !netlist::serializeNetlist(NL, LibraryModules, 0, NoDiags, V2, 2)) {
+  std::string Lssnl;
+  if (!netlist::serializeNetlist(NL, LibraryModules, 0, NoDiags, Lssnl)) {
     std::fprintf(stderr, "bench_ir: serialization failed at %u instances\n",
                  Instances);
     return R;
   }
-  R.V1Bytes = double(V1.size());
-  R.V2Bytes = double(V2.size());
+  R.LssnlBytes = double(Lssnl.size());
 
-  // Interleaved A/B: alternating the formats within each rep keeps
-  // machine-load drift from biasing one side of the comparison.
-  auto LoadOnce = [](const std::string &Text) {
-    double T0 = msNow();
+  R.LoadMs = bestOf(Reps + 2, [&] {
     types::TypeContext LoadTC;
-    netlist::SerializedCompile SC = netlist::deserializeNetlist(Text, LoadTC);
+    netlist::SerializedCompile SC = netlist::deserializeNetlist(Lssnl, LoadTC);
     if (!SC.NL)
       std::fprintf(stderr, "bench_ir: artifact reload failed\n");
-    return msNow() - T0;
-  };
-  R.LoadV1Ms = R.LoadV2Ms = 1e300;
-  for (unsigned I = 0; I != Reps + 2; ++I) {
-    R.LoadV1Ms = std::min(R.LoadV1Ms, LoadOnce(V1));
-    R.LoadV2Ms = std::min(R.LoadV2Ms, LoadOnce(V2));
-  }
+  });
   return R;
 }
 
 void printRow(const SizeResult &R) {
-  std::printf("%9u %9.2f %11.2f %12.2f %8.2fx %10.0f %10.0f %7.1f%% "
-              "%8.2f %8.2f\n",
-              R.Instances, R.ElaborateMs, R.GenDenseMs, R.GenStringMs,
-              R.genSpeedup(), R.V1Bytes, R.V2Bytes, R.bytesSavedPct(),
-              R.LoadV1Ms, R.LoadV2Ms);
+  std::printf("%9u %9.2f %11.2f %12.0f %9.2f\n", R.Instances, R.ElaborateMs,
+              R.GenDenseMs, R.LssnlBytes, R.LoadMs);
 }
 
 void writeJson(const std::string &Path, const std::vector<SizeResult> &Rows,
@@ -221,19 +142,11 @@ void writeJson(const std::string &Path, const std::vector<SizeResult> &Rows,
         "      \"constraints\": %u,\n"
         "      \"elaborate_ms\": %.3f,\n"
         "      \"constraint_gen_dense_ms\": %.3f,\n"
-        "      \"constraint_gen_string_ms\": %.3f,\n"
-        "      \"constraint_gen_speedup\": %.3f,\n"
-        "      \"lssnl_v1_bytes\": %.0f,\n"
-        "      \"lssnl_v2_bytes\": %.0f,\n"
-        "      \"lssnl_bytes_saved_pct\": %.1f,\n"
-        "      \"warm_load_v1_ms\": %.3f,\n"
-        "      \"warm_load_v2_ms\": %.3f,\n"
-        "      \"warm_load_speedup\": %.3f\n"
+        "      \"lssnl_bytes\": %.0f,\n"
+        "      \"warm_load_ms\": %.3f\n"
         "    }",
         R.Instances, R.Lanes, R.DisjunctPermille, R.Ports, R.Connections,
-        R.Constraints, R.ElaborateMs, R.GenDenseMs, R.GenStringMs,
-        R.genSpeedup(), R.V1Bytes, R.V2Bytes, R.bytesSavedPct(), R.LoadV1Ms,
-        R.LoadV2Ms, R.loadSpeedup());
+        R.Constraints, R.ElaborateMs, R.GenDenseMs, R.LssnlBytes, R.LoadMs);
     OS << Buf;
   }
   OS << "\n  ]\n}\n";
@@ -250,14 +163,11 @@ bool validateJson(const std::string &Path) {
   SS << In.rdbuf();
   const std::string Text = SS.str();
   static const char *Keys[] = {
-      "\"bench\"",                     "\"smoke\"",
-      "\"sizes\"",                     "\"instances\"",
-      "\"constraints\"",               "\"elaborate_ms\"",
-      "\"constraint_gen_dense_ms\"",   "\"constraint_gen_string_ms\"",
-      "\"constraint_gen_speedup\"",    "\"lssnl_v1_bytes\"",
-      "\"lssnl_v2_bytes\"",            "\"lssnl_bytes_saved_pct\"",
-      "\"warm_load_v1_ms\"",           "\"warm_load_v2_ms\"",
-      "\"warm_load_speedup\"",
+      "\"bench\"",        "\"smoke\"",
+      "\"sizes\"",        "\"instances\"",
+      "\"constraints\"",  "\"elaborate_ms\"",
+      "\"constraint_gen_dense_ms\"", "\"lssnl_bytes\"",
+      "\"warm_load_ms\"",
   };
   for (const char *K : Keys)
     if (Text.find(K) == std::string::npos) {
@@ -290,9 +200,8 @@ int main(int argc, char **argv) {
 
   std::printf("Dense interned IR benchmark (%s)\n",
               Smoke ? "smoke: 1k point only" : "1k/4k/10k");
-  std::printf("%9s %9s %11s %12s %9s %10s %10s %8s %8s %8s\n", "instances",
-              "elab_ms", "gen_dense", "gen_string", "speedup", "v1_bytes",
-              "v2_bytes", "saved", "load_v1", "load_v2");
+  std::printf("%9s %9s %11s %12s %9s\n", "instances", "elab_ms",
+              "gen_dense", "lssnl_bytes", "load_ms");
   std::vector<SizeResult> Rows;
   for (unsigned N : Sizes) {
     Rows.push_back(runSize(N, Reps));
@@ -305,35 +214,10 @@ int main(int argc, char **argv) {
     return 1;
 
   const SizeResult &Last = Rows.back();
-  bool Sane = Last.Constraints > 0 && Last.V1Bytes > 0 && Last.V2Bytes > 0 &&
-              Last.GenDenseMs > 0 && Last.LoadV2Ms > 0;
-  if (!Sane) {
+  if (Last.Constraints == 0 || Last.LssnlBytes == 0 || Last.GenDenseMs <= 0 ||
+      Last.LoadMs <= 0) {
     std::fprintf(stderr, "bench_ir: degenerate measurements\n");
     return 1;
   }
-  if (Smoke)
-    return 0; // Schema and sanity only; no timing gates under ctest load.
-
-  bool Ok = true;
-  if (Last.genSpeedup() < 1.5) {
-    std::fprintf(stderr,
-                 "FAIL: dense constraint-gen only %.2fx the string-keyed "
-                 "baseline at %u instances (need >= 1.5x)\n",
-                 Last.genSpeedup(), Last.Instances);
-    Ok = false;
-  }
-  if (Last.bytesSavedPct() < 20.0) {
-    std::fprintf(stderr,
-                 "FAIL: LSSNL v2 only %.1f%% smaller than v1 at %u instances "
-                 "(need >= 20%%)\n",
-                 Last.bytesSavedPct(), Last.Instances);
-    Ok = false;
-  }
-  if (Last.LoadV2Ms > Last.LoadV1Ms) {
-    std::fprintf(stderr,
-                 "FAIL: v2 warm load (%.2fms) slower than v1 (%.2fms)\n",
-                 Last.LoadV2Ms, Last.LoadV1Ms);
-    Ok = false;
-  }
-  return Ok ? 0 : 1;
+  return 0;
 }

@@ -50,9 +50,8 @@ a.out -> s.in;
 /// record kind (instance, port, connection, userpoint, diag, p, stats)
 /// appears in them, so splices hit real parse paths.
 struct SeedArtifacts {
-  std::string NetlistArt;   ///< Current format (LSSNL 2, interned strtab).
-  std::string NetlistArtV1; ///< Legacy format the loader still accepts.
-  std::string SolutionArt;
+  std::string NetlistArt;  ///< LSSNL 2.
+  std::string SolutionArt; ///< LSSSOL 3.
   bool Ok = false;
 };
 
@@ -67,9 +66,6 @@ const SeedArtifacts &seeds() {
     A.Ok = netlist::serializeNetlist(*C.getNetlist(), C.getLibraryModules(),
                                      C.getNumUserTypeAnnotations(), {},
                                      A.NetlistArt) &&
-           netlist::serializeNetlist(*C.getNetlist(), C.getLibraryModules(),
-                                     C.getNumUserTypeAnnotations(), {},
-                                     A.NetlistArtV1, 1) &&
            infer::exportSolution(*C.getNetlist(), C.getInferenceStats(), {},
                                  A.SolutionArt);
     return A;
@@ -138,10 +134,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
 
   std::string Raw(reinterpret_cast<const char *>(Data), Size);
   exercise(Raw);
-  // Splice against both wire formats: v2's strtab/id-reference records
-  // and v1's in-place escaped strings take different parse paths.
   exercise(patch(seeds().NetlistArt, Data, Size));
-  exercise(patch(seeds().NetlistArtV1, Data, Size));
   exercise(patch(seeds().SolutionArt, Data, Size));
   return 0;
 }

@@ -3,6 +3,7 @@
 #include "driver/ArtifactCache.h"
 
 #include "support/FaultInjection.h"
+#include "support/Hash.h"
 
 #include <atomic>
 #include <chrono>
@@ -17,21 +18,6 @@
 using namespace liberty;
 using namespace liberty::driver;
 
-static uint64_t fnv64(const std::string &S) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
-static std::string hex16(uint64_t V) {
-  char Buf[20];
-  std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)V);
-  return Buf;
-}
-
 /// A temp name unique across processes sharing one cache dir: lssc and
 /// lssd both write here, so PID + per-process counter + a random tag keep
 /// concurrent writers from renaming each other's partial files.
@@ -42,7 +28,7 @@ static std::string uniqueTmpName(const std::string &Path) {
     return (uint64_t(RD()) << 32) ^ RD();
   }();
   return Path + ".tmp." + std::to_string(::getpid()) + "." +
-         std::to_string(TmpCounter++) + "." + hex16(ProcessTag);
+         std::to_string(TmpCounter++) + "." + hex64(ProcessTag);
 }
 
 std::string ArtifactCache::diskPath(const std::string &Key,
@@ -125,7 +111,7 @@ static bool openEnvelope(const std::string &Raw, const std::string &Phase,
     Reason = "payload size mismatch";
     return false;
   }
-  if (hex16(fnv64(Body)) != HashHex) {
+  if (hex64(fnv64(Body)) != HashHex) {
     Reason = "payload hash mismatch";
     return false;
   }
@@ -133,11 +119,11 @@ static bool openEnvelope(const std::string &Raw, const std::string &Phase,
   return true;
 }
 
-bool ArtifactCache::get(const std::string &Key, const std::string &Phase,
-                        std::string &Payload, std::string *Note) {
+bool ArtifactCache::lookup(const std::string &Key, const std::string &Phase,
+                           std::string &Payload, std::string *Note,
+                           bool &FromDisk) {
   std::string MapKey = Key + "." + Phase;
-  std::lock_guard<std::mutex> Lock(Mu);
-
+  FromDisk = false;
   auto It = Entries.find(MapKey);
   if (It != Entries.end()) {
     // Refresh LRU position.
@@ -145,43 +131,79 @@ bool ArtifactCache::get(const std::string &Key, const std::string &Phase,
     LruOrder.push_front(MapKey);
     It->second.LruIt = LruOrder.begin();
     Payload = It->second.Payload;
-    ++Stats.Hits;
-    ++Stats.MemoryHits;
     return true;
   }
 
-  if (!Opts.DiskDir.empty() && !faultShouldFail("cache.disk.open_read")) {
-    std::string Path = diskPath(Key, Phase);
-    std::ifstream In(Path, std::ios::binary);
-    if (In) {
-      std::ostringstream SS;
-      SS << In.rdbuf();
-      std::string Raw = SS.str();
-      if (faultShouldFail("cache.disk.read"))
-        Raw.resize(Raw.size() / 2); // Simulated short read.
-      std::string Reason;
-      if (openEnvelope(Raw, Phase, Payload, Reason)) {
-        insertMemory(MapKey, Payload);
-        ++Stats.Hits;
-        ++Stats.DiskHits;
-        return true;
-      }
-      ++Stats.Corrupt;
-      // Quarantine the failing entry: move it aside so every later run
-      // doesn't re-read and re-reject the same bytes. The recompile will
-      // publish a fresh entry under the original name.
-      In.close();
-      std::error_code QEC;
-      std::filesystem::rename(Path, Path + ".quarantined", QEC);
-      if (!QEC)
-        ++Stats.Quarantined;
-      if (Note)
-        *Note = "ignoring corrupted cache entry '" + Path + "' (" + Reason +
-                "); recompiling";
-    }
+  if (Opts.DiskDir.empty() || faultShouldFail("cache.disk.open_read"))
+    return false;
+  std::string Path = diskPath(Key, Phase);
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  std::string Raw = SS.str();
+  if (faultShouldFail("cache.disk.read"))
+    Raw.resize(Raw.size() / 2); // Simulated short read.
+  std::string Reason;
+  if (openEnvelope(Raw, Phase, Payload, Reason)) {
+    insertMemory(MapKey, Payload);
+    FromDisk = true;
+    return true;
   }
-  ++Stats.Misses;
+  ++Stats.Corrupt;
+  // Quarantine the failing entry: move it aside so every later run doesn't
+  // re-read and re-reject the same bytes. The recompile will publish a
+  // fresh entry under the original name.
+  In.close();
+  std::error_code QEC;
+  std::filesystem::rename(Path, Path + ".quarantined", QEC);
+  if (!QEC)
+    ++Stats.Quarantined;
+  if (Note)
+    *Note = "ignoring corrupted cache entry '" + Path + "' (" + Reason +
+            "); recompiling";
   return false;
+}
+
+void ArtifactCache::countLookup(bool Hit, bool FromDisk) {
+  if (!Hit) {
+    ++Stats.Misses;
+    return;
+  }
+  ++Stats.Hits;
+  ++(FromDisk ? Stats.DiskHits : Stats.MemoryHits);
+}
+
+bool ArtifactCache::get(const std::string &Key, const std::string &Phase,
+                        std::string &Payload, std::string *Note) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  bool FromDisk;
+  bool Hit = lookup(Key, Phase, Payload, Note, FromDisk);
+  countLookup(Hit, FromDisk);
+  return Hit;
+}
+
+bool ArtifactCache::get(const std::string &Key, const std::string &Phase,
+                        std::string *Note, const Decoder &Decode) {
+  std::string Payload;
+  bool FromDisk, Hit;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Hit = lookup(Key, Phase, Payload, Note, FromDisk);
+  }
+  // Decoding runs unlocked: concurrent warm compiles must not serialize
+  // on the cache.
+  std::string Reason;
+  if (Hit && !Decode(Payload, Reason)) {
+    Hit = false;
+    if (Note)
+      *Note = "ignoring unreadable cache entry for key " + Key + " (" +
+              Phase + "): " + Reason + "; recompiling";
+  }
+  std::lock_guard<std::mutex> Lock(Mu);
+  countLookup(Hit, FromDisk);
+  return Hit;
 }
 
 bool ArtifactCache::writeDiskEntry(const std::string &Path,
@@ -193,7 +215,7 @@ bool ArtifactCache::writeDiskEntry(const std::string &Path,
     return false;
   std::string Envelope = "LSSART 1 " + Phase + ' ' +
                          std::to_string(Payload.size()) + ' ' +
-                         hex16(fnv64(Payload)) + '\n' + Payload;
+                         hex64(fnv64(Payload)) + '\n' + Payload;
   // Atomic publish: write a unique temp file, then rename over the final
   // name. Readers either see the old complete entry or the new one.
   std::string Tmp = uniqueTmpName(Path);

@@ -21,6 +21,7 @@
 #define LIBERTY_DRIVER_ARTIFACTCACHE_H
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <mutex>
@@ -31,7 +32,9 @@ namespace driver {
 
 /// Counters for `lssc --stats-json` ("cache" section) and tests.
 struct CacheStats {
-  uint64_t Hits = 0;       ///< get() calls satisfied (memory or disk).
+  /// get() calls satisfied (memory or disk) whose payload, when the
+  /// caller decodes it, decoded.
+  uint64_t Hits = 0;
   uint64_t Misses = 0;     ///< get() calls not satisfied.
   uint64_t MemoryHits = 0; ///< Hits served by the in-memory LRU.
   uint64_t DiskHits = 0;   ///< Hits that had to read the disk entry.
@@ -74,6 +77,20 @@ public:
   bool get(const std::string &Key, const std::string &Phase,
            std::string &Payload, std::string *Note = nullptr);
 
+  /// Decodes a payload into the caller's state; on rejection returns false
+  /// and sets the reason.
+  using Decoder =
+      std::function<bool(const std::string &Payload, std::string &Reason)>;
+
+  /// A lookup whose hit must also decode: the payload goes to \p Decode
+  /// (outside the cache lock), and a payload Decode rejects makes the
+  /// lookup a miss, with "ignoring unreadable cache entry for key K
+  /// (phase): <reason>; recompiling" in \p Note. The entry is neither
+  /// counted as corrupt nor quarantined — its envelope is valid — and the
+  /// caller's recompile overwrites it.
+  bool get(const std::string &Key, const std::string &Phase, std::string *Note,
+           const Decoder &Decode);
+
   /// Stores a payload under (key, phase), in memory and — when a DiskDir
   /// is configured — on disk. Disk write failures never fail the compile
   /// (the cache is an accelerator, not a correctness dependency); they are
@@ -89,6 +106,11 @@ public:
   bool isDegraded() const;
 
 private:
+  /// Memory, then disk. Counts and quarantines corrupt disk entries but
+  /// leaves hit/miss counting to countLookup. Lock held.
+  bool lookup(const std::string &Key, const std::string &Phase,
+              std::string &Payload, std::string *Note, bool &FromDisk);
+  void countLookup(bool Hit, bool FromDisk);
   std::string diskPath(const std::string &Key, const std::string &Phase) const;
   /// Inserts into the LRU and evicts down to budget. Lock held.
   void insertMemory(const std::string &MapKey, const std::string &Payload);

@@ -40,20 +40,20 @@ CompileResult CompileService::compile(const CompilerInvocation &Inv) {
   // --- Parse + elaborate, or reload the "elab" artifact. -----------------
   bool Warm = false;
   if (Opts.CacheEnabled) {
-    std::string Payload, Note;
-    if (Cache.get(ElabKey, "elab", Payload, &Note)) {
-      PhaseTimer::Scope Phase(&C.getPhaseTimer(), "cache-load");
-      auto SC = netlist::deserializeNetlist(Payload, C.getTypeContext());
-      if (SC.NL) {
-        C.registerSourcesWithoutParsing(Inv);
-        C.adoptNetlist(std::move(SC));
-        Warm = true;
-        R.ElabFromCache = true;
-      } else {
-        Note = "ignoring unreadable cache entry for key " + ElabKey +
-               " (elab); recompiling";
-      }
-    }
+    std::string Note;
+    Warm = Cache.get(ElabKey, "elab", &Note,
+                     [&](const std::string &Payload, std::string &Reason) {
+                       PhaseTimer::Scope Phase(&C.getPhaseTimer(),
+                                               "cache-load");
+                       auto SC = netlist::deserializeNetlist(
+                           Payload, C.getTypeContext(), &Reason);
+                       if (!SC.NL)
+                         return false;
+                       C.registerSourcesWithoutParsing(Inv);
+                       C.adoptNetlist(std::move(SC));
+                       return true;
+                     });
+    R.ElabFromCache = Warm;
     if (!Note.empty())
       C.getDiags().note(SourceLoc(), Note);
   }
@@ -80,24 +80,22 @@ CompileResult CompileService::compile(const CompilerInvocation &Inv) {
 
   // --- Type inference, or reload the "solve" artifact. -------------------
   bool Solved = false;
-  if (Opts.CacheEnabled) {
-    std::string Payload, Note;
-    if (Cache.get(SolveKey, "solve", Payload, &Note)) {
-      PhaseTimer::Scope Phase(&C.getPhaseTimer(), "cache-load");
-      infer::NetlistInferenceStats IS;
-      std::vector<Diagnostic> Ds;
-      if (C.getNetlist() &&
-          infer::importSolution(Payload, *C.getNetlist(), C.getTypeContext(),
-                                IS, Ds)) {
-        C.setInferenceStats(std::move(IS));
-        C.replayDiagnostics(Ds);
-        Solved = true;
-        R.SolutionFromCache = true;
-      } else {
-        Note = "ignoring unreadable cache entry for key " + SolveKey +
-               " (solve); recompiling";
-      }
-    }
+  if (Opts.CacheEnabled && C.getNetlist()) {
+    std::string Note;
+    Solved = Cache.get(
+        SolveKey, "solve", &Note,
+        [&](const std::string &Payload, std::string &Reason) {
+          PhaseTimer::Scope Phase(&C.getPhaseTimer(), "cache-load");
+          infer::NetlistInferenceStats IS;
+          std::vector<Diagnostic> Ds;
+          if (!infer::importSolution(Payload, *C.getNetlist(),
+                                     C.getTypeContext(), IS, Ds, &Reason))
+            return false;
+          C.setInferenceStats(std::move(IS));
+          C.replayDiagnostics(Ds);
+          return true;
+        });
+    R.SolutionFromCache = Solved;
     if (!Note.empty())
       C.getDiags().note(SourceLoc(), Note);
   }

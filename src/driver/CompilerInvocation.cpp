@@ -4,8 +4,8 @@
 
 #include "corelib/CoreLib.h"
 #include "driver/DepGraph.h"
+#include "support/Hash.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -25,10 +25,6 @@ bool CompilerInvocation::addFile(const std::string &Path, std::string *Error) {
   return true;
 }
 
-/// The hasher moved to driver/DepGraph.h (FnvHasher) so the dependency
-/// artifact's per-module hashes share the exact same byte discipline.
-using Hasher = FnvHasher;
-
 /// Bump when any cached artifact format (LSSNL/LSSSOL/LSSART/LSSDEP) or
 /// the key contract changes: stale on-disk entries then simply miss.
 /// v2: elabKey became a Merkle fold over per-module spans, LSSSOL gained
@@ -37,7 +33,7 @@ using Hasher = FnvHasher;
 static constexpr uint64_t CacheFormatVersion = 2;
 
 uint64_t CompilerInvocation::elabKey() const {
-  Hasher H;
+  FnvHasher H;
   H.field("fmt", CacheFormatVersion);
   H.field("corelib", UseCoreLibrary ? 1 : 0);
   if (UseCoreLibrary)
@@ -59,7 +55,7 @@ uint64_t CompilerInvocation::depKey() const {
   // Content-INDEPENDENT: names and options only, so an edited project
   // overwrites its own dependency entry in place and the next compile can
   // find it without knowing the previous text.
-  Hasher H;
+  FnvHasher H;
   H.field("fmt", CacheFormatVersion);
   H.field("dep", 1);
   H.field("corelib", UseCoreLibrary ? 1 : 0);
@@ -75,7 +71,7 @@ uint64_t CompilerInvocation::depKey() const {
 }
 
 uint64_t CompilerInvocation::solveKey() const {
-  Hasher H;
+  FnvHasher H;
   H.field("elab", elabKey());
   H.field("solve.reorder", Solve.ReorderSimpleFirst ? 1 : 0);
   H.field("solve.forced", Solve.ForcedDisjunctElimination ? 1 : 0);
@@ -85,7 +81,7 @@ uint64_t CompilerInvocation::solveKey() const {
 }
 
 uint64_t CompilerInvocation::fingerprint() const {
-  Hasher H;
+  FnvHasher H;
   H.field("solve", solveKey());
   H.field("maxerrors", MaxErrors);
   H.field("solve.maxsteps", Solve.MaxSteps);
@@ -96,8 +92,4 @@ uint64_t CompilerInvocation::fingerprint() const {
   return H.get();
 }
 
-std::string CompilerInvocation::keyString(uint64_t Key) {
-  char Buf[20];
-  std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)Key);
-  return Buf;
-}
+std::string CompilerInvocation::keyString(uint64_t Key) { return hex64(Key); }

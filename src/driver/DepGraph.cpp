@@ -6,7 +6,6 @@
 #include "support/FaultInjection.h"
 
 #include <cctype>
-#include <cstdio>
 #include <sstream>
 
 using namespace liberty;
@@ -182,29 +181,6 @@ uint64_t liberty::driver::foldSourceKey(const std::string &Text) {
 // LSSDEP serialization
 //===----------------------------------------------------------------------===//
 
-static std::string hex64(uint64_t V) {
-  char Buf[20];
-  std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)V);
-  return Buf;
-}
-
-static bool parseHex64(std::string_view S, uint64_t &Out) {
-  if (S.empty() || S.size() > 16)
-    return false;
-  Out = 0;
-  for (char C : S) {
-    unsigned D;
-    if (C >= '0' && C <= '9')
-      D = unsigned(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      D = unsigned(C - 'a') + 10;
-    else
-      return false;
-    Out = (Out << 4) | D;
-  }
-  return true;
-}
-
 bool liberty::driver::serializeDepGraph(const DepGraph &G, std::string &Out) {
   if (faultShouldFail("serialize.dep"))
     return false; // Injected failure: the graph just isn't cached.
@@ -258,29 +234,9 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
   if (faultShouldFail("deserialize.dep"))
     return false; // Injected failure: treated as a cache miss.
   Out = DepGraph();
-  using netlist::ArtifactLineReader;
-
-  size_t Pos = 0;
-  bool SawEnd = false;
-  auto NextLine = [&](std::string_view &Line) {
-    if (Pos >= Text.size())
-      return false;
-    size_t NL = Text.find('\n', Pos);
-    if (NL == std::string::npos)
-      NL = Text.size();
-    Line = std::string_view(Text).substr(Pos, NL - Pos);
-    Pos = NL + 1;
-    return true;
-  };
-
-  std::string_view Line;
-  if (!NextLine(Line))
+  netlist::ArtifactReader R(Text);
+  if (!R.readHeader("LSSDEP 1"))
     return false;
-  {
-    ArtifactLineReader L(Line);
-    if (L.size() != 2 || L.raw(0) != "LSSDEP" || L.raw(1) != "1")
-      return false;
-  }
 
   // State for the record-at-a-time parse: which sub-records are pending.
   size_t SrcRemaining = 0, ModRemaining = 0;
@@ -289,8 +245,9 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
   bool SawPrev = false, SawCapable = false, SawNsrc = false;
   bool SawNedge = false, SawNinst = false, SawNmg = false;
 
-  while (NextLine(Line)) {
-    ArtifactLineReader L(Line);
+  bool SawEnd = false;
+  netlist::ArtifactLineReader L;
+  while (R.next(L)) {
     if (L.size() == 0)
       return false;
     std::string_view Kind = L.raw(0);
@@ -301,17 +258,14 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
     }
     if (Kind == "prev") {
       uint64_t E, S;
-      if (SawPrev || L.size() != 3 || !parseHex64(L.raw(1), E) ||
-          !parseHex64(L.raw(2), S))
+      if (SawPrev || L.size() != 3 || !L.hex(1, E) || !L.hex(2, S))
         return false;
       Out.PrevElabKey = E;
       Out.PrevSolveKey = S;
       SawPrev = true;
     } else if (Kind == "capable") {
-      if (SawCapable || L.size() != 2 ||
-          (L.raw(1) != "0" && L.raw(1) != "1"))
+      if (SawCapable || L.size() != 2 || !L.boolean(1, Out.Capable))
         return false;
-      Out.Capable = L.raw(1) == "1";
       SawCapable = true;
     } else if (Kind == "nsrc") {
       uint32_t N;
@@ -322,22 +276,19 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
       SawNsrc = true;
     } else if (Kind == "src") {
       uint32_t NMods;
-      uint64_t RH;
       DepGraph::SourceDeps S;
       if (!SrcRemaining || ModRemaining || L.size() != 5 ||
-          !L.str(1, S.Name) || (L.raw(2) != "0" && L.raw(2) != "1") ||
-          !parseHex64(L.raw(3), RH) || !L.u32(4, NMods) || NMods > 1u << 20)
+          !L.escaped(1, S.Name) || !L.boolean(2, S.Scanned) ||
+          !L.hex(3, S.ResidualHash) || !L.u32(4, NMods) || NMods > 1u << 20)
         return false;
-      S.Scanned = L.raw(2) == "1";
-      S.ResidualHash = RH;
       S.Modules.reserve(NMods);
       Out.Sources.push_back(std::move(S));
       ModRemaining = NMods;
       --SrcRemaining;
     } else if (Kind == "m") {
       DepGraph::ModuleDep M;
-      if (!ModRemaining || L.size() != 3 || !L.str(1, M.Name) ||
-          !parseHex64(L.raw(2), M.Hash))
+      if (!ModRemaining || L.size() != 3 || !L.escaped(1, M.Name) ||
+          !L.hex(2, M.Hash))
         return false;
       Out.Sources.back().Modules.push_back(std::move(M));
       --ModRemaining;
@@ -351,8 +302,8 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
       SawNedge = true;
     } else if (Kind == "e") {
       std::string From, To;
-      if (!EdgeRemaining || L.size() != 3 || !L.optStr(1, From) ||
-          !L.optStr(2, To))
+      if (!EdgeRemaining || L.size() != 3 || !L.optEscaped(1, From) ||
+          !L.optEscaped(2, To))
         return false;
       Out.Edges.emplace_back(std::move(From), std::move(To));
       --EdgeRemaining;
@@ -381,19 +332,18 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
       --InstRemaining;
     } else if (Kind == "a") {
       DepGraph::PendingAssignDep A;
-      if (!AssignRemaining || L.size() != 5 || !L.str(1, A.Field) ||
-          !L.optStr(2, A.Value) || !L.loc(3, A.Loc))
+      if (!AssignRemaining || L.size() != 5 || !L.escaped(1, A.Field) ||
+          !L.optEscaped(2, A.Value) || !L.loc(3, A.Loc))
         return false;
       Out.Instances.back().Assigns.push_back(std::move(A));
       --AssignRemaining;
     } else if (Kind == "c") {
       DepGraph::PendingConnDep C;
       if (!ConnRemaining || AssignRemaining || L.size() != 7 ||
-          !L.u32(1, C.ConnIdx) || (L.raw(2) != "0" && L.raw(2) != "1") ||
-          !L.str(3, C.Port) || !L.i64(4, C.ExplicitIndex) ||
+          !L.u32(1, C.ConnIdx) || !L.boolean(2, C.IsFrom) ||
+          !L.escaped(3, C.Port) || !L.i64(4, C.ExplicitIndex) ||
           !L.loc(5, C.Loc))
         return false;
-      C.IsFrom = L.raw(2) == "1";
       Out.Instances.back().Conns.push_back(std::move(C));
       --ConnRemaining;
     } else if (Kind == "nmg") {
@@ -407,7 +357,7 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
     } else if (Kind == "mg") {
       std::string Mod;
       uint32_t K;
-      if (!MgRemaining || L.size() < 3 || !L.optStr(1, Mod) ||
+      if (!MgRemaining || L.size() < 3 || !L.optEscaped(1, Mod) ||
           !L.u32(2, K) || L.size() != size_t(K) + 3)
         return false;
       std::vector<unsigned> Groups(K);

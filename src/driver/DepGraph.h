@@ -38,6 +38,7 @@
 #ifndef LIBERTY_DRIVER_DEPGRAPH_H
 #define LIBERTY_DRIVER_DEPGRAPH_H
 
+#include "support/Hash.h"
 #include "support/SourceMgr.h"
 
 #include <cstddef>
@@ -48,33 +49,6 @@
 
 namespace liberty {
 namespace driver {
-
-/// FNV-1a 64. Fields are fed as `tag=value;` runs; strings are
-/// length-prefixed so adjacent fields cannot alias. Shared by the
-/// invocation fingerprints (CompilerInvocation) and the per-module hashes.
-class FnvHasher {
-public:
-  void bytes(const void *Data, size_t N) {
-    const unsigned char *P = static_cast<const unsigned char *>(Data);
-    for (size_t I = 0; I != N; ++I) {
-      H ^= P[I];
-      H *= 1099511628211ull;
-    }
-  }
-  void str(const std::string &S) {
-    num(S.size());
-    bytes(S.data(), S.size());
-  }
-  void num(uint64_t V) { bytes(&V, sizeof(V)); }
-  void field(const char *Tag, uint64_t V) {
-    bytes(Tag, std::char_traits<char>::length(Tag));
-    num(V);
-  }
-  uint64_t get() const { return H; }
-
-private:
-  uint64_t H = 1469598103934665603ull; // FNV offset basis.
-};
 
 /// One top-level `module NAME { ... }` span in a source text.
 /// [Begin, End) covers the `module` keyword through the matching '}'.

@@ -10,40 +10,20 @@
 #include "types/TypeContext.h"
 #include "types/TypeIO.h"
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <map>
 #include <sstream>
 
 using namespace liberty;
 using namespace liberty::infer;
-using netlist::artifactEscape;
-using netlist::artifactUnescape;
-
-/// Doubles travel as their IEEE754 bit pattern: byte-stable and exact.
-static std::string doubleBits(double D) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &D, sizeof(Bits));
-  char Buf[20];
-  std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)Bits);
-  return Buf;
-}
 
 bool liberty::infer::exportSolution(const netlist::Netlist &NL,
                                     const NetlistInferenceStats &Stats,
                                     const std::vector<Diagnostic> &Diags,
-                                    std::string &Out,
-                                    unsigned FormatVersion) {
-  if (FormatVersion < 1 || FormatVersion > CurrentLSSSOLVersion)
-    return false;
+                                    std::string &Out) {
   if (faultShouldFail("serialize.solution"))
     return false;
   netlist::ArtifactStrTableBuilder Tab;
-  netlist::ArtifactTokenEmitter E{FormatVersion >= 2 ? &Tab : nullptr};
-  // The body is rendered first so the v2 string table (first-use order)
-  // is complete before the header is written.
   std::ostringstream OS;
   const SolveStats &S = Stats.Solve;
   OS << "stats " << (S.Success ? 1 : 0) << ' ' << (S.HitLimit ? 1 : 0) << ' '
@@ -53,29 +33,28 @@ bool liberty::infer::exportSolution(const netlist::Netlist &NL,
      << '\n';
   OS << "nstats " << Stats.NumPorts << ' ' << Stats.NumPolymorphicPorts << ' '
      << Stats.NumDefaulted << '\n';
-  // v3 zeroes the per-group wall-time bits: a spliced incremental solve
-  // replays cached group stats, and only a time-free artifact can be
-  // byte-identical to the cold compile it splices from.
+  // The per-group wall time is written as zero (the bits of 0.0): a
+  // spliced incremental solve replays cached group stats, and only a
+  // time-free artifact can be byte-identical to the cold compile it
+  // splices from.
   for (const GroupStats &G : S.Groups)
     OS << "group " << G.NumConstraints << ' ' << G.UnifySteps << ' '
-       << G.BranchPoints << ' '
-       << doubleBits(FormatVersion >= 3 ? 0.0 : G.WallMs) << ' '
-       << (G.Success ? 1 : 0) << ' ' << (G.HitLimit ? 1 : 0) << ' '
-       << (G.HitDeadline ? 1 : 0) << '\n';
-  if (FormatVersion >= 3)
-    for (size_t G = 0; G != S.GroupMembers.size(); ++G) {
-      if (S.GroupMembers[G].empty())
-        continue;
-      OS << "gm " << G << ' ' << S.GroupMembers[G].size();
-      for (unsigned Id : S.GroupMembers[G])
-        OS << ' ' << Id;
-      OS << '\n';
-    }
+       << G.BranchPoints << ' ' << hex64(0) << ' ' << (G.Success ? 1 : 0)
+       << ' ' << (G.HitLimit ? 1 : 0) << ' ' << (G.HitDeadline ? 1 : 0)
+       << '\n';
+  for (size_t G = 0; G != S.GroupMembers.size(); ++G) {
+    if (S.GroupMembers[G].empty())
+      continue;
+    OS << "gm " << G << ' ' << S.GroupMembers[G].size();
+    for (unsigned Id : S.GroupMembers[G])
+      OS << ' ' << Id;
+    OS << '\n';
+  }
   for (const Diagnostic &D : Diags) {
     if (D.Level == DiagLevel::Error)
       return false; // Failed solves are never cached.
     OS << "diag " << (D.Level == DiagLevel::Warning ? 1 : 0) << ' '
-       << D.Loc.BufferId << ' ' << D.Loc.Offset << ' ' << E.tok(D.Message)
+       << D.Loc.BufferId << ' ' << D.Loc.Offset << ' ' << Tab.tok(D.Message)
        << '\n';
   }
   const auto &Instances = NL.getInstances();
@@ -84,167 +63,42 @@ bool liberty::infer::exportSolution(const netlist::Netlist &NL,
     for (size_t P = 0; P != Ports.size(); ++P) {
       if (!Ports[P].Resolved)
         continue;
-      OS << "p " << I << ' ' << P << ' ' << E.tok(Ports[P].Resolved->str());
-      if (FormatVersion >= 3) {
-        // Group column is biased by one (0 = no group) so the record stays
-        // unsigned; the defaulting count drives warning replay on splice.
-        auto It = Stats.PortGroups.find({unsigned(I), unsigned(P)});
-        if (It == Stats.PortGroups.end())
-          OS << " 0 0";
-        else
-          OS << ' ' << unsigned(It->second.first + 1) << ' '
-             << It->second.second;
-      }
+      OS << "p " << I << ' ' << P << ' ' << Tab.tok(Ports[P].Resolved->str());
+      // Group column is biased by one (0 = no group) so the record stays
+      // unsigned; the defaulting count drives warning replay on splice.
+      auto It = Stats.PortGroups.find({unsigned(I), unsigned(P)});
+      if (It == Stats.PortGroups.end())
+        OS << " 0 0";
+      else
+        OS << ' ' << unsigned(It->second.first + 1) << ' '
+           << It->second.second;
       OS << '\n';
     }
   }
   OS << "end\n";
-
-  std::ostringstream Head;
-  Head << "LSSSOL " << FormatVersion << '\n';
-  if (FormatVersion >= 2) {
-    Head << "strtab " << Tab.strings().size() << '\n';
-    for (const std::string &Str : Tab.strings())
-      Head << "s " << artifactEscape(Str) << '\n';
-  }
-  Out = Head.str() + OS.str();
+  Out = Tab.finish("LSSSOL 3", OS.str());
   return true;
 }
-
-namespace {
-
-/// Minimal checked field reader (mirrors the Serializer's; small enough
-/// that sharing would couple the two formats for no gain).
-struct Fields {
-  std::vector<std::string_view> F;
-
-  /// Space-splits without copying; fields view the line (which views the
-  /// artifact text). Allocation-free: this is the cache's warm path.
-  explicit Fields(std::string_view Line) {
-    size_t I = 0, N = Line.size();
-    while (I < N) {
-      while (I < N && (Line[I] == ' ' || Line[I] == '\t' || Line[I] == '\r'))
-        ++I;
-      size_t Start = I;
-      while (I < N && Line[I] != ' ' && Line[I] != '\t' && Line[I] != '\r')
-        ++I;
-      if (I > Start)
-        F.push_back(Line.substr(Start, I - Start));
-    }
-  }
-
-  bool u64(size_t I, uint64_t &Out) const {
-    if (I >= F.size() || F[I].empty())
-      return false;
-    uint64_t Acc = 0;
-    for (char C : F[I]) {
-      if (C < '0' || C > '9')
-        return false;
-      if (Acc > (UINT64_MAX - 9) / 10)
-        return false; // Overflow: reject rather than wrap.
-      Acc = Acc * 10 + uint64_t(C - '0');
-    }
-    Out = Acc;
-    return true;
-  }
-  bool u32(size_t I, unsigned &Out) const {
-    uint64_t V;
-    if (!u64(I, V) || V > UINT32_MAX)
-      return false;
-    Out = unsigned(V);
-    return true;
-  }
-  bool boolean(size_t I, bool &Out) const {
-    if (I >= F.size() || (F[I] != "0" && F[I] != "1"))
-      return false;
-    Out = F[I] == "1";
-    return true;
-  }
-  // Adapter surface for netlist::ArtifactFieldDecoder (v1/v2 string
-  // slots).
-  size_t size() const { return F.size(); }
-  std::string_view raw(size_t I) const { return F[I]; }
-  bool str(size_t I, std::string &Out) const {
-    return I < F.size() && artifactUnescape(F[I], Out);
-  }
-  bool dbl(size_t I, double &Out) const {
-    if (I >= F.size() || F[I].size() != 16)
-      return false;
-    uint64_t Bits = 0;
-    for (char C : F[I]) {
-      int D;
-      if (C >= '0' && C <= '9')
-        D = C - '0';
-      else if (C >= 'a' && C <= 'f')
-        D = C - 'a' + 10;
-      else
-        return false;
-      Bits = (Bits << 4) | unsigned(D);
-    }
-    std::memcpy(&Out, &Bits, sizeof(Out));
-    return true;
-  }
-};
-
-} // namespace
 
 bool liberty::infer::importSolution(const std::string &Text,
                                     netlist::Netlist &NL,
                                     types::TypeContext &TC,
                                     NetlistInferenceStats &StatsOut,
-                                    std::vector<Diagnostic> &DiagsOut) {
-  if (faultShouldFail("deserialize.solution"))
+                                    std::vector<Diagnostic> &DiagsOut,
+                                    std::string *Error) {
+  auto Fail = [&] {
+    if (Error && Error->empty())
+      *Error = "malformed";
     return false;
-  size_t LinePos = 0;
-  auto nextLine = [&](std::string_view &Line) {
-    if (LinePos >= Text.size())
-      return false;
-    size_t E = Text.find('\n', LinePos);
-    if (E == std::string::npos) {
-      Line = std::string_view(Text).substr(LinePos);
-      LinePos = Text.size();
-    } else {
-      Line = std::string_view(Text).substr(LinePos, E - LinePos);
-      LinePos = E + 1;
-    }
-    return true;
   };
-
-  std::string_view Line;
-  unsigned Version;
-  if (!nextLine(Line))
-    return false;
-  if (Line == "LSSSOL 1")
-    Version = 1;
-  else if (Line == "LSSSOL 2")
-    Version = 2;
-  else if (Line == "LSSSOL 3")
-    Version = 3;
-  else
-    return false;
-
-  // v2: the header string table precedes all records.
+  if (Error)
+    Error->clear();
+  if (faultShouldFail("deserialize.solution"))
+    return Fail();
+  netlist::ArtifactReader R(Text);
   std::vector<std::string> Strtab;
-  if (Version >= 2) {
-    if (!nextLine(Line))
-      return false;
-    Fields H(Line);
-    unsigned N;
-    if (H.F.size() != 2 || H.F[0] != "strtab" || !H.u32(1, N))
-      return false;
-    if (size_t(N) > Text.size())
-      return false; // More entries than bytes: malformed.
-    Strtab.reserve(N);
-    for (unsigned I = 0; I != N; ++I) {
-      if (!nextLine(Line))
-        return false;
-      Fields SL(Line);
-      std::string Str;
-      if (SL.F.size() != 2 || SL.F[0] != "s" || !SL.str(1, Str))
-        return false;
-      Strtab.push_back(std::move(Str));
-    }
-  }
+  if (!R.readHeader("LSSSOL 3", Error) || !R.readStrtab(Strtab))
+    return Fail();
 
   NetlistInferenceStats Stats;
   std::vector<Diagnostic> Diags;
@@ -255,93 +109,86 @@ bool liberty::infer::importSolution(const std::string &Text,
   const auto &Instances = NL.getInstances();
   bool SawStats = false, SawEnd = false;
 
-  while (nextLine(Line)) {
-    Fields L(Line);
-    if (L.F.empty())
-      return false;
-    netlist::ArtifactFieldDecoder<Fields> Dec{
-        L, Version >= 2 ? &Strtab : nullptr};
-    std::string_view Kind = L.F[0];
+  netlist::ArtifactLineReader L;
+  while (R.next(L)) {
+    if (L.size() == 0)
+      return Fail();
+    std::string_view Kind = L.raw(0);
     if (Kind == "end") {
       SawEnd = true;
       break;
     } else if (Kind == "stats") {
       SolveStats &S = Stats.Solve;
-      if (L.F.size() != 11 || !L.boolean(1, S.Success) ||
+      if (L.size() != 11 || !L.boolean(1, S.Success) ||
           !L.boolean(2, S.HitLimit) || !L.boolean(3, S.HitDeadline) ||
           !L.u64(4, S.UnifySteps) || !L.u64(5, S.BranchPoints) ||
           !L.u32(6, S.NumConstraints) || !L.u32(7, S.NumDisjunctive) ||
           !L.u32(8, S.NumComponents) || !L.u32(9, S.ThreadsUsed) ||
           !L.u32(10, S.NumUnsolved))
-        return false;
+        return Fail();
       SawStats = true;
     } else if (Kind == "nstats") {
-      if (L.F.size() != 4 || !L.u32(1, Stats.NumPorts) ||
+      if (L.size() != 4 || !L.u32(1, Stats.NumPorts) ||
           !L.u32(2, Stats.NumPolymorphicPorts) ||
           !L.u32(3, Stats.NumDefaulted))
-        return false;
+        return Fail();
     } else if (Kind == "group") {
       GroupStats G;
-      if (L.F.size() != 8 || !L.u32(1, G.NumConstraints) ||
+      if (L.size() != 8 || !L.u32(1, G.NumConstraints) ||
           !L.u64(2, G.UnifySteps) || !L.u64(3, G.BranchPoints) ||
           !L.dbl(4, G.WallMs) || !L.boolean(5, G.Success) ||
           !L.boolean(6, G.HitLimit) || !L.boolean(7, G.HitDeadline))
-        return false;
+        return Fail();
       Stats.Solve.Groups.push_back(G);
     } else if (Kind == "gm") {
       unsigned G, N;
-      if (Version < 3 || L.F.size() < 3 || !L.u32(1, G) || !L.u32(2, N) ||
-          L.F.size() != size_t(N) + 3 || G >= Stats.Solve.Groups.size())
-        return false;
+      if (L.size() < 3 || !L.u32(1, G) || !L.u32(2, N) ||
+          L.size() != size_t(N) + 3 || G >= Stats.Solve.Groups.size())
+        return Fail();
       if (Stats.Solve.GroupMembers.size() < Stats.Solve.Groups.size())
         Stats.Solve.GroupMembers.resize(Stats.Solve.Groups.size());
       std::vector<unsigned> &Ids = Stats.Solve.GroupMembers[G];
       for (unsigned I = 0; I != N; ++I) {
         unsigned Id;
         if (!L.u32(3 + I, Id) || Id >= Instances.size())
-          return false;
+          return Fail();
         Ids.push_back(Id);
       }
     } else if (Kind == "diag") {
       Diagnostic D;
       uint64_t Level;
-      if (L.F.size() != 5 || !L.u64(1, Level) || Level > 1 ||
-          !L.u32(2, D.Loc.BufferId) || !L.u32(3, D.Loc.Offset) ||
-          !Dec.str(4, D.Message))
-        return false;
+      if (L.size() != 5 || !L.u64(1, Level) || Level > 1 ||
+          !L.loc(2, D.Loc) || !L.str(4, Strtab, D.Message))
+        return Fail();
       D.Level = Level == 1 ? DiagLevel::Warning : DiagLevel::Note;
       Diags.push_back(std::move(D));
     } else if (Kind == "p") {
       uint64_t InstIdx, PortIdx;
+      unsigned GroupBiased, NumDefaulted;
       std::string TypeText;
-      size_t Want = Version >= 3 ? 6 : 4;
-      if (L.F.size() != Want || !L.u64(1, InstIdx) || !L.u64(2, PortIdx) ||
-          !Dec.str(3, TypeText))
-        return false;
+      if (L.size() != 6 || !L.u64(1, InstIdx) || !L.u64(2, PortIdx) ||
+          !L.str(3, Strtab, TypeText) || !L.u32(4, GroupBiased) ||
+          !L.u32(5, NumDefaulted))
+        return Fail();
       if (InstIdx >= Instances.size() ||
           PortIdx >= Instances[InstIdx]->Ports.size())
-        return false;
-      if (Version >= 3) {
-        unsigned GroupBiased, NumDefaulted;
-        if (!L.u32(4, GroupBiased) || !L.u32(5, NumDefaulted))
-          return false;
-        if (GroupBiased) {
-          if (GroupBiased > Stats.Solve.Groups.size())
-            return false;
-          Stats.PortGroups[{unsigned(InstIdx), unsigned(PortIdx)}] = {
-              int(GroupBiased) - 1, NumDefaulted};
-        }
+        return Fail();
+      if (GroupBiased) {
+        if (GroupBiased > Stats.Solve.Groups.size())
+          return Fail();
+        Stats.PortGroups[{unsigned(InstIdx), unsigned(PortIdx)}] = {
+            int(GroupBiased) - 1, NumDefaulted};
       }
       const types::Type *T = types::parseTypeText(TypeText, TC, VarMap);
       if (!T)
-        return false;
+        return Fail();
       Resolved.emplace_back(&Instances[InstIdx]->Ports[PortIdx], T);
     } else {
-      return false;
+      return Fail();
     }
   }
   if (!SawEnd || !SawStats)
-    return false;
+    return Fail();
 
   for (auto &[P, T] : Resolved)
     P->Resolved = T;

@@ -9,16 +9,21 @@
 /// solver entirely, while still reporting the cold run's statistics and
 /// diagnostics verbatim.
 ///
-/// Format contract ("LSSSOL 2", current — the loader also accepts v1):
-/// line oriented; every string (diagnostic messages, resolved type texts)
-/// is interned into a header string table ("strtab N" + "s <%XX-escaped>"
+/// Format contract ("LSSSOL 3", the only version written or read): line
+/// oriented; every string (diagnostic messages, resolved type texts) is
+/// interned into a header string table ("strtab N" + "s <%XX-escaped>"
 /// lines, first-use order) and referenced by decimal id, so a type shared
-/// by thousands of ports is stored once; ports referenced by dense
-/// (instance, port) index into the creation-order netlist traversal.
-/// "LSSSOL 1" is the same record grammar with strings %XX-escaped in
-/// place. Because serial and parallel solves produce bit-identical
-/// bindings (SolveOptions::NumThreads contract), the exported artifact is
-/// byte-identical across --jobs settings — a regression test diffs the two.
+/// by thousands of ports is stored once; ports are referenced by dense
+/// (instance, port) index into the creation-order netlist traversal. For
+/// incremental recompilation (docs/INCREMENTAL.md) the artifact carries
+/// per-group member instance ids ("gm" records) and per-port group and
+/// defaulting columns on the "p" records, and it writes every per-group
+/// wall time as zero, so an incrementally spliced solution is
+/// byte-identical to a cold one. Because serial and parallel solves
+/// produce bit-identical bindings (SolveOptions::NumThreads contract), the
+/// exported artifact is byte-identical across --jobs settings — a
+/// regression test diffs the two. Any other header is rejected (a cache
+/// miss).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,31 +44,23 @@ class Netlist;
 
 namespace infer {
 
-/// The LSSSOL version exportSolution writes by default. v3 (incremental
-/// recompilation, docs/INCREMENTAL.md) extends v2 with per-group member
-/// instance ids ("gm" records) and per-port group/defaulting columns on
-/// the "p" records, and zeroes the per-group wall-time bits so an
-/// incrementally spliced solution is byte-identical to a cold one. The
-/// loader still accepts v1 and v2.
-constexpr unsigned CurrentLSSSOLVersion = 3;
-
 /// Renders the resolved port types of \p NL plus \p Stats and the
-/// inference-phase diagnostics \p Diags as an LSSSOL artifact
-/// (\p FormatVersion 2 = interned string table, 1 = legacy). Returns
+/// inference-phase diagnostics \p Diags as an LSSSOL 3 artifact. Returns
 /// false if \p Diags contains an error (failed solves are never cached).
 bool exportSolution(const netlist::Netlist &NL,
                     const NetlistInferenceStats &Stats,
-                    const std::vector<Diagnostic> &Diags, std::string &Out,
-                    unsigned FormatVersion = CurrentLSSSOLVersion);
+                    const std::vector<Diagnostic> &Diags, std::string &Out);
 
-/// Parses an LSSSOL 1, 2, or 3 artifact and writes each recorded resolved type back
+/// Parses an LSSSOL 3 artifact and writes each recorded resolved type back
 /// into \p NL's ports. Types are rebuilt in \p TC; statistics and replayed
 /// diagnostics land in \p StatsOut / \p DiagsOut. Returns false — leaving
 /// the netlist's resolved types unspecified — on any malformed input or
-/// index out of range.
+/// index out of range; \p Error, when non-null, then receives the reason
+/// (see netlist::ArtifactReader::readHeader).
 bool importSolution(const std::string &Text, netlist::Netlist &NL,
                     types::TypeContext &TC, NetlistInferenceStats &StatsOut,
-                    std::vector<Diagnostic> &DiagsOut);
+                    std::vector<Diagnostic> &DiagsOut,
+                    std::string *Error = nullptr);
 
 } // namespace infer
 } // namespace liberty

@@ -11,14 +11,11 @@
 #include "types/TypeIO.h"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <sstream>
-#include <unordered_map>
 
 using namespace liberty;
 using namespace liberty::netlist;
@@ -104,9 +101,7 @@ bool liberty::netlist::artifactUnescape(std::string_view S,
 // Value encoding
 //===----------------------------------------------------------------------===//
 
-/// Renders a data value as one raw (pre-escape) token. Returns false on
-/// elaboration-only kinds (InstanceRef, Port), which cannot round-trip.
-static bool encodeValue(const Value &V, std::string &Out) {
+bool liberty::netlist::artifactEncodeValue(const Value &V, std::string &Out) {
   switch (V.getKind()) {
   case Value::Kind::Unset:
     Out += 'u';
@@ -125,9 +120,8 @@ static bool encodeValue(const Value &V, std::string &Out) {
     double D = V.getFloat();
     static_assert(sizeof(Bits) == sizeof(D));
     std::memcpy(&Bits, &D, sizeof(Bits));
-    char Buf[20];
-    std::snprintf(Buf, sizeof(Buf), "f%016llx", (unsigned long long)Bits);
-    Out += Buf;
+    Out += 'f';
+    Out += hex64(Bits);
     return true;
   }
   case Value::Kind::String:
@@ -141,7 +135,7 @@ static bool encodeValue(const Value &V, std::string &Out) {
       if (!First)
         Out += ',';
       First = false;
-      if (!encodeValue(E, Out))
+      if (!artifactEncodeValue(E, Out))
         return false;
     }
     Out += ']';
@@ -156,7 +150,7 @@ static bool encodeValue(const Value &V, std::string &Out) {
       First = false;
       Out += artifactEscape(Name);
       Out += '=';
-      if (!encodeValue(F, Out))
+      if (!artifactEncodeValue(F, Out))
         return false;
     }
     Out += '}';
@@ -227,15 +221,9 @@ private:
       return true;
     case 'f': {
       ++Pos;
-      if (Pos + 16 > Text.size())
+      uint64_t Bits;
+      if (!parseHex64(std::string_view(Text).substr(Pos, 16), Bits))
         return false;
-      uint64_t Bits = 0;
-      for (unsigned I = 0; I != 16; ++I) {
-        int D = hexDigit(Text[Pos + I]);
-        if (D < 0)
-          return false;
-        Bits = (Bits << 4) | unsigned(D);
-      }
       Pos += 16;
       double D;
       std::memcpy(&D, &Bits, sizeof(D));
@@ -322,15 +310,12 @@ namespace {
 /// emitted bytes are identical whenever the structures are (and the reload
 /// fixpoint becomes structural: parseTypeText re-mints variables in
 /// exactly this order).
-struct TokenEmitter : ArtifactTokenEmitter {
-  explicit TokenEmitter(ArtifactStrTableBuilder *T) {
-    Tab = T;
-  }
-  std::string type(const types::Type *T) const {
+struct TokenEmitter : ArtifactStrTableBuilder {
+  std::string type(const types::Type *T) {
     return T ? tok(renderType(T)) : std::string("-");
   }
 
-  std::string renderType(const types::Type *T) const {
+  std::string renderType(const types::Type *T) {
     using types::Type;
     switch (T->getKind()) {
     case Type::Kind::Int:
@@ -375,7 +360,7 @@ struct TokenEmitter : ArtifactTokenEmitter {
 
 private:
   /// VarId -> canonical artifact name, in first-use order.
-  mutable std::map<uint32_t, std::string> VarNames;
+  std::map<uint32_t, std::string> VarNames;
 };
 
 } // namespace
@@ -383,10 +368,10 @@ private:
 /// Per-instance records, emitted right after the instance's own line (and,
 /// for the root, right after the header).
 static bool emitInstanceBody(std::ostringstream &OS, const InstanceNode &Inst,
-                             const TokenEmitter &E) {
+                             TokenEmitter &E) {
   for (const auto &[Name, V] : Inst.Params) {
     std::string Enc;
-    if (!encodeValue(V, Enc))
+    if (!artifactEncodeValue(V, Enc))
       return false;
     OS << "param " << E.tok(Name) << ' ' << E.tok(Enc) << '\n';
   }
@@ -403,19 +388,17 @@ static bool emitInstanceBody(std::ostringstream &OS, const InstanceNode &Inst,
     OS << "event " << E.tok(Ev) << '\n';
   for (const RuntimeVar &RV : Inst.RuntimeVars) {
     std::string Enc;
-    if (!encodeValue(RV.Init, Enc))
+    if (!artifactEncodeValue(RV.Init, Enc))
       return false;
     OS << "var " << E.tok(RV.Name);
     emitLoc(OS, RV.Loc);
     OS << ' ' << E.tok(Enc) << '\n';
   }
   for (const Port &P : Inst.Ports) {
-    // v2 shortens the high-frequency records: "p"/"i"/"c" keywords and a
-    // numeric direction. Ports dominate artifact line counts, so the two
-    // spellings are worth the reader accepting both.
-    OS << (E.Tab ? "p " : "port ") << E.tok(P.Name) << ' '
-       << (E.Tab ? (P.isInput() ? "0" : "1") : (P.isInput() ? "in" : "out"))
-       << ' ' << P.Width << ' ' << (P.WidthInferred ? 1 : 0);
+    // Ports dominate artifact line counts, hence the one-letter keyword
+    // and the numeric direction (0 = in, 1 = out).
+    OS << "p " << E.tok(P.Name) << ' ' << (P.isInput() ? "0" : "1") << ' '
+       << P.Width << ' ' << (P.WidthInferred ? 1 : 0);
     emitLoc(OS, P.Loc);
     OS << ' ' << E.type(P.Scheme) << ' ' << E.type(P.Resolved) << '\n';
   }
@@ -427,16 +410,10 @@ static bool emitInstanceBody(std::ostringstream &OS, const InstanceNode &Inst,
 bool liberty::netlist::serializeNetlist(
     const Netlist &NL, const std::set<std::string> &LibraryModules,
     unsigned NumUserAnnotations, const std::vector<Diagnostic> &Diags,
-    std::string &Out, unsigned FormatVersion) {
-  if (FormatVersion < 1 || FormatVersion > CurrentLSSNLVersion)
-    return false;
+    std::string &Out) {
   if (faultShouldFail("serialize.netlist"))
     return false; // Injected stream failure: artifact just isn't cached.
-  ArtifactStrTableBuilder Tab;
-  TokenEmitter E(FormatVersion >= 2 ? &Tab : nullptr);
-
-  // The body is rendered first so the v2 string table (first-use order)
-  // is complete before the header is written.
+  TokenEmitter E;
   std::ostringstream OS;
   OS << "annotations " << NumUserAnnotations << '\n';
   for (const std::string &M : LibraryModules)
@@ -462,7 +439,7 @@ bool liberty::netlist::serializeNetlist(
     const InstanceNode &Inst = *Instances[I];
     if (Inst.Id != I || !Inst.Parent || Inst.Parent->Id >= Inst.Id)
       return false; // Parents always precede children in creation order.
-    OS << (E.Tab ? "i " : "instance ") << Inst.Parent->Id << ' '
+    OS << "i " << Inst.Parent->Id << ' '
        << E.tok(Inst.Name) << ' '
        << E.tok(Inst.ModuleName) << ' ' << E.opt(Inst.BehaviorId) << ' '
        << Inst.NumTypeVars;
@@ -476,7 +453,7 @@ bool liberty::netlist::serializeNetlist(
     auto EndpointIdx = [&](const PortRef &R) {
       return R.Inst ? int64_t(R.Inst->Id) : int64_t(-1);
     };
-    OS << (E.Tab ? "c " : "conn ") << EndpointIdx(Conn->From) << ' '
+    OS << "c " << EndpointIdx(Conn->From) << ' '
        << E.opt(Conn->From.Port)
        << ' ' << Conn->From.Index << ' ' << EndpointIdx(Conn->To) << ' '
        << E.opt(Conn->To.Port) << ' ' << Conn->To.Index;
@@ -484,151 +461,131 @@ bool liberty::netlist::serializeNetlist(
     OS << ' ' << E.type(Conn->Annotation) << '\n';
   }
   OS << "end\n";
-
-  std::ostringstream Head;
-  Head << "LSSNL " << FormatVersion << '\n';
-  if (FormatVersion >= 2) {
-    Head << "strtab " << Tab.strings().size() << '\n';
-    for (const std::string &S : Tab.strings())
-      Head << "s " << artifactEscape(S) << '\n';
-  }
-  Out = Head.str() + OS.str();
+  Out = E.finish("LSSNL 2", OS.str());
   return true;
+}
+
+//===----------------------------------------------------------------------===//
+// Shared artifact layer (LSSNL, LSSSOL, LSSDEP)
+//===----------------------------------------------------------------------===//
+
+bool ArtifactReader::readHeader(std::string_view Header, std::string *Error) {
+  std::string_view Line;
+  if (nextLine(Line) && Line == Header)
+    return true;
+  if (Error) {
+    // Same magic, another numeric version: a format this build does not
+    // read (e.g. an older writer's entry), not corruption.
+    size_t V = Header.find(' ') + 1;
+    bool OtherVersion = Line.size() > V && Line.size() <= V + 9 &&
+                        Line.substr(0, V) == Header.substr(0, V) &&
+                        Line.find_first_not_of("0123456789", V) ==
+                            std::string_view::npos;
+    *Error = OtherVersion ? "unsupported format '" + std::string(Line) +
+                                "' (expected '" + std::string(Header) + "')"
+                          : std::string("malformed");
+  }
+  return false;
+}
+
+bool ArtifactReader::readStrtab(std::vector<std::string> &Out) {
+  ArtifactLineReader L;
+  uint32_t N;
+  if (!next(L) || L.size() != 2 || L.raw(0) != "strtab" || !L.u32(1, N))
+    return false;
+  // Each table line is at least 3 bytes, so a count beyond the input size
+  // is malformed (and would otherwise let a fuzzed header force a huge
+  // reserve).
+  if (size_t(N) > Text.size())
+    return false;
+  Out.clear();
+  Out.reserve(N);
+  for (uint32_t I = 0; I != N; ++I) {
+    std::string Str;
+    if (!next(L) || L.size() != 2 || L.raw(0) != "s" || !L.escaped(1, Str))
+      return false;
+    Out.push_back(std::move(Str));
+  }
+  return true;
+}
+
+std::string ArtifactStrTableBuilder::finish(std::string_view Header,
+                                            const std::string &Body) const {
+  std::string Out;
+  Out += Header;
+  Out += "\nstrtab ";
+  Out += std::to_string(Strings.size());
+  Out += '\n';
+  for (const std::string &S : Strings) {
+    Out += "s ";
+    Out += artifactEscape(S);
+    Out += '\n';
+  }
+  Out += Body;
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
 // Deserialization
 //===----------------------------------------------------------------------===//
 
-// The field splitter/decoder moved to the public header as
-// netlist::ArtifactLineReader so other artifact parsers (infer/Solution,
-// driver/DepGraph) share one hardened implementation.
-using LineReader = liberty::netlist::ArtifactLineReader;
-using FieldDecoder = liberty::netlist::ArtifactFieldDecoder<LineReader>;
-
-static bool decodeValue(const FieldDecoder &F, size_t I, Value &Out) {
-  std::string Enc;
-  if (!F.str(I, Enc))
-    return false;
-  return ValueReader(Enc).read(Out);
-}
-
-bool liberty::netlist::artifactEncodeValue(const interp::Value &V,
-                                           std::string &Out) {
-  return encodeValue(V, Out);
-}
-
 bool liberty::netlist::artifactDecodeValue(const std::string &Text,
                                            interp::Value &Out) {
   return ValueReader(Text).read(Out);
 }
 
-/// Decodes a type token ("-" -> null) through the artifact-wide VarMap.
-/// For v2 input, \p Memo caches decoded types by string-table id: equal
-/// ids are the same text, and parseTypeText is idempotent for a given
-/// (text, VarMap) — variables resolve through the shared VarMap — so
-/// repeated references (the common case: a design has few distinct port
-/// schemes) skip the parse entirely. This is what makes the v2 warm load
-/// measurably faster than v1, not just smaller (bench_ir pins it).
-static bool decodeType(const FieldDecoder &F, size_t I,
-                       types::TypeContext &TC,
-                       std::map<std::string, const types::Type *> &VarMap,
-                       std::vector<const types::Type *> &Memo,
-                       const types::Type *&Out) {
-  Out = nullptr;
-  if (I < F.L.size() && F.L.raw(I) == "-")
-    return true;
-  uint32_t Id = UINT32_MAX;
-  if (F.Table && F.L.u32(I, Id) && Id < Memo.size() && Memo[Id]) {
-    Out = Memo[Id];
-    return true;
-  }
-  std::string Text;
-  if (!F.str(I, Text))
-    return false;
-  Out = types::parseTypeText(Text, TC, VarMap);
-  if (Out && F.Table && Id < Memo.size())
-    Memo[Id] = Out;
-  return Out != nullptr;
-}
-
 SerializedCompile
 liberty::netlist::deserializeNetlist(const std::string &Text,
-                                     types::TypeContext &TC) {
+                                     types::TypeContext &TC,
+                                     std::string *Error) {
   SerializedCompile Result;
   auto Fail = [&] {
+    if (Error && Error->empty())
+      *Error = "malformed";
     Result = SerializedCompile();
     return std::move(Result);
   };
+  if (Error)
+    Error->clear();
   if (faultShouldFail("deserialize.netlist"))
     return Fail(); // Injected stream failure: caller recompiles.
 
-  size_t LinePos = 0;
-  auto nextLine = [&](std::string_view &Line) {
-    if (LinePos >= Text.size())
-      return false;
-    size_t E = Text.find('\n', LinePos);
-    if (E == std::string::npos) {
-      Line = std::string_view(Text).substr(LinePos);
-      LinePos = Text.size();
-    } else {
-      Line = std::string_view(Text).substr(LinePos, E - LinePos);
-      LinePos = E + 1;
-    }
-    return true;
-  };
-
-  std::string_view Line;
-  unsigned Version;
-  if (!nextLine(Line))
-    return Fail();
-  if (Line == "LSSNL 1")
-    Version = 1;
-  else if (Line == "LSSNL 2")
-    Version = 2;
-  else
-    return Fail();
-
-  // v2: the header string table precedes all records.
+  ArtifactReader R(Text);
   std::vector<std::string> Strtab;
-  if (Version >= 2) {
-    if (!nextLine(Line))
-      return Fail();
-    LineReader H(Line);
-    uint32_t N;
-    if (H.size() != 2 || H.raw(0) != "strtab" || !H.u32(1, N))
-      return Fail();
-    // Each table line is at least 3 bytes, so a count beyond the input
-    // size is malformed (and would otherwise let a fuzzed header force a
-    // huge reserve).
-    if (size_t(N) > Text.size())
-      return Fail();
-    Strtab.reserve(N);
-    for (uint32_t I = 0; I != N; ++I) {
-      if (!nextLine(Line))
-        return Fail();
-      LineReader S(Line);
-      std::string Str;
-      if (S.size() != 2 || S.raw(0) != "s" || !S.str(1, Str))
-        return Fail();
-      Strtab.push_back(std::move(Str));
-    }
-  }
+  if (!R.readHeader("LSSNL 2", Error) || !R.readStrtab(Strtab))
+    return Fail();
 
   auto NL = std::make_unique<Netlist>();
   InstanceNode *Cur = NL->getRoot();
+  ArtifactLineReader L;
+  auto Str = [&](size_t I, std::string &Out) { return L.str(I, Strtab, Out); };
+  auto Val = [&](size_t I, Value &Out) {
+    std::string Enc;
+    return Str(I, Enc) && ValueReader(Enc).read(Out);
+  };
+  // Types decode through one artifact-wide VarMap, and each table id is
+  // parsed once: equal ids are the same text, and parseTypeText is
+  // idempotent for a given (text, VarMap), so repeated references (the
+  // common case: a design has few distinct port schemes) skip the parse.
   std::map<std::string, const types::Type *> VarMap;
-  // Per-table-id type decode cache (v2 only; stays empty for v1).
   std::vector<const types::Type *> TypeMemo(Strtab.size(), nullptr);
+  auto Type = [&](size_t I, const types::Type *&Out) {
+    Out = nullptr;
+    if (L.isDash(I))
+      return true;
+    uint32_t Id;
+    if (!L.u32(I, Id) || Id >= Strtab.size())
+      return false;
+    if (!TypeMemo[Id])
+      TypeMemo[Id] = types::parseTypeText(Strtab[Id], TC, VarMap);
+    Out = TypeMemo[Id];
+    return Out != nullptr;
+  };
   bool SawEnd = false;
 
-  while (nextLine(Line)) {
-    if (Line.empty())
-      return Fail();
-    LineReader L(Line);
+  while (R.next(L)) {
     if (L.size() == 0)
       return Fail();
-    FieldDecoder F{L, Version >= 2 ? &Strtab : nullptr};
     std::string_view Kind = L.raw(0);
 
     if (Kind == "end") {
@@ -641,23 +598,23 @@ liberty::netlist::deserializeNetlist(const std::string &Text,
       Result.NumUserAnnotations = unsigned(N);
     } else if (Kind == "libmodule") {
       std::string Name;
-      if (!F.str(1, Name) || L.size() != 2)
+      if (!Str(1, Name) || L.size() != 2)
         return Fail();
       Result.LibraryModules.insert(std::move(Name));
     } else if (Kind == "diag") {
       int64_t Level;
       Diagnostic D;
       if (L.size() != 5 || !L.i64(1, Level) || Level < 0 || Level > 1 ||
-          !L.loc(2, D.Loc) || !F.str(4, D.Message))
+          !L.loc(2, D.Loc) || !Str(4, D.Message))
         return Fail();
       D.Level = Level == 1 ? DiagLevel::Warning : DiagLevel::Note;
       Result.Diags.push_back(std::move(D));
-    } else if (Kind == "instance" || Kind == "i") {
+    } else if (Kind == "i") {
       int64_t ParentIdx, NTV;
       std::string Name, ModuleName, Behavior;
       SourceLoc Loc;
-      if (L.size() != 8 || !L.i64(1, ParentIdx) || !F.str(2, Name) ||
-          !F.str(3, ModuleName) || !F.optStr(4, Behavior) ||
+      if (L.size() != 8 || !L.i64(1, ParentIdx) || !Str(2, Name) ||
+          !Str(3, ModuleName) || !L.optStr(4, Strtab, Behavior) ||
           !L.i64(5, NTV) || NTV < 0 || !L.loc(6, Loc))
         return Fail();
       const auto &Instances = NL->getInstances();
@@ -671,71 +628,66 @@ liberty::netlist::deserializeNetlist(const std::string &Text,
     } else if (Kind == "param") {
       std::string Name;
       Value V;
-      if (L.size() != 3 || !F.str(1, Name) || !decodeValue(F, 2, V))
+      if (L.size() != 3 || !Str(1, Name) || !Val(2, V))
         return Fail();
       Cur->Params.emplace(std::move(Name), std::move(V));
     } else if (Kind == "userpoint") {
       int64_t IsDefault, NArgs;
       std::string Name;
       UserpointValue UV;
-      if (L.size() < 6 || !F.str(1, Name) || !L.i64(2, IsDefault) ||
+      if (L.size() < 6 || !Str(1, Name) || !L.i64(2, IsDefault) ||
           !L.loc(3, UV.Loc) || !L.i64(5, NArgs) || NArgs < 0 ||
           L.size() != size_t(7 + NArgs))
         return Fail();
       std::vector<std::string> Args;
       for (int64_t I = 0; I != NArgs; ++I) {
         std::string A;
-        if (!F.str(size_t(6 + I), A))
+        if (!Str(size_t(6 + I), A))
           return Fail();
         Args.push_back(std::move(A));
       }
-      if (!F.str(size_t(6 + NArgs), UV.Code))
+      if (!Str(size_t(6 + NArgs), UV.Code))
         return Fail();
       UV.IsDefault = IsDefault != 0;
       UV.Sig = NL->createUserpointSig(std::move(Args));
       Cur->Userpoints.emplace(std::move(Name), std::move(UV));
     } else if (Kind == "event") {
       std::string Name;
-      if (L.size() != 2 || !F.str(1, Name))
+      if (L.size() != 2 || !Str(1, Name))
         return Fail();
       Cur->Events.push_back(std::move(Name));
     } else if (Kind == "var") {
       RuntimeVar RV;
-      if (L.size() != 5 || !F.str(1, RV.Name) || !L.loc(2, RV.Loc) ||
-          !decodeValue(F, 4, RV.Init))
+      if (L.size() != 5 || !Str(1, RV.Name) || !L.loc(2, RV.Loc) ||
+          !Val(4, RV.Init))
         return Fail();
       Cur->RuntimeVars.push_back(std::move(RV));
-    } else if (Kind == "port" || Kind == "p") {
+    } else if (Kind == "p") {
       Port P;
       int64_t Width, WInf;
-      std::string_view Dir;
-      if (L.size() != 9 || !F.str(1, P.Name) ||
-          ((Dir = L.raw(2)) != "in" && Dir != "out" && Dir != "0" &&
-           Dir != "1") ||
+      bool IsOut;
+      if (L.size() != 9 || !Str(1, P.Name) || !L.boolean(2, IsOut) ||
           !L.i64(3, Width) || Width < 0 || !L.i64(4, WInf) ||
-          !L.loc(5, P.Loc) || !decodeType(F, 7, TC, VarMap, TypeMemo, P.Scheme) ||
-          !decodeType(F, 8, TC, VarMap, TypeMemo, P.Resolved))
+          !L.loc(5, P.Loc) || !Type(7, P.Scheme) || !Type(8, P.Resolved))
         return Fail();
-      P.Dir = (Dir == "in" || Dir == "0") ? PortDirection::In
-                                          : PortDirection::Out;
+      P.Dir = IsOut ? PortDirection::Out : PortDirection::In;
       P.Width = int(Width);
       P.WidthInferred = WInf != 0;
       Cur->Ports.push_back(std::move(P));
     } else if (Kind == "constrain") {
       const types::Type *LHS, *RHS;
-      if (L.size() != 3 || !decodeType(F, 1, TC, VarMap, TypeMemo, LHS) ||
-          !decodeType(F, 2, TC, VarMap, TypeMemo, RHS) || !LHS || !RHS)
+      if (L.size() != 3 || !Type(1, LHS) || !Type(2, RHS) || !LHS || !RHS)
         return Fail();
       Cur->ExtraConstraints.emplace_back(LHS, RHS);
-    } else if (Kind == "conn" || Kind == "c") {
+    } else if (Kind == "c") {
       int64_t FromIdx, FromIndex, ToIdx, ToIndex;
       std::string FromPort, ToPort;
       SourceLoc Loc;
       const types::Type *Annotation;
-      if (L.size() != 10 || !L.i64(1, FromIdx) || !F.optStr(2, FromPort) ||
-          !L.i64(3, FromIndex) || !L.i64(4, ToIdx) || !F.optStr(5, ToPort) ||
-          !L.i64(6, ToIndex) || !L.loc(7, Loc) ||
-          !decodeType(F, 9, TC, VarMap, TypeMemo, Annotation))
+      if (L.size() != 10 || !L.i64(1, FromIdx) ||
+          !L.optStr(2, Strtab, FromPort) || !L.i64(3, FromIndex) ||
+          !L.i64(4, ToIdx) || !L.optStr(5, Strtab, ToPort) ||
+          !L.i64(6, ToIndex) || !L.loc(7, Loc) || !Type(9, Annotation))
         return Fail();
       const auto &Instances = NL->getInstances();
       auto Resolve = [&](int64_t Idx, InstanceNode *&Out) {

@@ -9,7 +9,7 @@
 /// elaboration; a warm compile deserializes and skips parse + elaboration
 /// entirely.
 ///
-/// Format contract ("LSSNL 2", current — the loader also accepts v1):
+/// Format contract ("LSSNL 2", the only version written or read):
 ///  - line oriented; every string is interned into a header string table
 ///    ("strtab N" then N "s <%XX-escaped>" lines, ids 0..N-1 in first-use
 ///    order) and referenced from records by decimal id, so repeated names,
@@ -22,16 +22,17 @@
 ///  - the serializer itself is deterministic: serializing the same netlist
 ///    twice — or a netlist and its reloaded copy — yields identical bytes
 ///    regardless of how many threads inference ran on (first-use string
-///    table order is a pure function of record order, so the fixpoint
-///    carries over from v1);
-///  - "LSSNL 1" is the same record grammar with strings %XX-escaped
-///    in place instead of table references; deserializeNetlist accepts
-///    both, so caches written before the v2 bump stay warm.
+///    table order is a pure function of record order).
 ///
 /// The deserializer trusts nothing: every record is bounds- and
 /// shape-checked, and any malformed byte makes it return null (a cache
 /// miss) rather than crash — mutated entries are a fuzz target
-/// (fuzz_cache).
+/// (fuzz_cache). Any other header is rejected the same way.
+///
+/// This header also holds the reading and writing layer every
+/// line-oriented artifact (LSSNL, LSSSOL, LSSDEP) shares: %XX escaping,
+/// the line iterator with its header and string-table readers, the field
+/// decoder, and the string-table writer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +41,10 @@
 
 #include "netlist/Netlist.h"
 #include "support/Diagnostics.h"
+#include "support/Hash.h"
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -72,26 +75,22 @@ struct SerializedCompile {
   std::vector<Diagnostic> Diags;
 };
 
-/// The LSSNL version serializeNetlist writes by default.
-constexpr unsigned CurrentLSSNLVersion = 2;
-
-/// Renders \p NL (plus the compile metadata) as an LSSNL artifact.
-/// \p FormatVersion selects the wire format (2 = interned string table,
-/// 1 = legacy in-place escaping, kept for size benchmarking and loader
-/// compatibility tests). Returns false — leaving \p Out unspecified — if
-/// the netlist holds a value that cannot round-trip (elaboration-only
-/// instance/port references); such compiles simply are not cached.
+/// Renders \p NL (plus the compile metadata) as an LSSNL 2 artifact.
+/// Returns false — leaving \p Out unspecified — if the netlist holds a
+/// value that cannot round-trip (elaboration-only instance/port
+/// references); such compiles simply are not cached.
 bool serializeNetlist(const Netlist &NL,
                       const std::set<std::string> &LibraryModules,
                       unsigned NumUserAnnotations,
                       const std::vector<Diagnostic> &Diags,
-                      std::string &Out,
-                      unsigned FormatVersion = CurrentLSSNLVersion);
+                      std::string &Out);
 
-/// Parses an LSSNL 1 or LSSNL 2 artifact. Types are rebuilt in \p TC.
-/// Returns an empty result (null NL) on any malformed input.
+/// Parses an LSSNL 2 artifact. Types are rebuilt in \p TC. Returns an
+/// empty result (null NL) on any malformed input; \p Error, when
+/// non-null, then receives the reason (see ArtifactReader::readHeader).
 SerializedCompile deserializeNetlist(const std::string &Text,
-                                     types::TypeContext &TC);
+                                     types::TypeContext &TC,
+                                     std::string *Error = nullptr);
 
 /// Renders a compile-time data Value as one raw (pre-escape) token — the
 /// encoding LSSNL param records use. Returns false on elaboration-only
@@ -106,23 +105,23 @@ bool artifactDecodeValue(const std::string &Text, interp::Value &Out);
 
 /// %XX escaping shared by the artifact writers: escapes '%', whitespace,
 /// and every byte that is structural in an artifact line, so any string
-/// round-trips as a single space-free token. Exposed for the solution
-/// artifact (infer/Solution) and tests.
+/// round-trips as a single space-free token. Exposed for the LSSDEP
+/// artifact (driver/DepGraph) and tests.
 std::string artifactEscape(const std::string &S);
 /// Inverse of artifactEscape; returns false on a malformed escape.
 bool artifactUnescape(std::string_view S, std::string &Out);
 
 /// Splits one artifact line into space-separated fields and provides
 /// checked decoders. Every accessor reports failure instead of asserting:
-/// the input may be a mutated cache entry. Shared by every line-oriented
-/// artifact parser (LSSNL, LSSSOL, LSSDEP).
+/// the input may be a mutated cache entry.
 class ArtifactLineReader {
 public:
   /// Splits on spaces without copying: fields are views into the line,
-  /// which must outlive the reader. (Splitting with istreams costs more
-  /// than the whole cold compile on small models — this reader is the
-  /// cache's warm path, so it stays allocation-free.)
-  explicit ArtifactLineReader(std::string_view Line) {
+  /// which must outlive their use. Re-splitting reuses the field storage,
+  /// so one reader per artifact allocates only until it has seen the
+  /// widest line — this is the cache's warm path.
+  void split(std::string_view Line) {
+    Fields.clear();
     size_t I = 0, N = Line.size();
     while (I < N) {
       while (I < N && (Line[I] == ' ' || Line[I] == '\t' || Line[I] == '\r'))
@@ -138,41 +137,76 @@ public:
   size_t size() const { return Fields.size(); }
   std::string_view raw(size_t I) const { return Fields[I]; }
 
-  bool str(size_t I, std::string &Out) const {
+  /// A %XX-escaped string written in place (LSSDEP records, table lines).
+  bool escaped(size_t I, std::string &Out) const {
     return I < Fields.size() && artifactUnescape(Fields[I], Out);
   }
   /// "-" decodes as the empty string (absent optional field).
-  bool optStr(size_t I, std::string &Out) const {
-    if (I < Fields.size() && Fields[I] == "-") {
+  bool optEscaped(size_t I, std::string &Out) const {
+    if (isDash(I)) {
       Out.clear();
       return true;
     }
-    return str(I, Out);
+    return escaped(I, Out);
   }
+  /// A decimal id into \p Table (LSSNL and LSSSOL string slots).
+  bool str(size_t I, const std::vector<std::string> &Table,
+           std::string &Out) const {
+    uint32_t Id;
+    if (!u32(I, Id) || Id >= Table.size())
+      return false;
+    Out = Table[Id];
+    return true;
+  }
+  /// "-" decodes as the empty string (absent optional field).
+  bool optStr(size_t I, const std::vector<std::string> &Table,
+              std::string &Out) const {
+    if (isDash(I)) {
+      Out.clear();
+      return true;
+    }
+    return str(I, Table, Out);
+  }
+  bool isDash(size_t I) const { return I < Fields.size() && Fields[I] == "-"; }
+
   bool i64(size_t I, int64_t &Out) const {
     if (I >= Fields.size() || Fields[I].empty())
       return false;
     std::string_view V = Fields[I];
     bool Neg = V[0] == '-';
-    size_t P = Neg ? 1 : 0;
-    if (P == V.size())
+    uint64_t Acc;
+    if (!digits(V.substr(Neg ? 1 : 0), uint64_t(INT64_MAX), Acc))
       return false;
-    uint64_t Acc = 0;
-    for (; P != V.size(); ++P) {
-      if (V[P] < '0' || V[P] > '9')
-        return false;
-      if (Acc > (uint64_t(INT64_MAX) - 9) / 10)
-        return false; // Overflow: reject rather than wrap.
-      Acc = Acc * 10 + uint64_t(V[P] - '0');
-    }
     Out = Neg ? -int64_t(Acc) : int64_t(Acc);
     return true;
   }
+  bool u64(size_t I, uint64_t &Out) const {
+    return I < Fields.size() && digits(Fields[I], UINT64_MAX, Out);
+  }
   bool u32(size_t I, uint32_t &Out) const {
-    int64_t V;
-    if (!i64(I, V) || V < 0 || V > int64_t(UINT32_MAX))
+    uint64_t V;
+    if (I >= Fields.size() || !digits(Fields[I], UINT32_MAX, V))
       return false;
     Out = uint32_t(V);
+    return true;
+  }
+  /// "0" or "1".
+  bool boolean(size_t I, bool &Out) const {
+    if (I >= Fields.size() || (Fields[I] != "0" && Fields[I] != "1"))
+      return false;
+    Out = Fields[I] == "1";
+    return true;
+  }
+  /// Exactly 16 lowercase hex digits (support/Hash.h hex64).
+  bool hex(size_t I, uint64_t &Out) const {
+    return I < Fields.size() && parseHex64(Fields[I], Out);
+  }
+  /// A double as the hex of its IEEE754 bit pattern.
+  bool dbl(size_t I, double &Out) const {
+    uint64_t Bits;
+    if (!hex(I, Bits))
+      return false;
+    std::memcpy(&Out, &Bits, sizeof(Out));
     return true;
   }
   bool loc(size_t I, SourceLoc &Out) const {
@@ -180,13 +214,72 @@ public:
   }
 
 private:
+  /// Unsigned decimal no greater than \p Max; rejects overflow rather than
+  /// wrapping.
+  static bool digits(std::string_view V, uint64_t Max, uint64_t &Out) {
+    if (V.empty())
+      return false;
+    uint64_t Acc = 0;
+    for (char C : V) {
+      if (C < '0' || C > '9')
+        return false;
+      uint64_t D = uint64_t(C - '0');
+      if (Acc > (Max - D) / 10)
+        return false;
+      Acc = Acc * 10 + D;
+    }
+    Out = Acc;
+    return true;
+  }
+
   std::vector<std::string_view> Fields;
 };
 
-/// First-use-ordered string table built while a v2 artifact body is
+/// Walks an artifact text line by line without copying. Lines are views
+/// into the text, which must outlive the reader.
+class ArtifactReader {
+public:
+  explicit ArtifactReader(std::string_view Text) : Text(Text) {}
+
+  /// Splits the next line into \p L. Returns false at the end of the text.
+  bool next(ArtifactLineReader &L) {
+    std::string_view Line;
+    if (!nextLine(Line))
+      return false;
+    L.split(Line);
+    return true;
+  }
+
+  /// Consumes the header line, which must read exactly \p Header
+  /// ("<magic> <version>"). On a mismatch sets \p Error (when non-null) to
+  /// "unsupported format '<line>' (expected '<Header>')" if the line names
+  /// the same magic with another version, and to "malformed" otherwise.
+  bool readHeader(std::string_view Header, std::string *Error = nullptr);
+
+  /// Consumes the "strtab N" line and its N "s <%XX-escaped>" lines.
+  bool readStrtab(std::vector<std::string> &Out);
+
+private:
+  /// The next '\n'-terminated line (the terminator of the last line is
+  /// optional). Returns false at the end of the text.
+  bool nextLine(std::string_view &Line) {
+    if (Pos >= Text.size())
+      return false;
+    size_t E = Text.find('\n', Pos);
+    if (E == std::string_view::npos)
+      E = Text.size();
+    Line = Text.substr(Pos, E - Pos);
+    Pos = E + 1;
+    return true;
+  }
+
+  std::string_view Text;
+  size_t Pos = 0;
+};
+
+/// First-use-ordered string table built while an LSSNL or LSSSOL body is
 /// rendered. Ids are a pure function of record order, so serialization
-/// stays byte-stable and the reload fixpoint carries over from the v1
-/// formats. Shared by the LSSNL and LSSSOL writers.
+/// stays byte-stable and reloading reaches a fixpoint.
 class ArtifactStrTableBuilder {
 public:
   uint32_t id(const std::string &S) {
@@ -198,56 +291,20 @@ public:
     Ids.emplace(S, Id);
     return Id;
   }
-  const std::vector<std::string> &strings() const { return Strings; }
+  /// The string-slot token: \p S's decimal id.
+  std::string tok(const std::string &S) { return std::to_string(id(S)); }
+  /// "-" for the empty string (absent optional field).
+  std::string opt(const std::string &S) {
+    return S.empty() ? std::string("-") : tok(S);
+  }
+
+  /// The finished artifact: \p Header, the table, then \p Body (rendered
+  /// first, so the table is complete).
+  std::string finish(std::string_view Header, const std::string &Body) const;
 
 private:
   std::vector<std::string> Strings;
   std::unordered_map<std::string, uint32_t> Ids;
-};
-
-/// Renders string-slot tokens for the selected wire format: v2 interns
-/// into the table and emits the decimal id; v1 escapes in place.
-struct ArtifactTokenEmitter {
-  ArtifactStrTableBuilder *Tab = nullptr; ///< Null means v1.
-
-  std::string tok(const std::string &S) const {
-    return Tab ? std::to_string(Tab->id(S)) : artifactEscape(S);
-  }
-  /// "-" for the empty string (absent optional field).
-  std::string opt(const std::string &S) const {
-    return S.empty() ? std::string("-") : tok(S);
-  }
-};
-
-/// Decodes a record's string-slot fields for either artifact wire format:
-/// v1 slots hold %XX-escaped text in place; v2 slots hold decimal ids into
-/// the artifact's header string table. Numeric/loc fields are unchanged
-/// between versions, so readers keep using the underlying line reader for
-/// those. Shared by the LSSNL and LSSSOL parsers; works over any reader
-/// exposing size()/raw()/str()/u32() (ArtifactLineReader or
-/// infer/Solution's field splitter).
-template <typename Reader> struct ArtifactFieldDecoder {
-  const Reader &L;
-  /// Null means v1 (in-place escaped strings).
-  const std::vector<std::string> *Table;
-
-  bool str(size_t I, std::string &Out) const {
-    if (!Table)
-      return L.str(I, Out);
-    uint32_t Id;
-    if (!L.u32(I, Id) || Id >= Table->size())
-      return false;
-    Out = (*Table)[Id];
-    return true;
-  }
-  /// "-" decodes as the empty string (absent optional field).
-  bool optStr(size_t I, std::string &Out) const {
-    if (I < L.size() && L.raw(I) == "-") {
-      Out.clear();
-      return true;
-    }
-    return str(I, Out);
-  }
 };
 
 } // namespace netlist

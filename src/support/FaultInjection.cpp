@@ -2,6 +2,8 @@
 
 #include "support/FaultInjection.h"
 
+#include "support/Hash.h"
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,15 +50,6 @@ uint64_t splitmix64(uint64_t &State) {
   Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
   Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
   return Z ^ (Z >> 31);
-}
-
-uint64_t fnv64(const std::string &S) {
-  uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
 }
 
 bool parseU64(const std::string &S, uint64_t &Out) {

@@ -6,8 +6,9 @@
 ///    invalidate the solve artifact;
 ///  - CompileService cold/warm compiles against a disk cache directory,
 ///    with identical observable results (netlist print, simulation run);
-///  - per-field invalidation, corrupted/truncated-entry recovery, and the
-///    rule that failing compiles are never cached;
+///  - per-field invalidation, corrupted/truncated-entry recovery, payloads
+///    the decoder rejects counting as misses, and the rule that failing
+///    compiles are never cached;
 ///  - batch compiles: input-order results and determinism under threads;
 ///  - the LSSNL/LSSSOL serializers: reload fixpoint and the byte-stability
 ///    of the solution artifact across serial and parallel inference.
@@ -329,6 +330,46 @@ TEST(CacheService, TruncatedEntryIsAMiss) {
   ASSERT_TRUE(R.Success);
   EXPECT_FALSE(R.ElabFromCache);
   EXPECT_EQ(Svc.getCache().getStats().Corrupt, 2u);
+}
+
+/// A payload with a valid envelope but a format this build does not read
+/// (here an entry written by an older LSSNL writer): the decoder rejects
+/// it, so the lookup is a miss, not a hit, the note names the version, and
+/// nothing is quarantined.
+TEST(CacheService, UndecodablePayloadIsAMissWithAReason) {
+  std::string ColdBytes;
+  {
+    driver::CompileService Cold;
+    driver::CompileResult R = Cold.compile(chainInvocation());
+    ASSERT_TRUE(R.Success);
+    ASSERT_TRUE(netlist::serializeNetlist(
+        *R.C->getNetlist(), R.C->getLibraryModules(),
+        R.C->getNumUserTypeAnnotations(), {}, ColdBytes));
+  }
+  TempDir Dir;
+  driver::CompileService Svc(diskOpts(Dir));
+  driver::CompilerInvocation Inv = chainInvocation();
+  std::string OldFormat = "LSSNL 1" + ColdBytes.substr(ColdBytes.find('\n'));
+  Svc.getCache().put(driver::CompilerInvocation::keyString(Inv.elabKey()),
+                     "elab", OldFormat);
+
+  driver::CompileResult R = Svc.compile(Inv);
+  ASSERT_TRUE(R.Success);
+  EXPECT_FALSE(R.ElabFromCache);
+  std::string Bytes;
+  ASSERT_TRUE(netlist::serializeNetlist(
+      *R.C->getNetlist(), R.C->getLibraryModules(),
+      R.C->getNumUserTypeAnnotations(), {}, Bytes));
+  EXPECT_EQ(Bytes, ColdBytes);
+  EXPECT_NE(R.C->diagnosticsText().find(
+                "unsupported format 'LSSNL 1' (expected 'LSSNL 2')"),
+            std::string::npos)
+      << R.C->diagnosticsText();
+  driver::CacheStats S = Svc.getCache().getStats();
+  EXPECT_EQ(S.Hits, 0u);
+  EXPECT_EQ(S.Misses, 2u); // The rejected elab entry, then the solve.
+  EXPECT_EQ(S.Quarantined, 0u);
+  EXPECT_EQ(S.Corrupt, 0u);
 }
 
 //===----------------------------------------------------------------------===//

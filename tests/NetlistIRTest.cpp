@@ -5,14 +5,16 @@
 ///    arena-stable text views, non-inserting lookup;
 ///  - Netlist::freezeIds(): creation-order instance ids, contiguous
 ///    port-node numbering, PortRef::PortIdx resolution, idempotence;
-///  - LSSNL v1 -> v2 loader compatibility: a v2-capable loader accepts
-///    artifacts of both versions and reconstructs the same netlist;
-///  - the v2 string table's byte stability: first-use order, pinned
-///    literally for a tiny fixed netlist so accidental table-order or
-///    record-syntax changes are caught here, not in the cache hash.
+///  - one format per artifact kind: loaders reject every header but
+///    "LSSNL 2" / "LSSSOL 3" as a miss, without crashing;
+///  - byte stability: a reload reserializes to the same bytes, and the
+///    LSSNL and LSSSOL writers are pinned literally for tiny fixed inputs
+///    so accidental table-order or record-syntax changes are caught here,
+///    not in the cache hash.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "infer/Solution.h"
 #include "infer/Synthetic.h"
 #include "netlist/Netlist.h"
 #include "netlist/Serializer.h"
@@ -179,52 +181,117 @@ TEST(DenseIds, PortNamesInternedOnFreeze) {
 }
 
 //===----------------------------------------------------------------------===//
-// LSSNL v1 -> v2 loader compatibility
+// Artifact formats
 //===----------------------------------------------------------------------===//
 
-/// Serializes the synthetic workload at both format versions and checks a
-/// v2-capable loader reconstructs identical structure from each.
-TEST(LssnlFormats, LoaderAcceptsV1AndV2) {
+/// A tiny fixed design with resolved types, solver statistics, one H3
+/// group with members, per-port group columns, and one replayed note:
+/// every LSSSOL record kind appears.
+struct SolvedDesign {
+  types::TypeContext TC;
+  Netlist NL;
+  infer::NetlistInferenceStats Stats;
+  std::vector<Diagnostic> Diags;
+
+  SolvedDesign() {
+    InstanceNode *U = NL.createInstance(NL.getRoot(), "u", nullptr,
+                                        SourceLoc());
+    SmallDesign::addPort(U, "clk", PortDirection::In, 1);
+    SmallDesign::addPort(U, "out", PortDirection::Out, 1);
+    InstanceNode *V = NL.createInstance(NL.getRoot(), "v", nullptr,
+                                        SourceLoc());
+    SmallDesign::addPort(V, "x", PortDirection::In, 1);
+    SmallDesign::addPort(V, "y", PortDirection::Out, 1); // Unresolved.
+    NL.freezeIds();
+    U->Ports[0].Resolved = TC.getBool();
+    U->Ports[1].Resolved = TC.getArray(TC.getInt(), 4);
+    V->Ports[0].Resolved = TC.getArray(TC.getInt(), 4);
+
+    infer::SolveStats &S = Stats.Solve;
+    S.Success = true;
+    S.UnifySteps = 42;
+    S.BranchPoints = 3;
+    S.NumConstraints = 5;
+    S.NumDisjunctive = 1;
+    S.NumComponents = 2;
+    infer::GroupStats G0, G1;
+    G0.NumConstraints = 3;
+    G0.UnifySteps = 30;
+    G0.BranchPoints = 2;
+    G0.WallMs = 1.5; // Written as zero.
+    G0.Success = true;
+    G1.NumConstraints = 2;
+    G1.UnifySteps = 12;
+    G1.BranchPoints = 1;
+    G1.WallMs = 0.25;
+    G1.Success = true;
+    S.Groups = {G0, G1};
+    S.GroupMembers = {{1, 2}, {}};
+    Stats.NumPorts = 4;
+    Stats.NumPolymorphicPorts = 1;
+    Stats.NumDefaulted = 1;
+    Stats.PortGroups[{1, 1}] = {0, 1};
+    Stats.PortGroups[{2, 0}] = {0, 0};
+    Diagnostic D;
+    D.Level = DiagLevel::Note;
+    D.Loc = SourceLoc{0, 17};
+    D.Message = "type variable 'T defaulted to int";
+    Diags.push_back(D);
+  }
+};
+
+/// Swaps an artifact's first line for \p Header.
+std::string withHeader(const std::string &Text, const std::string &Header) {
+  return Header + Text.substr(Text.find('\n'));
+}
+
+/// Otherwise-valid bodies under any header but the current one load as a
+/// miss (null netlist / false), and the loader names the version.
+TEST(ArtifactFormats, OtherVersionsAreRejected) {
   types::TypeContext TC;
   Netlist NL;
   infer::SyntheticNetlistSpec Spec;
-  Spec.Instances = 64;
-  Spec.Lanes = 4;
+  Spec.Instances = 16;
   infer::buildSyntheticNetlist(NL, TC, Spec);
-
   std::set<std::string> Lib;
-  std::vector<Diagnostic> NoDiags;
-  std::string V1, V2;
-  ASSERT_TRUE(serializeNetlist(NL, Lib, 0, NoDiags, V1, 1));
-  ASSERT_TRUE(serializeNetlist(NL, Lib, 0, NoDiags, V2, 2));
-  ASSERT_TRUE(V1.rfind("LSSNL 1\n", 0) == 0);
-  ASSERT_TRUE(V2.rfind("LSSNL 2\n", 0) == 0);
-  EXPECT_LT(V2.size(), V1.size()) << "interned format should be smaller";
-
-  for (const std::string *Text : {&V1, &V2}) {
+  std::string Lssnl;
+  ASSERT_TRUE(serializeNetlist(NL, Lib, 0, {}, Lssnl));
+  for (const char *Header : {"LSSNL 1", "LSSNL 3"}) {
     types::TypeContext LoadTC;
-    SerializedCompile SC = deserializeNetlist(*Text, LoadTC);
-    ASSERT_NE(SC.NL, nullptr);
-    const auto &Orig = NL.getInstances();
-    const auto &Got = SC.NL->getInstances();
-    ASSERT_EQ(Got.size(), Orig.size());
-    for (size_t I = 0; I != Orig.size(); ++I) {
-      EXPECT_EQ(Got[I]->Name, Orig[I]->Name);
-      EXPECT_EQ(Got[I]->Path, Orig[I]->Path);
-      EXPECT_EQ(Got[I]->Id, Orig[I]->Id);
-      ASSERT_EQ(Got[I]->Ports.size(), Orig[I]->Ports.size());
-      for (size_t P = 0; P != Orig[I]->Ports.size(); ++P) {
-        EXPECT_EQ(Got[I]->Ports[P].Name, Orig[I]->Ports[P].Name);
-        EXPECT_EQ(Got[I]->Ports[P].Dir, Orig[I]->Ports[P].Dir);
-        EXPECT_EQ(Got[I]->Ports[P].Width, Orig[I]->Ports[P].Width);
-      }
-    }
-    ASSERT_EQ(SC.NL->getConnections().size(), NL.getConnections().size());
+    std::string Error;
+    SerializedCompile SC =
+        deserializeNetlist(withHeader(Lssnl, Header), LoadTC, &Error);
+    EXPECT_EQ(SC.NL, nullptr) << Header;
+    EXPECT_EQ(Error, std::string("unsupported format '") + Header +
+                         "' (expected 'LSSNL 2')");
   }
+
+  SolvedDesign D;
+  std::string Lsssol;
+  ASSERT_TRUE(infer::exportSolution(D.NL, D.Stats, D.Diags, Lsssol));
+  for (const char *Header : {"LSSSOL 2", "LSSSOL 4"}) {
+    infer::NetlistInferenceStats Stats;
+    std::vector<Diagnostic> Diags;
+    std::string Error;
+    EXPECT_FALSE(infer::importSolution(withHeader(Lsssol, Header), D.NL, D.TC,
+                                       Stats, Diags, &Error))
+        << Header;
+    EXPECT_EQ(Error, std::string("unsupported format '") + Header +
+                         "' (expected 'LSSSOL 3')");
+  }
+  // The unedited artifacts load, and garbage is merely "malformed".
+  types::TypeContext LoadTC;
+  EXPECT_NE(deserializeNetlist(Lssnl, LoadTC).NL, nullptr);
+  infer::NetlistInferenceStats Stats;
+  std::vector<Diagnostic> Diags;
+  EXPECT_TRUE(infer::importSolution(Lsssol, D.NL, D.TC, Stats, Diags));
+  std::string Error;
+  EXPECT_EQ(deserializeNetlist("garbage\n", LoadTC, &Error).NL, nullptr);
+  EXPECT_EQ(Error, "malformed");
 }
 
 /// A reserialized reload must be byte-identical to the original artifact
-/// in both formats (the cache-stability invariant, format by format).
+/// (the cache-stability invariant).
 TEST(LssnlFormats, RoundTripIsByteStable) {
   types::TypeContext TC;
   Netlist NL;
@@ -235,17 +302,14 @@ TEST(LssnlFormats, RoundTripIsByteStable) {
 
   std::set<std::string> Lib;
   std::vector<Diagnostic> NoDiags;
-  for (unsigned Version : {1u, 2u}) {
-    std::string First, Second;
-    ASSERT_TRUE(serializeNetlist(NL, Lib, 0, NoDiags, First, Version));
-    types::TypeContext LoadTC;
-    SerializedCompile SC = deserializeNetlist(First, LoadTC);
-    ASSERT_NE(SC.NL, nullptr);
-    ASSERT_TRUE(serializeNetlist(*SC.NL, SC.LibraryModules,
-                                 SC.NumUserAnnotations, SC.Diags, Second,
-                                 Version));
-    EXPECT_EQ(First, Second) << "LSSNL v" << Version << " not byte-stable";
-  }
+  std::string First, Second;
+  ASSERT_TRUE(serializeNetlist(NL, Lib, 0, NoDiags, First));
+  types::TypeContext LoadTC;
+  SerializedCompile SC = deserializeNetlist(First, LoadTC);
+  ASSERT_NE(SC.NL, nullptr);
+  ASSERT_TRUE(serializeNetlist(*SC.NL, SC.LibraryModules,
+                               SC.NumUserAnnotations, SC.Diags, Second));
+  EXPECT_EQ(First, Second);
 }
 
 /// Literal pin of the v2 header and string table for a tiny fixed design:
@@ -264,7 +328,7 @@ TEST(LssnlFormats, V2StringTableBytesArePinned) {
   std::set<std::string> Lib;
   std::vector<Diagnostic> NoDiags;
   std::string Out;
-  ASSERT_TRUE(serializeNetlist(NL, Lib, 0, NoDiags, Out, 2));
+  ASSERT_TRUE(serializeNetlist(NL, Lib, 0, NoDiags, Out));
   EXPECT_EQ(Out, "LSSNL 2\n"
                  "strtab 4\n"
                  "s u\n"
@@ -277,6 +341,39 @@ TEST(LssnlFormats, V2StringTableBytesArePinned) {
                  "i 0 3 1 - 0 0 0\n"
                  "p 2 0 1 0 0 0 - -\n"
                  "end\n");
+}
+
+/// Literal pin of the LSSSOL 3 writer for SolvedDesign: header and string
+/// table, every record kind, the zeroed group wall times, and the biased
+/// group column. A change here without a CacheFormatVersion bump would let
+/// a warm compile read a solution written by another writer.
+TEST(LsssolFormat, BytesArePinned) {
+  SolvedDesign D;
+  std::string Out;
+  ASSERT_TRUE(infer::exportSolution(D.NL, D.Stats, D.Diags, Out));
+  EXPECT_EQ(Out, "LSSSOL 3\n"
+                 "strtab 3\n"
+                 "s type%20variable%20'T%20defaulted%20to%20int\n"
+                 "s bool\n"
+                 "s int%5B4%5D\n"
+                 "stats 1 0 0 42 3 5 1 2 1 0\n"
+                 "nstats 4 1 1\n"
+                 "group 3 30 2 0000000000000000 1 0 0\n"
+                 "group 2 12 1 0000000000000000 1 0 0\n"
+                 "gm 0 2 1 2\n"
+                 "diag 0 0 17 0\n"
+                 "p 1 0 1 0 0\n"
+                 "p 1 1 2 1 1\n"
+                 "p 2 0 2 1 0\n"
+                 "end\n");
+
+  // The pinned bytes reload: same records, same reserialization.
+  infer::NetlistInferenceStats Stats;
+  std::vector<Diagnostic> Diags;
+  ASSERT_TRUE(infer::importSolution(Out, D.NL, D.TC, Stats, Diags));
+  std::string Again;
+  ASSERT_TRUE(infer::exportSolution(D.NL, Stats, Diags, Again));
+  EXPECT_EQ(Again, Out);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "driver/Compiler.h"
 #include "models/Models.h"
 #include "netlist/Netlist.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -321,25 +322,18 @@ inline std::vector<SyntheticFamily> syntheticFamilies() {
 // Golden trace digests
 //===----------------------------------------------------------------------===//
 
-inline uint64_t fnv1a(uint64_t Hash, const std::string &S) {
-  for (unsigned char Ch : S) {
-    Hash ^= Ch;
-    Hash *= 1099511628211ull;
-  }
-  // Mix in a separator so line boundaries are significant.
-  Hash ^= 0x1e;
-  Hash *= 1099511628211ull;
-  return Hash;
-}
-
+/// FNV-1a 64 (published offset basis) over every event and final-net
+/// line, each followed by a 0x1e separator so line boundaries are
+/// significant.
 inline std::string traceDigest(const TraceRecord &R) {
-  uint64_t Hash = 14695981039346656037ull;
-  for (const std::string &L : R.Events)
-    Hash = fnv1a(Hash, L);
-  for (const std::string &L : R.FinalNets)
-    Hash = fnv1a(Hash, L);
+  FnvHasher H(14695981039346656037ull);
+  for (const auto *Lines : {&R.Events, &R.FinalNets})
+    for (const std::string &L : *Lines) {
+      H.bytes(L.data(), L.size());
+      H.bytes("\x1e", 1);
+    }
   std::ostringstream OS;
-  OS << std::hex << Hash;
+  OS << std::hex << H.get();
   return OS.str();
 }
 
