@@ -231,7 +231,7 @@ void BM_LssLowActivity(benchmark::State &State) {
 BENCHMARK(BM_LssLowActivity)->Arg(0)->Arg(1);
 
 /// A wide model: \p Lanes independent source->adder->sink strands, every
-/// component a devirtualized kernel op — the sweep's workload.
+/// component its own singleton schedule group — the sweep's workload.
 std::string wideLanesSpec(int Lanes) {
   std::string N = std::to_string(Lanes);
   return R"(

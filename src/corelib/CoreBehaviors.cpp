@@ -8,7 +8,7 @@
 
 #include "corelib/CoreLib.h"
 
-#include "bsl/BehaviorRegistry.h"
+#include "corelib/BehaviorSupport.h"
 #include "corelib/TraceGen.h"
 #include "types/Type.h"
 
@@ -17,18 +17,9 @@
 
 using namespace liberty;
 using namespace liberty::corelib;
+using namespace liberty::corelib::detail;
 using namespace liberty::bsl;
 using interp::Value;
-
-// Defined in CpuBehaviors.cpp.
-namespace liberty {
-namespace corelib {
-namespace detail {
-void registerCpuBehaviors(BehaviorRegistry &R);
-void registerCoreBehaviorsImpl();
-}
-} // namespace corelib
-} // namespace liberty
 
 //===----------------------------------------------------------------------===//
 // LSS module declarations for the whole library
@@ -320,34 +311,34 @@ std::vector<std::string> liberty::corelib::getLibraryModuleNames() {
 // Generic behaviors
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-int64_t paramInt(BehaviorContext &Ctx, const char *Name, int64_t Default) {
+int64_t liberty::corelib::detail::paramInt(BehaviorContext &Ctx,
+                                            const char *Name,
+                                            int64_t Default) {
   const Value *V = Ctx.getParam(Name);
   return V && V->isInt() ? V->getInt() : Default;
 }
 
-std::string paramString(BehaviorContext &Ctx, const char *Name,
-                        const char *Default) {
+bool liberty::corelib::detail::paramBool(BehaviorContext &Ctx,
+                                         const char *Name, bool Default) {
+  const Value *V = Ctx.getParam(Name);
+  return V && V->isBool() ? V->getBool() : Default;
+}
+
+std::string liberty::corelib::detail::paramString(BehaviorContext &Ctx,
+                                                  const char *Name,
+                                                  const char *Default) {
   const Value *V = Ctx.getParam(Name);
   return V && V->isString() ? V->getString() : Default;
 }
 
-/// True if the (optional) stall port reads true this cycle.
-bool stallAsserted(BehaviorContext &Ctx, const char *Port = "stall") {
+bool liberty::corelib::detail::stallAsserted(BehaviorContext &Ctx, int Port) {
   if (Ctx.getWidth(Port) == 0)
     return false;
   const Value *V = Ctx.getInput(Port, 0);
   return V && V->isBool() && V->getBool();
 }
 
-/// Bound-id twin for behaviors that resolved the stall port in init().
-bool stallAsserted(BehaviorContext &Ctx, int Port) {
-  if (Ctx.getWidth(Port) == 0)
-    return false;
-  const Value *V = Ctx.getInput(Port, 0);
-  return V && V->isBool() && V->getBool();
-}
+namespace {
 
 // Behaviors bind their ports (and hot state slots) once in init() and use
 // the dense ids on the per-cycle path; parameters that cannot change after
@@ -472,7 +463,7 @@ public:
       if (!V)
         continue;
       Value &Count = Ctx.state(Received);
-      Count = Value::makeInt(Count.isInt() ? Count.getInt() + 1 : 1);
+      Count.setInt(Count.isInt() ? Count.getInt() + 1 : 1);
       Ctx.emitEvent("received", *V);
     }
   }
@@ -856,14 +847,7 @@ private:
 
 } // namespace
 
-void liberty::corelib::registerCoreBehaviors() {
-  // call_once, not a check-then-register probe: concurrent batch compiles
-  // (CompileService) may race here, and BehaviorRegistry has no lock.
-  static std::once_flag Registered;
-  std::call_once(Registered, [] { detail::registerCoreBehaviorsImpl(); });
-}
-
-void liberty::corelib::detail::registerCoreBehaviorsImpl() {
+static void registerAll() {
   BehaviorRegistry &R = BehaviorRegistry::global();
   if (R.contains("corelib/delay.tar"))
     return; // Already registered.
@@ -900,4 +884,11 @@ void liberty::corelib::detail::registerCoreBehaviorsImpl() {
     return std::make_unique<StorageArray>("nregs", 32);
   });
   detail::registerCpuBehaviors(R);
+}
+
+void liberty::corelib::registerCoreBehaviors() {
+  // call_once, not a check-then-register probe: concurrent batch compiles
+  // (CompileService) may race here, and BehaviorRegistry has no lock.
+  static std::once_flag Registered;
+  std::call_once(Registered, registerAll);
 }

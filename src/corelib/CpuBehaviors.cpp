@@ -11,7 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "bsl/BehaviorRegistry.h"
+#include "corelib/BehaviorSupport.h"
 #include "corelib/CoreLib.h"
 #include "corelib/TraceGen.h"
 
@@ -21,41 +21,11 @@
 
 using namespace liberty;
 using namespace liberty::corelib;
+using namespace liberty::corelib::detail;
 using namespace liberty::bsl;
 using interp::Value;
 
-namespace liberty {
-namespace corelib {
-namespace detail {
-void registerCpuBehaviors(BehaviorRegistry &R);
-}
-} // namespace corelib
-} // namespace liberty
-
 namespace {
-
-int64_t paramInt(BehaviorContext &Ctx, const char *Name, int64_t Default) {
-  const Value *V = Ctx.getParam(Name);
-  return V && V->isInt() ? V->getInt() : Default;
-}
-
-bool paramBool(BehaviorContext &Ctx, const char *Name, bool Default) {
-  const Value *V = Ctx.getParam(Name);
-  return V && V->isBool() ? V->getBool() : Default;
-}
-
-std::string paramString(BehaviorContext &Ctx, const char *Name,
-                        const char *Default) {
-  const Value *V = Ctx.getParam(Name);
-  return V && V->isString() ? V->getString() : Default;
-}
-
-bool stallAsserted(BehaviorContext &Ctx, int Port) {
-  if (Ctx.getWidth(Port) == 0)
-    return false;
-  const Value *V = Ctx.getInput(Port, 0);
-  return V && V->isBool() && V->getBool();
-}
 
 //===----------------------------------------------------------------------===//
 // Cache
@@ -517,7 +487,7 @@ public:
       if (!V)
         continue;
       Value &Count = Ctx.state(Retired);
-      Count = Value::makeInt(Count.isInt() ? Count.getInt() + 1 : 1);
+      Count.setInt(Count.isInt() ? Count.getInt() + 1 : 1);
       Ctx.emitEvent("retire", *V);
     }
   }

@@ -153,7 +153,7 @@ void liberty::driver::printStatsJson(std::ostream &OS, const ModelStats &S,
   OS << "\n    ]\n  },\n";
 
   if (Sim) {
-    const sim::ActivityStats &A = Sim->getActivityStats();
+    const sim::ActivityStats A = Sim->getActivityStats();
     OS << "  \"simulation\": {\n"
        << "    \"engine\": \"" << jsonEscape(Sim->getEngineName()) << "\",\n"
        << "    \"cycles\": " << A.Cycles << ",\n"
@@ -167,11 +167,7 @@ void liberty::driver::printStatsJson(std::ostream &OS, const ModelStats &S,
          << "    \"kernel_build_ms\": " << std::fixed << std::setprecision(3)
          << KS->BuildMs << ",\n"
          << "    \"kernel_ops\": " << KS->NumOps << ",\n"
-         << "    \"kernel_specialized_ops\": " << KS->NumSpecializedOps
-         << ",\n"
-         << "    \"kernel_generic_ops\": " << KS->NumGenericOps << ",\n"
-         << "    \"kernel_seq_ops\": " << KS->NumSeqOps << ",\n"
-         << "    \"kernel_seq_elided\": " << KS->NumSeqElided;
+         << "    \"kernel_generic_ops\": " << KS->NumGenericOps;
     }
     if (CyclesPerSec > 0.0)
       OS << ",\n    \"cycles_per_s\": " << std::fixed << std::setprecision(1)

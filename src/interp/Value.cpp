@@ -10,27 +10,6 @@
 using namespace liberty;
 using namespace liberty::interp;
 
-Value Value::makeInt(int64_t V) {
-  Value R;
-  R.K = Kind::Int;
-  R.IntVal = V;
-  return R;
-}
-
-Value Value::makeBool(bool V) {
-  Value R;
-  R.K = Kind::Bool;
-  R.BoolVal = V;
-  return R;
-}
-
-Value Value::makeFloat(double V) {
-  Value R;
-  R.K = Kind::Float;
-  R.FloatVal = V;
-  return R;
-}
-
 Value Value::makeString(std::string V) {
   Value R;
   R.K = Kind::String;
@@ -78,11 +57,6 @@ bool Value::isData() const {
   default:
     return false;
   }
-}
-
-int64_t Value::getInt() const {
-  assert(K == Kind::Int && "not an int value");
-  return IntVal;
 }
 
 bool Value::getBool() const {

@@ -12,6 +12,7 @@
 #ifndef LIBERTY_INTERP_VALUE_H
 #define LIBERTY_INTERP_VALUE_H
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -58,9 +59,24 @@ public:
 
   Value() = default;
 
-  static Value makeInt(int64_t V);
-  static Value makeBool(bool V);
-  static Value makeFloat(double V);
+  static Value makeInt(int64_t V) {
+    Value R;
+    R.K = Kind::Int;
+    R.IntVal = V;
+    return R;
+  }
+  static Value makeBool(bool V) {
+    Value R;
+    R.K = Kind::Bool;
+    R.BoolVal = V;
+    return R;
+  }
+  static Value makeFloat(double V) {
+    Value R;
+    R.K = Kind::Float;
+    R.FloatVal = V;
+    return R;
+  }
   static Value makeString(std::string V);
   static Value makeArray(std::vector<Value> Elems);
   static Value makeStruct(std::vector<std::pair<std::string, Value>> Fields);
@@ -80,7 +96,10 @@ public:
   /// True for the kinds that may flow on simulated wires.
   bool isData() const;
 
-  int64_t getInt() const;
+  int64_t getInt() const {
+    assert(K == Kind::Int && "not an int value");
+    return IntVal;
+  }
   bool getBool() const;
   double getFloat() const;
 

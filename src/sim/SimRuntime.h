@@ -2,12 +2,13 @@
 ///
 /// \file
 /// The definition of Simulator::Runtime, the per-instance record through
-/// which leaf behaviors see the simulation (it implements
-/// bsl::BehaviorContext over the simulator's dense net array and the
-/// instance's slot tables). It lives in this internal header so the
-/// compiled-kernel lowering (sim/KernelBuilder) and the kernel runner
-/// (sim/CompiledKernel) can read the same slot tables the interp engine
-/// uses. Not part of the public sim/ API — include Simulator.h instead.
+/// which leaf behaviors see the simulation. It is the only
+/// bsl::BehaviorContext implementation: the base class holds the port
+/// slots and state over the simulator's WireBoard, and this record adds
+/// the netlist node, the behavior, the userpoints and the cold virtual
+/// accessors. It lives in this internal header so the compiled kernel
+/// (sim/CompiledKernel) can read the same records the interp engine uses.
+/// Not part of the public sim/ API — include Simulator.h instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +25,7 @@ namespace sim {
 class Simulator::Runtime : public bsl::BehaviorContext {
 public:
   Runtime(Simulator &Sim, netlist::InstanceNode *Node)
-      : Sim(Sim), Node(Node) {}
+      : BehaviorContext(Sim.Board), Sim(Sim), Node(Node) {}
 
   Simulator &Sim;
   netlist::InstanceNode *Node;
@@ -32,33 +33,14 @@ public:
   /// runtime variables).
   std::unique_ptr<bsl::LeafBehavior> Behavior;
 
-  /// One entry per declared port, addressed by the dense port id that
-  /// bindPort() hands out. Components have a handful of ports, so the
-  /// name-based accessors scan this linearly; the id-based accessors index
-  /// it directly. The table never changes after construct(), so pointers
-  /// into it (EventName) are stable.
-  struct PortSlot {
-    std::string Name;
-    std::vector<int> Nets;   ///< Net id per port instance (-1 unconnected).
-    std::string EventName;   ///< "port:<name>" for outputs, "" for inputs.
-    bool IsOutput = false;
-  };
-  std::vector<PortSlot> PortSlots;
+  using BehaviorContext::PortSlot;
+  using BehaviorContext::Ports;
+  using BehaviorContext::StateVars;
 
-  /// Behavior state and BSL runtime variables, lowered from a string map
-  /// to dense slots resolved at bind time.
-  bsl::StateTable StateVars;
-
-  int findPortId(const std::string &Port) const {
-    for (size_t I = 0; I != PortSlots.size(); ++I)
-      if (PortSlots[I].Name == Port)
-        return int(I);
-    return -1;
-  }
   PortSlot &addSlot(const std::string &Port) {
-    PortSlots.emplace_back();
-    PortSlots.back().Name = Port;
-    return PortSlots.back();
+    Ports.emplace_back();
+    Ports.back().Name = Port;
+    return Ports.back();
   }
 
   struct CompiledUserpoint {
@@ -80,91 +62,10 @@ public:
       StateVars[RV.Name] = RV.Init;
   }
 
-  // BehaviorContext implementation.
-  int getWidth(const std::string &Port) const override {
-    // For leaves the slot table is authoritative (its length is the
-    // inferred width); hierarchical runtimes fall back to the netlist.
-    if (int Id = findPortId(Port); Id >= 0)
-      return int(PortSlots[size_t(Id)].Nets.size());
-    const netlist::Port *P = Node->findPort(Port);
-    return P ? P->Width : 0;
-  }
-
+  // BehaviorContext cold path.
   const types::Type *getPortType(const std::string &Port) const override {
     const netlist::Port *P = Node->findPort(Port);
     return P ? P->Resolved : nullptr;
-  }
-
-  const interp::Value *getInput(const std::string &Port,
-                                int Index) const override {
-    return getInput(findPortId(Port), Index);
-  }
-
-  void setOutput(const std::string &Port, int Index,
-                 interp::Value V) override {
-    setOutput(findPortId(Port), Index, std::move(V));
-  }
-
-  int bindPort(const std::string &Port) const override {
-    return findPortId(Port);
-  }
-
-  int getWidth(int PortId) const override {
-    if (PortId < 0 || PortId >= int(PortSlots.size()))
-      return 0;
-    return int(PortSlots[size_t(PortId)].Nets.size());
-  }
-
-  const interp::Value *getInput(int PortId, int Index) const override {
-    if (PortId < 0 || PortId >= int(PortSlots.size()))
-      return nullptr;
-    const PortSlot &PS = PortSlots[size_t(PortId)];
-    if (Index < 0 || Index >= int(PS.Nets.size()))
-      return nullptr;
-    int NetId = PS.Nets[size_t(Index)];
-    if (NetId < 0)
-      return nullptr;
-    const Net &N = Sim.Nets[NetId];
-    return N.Has ? &N.V : nullptr;
-  }
-
-  void setOutput(int PortId, int Index, interp::Value V) override {
-    if (PortId < 0 || PortId >= int(PortSlots.size()))
-      return; // Unconnected port: the value vanishes.
-    PortSlot &PS = PortSlots[size_t(PortId)];
-    if (Index < 0 || Index >= int(PS.Nets.size()))
-      return;
-    int NetId = PS.Nets[size_t(Index)];
-    if (NetId < 0)
-      return;
-    Net &N = Sim.Nets[NetId];
-    ++Sim.Activity.NetWrites;
-    if (!N.Has) {
-      // First send this evaluation round. The fixpoint dirty flag fires on
-      // presence appearing even if the value matches last cycle's, so a
-      // cyclic group always re-runs after its members' first sends; the
-      // stored value is only reassigned when it observably changed (value
-      // differs, or the net was absent last cycle).
-      Sim.FixpointDirty = true;
-      if (!N.PrevHas || !N.V.equals(V)) {
-        N.V = std::move(V);
-        ++Sim.Activity.NetChanges;
-      }
-      N.Has = true;
-    } else if (!N.V.equals(V)) {
-      // Re-send with a different value (fixpoint iteration).
-      N.V = std::move(V);
-      Sim.FixpointDirty = true;
-      ++Sim.Activity.NetChanges;
-    }
-    if (!Sim.Instr.empty() && PS.IsOutput) {
-      Event E;
-      E.InstancePath = &Node->Path;
-      E.Name = &PS.EventName;
-      E.Cycle = Sim.Cycle;
-      E.Payload = &N.V;
-      Sim.Instr.emit(E);
-    }
   }
 
   const interp::Value *getParam(const std::string &Name) const override {
@@ -196,30 +97,18 @@ public:
     return Result;
   }
 
-  interp::Value &state(const std::string &Name) override {
-    return StateVars[Name];
-  }
+  const std::string &getInstancePath() const override { return Node->Path; }
 
-  int bindState(const std::string &Name) override {
-    return StateVars.bind(Name);
-  }
-
-  interp::Value &state(int StateId) override { return StateVars.slot(StateId); }
-
-  void emitEvent(const std::string &EventName, interp::Value Payload) override {
-    if (Sim.Instr.empty())
-      return;
+protected:
+  void deliverEvent(const std::string &EventName,
+                    const interp::Value &Payload) override {
     Event E;
     E.InstancePath = &Node->Path;
     E.Name = &EventName;
-    E.Cycle = Sim.Cycle;
+    E.Cycle = Sim.Board.Cycle;
     E.Payload = &Payload;
     Sim.Instr.emit(E);
   }
-
-  uint64_t getCycle() const override { return Sim.Cycle; }
-
-  const std::string &getInstancePath() const override { return Node->Path; }
 };
 
 } // namespace sim

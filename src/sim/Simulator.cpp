@@ -3,7 +3,6 @@
 #include "sim/Simulator.h"
 
 #include "sim/CompiledKernel.h"
-#include "sim/KernelBuilder.h"
 #include "sim/SimRuntime.h"
 #include "types/Type.h"
 
@@ -57,10 +56,10 @@ std::unique_ptr<Simulator> Simulator::build(netlist::Netlist &NL,
     return nullptr;
   Sim->reset();
   if (Opts.Engine == EngineKind::Compiled) {
-    // Lower after reset(): behavior init() has bound the state slots the
-    // kernel caches pointers to (slot identities survive later resets).
+    // Lowering reads only the schedule and the runtime records, which
+    // never change after construct().
     auto T0 = std::chrono::steady_clock::now();
-    Sim->Kernel = KernelBuilder::build(*Sim);
+    Sim->Kernel = CompiledKernel::build(*Sim);
     Sim->Kernel->Stats.BuildMs =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - T0)
@@ -71,6 +70,13 @@ std::unique_ptr<Simulator> Simulator::build(netlist::Netlist &NL,
 
 const KernelStats *Simulator::getKernelStats() const {
   return Kernel ? &Kernel->Stats : nullptr;
+}
+
+ActivityStats Simulator::getActivityStats() const {
+  ActivityStats A = Activity;
+  A.NetWrites = Board.NetWrites;
+  A.NetChanges = Board.NetChanges;
+  return A;
 }
 
 bool Simulator::construct() {
@@ -115,8 +121,8 @@ bool Simulator::construct() {
       RN = NumNets++;
     NodeNet[I] = RN;
   }
-  Nets.assign(size_t(NumNets), Net());
-  Info.NumNets = Nets.size();
+  Board.Wires.assign(size_t(NumNets), bsl::Wire());
+  Info.NumNets = NumNets;
 
   // 3. Create runtimes: every leaf, plus any instance carrying userpoints
   //    or runtime variables (they participate in the userpoint phases).
@@ -171,15 +177,16 @@ bool Simulator::construct() {
     int ScheduleNode;
     const std::string *Port;
   };
-  std::vector<std::vector<Reader>> NetReaders(Nets.size());
+  std::vector<std::vector<Reader>> NetReaders(NumNets);
+  std::vector<int> DriverRuntime(NumNets, -1);
   for (unsigned SN = 0; SN != LeafRuntimes.size(); ++SN) {
     Runtime *RT = Runtimes[LeafRuntimes[SN]].get();
     RT->ScheduleNode = SN;
     for (const netlist::Port &P : RT->Node->Ports) {
-      int PortId = RT->findPortId(P.Name);
+      int PortId = RT->bindPort(P.Name);
       if (PortId < 0)
         continue;
-      for (int NetId : RT->PortSlots[size_t(PortId)].Nets) {
+      for (int NetId : RT->Ports[size_t(PortId)].Nets) {
         if (NetId < 0)
           continue;
         if (P.isInput()) {
@@ -187,14 +194,13 @@ bool Simulator::construct() {
           continue;
         }
         RT->OutputNets.push_back(NetId);
-        Net &N = Nets[NetId];
-        if (N.DriverRuntime >= 0 &&
-            N.DriverRuntime != (int)LeafRuntimes[SN]) {
+        int &Driver = DriverRuntime[size_t(NetId)];
+        if (Driver >= 0 && Driver != (int)LeafRuntimes[SN]) {
           Diags.error(P.Loc, "net has multiple drivers: port '" + P.Name +
                                  "' of instance '" + RT->Node->Path + "'");
           continue;
         }
-        N.DriverRuntime = LeafRuntimes[SN];
+        Driver = LeafRuntimes[SN];
       }
     }
     std::sort(RT->OutputNets.begin(), RT->OutputNets.end());
@@ -205,8 +211,8 @@ bool Simulator::construct() {
 
   // 5. Build the combinational dependency graph and the static schedule.
   std::vector<std::vector<int>> Successors(LeafRuntimes.size());
-  for (unsigned NetId = 0; NetId != Nets.size(); ++NetId) {
-    int Driver = Nets[NetId].DriverRuntime;
+  for (int NetId = 0; NetId != NumNets; ++NetId) {
+    int Driver = DriverRuntime[size_t(NetId)];
     if (Driver < 0)
       continue;
     int DriverSN = Runtimes[Driver]->ScheduleNode;
@@ -234,11 +240,13 @@ bool Simulator::construct() {
 //===----------------------------------------------------------------------===//
 
 void Simulator::reset() {
-  Cycle = 0;
+  Board.Cycle = 0;
+  Board.NetWrites = Board.NetChanges = 0;
+  Board.Instrumented = !Instr.empty();
   RuntimeErrors = false;
-  for (Net &N : Nets) {
-    N.Has = false;
-    N.PrevHas = false;
+  for (bsl::Wire &W : Board.Wires) {
+    W.Has = false;
+    W.PrevHas = false;
   }
   Activity = ActivityStats();
   for (auto &RT : Runtimes)
@@ -275,9 +283,9 @@ void Simulator::evaluateGroup(size_t GroupIdx) {
   // clear it so this evaluation starts from a blank slate.
   for (int RTIdx : Group)
     for (int NetId : Runtimes[RTIdx]->OutputNets) {
-      Net &N = Nets[NetId];
-      N.PrevHas = N.Has;
-      N.Has = false;
+      bsl::Wire &W = Board.Wires[size_t(NetId)];
+      W.PrevHas = W.Has;
+      W.Has = false;
     }
 
   if (Group.size() == 1) {
@@ -295,13 +303,14 @@ void Simulator::evaluateGroup(size_t GroupIdx) {
     std::vector<std::pair<int, interp::Value>> Watch;
     std::vector<char> WatchHas;
     for (unsigned Iter = 0; Iter != Opts.MaxFixpointIters; ++Iter) {
-      FixpointDirty = false;
+      Board.Dirty = false;
       ++Activity.FixpointIters;
       if (Iter + 1 == Opts.MaxFixpointIters) {
         for (int RTIdx : Group)
           for (int NetId : Runtimes[RTIdx]->OutputNets) {
-            Watch.emplace_back(NetId, Nets[NetId].V);
-            WatchHas.push_back(Nets[NetId].Has);
+            const bsl::Wire &W = Board.Wires[size_t(NetId)];
+            Watch.emplace_back(NetId, W.V);
+            WatchHas.push_back(W.Has);
           }
       }
       for (int RTIdx : Group) {
@@ -311,7 +320,7 @@ void Simulator::evaluateGroup(size_t GroupIdx) {
           ++Activity.LeafEvals;
         }
       }
-      if (!FixpointDirty) {
+      if (!Board.Dirty) {
         Converged = true;
         break;
       }
@@ -319,7 +328,7 @@ void Simulator::evaluateGroup(size_t GroupIdx) {
     if (!Converged && !RuntimeErrors) {
       std::vector<int> Osc;
       for (size_t W = 0; W != Watch.size() && Osc.size() < 8; ++W) {
-        const Net &N = Nets[Watch[W].first];
+        const bsl::Wire &N = Board.Wires[size_t(Watch[W].first)];
         if (char(N.Has) != WatchHas[W] || !N.V.equals(Watch[W].second))
           Osc.push_back(Watch[W].first);
       }
@@ -367,7 +376,7 @@ void Simulator::reportFixpointFailure(size_t GroupIdx,
             Inst->Path + "." + P.Name + "[" + std::to_string(I) + "]";
       }
   for (int NetId : Osc) {
-    const Net &N = Nets[NetId];
+    const bsl::Wire &N = Board.Wires[size_t(NetId)];
     auto It = NetName.find(NetId);
     std::string Name = It != NetName.end() ? It->second
                                            : "net #" + std::to_string(NetId);
@@ -385,6 +394,8 @@ void Simulator::runSequentialPhase() {
 }
 
 void Simulator::step(uint64_t N) {
+  // Collectors only attach between step() calls.
+  Board.Instrumented = !Instr.empty();
   if (Kernel) {
     Kernel->run(*this, N);
     return;
@@ -393,7 +404,7 @@ void Simulator::step(uint64_t N) {
     for (size_t G = 0; G != Sched.Groups.size(); ++G)
       evaluateGroup(G);
     runSequentialPhase();
-    ++Cycle;
+    ++Board.Cycle;
     ++Activity.Cycles;
   }
 }
@@ -417,10 +428,10 @@ int Simulator::resolvePortNet(const std::string &InstPath,
 }
 
 const Value *Simulator::peekPort(int NetId) const {
-  if (NetId < 0 || NetId >= int(Nets.size()))
+  if (NetId < 0 || NetId >= int(Board.Wires.size()))
     return nullptr;
-  const Net &N = Nets[size_t(NetId)];
-  return N.Has ? &N.V : nullptr;
+  const bsl::Wire &W = Board.Wires[size_t(NetId)];
+  return W.Has ? &W.V : nullptr;
 }
 
 const Value *Simulator::peekPort(const std::string &InstPath,

@@ -12,12 +12,13 @@
 /// computed schedule, cyclic groups iterated to a fixpoint — followed by a
 /// sequential phase (endOfTimestep + end_of_timestep userpoints).
 ///
-/// Two engines step the simulator. The interp engine walks the schedule
-/// and evaluates every group every cycle through the leaf behaviors; it
-/// defines the semantics and is the oracle the other engine is tested
-/// against. The compiled engine (the default) replays a flat cycle kernel
-/// lowered from the same schedule (sim/CompiledKernel). Both produce
-/// bit-identical event streams, final net values and runtime state.
+/// Two engines step the simulator, and both run every leaf's own
+/// evaluate() and endOfTimestep(). The interp engine walks the schedule
+/// group by group; it defines the semantics and is the oracle the other
+/// engine is tested against. The compiled engine (the default) replays a
+/// flat op list lowered once from the same schedule (sim/CompiledKernel).
+/// Both produce bit-identical event streams, final net values, runtime
+/// state and activity counters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +40,6 @@ namespace liberty {
 namespace sim {
 
 class CompiledKernel;
-class KernelBuilder;
-class KernelBuilderImpl;
 struct KernelStats;
 
 /// Which engine steps the simulator (lssc --sim-engine).
@@ -56,10 +55,7 @@ const char *engineName(EngineKind K);
 bool parseEngineName(const std::string &Name, EngineKind &Out);
 
 /// Per-run activity counters, reported through --stats-json and
-/// cumulative since the last reset(). Everything except Cycles counts only
-/// work done through Simulator::evaluateGroup: every group on the interp
-/// engine, but only the Generic ops on the compiled engine (its
-/// specialized ops bypass the counters).
+/// cumulative since the last reset(). Both engines count the same work.
 struct ActivityStats {
   uint64_t Cycles = 0;        ///< Cycles stepped.
   uint64_t GroupsEvaluated = 0;
@@ -107,12 +103,13 @@ public:
   /// Advances \p N clock cycles.
   void step(uint64_t N = 1);
 
-  uint64_t getCycle() const { return Cycle; }
+  uint64_t getCycle() const { return Board.Cycle; }
 
+  /// Collectors attached here take effect at the next step() or reset().
   Instrumentation &getInstrumentation() { return Instr; }
   const Options &getOptions() const { return Opts; }
   const BuildInfo &getBuildInfo() const { return Info; }
-  const ActivityStats &getActivityStats() const { return Activity; }
+  ActivityStats getActivityStats() const;
 
   EngineKind getEngine() const { return Opts.Engine; }
   const char *getEngineName() const { return engineName(Opts.Engine); }
@@ -149,13 +146,6 @@ private:
 
   bool construct();
 
-  struct Net {
-    interp::Value V;
-    bool Has = false;     ///< Sent this cycle (or, mid-group, this round).
-    bool PrevHas = false; ///< Sent last cycle (snapshotted pre-evaluation).
-    int DriverRuntime = -1; ///< Runtime index of the driving leaf, or -1.
-  };
-
   class Runtime; // One per instance with behavior/userpoints/state.
 
   void evaluateGroup(size_t GroupIdx);
@@ -171,7 +161,9 @@ private:
   Instrumentation Instr;
   BuildInfo Info;
 
-  std::vector<Net> Nets;
+  /// The dense net array (indexed by net id), the cycle, and the write
+  /// counters and fixpoint flag every Runtime's setOutput maintains.
+  bsl::WireBoard Board;
   std::vector<std::unique_ptr<Runtime>> Runtimes;
   /// Runtime indices of leaves, in schedule order groups.
   Schedule Sched;
@@ -185,25 +177,20 @@ private:
   std::vector<Runtime *> RuntimeOfInstance;
 
   /// The compiled engine's flat cycle program (sim/CompiledKernel),
-  /// lowered by KernelBuilder after construct()+reset(); null on the
-  /// interp engine. step() routes through it when set.
+  /// lowered after construct()+reset(); null on the interp engine. step()
+  /// routes through it when set.
   std::unique_ptr<CompiledKernel> Kernel;
 
-  uint64_t Cycle = 0;
   bool RuntimeErrors = false; ///< Sticky; see hadRuntimeErrors().
-  /// Set by any net write that changes a value or makes it present; a
-  /// fixpoint iteration that leaves it clear has converged.
-  bool FixpointDirty = false;
+  /// Every counter except NetWrites/NetChanges, which live in Board.
   ActivityStats Activity;
   /// Runtimes carrying an end_of_timestep userpoint (hot-path cache).
   std::vector<Runtime *> EotRuntimes;
   bool EotRuntimesValid = false;
 
-  /// The compiled engine: KernelBuilder lowers over the private slot
-  /// tables; CompiledKernel::run drives Nets/Instr/Cycle directly.
+  /// The compiled engine lowers over the schedule and runtime records and
+  /// drives the wire board directly.
   friend class CompiledKernel;
-  friend class KernelBuilder;
-  friend class KernelBuilderImpl;
 };
 
 } // namespace sim

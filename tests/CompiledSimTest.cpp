@@ -55,18 +55,31 @@ TEST(CompiledDifferential, WideLanes) {
   expectAllEnginesMatch("wide.lss", wideIndependentLanes(64), 30);
 }
 
-TEST(CompiledDifferential, SpecializesRecognizedBehaviors) {
-  auto C = compileSim("wide.lss", wideIndependentLanes(16),
-                      engineOptions(sim::EngineKind::Compiled));
-  ASSERT_NE(C, nullptr);
-  const sim::KernelStats *KS = C->getSimulator()->getKernelStats();
+TEST(CompiledDifferential, GenericOpsAreExactlyTheCyclicGroups) {
+  // Every singleton group lowers to a direct call of its behavior; only
+  // multi-member groups (combinational cycles) keep evaluateGroup.
+  auto Wide = compileSim("wide.lss", wideIndependentLanes(16),
+                         engineOptions(sim::EngineKind::Compiled));
+  ASSERT_NE(Wide, nullptr);
+  const sim::KernelStats *KS = Wide->getSimulator()->getKernelStats();
   ASSERT_NE(KS, nullptr);
-  // 16 counter sources, 16 adders, one sink: all devirtualized, and every
-  // one of them is endOfTimestep-free so the sequential phase is empty.
-  EXPECT_EQ(KS->NumOps, KS->NumSpecializedOps);
+  EXPECT_EQ(KS->NumOps, Wide->getSimulator()->getBuildInfo().NumGroups);
   EXPECT_EQ(KS->NumGenericOps, 0u);
-  EXPECT_EQ(KS->NumSeqOps, 0u);
-  EXPECT_EQ(KS->NumSeqElided, 33u);
+
+  unsigned Cyclic = 0;
+  for (const SyntheticFamily &F : syntheticFamilies()) {
+    SCOPED_TRACE(F.Name);
+    auto C = compileSim(std::string(F.Name) + ".lss", F.Text,
+                        engineOptions(sim::EngineKind::Compiled));
+    ASSERT_NE(C, nullptr);
+    const sim::Simulator::BuildInfo &BI = C->getSimulator()->getBuildInfo();
+    const sim::KernelStats *FK = C->getSimulator()->getKernelStats();
+    ASSERT_NE(FK, nullptr);
+    EXPECT_EQ(FK->NumOps, BI.NumGroups);
+    EXPECT_EQ(FK->NumGenericOps, BI.NumCyclicGroups);
+    Cyclic += BI.NumCyclicGroups;
+  }
+  EXPECT_GT(Cyclic, 0u) << "no family lowers a generic op";
 }
 
 TEST(CompiledDifferential, InterpBuildsNoKernel) {

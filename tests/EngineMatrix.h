@@ -4,7 +4,7 @@
 /// The engine matrix: run any model on the interp engine and the compiled
 /// cycle kernel, and assert that the kernel produces a bit-identical
 /// observable record (event stream, final net values, total emission
-/// count) against the interp reference.
+/// count) and the same activity counters as the interp reference.
 ///
 /// This is the enforcement point for the engines' shared contract: the
 /// interpreter defines the semantics, and the kernel is an optimization
@@ -62,11 +62,26 @@ inline void expectTraceEqual(const std::string &What, const TraceRecord &Ref,
   EXPECT_EQ(Ref.TotalEmitted, Got.TotalEmitted) << What;
 }
 
+/// Both engines run the same behaviors over the same schedule, so every
+/// activity counter must match the interp reference as well.
+inline void expectActivityEqual(const std::string &What,
+                                const liberty::sim::ActivityStats &Ref,
+                                const liberty::sim::ActivityStats &Got) {
+  EXPECT_EQ(Ref.Cycles, Got.Cycles) << What;
+  EXPECT_EQ(Ref.GroupsEvaluated, Got.GroupsEvaluated) << What;
+  EXPECT_EQ(Ref.LeafEvals, Got.LeafEvals) << What;
+  EXPECT_EQ(Ref.FixpointIters, Got.FixpointIters) << What;
+  EXPECT_EQ(Ref.NetWrites, Got.NetWrites) << What;
+  EXPECT_EQ(Ref.NetChanges, Got.NetChanges) << What;
+}
+
 /// Compiles \p Text once per engine, runs each for \p Cycles, and
-/// requires the records to match the interp reference.
+/// requires the records and activity counters to match the interp
+/// reference.
 inline void expectAllEnginesMatch(const std::string &Name,
                                   const std::string &Text, uint64_t Cycles) {
   TraceRecord Ref;
+  liberty::sim::ActivityStats RefActivity;
   bool HaveRef = false;
   for (const EngineConfig &E : engineMatrix()) {
     auto C = compileSim(Name, Text, E.Opts);
@@ -76,10 +91,14 @@ inline void expectAllEnginesMatch(const std::string &Name,
         << E.Name << " on " << Name;
     if (!HaveRef) {
       Ref = std::move(R);
+      RefActivity = C->getSimulator()->getActivityStats();
       HaveRef = true;
       continue;
     }
-    expectTraceEqual(std::string(E.Name) + " vs interp on " + Name, Ref, R);
+    const std::string What = std::string(E.Name) + " vs interp on " + Name;
+    expectTraceEqual(What, Ref, R);
+    expectActivityEqual(What, RefActivity,
+                        C->getSimulator()->getActivityStats());
   }
 }
 
@@ -87,6 +106,7 @@ inline void expectAllEnginesMatch(const std::string &Name,
 inline void expectAllEnginesMatchModel(const std::string &Id,
                                        uint64_t Cycles) {
   TraceRecord Ref;
+  liberty::sim::ActivityStats RefActivity;
   bool HaveRef = false;
   for (const EngineConfig &E : engineMatrix()) {
     liberty::driver::Compiler C;
@@ -96,11 +116,14 @@ inline void expectAllEnginesMatchModel(const std::string &Id,
     TraceRecord R = runRecorded(C, Cycles);
     if (!HaveRef) {
       Ref = std::move(R);
+      RefActivity = C.getSimulator()->getActivityStats();
       HaveRef = true;
       continue;
     }
-    expectTraceEqual(std::string(E.Name) + " vs interp on model " + Id, Ref,
-                     R);
+    const std::string What =
+        std::string(E.Name) + " vs interp on model " + Id;
+    expectTraceEqual(What, Ref, R);
+    expectActivityEqual(What, RefActivity, C.getSimulator()->getActivityStats());
   }
 }
 

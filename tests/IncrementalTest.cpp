@@ -200,8 +200,7 @@ void runCase(const char *CaseName,
     ASSERT_NE(KI, nullptr);
     ASSERT_NE(KC, nullptr);
     EXPECT_EQ(KI->NumOps, KC->NumOps);
-    EXPECT_EQ(KI->NumSpecializedOps, KC->NumSpecializedOps);
-    EXPECT_EQ(KI->NumSeqOps, KC->NumSeqOps);
+    EXPECT_EQ(KI->NumGenericOps, KC->NumGenericOps);
   }
 }
 

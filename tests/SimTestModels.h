@@ -278,7 +278,7 @@ a.out -> s.in;
 }
 
 /// A wide model: \p Lanes independent (source -> adder -> sink) strands,
-/// every component a devirtualized kernel op.
+/// every component its own singleton schedule group.
 inline std::string wideIndependentLanes(int Lanes) {
   std::string N = std::to_string(Lanes);
   return R"(

@@ -14,6 +14,8 @@
 #   4. the daemon protocol doc (docs/DAEMON.md) documents every message
 #      type and error code registered in src/driver/DaemonProtocol.h, so
 #      the wire-protocol spec cannot drift from the header.
+#   5. every stats JSON field src/driver/Stats.cpp emits is documented in
+#      docs/API.md, and every field its stats tables list is still emitted.
 #
 # Exits non-zero with one line per violation.
 
@@ -115,11 +117,14 @@ else
   fi
 fi
 
-# 5. The stats JSON schema stays documented: every field name emitted by
-# src/driver/Stats.cpp (they appear as escaped `\"name\":` keys inside
-# the C++ string literals) must appear, backtick-quoted, in docs/API.md.
-# Adding a stats counter without documenting it fails here; the schema is
-# versioned via `schema_version` (driver/Stats.h).
+# 5. The stats JSON schema stays documented, in both directions: every
+# field name emitted by src/driver/Stats.cpp (they appear as escaped
+# `\"name\":` keys inside the C++ string literals) must appear,
+# backtick-quoted, in docs/API.md; and every field named in the first
+# column of a table in API.md's "The stats JSON schema" section must still
+# be emitted. Adding a stats counter without documenting it, or removing
+# one without updating the tables, fails here; the schema is versioned via
+# `schema_version` (driver/Stats.h).
 STATS=src/driver/Stats.cpp
 if [ -f "$STATS" ] && [ -f "$API" ]; then
   grep -o '\\"[a-z_][a-z0-9_]*\\":' "$STATS" | sed 's/^\\"//; s/\\":$//' |
@@ -127,6 +132,15 @@ if [ -f "$STATS" ] && [ -f "$API" ]; then
   while IFS= read -r Field; do
     if ! grep -q "\`$Field\`" "$API"; then
       echo "check_docs: $API does not document stats field '$Field'" >&2
+      touch "$ROOT/.check_docs_failed"
+    fi
+  done
+  awk '/^## The stats JSON schema/ { In = 1; next } /^## / { In = 0 }
+       In && /^\| `/' "$API" |
+  cut -d'|' -f2 | grep -o '`[a-z_][a-z0-9_]*`' | tr -d '`' | sort -u |
+  while IFS= read -r Field; do
+    if ! grep -qF "\\\"$Field\\\":" "$STATS"; then
+      echo "check_docs: $API lists stats field '$Field' that $STATS does not emit" >&2
       touch "$ROOT/.check_docs_failed"
     fi
   done

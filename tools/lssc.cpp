@@ -915,11 +915,8 @@ int main(int Argc, char **Argv) {
     // cold vs. warm (see tools/check_cache_stability.sh); --stats-json
     // reports it.
     if (const sim::KernelStats *KS = Sim->getKernelStats())
-      std::fprintf(HumanFile,
-                   "kernel: %u ops (%u specialized, %u generic), %u seq ops "
-                   "(%u elided)\n",
-                   KS->NumOps, KS->NumSpecializedOps, KS->NumGenericOps,
-                   KS->NumSeqOps, KS->NumSeqElided);
+      std::fprintf(HumanFile, "kernel: %u ops (%u generic)\n", KS->NumOps,
+                   KS->NumGenericOps);
     for (unsigned I = 0; I != Opts.Watches.size(); ++I)
       std::fprintf(HumanFile, "watch '%s %s': %llu events\n",
                    Opts.Watches[I].first.c_str(),
