@@ -148,7 +148,7 @@ void printComparisonTable() {
 //===--------------------------------------------------------------------===//
 
 /// Solves \p Make's constraint system once per thread count and reports
-/// wall time + speedup over the serial (--j1) solve. The solver merges
+/// wall time + speedup over the serial (--jobs 1) solve. The solver merges
 /// group results deterministically, so unify steps, branch points, and
 /// group counts must match bit-for-bit across the sweep — checked here.
 void sweepRow(const char *Name,

@@ -133,40 +133,25 @@ CompileClient::Result CompileClient::resultFromWire(const Json &Msg) {
     R.Error = "unexpected '" + Type + "' reply";
     return R;
   }
-  R.Success = Msg.getBool("success");
-  R.FailedPhase = Msg.getString("failed_phase", "none");
-  R.ExitCode = int(Msg.getU64("exit_code"));
-  R.ElabFromCache = Msg.getBool("elab_from_cache");
-  R.SolutionFromCache = Msg.getBool("solution_from_cache");
-  R.Degraded = Msg.getBool("degraded");
-  R.GroupsUnsolved = Msg.getU64("groups_unsolved");
-  R.Diagnostics = Msg.getString("diagnostics");
-  R.Instances = Msg.getU64("instances");
-  R.Connections = Msg.getU64("connections");
-  R.QueueMs = Msg.getNumber("queue_ms");
-  R.ServiceMs = Msg.getNumber("service_ms");
-  if (const Json *Inc = Msg.get("incremental")) {
-    R.IncrementalUsed = Inc->getBool("used");
-    R.IncrementalFallback = Inc->getString("fallback_reason");
-    R.ModulesReelaborated = Inc->getU64("modules_reelaborated");
-    R.GroupsResolved = Inc->getU64("groups_resolved");
-    R.GroupsSpliced = Inc->getU64("groups_spliced");
-  }
+  static_cast<CompileVerdict &>(R) = verdictFromWire(Msg);
   return R;
+}
+
+CompileClient::Result CompileClient::request(const char *Type,
+                                             const CompilerInvocation &Inv,
+                                             uint64_t DeadlineMs) {
+  Json Req = requestBody(Inv, DeadlineMs);
+  Req.set("type", Type).set("id", NextId++);
+  Json Reply;
+  Result R;
+  if (!roundTrip(Req, Reply, &R.Error))
+    return R;
+  return resultFromWire(Reply);
 }
 
 CompileClient::Result CompileClient::compile(const CompilerInvocation &Inv,
                                              uint64_t DeadlineMs) {
-  Json Req = requestBody(Inv, DeadlineMs);
-  Req.set("type", msg::Compile).set("id", NextId++);
-  Json Reply;
-  std::string Err;
-  if (!roundTrip(Req, Reply, &Err)) {
-    Result R;
-    R.Error = Err;
-    return R;
-  }
-  return resultFromWire(Reply);
+  return request(msg::Compile, Inv, DeadlineMs);
 }
 
 CompileClient::Result CompileClient::recompile(const CompilerInvocation &Inv,
@@ -176,16 +161,7 @@ CompileClient::Result CompileClient::recompile(const CompilerInvocation &Inv,
   // compile produces the identical result bytes — just without splicing.
   if (ServerMinor < 1)
     return compile(Inv, DeadlineMs);
-  Json Req = requestBody(Inv, DeadlineMs);
-  Req.set("type", msg::Recompile).set("id", NextId++);
-  Json Reply;
-  std::string Err;
-  if (!roundTrip(Req, Reply, &Err)) {
-    Result R;
-    R.Error = Err;
-    return R;
-  }
-  return resultFromWire(Reply);
+  return request(msg::Recompile, Inv, DeadlineMs);
 }
 
 std::vector<CompileClient::Result>
@@ -225,6 +201,16 @@ CompileClient::compileBatch(const std::vector<CompilerInvocation> &Invs,
       Results[I].Error = "batch reply truncated";
   }
   return Results;
+}
+
+Json CompileClient::clientStatsJson() const {
+  return Json::object()
+      .set("address", Address)
+      .set("retries", Stats.Retries)
+      .set("queue_full_retries", Stats.QueueFullRetries)
+      .set("transport_failures", Stats.TransportFailures)
+      .set("breaker_trips", Stats.BreakerTrips)
+      .set("breaker_open", Stats.BreakerOpen);
 }
 
 bool CompileClient::stats(Json &Out, std::string *Err) {

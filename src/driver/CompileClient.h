@@ -7,11 +7,11 @@
 ///
 /// The client ships a CompilerInvocation's sources and the wire-visible
 /// option subset (core library, error cap, solver heuristics/threads,
-/// inference deadline) and gets back the compile verdict: success,
-/// failed phase, the lssc-compatible exit code, cache provenance, the
-/// degradation record, and the rendered diagnostics text. Artifacts stay
-/// on the server — the point is the shared warm cache, not shipping
-/// netlists.
+/// inference deadline) and gets back the compile's CompileVerdict
+/// (driver/CompileVerdict.h): success, failed phase, the documented exit
+/// code, cache provenance, the degradation record, and the rendered
+/// diagnostics text. Artifacts stay on the server — the point is the
+/// shared warm cache, not shipping netlists.
 ///
 /// Transport failures never throw: every call reports through the
 /// Result::Error / ErrorCode fields (or a bool + *Err), so callers like
@@ -22,6 +22,7 @@
 #ifndef LIBERTY_DRIVER_COMPILECLIENT_H
 #define LIBERTY_DRIVER_COMPILECLIENT_H
 
+#include "driver/CompileVerdict.h"
 #include "driver/CompilerInvocation.h"
 #include "driver/DaemonProtocol.h"
 
@@ -59,35 +60,16 @@ public:
     bool BreakerOpen = false;
   };
 
-  /// One remote compile's outcome. Exactly one of these is true:
+  /// One remote compile's outcome: the daemon's CompileVerdict plus the
+  /// transport fields. Exactly one of these is true:
   ///  - Error non-empty: transport/protocol failure (connection died,
   ///    malformed reply); ErrorCode may name a server error code.
-  ///  - Error empty: the wire `result` fields below are valid.
-  struct Result {
-    // Transport / protocol-level failure.
+  ///  - Error empty: the verdict fields (read by verdictFromWire) are
+  ///    valid.
+  struct Result : CompileVerdict {
     std::string Error;      ///< Empty = a result arrived.
     std::string ErrorCode;  ///< Server `error` code (e.g. "queue_full").
     uint64_t RetryAfterMs = 0; ///< Backoff hint from queue_full.
-
-    // The wire result.
-    bool Success = false;
-    std::string FailedPhase; ///< "none"/"parse"/"elaborate"/"infer".
-    int ExitCode = 0;        ///< lssc-compatible (0/3/4/5).
-    bool ElabFromCache = false;
-    bool SolutionFromCache = false;
-    bool Degraded = false; ///< Inference budget/deadline degradation.
-    uint64_t GroupsUnsolved = 0;
-    std::string Diagnostics; ///< Rendered diagnostic text (may be empty).
-    uint64_t Instances = 0, Connections = 0; ///< On success.
-    double QueueMs = 0, ServiceMs = 0;       ///< Server-side timings.
-
-    /// The `recompile` outcome (from the reply's "incremental" object;
-    /// defaults when the request was a plain compile or the daemon was
-    /// too old to run one).
-    bool IncrementalUsed = false;
-    std::string IncrementalFallback;
-    uint64_t ModulesReelaborated = 0;
-    uint64_t GroupsResolved = 0, GroupsSpliced = 0;
   };
 
   explicit CompileClient(std::string Address) : Address(std::move(Address)) {}
@@ -145,6 +127,9 @@ public:
   void setRetryPolicy(const RetryPolicy &P) { Policy = P; }
   const RetryPolicy &getRetryPolicy() const { return Policy; }
   const ClientStats &getClientStats() const { return Stats; }
+  /// The ClientStats counters and the daemon address as the
+  /// `daemon_client` object of `lssc --daemon --stats-json`.
+  Json clientStatsJson() const;
   bool breakerOpen() const { return Stats.BreakerOpen; }
 
   /// Fetches the server's `stats_result` message into \p Out.
@@ -163,6 +148,9 @@ private:
   /// Sends \p Msg and reads one reply frame. Returns false on transport
   /// failure (and closes: the stream state is unknown).
   bool roundTrip(const Json &Msg, Json &Reply, std::string *Err);
+  /// One `compile` or `recompile` (\p Type) round trip for \p Inv.
+  Result request(const char *Type, const CompilerInvocation &Inv,
+                 uint64_t DeadlineMs);
   /// The shared retry loop behind compileWithRetry/recompileWithRetry.
   Result requestWithRetry(bool Incremental, const CompilerInvocation &Inv,
                           uint64_t DeadlineMs);

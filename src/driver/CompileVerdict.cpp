@@ -1,0 +1,121 @@
+//===- CompileVerdict.cpp - The outcome of one compile ------------------------===//
+
+#include "driver/CompileVerdict.h"
+
+#include "driver/DaemonProtocol.h"
+#include "driver/Stats.h"
+
+using namespace liberty;
+using namespace liberty::driver;
+
+namespace {
+
+using Phase = CompileResult::Phase;
+
+constexpr PhaseInfo PhaseTable[] = {
+    {Phase::None, "none", "compilation", ExitSuccess},
+    {Phase::Parse, "parse", "parsing", ExitParseSema},
+    {Phase::Elaborate, "elaborate", "elaboration", ExitParseSema},
+    {Phase::Infer, "infer", "type inference", ExitInference},
+    {Phase::SimBuild, "simbuild", "simulator construction", ExitSimFault},
+};
+
+} // namespace
+
+const PhaseInfo &liberty::driver::phaseInfo(Phase P) {
+  for (const PhaseInfo &I : PhaseTable)
+    if (I.Phase == P)
+      return I;
+  return PhaseTable[0];
+}
+
+const PhaseInfo &liberty::driver::phaseInfo(std::string_view WireName) {
+  for (const PhaseInfo &I : PhaseTable)
+    if (WireName == I.WireName)
+      return I;
+  return PhaseTable[0];
+}
+
+CompileVerdict CompileVerdict::of(const CompileResult &R) {
+  Compiler &C = *R.C;
+  const infer::SolveStats &Solve = C.getInferenceStats().Solve;
+  const PhaseInfo &Failed = phaseInfo(R.Failed);
+  CompileVerdict V;
+  V.Success = R.Success;
+  V.FailedPhase = Failed.WireName;
+  V.ExitCode = Failed.Exit;
+  V.ElabFromCache = R.ElabFromCache;
+  V.SolutionFromCache = R.SolutionFromCache;
+  V.Degraded =
+      R.Failed == Phase::Infer && (Solve.HitLimit || Solve.HitDeadline);
+  V.GroupsUnsolved = Solve.NumUnsolved;
+  V.Diagnostics = C.diagnosticsText();
+  if (R.Success && C.getNetlist()) {
+    ModelStats MS = computeModelStats(*C.getNetlist(), C.getLibraryModules(),
+                                      C.getNumUserTypeAnnotations());
+    V.Instances = MS.TotalInstances;
+    V.Connections = MS.Connections;
+  }
+  const IncrementalStats &I = R.Incremental;
+  V.IncrementalAttempted = I.Attempted;
+  V.IncrementalUsed = I.Used;
+  V.IncrementalFallback = I.FallbackReason;
+  V.DepCacheHit = I.DepCacheHit;
+  V.ModulesReelaborated = I.ModulesReelaborated;
+  V.GroupsResolved = I.GroupsResolved;
+  V.GroupsSpliced = I.GroupsSpliced;
+  return V;
+}
+
+Json liberty::driver::verdictToWire(const CompileVerdict &V) {
+  Json Res = Json::object();
+  Res.set("type", msg::Result)
+      .set("success", V.Success)
+      .set("failed_phase", V.FailedPhase)
+      .set("exit_code", V.ExitCode)
+      .set("elab_from_cache", V.ElabFromCache)
+      .set("solution_from_cache", V.SolutionFromCache)
+      .set("degraded", V.Degraded)
+      .set("groups_unsolved", V.GroupsUnsolved)
+      .set("diagnostics", V.Diagnostics)
+      .set("queue_ms", V.QueueMs)
+      .set("service_ms", V.ServiceMs);
+  if (V.Success)
+    Res.set("instances", V.Instances).set("connections", V.Connections);
+  if (V.IncrementalAttempted)
+    Res.set("incremental",
+            Json::object()
+                .set("used", V.IncrementalUsed)
+                .set("fallback_reason", V.IncrementalFallback)
+                .set("dep_cache_hit", V.DepCacheHit)
+                .set("modules_reelaborated", V.ModulesReelaborated)
+                .set("groups_resolved", V.GroupsResolved)
+                .set("groups_spliced", V.GroupsSpliced));
+  return Res;
+}
+
+CompileVerdict liberty::driver::verdictFromWire(const Json &Msg) {
+  CompileVerdict V;
+  V.Success = Msg.getBool("success");
+  V.FailedPhase = Msg.getString("failed_phase", "none");
+  V.ExitCode = int(Msg.getU64("exit_code"));
+  V.ElabFromCache = Msg.getBool("elab_from_cache");
+  V.SolutionFromCache = Msg.getBool("solution_from_cache");
+  V.Degraded = Msg.getBool("degraded");
+  V.GroupsUnsolved = Msg.getU64("groups_unsolved");
+  V.Diagnostics = Msg.getString("diagnostics");
+  V.Instances = Msg.getU64("instances");
+  V.Connections = Msg.getU64("connections");
+  V.QueueMs = Msg.getNumber("queue_ms");
+  V.ServiceMs = Msg.getNumber("service_ms");
+  if (const Json *Inc = Msg.get("incremental")) {
+    V.IncrementalAttempted = true;
+    V.IncrementalUsed = Inc->getBool("used");
+    V.IncrementalFallback = Inc->getString("fallback_reason");
+    V.DepCacheHit = Inc->getBool("dep_cache_hit");
+    V.ModulesReelaborated = Inc->getU64("modules_reelaborated");
+    V.GroupsResolved = Inc->getU64("groups_resolved");
+    V.GroupsSpliced = Inc->getU64("groups_spliced");
+  }
+  return V;
+}

@@ -2,10 +2,10 @@
 ///
 /// \file
 /// Everything both ends of an `lssd` connection share: the protocol
-/// version, the canonical message-type and error-code registries, a small
-/// self-contained JSON value (parser + writer), length-prefixed frame I/O,
-/// and the socket helpers that turn an address string into a connected or
-/// listening file descriptor.
+/// version, the canonical message-type and error-code registries, the
+/// driver::Json value every message is built from (driver/Json.h),
+/// length-prefixed frame I/O, and the socket helpers that turn an address
+/// string into a connected or listening file descriptor.
 ///
 /// ## Framing
 ///
@@ -34,12 +34,11 @@
 #ifndef LIBERTY_DRIVER_DAEMONPROTOCOL_H
 #define LIBERTY_DRIVER_DAEMONPROTOCOL_H
 
+#include "driver/Json.h"
+
 #include <cstdint>
-#include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace liberty {
 namespace driver {
@@ -99,102 +98,6 @@ namespace errc {
 LSSD_ERROR_CODES(LSSD_DEFINE_ERRC)
 #undef LSSD_DEFINE_ERRC
 } // namespace errc
-
-//===----------------------------------------------------------------------===//
-// Json — a minimal JSON value for the daemon protocol
-//===----------------------------------------------------------------------===//
-
-/// Just enough JSON for the wire protocol: null/bool/number/string/
-/// array/object, a strict recursive-descent parser (depth-capped so
-/// adversarial nesting cannot overflow the stack), and a deterministic
-/// writer (object keys emit in sorted order). Numbers are doubles; the
-/// protocol's integers (ids, counts, millisecond budgets) all fit a
-/// double's 53-bit mantissa.
-class Json {
-public:
-  enum class Kind { Null, Bool, Number, String, Array, Object };
-
-  Json() : K(Kind::Null) {}
-  Json(bool B) : K(Kind::Bool), BoolV(B) {}
-  Json(double N) : K(Kind::Number), NumV(N) {}
-  Json(uint64_t N) : K(Kind::Number), NumV(double(N)) {}
-  Json(int N) : K(Kind::Number), NumV(N) {}
-  Json(std::string S) : K(Kind::String), StrV(std::move(S)) {}
-  Json(const char *S) : K(Kind::String), StrV(S) {}
-
-  static Json object() {
-    Json J;
-    J.K = Kind::Object;
-    return J;
-  }
-  static Json array() {
-    Json J;
-    J.K = Kind::Array;
-    return J;
-  }
-
-  Kind kind() const { return K; }
-  bool isObject() const { return K == Kind::Object; }
-  bool isArray() const { return K == Kind::Array; }
-  bool isString() const { return K == Kind::String; }
-
-  // --- Scalar accessors (defaults on kind mismatch; never trap). --------
-  bool asBool(bool Default = false) const {
-    return K == Kind::Bool ? BoolV : Default;
-  }
-  double asNumber(double Default = 0) const {
-    return K == Kind::Number ? NumV : Default;
-  }
-  /// Strict unsigned accessor: the number must be a non-negative integral
-  /// value representable exactly in a double (<= 2^53). Anything else —
-  /// fractional, negative, NaN, or huge — yields \p Default so a malformed
-  /// `len`/`retry_after_ms` can't silently truncate to a bogus integer.
-  uint64_t asU64(uint64_t Default = 0) const {
-    if (K != Kind::Number || !(NumV >= 0) || NumV > 9007199254740992.0 ||
-        NumV != double(uint64_t(NumV)))
-      return Default;
-    return uint64_t(NumV);
-  }
-  const std::string &asString() const;
-
-  // --- Object access. ---------------------------------------------------
-  /// Sets a member (converting this value to an object if needed);
-  /// returns *this so message builders chain.
-  Json &set(const std::string &Key, Json V);
-  /// Member lookup; null when absent or this is not an object.
-  const Json *get(const std::string &Key) const;
-  // Typed member conveniences, with defaults for absent/mistyped fields.
-  std::string getString(const std::string &Key,
-                        const std::string &Default = "") const;
-  double getNumber(const std::string &Key, double Default = 0) const;
-  uint64_t getU64(const std::string &Key, uint64_t Default = 0) const;
-  bool getBool(const std::string &Key, bool Default = false) const;
-
-  // --- Array access. ----------------------------------------------------
-  /// Appends (converting this value to an array if needed).
-  Json &push(Json V);
-  const std::vector<Json> &items() const;
-
-  // --- Serialization. ---------------------------------------------------
-  void write(std::ostream &OS) const;
-  std::string dump() const;
-
-  /// Strict parse of one JSON document (trailing garbage is an error).
-  /// On failure returns false and fills \p Err (when non-null) with a
-  /// one-line description including the byte offset.
-  static bool parse(std::string_view Text, Json &Out, std::string *Err);
-
-private:
-  Kind K;
-  bool BoolV = false;
-  double NumV = 0;
-  std::string StrV;
-  std::vector<Json> Arr;
-  std::map<std::string, Json> Obj; ///< Sorted: writer output is canonical.
-};
-
-/// Escapes \p S for embedding in a JSON string literal (quotes excluded).
-std::string jsonEscapeString(const std::string &S);
 
 //===----------------------------------------------------------------------===//
 // Frame I/O

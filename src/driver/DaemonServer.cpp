@@ -2,6 +2,7 @@
 
 #include "driver/DaemonServer.h"
 
+#include "driver/CompileVerdict.h"
 #include "driver/Stats.h"
 #include "support/FaultInjection.h"
 
@@ -24,39 +25,6 @@ using Clock = std::chrono::steady_clock;
 
 double msSince(Clock::time_point T0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - T0).count();
-}
-
-const char *phaseWireName(CompileResult::Phase P) {
-  switch (P) {
-  case CompileResult::Phase::Parse:
-    return "parse";
-  case CompileResult::Phase::Elaborate:
-    return "elaborate";
-  case CompileResult::Phase::Infer:
-    return "infer";
-  case CompileResult::Phase::SimBuild:
-    return "simbuild";
-  case CompileResult::Phase::None:
-    break;
-  }
-  return "none";
-}
-
-int phaseWireExitCode(CompileResult::Phase P) {
-  // Mirrors lssc's ExitCode mapping so a daemon client can exit with the
-  // same documented code an in-process compile would have produced.
-  switch (P) {
-  case CompileResult::Phase::Parse:
-  case CompileResult::Phase::Elaborate:
-    return 3;
-  case CompileResult::Phase::Infer:
-    return 4;
-  case CompileResult::Phase::SimBuild:
-    return 5;
-  case CompileResult::Phase::None:
-    break;
-  }
-  return 0;
 }
 
 } // namespace
@@ -394,40 +362,10 @@ bool DaemonServer::submitCompile(const Json &Req, std::future<Json> &Fut,
         P->Incremental ? Service.compileIncremental(Inv) : Service.compile(Inv);
     double ServiceMs = msSince(P->AdmitTime);
 
-    const infer::SolveStats &Solve = R.C->getInferenceStats().Solve;
-    bool Degraded = R.Failed == CompileResult::Phase::Infer &&
-                    (Solve.HitLimit || Solve.HitDeadline);
-
-    Json Res = Json::object();
-    Res.set("type", msg::Result)
-        .set("success", R.Success)
-        .set("failed_phase", phaseWireName(R.Failed))
-        .set("exit_code", phaseWireExitCode(R.Failed))
-        .set("elab_from_cache", R.ElabFromCache)
-        .set("solution_from_cache", R.SolutionFromCache)
-        .set("degraded", Degraded)
-        .set("groups_unsolved", uint64_t(Solve.NumUnsolved))
-        .set("diagnostics", R.C->diagnosticsText())
-        .set("queue_ms", QueueMs)
-        .set("service_ms", ServiceMs);
-    if (R.Success && R.C->getNetlist()) {
-      ModelStats MS = computeModelStats(*R.C->getNetlist(),
-                                        R.C->getLibraryModules(),
-                                        R.C->getNumUserTypeAnnotations());
-      Res.set("instances", uint64_t(MS.TotalInstances));
-      Res.set("connections", uint64_t(MS.Connections));
-    }
-    if (P->Incremental) {
-      const IncrementalStats &I = R.Incremental;
-      Json Inc = Json::object();
-      Inc.set("used", I.Used)
-          .set("fallback_reason", I.FallbackReason)
-          .set("dep_cache_hit", I.DepCacheHit)
-          .set("modules_reelaborated", uint64_t(I.ModulesReelaborated))
-          .set("groups_resolved", uint64_t(I.GroupsResolved))
-          .set("groups_spliced", uint64_t(I.GroupsSpliced));
-      Res.set("incremental", std::move(Inc));
-    }
+    CompileVerdict V = CompileVerdict::of(R);
+    V.QueueMs = QueueMs;
+    V.ServiceMs = ServiceMs;
+    Json Res = verdictToWire(V);
 
     {
       std::lock_guard<std::mutex> Lock(QueueMutex);
@@ -436,7 +374,7 @@ bool DaemonServer::submitCompile(const Json &Req, std::future<Json> &Fut,
     {
       std::lock_guard<std::mutex> Lock(StatsMutex);
       (P->Incremental ? Stats.RecompileRequests : Stats.CompileRequests) += 1;
-      if (Degraded && Solve.HitDeadline)
+      if (V.Degraded && R.C->getInferenceStats().Solve.HitDeadline)
         ++Stats.DeadlineDegraded;
       (R.ElabFromCache ? Stats.ElabCacheHits : Stats.ElabCacheMisses) += 1;
       (R.SolutionFromCache ? Stats.SolveCacheHits : Stats.SolveCacheMisses) +=
@@ -530,19 +468,6 @@ DaemonStats DaemonServer::getStats() const {
 
 Json DaemonServer::buildStats() const {
   DaemonStats S = getStats();
-  Json Cache = Json::object();
-  Cache.set("hits", S.Cache.Hits)
-      .set("misses", S.Cache.Misses)
-      .set("memory_hits", S.Cache.MemoryHits)
-      .set("disk_hits", S.Cache.DiskHits)
-      .set("stores", S.Cache.Stores)
-      .set("evictions", S.Cache.Evictions)
-      .set("bytes_in_memory", S.Cache.BytesInMemory)
-      .set("corrupt", S.Cache.Corrupt)
-      .set("tmp_swept", S.Cache.TmpSwept)
-      .set("quarantined", S.Cache.Quarantined)
-      .set("disk_write_failures", S.Cache.DiskWriteFailures)
-      .set("cache_degraded", S.Cache.Degraded);
   Json Latency = Json::object();
   Latency.set("samples", S.LatencySamples)
       .set("p50_ms", S.P50Ms)
@@ -578,7 +503,7 @@ Json DaemonServer::buildStats() const {
       .set("elab_cache_misses", S.ElabCacheMisses)
       .set("solve_cache_hits", S.SolveCacheHits)
       .set("solve_cache_misses", S.SolveCacheMisses)
-      .set("cache", std::move(Cache))
+      .set("cache", cacheCountersJson(S.Cache))
       .set("incremental", std::move(Incremental))
       .set("latency_ms", std::move(Latency));
   return Reply;

@@ -119,24 +119,6 @@ void FlagParser::addFaultInjectFlag(std::string *Spec) {
          "the LSS_FAULT environment variable)");
 }
 
-void FlagParser::addWatchFilesFlags(bool *WatchFiles, uint64_t *PollMs,
-                                    uint64_t *MaxRecompiles) {
-  boolean("--watch-files", WatchFiles,
-          "with --daemon: stay resident, poll the\n"
-          "input files' mtimes, and send an\n"
-          "incremental `recompile` for every edit\n"
-          "(docs/INCREMENTAL.md); stop with SIGINT");
-  unsignedNum("--watch-poll-ms", "N", PollMs,
-              "with --watch-files: poll interval\n"
-              "(default 200)",
-              "duration", /*RequirePositive=*/true);
-  unsignedNum("--watch-max", "N", MaxRecompiles,
-              "with --watch-files: exit after N\n"
-              "recompiles (testing; 0 = run until\n"
-              "SIGINT)",
-              "count");
-}
-
 //===----------------------------------------------------------------------===//
 // Parsing and usage text.
 //===----------------------------------------------------------------------===//

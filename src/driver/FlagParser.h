@@ -6,10 +6,10 @@
 /// parsing, `--flag VALUE` / `--flag=VALUE` handling, generated usage
 /// text, and unknown-option diagnosis for free.
 ///
-/// Flags that exist in more than one tool (the artifact-cache flags,
-/// `--fault-inject`, the `--watch-files` watch mode) are declared once in
-/// FlagParser.cpp via the add*Flags() helpers, so their spelling, help
-/// text, and validation cannot drift between `lssc` and `lssd`.
+/// Flags that exist in both tools (the artifact-cache flags and
+/// `--fault-inject`) are declared once in FlagParser.cpp via the add*
+/// helpers, so their spelling, help text, and validation cannot drift
+/// between `lssc` and `lssd`.
 ///
 /// Error convention: parse() prints "<tool>: <problem>" to stderr and
 /// returns false; the caller prints its usage text and exits 2. This
@@ -68,11 +68,6 @@ public:
   /// `--fault-inject SPEC` (see support/FaultInjection.h; both tools also
   /// honor the LSS_FAULT environment variable).
   void addFaultInjectFlag(std::string *Spec);
-
-  /// The incremental watch mode (docs/INCREMENTAL.md): `--watch-files`
-  /// plus its `--watch-poll-ms N` / `--watch-max N` knobs.
-  void addWatchFilesFlags(bool *WatchFiles, uint64_t *PollMs,
-                          uint64_t *MaxRecompiles);
 
   /// Parses the command line. Non-flag arguments are appended to
   /// \p Positionals (rejected when null). `--help`/`-h` prints the usage

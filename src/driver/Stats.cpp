@@ -9,6 +9,8 @@
 #include "sim/Simulator.h"
 #include "support/PhaseTimer.h"
 
+#include <algorithm>
+#include <cmath>
 #include <iomanip>
 
 using namespace liberty;
@@ -110,129 +112,145 @@ void liberty::driver::printTable2Header(std::ostream &OS) {
      << std::setw(8) << "Conns" << "\n";
 }
 
-void liberty::driver::printStatsJson(std::ostream &OS, const ModelStats &S,
-                                     const infer::NetlistInferenceStats &IS,
-                                     const PhaseTimer &Timer,
-                                     const sim::Simulator *Sim,
-                                     const CacheReport *Cache,
-                                     double CyclesPerSec,
-                                     const IncrementalStats *Incremental) {
-  OS << "{\n";
-  OS << "  \"schema_version\": " << StatsSchemaVersion << ",\n";
-  OS << "  \"model\": \"" << jsonEscape(S.Name) << "\",\n";
-  OS << "  \"phases\": ";
-  Timer.printJson(OS);
-  OS << ",\n";
+/// \p X rounded to \p Digits decimals, so the documents show times and
+/// rates at the precision they are measured to.
+static double rounded(double X, int Digits) {
+  double Scale = std::pow(10.0, Digits);
+  return std::round(X * Scale) / Scale;
+}
 
+Json liberty::driver::phasesJson(const PhaseTimer &Timer) {
+  Json Phases = Json::array();
+  for (const PhaseTimer::Phase &P : Timer.getPhases()) {
+    Json Row = Json::object();
+    Row.set("name", P.Name).set("wall_ms", rounded(P.WallMs, 3));
+    for (const PhaseTimer::Counter &C : P.Counters)
+      Row.set(C.Name, C.Value);
+    Phases.push(std::move(Row));
+  }
+  return Phases;
+}
+
+Json liberty::driver::cacheCountersJson(const CacheStats &CS) {
+  return Json::object()
+      .set("hits", CS.Hits)
+      .set("misses", CS.Misses)
+      .set("memory_hits", CS.MemoryHits)
+      .set("disk_hits", CS.DiskHits)
+      .set("stores", CS.Stores)
+      .set("evictions", CS.Evictions)
+      .set("bytes_in_memory", CS.BytesInMemory)
+      .set("corrupt", CS.Corrupt)
+      .set("tmp_swept", CS.TmpSwept)
+      .set("quarantined", CS.Quarantined)
+      .set("disk_write_failures", CS.DiskWriteFailures)
+      .set("cache_degraded", CS.Degraded);
+}
+
+static Json inferenceJson(const infer::NetlistInferenceStats &IS) {
   const infer::SolveStats &Solve = IS.Solve;
-  OS << "  \"inference\": {\n"
-     << "    \"success\": " << (Solve.Success ? "true" : "false") << ",\n"
-     << "    \"constraints\": " << Solve.NumConstraints << ",\n"
-     << "    \"disjunctive_constraints\": " << Solve.NumDisjunctive << ",\n"
-     << "    \"unify_steps\": " << Solve.UnifySteps << ",\n"
-     << "    \"branch_points\": " << Solve.BranchPoints << ",\n"
-     << "    \"components\": " << Solve.NumComponents << ",\n"
-     << "    \"groups_unsolved\": " << Solve.NumUnsolved << ",\n"
-     << "    \"threads_used\": " << Solve.ThreadsUsed << ",\n"
-     << "    \"ports\": " << IS.NumPorts << ",\n"
-     << "    \"polymorphic_ports\": " << IS.NumPolymorphicPorts << ",\n"
-     << "    \"defaulted\": " << IS.NumDefaulted << ",\n"
-     << "    \"groups\": [";
+  Json Groups = Json::array();
   for (size_t I = 0; I != Solve.Groups.size(); ++I) {
     const infer::GroupStats &G = Solve.Groups[I];
-    if (I)
-      OS << ",";
-    OS << "\n      {\"index\": " << I << ", \"constraints\": "
-       << G.NumConstraints << ", \"unify_steps\": " << G.UnifySteps
-       << ", \"branch_points\": " << G.BranchPoints << ", \"wall_ms\": "
-       << std::fixed << std::setprecision(3) << G.WallMs << ", \"success\": "
-       << (G.Success ? "true" : "false") << ", \"hit_limit\": "
-       << (G.HitLimit ? "true" : "false") << ", \"hit_deadline\": "
-       << (G.HitDeadline ? "true" : "false") << "}";
+    Groups.push(Json::object()
+                    .set("index", uint64_t(I))
+                    .set("constraints", G.NumConstraints)
+                    .set("unify_steps", G.UnifySteps)
+                    .set("branch_points", G.BranchPoints)
+                    .set("wall_ms", rounded(G.WallMs, 3))
+                    .set("success", G.Success)
+                    .set("hit_limit", G.HitLimit)
+                    .set("hit_deadline", G.HitDeadline));
   }
-  OS << "\n    ]\n  },\n";
+  return Json::object()
+      .set("success", Solve.Success)
+      .set("constraints", Solve.NumConstraints)
+      .set("disjunctive_constraints", Solve.NumDisjunctive)
+      .set("unify_steps", Solve.UnifySteps)
+      .set("branch_points", Solve.BranchPoints)
+      .set("components", Solve.NumComponents)
+      .set("groups_unsolved", Solve.NumUnsolved)
+      .set("threads_used", Solve.ThreadsUsed)
+      .set("ports", IS.NumPorts)
+      .set("polymorphic_ports", IS.NumPolymorphicPorts)
+      .set("defaulted", IS.NumDefaulted)
+      .set("groups", std::move(Groups));
+}
 
-  if (Sim) {
-    const sim::ActivityStats A = Sim->getActivityStats();
-    OS << "  \"simulation\": {\n"
-       << "    \"engine\": \"" << jsonEscape(Sim->getEngineName()) << "\",\n"
-       << "    \"cycles\": " << A.Cycles << ",\n"
-       << "    \"groups_evaluated\": " << A.GroupsEvaluated << ",\n"
-       << "    \"leaf_evals\": " << A.LeafEvals << ",\n"
-       << "    \"fixpoint_iters\": " << A.FixpointIters << ",\n"
-       << "    \"net_writes\": " << A.NetWrites << ",\n"
-       << "    \"net_changes\": " << A.NetChanges;
-    if (const sim::KernelStats *KS = Sim->getKernelStats()) {
-      OS << ",\n"
-         << "    \"kernel_build_ms\": " << std::fixed << std::setprecision(3)
-         << KS->BuildMs << ",\n"
-         << "    \"kernel_ops\": " << KS->NumOps << ",\n"
-         << "    \"kernel_generic_ops\": " << KS->NumGenericOps;
-    }
-    if (CyclesPerSec > 0.0)
-      OS << ",\n    \"cycles_per_s\": " << std::fixed << std::setprecision(1)
-         << CyclesPerSec;
-    OS << "\n  },\n";
-  }
+static Json simulationJson(const sim::Simulator &Sim,
+                           const PhaseTimer &Timer) {
+  const sim::ActivityStats A = Sim.getActivityStats();
+  Json J = Json::object();
+  J.set("engine", Sim.getEngineName())
+      .set("cycles", A.Cycles)
+      .set("groups_evaluated", A.GroupsEvaluated)
+      .set("leaf_evals", A.LeafEvals)
+      .set("fixpoint_iters", A.FixpointIters)
+      .set("net_writes", A.NetWrites)
+      .set("net_changes", A.NetChanges);
+  if (const sim::KernelStats *KS = Sim.getKernelStats())
+    J.set("kernel_build_ms", rounded(KS->BuildMs, 3))
+        .set("kernel_ops", KS->NumOps)
+        .set("kernel_generic_ops", KS->NumGenericOps);
+  const PhaseTimer::Phase *Run = Timer.findPhase("simulate");
+  if (Run && Run->WallMs > 0.0)
+    J.set("cycles_per_s", rounded(double(A.Cycles) * 1000.0 / Run->WallMs, 1));
+  return J;
+}
 
-  if (Cache) {
-    const CacheStats &CS = Cache->Stats;
-    OS << "  \"cache\": {\n"
-       << "    \"hits\": " << CS.Hits << ",\n"
-       << "    \"misses\": " << CS.Misses << ",\n"
-       << "    \"memory_hits\": " << CS.MemoryHits << ",\n"
-       << "    \"disk_hits\": " << CS.DiskHits << ",\n"
-       << "    \"stores\": " << CS.Stores << ",\n"
-       << "    \"evictions\": " << CS.Evictions << ",\n"
-       << "    \"bytes_in_memory\": " << CS.BytesInMemory << ",\n"
-       << "    \"corrupt\": " << CS.Corrupt << ",\n"
-       << "    \"tmp_swept\": " << CS.TmpSwept << ",\n"
-       << "    \"quarantined\": " << CS.Quarantined << ",\n"
-       << "    \"disk_write_failures\": " << CS.DiskWriteFailures << ",\n"
-       << "    \"cache_degraded\": " << (CS.Degraded ? "true" : "false")
-       << ",\n"
-       << "    \"elab_from_cache\": "
-       << (Cache->ElabFromCache ? "true" : "false") << ",\n"
-       << "    \"solution_from_cache\": "
-       << (Cache->SolutionFromCache ? "true" : "false") << "\n"
-       << "  },\n";
-  }
+static Json incrementalJson(const IncrementalStats &I) {
+  return Json::object()
+      .set("used", I.Used)
+      .set("fallback_reason", I.FallbackReason)
+      .set("dep_cache_hit", I.DepCacheHit)
+      .set("modules_total", I.ModulesTotal)
+      .set("modules_dirty", I.ModulesDirty)
+      .set("modules_reelaborated", I.ModulesReelaborated)
+      .set("instances_total", I.InstancesTotal)
+      .set("instances_spliced", I.InstancesSpliced)
+      .set("groups_total", I.GroupsTotal)
+      .set("groups_resolved", I.GroupsResolved)
+      .set("groups_spliced", I.GroupsSpliced);
+}
 
-  if (Incremental) {
-    const IncrementalStats &I = *Incremental;
-    OS << "  \"incremental\": {\n"
-       << "    \"used\": " << (I.Used ? "true" : "false") << ",\n"
-       << "    \"fallback_reason\": \"" << jsonEscape(I.FallbackReason)
-       << "\",\n"
-       << "    \"dep_cache_hit\": " << (I.DepCacheHit ? "true" : "false")
-       << ",\n"
-       << "    \"modules_total\": " << I.ModulesTotal << ",\n"
-       << "    \"modules_dirty\": " << I.ModulesDirty << ",\n"
-       << "    \"modules_reelaborated\": " << I.ModulesReelaborated << ",\n"
-       << "    \"instances_total\": " << I.InstancesTotal << ",\n"
-       << "    \"instances_spliced\": " << I.InstancesSpliced << ",\n"
-       << "    \"groups_total\": " << I.GroupsTotal << ",\n"
-       << "    \"groups_resolved\": " << I.GroupsResolved << ",\n"
-       << "    \"groups_spliced\": " << I.GroupsSpliced << "\n"
-       << "  },\n";
-  }
+static Json reuseJson(const ModelStats &S) {
+  return Json::object()
+      .set("instances", S.TotalInstances)
+      .set("hierarchical_instances", S.HierarchicalInstances)
+      .set("leaf_instances", S.LeafInstances)
+      .set("distinct_modules", S.DistinctModules)
+      .set("instances_from_library", S.InstancesFromLibrary)
+      .set("pct_from_library", rounded(S.pctFromLibrary(), 1))
+      .set("explicit_types_without_inference",
+           S.ExplicitTypesWithoutInference)
+      .set("explicit_types_with_inference", S.ExplicitTypesWithInference)
+      .set("inferred_port_widths", S.InferredPortWidths)
+      .set("connections", S.Connections);
+}
 
-  OS << "  \"reuse\": {\n"
-     << "    \"instances\": " << S.TotalInstances << ",\n"
-     << "    \"hierarchical_instances\": " << S.HierarchicalInstances << ",\n"
-     << "    \"leaf_instances\": " << S.LeafInstances << ",\n"
-     << "    \"distinct_modules\": " << S.DistinctModules << ",\n"
-     << "    \"instances_from_library\": " << S.InstancesFromLibrary << ",\n"
-     << "    \"pct_from_library\": " << std::fixed << std::setprecision(1)
-     << S.pctFromLibrary() << ",\n"
-     << "    \"explicit_types_without_inference\": "
-     << S.ExplicitTypesWithoutInference << ",\n"
-     << "    \"explicit_types_with_inference\": "
-     << S.ExplicitTypesWithInference << ",\n"
-     << "    \"inferred_port_widths\": " << S.InferredPortWidths << ",\n"
-     << "    \"connections\": " << S.Connections << "\n"
-     << "  }\n";
-  OS << "}\n";
+Json liberty::driver::statsJson(const ModelStats &S,
+                                const infer::NetlistInferenceStats &IS,
+                                const PhaseTimer &Timer, double ProcessWallMs,
+                                const sim::Simulator *Sim,
+                                const CacheReport *Cache,
+                                const IncrementalStats *Incremental) {
+  Json Doc = Json::object();
+  Doc.set("schema_version", StatsSchemaVersion)
+      .set("model", S.Name)
+      .set("phases", phasesJson(Timer))
+      .set("unaccounted_ms",
+           rounded(std::max(0.0, ProcessWallMs - Timer.totalWallMs()), 3))
+      .set("inference", inferenceJson(IS))
+      .set("reuse", reuseJson(S));
+  if (Sim)
+    Doc.set("simulation", simulationJson(*Sim, Timer));
+  if (Cache)
+    Doc.set("cache", cacheCountersJson(Cache->Stats)
+                         .set("elab_from_cache", Cache->ElabFromCache)
+                         .set("solution_from_cache", Cache->SolutionFromCache));
+  if (Incremental)
+    Doc.set("incremental", incrementalJson(*Incremental));
+  return Doc;
 }
 
 void liberty::driver::printTable2Row(std::ostream &OS, const ModelStats &S) {

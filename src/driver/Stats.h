@@ -13,6 +13,7 @@
 #define LIBERTY_DRIVER_STATS_H
 
 #include "driver/ArtifactCache.h"
+#include "driver/Json.h"
 #include "infer/InferenceEngine.h"
 
 #include <ostream>
@@ -41,7 +42,7 @@ struct IncrementalStats;
 /// changes meaning; both emitters stamp it as "schema_version" so
 /// dashboards can gate on the shape they understand. check_docs.sh lints
 /// the emitted field names against docs/API.md.
-constexpr uint32_t StatsSchemaVersion = 4;
+constexpr uint32_t StatsSchemaVersion = 5;
 
 struct ModelStats {
   std::string Name;
@@ -104,27 +105,38 @@ struct CacheReport {
   bool SolutionFromCache = false;
 };
 
-/// Serializes one compilation's observability record as a JSON document:
-/// per-phase wall times and counters from \p Timer, the inference solve
-/// record including per-H3-group unify-step counts, and the Table 2 reuse
-/// metrics. This is the payload of `lssc --stats-json`. When \p Sim is
-/// non-null (a simulation ran), a "simulation" section reports the
-/// engine name, the activity counters, the compiled engine's kernel
-/// shape and build time when one exists, and — when the caller
-/// measured it — the achieved simulation rate in cycles per second
-/// (\p CyclesPerSec; <= 0 omits the field). When \p Cache is non-null
-/// (the artifact cache was enabled), a "cache" section reports hit/miss
-/// counters and which phases were reloaded. When \p Incremental is
-/// non-null (the compile went through compileIncremental), an
-/// "incremental" section reports whether the dependency-tracked path was
-/// used and how much work it actually did (docs/INCREMENTAL.md).
-void printStatsJson(std::ostream &OS, const ModelStats &S,
-                    const infer::NetlistInferenceStats &IS,
-                    const PhaseTimer &Timer,
-                    const sim::Simulator *Sim = nullptr,
-                    const CacheReport *Cache = nullptr,
-                    double CyclesPerSec = 0.0,
-                    const IncrementalStats *Incremental = nullptr);
+/// The section builders of the stats documents. Every stats field name is
+/// spelled in Stats.cpp only (check_docs.sh lints them against
+/// docs/API.md); the documents are written with Json::writeIndented.
+
+/// The `phases` array: one object per PhaseTimer phase, in phase order,
+/// with its `name`, `wall_ms` and counters.
+Json phasesJson(const PhaseTimer &Timer);
+
+/// The ArtifactCache counters: the `cache` section of `lssc --stats-json`
+/// (which adds this compile's provenance) and of the daemon's
+/// `stats_result`.
+Json cacheCountersJson(const CacheStats &CS);
+
+/// One compilation's observability record, the payload of `lssc
+/// --stats-json`: the phases from \p Timer, `unaccounted_ms` (\p
+/// ProcessWallMs minus the phases' sum), the inference solve record
+/// including per-H3-group unify-step counts, and the Table 2 reuse
+/// metrics. When \p Sim is non-null (a simulation ran), a `simulation`
+/// section reports the engine name, the activity counters, the compiled
+/// engine's kernel shape and build time when one exists, and — when the
+/// timer has a `simulate` phase — the achieved rate in cycles per second.
+/// When \p Cache is non-null (the artifact cache was enabled), a `cache`
+/// section reports hit/miss counters and which phases were reloaded. When
+/// \p Incremental is non-null (the compile went through
+/// compileIncremental), an `incremental` section reports whether the
+/// dependency-tracked path was used and how much work it actually did
+/// (docs/INCREMENTAL.md).
+Json statsJson(const ModelStats &S, const infer::NetlistInferenceStats &IS,
+               const PhaseTimer &Timer, double ProcessWallMs,
+               const sim::Simulator *Sim = nullptr,
+               const CacheReport *Cache = nullptr,
+               const IncrementalStats *Incremental = nullptr);
 
 } // namespace driver
 } // namespace liberty

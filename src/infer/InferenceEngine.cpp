@@ -420,7 +420,7 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
   // with its siblings; the shared unifier is read-only until the join.
   // Running them on a pool therefore needs no locks on the unification hot
   // path, and merging outcomes in group order makes bindings, statistics,
-  // and failure diagnostics bit-identical to the serial (--j1) schedule.
+  // and failure diagnostics bit-identical to the serial (--jobs 1) schedule.
   struct GroupOutcome {
     bool Ran = false;
     bool Ok = false;

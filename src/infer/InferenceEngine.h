@@ -101,7 +101,7 @@ struct SolveOptions {
   /// tests.
   uint64_t DeadlineMs = 0;
   /// Worker threads for the H3 group search: 1 solves the groups serially
-  /// (the `--j1` path), N > 1 dispatches them to a thread pool, and 0
+  /// (the `--jobs 1` path), N > 1 dispatches them to a thread pool, and 0
   /// picks one worker per hardware thread. Because the groups are
   /// variable-disjoint they never contend on bindings, and results are
   /// merged in deterministic group order, so every setting produces

@@ -6,36 +6,6 @@
 
 using namespace liberty;
 
-std::string liberty::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 PhaseTimer::Phase &PhaseTimer::getOrCreatePhase(const std::string &Name) {
   for (Phase &P : Phases)
     if (P.Name == Name)
@@ -86,19 +56,4 @@ void PhaseTimer::print(std::ostream &OS) const {
   OS << "  " << std::left << std::setw(16) << "total" << std::right
      << std::fixed << std::setprecision(3) << std::setw(12) << totalWallMs()
      << " ms\n";
-}
-
-void PhaseTimer::printJson(std::ostream &OS) const {
-  OS << "[";
-  for (size_t I = 0; I != Phases.size(); ++I) {
-    const Phase &P = Phases[I];
-    if (I)
-      OS << ",";
-    OS << "\n    {\"name\": \"" << jsonEscape(P.Name) << "\", \"wall_ms\": "
-       << std::fixed << std::setprecision(3) << P.WallMs;
-    for (const Counter &C : P.Counters)
-      OS << ", \"" << jsonEscape(C.Name) << "\": " << C.Value;
-    OS << "}";
-  }
-  OS << "\n  ]";
 }

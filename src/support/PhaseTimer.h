@@ -5,7 +5,7 @@
 /// elaborate, constraint-gen, solve, sim-build, ...). Phases with the same
 /// name accumulate, so calling a phase repeatedly (e.g. parsing several
 /// buffers) yields one row. The recorded data is what `lssc --stats-json`
-/// serializes; printJson emits it as a stable JSON document.
+/// serializes (driver::phasesJson).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,17 +80,11 @@ public:
   /// Human-readable table, one phase per line.
   void print(std::ostream &OS) const;
 
-  /// The phases as a JSON array: [{"name":..,"wall_ms":..,counters...}].
-  void printJson(std::ostream &OS) const;
-
   void clear() { Phases.clear(); }
 
 private:
   std::vector<Phase> Phases;
 };
-
-/// Escapes \p S for inclusion in a JSON string literal.
-std::string jsonEscape(const std::string &S);
 
 } // namespace liberty
 

@@ -16,12 +16,15 @@
 ///  - drain-on-shutdown: shutdown_ok, the in-flight compile still answers,
 ///    post-drain requests refused with shutting_down;
 ///  - the `lssc --daemon` CLI: remote compile, fallback-with-note when the
-///    daemon is unreachable, --no-daemon-fallback, flag incompatibilities.
+///    daemon is unreachable, --no-daemon-fallback, flag incompatibilities,
+///    `--batch` reports identical to in-process ones, and the
+///    `--stats-json` documents (parsed, and a failed write exits 1).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/CompileClient.h"
 #include "driver/DaemonServer.h"
+#include "driver/Stats.h"
 #include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
@@ -32,6 +35,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -750,6 +754,47 @@ TEST(DaemonJson, AsU64RejectsNonIntegralAndHugeNumbers) {
   EXPECT_EQ(Msg.getU64("len", 99), 4096u);
 }
 
+TEST(DaemonJson, NonFiniteNumbersWriteAsNullAndRoundTrip) {
+  // JSON has no spelling for NaN or infinity: the writer emits null, which
+  // the parser accepts, instead of text the parser rejects.
+  for (double X : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    std::string Text = Json::object().set("x", X).dump();
+    EXPECT_EQ(Text, "{\"x\":null}");
+    Json Back;
+    std::string Err;
+    ASSERT_TRUE(Json::parse(Text, Back, &Err)) << Err;
+    ASSERT_NE(Back.get("x"), nullptr);
+    EXPECT_EQ(Back.get("x")->kind(), Json::Kind::Null);
+  }
+  // Finite numbers round-trip exactly, integers and fractions alike.
+  for (double X : {0.0, -3.0, 0.1, 1.25, 1.0 / 3.0, 1e300, 9007199254740993.0}) {
+    Json Back;
+    ASSERT_TRUE(Json::parse(Json(X).dump(), Back, nullptr)) << X;
+    EXPECT_EQ(Back.asNumber(), X);
+  }
+}
+
+TEST(DaemonJson, IndentedWriterPrintsKeyColonSpaceValue) {
+  std::ostringstream OS;
+  Json::object()
+      .set("b", Json::array().push(true).push(Json::array()))
+      .set("a", 0.5)
+      .set("c", Json::object())
+      .writeIndented(OS);
+  EXPECT_EQ(OS.str(), "{\n"
+                      "  \"a\": 0.5,\n"
+                      "  \"b\": [\n"
+                      "    true,\n"
+                      "    []\n"
+                      "  ],\n"
+                      "  \"c\": {}\n"
+                      "}\n");
+  Json Back;
+  EXPECT_TRUE(Json::parse(OS.str(), Back, nullptr));
+}
+
 //===--------------------------------------------------------------------===//
 // Draining shutdown
 //===--------------------------------------------------------------------===//
@@ -811,9 +856,10 @@ struct ToolResult {
   std::string Output;
 };
 
-ToolResult runTool(const std::string &Args) {
+/// Runs lssc; stderr goes to \p Stderr ("&1": mixed into Output).
+ToolResult runTool(const std::string &Args, const char *Stderr = "&1") {
   ToolResult R;
-  std::string Cmd = std::string(LSSC_PATH) + " " + Args + " 2>&1";
+  std::string Cmd = std::string(LSSC_PATH) + " " + Args + " 2>" + Stderr;
   FILE *Pipe = popen(Cmd.c_str(), "r");
   if (!Pipe)
     return R;
@@ -829,6 +875,13 @@ ToolResult runTool(const std::string &Args) {
 std::string modelArgs() {
   return std::string(LIBERTY_MODELS_DIR) + "/uarch.lss " +
          LIBERTY_MODELS_DIR + "/a.lss";
+}
+
+void writeText(const std::string &Path, const std::string &Text) {
+  std::FILE *F = std::fopen(Path.c_str(), "w");
+  ASSERT_NE(F, nullptr);
+  std::fputs(Text.c_str(), F);
+  std::fclose(F);
 }
 
 } // namespace
@@ -886,4 +939,93 @@ TEST(DaemonCli, FallbackAndItsRefusal) {
   EXPECT_EQ(R.ExitCode, 2) << R.Output;
   R = runTool("--no-daemon-fallback " + modelArgs());
   EXPECT_EQ(R.ExitCode, 2) << R.Output;
+}
+
+TEST(DaemonCli, BatchReportMatchesInProcess) {
+  // One good model and one parse error, compiled in-process and through
+  // the daemon: the same verdicts give byte-identical reports and the
+  // worst model's exit code.
+  TempArea T("clibatch");
+  DaemonServer Server(serverOptions(T));
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+  writeText(T.Dir + "/good.lss", kSmallSpec);
+  writeText(T.Dir + "/bad.lss", "instance %%% nope\n");
+  std::string List = T.Dir + "/models.txt";
+  writeText(List, T.Dir + "/good.lss\n# a comment\n" + T.Dir + "/bad.lss\n");
+
+  ToolResult Local = runTool("--batch " + List, "/dev/null");
+  ToolResult Remote =
+      runTool("--daemon " + T.sock() + " --batch " + List, "/dev/null");
+  EXPECT_EQ(Local.ExitCode, 3) << Local.Output;
+  EXPECT_EQ(Remote.ExitCode, 3) << Remote.Output;
+  EXPECT_EQ(Local.Output, Remote.Output);
+  EXPECT_NE(Local.Output.find("good.lss: ok ("), std::string::npos)
+      << Local.Output;
+  EXPECT_NE(Local.Output.find("bad.lss: parsing failed\n"), std::string::npos)
+      << Local.Output;
+  EXPECT_EQ(Server.getStats().BatchRequests, 1u);
+}
+
+TEST(DaemonCli, StatsJsonCarriesTheClientCounters) {
+  TempArea T("clistats");
+  DaemonServer Server(serverOptions(T));
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+
+  ToolResult R = runTool("--daemon " + T.sock() + " --stats-json - " +
+                             modelArgs(),
+                         "/dev/null");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  Json Doc;
+  ASSERT_TRUE(Json::parse(R.Output, Doc, &Err)) << Err << "\n" << R.Output;
+  const Json *Client = Doc.get("daemon_client");
+  ASSERT_NE(Client, nullptr) << R.Output;
+  EXPECT_EQ(Client->getString("address"), T.sock());
+  for (const char *Key : {"retries", "queue_full_retries",
+                          "transport_failures", "breaker_trips"}) {
+    ASSERT_NE(Client->get(Key), nullptr) << Key;
+    EXPECT_EQ(Client->getU64(Key, 99), 0u) << Key;
+  }
+  ASSERT_NE(Client->get("breaker_open"), nullptr);
+  EXPECT_FALSE(Client->getBool("breaker_open", true));
+}
+
+TEST(DaemonCli, UnwritableStatsJsonExitsOperational) {
+  // The compile succeeds, but the stats file cannot be written: that is
+  // an operational failure, as it is without --daemon.
+  TempArea T("clistatsfail");
+  DaemonServer Server(serverOptions(T));
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+
+  ToolResult R = runTool("--daemon " + T.sock() +
+                         " --stats-json /no/such/dir/x.json " + modelArgs());
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("lssc: cannot write '/no/such/dir/x.json'"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_EQ(Server.getStats().CompileRequests, 1u);
+}
+
+TEST(DaemonCli, InProcessStatsJsonParses) {
+  ToolResult R = runTool("--stats-json - --run 10 " + modelArgs(), "/dev/null");
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  Json Doc;
+  std::string Err;
+  ASSERT_TRUE(Json::parse(R.Output, Doc, &Err)) << Err << "\n" << R.Output;
+  EXPECT_EQ(Doc.getU64("schema_version"), uint64_t(StatsSchemaVersion));
+  for (const char *Key : {"phases", "inference", "simulation", "reuse"})
+    EXPECT_NE(Doc.get(Key), nullptr) << Key;
+  // The run is a phase of its own, and the document says how much of the
+  // process's wall time no phase accounts for.
+  const Json *Simulate = nullptr;
+  for (const Json &P : Doc.get("phases")->items())
+    if (P.getString("name") == "simulate")
+      Simulate = &P;
+  ASSERT_NE(Simulate, nullptr) << R.Output;
+  EXPECT_EQ(Simulate->getU64("cycles"), 10u);
+  ASSERT_NE(Doc.get("unaccounted_ms"), nullptr);
+  EXPECT_GE(Doc.getNumber("unaccounted_ms", -1), 0.0);
+  EXPECT_EQ(Doc.get("simulation")->getU64("cycles"), 10u);
 }

@@ -2,7 +2,7 @@
 ///
 /// The parallel solver's contract is that thread count is unobservable:
 /// for any constraint system, solving with N threads produces bit-identical
-/// bindings, statistics, and diagnostics to the serial (--j1) solve. These
+/// bindings, statistics, and diagnostics to the serial (--jobs 1) solve. These
 /// tests pin that contract on the synthetic families, on the paper's real
 /// models A-F, and on the failure path (a group that cannot be satisfied
 /// must surface exactly one diagnostic regardless of which worker finds it).

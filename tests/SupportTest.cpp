@@ -1,5 +1,7 @@
 //===- SupportTest.cpp - SourceMgr and diagnostics tests -------------------------===//
 
+#include "driver/Json.h"
+#include "driver/Stats.h"
 #include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
 #include "support/PhaseTimer.h"
@@ -244,20 +246,22 @@ TEST(PhaseTimer, JsonOutputIsWellFormed) {
   PhaseTimer T;
   T.addWallTime("parse", 1.25);
   T.setCounter("solve", "groups", 2);
-  std::ostringstream OS;
-  T.printJson(OS);
-  std::string J = OS.str();
-  EXPECT_EQ(J.front(), '[');
-  EXPECT_EQ(J.back(), ']');
-  EXPECT_NE(J.find("\"name\": \"parse\""), std::string::npos);
-  EXPECT_NE(J.find("\"wall_ms\""), std::string::npos);
-  EXPECT_NE(J.find("\"groups\": 2"), std::string::npos);
+  std::string J = driver::phasesJson(T).dump();
+  driver::Json Back;
+  std::string Err;
+  ASSERT_TRUE(driver::Json::parse(J, Back, &Err)) << Err;
+  ASSERT_EQ(Back.items().size(), 2u);
+  EXPECT_EQ(Back.items()[0].getString("name"), "parse");
+  EXPECT_EQ(Back.items()[0].getNumber("wall_ms"), 1.25);
+  EXPECT_EQ(Back.items()[1].getString("name"), "solve");
+  EXPECT_EQ(Back.items()[1].getU64("groups"), 2u);
 }
 
-TEST(PhaseTimer, JsonEscape) {
-  EXPECT_EQ(jsonEscape("plain"), "plain");
-  EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(jsonEscape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+TEST(Json, EscapeString) {
+  using driver::jsonEscapeString;
+  EXPECT_EQ(jsonEscapeString("plain"), "plain");
+  EXPECT_EQ(jsonEscapeString("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(jsonEscapeString("line\nbreak\ttab"), "line\\nbreak\\ttab");
 }
 
 /// Clears the process-wide fault schedule around each test so one test's

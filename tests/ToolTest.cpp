@@ -85,8 +85,9 @@ TEST(Lssc, ErrorsHaveSourceLocations) {
 }
 
 //===--------------------------------------------------------------------===//
-// Documented exit codes (see the ExitCode enum in tools/lssc.cpp): one
-// test per code, so the contract 0/1/2/3/4/5 cannot silently drift.
+// Documented exit codes (see the driver::ExitCode enum in
+// src/driver/CompileVerdict.h): one test per code, so the contract
+// 0/1/2/3/4/5 cannot silently drift.
 //===--------------------------------------------------------------------===//
 
 TEST(Lssc, MissingInputExitsOperational) {
@@ -111,18 +112,35 @@ TEST(Lssc, ParseErrorExitsWithParseCode) {
   std::remove(Bad.c_str());
 }
 
+/// Disjoint overload sets on a connection: elaboration succeeds but no
+/// type assignment exists.
+const char *kUnsatSpec =
+    "module src { outport out: 'a; constrain 'a : (int | bool);\n"
+    "             tar_file = \"t/src\"; };\n"
+    "module snk { inport in: 'a; constrain 'a : (float | string);\n"
+    "             tar_file = \"t/snk\"; };\n"
+    "instance s:src;\ninstance k:snk;\ns.out -> k.in;\n";
+
 TEST(Lssc, InferenceFailureExitsWithInferenceCode) {
-  // Disjoint overload sets on a connection: elaboration succeeds but no
-  // type assignment exists.
   std::string Bad = "/tmp/lssc_unsat.lss";
-  writeFile(Bad,
-            "module src { outport out: 'a; constrain 'a : (int | bool);\n"
-            "             tar_file = \"t/src\"; };\n"
-            "module snk { inport in: 'a; constrain 'a : (float | string);\n"
-            "             tar_file = \"t/snk\"; };\n"
-            "instance s:src;\ninstance k:snk;\ns.out -> k.in;\n");
+  writeFile(Bad, kUnsatSpec);
   ToolResult R = runTool(Bad);
   EXPECT_EQ(R.ExitCode, 4) << R.Output;
+  EXPECT_NE(R.Output.find("type inference failed"), std::string::npos)
+      << R.Output;
+  std::remove(Bad.c_str());
+}
+
+TEST(Lssc, InferenceFailureReportsAnUnwritableStatsJson) {
+  // The failure path still writes --stats-json; when the file cannot be
+  // opened it says so, and the inference exit code stands.
+  std::string Bad = "/tmp/lssc_unsat_stats.lss";
+  writeFile(Bad, kUnsatSpec);
+  ToolResult R = runTool("--stats-json /no/such/dir/x.json " + Bad);
+  EXPECT_EQ(R.ExitCode, 4) << R.Output;
+  EXPECT_NE(R.Output.find("lssc: cannot write '/no/such/dir/x.json'"),
+            std::string::npos)
+      << R.Output;
   EXPECT_NE(R.Output.find("type inference failed"), std::string::npos)
       << R.Output;
   std::remove(Bad.c_str());
@@ -260,10 +278,10 @@ TEST(Lssc, StatsJsonToFile) {
 }
 
 TEST(Lssc, SerialAndParallelSolveAgree) {
-  // --j1 and --jobs 4 must print byte-identical netlists: thread count is
-  // not allowed to be observable in the compile result.
+  // --jobs 1 and --jobs 4 must print byte-identical netlists: thread
+  // count is not allowed to be observable in the compile result.
   ToolResult Serial =
-      runTool("--j1 --print-netlist " + modelArgs("c.lss"));
+      runTool("--jobs 1 --print-netlist " + modelArgs("c.lss"));
   ToolResult Parallel =
       runTool("--jobs 4 --print-netlist " + modelArgs("c.lss"));
   EXPECT_EQ(Serial.ExitCode, 0);

@@ -14,8 +14,9 @@
 #   4. the daemon protocol doc (docs/DAEMON.md) documents every message
 #      type and error code registered in src/driver/DaemonProtocol.h, so
 #      the wire-protocol spec cannot drift from the header.
-#   5. every stats JSON field src/driver/Stats.cpp emits is documented in
-#      docs/API.md, and every field its stats tables list is still emitted.
+#   5. every stats JSON field src/driver/Stats.cpp's Json section builders
+#      emit is documented in docs/API.md, and every field its stats tables
+#      list is still emitted.
 #
 # Exits non-zero with one line per violation.
 
@@ -118,16 +119,16 @@ else
 fi
 
 # 5. The stats JSON schema stays documented, in both directions: every
-# field name emitted by src/driver/Stats.cpp (they appear as escaped
-# `\"name\":` keys inside the C++ string literals) must appear,
-# backtick-quoted, in docs/API.md; and every field named in the first
-# column of a table in API.md's "The stats JSON schema" section must still
-# be emitted. Adding a stats counter without documenting it, or removing
-# one without updating the tables, fails here; the schema is versioned via
-# `schema_version` (driver/Stats.h).
+# field name src/driver/Stats.cpp emits (the section builders name each
+# field as the first argument of a `.set("name", ...)` call on a Json
+# object) must appear, backtick-quoted, in docs/API.md; and every field
+# named in the first column of a table in API.md's "The stats JSON
+# schema" section must still be emitted. Adding a stats counter without
+# documenting it, or removing one without updating the tables, fails
+# here; the schema is versioned via `schema_version` (driver/Stats.h).
 STATS=src/driver/Stats.cpp
 if [ -f "$STATS" ] && [ -f "$API" ]; then
-  grep -o '\\"[a-z_][a-z0-9_]*\\":' "$STATS" | sed 's/^\\"//; s/\\":$//' |
+  grep -o '\.set("[a-z_][a-z0-9_]*"' "$STATS" | sed 's/^\.set("//; s/"$//' |
   sort -u |
   while IFS= read -r Field; do
     if ! grep -q "\`$Field\`" "$API"; then
@@ -139,7 +140,7 @@ if [ -f "$STATS" ] && [ -f "$API" ]; then
        In && /^\| `/' "$API" |
   cut -d'|' -f2 | grep -o '`[a-z_][a-z0-9_]*`' | tr -d '`' | sort -u |
   while IFS= read -r Field; do
-    if ! grep -qF "\\\"$Field\\\":" "$STATS"; then
+    if ! grep -qF ".set(\"$Field\"" "$STATS"; then
       echo "check_docs: $API lists stats field '$Field' that $STATS does not emit" >&2
       touch "$ROOT/.check_docs_failed"
     fi

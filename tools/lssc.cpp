@@ -9,7 +9,6 @@
 ///   --stats             print Table 2-style reuse statistics
 ///   --stats-json FILE   write per-phase/per-group compile stats as JSON
 ///   --time-phases       print per-phase wall times to stderr
-///   --j1                solve type inference serially (one thread)
 ///   --jobs N            solve H3 inference groups on N threads
 ///   --emit-static       print the flattened static structural spec
 ///   --run N             build the simulator and run N cycles
@@ -38,15 +37,17 @@
 ///   --fault-inject SPEC arm deterministic fault injection (testing)
 ///
 /// Flag parsing is the shared driver::FlagParser table (tools/lssd.cpp
-/// uses the same helper), so flags both tools expose — the cache flags,
-/// --fault-inject, the watch mode — are declared exactly once.
+/// uses the same helper), so flags both tools expose — the cache flags
+/// and --fault-inject — are declared exactly once.
 ///
-/// The tool is a thin shell over driver::CompileService: it builds one
-/// CompilerInvocation per model and lets the service run (or reload from
-/// the artifact cache) the pipeline phases.
+/// The tool is a thin shell over driver::CompileService (in-process) or
+/// driver::CompileClient (--daemon): it builds one CompilerInvocation per
+/// model, and reports every compile, local or remote, from its
+/// driver::CompileVerdict through one function.
 ///
-/// Exit codes are documented on the ExitCode enum below (0 ok, 1
-/// operational, 2 usage, 3 parse/semantic, 4 inference, 5 simulation).
+/// Exit codes are documented on the driver::ExitCode enum in
+/// driver/CompileVerdict.h (0 ok, 1 operational, 2 usage, 3
+/// parse/semantic, 4 inference, 5 simulation).
 ///
 /// Multiple .lss inputs are concatenated into one compilation (library
 /// modules first), matching the Compiler API.
@@ -56,6 +57,7 @@
 #include "baseline/StaticNet.h"
 #include "driver/CompileClient.h"
 #include "driver/CompileService.h"
+#include "driver/CompileVerdict.h"
 #include "driver/Compiler.h"
 #include "driver/FlagParser.h"
 #include "driver/Stats.h"
@@ -81,25 +83,10 @@ using namespace liberty;
 
 namespace {
 
-/// Documented exit codes. Scripts and the test suite key on these, so the
-/// values are part of the tool's contract and must not be renumbered:
-///   0  success
-///   1  operational failure (unreadable input file, unwritable output
-///      path)
-///   2  usage error (unknown flag, missing argument, no inputs)
-///   3  parse or semantic error in the input specification
-///   4  type inference failure (unsatisfiable constraints, or the work
-///      budget / --infer-deadline-ms deadline was exhausted)
-///   5  simulation fault (construction failure, runtime error, or a
-///      combinational cycle that did not converge)
-enum ExitCode : int {
-  ExitSuccess = 0,
-  ExitOperational = 1,
-  ExitUsage = 2,
-  ExitParseSema = 3,
-  ExitInference = 4,
-  ExitSimFault = 5,
-};
+using driver::ExitOperational;
+using driver::ExitSimFault;
+using driver::ExitSuccess;
+using driver::ExitUsage;
 
 struct CliOptions {
   std::vector<std::string> Inputs;
@@ -152,8 +139,8 @@ const char *const UsageEpilog =
     "            4 inference failure, 5 simulation fault\n";
 
 /// Registers every lssc flag on the shared table. Flags that lssd also
-/// exposes (cache, fault injection, the watch mode) come from the
-/// FlagParser add*Flags() helpers so both tools stay in lockstep.
+/// exposes (cache, fault injection) come from the FlagParser add*
+/// helpers so both tools stay in lockstep.
 void registerFlags(driver::FlagParser &P, CliOptions &Opts) {
   P.boolean("--print-netlist", &Opts.PrintNetlist,
             "dump the elaborated hierarchy");
@@ -164,11 +151,6 @@ void registerFlags(driver::FlagParser &P, CliOptions &Opts) {
            "then moves to stderr)");
   P.boolean("--time-phases", &Opts.TimePhases,
             "print per-phase wall times to stderr");
-  P.custom("--j1", nullptr, "solve type inference on one thread",
-           [&Opts](const std::string &) {
-             Opts.Jobs = 1;
-             return true;
-           });
   P.unsignedNum("--jobs", "N", &Opts.Jobs,
                 "solve H3 inference groups on N threads\n"
                 "(default: one per hardware thread);\n"
@@ -247,7 +229,20 @@ void registerFlags(driver::FlagParser &P, CliOptions &Opts) {
             "inference groups (docs/INCREMENTAL.md);\n"
             "in-process this needs --cache-dir, with\n"
             "--daemon it sends `recompile`");
-  P.addWatchFilesFlags(&Opts.WatchFiles, &Opts.WatchPollMs, &Opts.WatchMax);
+  P.boolean("--watch-files", &Opts.WatchFiles,
+            "with --daemon: stay resident, poll the\n"
+            "input files' mtimes, and send an\n"
+            "incremental `recompile` for every edit\n"
+            "(docs/INCREMENTAL.md); stop with SIGINT");
+  P.unsignedNum("--watch-poll-ms", "N", &Opts.WatchPollMs,
+                "with --watch-files: poll interval\n"
+                "(default 200)",
+                "duration", /*RequirePositive=*/true);
+  P.unsignedNum("--watch-max", "N", &Opts.WatchMax,
+                "with --watch-files: exit after N\n"
+                "recompiles (testing; 0 = run until\n"
+                "SIGINT)",
+                "count");
   P.addFaultInjectFlag(&Opts.FaultSpec);
 }
 
@@ -337,56 +332,30 @@ driver::CompilerInvocation makeInvocation(const CliOptions &Opts) {
   return Inv;
 }
 
-const char *phaseName(driver::CompileResult::Phase P) {
-  switch (P) {
-  case driver::CompileResult::Phase::Parse:
-    return "parsing";
-  case driver::CompileResult::Phase::Elaborate:
-    return "elaboration";
-  case driver::CompileResult::Phase::Infer:
-    return "type inference";
-  case driver::CompileResult::Phase::SimBuild:
-    return "simulator construction";
-  case driver::CompileResult::Phase::None:
-    break;
+/// Adds \p Paths to \p Inv. An unreadable file is an operational failure
+/// (exit 1), distinct from a parse error in a file that exists (exit 3):
+/// returns false after saying which file.
+bool addInputs(driver::CompilerInvocation &Inv,
+               const std::vector<std::string> &Paths) {
+  for (const std::string &Path : Paths) {
+    std::string Err;
+    if (!Inv.addFile(Path, &Err)) {
+      std::cerr << "lssc: cannot open file '" << Path << "'\n";
+      return false;
+    }
   }
-  return "compilation";
+  return true;
 }
 
-int phaseExitCode(driver::CompileResult::Phase P) {
-  switch (P) {
-  case driver::CompileResult::Phase::Parse:
-  case driver::CompileResult::Phase::Elaborate:
-    return ExitParseSema;
-  case driver::CompileResult::Phase::Infer:
-    return ExitInference;
-  case driver::CompileResult::Phase::SimBuild:
-    return ExitSimFault;
-  case driver::CompileResult::Phase::None:
-    break;
-  }
-  return ExitSuccess;
-}
-
-/// True if the compile picked up cache-maintenance notes (corrupt or
-/// unreadable entries). These carry no source location — every diagnostic
-/// from an actual phase points into a buffer.
-bool hasCacheNotes(driver::Compiler &C) {
-  for (const Diagnostic &D : C.getDiags().getDiagnostics())
-    if (D.Level == DiagLevel::Note && !D.Loc.isValid())
-      return true;
-  return false;
-}
-
-/// Reads a --batch list file: one .lss path per line, '#' comments.
-/// Returns false with \p Exit set to the appropriate exit code.
-bool readBatchList(const std::string &File, std::vector<std::string> &Paths,
-                   int &Exit) {
-  std::ifstream List(File);
+/// --batch FILE: the listed paths (one per line, '#' comments) and one
+/// compile-only invocation per path. Returns -1 to proceed, or the exit
+/// code to return at once.
+int readBatch(const CliOptions &Opts, std::vector<std::string> &Paths,
+              std::vector<driver::CompilerInvocation> &Invs) {
+  std::ifstream List(Opts.BatchFile);
   if (!List) {
-    std::cerr << "lssc: cannot open file '" << File << "'\n";
-    Exit = ExitOperational;
-    return false;
+    std::cerr << "lssc: cannot open file '" << Opts.BatchFile << "'\n";
+    return ExitOperational;
   }
   std::string Line;
   while (std::getline(List, Line)) {
@@ -397,150 +366,115 @@ bool readBatchList(const std::string &File, std::vector<std::string> &Paths,
     Paths.push_back(Line.substr(B, E - B + 1));
   }
   if (Paths.empty()) {
-    std::cerr << "lssc: batch list '" << File << "' names no inputs\n";
-    Exit = ExitUsage;
+    std::cerr << "lssc: batch list '" << Opts.BatchFile
+              << "' names no inputs\n";
+    return ExitUsage;
+  }
+  for (const std::string &Path : Paths) {
+    Invs.push_back(makeInvocation(Opts));
+    Invs.back().BuildSim = false; // Batch mode compiles; it never simulates.
+    if (!addInputs(Invs.back(), {Path}))
+      return ExitOperational;
+  }
+  return -1;
+}
+
+/// Reports one compile's verdict, local or remote, and returns its exit
+/// code. With a \p Name (--batch, --watch-files) a status line
+/// "NAME: ok (...)" or "NAME: <phase> failed" goes to \p Human; a single
+/// compile reports only a failure, as "lssc: <phase> failed" on stderr.
+/// Diagnostics and the incremental outcome go to stderr, so stdout stays
+/// byte-identical to a plain compile (check_cache_stability.sh observes
+/// that contract).
+int report(const std::string &Name, const driver::CompileVerdict &V,
+           std::ostream &Human) {
+  if (V.IncrementalAttempted) {
+    std::cerr << "lssc: incremental: ";
+    if (V.IncrementalUsed)
+      std::cerr << "re-elaborated " << V.ModulesReelaborated
+                << " modules, re-solved " << V.GroupsResolved
+                << " groups, spliced " << V.GroupsSpliced << "\n";
+    else
+      std::cerr << "full compile ("
+                << (V.IncrementalFallback.empty() ? "unknown"
+                                                  : V.IncrementalFallback)
+                << ")\n";
+  }
+  if (!Name.empty()) {
+    Human << Name << ": ";
+    if (V.Success) {
+      Human << "ok (" << V.Instances << " instances, " << V.Connections
+            << " connections)";
+      if (V.ElabFromCache && V.SolutionFromCache)
+        Human << " [cached]";
+      else if (V.ElabFromCache || V.SolutionFromCache)
+        Human << " [partially cached]";
+    } else {
+      Human << V.phrase() << " failed";
+      if (V.Degraded)
+        Human << " (deadline/budget degraded, " << V.GroupsUnsolved
+              << " groups unsolved)";
+    }
+    Human << "\n";
+  } else if (!V.Success) {
+    std::cerr << "lssc: " << V.phrase() << " failed\n";
+  }
+  // Warnings and the cache's recovery notes matter on success too.
+  std::cerr << V.Diagnostics;
+  return V.ExitCode;
+}
+
+/// report() for a daemon reply, which may carry an error instead of a
+/// verdict (exit 1).
+int reportReply(const std::string &Name,
+                const driver::CompileClient::Result &R, std::ostream &Human) {
+  if (R.Error.empty())
+    return report(Name, R, Human);
+  std::cerr << "lssc: daemon error"
+            << (Name.empty() ? "" : " for '" + Name + "'") << ": " << R.Error
+            << "\n";
+  return ExitOperational;
+}
+
+/// Writes \p Doc to the --stats-json destination \p Path ('-' = stdout).
+/// Returns false after saying so when the file cannot be written.
+bool writeStatsJson(const std::string &Path, const driver::Json &Doc) {
+  if (Path == "-") {
+    Doc.writeIndented(std::cout);
+    return true;
+  }
+  std::ofstream Out(Path);
+  if (Out) {
+    Doc.writeIndented(Out);
+    Out.close();
+  }
+  if (!Out) {
+    std::cerr << "lssc: cannot write '" << Path << "'\n";
     return false;
   }
   return true;
 }
 
-/// --batch FILE: one CompilerInvocation per listed model, compiled
-/// concurrently through the service, reported in list order.
+/// --batch FILE in-process: the listed models compiled concurrently
+/// through the service, reported in list order.
 int runBatch(driver::CompileService &Svc, const CliOptions &Opts,
              std::ostream &Human) {
   std::vector<std::string> Paths;
-  int Exit = ExitSuccess;
-  if (!readBatchList(Opts.BatchFile, Paths, Exit))
-    return Exit;
-
   std::vector<driver::CompilerInvocation> Invs;
-  for (const std::string &Path : Paths) {
-    driver::CompilerInvocation Inv = makeInvocation(Opts);
-    Inv.BuildSim = false; // Batch mode compiles; it never simulates.
-    std::string Err;
-    if (!Inv.addFile(Path, &Err)) {
-      std::cerr << "lssc: cannot open file '" << Path << "'\n";
-      return ExitOperational;
-    }
-    Invs.push_back(std::move(Inv));
-  }
-
+  if (int Exit = readBatch(Opts, Paths, Invs); Exit >= 0)
+    return Exit;
   std::vector<driver::CompileResult> Results =
       Svc.compileBatch(Invs, Opts.Jobs);
-
   int Worst = ExitSuccess;
-  for (size_t I = 0; I != Results.size(); ++I) {
-    driver::CompileResult &R = Results[I];
-    if (R.Success) {
-      driver::ModelStats S = driver::computeModelStats(
-          *R.C->getNetlist(), R.C->getLibraryModules(),
-          R.C->getNumUserTypeAnnotations(), Paths[I]);
-      Human << Paths[I] << ": ok (" << S.TotalInstances << " instances, "
-            << S.Connections << " connections)";
-      if (R.ElabFromCache && R.SolutionFromCache)
-        Human << " [cached]";
-      else if (R.ElabFromCache || R.SolutionFromCache)
-        Human << " [partially cached]";
-      Human << "\n";
-    } else {
-      Human << Paths[I] << ": " << phaseName(R.Failed) << " failed\n";
-      std::cerr << R.C->diagnosticsText();
-      Worst = std::max(Worst, phaseExitCode(R.Failed));
-    }
-  }
+  for (size_t I = 0; I != Results.size(); ++I)
+    Worst = std::max(
+        Worst, report(Paths[I], driver::CompileVerdict::of(Results[I]), Human));
   if (Svc.getOptions().CacheEnabled) {
     driver::CacheStats CS = Svc.getCache().getStats();
     Human << "cache: " << CS.Hits << " hits, " << CS.Misses << " misses, "
           << CS.Stores << " stores\n";
   }
   return Worst;
-}
-
-/// Human phase phrase for a wire `failed_phase` string.
-const char *daemonPhaseName(const std::string &Phase) {
-  if (Phase == "parse")
-    return "parsing";
-  if (Phase == "elaborate")
-    return "elaboration";
-  if (Phase == "infer")
-    return "type inference";
-  if (Phase == "simbuild")
-    return "simulator construction";
-  return "compilation";
-}
-
-/// With --daemon --stats-json: the client-side robustness counters
-/// (retry/backoff/breaker activity). The full compile stats stay
-/// server-side; `lssd` exposes them through its stats endpoint.
-void writeDaemonClientStats(const CliOptions &Opts,
-                            const driver::CompileClient &Client) {
-  if (Opts.StatsJsonPath.empty())
-    return;
-  const driver::CompileClient::ClientStats &CS = Client.getClientStats();
-  auto Emit = [&](std::ostream &OS) {
-    OS << "{\n  \"daemon_client\": {\n"
-       << "    \"address\": \"" << jsonEscape(Opts.DaemonAddress) << "\",\n"
-       << "    \"retries\": " << CS.Retries << ",\n"
-       << "    \"queue_full_retries\": " << CS.QueueFullRetries << ",\n"
-       << "    \"transport_failures\": " << CS.TransportFailures << ",\n"
-       << "    \"breaker_trips\": " << CS.BreakerTrips << ",\n"
-       << "    \"breaker_open\": " << (CS.BreakerOpen ? "true" : "false")
-       << "\n  }\n}\n";
-  };
-  if (Opts.StatsJsonPath == "-") {
-    Emit(std::cout);
-  } else if (std::ofstream Out{Opts.StatsJsonPath}) {
-    Emit(Out);
-  } else {
-    std::cerr << "lssc: cannot write '" << Opts.StatsJsonPath << "'\n";
-  }
-}
-
-/// Prints one remote compile's verdict in the batch-report style and
-/// returns its exit code. Transport errors map to ExitOperational.
-int reportDaemonResult(const std::string &Name,
-                       const driver::CompileClient::Result &R,
-                       std::ostream &Human) {
-  if (!R.Error.empty()) {
-    std::cerr << "lssc: daemon error for '" << Name << "': " << R.Error
-              << "\n";
-    return ExitOperational;
-  }
-  if (R.Success) {
-    Human << Name << ": ok (" << R.Instances << " instances, "
-          << R.Connections << " connections)";
-    if (R.ElabFromCache && R.SolutionFromCache)
-      Human << " [cached]";
-    else if (R.ElabFromCache || R.SolutionFromCache)
-      Human << " [partially cached]";
-    Human << "\n";
-    // Warnings survive remote compiles as rendered diagnostic text.
-    if (!R.Diagnostics.empty())
-      std::cerr << R.Diagnostics;
-    return ExitSuccess;
-  }
-  Human << Name << ": " << daemonPhaseName(R.FailedPhase) << " failed";
-  if (R.Degraded)
-    Human << " (deadline/budget degraded, " << R.GroupsUnsolved
-          << " groups unsolved)";
-  Human << "\n";
-  std::cerr << R.Diagnostics;
-  return R.ExitCode;
-}
-
-/// One status line for an incremental recompile's splice outcome
-/// (watch mode and `--daemon --incremental`).
-void reportIncremental(const driver::CompileClient::Result &R,
-                       std::ostream &Human) {
-  if (R.IncrementalUsed)
-    Human << "lssc: incremental: re-elaborated " << R.ModulesReelaborated
-          << " modules, re-solved " << R.GroupsResolved
-          << " groups, spliced " << R.GroupsSpliced << "\n";
-  else
-    Human << "lssc: incremental: full compile ("
-          << (R.IncrementalFallback.empty() ? "unknown"
-                                            : R.IncrementalFallback)
-          << ")\n";
 }
 
 volatile std::sig_atomic_t WatchInterrupted = 0;
@@ -590,27 +524,16 @@ int runWatchFiles(const CliOptions &Opts, driver::CompileClient &Client,
     if (Changed) {
       First = false;
       driver::CompilerInvocation Inv = makeInvocation(Opts);
-      bool Readable = true;
-      for (const std::string &Path : Opts.Inputs) {
-        std::string FileErr;
-        if (!Inv.addFile(Path, &FileErr)) {
-          // Transient: the next poll retries (the mtime will tick again
-          // when the editor finishes writing).
-          std::cerr << "lssc: note: cannot read '" << Path
-                    << "'; waiting for the next change\n";
-          Readable = false;
-          break;
-        }
-      }
-      if (Readable) {
+      if (!addInputs(Inv, Opts.Inputs)) {
+        // Transient: the next poll retries (the mtime will tick again
+        // when the editor finishes writing).
+        std::cerr << "lssc: note: waiting for the next change\n";
+      } else {
         driver::CompileClient::Result R =
             Client.recompileWithRetry(Inv, Opts.DeadlineMs);
-        if (!R.Error.empty()) {
-          std::cerr << "lssc: daemon error: " << R.Error << "\n";
-          return ExitOperational;
-        }
-        reportDaemonResult(Opts.Inputs.front(), R, Human);
-        reportIncremental(R, Human);
+        if (!R.Error.empty())
+          return reportReply("", R, Human);
+        report(Opts.Inputs.front(), R, Human);
         ++Recompiles;
         if (Opts.WatchMax && Recompiles >= Opts.WatchMax)
           break;
@@ -630,14 +553,9 @@ int runDaemon(const CliOptions &Opts, std::ostream &Human) {
   driver::CompileClient Client(Opts.DaemonAddress);
   std::string Err;
   if (!Client.connect(&Err)) {
-    if (Opts.WatchFiles) {
-      // Watch mode has nothing to fall back to: the whole point is the
-      // daemon's dependency cache.
-      std::cerr << "lssc: error: daemon at '" << Opts.DaemonAddress
-                << "' unreachable: " << Err << "\n";
-      return ExitOperational;
-    }
-    if (Opts.NoDaemonFallback) {
+    // Watch mode has nothing to fall back to: the whole point is the
+    // daemon's dependency cache.
+    if (Opts.WatchFiles || Opts.NoDaemonFallback) {
       std::cerr << "lssc: error: daemon at '" << Opts.DaemonAddress
                 << "' unreachable: " << Err << "\n";
       return ExitOperational;
@@ -649,11 +567,26 @@ int runDaemon(const CliOptions &Opts, std::ostream &Human) {
     return -1;
   }
 
+  // With --stats-json, every exit writes the client-side robustness
+  // counters (retry/backoff/breaker activity); the full compile stats
+  // stay server-side, on lssd's stats endpoint.
+  auto writeClientStats = [&] {
+    return Opts.StatsJsonPath.empty() ||
+           writeStatsJson(Opts.StatsJsonPath,
+                          driver::Json::object().set(
+                              "daemon_client", Client.clientStatsJson()));
+  };
+  // A failed write turns a success into exit 1, as it does in-process.
+  auto finish = [&](int Exit) {
+    return !writeClientStats() && Exit == ExitSuccess ? int(ExitOperational)
+                                                      : Exit;
+  };
+
   // A transport-level failure that survived the retry loop (connection
   // kept dying, breaker opened) gets the same treatment as an unreachable
   // daemon: diagnosed fallback, or exit 1 under --no-daemon-fallback.
   auto transportFailed = [&](const std::string &Why) -> int {
-    writeDaemonClientStats(Opts, Client);
+    writeClientStats();
     if (Opts.NoDaemonFallback) {
       std::cerr << "lssc: daemon error: " << Why << "\n";
       return ExitOperational;
@@ -665,20 +598,9 @@ int runDaemon(const CliOptions &Opts, std::ostream &Human) {
 
   if (!Opts.BatchFile.empty()) {
     std::vector<std::string> Paths;
-    int Exit = ExitSuccess;
-    if (!readBatchList(Opts.BatchFile, Paths, Exit))
-      return Exit;
     std::vector<driver::CompilerInvocation> Invs;
-    for (const std::string &Path : Paths) {
-      driver::CompilerInvocation Inv = makeInvocation(Opts);
-      Inv.BuildSim = false;
-      std::string FileErr;
-      if (!Inv.addFile(Path, &FileErr)) {
-        std::cerr << "lssc: cannot open file '" << Path << "'\n";
-        return ExitOperational;
-      }
-      Invs.push_back(std::move(Inv));
-    }
+    if (int Exit = readBatch(Opts, Paths, Invs); Exit >= 0)
+      return Exit;
     std::vector<driver::CompileClient::Result> Results =
         Client.compileBatchWithRetry(Invs, Opts.DeadlineMs);
     // Elements the admission queue bounced get a bounded individual retry.
@@ -690,53 +612,33 @@ int runDaemon(const CliOptions &Opts, std::ostream &Human) {
       return transportFailed(Results.front().Error);
     int Worst = ExitSuccess;
     for (size_t I = 0; I != Results.size(); ++I)
-      Worst = std::max(Worst, reportDaemonResult(Paths[I], Results[I], Human));
-    writeDaemonClientStats(Opts, Client);
-    return Worst;
+      Worst = std::max(Worst, reportReply(Paths[I], Results[I], Human));
+    return finish(Worst);
   }
 
   if (Opts.WatchFiles)
     return runWatchFiles(Opts, Client, Human);
 
   driver::CompilerInvocation Inv = makeInvocation(Opts);
-  for (const std::string &Path : Opts.Inputs) {
-    std::string FileErr;
-    if (!Inv.addFile(Path, &FileErr)) {
-      std::cerr << "lssc: cannot open file '" << Path << "'\n";
-      return ExitOperational;
-    }
-  }
+  if (!addInputs(Inv, Opts.Inputs))
+    return ExitOperational;
   driver::CompileClient::Result R =
       Opts.Incremental ? Client.recompileWithRetry(Inv, Opts.DeadlineMs)
                        : Client.compileWithRetry(Inv, Opts.DeadlineMs);
-  if (Opts.Incremental && R.Error.empty())
-    reportIncremental(R, Human);
-  if (!R.Error.empty() && R.ErrorCode == "queue_full") {
-    writeDaemonClientStats(Opts, Client);
+  if (R.ErrorCode == "queue_full") {
     std::cerr << "lssc: daemon at '" << Opts.DaemonAddress
               << "' is overloaded (queue full after retries)\n";
-    return ExitOperational;
+    return finish(ExitOperational);
   }
   if (!R.Error.empty() && R.ErrorCode.empty())
     return transportFailed(R.Error);
-  writeDaemonClientStats(Opts, Client);
-  if (R.Success) {
-    if (!R.Diagnostics.empty())
-      std::cerr << R.Diagnostics;
-    return ExitSuccess;
-  }
-  if (!R.Error.empty()) {
-    std::cerr << "lssc: daemon error: " << R.Error << "\n";
-    return ExitOperational;
-  }
-  std::cerr << "lssc: " << daemonPhaseName(R.FailedPhase) << " failed\n"
-            << R.Diagnostics;
-  return R.ExitCode;
+  return finish(reportReply("", R, Human));
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
+  const auto ProcessStart = std::chrono::steady_clock::now();
   CliOptions Opts;
   if (int Code = parseArgs(Argc, Argv, Opts); Code >= 0)
     return Code;
@@ -780,43 +682,15 @@ int main(int Argc, char **Argv) {
     return runBatch(Svc, Opts, Human);
 
   driver::CompilerInvocation Inv = makeInvocation(Opts);
-  for (const std::string &Path : Opts.Inputs) {
-    // An unreadable file is an operational failure (exit 1), distinct
-    // from a parse error in a file that exists (exit 3).
-    std::string Err;
-    if (!Inv.addFile(Path, &Err)) {
-      std::cerr << "lssc: cannot open file '" << Path << "'\n";
-      return ExitOperational;
-    }
-  }
-
+  if (!addInputs(Inv, Opts.Inputs))
+    return ExitOperational;
   driver::CompileResult R =
       Opts.Incremental ? Svc.compileIncremental(Inv) : Svc.compile(Inv);
-  if (Opts.Incremental) {
-    // The splice outcome goes to stderr so stdout stays byte-identical
-    // to a plain compile (the byte-identity contract, observed by
-    // check_cache_stability.sh, covers the human output too).
-    const driver::IncrementalStats &IS = R.Incremental;
-    if (IS.Used)
-      std::cerr << "lssc: incremental: re-elaborated "
-                << IS.ModulesReelaborated << "/" << IS.ModulesTotal
-                << " modules, re-solved " << IS.GroupsResolved << "/"
-                << IS.GroupsTotal << " groups\n";
-    else
-      std::cerr << "lssc: incremental: full compile ("
-                << (IS.FallbackReason.empty() ? "unknown"
-                                              : IS.FallbackReason)
-                << ")\n";
-  }
+  int Exit = report("", driver::CompileVerdict::of(R), Human);
   driver::Compiler &C = *R.C;
-  auto Bail = [&](const char *Phase, int Code) {
-    std::cerr << "lssc: " << Phase << " failed\n" << C.diagnosticsText();
-    return Code;
-  };
   using Phase = driver::CompileResult::Phase;
-
   if (R.Failed == Phase::Parse || R.Failed == Phase::Elaborate)
-    return Bail(phaseName(R.Failed), ExitParseSema);
+    return Exit;
 
   // Elaboration succeeded, so the processing order exists (the cache was
   // forced off above, making the elaboration live).
@@ -826,51 +700,45 @@ int main(int Argc, char **Argv) {
       std::cout << "  " << Path << "\n";
   }
 
-  driver::CacheReport CacheRep;
-  auto cacheReport = [&]() -> const driver::CacheReport * {
-    if (!CacheOn)
-      return nullptr;
-    CacheRep.Stats = Svc.getCache().getStats();
-    CacheRep.ElabFromCache = R.ElabFromCache;
-    CacheRep.SolutionFromCache = R.SolutionFromCache;
-    return &CacheRep;
+  auto modelStats = [&] {
+    return driver::computeModelStats(*C.getNetlist(), C.getLibraryModules(),
+                                     C.getNumUserTypeAnnotations(),
+                                     Opts.Inputs.front());
+  };
+  // Observability output goes last so every phase that ran is included.
+  auto writeStats = [&] {
+    if (Opts.StatsJsonPath.empty())
+      return true;
+    driver::CacheReport Cache;
+    Cache.Stats = Svc.getCache().getStats();
+    Cache.ElabFromCache = R.ElabFromCache;
+    Cache.SolutionFromCache = R.SolutionFromCache;
+    double WallMs = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - ProcessStart)
+                        .count();
+    return writeStatsJson(
+        Opts.StatsJsonPath,
+        driver::statsJson(modelStats(), C.getInferenceStats(),
+                          C.getPhaseTimer(), WallMs, C.getSimulator(),
+                          CacheOn ? &Cache : nullptr,
+                          Opts.Incremental ? &R.Incremental : nullptr));
   };
 
   if (R.Failed == Phase::Infer) {
     // Budget/deadline exhaustion still produced per-group results for
     // every other group, so honor --stats-json before exiting: it is how
     // callers observe groups_unsolved and which group failed.
-    if (!Opts.StatsJsonPath.empty()) {
-      driver::ModelStats S = driver::computeModelStats(
-          *C.getNetlist(), C.getLibraryModules(),
-          C.getNumUserTypeAnnotations(), Opts.Inputs.front());
-      const driver::IncrementalStats *Inc =
-          Opts.Incremental ? &R.Incremental : nullptr;
-      if (JsonToStdout) {
-        driver::printStatsJson(std::cout, S, C.getInferenceStats(),
-                               C.getPhaseTimer(), nullptr, cacheReport(),
-                               0.0, Inc);
-      } else if (std::ofstream Out{Opts.StatsJsonPath}) {
-        driver::printStatsJson(Out, S, C.getInferenceStats(),
-                               C.getPhaseTimer(), nullptr, cacheReport(),
-                               0.0, Inc);
-      }
-    }
-    return Bail("type inference", ExitInference);
+    writeStats();
+    return Exit;
   }
-
-  // Warnings (if any) still matter to users, as do the cache's
-  // corrupt-entry recovery notes.
-  if (C.getDiags().getNumWarnings() || hasCacheNotes(C))
-    std::cerr << C.diagnosticsText();
+  if (!R.Success)
+    return Exit; // The simulator could not be built.
 
   if (Opts.PrintNetlist)
     C.getNetlist()->print(std::cout);
 
   if (Opts.Stats) {
-    driver::ModelStats S = driver::computeModelStats(
-        *C.getNetlist(), C.getLibraryModules(), C.getNumUserTypeAnnotations(),
-        Opts.Inputs.front());
+    driver::ModelStats S = modelStats();
     driver::printTable2Header(Human);
     driver::printTable2Row(Human, S);
     const auto &IS = C.getInferenceStats();
@@ -890,21 +758,16 @@ int main(int Argc, char **Argv) {
   if (Opts.EmitDot)
     netlist::emitDot(*C.getNetlist(), std::cout);
 
-  double CyclesPerSec = 0.0;
   if (Opts.RunCycles) {
-    if (R.Failed == Phase::SimBuild)
-      return Bail("simulator construction", ExitSimFault);
     sim::Simulator *Sim = C.getSimulator();
     std::vector<uint64_t *> Counters;
     for (const auto &[Path, Event] : Opts.Watches)
       Counters.push_back(&Sim->getInstrumentation().attachCounter(Path, Event));
-    auto RunStart = std::chrono::steady_clock::now();
-    Sim->step(Opts.RunCycles);
-    double RunSecs = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - RunStart)
-                         .count();
-    if (RunSecs > 0.0)
-      CyclesPerSec = double(Opts.RunCycles) / RunSecs;
+    {
+      PhaseTimer::Scope Run(&C.getPhaseTimer(), "simulate");
+      Sim->step(Opts.RunCycles);
+    }
+    C.getPhaseTimer().setCounter("simulate", "cycles", Opts.RunCycles);
     std::fprintf(HumanFile,
                  "ran %llu cycles on the %s engine (%u leaves, %u nets, "
                  "%u schedule groups)\n",
@@ -928,28 +791,8 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Observability output goes last so every phase that ran is included.
-  if (!Opts.StatsJsonPath.empty()) {
-    driver::ModelStats S = driver::computeModelStats(
-        *C.getNetlist(), C.getLibraryModules(), C.getNumUserTypeAnnotations(),
-        Opts.Inputs.front());
-    const driver::IncrementalStats *Inc =
-        Opts.Incremental ? &R.Incremental : nullptr;
-    if (Opts.StatsJsonPath == "-") {
-      driver::printStatsJson(std::cout, S, C.getInferenceStats(),
-                             C.getPhaseTimer(), C.getSimulator(),
-                             cacheReport(), CyclesPerSec, Inc);
-    } else {
-      std::ofstream Out(Opts.StatsJsonPath);
-      if (!Out) {
-        std::cerr << "lssc: cannot write '" << Opts.StatsJsonPath << "'\n";
-        return ExitOperational;
-      }
-      driver::printStatsJson(Out, S, C.getInferenceStats(),
-                             C.getPhaseTimer(), C.getSimulator(),
-                             cacheReport(), CyclesPerSec, Inc);
-    }
-  }
+  if (!writeStats())
+    return ExitOperational;
   if (Opts.TimePhases)
     C.getPhaseTimer().print(std::cerr);
   return ExitSuccess;
