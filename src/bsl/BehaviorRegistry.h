@@ -134,12 +134,15 @@ public:
   /// Structural parameter lookup; null if absent.
   virtual const interp::Value *getParam(const std::string &Name) const = 0;
 
-  /// True if the instance carries a userpoint named \p Name.
-  virtual bool hasUserpoint(const std::string &Name) const = 0;
+  /// Resolves userpoint \p Name to an id for callUserpoint(), or -1 if
+  /// the instance has no such userpoint or its code is empty. Behaviors
+  /// bind userpoints once in init() and skip the call for -1, which
+  /// would do nothing and return Unset.
+  virtual int bindUserpoint(const std::string &Name) const = 0;
 
-  /// Invokes a userpoint with positional arguments (bound to the
-  /// signature's argument names) and returns its return value.
-  virtual interp::Value callUserpoint(const std::string &Name,
+  /// Invokes a bound userpoint with positional arguments (named by its
+  /// signature) and returns its return value; Unset for id -1.
+  virtual interp::Value callUserpoint(int UserpointId,
                                       std::vector<interp::Value> Args) = 0;
 
   virtual const std::string &getInstancePath() const = 0;

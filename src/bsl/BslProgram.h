@@ -4,8 +4,9 @@
 /// The behavior-specification-language substrate for userpoint parameters.
 /// The paper keeps the BSL abstract ("LSS is independent of the BSL"); this
 /// implementation compiles userpoint code strings with the LSS parser's
-/// statement grammar (plus `return`) and interprets them at simulation time
-/// against the instance's arguments, runtime variables, and parameters.
+/// statement grammar (plus `return`) and runs them at simulation time on
+/// the same evaluator core as module bodies (interp/Evaluator), against
+/// the instance's arguments, runtime variables, and parameters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,17 +26,6 @@
 namespace liberty {
 namespace bsl {
 
-/// The mutable/readable state a BSL invocation runs against.
-struct BslEnv {
-  /// Userpoint arguments (by the signature's names).
-  std::map<std::string, interp::Value> Args;
-  /// The instance's runtime variables (Section 4.3); writable. Stored in
-  /// the instance's dense StateTable (shared with behavior state).
-  StateTable *RuntimeVars = nullptr;
-  /// The instance's structural parameters; read-only.
-  const std::map<std::string, interp::Value> *Params = nullptr;
-};
-
 /// A compiled userpoint body.
 class BslProgram {
 public:
@@ -47,10 +37,17 @@ public:
                                              SourceMgr &SM,
                                              DiagnosticEngine &Diags);
 
-  /// Executes the program; the result is the value of the first executed
-  /// `return`, or Unset if none runs. Runtime errors are reported through
-  /// \p Diags (execution continues best-effort and returns Unset).
-  interp::Value run(BslEnv &Env, DiagnosticEngine &Diags) const;
+  /// Executes the program once. \p Args are the call's arguments, named
+  /// by position after \p Sig (null: no arguments); the program may
+  /// assign them. \p RuntimeVars are writable and persist across calls;
+  /// \p Params are read-only. The result is the value of the first
+  /// executed `return`, or Unset if none runs. Runtime errors, including
+  /// a spent per-call step budget, are reported through \p Diags
+  /// (execution continues best-effort and returns Unset).
+  interp::Value run(const lss::UserpointSig *Sig,
+                    std::vector<interp::Value> &Args, StateTable &RuntimeVars,
+                    const std::map<std::string, interp::Value> &Params,
+                    DiagnosticEngine &Diags) const;
 
   const std::vector<lss::Stmt *> &getBody() const { return Body; }
 

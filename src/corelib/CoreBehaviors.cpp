@@ -387,14 +387,17 @@ public:
     Pattern = paramString(Ctx, "pattern", "counter");
     ConstVal = paramInt(Ctx, "value", 0);
     Range = paramInt(Ctx, "range", 0);
+    Generate = Ctx.bindUserpoint("generate");
     // Adapt to the inferred port type (type-dependent BSL fragment).
     const types::Type *Ty = Ctx.getPortType("out");
     FloatOut = Ty && Ty->getKind() == types::Type::Kind::Float;
   }
   void evaluate(BehaviorContext &Ctx) override {
     // A customized generate userpoint wins; otherwise follow the pattern.
-    Value V = Ctx.callUserpoint(
-        "generate", {Value::makeInt(static_cast<int64_t>(Ctx.getCycle()))});
+    Value V;
+    if (Generate >= 0)
+      V = Ctx.callUserpoint(
+          Generate, {Value::makeInt(static_cast<int64_t>(Ctx.getCycle()))});
     if (V.isUnset()) {
       int64_t N;
       if (Pattern == "const")
@@ -417,6 +420,7 @@ public:
 private:
   uint64_t Rng = 1;
   int Out = -1;
+  int Generate = -1;
   std::string Pattern;
   int64_t ConstVal = 0;
   int64_t Range = 0;
@@ -719,6 +723,7 @@ public:
     In = Ctx.bindPort("in");
     Out = Ctx.bindPort("out");
     Last = Ctx.bindState("last");
+    Policy = Ctx.bindUserpoint("policy");
     Ctx.state(Last) = Value::makeInt(-1);
   }
   void evaluate(BehaviorContext &Ctx) override {
@@ -730,8 +735,7 @@ public:
     if (!Mask)
       return;
     Value Idx = Ctx.callUserpoint(
-        "policy", {Value::makeInt(Mask), Ctx.state(Last),
-                   Value::makeInt(W)});
+        Policy, {Value::makeInt(Mask), Ctx.state(Last), Value::makeInt(W)});
     if (!Idx.isInt() || Idx.getInt() < 0 || Idx.getInt() >= W)
       return;
     int Granted = static_cast<int>(Idx.getInt());
@@ -746,6 +750,7 @@ private:
   int In = -1;
   int Out = -1;
   int Last = -1;
+  int Policy = -1;
 };
 
 class Queue : public LeafBehavior {

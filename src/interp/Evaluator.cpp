@@ -1,0 +1,396 @@
+//===- Evaluator.cpp - The LSS statement and expression core --------------===//
+
+#include "interp/Evaluator.h"
+
+#include "interp/ExprEvaluator.h"
+#include "support/Casting.h"
+
+using namespace liberty;
+using namespace liberty::interp;
+using namespace liberty::lss;
+
+Evaluator::Evaluator(DiagnosticEngine &Diags, uint64_t MaxSteps)
+    : Diags(Diags), MaxSteps(MaxSteps) {
+  resetScopes();
+}
+
+Value *Evaluator::lookupLocal(const std::string &Name) {
+  for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
+    auto Found = It->find(Name);
+    if (Found != It->end())
+      return &Found->second;
+  }
+  return nullptr;
+}
+
+bool Evaluator::aborted() {
+  if (!Aborted && Steps > MaxSteps) {
+    stepBudgetExceeded(TopLoc);
+    Aborted = true;
+  }
+  return Aborted;
+}
+
+bool Evaluator::runBody(const std::vector<Stmt *> &Body) {
+  for (const Stmt *S : Body) {
+    if (aborted())
+      return false;
+    TopLoc = S->getLoc();
+    Flow F = exec(S);
+    if (F == Flow::Return)
+      return true;
+    if (F != Flow::Normal) {
+      Diags.error(S->getLoc(), "break/continue outside of a loop");
+      return false;
+    }
+  }
+  return true;
+}
+
+Evaluator::Flow Evaluator::exec(const Stmt *S) {
+  ++Steps;
+  switch (S->getKind()) {
+  case Stmt::Kind::VarDecl:
+    if (cast<VarDeclStmt>(S)->isRuntime())
+      return execOther(S);
+    execVarDecl(cast<VarDeclStmt>(S));
+    return Flow::Normal;
+  case Stmt::Kind::If: {
+    const auto *I = cast<IfStmt>(S);
+    Value CondV = eval(I->getCond());
+    std::optional<bool> Cond =
+        asCondition(CondV, I->getCond()->getLoc(), Diags);
+    if (!Cond)
+      return Flow::Normal;
+    if (*Cond)
+      return exec(I->getThen());
+    if (I->getElse())
+      return exec(I->getElse());
+    return Flow::Normal;
+  }
+  case Stmt::Kind::For: {
+    const auto *F = cast<ForStmt>(S);
+    Scopes.emplace_back();
+    if (F->getInit())
+      exec(F->getInit());
+    Flow Result = Flow::Normal;
+    while (!aborted()) {
+      ++Steps;
+      if (F->getCond()) {
+        Value CondV = eval(F->getCond());
+        std::optional<bool> Cond =
+            asCondition(CondV, F->getCond()->getLoc(), Diags);
+        if (!Cond || !*Cond)
+          break;
+      }
+      Flow BodyFlow = exec(F->getBody());
+      if (BodyFlow == Flow::Return) {
+        Result = Flow::Return;
+        break;
+      }
+      if (BodyFlow == Flow::Break)
+        break;
+      if (F->getStep())
+        exec(F->getStep());
+    }
+    Scopes.pop_back();
+    return Result;
+  }
+  case Stmt::Kind::While: {
+    const auto *W = cast<WhileStmt>(S);
+    while (!aborted()) {
+      ++Steps;
+      Value CondV = eval(W->getCond());
+      std::optional<bool> Cond =
+          asCondition(CondV, W->getCond()->getLoc(), Diags);
+      if (!Cond || !*Cond)
+        break;
+      Flow BodyFlow = exec(W->getBody());
+      if (BodyFlow == Flow::Return)
+        return Flow::Return;
+      if (BodyFlow == Flow::Break)
+        break;
+    }
+    return Flow::Normal;
+  }
+  case Stmt::Kind::Block: {
+    Scopes.emplace_back();
+    Flow Result = Flow::Normal;
+    for (const Stmt *Sub : cast<BlockStmt>(S)->getBody()) {
+      if (aborted())
+        break;
+      Result = exec(Sub);
+      if (Result != Flow::Normal)
+        break;
+    }
+    Scopes.pop_back();
+    return Result;
+  }
+  case Stmt::Kind::Assign:
+    execAssign(cast<AssignStmt>(S));
+    return Flow::Normal;
+  case Stmt::Kind::ExprStmt:
+    eval(cast<ExprStmt>(S)->getExpr());
+    return Flow::Normal;
+  case Stmt::Kind::Break:
+    return Flow::Break;
+  case Stmt::Kind::Continue:
+    return Flow::Continue;
+  default:
+    return execOther(S);
+  }
+}
+
+void Evaluator::execVarDecl(const VarDeclStmt *S) {
+  Value V;
+  if (S->getInit()) {
+    V = eval(S->getInit());
+  } else if (isa<ArrayTypeExpr>(S->getType())) {
+    V = Value::makeArray({});
+  } else if (const auto *BTE = dyn_cast<BasicTypeExpr>(S->getType())) {
+    // Default-initialize by declared type; other types (instance refs)
+    // stay Unset until assigned.
+    switch (BTE->getBasicKind()) {
+    case BasicTypeExpr::Basic::Int:
+      V = Value::makeInt(0);
+      break;
+    case BasicTypeExpr::Basic::Bool:
+      V = Value::makeBool(false);
+      break;
+    case BasicTypeExpr::Basic::Float:
+      V = Value::makeFloat(0.0);
+      break;
+    case BasicTypeExpr::Basic::String:
+      V = Value::makeString("");
+      break;
+    }
+  }
+  define(S->getName(), std::move(V));
+}
+
+void Evaluator::execAssign(const AssignStmt *S) {
+  Value RHS = eval(S->getRHS());
+
+  // A plain name: a local, else the environment's binding, else a new
+  // local.
+  if (const auto *Id = dyn_cast<IdentExpr>(S->getLHS())) {
+    const std::string &Name = Id->getName();
+    if (Value *Slot = lookupLocal(Name)) {
+      if (Slot->isPort()) {
+        Diags.error(S->getLoc(), "cannot assign to port '" + Name + "'");
+        return;
+      }
+      *Slot = std::move(RHS);
+      return;
+    }
+    Binding B = lookupFree(Name);
+    if (B.Var) {
+      *B.Var = std::move(RHS);
+      return;
+    }
+    if (B.Param) {
+      Diags.error(S->getLoc(),
+                  "cannot assign to read-only parameter '" + Name + "'");
+      return;
+    }
+    if (!assignUndeclared(Name, RHS, S->getLoc()))
+      define(Name, std::move(RHS));
+    return;
+  }
+
+  // A sub-instance field is a parameter assignment, not storage.
+  if (const auto *M = dyn_cast<MemberExpr>(S->getLHS())) {
+    Value Base = eval(M->getBase());
+    if (Base.isInstanceRef()) {
+      assignInstanceMember(Base, M, std::move(RHS), S->getLoc());
+      return;
+    }
+  }
+
+  // A compound lvalue: an array element or struct field.
+  if (Value *Slot = resolveLValue(S->getLHS())) {
+    *Slot = std::move(RHS);
+    return;
+  }
+  Diags.error(S->getLoc(), "invalid assignment target");
+}
+
+Value *Evaluator::resolveLValue(const Expr *E) {
+  switch (E->getKind()) {
+  case Expr::Kind::Ident: {
+    const std::string &Name = cast<IdentExpr>(E)->getName();
+    if (Value *V = lookupLocal(Name))
+      return V;
+    return lookupFree(Name).Var;
+  }
+  case Expr::Kind::Index: {
+    const auto *I = cast<IndexExpr>(E);
+    Value *Base = resolveLValue(I->getBase());
+    if (!Base || !Base->isArray())
+      return nullptr;
+    Value Idx = eval(I->getIndex());
+    if (!Idx.isInt())
+      return nullptr;
+    auto &Elems = Base->getElemsMutable();
+    int64_t N = Idx.getInt();
+    if (N < 0 || N >= static_cast<int64_t>(Elems.size())) {
+      Diags.error(E->getLoc(), "array index " + std::to_string(N) +
+                                   " out of bounds (size " +
+                                   std::to_string(Elems.size()) + ")");
+      return nullptr;
+    }
+    return &Elems[N];
+  }
+  case Expr::Kind::Member: {
+    const auto *M = cast<MemberExpr>(E);
+    Value *Base = resolveLValue(M->getBase());
+    if (!Base || !Base->isStruct())
+      return nullptr;
+    Value *Field = Base->getFieldMutable(M->getMember());
+    if (!Field)
+      Diags.error(E->getLoc(), "no field named '" + M->getMember() + "'");
+    return Field;
+  }
+  default:
+    return nullptr;
+  }
+}
+
+Value Evaluator::eval(const Expr *E) {
+  ++Steps;
+  switch (E->getKind()) {
+  case Expr::Kind::IntLit:
+    return Value::makeInt(cast<IntLitExpr>(E)->getValue());
+  case Expr::Kind::FloatLit:
+    return Value::makeFloat(cast<FloatLitExpr>(E)->getValue());
+  case Expr::Kind::StringLit:
+    return Value::makeString(cast<StringLitExpr>(E)->getValue());
+  case Expr::Kind::BoolLit:
+    return Value::makeBool(cast<BoolLitExpr>(E)->getValue());
+  case Expr::Kind::Ident: {
+    const std::string &Name = cast<IdentExpr>(E)->getName();
+    if (const Value *V = lookupLocal(Name))
+      return *V;
+    Binding B = lookupFree(Name);
+    if (B.Var)
+      return *B.Var;
+    if (B.Param)
+      return *B.Param;
+    Diags.error(E->getLoc(), "use of undefined name '" + Name + "'");
+    return Value();
+  }
+  case Expr::Kind::Member: {
+    const auto *M = cast<MemberExpr>(E);
+    Value Base = eval(M->getBase());
+    if (Base.isPort() || Base.isInstanceRef())
+      return evalHandleMember(Base, M);
+    if (Base.isStruct()) {
+      if (const Value *F = Base.getField(M->getMember()))
+        return *F;
+      Diags.error(E->getLoc(), "no field named '" + M->getMember() + "'");
+      return Value();
+    }
+    if (!Base.isUnset())
+      Diags.error(E->getLoc(), "cannot access member '" + M->getMember() +
+                                   "' of " + Base.str());
+    return Value();
+  }
+  case Expr::Kind::Index: {
+    const auto *I = cast<IndexExpr>(E);
+    Value Base = eval(I->getBase());
+    Value Idx = eval(I->getIndex());
+    if (!Idx.isInt()) {
+      if (!Idx.isUnset())
+        Diags.error(I->getIndex()->getLoc(), "index must be an int");
+      return Value();
+    }
+    int64_t N = Idx.getInt();
+    if (Base.isArray()) {
+      const auto &Elems = Base.getElems();
+      if (N < 0 || N >= static_cast<int64_t>(Elems.size())) {
+        Diags.error(E->getLoc(), "array index " + std::to_string(N) +
+                                     " out of bounds (size " +
+                                     std::to_string(Elems.size()) + ")");
+        return Value();
+      }
+      return Elems[N];
+    }
+    if (Base.isPort())
+      return evalPortIndex(Base, N, I);
+    if (!Base.isUnset())
+      Diags.error(E->getLoc(), "cannot index " + Base.str());
+    return Value();
+  }
+  case Expr::Kind::Call:
+    return evalCall(cast<CallExpr>(E));
+  case Expr::Kind::Unary: {
+    const auto *U = cast<UnaryExpr>(E);
+    Value A = eval(U->getOperand());
+    if (A.isUnset())
+      return Value();
+    return applyUnary(U->getOp(), A, E->getLoc(), Diags);
+  }
+  case Expr::Kind::Binary: {
+    const auto *B = cast<BinaryExpr>(E);
+    Value L = eval(B->getLHS());
+    if (L.isUnset())
+      return Value();
+    // Short-circuit evaluation for the logical operators.
+    if (B->getOp() == BinaryOp::And && L.isBool() && !L.getBool())
+      return Value::makeBool(false);
+    if (B->getOp() == BinaryOp::Or && L.isBool() && L.getBool())
+      return Value::makeBool(true);
+    Value R = eval(B->getRHS());
+    if (R.isUnset())
+      return Value();
+    return applyBinary(B->getOp(), L, R, E->getLoc(), Diags);
+  }
+  default:
+    return evalOther(E);
+  }
+}
+
+Value Evaluator::evalCall(const CallExpr *E) {
+  std::vector<Value> Args;
+  Args.reserve(E->getArgs().size());
+  for (const Expr *Arg : E->getArgs())
+    Args.push_back(eval(Arg));
+
+  const std::string &Name = E->getCallee();
+  if (std::optional<Value> R = callEnvBuiltin(Name, Args, E->getLoc()))
+    return *R;
+  if (std::optional<Value> R =
+          applyCommonBuiltin(Name, Args, E->getLoc(), Diags))
+    return *R;
+  Diags.error(E->getLoc(), "unknown function '" + Name + "'");
+  return Value();
+}
+
+Evaluator::Binding Evaluator::lookupFree(const std::string &) { return {}; }
+
+bool Evaluator::assignUndeclared(const std::string &, Value &, SourceLoc) {
+  return false;
+}
+
+std::optional<Value> Evaluator::callEnvBuiltin(const std::string &,
+                                               const std::vector<Value> &,
+                                               SourceLoc) {
+  return std::nullopt;
+}
+
+Value Evaluator::evalHandleMember(const Value &Base, const MemberExpr *E) {
+  Diags.error(E->getLoc(), "cannot access member '" + E->getMember() +
+                               "' of " + Base.str());
+  return Value();
+}
+
+Value Evaluator::evalPortIndex(const Value &Port, int64_t,
+                               const IndexExpr *E) {
+  Diags.error(E->getLoc(), "cannot index " + Port.str());
+  return Value();
+}
+
+void Evaluator::assignInstanceMember(const Value &, const MemberExpr *,
+                                     Value, SourceLoc Loc) {
+  Diags.error(Loc, "invalid assignment target");
+}

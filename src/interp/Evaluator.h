@@ -1,0 +1,131 @@
+//===- Evaluator.h - The LSS statement and expression core ------*- C++ -*-===//
+///
+/// \file
+/// The one tree walker for LSS statements and expressions. Module bodies
+/// (interp/Interpreter, at elaboration time) and userpoint code
+/// (bsl/BslProgram, at simulation time) both run on it, so a construct
+/// means the same thing, and fails with the same diagnostic, in both.
+///
+/// The core owns control flow (`if`, `for`, `while`, blocks, `break`,
+/// `continue`), local scopes, `var` declarations with their by-type
+/// defaults, assignment to locals and to array or struct lvalues,
+/// literals, operators, struct and array access, the common builtins and
+/// step counting. An environment derives from it and supplies only what
+/// differs through the virtual hooks: elaboration adds parameters, ports,
+/// instance references, pending assignments, connections and the LSS_*
+/// builtins; userpoints add their arguments, runtime variables, read-only
+/// parameters and `return`.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef LIBERTY_INTERP_EVALUATOR_H
+#define LIBERTY_INTERP_EVALUATOR_H
+
+#include "interp/Value.h"
+#include "lss/AST.h"
+#include "support/Diagnostics.h"
+
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+namespace liberty {
+namespace interp {
+
+class Evaluator {
+protected:
+  /// How a statement completed.
+  enum class Flow { Normal, Break, Continue, Return };
+
+  /// \p MaxSteps bounds the statement and expression steps before
+  /// evaluation aborts (see aborted()). Starts with one empty scope.
+  Evaluator(DiagnosticEngine &Diags, uint64_t MaxSteps);
+
+  /// Runs the top-level statements of a body in the current scope. Stops
+  /// at a `return`, when aborted, or at a `break`/`continue` outside of any
+  /// loop, which it reports. Returns false if it stopped for either of the
+  /// last two reasons.
+  bool runBody(const std::vector<lss::Stmt *> &Body);
+
+  Flow exec(const lss::Stmt *S);
+  Value eval(const lss::Expr *E);
+
+  /// Discards every local scope and opens one empty scope.
+  void resetScopes() { Scopes.assign(1, {}); }
+  void define(const std::string &Name, Value V) {
+    Scopes.back()[Name] = std::move(V);
+  }
+  /// The innermost local binding of \p Name, or null.
+  Value *lookupLocal(const std::string &Name);
+
+  /// True once evaluation must stop. The core stops when the step budget
+  /// is spent, reporting it once through stepBudgetExceeded().
+  virtual bool aborted();
+
+  //===--------------------------------------------------------------------===//
+  // Environment hooks
+  //===--------------------------------------------------------------------===//
+
+  /// Executes a statement the core does not own: declarations of
+  /// parameters, ports, instances, events, runtime variables and
+  /// constraints, connections and `return`.
+  virtual Flow execOther(const lss::Stmt *S) = 0;
+
+  /// Evaluates an expression the core does not own (instance arrays).
+  virtual Value evalOther(const lss::Expr *E) = 0;
+
+  /// Reports the spent step budget. \p StmtLoc is the location of the
+  /// top-level statement that was running.
+  virtual void stepBudgetExceeded(SourceLoc StmtLoc) = 0;
+
+  /// What a name that no local scope binds refers to: writable storage,
+  /// a read-only parameter, or (both null) nothing.
+  struct Binding {
+    Value *Var = nullptr;
+    const Value *Param = nullptr;
+  };
+  virtual Binding lookupFree(const std::string &Name);
+
+  /// Assignment to a name bound nowhere. Returns false to let the core
+  /// define it as a new local.
+  virtual bool assignUndeclared(const std::string &Name, Value &RHS,
+                                SourceLoc Loc);
+
+  /// Builtins beyond the common ones; nullopt if \p Name is not one.
+  virtual std::optional<Value> callEnvBuiltin(const std::string &Name,
+                                              const std::vector<Value> &Args,
+                                              SourceLoc Loc);
+
+  /// `Base.Member` where \p Base is a port or an instance reference, and
+  /// `Port[Index]`, and `Inst.Member = RHS`. Only elaboration creates
+  /// such values; the defaults report them like any other non-struct,
+  /// non-array value.
+  virtual Value evalHandleMember(const Value &Base, const lss::MemberExpr *E);
+  virtual Value evalPortIndex(const Value &Port, int64_t Index,
+                              const lss::IndexExpr *E);
+  virtual void assignInstanceMember(const Value &Inst,
+                                    const lss::MemberExpr *LHS, Value RHS,
+                                    SourceLoc Loc);
+
+  DiagnosticEngine &Diags;
+  uint64_t Steps = 0;
+  const uint64_t MaxSteps;
+  bool Aborted = false;
+
+private:
+  void execVarDecl(const lss::VarDeclStmt *S);
+  void execAssign(const lss::AssignStmt *S);
+  Value *resolveLValue(const lss::Expr *E);
+  Value evalCall(const lss::CallExpr *E);
+
+  std::vector<std::map<std::string, Value>> Scopes;
+  /// The running top-level statement's location (for the budget report).
+  SourceLoc TopLoc;
+};
+
+} // namespace interp
+} // namespace liberty
+
+#endif // LIBERTY_INTERP_EVALUATOR_H

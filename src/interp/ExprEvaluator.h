@@ -1,9 +1,9 @@
 //===- ExprEvaluator.h - Shared value operations ----------------*- C++ -*-===//
 ///
 /// \file
-/// Operator and builtin-function semantics shared by the compile-time LSS
-/// interpreter and the simulation-time BSL engine, so `1 + 2` means the
-/// same thing in a module body and in a userpoint.
+/// Operator and builtin-function semantics. The evaluator core
+/// (interp/Evaluator) is their one caller, for module bodies and
+/// userpoints alike.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,7 +9,7 @@
 /// implementation as follows:
 ///   M  — the netlist::Netlist under construction
 ///   Is — InstStack, the stack of instances whose bodies are deferred
-///   L  — BodyState::E, the lexical environment of the running body
+///   L  — the Evaluator core's local scopes while the body runs
 ///   A  — InstanceNode::APendingAssigns/APendingConns of the instance whose
 ///        body is running (recorded by its parent, consumed by parameter
 ///        and port declarations — use-based specialization)
@@ -22,6 +22,7 @@
 #ifndef LIBERTY_INTERP_INTERPRETER_H
 #define LIBERTY_INTERP_INTERPRETER_H
 
+#include "interp/Evaluator.h"
 #include "interp/Value.h"
 #include "lss/AST.h"
 #include "netlist/Netlist.h"
@@ -38,7 +39,10 @@
 namespace liberty {
 namespace interp {
 
-class Interpreter {
+/// Elaboration is the Evaluator core run over module bodies; this class
+/// supplies the structural statements, ports, instance references and
+/// LSS_* builtins, and keeps the instantiation stack.
+class Interpreter : private Evaluator {
 public:
   struct Options {
     /// Abort elaboration after this many statement/expression steps
@@ -122,24 +126,10 @@ public:
   uint64_t getSteps() const { return Steps; }
 
 private:
-  enum class Flow { Normal, Break, Continue };
-
-  /// Lexical environment of one module body.
-  struct Env {
-    std::vector<std::map<std::string, Value>> Scopes;
-
-    void push() { Scopes.emplace_back(); }
-    void pop() { Scopes.pop_back(); }
-    Value *lookup(const std::string &Name);
-    void define(const std::string &Name, Value V) {
-      Scopes.back()[Name] = std::move(V);
-    }
-  };
-
-  /// All state for the body currently being evaluated.
+  /// All state for the body currently being evaluated (its locals live in
+  /// the Evaluator core's scopes).
   struct BodyState {
     netlist::InstanceNode *Node = nullptr;
-    Env E;
     /// Per-instance type-variable map shared by all the body's ports.
     std::map<std::string, const types::Type *> VarMap;
     std::set<std::string> DeclaredParams;
@@ -151,44 +141,48 @@ private:
   void evalBody(netlist::InstanceNode *Node,
                 const std::vector<lss::Stmt *> &Body);
 
-  Flow execStmt(BodyState &BS, const lss::Stmt *S);
-  Flow execBlockBody(BodyState &BS, const std::vector<lss::Stmt *> &Body);
-  void execParamDecl(BodyState &BS, const lss::ParamDeclStmt *S);
-  void execPortDecl(BodyState &BS, const lss::PortDeclStmt *S);
-  void execInstanceDecl(BodyState &BS, const lss::InstanceDeclStmt *S);
-  void execVarDecl(BodyState &BS, const lss::VarDeclStmt *S);
-  void execAssign(BodyState &BS, const lss::AssignStmt *S);
-  void execConnect(BodyState &BS, const lss::ConnectStmt *S);
+  void execParamDecl(const lss::ParamDeclStmt *S);
+  void execPortDecl(const lss::PortDeclStmt *S);
+  void execInstanceDecl(const lss::InstanceDeclStmt *S);
+  void execRuntimeVarDecl(const lss::VarDeclStmt *S);
+  void execConnect(const lss::ConnectStmt *S);
 
-  Value evalExpr(BodyState &BS, const lss::Expr *E);
-  Value evalCall(BodyState &BS, const lss::CallExpr *E);
-  Value *resolveLValue(BodyState &BS, const lss::Expr *E);
+  // Evaluator hooks.
+  Flow execOther(const lss::Stmt *S) override;
+  Value evalOther(const lss::Expr *E) override;
+  void stepBudgetExceeded(SourceLoc StmtLoc) override;
+  bool aborted() override;
+  bool assignUndeclared(const std::string &Name, Value &RHS,
+                        SourceLoc Loc) override;
+  std::optional<Value> callEnvBuiltin(const std::string &Name,
+                                      const std::vector<Value> &Args,
+                                      SourceLoc Loc) override;
+  Value evalHandleMember(const Value &Base, const lss::MemberExpr *E) override;
+  Value evalPortIndex(const Value &Port, int64_t Index,
+                      const lss::IndexExpr *E) override;
+  void assignInstanceMember(const Value &Inst, const lss::MemberExpr *LHS,
+                            Value RHS, SourceLoc Loc) override;
 
   /// Creates one sub-instance, pushes it on the instantiation stack, and
   /// returns it (null on error).
-  netlist::InstanceNode *makeInstance(BodyState &BS, const std::string &Name,
+  netlist::InstanceNode *makeInstance(const std::string &Name,
                                       const std::string &ModuleName,
                                       SourceLoc Loc);
 
   /// Creates a connection between two endpoint handles, recording pending
   /// resolutions on child endpoints (the B context).
-  void makeConnection(BodyState &BS, const PortHandle &From,
-                      const PortHandle &To, const lss::TypeExpr *Annotation,
-                      SourceLoc Loc);
+  void makeConnection(const PortHandle &From, const PortHandle &To,
+                      const lss::TypeExpr *Annotation, SourceLoc Loc);
 
   /// Resolves one endpoint that refers to the current module's own port.
-  void resolveSelfEndpoint(BodyState &BS, netlist::Connection *Conn,
-                           bool IsFrom, const PortHandle &H, SourceLoc Loc);
+  void resolveSelfEndpoint(netlist::Connection *Conn, bool IsFrom,
+                           const PortHandle &H, SourceLoc Loc);
 
   /// Converts a syntactic type in the current body's scope (type variables
   /// shared per instance; extents evaluated in the environment).
-  const types::Type *convertType(BodyState &BS, const lss::TypeExpr *TE);
-
-  /// True once elaboration must stop (step limit or error budget).
-  bool aborted();
+  const types::Type *convertType(const lss::TypeExpr *TE);
 
   types::TypeContext &TC;
-  DiagnosticEngine &Diags;
   Options Opts;
 
   std::map<std::string, const lss::ModuleDecl *> ModuleTable;
@@ -197,13 +191,12 @@ private:
 
   netlist::Netlist *NL = nullptr;
   std::vector<netlist::InstanceNode *> InstStack;
+  BodyState Cur;
   ReplayHook Replay;
   std::vector<std::pair<netlist::InstanceNode *, BodyWindow>> BodyWindows;
   std::vector<std::string> ProcessingOrder;
   std::vector<std::string> PrintLog;
-  uint64_t Steps = 0;
   uint64_t NumInstances = 0;
-  bool Aborted = false;
 };
 
 } // namespace interp

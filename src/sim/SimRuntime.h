@@ -17,8 +17,6 @@
 
 #include "sim/Simulator.h"
 
-#include <map>
-
 namespace liberty {
 namespace sim {
 
@@ -43,11 +41,13 @@ public:
     return Ports.back();
   }
 
+  /// The userpoints with code to run; bindUserpoint() ids index this.
   struct CompiledUserpoint {
+    std::string Name;
     const lss::UserpointSig *Sig = nullptr;
     std::unique_ptr<bsl::BslProgram> Prog;
   };
-  std::map<std::string, CompiledUserpoint> Userpoints;
+  std::vector<CompiledUserpoint> Userpoints;
   int ScheduleNode = -1;
 
   /// Net ids this leaf drives (deduplicated): the nets evaluateGroup
@@ -73,25 +73,21 @@ public:
     return It == Node->Params.end() ? nullptr : &It->second;
   }
 
-  bool hasUserpoint(const std::string &Name) const override {
-    return Userpoints.count(Name) != 0;
+  int bindUserpoint(const std::string &Name) const override {
+    for (size_t I = 0; I != Userpoints.size(); ++I)
+      if (Userpoints[I].Name == Name)
+        return int(I);
+    return -1;
   }
 
-  interp::Value callUserpoint(const std::string &Name,
+  interp::Value callUserpoint(int UserpointId,
                               std::vector<interp::Value> Args) override {
-    auto It = Userpoints.find(Name);
-    if (It == Userpoints.end() || !It->second.Prog)
+    if (UserpointId < 0 || UserpointId >= int(Userpoints.size()))
       return interp::Value();
-    bsl::BslEnv Env;
-    if (const lss::UserpointSig *Sig = It->second.Sig) {
-      unsigned N = std::min(Args.size(), Sig->Args.size());
-      for (unsigned I = 0; I != N; ++I)
-        Env.Args[Sig->Args[I].first] = std::move(Args[I]);
-    }
-    Env.RuntimeVars = &StateVars;
-    Env.Params = &Node->Params;
+    const CompiledUserpoint &UP = Userpoints[size_t(UserpointId)];
     unsigned ErrorsBefore = Sim.Diags.getNumErrors();
-    interp::Value Result = It->second.Prog->run(Env, Sim.Diags);
+    interp::Value Result =
+        UP.Prog->run(UP.Sig, Args, StateVars, Node->Params, Sim.Diags);
     if (Sim.Diags.getNumErrors() != ErrorsBefore)
       Sim.RuntimeErrors = true;
     return Result;

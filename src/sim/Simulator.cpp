@@ -154,9 +154,10 @@ bool Simulator::construct() {
       }
       LeafRuntimes.push_back(Runtimes.size());
     }
-    // Compile userpoints.
+    // Compile userpoints; only those with code to run get an id.
     for (const auto &[Name, UV] : Inst->Userpoints) {
       Runtime::CompiledUserpoint CU;
+      CU.Name = Name;
       CU.Sig = UV.Sig;
       CU.Prog = bsl::BslProgram::compile(
           UV.Code, "userpoint:" + Inst->Path + "." + Name, SM, Diags);
@@ -164,8 +165,13 @@ bool Simulator::construct() {
         Diags.note(UV.Loc, "while compiling userpoint '" + Name +
                                "' of instance '" + Inst->Path + "'");
       ++Info.NumUserpoints;
-      RT->Userpoints.emplace(Name, std::move(CU));
+      if (CU.Prog && !CU.Prog->getBody().empty())
+        RT->Userpoints.push_back(std::move(CU));
     }
+    if (int Id = RT->bindUserpoint("init"); Id >= 0)
+      InitUserpoints.emplace_back(RT.get(), Id);
+    if (int Id = RT->bindUserpoint("end_of_timestep"); Id >= 0)
+      EotUserpoints.emplace_back(RT.get(), Id);
     RuntimeOfInstance[Inst->Id] = RT.get();
     Runtimes.push_back(std::move(RT));
   }
@@ -254,27 +260,8 @@ void Simulator::reset() {
   for (auto &RT : Runtimes)
     if (RT->Behavior)
       RT->Behavior->init(*RT);
-  runUserpointPhase("init");
-}
-
-void Simulator::runUserpointPhase(const std::string &Name) {
-  for (auto &RT : Runtimes)
-    if (RT->hasUserpoint(Name))
-      RT->callUserpoint(Name, {});
-}
-
-void Simulator::runEndOfTimestepUserpoints() {
-  // Hot path: the per-cycle phase touches only runtimes that carry the
-  // userpoint (precomputed at first use).
-  if (!EotRuntimesValid) {
-    EotRuntimes.clear();
-    for (auto &RT : Runtimes)
-      if (RT->hasUserpoint("end_of_timestep"))
-        EotRuntimes.push_back(RT.get());
-    EotRuntimesValid = true;
-  }
-  for (Runtime *RT : EotRuntimes)
-    RT->callUserpoint("end_of_timestep", {});
+  for (auto &[RT, Id] : InitUserpoints)
+    RT->callUserpoint(Id, {});
 }
 
 void Simulator::evaluateGroup(size_t GroupIdx) {
@@ -390,7 +377,8 @@ void Simulator::runSequentialPhase() {
   for (auto &RT : Runtimes)
     if (RT->Behavior)
       RT->Behavior->endOfTimestep(*RT);
-  runEndOfTimestepUserpoints();
+  for (auto &[RT, Id] : EotUserpoints)
+    RT->callUserpoint(Id, {});
 }
 
 void Simulator::step(uint64_t N) {

@@ -151,8 +151,6 @@ private:
   void evaluateGroup(size_t GroupIdx);
   void runSequentialPhase();
   void reportFixpointFailure(size_t GroupIdx, const std::vector<int> &Osc);
-  void runUserpointPhase(const std::string &Name);
-  void runEndOfTimestepUserpoints();
 
   netlist::Netlist &NL;
   SourceMgr &SM;
@@ -184,9 +182,9 @@ private:
   bool RuntimeErrors = false; ///< Sticky; see hadRuntimeErrors().
   /// Every counter except NetWrites/NetChanges, which live in Board.
   ActivityStats Activity;
-  /// Runtimes carrying an end_of_timestep userpoint (hot-path cache).
-  std::vector<Runtime *> EotRuntimes;
-  bool EotRuntimesValid = false;
+  /// (runtime, userpoint id) of each init and end_of_timestep userpoint
+  /// with code to run, in runtime order; bound at build time.
+  std::vector<std::pair<Runtime *, int>> InitUserpoints, EotUserpoints;
 
   /// The compiled engine lowers over the schedule and runtime records and
   /// drives the wire board directly.

@@ -16,17 +16,20 @@ struct BslFixture {
   StateTable RuntimeVars;
   std::map<std::string, Value> Params;
 
+  /// Runs \p Code as a userpoint whose signature names \p Args, in order.
   Value run(const std::string &Code,
-            std::map<std::string, Value> Args = {}) {
+            std::vector<std::pair<std::string, Value>> Args = {}) {
     auto P = BslProgram::compile(Code, "test.bsl", SM, Diags);
     EXPECT_NE(P, nullptr) << "BSL failed to compile";
     if (!P)
       return Value();
-    BslEnv Env;
-    Env.Args = std::move(Args);
-    Env.RuntimeVars = &RuntimeVars;
-    Env.Params = &Params;
-    return P->run(Env, Diags);
+    lss::UserpointSig Sig;
+    std::vector<Value> ArgValues;
+    for (auto &[Name, V] : Args) {
+      Sig.Args.emplace_back(Name, nullptr);
+      ArgValues.push_back(std::move(V));
+    }
+    return P->run(&Sig, ArgValues, RuntimeVars, Params, Diags);
   }
 };
 
@@ -62,6 +65,35 @@ TEST(Bsl, ParamsReadable) {
   F.Params["depth"] = Value::makeInt(16);
   Value V = F.run("return depth / 4;");
   EXPECT_EQ(V.getInt(), 4);
+}
+
+TEST(Bsl, ParamsAreReadOnly) {
+  BslFixture F;
+  F.Params["depth"] = Value::makeInt(16);
+  Value V = F.run("depth = 5; return depth;");
+  EXPECT_EQ(V.getInt(), 16);
+  EXPECT_EQ(F.Params["depth"].getInt(), 16);
+  EXPECT_EQ(F.Diags.getFirstErrorMessage(),
+            "cannot assign to read-only parameter 'depth'");
+}
+
+TEST(Bsl, VarDefaultsByDeclaredType) {
+  BslFixture F;
+  Value B = F.run("var b:bool; return b;");
+  ASSERT_TRUE(B.isBool());
+  EXPECT_FALSE(B.getBool());
+  EXPECT_EQ(F.run("var b:bool; if (b) { return 1; } return 2;").getInt(), 2);
+  Value Fl = F.run("var f:float; return f;");
+  ASSERT_TRUE(Fl.isFloat());
+  EXPECT_EQ(Fl.getFloat(), 0.0);
+  EXPECT_FALSE(F.Diags.hasErrors());
+}
+
+TEST(Bsl, TopLevelBreakReported) {
+  BslFixture F;
+  EXPECT_TRUE(F.run("break; return 7;").isUnset());
+  EXPECT_EQ(F.Diags.getFirstErrorMessage(),
+            "break/continue outside of a loop");
 }
 
 TEST(Bsl, LocalsShadowAndDoNotLeak) {

@@ -1,0 +1,140 @@
+//===- EvaluatorTest.cpp - Module bodies and userpoints agree -------------===//
+///
+/// Module bodies and userpoint code run on one evaluator core. Each
+/// snippet below runs twice: as a module body that prints its result, and
+/// as userpoint code that returns it. Both must give the expected value
+/// and the same diagnostics.
+///
+//===----------------------------------------------------------------------===//
+
+#include "bsl/BslProgram.h"
+#include "driver/Compiler.h"
+#include "interp/Interpreter.h"
+
+#include <gtest/gtest.h>
+
+using namespace liberty;
+using interp::Value;
+
+namespace {
+
+struct Snippet {
+  const char *Stmts;    ///< Statements run first (may be empty).
+  const char *Expr;     ///< The result expression.
+  const char *Expected; ///< Its rendering, as print() writes it.
+};
+
+const Snippet Snippets[] = {
+    // int/float promotion.
+    {"", "7 / 2", "3"},
+    {"", "7.0 / 2", "3.5"},
+    {"", "1 + 2.5", "3.5"},
+    {"", "2 == 2.0", "true"},
+    {"", "3 < 2.5", "false"},
+    {"", "1 / 0", "<unset>"},
+    {"", "\"a\" + 1", "<unset>"},
+    // Short-circuit && and ||.
+    {"", "false && nope", "false"},
+    {"", "true || nope", "true"},
+    {"", "true && nope", "<unset>"},
+    {"", "1 && true", "<unset>"},
+    // Indexing and members.
+    {"var a:int[3] = array(3, 7);", "a[1]", "7"},
+    {"var a:int[3] = array(3, 7);", "a[3]", "<unset>"},
+    {"var a:int[3] = array(3, 7); a[5] = 1;", "a[0]", "7"},
+    {"var a:int[3] = array(3, 7); a[2] = 1;", "a", "[7, 7, 1]"},
+    {"var a:int[3] = array(3, 7);", "a[true]", "<unset>"},
+    {"", "5[0]", "<unset>"},
+    {"var x:int = 3;", "x.f", "<unset>"},
+    {"var x:int = 3; x.f = 1;", "x", "3"},
+    {"", "nope + 1", "<unset>"},
+    // The common builtins.
+    {"", "min(3, 2.5)", "2.5"},
+    {"", "max(2, 7)", "7"},
+    {"", "min(1)", "<unset>"},
+    {"", "abs(0 - 4)", "4"},
+    {"", "abs(-2.5)", "2.5"},
+    {"", "len(\"abcd\")", "4"},
+    {"", "len(array(3, 0))", "3"},
+    {"", "str(42)", "42"},
+    {"", "int(2.9)", "2"},
+    {"", "int(true)", "1"},
+    {"", "float(3) / 2", "1.5"},
+    {"", "bit(6, 1)", "1"},
+    {"", "bit(1, 99)", "<unset>"},
+    {"", "array(2, 5)", "[5, 5]"},
+    {"", "append(array(1, 1), 2)", "[1, 2]"},
+    {"", "foo(1)", "<unset>"},
+    // var defaults by declared type.
+    {"var v:int;", "v", "0"},
+    {"var v:bool;", "v", "false"},
+    {"var v:float;", "v + 0.5", "0.5"},
+    {"var v:string;", "len(v)", "0"},
+    {"var v:int[2];", "v", "[]"},
+    {"var b:bool; var r:int = 1; if (b) { r = 2; }", "r", "1"},
+    {"var r:int = 1; if (r) { r = 2; }", "r", "1"},
+    // Loops with break and continue.
+    {"var s:int = 0; var i:int;"
+     "for (i = 0; i < 10; i = i + 1) {"
+     "  if (i % 2 == 0) { continue; } if (i > 7) { break; } s = s + i; }",
+     "s", "16"},
+    {"var n:int = 0; while (true) { n = n + 1; if (n == 5) { break; } }", "n",
+     "5"},
+    {"var n:int = 0; var k:int = 0;"
+     "while (n < 6) { n = n + 1; if (n % 3 == 0) { continue; } k = k + n; }",
+     "k", "12"},
+    {"break;", "1", "<unset>"},
+};
+
+struct Outcome {
+  std::string Result;
+  std::vector<std::string> Diags;
+};
+
+std::vector<std::string> messages(const DiagnosticEngine &Diags) {
+  std::vector<std::string> Out;
+  for (const Diagnostic &D : Diags.getDiagnostics())
+    Out.push_back(D.Message);
+  return Out;
+}
+
+Outcome asModuleBody(const Snippet &S) {
+  driver::Compiler C;
+  C.addSource("snippet.lss", std::string(S.Stmts) + "\nprint(" + S.Expr +
+                                 ");\n");
+  C.elaborate();
+  const auto &Log = C.getInterpreter()->getPrintLog();
+  return {Log.empty() ? Value().str() : Log.back(), messages(C.getDiags())};
+}
+
+Outcome asUserpoint(const Snippet &S) {
+  SourceMgr SM;
+  DiagnosticEngine Diags(SM);
+  auto P = bsl::BslProgram::compile(std::string(S.Stmts) + "\nreturn " +
+                                        S.Expr + ";\n",
+                                    "userpoint:snippet", SM, Diags);
+  if (!P)
+    return {"<parse error>", messages(Diags)};
+  std::vector<Value> Args;
+  bsl::StateTable RuntimeVars;
+  std::map<std::string, Value> Params;
+  Value V = P->run(nullptr, Args, RuntimeVars, Params, Diags);
+  return {V.isString() ? V.getString() : V.str(), messages(Diags)};
+}
+
+TEST(Evaluator, ModuleBodiesAndUserpointsAgree) {
+  for (const Snippet &S : Snippets) {
+    SCOPED_TRACE(std::string(S.Stmts) + " => " + S.Expr);
+    Outcome Module = asModuleBody(S);
+    Outcome Userpoint = asUserpoint(S);
+    EXPECT_EQ(Module.Result, S.Expected);
+    EXPECT_EQ(Userpoint.Result, S.Expected);
+    EXPECT_EQ(Module.Diags, Userpoint.Diags);
+    // Unset results come from diagnosed errors, so the comparison above
+    // covers the error wording too.
+    if (std::string(S.Expected) == "<unset>")
+      EXPECT_FALSE(Module.Diags.empty());
+  }
+}
+
+} // namespace
