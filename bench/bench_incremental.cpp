@@ -19,11 +19,13 @@
 /// re-solve <= 10% of the H3 groups, beat the full-warm recompile by
 /// >= 3x, and store artifacts byte-identical to a never-warmed cold
 /// compile of the edited project. Results go to BENCH_incremental.json
-/// (override with --out FILE); --smoke shrinks the model and, like
-/// bench_ir --smoke, only checks that the run works and the JSON schema
-/// holds.
+/// (override with --out FILE) through bench::writeRecord; --smoke shrinks
+/// the model and, like bench_ir --smoke, only checks that the run works
+/// and the record carries every key.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "BenchRecord.h"
 
 #include "driver/CompileService.h"
 #include "driver/Compiler.h"
@@ -33,7 +35,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -42,12 +43,6 @@
 using namespace liberty;
 
 namespace {
-
-double msSince(std::chrono::steady_clock::time_point T0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - T0)
-      .count();
-}
 
 /// One lane: a chain of adders feeding a sink, all corelib leaves, plus an
 /// overload puzzle in constrain statements. Each lane shares no type
@@ -162,79 +157,28 @@ struct Results {
   }
 };
 
-void writeJson(const std::string &Path, const Results &R, bool Smoke) {
-  std::ostringstream OS;
-  char Buf[1536];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "{\n"
-      "  \"bench\": \"incremental\",\n"
-      "  \"smoke\": %s,\n"
-      "  \"lanes\": %u,\n"
-      "  \"stages\": %u,\n"
-      "  \"instances\": %u,\n"
-      "  \"cold_ms\": %.3f,\n"
-      "  \"full_warm_ms\": %.3f,\n"
-      "  \"incremental_ms\": %.3f,\n"
-      "  \"speedup_vs_full_warm\": %.2f,\n"
-      "  \"modules_total\": %u,\n"
-      "  \"modules_reelaborated\": %u,\n"
-      "  \"instances_total\": %u,\n"
-      "  \"instances_spliced\": %u,\n"
-      "  \"groups_total\": %u,\n"
-      "  \"groups_resolved\": %u,\n"
-      "  \"groups_spliced\": %u,\n"
-      "  \"pct_groups_resolved\": %.2f,\n"
-      "  \"byte_identical\": %s,\n"
-      "  \"ok\": %s\n"
-      "}\n",
-      Smoke ? "true" : "false", R.Lanes, R.Stages, R.Instances, R.ColdMs,
-      R.FullWarmMs, R.IncrementalMs, R.speedup(), R.ModulesTotal,
-      R.ModulesReelaborated, R.InstancesTotal, R.InstancesSpliced,
-      R.GroupsTotal, R.GroupsResolved, R.GroupsSpliced,
-      R.pctGroupsResolved(), R.ByteIdentical ? "true" : "false",
-      R.Ok ? "true" : "false");
-  OS << Buf;
-  std::ofstream Out(Path);
-  Out << OS.str();
-}
-
-/// Re-reads the emitted file and checks every schema key is present — the
-/// bench_incremental_smoke ctest gate, so a field rename can't silently
-/// produce an unparseable BENCH_incremental.json.
-bool validateJson(const std::string &Path) {
-  std::ifstream In(Path);
-  std::stringstream SS;
-  SS << In.rdbuf();
-  const std::string Text = SS.str();
-  static const char *Keys[] = {
-      "\"bench\"",
-      "\"smoke\"",
-      "\"lanes\"",
-      "\"stages\"",
-      "\"instances\"",
-      "\"cold_ms\"",
-      "\"full_warm_ms\"",
-      "\"incremental_ms\"",
-      "\"speedup_vs_full_warm\"",
-      "\"modules_total\"",
-      "\"modules_reelaborated\"",
-      "\"instances_total\"",
-      "\"instances_spliced\"",
-      "\"groups_total\"",
-      "\"groups_resolved\"",
-      "\"groups_spliced\"",
-      "\"pct_groups_resolved\"",
-      "\"byte_identical\"",
-      "\"ok\"",
-  };
-  for (const char *K : Keys)
-    if (Text.find(K) == std::string::npos) {
-      std::fprintf(stderr, "bench_incremental: %s is missing %s\n",
-                   Path.c_str(), K);
-      return false;
-    }
-  return true;
+driver::Json record(const Results &R, bool Smoke) {
+  driver::Json J = driver::Json::object();
+  J.set("bench", "incremental")
+      .set("smoke", Smoke)
+      .set("lanes", R.Lanes)
+      .set("stages", R.Stages)
+      .set("instances", R.Instances)
+      .set("cold_ms", R.ColdMs)
+      .set("full_warm_ms", R.FullWarmMs)
+      .set("incremental_ms", R.IncrementalMs)
+      .set("speedup_vs_full_warm", R.speedup())
+      .set("modules_total", R.ModulesTotal)
+      .set("modules_reelaborated", R.ModulesReelaborated)
+      .set("instances_total", R.InstancesTotal)
+      .set("instances_spliced", R.InstancesSpliced)
+      .set("groups_total", R.GroupsTotal)
+      .set("groups_resolved", R.GroupsResolved)
+      .set("groups_spliced", R.GroupsSpliced)
+      .set("pct_groups_resolved", R.pctGroupsResolved())
+      .set("byte_identical", R.ByteIdentical)
+      .set("ok", R.Ok);
+  return J;
 }
 
 } // namespace
@@ -292,7 +236,7 @@ int main(int argc, char **argv) {
   {
     auto T0 = std::chrono::steady_clock::now();
     AllOk = IncSvc.compile(Base).Success && AllOk;
-    R.ColdMs = msSince(T0);
+    R.ColdMs = bench::msSince(T0);
   }
 
   // Full warm: a second cache primed with the same base compile, then a
@@ -304,7 +248,7 @@ int main(int argc, char **argv) {
     AllOk = FullSvc.compile(Base).Success && AllOk;
     auto T0 = std::chrono::steady_clock::now();
     AllOk = FullSvc.compile(Edited).Success && AllOk;
-    R.FullWarmMs = msSince(T0);
+    R.FullWarmMs = bench::msSince(T0);
   }
 
   // Incremental: diff against IncDir's dependency graph and splice.
@@ -312,7 +256,7 @@ int main(int argc, char **argv) {
   {
     auto T0 = std::chrono::steady_clock::now();
     driver::CompileResult CR = IncSvc.compileIncremental(Edited);
-    R.IncrementalMs = msSince(T0);
+    R.IncrementalMs = bench::msSince(T0);
     AllOk = CR.Success && AllOk;
     R.Used = CR.Incremental.Used;
     if (!CR.Incremental.Used)
@@ -377,8 +321,16 @@ int main(int argc, char **argv) {
     R.Ok = R.Ok && GroupGate && SpeedGate;
   }
 
-  writeJson(OutPath, R, Smoke);
-  if (!validateJson(OutPath))
+  // The bench_incremental_smoke ctest gate: a renamed or dropped field
+  // fails the run.
+  if (!bench::writeRecord(
+          OutPath, record(R, Smoke),
+          {{"bench", "smoke", "lanes", "stages", "instances", "cold_ms",
+            "full_warm_ms", "incremental_ms", "speedup_vs_full_warm",
+            "modules_total", "modules_reelaborated", "instances_total",
+            "instances_spliced", "groups_total", "groups_resolved",
+            "groups_spliced", "pct_groups_resolved", "byte_identical",
+            "ok"}}))
     return 1;
   std::printf("\nwrote %s\n", OutPath.c_str());
   return R.Ok ? 0 : 1;

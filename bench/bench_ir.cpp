@@ -1,7 +1,7 @@
-//===- bench_ir.cpp - Dense interned IR benchmark (BENCH_ir.json) -------------===//
+//===- bench_ir.cpp - Dense netlist IR benchmark (BENCH_ir.json) --------------===//
 ///
-/// Measures the dense interned netlist IR at scale. For synthetic
-/// workloads of 1k/4k/10k leaf instances (infer::buildSyntheticNetlist):
+/// Measures the dense netlist IR at scale. For synthetic workloads of
+/// 1k/4k/10k leaf instances (infer::buildSyntheticNetlist):
 ///
 ///  - elaboration: netlist construction plus freezeIds() id assignment;
 ///  - constraint generation: infer::buildNetlistConstraints;
@@ -10,11 +10,14 @@
 ///
 /// Results go to BENCH_ir.json (override with --out FILE). --smoke runs
 /// only the 1k point — it is the bench_smoke ctest entry, so it must stay
-/// fast — and self-checks the emitted JSON schema. Every run exits nonzero
-/// on a missing schema key or a degenerate (zero) measurement.
+/// fast. Every run exits nonzero on a missing record key
+/// (bench::writeRecord) or a degenerate (zero) measurement.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchRecord.h"
+
+#include "driver/Json.h"
 #include "infer/InferenceEngine.h"
 #include "infer/Synthetic.h"
 #include "netlist/Netlist.h"
@@ -22,13 +25,12 @@
 #include "support/Diagnostics.h"
 #include "types/TypeContext.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,21 +39,15 @@ using infer::Constraint;
 
 namespace {
 
-double msNow() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Best-of-N wall time in milliseconds. Best-of (not mean) because the
 /// quantities compared are deterministic work; the minimum is the run
 /// least disturbed by the machine.
 double bestOf(unsigned Reps, const std::function<void()> &Fn) {
   double Best = 1e300;
   for (unsigned I = 0; I != Reps; ++I) {
-    double T0 = msNow();
+    auto T0 = std::chrono::steady_clock::now();
     Fn();
-    Best = std::min(Best, msNow() - T0);
+    Best = std::min(Best, bench::msSince(T0));
   }
   return Best;
 }
@@ -78,7 +74,7 @@ SizeResult runSize(unsigned Instances, unsigned Reps) {
   R.DisjunctPermille = Spec.DisjunctPermille;
 
   // Elaboration: build-and-discard per rep so each run pays the full
-  // interning and id-assignment cost on a fresh netlist.
+  // construction and id-assignment cost on a fresh netlist.
   R.ElaborateMs = bestOf(Reps, [&] {
     types::TypeContext TC;
     netlist::Netlist NL;
@@ -121,60 +117,24 @@ void printRow(const SizeResult &R) {
               R.GenDenseMs, R.LssnlBytes, R.LoadMs);
 }
 
-void writeJson(const std::string &Path, const std::vector<SizeResult> &Rows,
-               bool Smoke) {
-  std::ostringstream OS;
-  OS << "{\n  \"bench\": \"ir\",\n  \"smoke\": " << (Smoke ? "true" : "false")
-     << ",\n  \"sizes\": [";
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const SizeResult &R = Rows[I];
-    if (I)
-      OS << ",";
-    char Buf[1024];
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "\n    {\n"
-        "      \"instances\": %u,\n"
-        "      \"lanes\": %u,\n"
-        "      \"disjunct_permille\": %u,\n"
-        "      \"ports\": %u,\n"
-        "      \"connections\": %u,\n"
-        "      \"constraints\": %u,\n"
-        "      \"elaborate_ms\": %.3f,\n"
-        "      \"constraint_gen_dense_ms\": %.3f,\n"
-        "      \"lssnl_bytes\": %.0f,\n"
-        "      \"warm_load_ms\": %.3f\n"
-        "    }",
-        R.Instances, R.Lanes, R.DisjunctPermille, R.Ports, R.Connections,
-        R.Constraints, R.ElaborateMs, R.GenDenseMs, R.LssnlBytes, R.LoadMs);
-    OS << Buf;
-  }
-  OS << "\n  ]\n}\n";
-  std::ofstream Out(Path);
-  Out << OS.str();
-}
-
-/// Re-reads the emitted file and checks every schema key is present —
-/// the bench_smoke ctest gate, so a field rename can't silently produce
-/// an unparseable BENCH_ir.json.
-bool validateJson(const std::string &Path) {
-  std::ifstream In(Path);
-  std::stringstream SS;
-  SS << In.rdbuf();
-  const std::string Text = SS.str();
-  static const char *Keys[] = {
-      "\"bench\"",        "\"smoke\"",
-      "\"sizes\"",        "\"instances\"",
-      "\"constraints\"",  "\"elaborate_ms\"",
-      "\"constraint_gen_dense_ms\"", "\"lssnl_bytes\"",
-      "\"warm_load_ms\"",
-  };
-  for (const char *K : Keys)
-    if (Text.find(K) == std::string::npos) {
-      std::fprintf(stderr, "bench_ir: BENCH_ir.json is missing %s\n", K);
-      return false;
-    }
-  return true;
+/// The record: one element of "sizes" per measured size.
+driver::Json record(const std::vector<SizeResult> &Rows, bool Smoke) {
+  driver::Json Sizes = driver::Json::array();
+  for (const SizeResult &R : Rows)
+    Sizes.push(driver::Json::object()
+                   .set("instances", R.Instances)
+                   .set("lanes", R.Lanes)
+                   .set("disjunct_permille", R.DisjunctPermille)
+                   .set("ports", R.Ports)
+                   .set("connections", R.Connections)
+                   .set("constraints", R.Constraints)
+                   .set("elaborate_ms", R.ElaborateMs)
+                   .set("constraint_gen_dense_ms", R.GenDenseMs)
+                   .set("lssnl_bytes", R.LssnlBytes)
+                   .set("warm_load_ms", R.LoadMs));
+  driver::Json J = driver::Json::object();
+  J.set("bench", "ir").set("smoke", Smoke).set("sizes", std::move(Sizes));
+  return J;
 }
 
 } // namespace
@@ -198,7 +158,7 @@ int main(int argc, char **argv) {
             : std::vector<unsigned>{1000, 4000, 10000};
   const unsigned Reps = Smoke ? 2 : 5;
 
-  std::printf("Dense interned IR benchmark (%s)\n",
+  std::printf("Dense netlist IR benchmark (%s)\n",
               Smoke ? "smoke: 1k point only" : "1k/4k/10k");
   std::printf("%9s %9s %11s %12s %9s\n", "instances", "elab_ms",
               "gen_dense", "lssnl_bytes", "load_ms");
@@ -208,10 +168,15 @@ int main(int argc, char **argv) {
     printRow(Rows.back());
   }
 
-  writeJson(OutPath, Rows, Smoke);
-  std::printf("wrote %s\n", OutPath.c_str());
-  if (!validateJson(OutPath))
+  // The bench_smoke ctest gate: a renamed or dropped field fails the run.
+  if (!bench::writeRecord(OutPath, record(Rows, Smoke),
+                          {{"bench", "smoke"},
+                           "sizes",
+                           {"instances", "constraints", "elaborate_ms",
+                            "constraint_gen_dense_ms", "lssnl_bytes",
+                            "warm_load_ms"}}))
     return 1;
+  std::printf("wrote %s\n", OutPath.c_str());
 
   const SizeResult &Last = Rows.back();
   if (Last.Constraints == 0 || Last.LssnlBytes == 0 || Last.GenDenseMs <= 0 ||

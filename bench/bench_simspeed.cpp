@@ -13,6 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchRecord.h"
+
 #include "baseline/HandCodedSim.h"
 #include "baseline/OopSim.h"
 #include "driver/Compiler.h"
@@ -23,7 +25,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -306,25 +307,18 @@ double measureRate(const std::string &Spec, sim::EngineKind Engine) {
   return double(Cycles) / Elapsed;
 }
 
-/// `--sweep [FILE]`: the machine-readable per-engine record. For the wide
-/// model and the low-activity model, each engine's cycles/s as the median
-/// of 5 measurements (with min and max), and compiled's speedup over the
-/// interp reference.
+/// `--sweep [FILE]`: the machine-readable per-engine record, written
+/// through bench::writeRecord. For the wide model and the low-activity
+/// model, each engine's cycles/s as the median of 5 measurements (with
+/// min and max), and compiled's speedup over the interp reference.
 int runSweep(const std::string &Path) {
-  std::ofstream Out(Path);
-  if (!Out) {
-    std::cerr << "bench_simspeed: cannot write '" << Path << "'\n";
-    return 1;
-  }
   struct Model {
     const char *Name;
     std::string Spec;
   };
   const Model Models[] = {{"wide_lanes_64", wideLanesSpec(64)},
                           {"low_activity_200_8", lowActivitySpec(200, 8)}};
-  Out << "{\n  \"nproc\": " << std::thread::hardware_concurrency()
-      << ",\n  \"repeats\": 5,\n  \"runs\": [";
-  bool First = true;
+  driver::Json Runs = driver::Json::array();
   for (const Model &M : Models) {
     double InterpMedian = 0.0;
     for (sim::EngineKind E : {sim::EngineKind::Interp,
@@ -336,21 +330,31 @@ int runSweep(const std::string &Path) {
       double Median = Rates[2];
       if (E == sim::EngineKind::Interp)
         InterpMedian = Median;
-      Out << (First ? "" : ",") << "\n    {\"model\": \"" << M.Name
-          << "\", \"engine\": \"" << sim::engineName(E)
-          << "\", \"cycles_per_s_median\": " << Median
-          << ", \"cycles_per_s_min\": " << Rates.front()
-          << ", \"cycles_per_s_max\": " << Rates.back()
-          << ", \"speedup_vs_interp\": "
-          << (InterpMedian > 0.0 ? Median / InterpMedian : 0.0) << "}";
-      First = false;
+      Runs.push(driver::Json::object()
+                    .set("model", M.Name)
+                    .set("engine", sim::engineName(E))
+                    .set("cycles_per_s_median", Median)
+                    .set("cycles_per_s_min", Rates.front())
+                    .set("cycles_per_s_max", Rates.back())
+                    .set("speedup_vs_interp",
+                         InterpMedian > 0.0 ? Median / InterpMedian : 0.0));
       std::cerr << "sweep: " << M.Name << " engine=" << sim::engineName(E)
                 << " -> " << uint64_t(Median) << " cycles/s (median of 5, "
                 << uint64_t(Rates.front()) << ".." << uint64_t(Rates.back())
                 << ")\n";
     }
   }
-  Out << "\n  ]\n}\n";
+  driver::Json J = driver::Json::object();
+  J.set("nproc", std::thread::hardware_concurrency())
+      .set("repeats", 5)
+      .set("runs", std::move(Runs));
+  if (!bench::writeRecord(Path, J,
+                          {{"nproc", "repeats"},
+                           "runs",
+                           {"model", "engine", "cycles_per_s_median",
+                            "cycles_per_s_min", "cycles_per_s_max",
+                            "speedup_vs_interp"}}))
+    return 1;
   std::cerr << "bench_simspeed: wrote " << Path << "\n";
   return 0;
 }
@@ -365,9 +369,7 @@ int main(int argc, char **argv) {
   bool Sweep = false;
   std::string SweepPath = "BENCH_simspeed.json";
   for (int I = 0; I < argc; ++I) {
-    if ((std::strcmp(argv[I], "--sim-engine") == 0 ||
-         std::strcmp(argv[I], "--engine") == 0) &&
-        I + 1 < argc) {
+    if (std::strcmp(argv[I], "--sim-engine") == 0 && I + 1 < argc) {
       if (!sim::parseEngineName(argv[I + 1], GEngine)) {
         std::cerr << "bench_simspeed: unknown engine '" << argv[I + 1]
                   << "' (expected interp or compiled)\n";

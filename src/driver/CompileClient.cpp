@@ -277,36 +277,43 @@ static bool isRetryable(const CompileClient::Result &R) {
   return R.ErrorCode.empty() || R.ErrorCode == errc::QueueFull;
 }
 
-CompileClient::Result CompileClient::requestWithRetry(
-    bool Incremental, const CompilerInvocation &Inv, uint64_t DeadlineMs) {
-  Result Last;
+std::vector<CompileClient::Result> CompileClient::withRetry(
+    size_t N, const std::function<std::vector<Result>()> &Send) {
+  std::vector<Result> Last(N);
   for (unsigned Attempt = 1; Attempt <= Policy.MaxAttempts; ++Attempt) {
-    if (Stats.BreakerOpen)
-      return breakerOpenResult();
+    if (Stats.BreakerOpen) {
+      Last.assign(N, breakerOpenResult());
+      return Last;
+    }
     if (Attempt > 1) {
+      const Result *Front = Last.empty() ? nullptr : &Last.front();
       ++Stats.Retries;
-      if (Last.ErrorCode == errc::QueueFull)
+      if (Front && Front->ErrorCode == errc::QueueFull)
         ++Stats.QueueFullRetries;
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(backoffMs(Attempt - 1, Last.RetryAfterMs)));
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          backoffMs(Attempt - 1, Front ? Front->RetryAfterMs : 0)));
     }
     std::string Err;
     if (!isConnected() && !connect(&Err)) {
       noteTransportFailure();
-      Last = Result();
-      Last.Error = Err;
+      Result Failed;
+      Failed.Error = Err;
+      Last.assign(N, Failed);
       continue;
     }
-    Last = Incremental ? recompile(Inv, DeadlineMs) : compile(Inv, DeadlineMs);
-    if (Last.Error.empty()) {
+    Last = Send();
+    if (Last.empty())
+      return Last;
+    const Result &Front = Last.front();
+    if (Front.Error.empty()) {
       noteTransportSuccess();
       return Last;
     }
-    if (!Last.ErrorCode.empty())
+    if (!Front.ErrorCode.empty())
       noteTransportSuccess(); // The server answered; transport is fine.
     else
       noteTransportFailure();
-    if (!isRetryable(Last))
+    if (!isRetryable(Front))
       return Last;
   }
   return Last;
@@ -314,54 +321,22 @@ CompileClient::Result CompileClient::requestWithRetry(
 
 CompileClient::Result CompileClient::compileWithRetry(
     const CompilerInvocation &Inv, uint64_t DeadlineMs) {
-  return requestWithRetry(/*Incremental=*/false, Inv, DeadlineMs);
+  return withRetry(1, [&] {
+           return std::vector<Result>{compile(Inv, DeadlineMs)};
+         }).front();
 }
 
 CompileClient::Result CompileClient::recompileWithRetry(
     const CompilerInvocation &Inv, uint64_t DeadlineMs) {
-  return requestWithRetry(/*Incremental=*/true, Inv, DeadlineMs);
+  return withRetry(1, [&] {
+           return std::vector<Result>{recompile(Inv, DeadlineMs)};
+         }).front();
 }
 
 std::vector<CompileClient::Result> CompileClient::compileBatchWithRetry(
     const std::vector<CompilerInvocation> &Invs, uint64_t DeadlineMs) {
-  std::vector<Result> Last(Invs.size());
-  for (unsigned Attempt = 1; Attempt <= Policy.MaxAttempts; ++Attempt) {
-    if (Stats.BreakerOpen) {
-      for (Result &R : Last)
-        R = breakerOpenResult();
-      return Last;
-    }
-    if (Attempt > 1) {
-      ++Stats.Retries;
-      if (!Last.empty() && Last.front().ErrorCode == errc::QueueFull)
-        ++Stats.QueueFullRetries;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          backoffMs(Attempt - 1, Last.empty() ? 0 : Last.front().RetryAfterMs)));
-    }
-    std::string Err;
-    if (!isConnected() && !connect(&Err)) {
-      noteTransportFailure();
-      for (Result &R : Last) {
-        R = Result();
-        R.Error = Err;
-      }
-      continue;
-    }
-    Last = compileBatch(Invs, DeadlineMs);
-    if (Last.empty())
-      return Last;
-    if (Last.front().Error.empty()) {
-      noteTransportSuccess();
-      return Last;
-    }
-    if (!Last.front().ErrorCode.empty())
-      noteTransportSuccess();
-    else
-      noteTransportFailure();
-    if (!isRetryable(Last.front()))
-      return Last;
-  }
-  return Last;
+  return withRetry(Invs.size(),
+                   [&] { return compileBatch(Invs, DeadlineMs); });
 }
 
 bool CompileClient::shutdownServer(std::string *Err) {

@@ -26,6 +26,7 @@
 #include "driver/CompilerInvocation.h"
 #include "driver/DaemonProtocol.h"
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -125,7 +126,6 @@ public:
                         uint64_t DeadlineMs = 0);
 
   void setRetryPolicy(const RetryPolicy &P) { Policy = P; }
-  const RetryPolicy &getRetryPolicy() const { return Policy; }
   const ClientStats &getClientStats() const { return Stats; }
   /// The ClientStats counters and the daemon address as the
   /// `daemon_client` object of `lssc --daemon --stats-json`.
@@ -151,9 +151,13 @@ private:
   /// One `compile` or `recompile` (\p Type) round trip for \p Inv.
   Result request(const char *Type, const CompilerInvocation &Inv,
                  uint64_t DeadlineMs);
-  /// The shared retry loop behind compileWithRetry/recompileWithRetry.
-  Result requestWithRetry(bool Incremental, const CompilerInvocation &Inv,
-                          uint64_t DeadlineMs);
+  /// The one retry loop behind every *WithRetry call: breaker check,
+  /// backoff, reconnect and retryable classification around \p Send, which
+  /// makes one attempt and returns its results. The first result speaks
+  /// for a batch (the daemon admits whole batches). \p N is how many
+  /// results a client-side failure (breaker open, no connection) fills.
+  std::vector<Result>
+  withRetry(size_t N, const std::function<std::vector<Result>()> &Send);
   static Result resultFromWire(const Json &Msg);
 
   /// Bookkeeping after a failed/successful transport interaction; may

@@ -76,29 +76,19 @@ public:
 
   /// Runs compile-time elaboration under \p Inv's elaboration options.
   /// Returns false on any diagnosed error.
-  bool elaborate(const CompilerInvocation &Inv);
-  /// \deprecated Shim for pre-invocation callers; default options.
-  bool elaborate() { return elaborate(CompilerInvocation()); }
+  bool elaborate(const CompilerInvocation &Inv = CompilerInvocation());
 
   /// Runs structure-based type inference under \p Inv's solver options.
   /// \p SpliceHooks, when non-null, enables per-group solution splicing
   /// for incremental recompilation (driver/Incremental.cpp).
-  bool inferTypes(const CompilerInvocation &Inv,
-                  const infer::NetlistSpliceHooks *SpliceHooks);
-  bool inferTypes(const CompilerInvocation &Inv) {
-    return inferTypes(Inv, nullptr);
-  }
-  /// \deprecated Shim for pre-invocation callers; default options.
-  bool inferTypes() { return inferTypes(CompilerInvocation()); }
+  bool inferTypes(const CompilerInvocation &Inv = CompilerInvocation(),
+                  const infer::NetlistSpliceHooks *SpliceHooks = nullptr);
 
   /// Builds the executable simulator under \p Inv's simulator options
   /// (elaborate + inferTypes must have succeeded). The Compiler owns the
   /// result.
-  sim::Simulator *buildSimulator(const CompilerInvocation &Inv);
-  /// \deprecated Shim for pre-invocation callers; default options.
-  sim::Simulator *buildSimulator() {
-    return buildSimulator(CompilerInvocation());
-  }
+  sim::Simulator *
+  buildSimulator(const CompilerInvocation &Inv = CompilerInvocation());
 
   /// Adopts a deserialized netlist (the cached "elab" artifact) in place
   /// of running parse + elaboration, and replays its recorded

@@ -134,7 +134,6 @@ public:
   /// The bound TCP port (useful with address "0"), or -1 for Unix.
   int port() const { return BoundPort; }
   const Options &getOptions() const { return Opts; }
-  CompileService &getService() { return Service; }
 
   DaemonStats getStats() const;
 

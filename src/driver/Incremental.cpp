@@ -299,8 +299,8 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
 
     // The body's own products, straight from the old node. Types (port
     // schemes, param/var values) live in C's TypeContext because the old
-    // netlist was deserialized into it; interned ids are NOT copied —
-    // the new netlist's freezeIds() re-interns after elaboration.
+    // netlist was deserialized into it; dense node offsets are NOT
+    // copied — the new netlist's freezeIds() renumbers after elaboration.
     N->BehaviorId = O->BehaviorId;
     N->Params = O->Params;
     N->Events = O->Events;
@@ -311,7 +311,6 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
     for (netlist::Port &P : N->Ports) {
       P.Resolved = nullptr; // elab artifacts precede inference
       P.InferVar = nullptr;
-      P.NameSym = netlist::SymbolId();
       P.NodeOffset = 0;
     }
     for (const auto &Entry : O->Userpoints) {

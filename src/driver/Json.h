@@ -57,9 +57,6 @@ public:
   bool isString() const { return K == Kind::String; }
 
   // --- Scalar accessors (defaults on kind mismatch; never trap). --------
-  bool asBool(bool Default = false) const {
-    return K == Kind::Bool ? BoolV : Default;
-  }
   double asNumber(double Default = 0) const {
     return K == Kind::Number ? NumV : Default;
   }

@@ -218,8 +218,6 @@ public:
   /// Deep-resolves \p T through the current bindings.
   const types::Type *resolve(const types::Type *T) { return U.resolveDeep(T); }
 
-  Unifier &getUnifier() { return U; }
-
 private:
   /// Depth-first search over disjunct alternatives on \p WU, which is the
   /// engine's own unifier for the serial phases and a per-group scratch

@@ -31,13 +31,6 @@ int InstanceNode::findPortIdx(const std::string &PortName) const {
   return -1;
 }
 
-int InstanceNode::findPortIdx(SymbolId PortName) const {
-  for (size_t I = 0; I != Ports.size(); ++I)
-    if (Ports[I].NameSym == PortName)
-      return static_cast<int>(I);
-  return -1;
-}
-
 unsigned InstanceNode::subtreeSize() const {
   unsigned N = 1;
   for (const InstanceNode *Child : Children)
@@ -50,9 +43,8 @@ Netlist::Netlist() {
   RootNode->Name = "<top>";
   RootNode->Path = "";
   RootNode->Id = 0;
-  RootNode->PathSym = Interner.intern("");
   Root = RootNode.get();
-  PathIndex.emplace(Root->PathSym.index(), Root);
+  PathIndex.emplace(Root->Path, Root);
   Instances.push_back(std::move(RootNode));
 }
 
@@ -81,11 +73,9 @@ InstanceNode *Netlist::createInstance(InstanceNode *Parent, std::string Name,
   Node->Parent = Parent;
   Node->Loc = Loc;
   Node->Id = static_cast<uint32_t>(Instances.size());
-  Node->PathSym = Interner.intern(Node->Path);
   InstanceNode *Ptr = Node.get();
-  // First creation wins, matching the old linear scan's first-match
-  // semantics on (malformed) duplicate paths.
-  PathIndex.emplace(Node->PathSym.index(), Ptr);
+  // First creation wins on (malformed) duplicate paths.
+  PathIndex.emplace(Ptr->Path, Ptr);
   Parent->Children.push_back(Ptr);
   Instances.push_back(std::move(Node));
   IdsFrozen = false;
@@ -101,10 +91,7 @@ Connection *Netlist::createConnection(SourceLoc Loc) {
 }
 
 InstanceNode *Netlist::findByPath(const std::string &Path) {
-  SymbolId Sym = Interner.lookup(Path);
-  if (!Sym.isValid())
-    return nullptr;
-  auto It = PathIndex.find(Sym.index());
+  auto It = PathIndex.find(Path);
   return It == PathIndex.end() ? nullptr : It->second;
 }
 
@@ -117,7 +104,6 @@ uint32_t Netlist::freezeIds() {
     N.NodeBase = Next;
     uint32_t Off = 0;
     for (Port &P : N.Ports) {
-      P.NameSym = Interner.intern(P.Name);
       P.NodeOffset = Off;
       if (P.Width > 0)
         Off += static_cast<uint32_t>(P.Width);

@@ -14,12 +14,12 @@
 #define LIBERTY_NETLIST_NETLIST_H
 
 #include "interp/Value.h"
-#include "netlist/Interner.h"
 #include "support/SourceMgr.h"
 
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -61,8 +61,6 @@ struct PortRef {
 class Port {
 public:
   std::string Name;
-  /// Interned Name; filled by Netlist::freezeIds().
-  SymbolId NameSym;
   /// Offset of this port's first port instance within the owning
   /// instance's node block (see InstanceNode::NodeBase); filled by
   /// Netlist::freezeIds(). Node id of instance I of this port is
@@ -140,9 +138,10 @@ public:
   /// dense node id `NodeBase + P.NodeOffset + I`.
   uint32_t NodeBase = 0;
   std::string Name; ///< Local name, e.g. "delays[2]".
-  std::string Path; ///< Hierarchical path, e.g. "delay3.delays[2]".
-  /// Interned Path (set by createInstance; "" for the root).
-  SymbolId PathSym;
+  /// Hierarchical path, e.g. "delay3.delays[2]"; "" for the root. Set
+  /// once by Netlist::createInstance and never changed: the netlist's path
+  /// index keys views of it.
+  std::string Path;
   const lss::ModuleDecl *Module = nullptr; ///< Null for the synthetic root.
   /// Name of the instantiated module; empty for the synthetic root. Kept
   /// separately from Module so consumers that only need the name (stats,
@@ -181,10 +180,8 @@ public:
 
   Port *findPort(const std::string &Name);
   const Port *findPort(const std::string &Name) const;
-  /// Index of the named port within Ports, or -1. The by-symbol overload
-  /// compares interned ids (valid after Netlist::freezeIds()).
+  /// Index of the named port within Ports, or -1.
   int findPortIdx(const std::string &Name) const;
-  int findPortIdx(SymbolId Name) const;
 
   /// Total number of instances in this subtree, including this node.
   unsigned subtreeSize() const;
@@ -230,24 +227,17 @@ public:
   }
 
   /// Finds an instance by hierarchical path (e.g. "cpu.fetch"); returns
-  /// null if absent. O(1): backed by the interner + a path index kept
-  /// up to date by createInstance.
+  /// null if absent. O(1): backed by a path index kept up to date by
+  /// createInstance.
   InstanceNode *findByPath(const std::string &Path);
-
-  /// The netlist-wide string interner. All instance paths are interned at
-  /// creation; freezeIds() interns port names. Consumers may intern
-  /// additional strings (module names, behavior ids) as needed.
-  StringInterner &getInterner() { return Interner; }
-  const StringInterner &getInterner() const { return Interner; }
 
   /// Freezes the dense numbering layer: assigns every port a NodeOffset
   /// and every instance a NodeBase so each port instance ("node") has a
-  /// design-wide dense id, interns port names, and resolves PortIdx on
-  /// every connection endpoint. Idempotent; call after elaboration or
+  /// design-wide dense id, and resolves PortIdx on every connection
+  /// endpoint. Idempotent; call after elaboration or
   /// deserialization, before building schedulers/kernels. Returns the
   /// total node count.
   uint32_t freezeIds();
-  bool idsFrozen() const { return IdsFrozen; }
   /// Total port-instance (node) count; valid after freezeIds().
   uint32_t getNumPortNodes() const { return NumPortNodes; }
   /// Dense node id of a resolved endpoint; valid after freezeIds().
@@ -274,10 +264,10 @@ private:
   std::vector<std::unique_ptr<Connection>> Connections;
   /// Owned signatures for reloaded userpoints (see createUserpointSig).
   std::vector<std::unique_ptr<lss::UserpointSig>> OwnedSigs;
-  StringInterner Interner;
-  /// Path symbol id -> instance, first creation wins (matches the old
-  /// linear scan's first-match semantics).
-  std::unordered_map<uint32_t, InstanceNode *> PathIndex;
+  /// InstanceNode::Path -> instance, first creation wins on (malformed)
+  /// duplicate paths. Keys view the nodes' own Path strings, which stay
+  /// put: nodes are heap-allocated, never moved, and Path never changes.
+  std::unordered_map<std::string_view, InstanceNode *> PathIndex;
   bool IdsFrozen = false;
   uint32_t NumPortNodes = 0;
 };

@@ -111,7 +111,6 @@ public:
   const BuildInfo &getBuildInfo() const { return Info; }
   ActivityStats getActivityStats() const;
 
-  EngineKind getEngine() const { return Opts.Engine; }
   const char *getEngineName() const { return engineName(Opts.Engine); }
   /// Kernel op counts and build time; null unless the compiled engine is
   /// active.
@@ -170,8 +169,8 @@ private:
   /// or hash string keys.
   std::vector<int> NodeNet;
   /// InstanceNode::Id -> runtime record (null for instances without one);
-  /// findState resolves the path once through the netlist's interned path
-  /// index, then indexes this directly.
+  /// findState resolves the path once through the netlist's path index,
+  /// then indexes this directly.
   std::vector<Runtime *> RuntimeOfInstance;
 
   /// The compiled engine's flat cycle program (sim/CompiledKernel),

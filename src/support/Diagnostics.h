@@ -36,8 +36,8 @@ struct Diagnostic {
 /// printed diagnostics can show file/line/caret context.
 ///
 /// The engine also owns the pipeline-wide error cap (`lssc --max-errors`):
-/// once MaxErrors errors have been reported, further errors are counted but
-/// not stored, one "too many errors" note marks the cut, and every phase
+/// once MaxErrors errors have been reported, further errors and warnings
+/// are dropped, one "too many errors" note marks the cut, and every phase
 /// (parser recovery, elaboration, inference, simulation) is expected to poll
 /// errorLimitReached() and wind down instead of grinding on.
 class DiagnosticEngine {
@@ -45,10 +45,8 @@ public:
   explicit DiagnosticEngine(const SourceMgr &SM) : SM(SM) {}
 
   void error(SourceLoc Loc, std::string Message) {
-    if (errorLimitReached()) {
-      ++NumSuppressed;
+    if (errorLimitReached())
       return;
-    }
     Diags.push_back({DiagLevel::Error, Loc, std::move(Message)});
     ++NumErrors;
     // Announce the cut the moment the cap is reached — phases poll
@@ -62,10 +60,8 @@ public:
     }
   }
   void warning(SourceLoc Loc, std::string Message) {
-    if (errorLimitReached()) {
-      ++NumSuppressed;
+    if (errorLimitReached())
       return;
-    }
     Diags.push_back({DiagLevel::Warning, Loc, std::move(Message)});
     ++NumWarnings;
   }
@@ -78,12 +74,10 @@ public:
   bool hasErrors() const { return NumErrors != 0; }
   unsigned getNumErrors() const { return NumErrors; }
   unsigned getNumWarnings() const { return NumWarnings; }
-  unsigned getNumSuppressed() const { return NumSuppressed; }
 
   /// The shared error cap. 0 means unlimited. Applies to every phase that
   /// reports through this engine.
   void setMaxErrors(unsigned N) { MaxErrors = N; }
-  unsigned getMaxErrors() const { return MaxErrors; }
 
   /// True once the error cap has been hit: phases should stop producing
   /// new work (and new diagnostics are dropped, not stored).
@@ -103,7 +97,7 @@ public:
   /// Drops all collected diagnostics and resets the counters.
   void clear() {
     Diags.clear();
-    NumErrors = NumWarnings = NumSuppressed = 0;
+    NumErrors = NumWarnings = 0;
     LimitNoteEmitted = false;
   }
 
@@ -114,7 +108,6 @@ private:
   std::vector<Diagnostic> Diags;
   unsigned NumErrors = 0;
   unsigned NumWarnings = 0;
-  unsigned NumSuppressed = 0; ///< Diagnostics dropped past the error cap.
   bool LimitNoteEmitted = false;
   /// Shared error cap (0 = unlimited). 50 matches the elaboration
   /// interpreter's historical private cap, now pipeline-wide.

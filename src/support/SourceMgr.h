@@ -47,9 +47,6 @@ public:
   /// Registers \p Text under \p Name and returns the new buffer's id.
   uint32_t addBuffer(std::string Name, std::string Text);
 
-  /// Returns the number of registered buffers.
-  unsigned getNumBuffers() const { return Buffers.size(); }
-
   /// Returns the full text of buffer \p BufferId.
   const std::string &getBufferText(uint32_t BufferId) const;
 

@@ -4,7 +4,8 @@
 ///  - version handshake (hello/hello_ok, version_mismatch closes, other
 ///    messages before hello are refused);
 ///  - compile round trips through CompileClient, with the second compile of
-///    the same key served from the daemon's warm cache;
+///    the same key served from the daemon's warm cache, and a hot round
+///    trip at least 2x faster than a cold compile of a 400-stage chain;
 ///  - N concurrent clients on the same key: exactly one cold compile, the
 ///    rest warm (the tentpole property of the shared cache);
 ///  - admission control: queue_full rejection with retry_after_ms while the
@@ -29,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -271,6 +273,35 @@ TEST(Daemon, CompileRoundTripWarmsCache) {
   ASSERT_NE(S.get("latency_ms"), nullptr);
   EXPECT_EQ(S.get("latency_ms")->getU64("samples"), 3u);
   EXPECT_GT(S.get("latency_ms")->getNumber("max_ms"), 0.0);
+
+  // The warm-cache gate: on a chain long enough that its cold compile
+  // dwarfs a round trip, the fastest of 3 hot round trips (each served
+  // from both cache levels) takes at most half the cold one.
+  CompilerInvocation Chain =
+      sourceInvocation("chain.lss", delayChainSpec(400));
+  auto timedCompile = [&](CompileClient::Result &R) {
+    auto T0 = std::chrono::steady_clock::now();
+    R = Client.compile(Chain);
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - T0)
+        .count();
+  };
+  CompileClient::Result Cold;
+  double ColdMs = timedCompile(Cold);
+  ASSERT_TRUE(Cold.Error.empty()) << Cold.Error;
+  ASSERT_TRUE(Cold.Success) << Cold.Diagnostics;
+  EXPECT_FALSE(Cold.ElabFromCache);
+  double HotMs = std::numeric_limits<double>::infinity();
+  for (int I = 0; I != 3; ++I) {
+    CompileClient::Result Hot;
+    HotMs = std::min(HotMs, timedCompile(Hot));
+    ASSERT_TRUE(Hot.Error.empty()) << Hot.Error;
+    EXPECT_TRUE(Hot.Success);
+    EXPECT_TRUE(Hot.ElabFromCache);
+    EXPECT_TRUE(Hot.SolutionFromCache);
+  }
+  EXPECT_LE(HotMs, ColdMs / 2) << "hot " << HotMs << " ms, cold " << ColdMs
+                               << " ms";
 }
 
 TEST(Daemon, RecompileRoundTripSplicesThroughTheDaemon) {

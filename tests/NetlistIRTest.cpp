@@ -1,8 +1,7 @@
-//===- NetlistIRTest.cpp - Dense interned netlist IR invariants ---------------===//
+//===- NetlistIRTest.cpp - Dense netlist IR invariants ------------------------===//
 ///
 /// Pins the contracts the dense IR hot paths depend on:
-///  - StringInterner: dense first-intern-order ids, idempotent intern,
-///    arena-stable text views, non-inserting lookup;
+///  - Netlist::findByPath: exact hierarchical-path lookup;
 ///  - Netlist::freezeIds(): creation-order instance ids, contiguous
 ///    port-node numbering, PortRef::PortIdx resolution, idempotence;
 ///  - one format per artifact kind: loaders reject every header but
@@ -29,60 +28,6 @@ using namespace liberty;
 using namespace liberty::netlist;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// StringInterner
-//===----------------------------------------------------------------------===//
-
-TEST(Interner, IdsAreDenseAndStable) {
-  StringInterner In;
-  SymbolId A = In.intern("alpha");
-  SymbolId B = In.intern("beta");
-  SymbolId C = In.intern("gamma");
-  EXPECT_EQ(A.index(), 0u);
-  EXPECT_EQ(B.index(), 1u);
-  EXPECT_EQ(C.index(), 2u);
-  // Idempotent: re-interning returns the original id, mints nothing.
-  EXPECT_EQ(In.intern("beta"), B);
-  EXPECT_EQ(In.size(), 3u);
-}
-
-TEST(Interner, DistinctStringsGetDistinctIds) {
-  StringInterner In;
-  std::set<uint32_t> Seen;
-  for (int I = 0; I != 1000; ++I)
-    EXPECT_TRUE(Seen.insert(In.intern("s" + std::to_string(I)).index()).second);
-  EXPECT_EQ(In.size(), 1000u);
-}
-
-TEST(Interner, TextViewsSurviveArenaGrowth) {
-  StringInterner In;
-  // Big enough to span multiple 64k arena chunks; the early views must
-  // stay valid as chunks are added.
-  SymbolId First = In.intern("the-first-string");
-  std::string_view FirstView = In.text(First);
-  for (int I = 0; I != 5000; ++I)
-    In.intern("padding-padding-padding-" + std::to_string(I));
-  EXPECT_EQ(FirstView, "the-first-string");
-  EXPECT_EQ(In.text(First).data(), FirstView.data());
-}
-
-TEST(Interner, LookupDoesNotInsert) {
-  StringInterner In;
-  EXPECT_FALSE(In.lookup("never-interned").isValid());
-  EXPECT_EQ(In.size(), 0u);
-  SymbolId Id = In.intern("present");
-  EXPECT_EQ(In.lookup("present"), Id);
-  EXPECT_EQ(In.size(), 1u);
-}
-
-TEST(Interner, EmptyStringInterns) {
-  StringInterner In;
-  SymbolId E = In.intern("");
-  EXPECT_TRUE(E.isValid());
-  EXPECT_EQ(In.text(E), "");
-  EXPECT_EQ(In.intern(""), E);
-}
 
 //===----------------------------------------------------------------------===//
 // Dense id compaction
@@ -165,19 +110,15 @@ TEST(DenseIds, FreezeResolvesPortRefsAndIsIdempotent) {
   EXPECT_EQ(D.A->NodeBase, Base);
 }
 
-TEST(DenseIds, PortNamesInternedOnFreeze) {
+TEST(DenseIds, FindByPathMatchesWholePaths) {
   SmallDesign D;
-  D.NL.freezeIds();
-  const StringInterner &In = D.NL.getInterner();
-  for (const auto &Inst : D.NL.getInstances())
-    for (const Port &P : Inst->Ports) {
-      ASSERT_TRUE(P.NameSym.isValid());
-      EXPECT_EQ(In.text(P.NameSym), P.Name);
-    }
-  // Same port name on different instances -> same symbol (dense compare).
+  EXPECT_EQ(D.NL.findByPath(""), D.NL.getRoot());
   EXPECT_EQ(D.NL.findByPath("a"), D.A);
   EXPECT_EQ(D.NL.findByPath("a.c"), D.C);
   EXPECT_EQ(D.NL.findByPath("nope"), nullptr);
+  // On a (malformed) duplicate path the first instance created wins.
+  D.NL.createInstance(D.NL.getRoot(), "a", nullptr, SourceLoc());
+  EXPECT_EQ(D.NL.findByPath("a"), D.A);
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,9 @@
 #   5. every stats JSON field src/driver/Stats.cpp's Json section builders
 #      emit is documented in docs/API.md, and every field its stats tables
 #      list is still emitted.
+#   6. every `bench_<name>` named in README.md or docs/*.md is a bench
+#      target (or a bench ctest entry) in bench/CMakeLists.txt, so the
+#      docs cannot point at a deleted bench.
 #
 # Exits non-zero with one line per violation.
 
@@ -150,6 +153,20 @@ if [ -f "$STATS" ] && [ -f "$API" ]; then
     FAILURES=$((FAILURES + 1))
   fi
 fi
+
+# 6. Benches named in the docs exist: every bench_<name> word in README.md
+# or docs/*.md must be a liberty_add_bench target or an add_test name in
+# bench/CMakeLists.txt.
+BENCH_CMAKE=bench/CMakeLists.txt
+BENCH_NAMES=$(grep -oE '(liberty_add_bench\(|NAME )bench_[a-z0-9_]+' \
+  "$BENCH_CMAKE" | sed 's/^.*[( ]//')
+for Name in $(cat README.md docs/*.md |
+              grep -oE '(^|[^A-Za-z0-9_])bench_[a-z0-9_]+' |
+              sed 's/^[^b]*//' | sort -u); do
+  if ! echo "$BENCH_NAMES" | grep -qx "$Name"; then
+    fail "docs name '$Name', which is not a bench in $BENCH_CMAKE"
+  fi
+done
 
 if [ "$FAILURES" -ne 0 ]; then
   echo "check_docs: FAILED ($FAILURES problem(s))" >&2
