@@ -16,7 +16,8 @@
 /// With --sweep-threads it instead sweeps the H3 group search across
 /// thread counts on multi-group systems (the disjoint-hard-groups family
 /// and the real models), printing the wall time and speedup per thread
-/// count and cross-checking that every configuration does identical work.
+/// count and cross-checking that every configuration does identical work;
+/// it exits 1 if any row failed to solve or did different work.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -147,13 +148,30 @@ void printComparisonTable() {
 // --sweep-threads: the parallel H3 group search across thread counts
 //===--------------------------------------------------------------------===//
 
-/// Solves \p Make's constraint system once per thread count and reports
-/// wall time + speedup over the serial (--jobs 1) solve. The solver merges
-/// group results deterministically, so unify steps, branch points, and
-/// group counts must match bit-for-bit across the sweep — checked here.
-void sweepRow(const char *Name,
-              const std::function<std::vector<Constraint>(
-                  types::TypeContext &)> &Make,
+/// Solves one constraint system with \p Threads H3 workers, setting
+/// \p WallMs to the solve's wall time (building the system is not timed).
+using SolveOnce = std::function<SolveStats(unsigned Threads, double &WallMs)>;
+
+SolveStats timedSolve(types::TypeContext &TC,
+                      const std::vector<Constraint> &Cs, unsigned Threads,
+                      double &WallMs) {
+  infer::InferenceEngine E(TC);
+  SolveOptions O;
+  O.NumThreads = Threads;
+  auto Start = std::chrono::steady_clock::now();
+  SolveStats S = E.solve(Cs, O);
+  WallMs = std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - Start)
+               .count();
+  return S;
+}
+
+/// Solves one system once per thread count and reports wall time + speedup
+/// over the serial (--jobs 1) solve. The solver merges group results
+/// deterministically, so unify steps, branch points, and group counts must
+/// match bit-for-bit across the sweep. Returns false, after printing the
+/// row, if any solve failed or the work diverged.
+bool sweepRow(const std::string &Name, const SolveOnce &Solve,
               const std::vector<unsigned> &ThreadCounts) {
   struct Sample {
     unsigned Threads;
@@ -162,20 +180,12 @@ void sweepRow(const char *Name,
   };
   std::vector<Sample> Samples;
   for (unsigned T : ThreadCounts) {
-    types::TypeContext TC;
-    std::vector<Constraint> Cs = Make(TC);
-    infer::InferenceEngine E(TC);
-    SolveOptions O;
-    O.NumThreads = T;
-    auto Start = std::chrono::steady_clock::now();
-    SolveStats S = E.solve(Cs, O);
-    double Ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - Start)
-                    .count();
+    double Ms = 0;
+    SolveStats S = Solve(T, Ms);
     if (!S.Success) {
-      std::printf("%-26s UNEXPECTED FAILURE: %s\n", Name,
+      std::printf("%-26s UNEXPECTED FAILURE at j%u: %s\n", Name.c_str(), T,
                   S.FailMessage.c_str());
-      return;
+      return false;
     }
     Samples.push_back(Sample{T, Ms, std::move(S)});
   }
@@ -186,16 +196,18 @@ void sweepRow(const char *Name,
                  S.Stats.BranchPoints == Samples.front().Stats.BranchPoints &&
                  S.Stats.NumComponents == Samples.front().Stats.NumComponents;
 
-  std::printf("%-26s %6u groups %12" PRIu64 " steps |", Name,
+  std::printf("%-26s %6u groups %12" PRIu64 " steps |", Name.c_str(),
               Samples.front().Stats.NumComponents,
               Samples.front().Stats.UnifySteps);
   for (const Sample &S : Samples)
     std::printf("  j%-2u %8.2fms (%4.2fx)", S.Threads, S.WallMs,
                 S.WallMs > 0 ? Samples.front().WallMs / S.WallMs : 0.0);
   std::printf("  work %s\n", Identical ? "identical" : "DIVERGED");
+  return Identical;
 }
 
-void runThreadSweep() {
+/// Runs the sweep; returns false if any row failed or diverged.
+bool runThreadSweep() {
   const std::vector<unsigned> ThreadCounts = {1, 2, 4, 8};
   std::printf("=== Parallel H3 group search: thread sweep (hardware "
               "threads: %u) ===\n\n",
@@ -203,50 +215,47 @@ void runThreadSweep() {
   std::printf("Speedups are wall-time of j1 over jN; 'work identical' "
               "asserts bit-equal unify-step/branch/group counts.\n\n");
 
+  bool AllOk = true;
+  auto Synthetic =
+      [](std::function<std::vector<Constraint>(types::TypeContext &)> Make) {
+        return [Make](unsigned Threads, double &WallMs) {
+          types::TypeContext TC;
+          std::vector<Constraint> Cs = Make(TC);
+          return timedSolve(TC, Cs, Threads, WallMs);
+        };
+      };
   const std::pair<unsigned, unsigned> HardConfigs[] = {
       {4, 14}, {8, 14}, {16, 12}, {8, 16}};
-  for (auto [G, K] : HardConfigs) {
-    std::string Name = "hard-groups g=" + std::to_string(G) +
-                       " k=" + std::to_string(K);
-    sweepRow(Name.c_str(), [G = G, K = K](types::TypeContext &TC) {
-      return infer::makeDisjointHardGroups(TC, G, K);
-    }, ThreadCounts);
-  }
-  for (unsigned K : {64u, 256u}) {
-    std::string Name = "intersection k=" + std::to_string(K);
-    sweepRow(Name.c_str(), [K](types::TypeContext &TC) {
-      // H2 off leaves all K two-constraint groups for the partitioned
-      // search: many tiny groups, the dispatch-overhead-bound regime.
-      return infer::makeIntersectionFamily(TC, K);
-    }, ThreadCounts);
-  }
+  for (auto [G, K] : HardConfigs)
+    AllOk &= sweepRow("hard-groups g=" + std::to_string(G) +
+                          " k=" + std::to_string(K),
+                      Synthetic([G = G, K = K](types::TypeContext &TC) {
+                        return infer::makeDisjointHardGroups(TC, G, K);
+                      }),
+                      ThreadCounts);
+  for (unsigned K : {64u, 256u})
+    // H2 cannot settle either disjunct alone, so all K two-constraint
+    // groups reach the partitioned search: many tiny groups, the
+    // dispatch-overhead-bound regime.
+    AllOk &= sweepRow("intersection k=" + std::to_string(K),
+                      Synthetic([K](types::TypeContext &TC) {
+                        return infer::makeIntersectionFamily(TC, K);
+                      }),
+                      ThreadCounts);
 
   std::printf("\n(real models: residual groups are few and small after "
               "H2, so these stay serial-dominated)\n");
-  for (const std::string &Id : models::modelIds()) {
-    std::string Name = "model " + Id;
-    std::printf("%-26s", Name.c_str());
-    double BaselineMs = 0;
-    for (unsigned T : ThreadCounts) {
-      driver::Compiler C;
-      std::vector<Constraint> Cs = modelConstraints(Id, C);
-      infer::InferenceEngine E(C.getTypeContext());
-      SolveOptions O;
-      O.NumThreads = T;
-      auto Start = std::chrono::steady_clock::now();
-      SolveStats S = E.solve(Cs, O);
-      double Ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
-      if (T == 1)
-        BaselineMs = Ms;
-      std::printf("  j%-2u %8.2fms (%4.2fx, %u grp)", T, Ms,
-                  Ms > 0 ? BaselineMs / Ms : 0.0, S.NumComponents);
-      (void)S;
-    }
-    std::printf("\n");
-  }
+  for (const std::string &Id : models::modelIds())
+    AllOk &= sweepRow("model " + Id,
+                      [&Id](unsigned Threads, double &WallMs) {
+                        driver::Compiler C;
+                        std::vector<Constraint> Cs = modelConstraints(Id, C);
+                        return timedSolve(C.getTypeContext(), Cs, Threads,
+                                          WallMs);
+                      },
+                      ThreadCounts);
   std::printf("\n");
+  return AllOk;
 }
 
 //===--------------------------------------------------------------------===//
@@ -299,10 +308,8 @@ int main(int argc, char **argv) {
       argv[W++] = argv[I];
   }
   argc = W;
-  if (SweepThreads) {
-    runThreadSweep();
-    return 0;
-  }
+  if (SweepThreads)
+    return runThreadSweep() ? 0 : 1;
 
   printComparisonTable();
   for (const std::string &Id : models::modelIds())

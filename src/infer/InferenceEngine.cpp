@@ -13,6 +13,7 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <mutex>
 #include <numeric>
 
 using namespace liberty;
@@ -103,36 +104,89 @@ bool InferenceEngine::overBudget(const Unifier &WU, const SolveOptions &Opts,
   return false;
 }
 
-bool InferenceEngine::solveList(Unifier &WU, std::vector<TypePair> Work,
-                                const SolveOptions &Opts, SolveStats &Stats,
-                                unsigned Depth) {
-  for (size_t I = 0; I < Work.size(); ++I) {
+/// The pending work of one depth-first search (one H3 group, or the serial
+/// H2 trials): an arena of immutable {pair, next} nodes. Trying an
+/// alternative pushes one node in front of the shared suffix, so sibling
+/// alternatives see the same suffix without copying it; backtracking
+/// truncates the arena to the mark taken before the push, next to the
+/// unifier's rollback. Nodes above a mark are only reachable from the
+/// branch that pushed them, so truncation never cuts a live list.
+struct InferenceEngine::WorkList {
+  static constexpr uint32_t End = ~0u;
+  struct Node {
+    TypePair P;
+    uint32_t Next;
+  };
+  std::vector<Node> Nodes;
+  std::vector<TypePair> Deferred; ///< Scratch for unifyStructural.
+
+  uint32_t push(TypePair P, uint32_t Next) {
+    Nodes.push_back(Node{P, Next});
+    return uint32_t(Nodes.size() - 1);
+  }
+  /// Pushes \p Pairs in front of \p Next, keeping their order.
+  uint32_t pushAll(const std::vector<TypePair> &Pairs, uint32_t Next) {
+    for (size_t I = Pairs.size(); I-- != 0;)
+      Next = push(Pairs[I], Next);
+    return Next;
+  }
+  size_t mark() const { return Nodes.size(); }
+  void truncate(size_t Mark) { Nodes.resize(Mark); }
+};
+
+/// True when unifying (\p A, \p B) deferred exactly that pair: a choice
+/// pair, which the search branches on instead of unifying.
+static bool deferredItself(const std::vector<TypePair> &Deferred,
+                           const Type *A, const Type *B) {
+  return Deferred.size() == 1 && Deferred.front().A == A &&
+         Deferred.front().B == B;
+}
+
+bool InferenceEngine::solveList(Unifier &WU, WorkList &WL, uint32_t Head,
+                                const SolveOptions &Opts, SolveStats &Stats) {
+  while (Head != WorkList::End) {
     if (overBudget(WU, Opts, Stats))
       return false;
-    const Type *A = WU.find(Work[I].A);
-    const Type *B = WU.find(Work[I].B);
+    const WorkList::Node N = WL.Nodes[Head]; // Copy: pushes may reallocate.
+    const Type *A = WU.find(N.P.A);
+    const Type *B = WU.find(N.P.B);
+    // Branch on a disjunct side, or on the disjunct inside a choice pair's
+    // term; otherwise unify, solving any nested work it exposes next.
+    const Type *D = nullptr, *O = nullptr, *Var = nullptr;
     if (A->isDisjunct() || B->isDisjunct()) {
-      const Type *D = A->isDisjunct() ? A : B;
-      const Type *O = A->isDisjunct() ? B : A;
-      ++Stats.BranchPoints;
-      for (const Type *Alt : D->getAlternatives()) {
-        Unifier::Checkpoint CP = WU.checkpoint();
-        std::vector<TypePair> Rest;
-        Rest.reserve(Work.size() - I);
-        Rest.push_back(TypePair{Alt, O});
-        Rest.insert(Rest.end(), Work.begin() + I + 1, Work.end());
-        if (solveList(WU, std::move(Rest), Opts, Stats, Depth + 1))
-          return true;
-        WU.rollback(CP);
-        if (overBudget(WU, Opts, Stats))
-          return false;
+      D = A->isDisjunct() ? A : B;
+      O = A->isDisjunct() ? B : A;
+    } else {
+      WL.Deferred.clear();
+      if (!WU.unifyStructural(A, B, WL.Deferred))
+        return false;
+      if (!deferredItself(WL.Deferred, A, B)) {
+        Head = WL.pushAll(WL.Deferred, N.Next);
+        continue;
       }
-      return false;
+      Var = A->isVar() ? A : B;
+      O = A->isVar() ? B : A;
+      D = WU.findChoice(Var->getVarId(), O);
     }
-    std::vector<TypePair> Deferred;
-    if (!WU.unifyStructural(A, B, Deferred))
-      return false;
-    Work.insert(Work.begin() + I + 1, Deferred.begin(), Deferred.end());
+    ++Stats.BranchPoints;
+    for (const Type *Alt : D->getAlternatives()) {
+      Unifier::Checkpoint CP = WU.checkpoint();
+      size_t Mark = WL.mark();
+      TypePair P{Alt, O};
+      if (Var) {
+        // Rare: the rebuilt term is allocated, and group workers share
+        // the TypeContext.
+        std::lock_guard<std::mutex> Lock(TypeAllocMutex);
+        P = TypePair{Var, WU.substitute(O, D, Alt)};
+      }
+      if (solveList(WU, WL, WL.push(P, N.Next), Opts, Stats))
+        return true;
+      WU.rollback(CP);
+      WL.truncate(Mark);
+      if (overBudget(WU, Opts, Stats))
+        return false;
+    }
+    return false;
   }
   return true;
 }
@@ -174,6 +228,10 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
     const Constraint *From = nullptr;
   };
   std::list<PendingItem> Pending;
+  // The serial phases' search state: H2's trial unifications, and the one
+  // whole-residual search when H3 is off.
+  WorkList Trials;
+  std::vector<TypePair> &Deferred = Trials.Deferred;
 
   if (Opts.ReorderSimpleFirst) {
     // Heuristic 1: unify the non-disjunctive constraints up front. They can
@@ -184,7 +242,6 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
         Pending.push_back(PendingItem{{C.A, C.B}, &C});
         continue;
       }
-      std::vector<TypePair> Deferred;
       if (!U.unifyStructural(C.A, C.B, Deferred))
         return Fail(U.getLastFailure() + " (" + C.renderContext() + ")",
                     C.Loc);
@@ -213,11 +270,15 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
         if (!A->isDisjunct() && !B->isDisjunct()) {
           // The constraint became simple under current bindings: solve it
           // directly, queueing any nested disjuncts it exposes.
-          std::vector<TypePair> Deferred;
+          Deferred.clear();
           if (!U.unifyStructural(A, B, Deferred))
             return Fail(U.getLastFailure() + " (" +
                             It->From->renderContext() + ")",
                         It->From->Loc);
+          if (deferredItself(Deferred, A, B)) {
+            ++It; // A choice pair: left for the search.
+            continue;
+          }
           for (const TypePair &D : Deferred)
             Pending.push_back(PendingItem{D, It->From});
           It = Pending.erase(It);
@@ -229,8 +290,11 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
         std::vector<const Type *> Viable;
         for (const Type *Alt : D->getAlternatives()) {
           Unifier::Checkpoint CP = U.checkpoint();
-          bool Ok = solveList(U, {TypePair{Alt, O}}, Opts, Stats, 0);
+          bool Ok = solveList(U, Trials,
+                              Trials.push(TypePair{Alt, O}, WorkList::End),
+                              Opts, Stats);
           U.rollback(CP);
+          Trials.truncate(0);
           if (Ok)
             Viable.push_back(Alt);
         }
@@ -240,11 +304,11 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
                       It->From->renderContext() + ")",
                       It->From->Loc);
         if (Viable.size() == 1) {
-          bool Ok =
-              solveList(U, {TypePair{Viable.front(), O}}, Opts, Stats, 0);
-          assert(Ok && "forced alternative no longer unifiable");
-          (void)Ok;
-          It = Pending.erase(It);
+          // Commit the forced alternative and take the constraint again. A
+          // choice nested inside the alternative stays open: committing the
+          // trial's first solution would fix it before the constraints
+          // that decide it have been seen.
+          It->P = TypePair{Viable.front(), O};
           Progress = true;
           continue;
         }
@@ -268,12 +332,11 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
   }
 
   if (!Opts.Partition) {
-    std::vector<TypePair> Work;
-    Work.reserve(Residual.size());
-    for (const PendingItem &P : Residual)
-      Work.push_back(P.P);
+    uint32_t Head = WorkList::End;
+    for (size_t I = Residual.size(); I-- != 0;)
+      Head = Trials.push(Residual[I].P, Head);
     Stats.NumComponents = 1;
-    if (!solveList(U, std::move(Work), Opts, Stats, 0))
+    if (!solveList(U, Trials, Head, Opts, Stats))
       return Fail(Stats.HitLimit || Stats.HitDeadline
                       ? BudgetMessage()
                       : "no consistent assignment for overloaded components",
@@ -437,15 +500,16 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
       Opts.MaxSteps > U.getSteps() ? Opts.MaxSteps - U.getSteps() : 0;
 
   auto SolveGroup = [&](unsigned G) {
-    std::vector<TypePair> Work;
-    Work.reserve(Components[G].size());
-    for (unsigned I : Components[G])
-      Work.push_back(Residual[I].P);
+    const std::vector<unsigned> &Group = Components[G];
+    WorkList WL;
+    uint32_t Head = WorkList::End;
+    for (size_t I = Group.size(); I-- != 0;)
+      Head = WL.push(Residual[Group[I]].P, Head);
     GroupOutcome &Out = Outcomes[G];
     auto Start = std::chrono::steady_clock::now();
     Unifier Scratch(TC);
     Scratch.seedFrom(U);
-    Out.Ok = solveList(Scratch, std::move(Work), GroupOpts, Out.Local, 0);
+    Out.Ok = solveList(Scratch, WL, Head, GroupOpts, Out.Local);
     Out.Steps = Scratch.getSteps();
     if (Out.Ok) {
       Out.NewBindings.reserve(Scratch.getTrail().size());

@@ -32,6 +32,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -219,11 +220,14 @@ public:
   const types::Type *resolve(const types::Type *T) { return U.resolveDeep(T); }
 
 private:
+  struct WorkList;
+
   /// Depth-first search over disjunct alternatives on \p WU, which is the
   /// engine's own unifier for the serial phases and a per-group scratch
-  /// unifier during the (possibly parallel) H3 group search.
-  bool solveList(Unifier &WU, std::vector<TypePair> Work,
-                 const SolveOptions &Opts, SolveStats &Stats, unsigned Depth);
+  /// unifier during the (possibly parallel) H3 group search. \p Head is
+  /// the first node of the pending work in \p WL (WorkList::End when none).
+  bool solveList(Unifier &WU, WorkList &WL, uint32_t Head,
+                 const SolveOptions &Opts, SolveStats &Stats);
   /// True when \p WU exhausted the step budget or the solve deadline
   /// passed; flags the condition on \p Stats. Safe to call concurrently
   /// from group workers (the deadline is set once before they start).
@@ -231,6 +235,9 @@ private:
                   SolveStats &Stats) const;
 
   types::TypeContext &TC;
+  /// Serializes the types group workers allocate in TC when they branch on
+  /// a choice pair (Unifier::substitute).
+  std::mutex TypeAllocMutex;
   Unifier U;
   /// Absolute deadline for the current solve() (steady clock); only valid
   /// while HasDeadline.

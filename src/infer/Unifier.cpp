@@ -10,20 +10,6 @@ using namespace liberty;
 using namespace liberty::infer;
 using types::Type;
 
-const Type *Unifier::getBinding(uint32_t VarId) const {
-  return VarId < Bindings.size() ? Bindings[VarId] : nullptr;
-}
-
-const Type *Unifier::find(const Type *T) const {
-  while (T->isVar()) {
-    const Type *Bound = getBinding(T->getVarId());
-    if (!Bound)
-      return T;
-    T = Bound;
-  }
-  return T;
-}
-
 void Unifier::bind(uint32_t VarId, const Type *T) {
   if (VarId >= Bindings.size())
     Bindings.resize(VarId + 1, nullptr);
@@ -36,7 +22,7 @@ void Unifier::seedFrom(const Unifier &Base) {
   Bindings = Base.Bindings;
   Trail.clear();
   Steps = 0;
-  LastFailure.clear();
+  LastFailKind = FailureKind::None;
 }
 
 void Unifier::rollback(Checkpoint C) {
@@ -47,25 +33,83 @@ void Unifier::rollback(Checkpoint C) {
   }
 }
 
-bool Unifier::occurs(uint32_t VarId, const Type *T) const {
+Unifier::Occurrence Unifier::occurrence(uint32_t VarId, const Type *T) const {
   T = find(T);
   switch (T->getKind()) {
   case Type::Kind::Var:
-    return T->getVarId() == VarId;
+    return T->getVarId() == VarId ? Occurrence::Direct : Occurrence::None;
   case Type::Kind::Array:
-    return occurs(VarId, T->getElem());
-  case Type::Kind::Struct:
-    for (const auto &[Name, FieldTy] : T->getFields())
-      if (occurs(VarId, FieldTy))
-        return true;
-    return false;
+    return occurrence(VarId, T->getElem());
+  case Type::Kind::Struct: {
+    Occurrence R = Occurrence::None;
+    for (const auto &[Name, FieldTy] : T->getFields()) {
+      Occurrence O = occurrence(VarId, FieldTy);
+      if (O == Occurrence::Direct)
+        return O;
+      if (O == Occurrence::UnderChoice)
+        R = O;
+    }
+    return R;
+  }
   case Type::Kind::Disjunct:
     for (const Type *Alt : T->getAlternatives())
-      if (occurs(VarId, Alt))
-        return true;
-    return false;
+      if (occurrence(VarId, Alt) != Occurrence::None)
+        return Occurrence::UnderChoice;
+    return Occurrence::None;
   default:
-    return false;
+    return Occurrence::None;
+  }
+}
+
+const Type *Unifier::findChoice(uint32_t VarId, const Type *T) const {
+  T = find(T);
+  switch (T->getKind()) {
+  case Type::Kind::Array:
+    return findChoice(VarId, T->getElem());
+  case Type::Kind::Struct:
+    for (const auto &[Name, FieldTy] : T->getFields())
+      if (const Type *D = findChoice(VarId, FieldTy))
+        return D;
+    return nullptr;
+  case Type::Kind::Disjunct:
+    return occurrence(VarId, T) != Occurrence::None ? T : nullptr;
+  default:
+    return nullptr;
+  }
+}
+
+const Type *Unifier::substitute(const Type *T, const Type *D,
+                                const Type *Alt) {
+  bool Done = false;
+  const Type *R = substitute(T, D, Alt, Done);
+  assert(Done && "choice disjunct not found");
+  return R;
+}
+
+const Type *Unifier::substitute(const Type *T, const Type *D,
+                                const Type *Alt, bool &Done) {
+  T = find(T);
+  if (T == D) {
+    Done = true;
+    return Alt;
+  }
+  switch (T->getKind()) {
+  case Type::Kind::Array: {
+    const Type *Elem = substitute(T->getElem(), D, Alt, Done);
+    return Done ? TC.getArray(Elem, T->getArraySize()) : T;
+  }
+  case Type::Kind::Struct: {
+    std::vector<std::pair<std::string, const Type *>> Fields =
+        T->getFields();
+    for (auto &[Name, FieldTy] : Fields) {
+      FieldTy = substitute(FieldTy, D, Alt, Done);
+      if (Done)
+        return TC.getStruct(std::move(Fields));
+    }
+    return T;
+  }
+  default:
+    return T; // D is outermost: no need to look inside other disjuncts.
   }
 }
 
@@ -85,27 +129,23 @@ bool Unifier::unifyStructural(const Type *A, const Type *B,
     return true;
   }
 
-  if (A->isVar()) {
-    if (occurs(A->getVarId(), B)) {
-      LastFailure = "occurs check failed: " + A->str() + " in " + B->str();
-      return false;
+  if (A->isVar() || B->isVar()) {
+    const Type *Var = A->isVar() ? A : B;
+    const Type *Term = A->isVar() ? B : A;
+    switch (occurrence(Var->getVarId(), Term)) {
+    case Occurrence::None:
+      bind(Var->getVarId(), Term);
+      return true;
+    case Occurrence::Direct:
+      return fail(FailureKind::Occurs, Var, Term);
+    case Occurrence::UnderChoice:
+      Deferred.push_back(TypePair{A, B});
+      return true;
     }
-    bind(A->getVarId(), B);
-    return true;
-  }
-  if (B->isVar()) {
-    if (occurs(B->getVarId(), A)) {
-      LastFailure = "occurs check failed: " + B->str() + " in " + A->str();
-      return false;
-    }
-    bind(B->getVarId(), A);
-    return true;
   }
 
-  if (A->getKind() != B->getKind()) {
-    LastFailure = "cannot unify " + A->str() + " with " + B->str();
-    return false;
-  }
+  if (A->getKind() != B->getKind())
+    return fail(FailureKind::Mismatch, A, B);
 
   switch (A->getKind()) {
   case Type::Kind::Int:
@@ -114,25 +154,17 @@ bool Unifier::unifyStructural(const Type *A, const Type *B,
   case Type::Kind::String:
     return true;
   case Type::Kind::Array:
-    if (A->getArraySize() != B->getArraySize()) {
-      LastFailure = "array extents differ: " + A->str() + " vs " + B->str();
-      return false;
-    }
+    if (A->getArraySize() != B->getArraySize())
+      return fail(FailureKind::ArrayExtent, A, B);
     return unifyStructural(A->getElem(), B->getElem(), Deferred);
   case Type::Kind::Struct: {
     const auto &FA = A->getFields();
     const auto &FB = B->getFields();
-    if (FA.size() != FB.size()) {
-      LastFailure = "struct field counts differ: " + A->str() + " vs " +
-                    B->str();
-      return false;
-    }
+    if (FA.size() != FB.size())
+      return fail(FailureKind::FieldCount, A, B);
     for (unsigned I = 0; I != FA.size(); ++I) {
-      if (FA[I].first != FB[I].first) {
-        LastFailure = "struct field names differ: " + A->str() + " vs " +
-                      B->str();
-        return false;
-      }
+      if (FA[I].first != FB[I].first)
+        return fail(FailureKind::FieldName, A, B);
       if (!unifyStructural(FA[I].second, FB[I].second, Deferred))
         return false;
     }
@@ -144,6 +176,26 @@ bool Unifier::unifyStructural(const Type *A, const Type *B,
   }
   assert(false && "unreachable unification case");
   return false;
+}
+
+std::string Unifier::getLastFailure() const {
+  switch (LastFailKind) {
+  case FailureKind::None:
+    return std::string();
+  case FailureKind::Occurs:
+    return "occurs check failed: " + FailX->str() + " in " + FailY->str();
+  case FailureKind::Mismatch:
+    return "cannot unify " + FailX->str() + " with " + FailY->str();
+  case FailureKind::ArrayExtent:
+    return "array extents differ: " + FailX->str() + " vs " + FailY->str();
+  case FailureKind::FieldCount:
+    return "struct field counts differ: " + FailX->str() + " vs " +
+           FailY->str();
+  case FailureKind::FieldName:
+    return "struct field names differ: " + FailX->str() + " vs " +
+           FailY->str();
+  }
+  return std::string();
 }
 
 const Type *Unifier::resolveDeep(const Type *T) {

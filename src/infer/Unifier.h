@@ -12,6 +12,7 @@
 #ifndef LIBERTY_INFER_UNIFIER_H
 #define LIBERTY_INFER_UNIFIER_H
 
+#include "types/Type.h"
 #include "types/TypeContext.h"
 
 #include <cstdint>
@@ -32,17 +33,40 @@ public:
   explicit Unifier(types::TypeContext &TC) : TC(TC) {}
 
   /// Follows variable bindings at the top level only.
-  const types::Type *find(const types::Type *T) const;
+  const types::Type *find(const types::Type *T) const {
+    while (T->isVar()) {
+      const types::Type *Bound = getBinding(T->getVarId());
+      if (!Bound)
+        return T;
+      T = Bound;
+    }
+    return T;
+  }
 
   /// Substitutes bindings everywhere; unbound variables remain.
   const types::Type *resolveDeep(const types::Type *T);
 
   /// Structurally unifies \p A and \p B. Nested (disjunct, other) pairs are
   /// appended to \p Deferred and treated as locally satisfied; the caller
-  /// must branch over them. Returns false on a hard mismatch (bindings made
-  /// before the failure remain; callers roll back via checkpoints).
+  /// must branch over them. So is a *choice pair*: an unbound variable
+  /// against a term that mentions it only inside disjunct alternatives,
+  /// where the alternative chosen decides whether the variable occurs.
+  /// Returns false on a hard mismatch (bindings made before the failure
+  /// remain; callers roll back via checkpoints).
   bool unifyStructural(const types::Type *A, const types::Type *B,
                        std::vector<TypePair> &Deferred);
+
+  /// For a choice pair (the variable \p VarId against \p T): the first
+  /// outermost disjunct in \p T, in depth-first field order, whose
+  /// alternatives mention the variable. The solver branches on it.
+  const types::Type *findChoice(uint32_t VarId, const types::Type *T) const;
+
+  /// \p T with the first occurrence of the disjunct \p D (in the order
+  /// findChoice visits) replaced by \p Alt, inlining bindings on the path
+  /// to it. Allocates the rebuilt nodes in the TypeContext, so concurrent
+  /// callers sharing one context must serialize.
+  const types::Type *substitute(const types::Type *T, const types::Type *D,
+                                const types::Type *Alt);
 
   using Checkpoint = size_t;
   Checkpoint checkpoint() const { return Trail.size(); }
@@ -75,19 +99,48 @@ public:
 
   uint64_t getSteps() const { return Steps; }
 
-  /// Human-readable description of the last hard mismatch.
-  const std::string &getLastFailure() const { return LastFailure; }
+  /// Human-readable description of the last hard mismatch. Rendered on
+  /// demand: a failed unification only records what went wrong and the two
+  /// types involved, so the search never formats text it will not report.
+  std::string getLastFailure() const;
 
 private:
-  bool occurs(uint32_t VarId, const types::Type *T) const;
+  /// What the last hard mismatch was. Types are immutable, so the two
+  /// recorded terms render the same text whenever they are asked.
+  enum class FailureKind : uint8_t {
+    None,
+    Occurs,      ///< X is the variable, Y the term it occurs in.
+    Mismatch,    ///< Different kinds.
+    ArrayExtent, ///< Two arrays of different extents.
+    FieldCount,  ///< Two structs with different field counts.
+    FieldName,   ///< Two structs whose field names differ.
+  };
+
+  /// Where a variable occurs in a term: not at all, on a path free of
+  /// disjuncts (no choice can remove it), or only inside alternatives.
+  enum class Occurrence : uint8_t { None, Direct, UnderChoice };
+
+  Occurrence occurrence(uint32_t VarId, const types::Type *T) const;
+  const types::Type *substitute(const types::Type *T, const types::Type *D,
+                                const types::Type *Alt, bool &Done);
   void bind(uint32_t VarId, const types::Type *T);
-  const types::Type *getBinding(uint32_t VarId) const;
+  const types::Type *getBinding(uint32_t VarId) const {
+    return VarId < Bindings.size() ? Bindings[VarId] : nullptr;
+  }
+  bool fail(FailureKind K, const types::Type *X, const types::Type *Y) {
+    LastFailKind = K;
+    FailX = X;
+    FailY = Y;
+    return false;
+  }
 
   types::TypeContext &TC;
   std::vector<const types::Type *> Bindings; ///< Indexed by variable id.
   std::vector<uint32_t> Trail;
   uint64_t Steps = 0;
-  std::string LastFailure;
+  FailureKind LastFailKind = FailureKind::None;
+  const types::Type *FailX = nullptr;
+  const types::Type *FailY = nullptr;
 };
 
 } // namespace infer

@@ -28,35 +28,9 @@ bool Type::isGround() const {
   return false;
 }
 
-uint32_t Type::getVarId() const {
-  assert(K == Kind::Var && "not a type variable");
-  return VarId;
-}
-
 const std::string &Type::getVarName() const {
   assert(K == Kind::Var && "not a type variable");
   return VarName;
-}
-
-const Type *Type::getElem() const {
-  assert(K == Kind::Array && "not an array type");
-  return Elem;
-}
-
-int64_t Type::getArraySize() const {
-  assert(K == Kind::Array && "not an array type");
-  return ArraySize;
-}
-
-const std::vector<std::pair<std::string, const Type *>> &
-Type::getFields() const {
-  assert(K == Kind::Struct && "not a struct type");
-  return Fields;
-}
-
-const std::vector<const Type *> &Type::getAlternatives() const {
-  assert(K == Kind::Disjunct && "not a disjunctive type");
-  return Alternatives;
 }
 
 std::string Type::str() const {

@@ -17,6 +17,7 @@
 #ifndef LIBERTY_TYPES_TYPE_H
 #define LIBERTY_TYPES_TYPE_H
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -50,20 +51,38 @@ public:
   /// True if no Var or Disjunct occurs anywhere in this type.
   bool isGround() const;
 
+  // The structural accessors are defined inline: the unifier's search
+  // calls them tens of millions of times per compile.
+
   /// For Var types: the globally unique variable id.
-  uint32_t getVarId() const;
+  uint32_t getVarId() const {
+    assert(K == Kind::Var && "not a type variable");
+    return VarId;
+  }
   /// For Var types: a display name such as "'a#3".
   const std::string &getVarName() const;
 
   /// For Array types.
-  const Type *getElem() const;
-  int64_t getArraySize() const;
+  const Type *getElem() const {
+    assert(K == Kind::Array && "not an array type");
+    return Elem;
+  }
+  int64_t getArraySize() const {
+    assert(K == Kind::Array && "not an array type");
+    return ArraySize;
+  }
 
   /// For Struct types.
-  const std::vector<std::pair<std::string, const Type *>> &getFields() const;
+  const std::vector<std::pair<std::string, const Type *>> &getFields() const {
+    assert(K == Kind::Struct && "not a struct type");
+    return Fields;
+  }
 
   /// For Disjunct types.
-  const std::vector<const Type *> &getAlternatives() const;
+  const std::vector<const Type *> &getAlternatives() const {
+    assert(K == Kind::Disjunct && "not a disjunctive type");
+    return Alternatives;
+  }
 
   /// Renders the type in LSS syntax, e.g. "int[4]" or "(int|float)".
   std::string str() const;
