@@ -202,18 +202,22 @@ private:
     if (Board->Instrumented && Ports[size_t(PortId)].IsOutput)
       deliverEvent(Ports[size_t(PortId)].EventName, W.V);
   }
-  /// Value::equals with the integer case inline.
+  /// Value::equals with the integer and boolean cases inline.
   static bool sameValue(const interp::Value &A, const interp::Value &B) {
     if (A.isInt() && B.isInt())
       return A.getInt() == B.getInt();
+    if (A.isBool() && B.isBool())
+      return A.getBool() == B.getBool();
     return A.equals(B);
   }
-  /// Assignment with the in-place integer store (observationally the
-  /// same as copying the Int value).
+  /// Assignment with the in-place integer and boolean stores
+  /// (observationally the same as copying the value).
   template <class ValueT>
   static void store(interp::Value &Dst, ValueT &&Src) {
     if (Src.isInt())
       Dst.setInt(Src.getInt());
+    else if (Src.isBool())
+      Dst.setBool(Src.getBool());
     else
       Dst = std::forward<ValueT>(Src);
   }

@@ -12,7 +12,6 @@
 #include "corelib/TraceGen.h"
 #include "types/Type.h"
 
-#include <deque>
 #include <mutex>
 
 using namespace liberty;
@@ -753,37 +752,51 @@ private:
   int Policy = -1;
 };
 
+/// A FIFO of `depth` entries held in a ring of reused slots: an enqueue
+/// assigns into a free slot (a reference-count bump for a struct token),
+/// so the steady state allocates nothing. The ring starts at up to
+/// InitialSlots slots and doubles towards `depth` only when it fills.
 class Queue : public LeafBehavior {
 public:
   void init(BehaviorContext &Ctx) override {
-    Q.clear();
     Depth = static_cast<size_t>(std::max<int64_t>(1, paramInt(Ctx, "depth", 4)));
+    Ring.assign(std::min(Depth, InitialSlots), Value());
+    Head = 0;
+    Count = 0;
     In = Ctx.bindPort("in");
     Stall = Ctx.bindPort("stall");
     Out = Ctx.bindPort("out");
     Occupancy = Ctx.bindState("occupancy");
   }
   void evaluate(BehaviorContext &Ctx) override {
-    SentThisCycle = !Q.empty();
+    SentThisCycle = Count != 0;
     if (SentThisCycle)
-      Ctx.setOutput(Out, 0, Q.front());
-    Ctx.state(Occupancy) = Value::makeInt(static_cast<int64_t>(Q.size()));
+      Ctx.setOutput(Out, 0, Ring[Head]);
+    Ctx.state(Occupancy).setInt(static_cast<int64_t>(Count));
   }
   void endOfTimestep(BehaviorContext &Ctx) override {
     bool Stalled = stallAsserted(Ctx, Stall);
     if (SentThisCycle && !Stalled) {
-      Ctx.emitEvent("dequeue", Q.front());
-      Q.pop_front();
+      Ctx.emitEvent("dequeue", Ring[Head]);
+      if (++Head == Ring.size())
+        Head = 0;
+      --Count;
     }
     for (int I = 0, W = Ctx.getWidth(In); I != W; ++I) {
       const Value *V = Ctx.getInput(In, I);
       if (!V)
         continue;
-      if (Q.size() >= Depth) {
+      if (Count >= Depth) {
         Ctx.emitEvent("full", *V);
         continue;
       }
-      Q.push_back(*V);
+      if (Count == Ring.size())
+        grow();
+      size_t Tail = Head + Count;
+      if (Tail >= Ring.size())
+        Tail -= Ring.size();
+      Ring[Tail] = *V;
+      ++Count;
       Ctx.emitEvent("enqueue", *V);
     }
   }
@@ -792,8 +805,21 @@ public:
   }
 
 private:
-  std::deque<Value> Q;
+  static constexpr size_t InitialSlots = 64;
+
+  /// Doubles the ring (capped at Depth), unrolling the entries to its front.
+  void grow() {
+    std::vector<Value> Bigger(std::min(Depth, 2 * Ring.size()));
+    for (size_t I = 0; I != Count; ++I)
+      Bigger[I] = std::move(Ring[(Head + I) % Ring.size()]);
+    Ring = std::move(Bigger);
+    Head = 0;
+  }
+
+  std::vector<Value> Ring;
   size_t Depth = 4;
+  size_t Head = 0;  ///< Slot of the oldest entry.
+  size_t Count = 0; ///< Entries held, at most Depth.
   bool SentThisCycle = false;
   int In = -1;
   int Stall = -1;

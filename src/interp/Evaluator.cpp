@@ -141,31 +141,37 @@ Evaluator::Flow Evaluator::exec(const Stmt *S) {
   }
 }
 
-void Evaluator::execVarDecl(const VarDeclStmt *S) {
-  Value V;
-  if (S->getInit()) {
-    V = eval(S->getInit());
-  } else if (isa<ArrayTypeExpr>(S->getType())) {
-    V = Value::makeArray({});
-  } else if (const auto *BTE = dyn_cast<BasicTypeExpr>(S->getType())) {
-    // Default-initialize by declared type; other types (instance refs)
-    // stay Unset until assigned.
+/// The value a `var` of declared type \p TE starts with when it has no
+/// initializer: zero, false, 0.0, "" or [] by type, and for a struct its
+/// fields' defaults. Other types (instance refs) stay Unset until
+/// assigned.
+static Value declDefault(const TypeExpr *TE) {
+  if (isa<ArrayTypeExpr>(TE))
+    return Value::makeArray({});
+  if (const auto *STE = dyn_cast<StructTypeExpr>(TE)) {
+    Value::FieldList Fields;
+    for (const auto &[Name, FieldTE] : STE->getFields())
+      Fields.emplace_back(Name, declDefault(FieldTE));
+    return Value::makeStruct(std::move(Fields));
+  }
+  if (const auto *BTE = dyn_cast<BasicTypeExpr>(TE)) {
     switch (BTE->getBasicKind()) {
     case BasicTypeExpr::Basic::Int:
-      V = Value::makeInt(0);
-      break;
+      return Value::makeInt(0);
     case BasicTypeExpr::Basic::Bool:
-      V = Value::makeBool(false);
-      break;
+      return Value::makeBool(false);
     case BasicTypeExpr::Basic::Float:
-      V = Value::makeFloat(0.0);
-      break;
+      return Value::makeFloat(0.0);
     case BasicTypeExpr::Basic::String:
-      V = Value::makeString("");
-      break;
+      return Value::makeString("");
     }
   }
-  define(S->getName(), std::move(V));
+  return Value();
+}
+
+void Evaluator::execVarDecl(const VarDeclStmt *S) {
+  define(S->getName(),
+         S->getInit() ? eval(S->getInit()) : declDefault(S->getType()));
 }
 
 void Evaluator::execAssign(const AssignStmt *S) {
@@ -225,11 +231,11 @@ Value *Evaluator::resolveLValue(const Expr *E) {
   }
   case Expr::Kind::Index: {
     const auto *I = cast<IndexExpr>(E);
-    Value *Base = resolveLValue(I->getBase());
-    if (!Base || !Base->isArray())
-      return nullptr;
+    // The index first: a copy made while evaluating it must not share a
+    // struct payload that the pointers taken below then write through.
     Value Idx = eval(I->getIndex());
-    if (!Idx.isInt())
+    Value *Base = resolveLValue(I->getBase());
+    if (!Base || !Base->isArray() || !Idx.isInt())
       return nullptr;
     auto &Elems = Base->getElemsMutable();
     int64_t N = Idx.getInt();

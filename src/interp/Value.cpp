@@ -4,6 +4,7 @@
 
 #include "types/Type.h"
 
+#include <atomic>
 #include <cassert>
 #include <sstream>
 
@@ -24,10 +25,10 @@ Value Value::makeArray(std::vector<Value> Elems) {
   return R;
 }
 
-Value Value::makeStruct(std::vector<std::pair<std::string, Value>> Fields) {
+Value Value::makeStruct(FieldList Fields) {
   Value R;
   R.K = Kind::Struct;
-  R.Fields = std::move(Fields);
+  R.Fields = std::make_shared<FieldList>(std::move(Fields));
   return R;
 }
 
@@ -59,11 +60,6 @@ bool Value::isData() const {
   }
 }
 
-bool Value::getBool() const {
-  assert(K == Kind::Bool && "not a bool value");
-  return BoolVal;
-}
-
 double Value::getFloat() const {
   assert(K == Kind::Float && "not a float value");
   return FloatVal;
@@ -89,27 +85,33 @@ std::vector<Value> &Value::getElemsMutable() {
   return Elems;
 }
 
-const std::vector<std::pair<std::string, Value>> &Value::getFields() const {
+const Value::FieldList &Value::getFields() const {
   assert(K == Kind::Struct && "not a struct value");
-  return Fields;
+  // A moved-from struct has no payload; it reads as having no fields.
+  static const FieldList NoFields;
+  return Fields ? *Fields : NoFields;
 }
 
-std::vector<std::pair<std::string, Value>> &Value::getFieldsMutable() {
+Value::FieldList &Value::getFieldsMutable() {
   assert(K == Kind::Struct && "not a struct value");
-  return Fields;
+  if (Fields.use_count() != 1)
+    Fields = std::make_shared<FieldList>(getFields());
+  else
+    // The last other owner may have just dropped its copy on another
+    // thread; order its reads of the payload before our writes.
+    std::atomic_thread_fence(std::memory_order_acquire);
+  return *Fields;
 }
 
 const Value *Value::getField(const std::string &Name) const {
-  assert(K == Kind::Struct && "not a struct value");
-  for (const auto &[FieldName, FieldValue] : Fields)
+  for (const auto &[FieldName, FieldValue] : getFields())
     if (FieldName == Name)
       return &FieldValue;
   return nullptr;
 }
 
 Value *Value::getFieldMutable(const std::string &Name) {
-  assert(K == Kind::Struct && "not a struct value");
-  for (auto &[FieldName, FieldValue] : Fields)
+  for (auto &[FieldName, FieldValue] : getFieldsMutable())
     if (FieldName == Name)
       return &FieldValue;
   return nullptr;
@@ -153,11 +155,14 @@ bool Value::equals(const Value &Other) const {
     return true;
   }
   case Kind::Struct: {
-    if (Fields.size() != Other.Fields.size())
+    if (Fields == Other.Fields)
+      return true;
+    const FieldList &Mine = getFields(), &Theirs = Other.getFields();
+    if (Mine.size() != Theirs.size())
       return false;
-    for (unsigned I = 0; I != Fields.size(); ++I)
-      if (Fields[I].first != Other.Fields[I].first ||
-          !Fields[I].second.equals(Other.Fields[I].second))
+    for (unsigned I = 0; I != Mine.size(); ++I)
+      if (Mine[I].first != Theirs[I].first ||
+          !Mine[I].second.equals(Theirs[I].second))
         return false;
     return true;
   }
@@ -200,11 +205,12 @@ bool Value::conformsTo(const types::Type *Ty) const {
     if (K != Kind::Struct)
       return false;
     const auto &FieldTys = Ty->getFields();
-    if (Fields.size() != FieldTys.size())
+    const FieldList &Mine = getFields();
+    if (Mine.size() != FieldTys.size())
       return false;
-    for (unsigned I = 0; I != Fields.size(); ++I)
-      if (Fields[I].first != FieldTys[I].first ||
-          !Fields[I].second.conformsTo(FieldTys[I].second))
+    for (unsigned I = 0; I != Mine.size(); ++I)
+      if (Mine[I].first != FieldTys[I].first ||
+          !Mine[I].second.conformsTo(FieldTys[I].second))
         return false;
     return true;
   }
@@ -239,7 +245,7 @@ Value Value::defaultFor(const types::Type *Ty) {
     return makeArray(std::move(Elems));
   }
   case Type::Kind::Struct: {
-    std::vector<std::pair<std::string, Value>> Fields;
+    FieldList Fields;
     for (const auto &[Name, FieldTy] : Ty->getFields())
       Fields.emplace_back(Name, defaultFor(FieldTy));
     return makeStruct(std::move(Fields));
@@ -277,10 +283,11 @@ std::string Value::str() const {
   }
   case Kind::Struct: {
     std::string S = "{";
-    for (unsigned I = 0; I != Fields.size(); ++I) {
+    const FieldList &Mine = getFields();
+    for (unsigned I = 0; I != Mine.size(); ++I) {
       if (I)
         S += ", ";
-      S += Fields[I].first + ": " + Fields[I].second.str();
+      S += Mine[I].first + ": " + Mine[I].second.str();
     }
     return S + "}";
   }

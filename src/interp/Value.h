@@ -7,6 +7,12 @@
 /// flow on simulated wires; InstanceRef and PortHandle exist only at
 /// elaboration time.
 ///
+/// A struct's field list sits behind one shared, reference-counted
+/// payload: copying a struct value (an instruction token moving down a
+/// pipeline) bumps a count instead of copying its fields, and the mutable
+/// field accessors clone a shared payload first (copy-on-write), so
+/// values keep value semantics. Strings and arrays are held by value.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIBERTY_INTERP_VALUE_H
@@ -14,6 +20,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +52,8 @@ struct PortHandle {
 
 class Value {
 public:
+  using FieldList = std::vector<std::pair<std::string, Value>>;
+
   enum class Kind {
     Unset,
     Int,
@@ -79,7 +88,7 @@ public:
   }
   static Value makeString(std::string V);
   static Value makeArray(std::vector<Value> Elems);
-  static Value makeStruct(std::vector<std::pair<std::string, Value>> Fields);
+  static Value makeStruct(FieldList Fields);
   static Value makeInstanceRef(netlist::InstanceNode *Inst);
   static Value makePort(PortHandle H);
 
@@ -100,7 +109,10 @@ public:
     assert(K == Kind::Int && "not an int value");
     return IntVal;
   }
-  bool getBool() const;
+  bool getBool() const {
+    assert(K == Kind::Bool && "not a bool value");
+    return BoolVal;
+  }
   double getFloat() const;
 
   /// In-place integer store: when this value is already an Int, only the
@@ -114,6 +126,14 @@ public:
     }
     *this = makeInt(V);
   }
+  /// In-place boolean store, the Bool counterpart of setInt.
+  void setBool(bool V) {
+    if (K == Kind::Bool) {
+      BoolVal = V;
+      return;
+    }
+    *this = makeBool(V);
+  }
   /// Numeric accessor that widens Int to double.
   double getNumeric() const;
   const std::string &getString() const;
@@ -121,10 +141,13 @@ public:
   const std::vector<Value> &getElems() const;
   std::vector<Value> &getElemsMutable();
 
-  const std::vector<std::pair<std::string, Value>> &getFields() const;
-  std::vector<std::pair<std::string, Value>> &getFieldsMutable();
+  /// The field list; struct copies share it until one of them is written.
+  const FieldList &getFields() const;
+  /// The field list, first cloned if another value shares it.
+  FieldList &getFieldsMutable();
   /// Returns the field named \p Name, or null if absent.
   const Value *getField(const std::string &Name) const;
+  /// Like getField, but through getFieldsMutable (copy-on-write).
   Value *getFieldMutable(const std::string &Name);
 
   netlist::InstanceNode *getInstance() const;
@@ -132,7 +155,8 @@ public:
   PortHandle &getPortMutable();
 
   /// Structural equality on data kinds (Unset equals Unset; InstanceRef and
-  /// Port compare by identity).
+  /// Port compare by identity). Structs sharing one payload are equal
+  /// without a field walk.
   bool equals(const Value &Other) const;
 
   /// True if this data value conforms to ground type \p Ty.
@@ -151,7 +175,7 @@ private:
   bool BoolVal = false;
   std::string StrVal;
   std::vector<Value> Elems;
-  std::vector<std::pair<std::string, Value>> Fields;
+  std::shared_ptr<FieldList> Fields; ///< Struct payload; null otherwise.
   netlist::InstanceNode *Inst = nullptr;
   PortHandle Handle;
 };

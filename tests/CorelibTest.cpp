@@ -1,10 +1,13 @@
 //===- CorelibTest.cpp - Component library behavior tests ----------------------===//
 
+#include "EngineMatrix.h"
 #include "driver/Compiler.h"
 #include "corelib/CoreLib.h"
 #include "types/Type.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace liberty;
 
@@ -305,6 +308,81 @@ q.out -> s.in;
   Sim->step(10);
   // One-cycle latency pass-through at steady state.
   EXPECT_EQ(peekInt(Sim, "q", "out"), 8);
+}
+
+// A depth-3 queue fed every cycle and stalled on odd cycles: it fills by
+// cycle 4 and then drops every odd-cycle input, so its three slots wrap
+// four times in 20 cycles. Cycle c offers c; even cycles from 2 dequeue.
+const char *QueueRingModel = R"(
+instance g:counter_source;
+instance q:queue;
+q.depth = 3;
+instance stall:bool_source;
+stall.pattern = "toggle";
+instance s:sink;
+g.out -> q.in;
+stall.out -> q.stall;
+q.out -> s.in;
+)";
+
+TEST(Corelib, QueueRingWrapsInOrder) {
+  for (const simtest::EngineConfig &E : simtest::engineMatrix()) {
+    SCOPED_TRACE(E.Name);
+    auto C = simtest::compileSim("queue_ring.lss", QueueRingModel, E.Opts);
+    ASSERT_NE(C, nullptr);
+    auto *Sim = C->getSimulator();
+    std::vector<int64_t> Dequeued;
+    Sim->getInstrumentation().attach(
+        "q", "dequeue", [&](const sim::Event &Ev) {
+          Dequeued.push_back(Ev.Payload->getInt());
+        });
+    uint64_t &Enq = Sim->getInstrumentation().attachCounter("q", "enqueue");
+    uint64_t &Full = Sim->getInstrumentation().attachCounter("q", "full");
+    Sim->step(20);
+    EXPECT_EQ(Dequeued, (std::vector<int64_t>{0, 1, 2, 3, 4, 6, 8, 10, 12}));
+    EXPECT_EQ(Enq, 12u);  // Cycles 0-4, then the even cycles 6-18.
+    EXPECT_EQ(Full, 8u);  // The odd cycles 5-19.
+    const interp::Value *Occ = Sim->findState("q", "occupancy");
+    ASSERT_NE(Occ, nullptr);
+    EXPECT_EQ(Occ->getInt(), 3); // Full when cycle 19 evaluated.
+    EXPECT_EQ(peekInt(Sim, "q", "out"), 14);
+  }
+  simtest::expectAllEnginesMatch("queue_ring.lss", QueueRingModel, 40);
+}
+
+// Deeper than the ring's first allocation: it must grow while wrapped
+// (random stalls leave the oldest entry anywhere) and stay first-in,
+// first-out.
+TEST(Corelib, QueueRingGrowsToDepth) {
+  const std::string Model = R"(
+instance g:counter_source;
+instance q:queue;
+q.depth = 100;
+instance stall:bool_source;
+stall.pattern = "random";
+stall.seed = 3;
+instance s:sink;
+g.out -> q.in;
+stall.out -> q.stall;
+q.out -> s.in;
+)";
+  auto C = compile(Model);
+  ASSERT_NE(C, nullptr);
+  auto *Sim = C->getSimulator();
+  std::vector<int64_t> Enqueued, Dequeued;
+  Sim->getInstrumentation().attach("q", "enqueue", [&](const sim::Event &Ev) {
+    Enqueued.push_back(Ev.Payload->getInt());
+  });
+  Sim->getInstrumentation().attach("q", "dequeue", [&](const sim::Event &Ev) {
+    Dequeued.push_back(Ev.Payload->getInt());
+  });
+  uint64_t &Full = Sim->getInstrumentation().attachCounter("q", "full");
+  Sim->step(600);
+  EXPECT_GT(Full, 0u); // Held all 100 entries at some point.
+  ASSERT_LE(Dequeued.size(), Enqueued.size());
+  EXPECT_LE(Enqueued.size() - Dequeued.size(), 100u);
+  EXPECT_TRUE(std::equal(Dequeued.begin(), Dequeued.end(), Enqueued.begin()));
+  simtest::expectAllEnginesMatch("queue_grow.lss", Model, 600);
 }
 
 TEST(Corelib, MemoryWritesThenReads) {

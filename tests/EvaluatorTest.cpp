@@ -43,6 +43,21 @@ const Snippet Snippets[] = {
     {"var a:int[3] = array(3, 7);", "a[3]", "<unset>"},
     {"var a:int[3] = array(3, 7); a[5] = 1;", "a[0]", "7"},
     {"var a:int[3] = array(3, 7); a[2] = 1;", "a", "[7, 7, 1]"},
+    // Struct values: a copy shares the fields until one side is written.
+    {"var a:struct{x:int; y:int}; var b:struct{x:int; y:int};"
+     "a.x = 1; b = a; b.x = 2;",
+     "a", "{x: 1, y: 0}"},
+    {"var a:struct{x:int; y:int}; var b:struct{x:int; y:int};"
+     "a.x = 1; b = a; b.x = 2;",
+     "b", "{x: 2, y: 0}"},
+    {"var a:struct{p:struct{q:int}; n:bool}; var b:struct{p:struct{q:int};"
+     " n:bool}; b = a; b.p.q = 5;",
+     "a.p.q + b.p.q", "5"},
+    {"var a:struct{x:int; y:int}; var b:struct{x:int; y:int}; b.y = 0;",
+     "a == b", "true"},
+    {"var a:struct{x:int; y:int}; var b:struct{x:int; y:int}; b = a;"
+     "b.y = 1;",
+     "a == b", "false"},
     {"var a:int[3] = array(3, 7);", "a[true]", "<unset>"},
     {"", "5[0]", "<unset>"},
     {"var x:int = 3;", "x.f", "<unset>"},

@@ -46,6 +46,75 @@ TEST(Value, StructFields) {
   EXPECT_EQ(S.getField("pc")->getInt(), 8);
 }
 
+TEST(Value, StructCopiesSharePayload) {
+  Value A = Value::makeStruct(
+      {{"pc", Value::makeInt(4)}, {"ok", Value::makeBool(true)}});
+  Value B = A;
+  EXPECT_EQ(&A.getFields(), &B.getFields());
+  EXPECT_TRUE(A.equals(B));
+  Value C = std::move(B);
+  EXPECT_EQ(&A.getFields(), &C.getFields());
+}
+
+TEST(Value, StructWriteCopiesOnWrite) {
+  Value A = Value::makeStruct(
+      {{"pc", Value::makeInt(4)}, {"ok", Value::makeBool(true)}});
+  Value B = A;
+  *B.getFieldMutable("pc") = Value::makeInt(8);
+  EXPECT_NE(&A.getFields(), &B.getFields());
+  EXPECT_EQ(A.getField("pc")->getInt(), 4);
+  EXPECT_EQ(B.getField("pc")->getInt(), 8);
+  EXPECT_FALSE(A.equals(B));
+  // A sole owner writes in place.
+  const Value::FieldList *Before = &B.getFields();
+  *B.getFieldMutable("ok") = Value::makeBool(false);
+  EXPECT_EQ(&B.getFields(), Before);
+  EXPECT_TRUE(A.getField("ok")->getBool());
+}
+
+TEST(Value, NestedStructWriteCopiesOnWrite) {
+  Value Inner = Value::makeStruct({{"q", Value::makeInt(1)}});
+  Value A = Value::makeStruct({{"p", Inner}, {"n", Value::makeInt(0)}});
+  Value B = A;
+  *B.getFieldMutable("p")->getFieldMutable("q") = Value::makeInt(5);
+  EXPECT_EQ(A.getField("p")->getField("q")->getInt(), 1);
+  EXPECT_EQ(B.getField("p")->getField("q")->getInt(), 5);
+  EXPECT_EQ(Inner.getField("q")->getInt(), 1);
+  EXPECT_EQ(A.str(), "{p: {q: 1}, n: 0}");
+  EXPECT_EQ(B.str(), "{p: {q: 5}, n: 0}");
+  // An array copy is deep, but its struct elements share until written.
+  Value Arr = Value::makeArray({A});
+  Value Arr2 = Arr;
+  EXPECT_EQ(&Arr.getElems()[0].getFields(), &Arr2.getElems()[0].getFields());
+  *Arr2.getElemsMutable()[0].getFieldMutable("n") = Value::makeInt(3);
+  EXPECT_EQ(Arr.getElems()[0].getField("n")->getInt(), 0);
+  EXPECT_EQ(A.getField("n")->getInt(), 0);
+}
+
+TEST(Value, StructEqualsIsStructuralAcrossPayloads) {
+  Value A = Value::makeStruct(
+      {{"pc", Value::makeInt(4)}, {"ok", Value::makeBool(true)}});
+  Value B = Value::makeStruct(
+      {{"pc", Value::makeInt(4)}, {"ok", Value::makeBool(true)}});
+  EXPECT_NE(&A.getFields(), &B.getFields());
+  EXPECT_TRUE(A.equals(B));
+  EXPECT_FALSE(A.equals(Value::makeStruct({{"pc", Value::makeInt(4)}})));
+  EXPECT_FALSE(A.equals(Value::makeStruct(
+      {{"pc", Value::makeInt(4)}, {"ko", Value::makeBool(true)}})));
+}
+
+TEST(Value, InPlaceScalarStores) {
+  Value V = Value::makeStruct({{"a", Value::makeInt(1)}});
+  V.setBool(true);
+  ASSERT_TRUE(V.isBool());
+  EXPECT_TRUE(V.getBool());
+  V.setBool(false);
+  EXPECT_FALSE(V.getBool());
+  V.setInt(7);
+  ASSERT_TRUE(V.isInt());
+  EXPECT_EQ(V.getInt(), 7);
+}
+
 TEST(Value, EqualsIsStructural) {
   Value A = Value::makeArray({Value::makeInt(1), Value::makeInt(2)});
   Value B = Value::makeArray({Value::makeInt(1), Value::makeInt(2)});
