@@ -2,7 +2,7 @@
 ///
 /// Measures what the content-addressed artifact cache buys: each model is
 /// compiled cold (empty cache directory) and then warm (same directory,
-/// fresh service so even the in-memory LRU starts empty), reporting the
+/// fresh service so even the in-memory tier starts empty), reporting the
 /// wall time of the compile pipeline (parse + elaborate + solve; simulator
 /// construction is excluded — it is never cached) and the speedup. The
 /// acceptance bar is a >=2x cold/warm ratio on the uarch-based models.
@@ -94,7 +94,7 @@ int main() {
     }
     {
       // A fresh service: the warm path exercises the on-disk entries, not
-      // the in-memory LRU, matching a new lssc process.
+      // the in-memory tier, matching a new lssc process.
       driver::CompileService Warm(SO);
       auto T0 = std::chrono::steady_clock::now();
       driver::CompileResult WR = Warm.compile(Inv);

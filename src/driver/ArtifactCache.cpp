@@ -64,23 +64,69 @@ void ArtifactCache::sweepDiskDir() {
   }
 }
 
+void ArtifactCache::erase(EntryMap::iterator It) {
+  Entry &E = It->second;
+  if (!E.Protected)
+    Stats.BytesInProbation -= E.Payload.size();
+  Stats.BytesInMemory -= E.Payload.size();
+  (E.Protected ? Protected : Probation).erase(E.Pos);
+  Entries.erase(It);
+}
+
 void ArtifactCache::insertMemory(const std::string &MapKey,
                                  const std::string &Payload) {
   auto It = Entries.find(MapKey);
-  if (It != Entries.end()) {
-    Stats.BytesInMemory -= It->second.Payload.size();
-    LruOrder.erase(It->second.LruIt);
-    Entries.erase(It);
-  }
-  LruOrder.push_front(MapKey);
-  Entries[MapKey] = Entry{Payload, LruOrder.begin()};
+  if (It != Entries.end())
+    erase(It);
+  Probation.push_front(MapKey);
+  It = Entries.emplace(MapKey, Entry{Payload, Probation.begin()}).first;
+  Stats.BytesInProbation += Payload.size();
   Stats.BytesInMemory += Payload.size();
-  while (Stats.BytesInMemory > Opts.MemoryBudgetBytes && Entries.size() > 1) {
-    auto Victim = Entries.find(LruOrder.back());
-    Stats.BytesInMemory -= Victim->second.Payload.size();
-    Entries.erase(Victim);
-    LruOrder.pop_back();
+  evictToBudget(It);
+}
+
+void ArtifactCache::promote(EntryMap::iterator It) {
+  Entry &E = It->second;
+  E.Used = true;
+  if (E.Protected) {
+    Protected.splice(Protected.begin(), Protected, E.Pos);
+    return;
+  }
+  Protected.splice(Protected.begin(), Probation, E.Pos);
+  E.Protected = true;
+  Stats.BytesInProbation -= E.Payload.size();
+  // Protected only grows here; what overflows its share goes back to
+  // probation's MRU end, where it must be hit again to stay.
+  while (Stats.BytesInMemory - Stats.BytesInProbation >
+             Opts.MemoryBudgetBytes - probationCap() &&
+         Protected.size() > 1) {
+    Entry &D = Entries.find(Protected.back())->second;
+    Probation.splice(Probation.begin(), Protected, D.Pos);
+    D.Protected = false;
+    Stats.BytesInProbation += D.Payload.size();
+  }
+  evictToBudget(It);
+}
+
+void ArtifactCache::evictToBudget(EntryMap::iterator Keep) {
+  for (;;) {
+    bool OverTotal = Stats.BytesInMemory > Opts.MemoryBudgetBytes;
+    if (Stats.BytesInProbation <= probationCap() && !OverTotal)
+      return;
+    EntryMap::iterator Victim = Entries.end();
+    if (!Probation.empty())
+      Victim = Entries.find(Probation.back());
+    // Probation's oldest is Keep only when Keep is all probation holds:
+    // then only a budget overshoot reaches into protected.
+    if ((Victim == Entries.end() || Victim == Keep) && OverTotal &&
+        !Protected.empty())
+      Victim = Entries.find(Protected.back());
+    if (Victim == Entries.end() || Victim == Keep)
+      return;
     ++Stats.Evictions;
+    if (!Victim->second.Used)
+      ++Stats.EvictionsUnused;
+    erase(Victim);
   }
 }
 
@@ -121,16 +167,14 @@ static bool openEnvelope(const std::string &Raw, const std::string &Phase,
 
 bool ArtifactCache::lookup(const std::string &Key, const std::string &Phase,
                            std::string &Payload, std::string *Note,
-                           bool &FromDisk) {
+                           bool Promote, bool &FromDisk) {
   std::string MapKey = Key + "." + Phase;
   FromDisk = false;
   auto It = Entries.find(MapKey);
   if (It != Entries.end()) {
-    // Refresh LRU position.
-    LruOrder.erase(It->second.LruIt);
-    LruOrder.push_front(MapKey);
-    It->second.LruIt = LruOrder.begin();
     Payload = It->second.Payload;
+    if (Promote)
+      promote(It);
     return true;
   }
 
@@ -147,7 +191,8 @@ bool ArtifactCache::lookup(const std::string &Key, const std::string &Phase,
     Raw.resize(Raw.size() / 2); // Simulated short read.
   std::string Reason;
   if (openEnvelope(Raw, Phase, Payload, Reason)) {
-    insertMemory(MapKey, Payload);
+    if (Promote)
+      insertMemory(MapKey, Payload);
     FromDisk = true;
     return true;
   }
@@ -179,7 +224,16 @@ bool ArtifactCache::get(const std::string &Key, const std::string &Phase,
                         std::string &Payload, std::string *Note) {
   std::lock_guard<std::mutex> Lock(Mu);
   bool FromDisk;
-  bool Hit = lookup(Key, Phase, Payload, Note, FromDisk);
+  bool Hit = lookup(Key, Phase, Payload, Note, /*Promote=*/true, FromDisk);
+  countLookup(Hit, FromDisk);
+  return Hit;
+}
+
+bool ArtifactCache::peek(const std::string &Key, const std::string &Phase,
+                         std::string &Payload, std::string *Note) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  bool FromDisk;
+  bool Hit = lookup(Key, Phase, Payload, Note, /*Promote=*/false, FromDisk);
   countLookup(Hit, FromDisk);
   return Hit;
 }
@@ -190,7 +244,7 @@ bool ArtifactCache::get(const std::string &Key, const std::string &Phase,
   bool FromDisk, Hit;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    Hit = lookup(Key, Phase, Payload, Note, FromDisk);
+    Hit = lookup(Key, Phase, Payload, Note, /*Promote=*/true, FromDisk);
   }
   // Decoding runs unlocked: concurrent warm compiles must not serialize
   // on the cache.

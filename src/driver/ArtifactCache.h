@@ -1,11 +1,20 @@
 //===- ArtifactCache.h - Content-addressed compile artifacts ----*- C++ -*-===//
 ///
 /// \file
-/// The artifact store behind CompileService: a two-level (in-memory LRU +
-/// optional on-disk) cache of serialized phase artifacts, addressed by
-/// (key, phase) where key is a CompilerInvocation phase fingerprint and
-/// phase names the artifact kind ("elab" for LSSNL netlists, "solve" for
-/// LSSSOL solutions).
+/// The artifact store behind CompileService: a two-level (in-memory
+/// segmented LRU + optional on-disk) cache of serialized phase artifacts,
+/// addressed by (key, phase) where key is a CompilerInvocation phase
+/// fingerprint and phase names the artifact kind ("elab" for LSSNL
+/// netlists, "solve" for LSSSOL solutions).
+///
+/// The memory tier is an SLRU (Karedla, Love & Wherry, 1994): stores and
+/// disk loads enter a probationary segment capped at a fifth of the
+/// budget, and only a memory hit promotes an entry to the protected
+/// segment. Eviction takes probation's oldest entry first, so a stream of
+/// artifacts that are never read again (every edit is a fresh key) cycles
+/// through probation without pushing out the reused ones. peek() is the
+/// read for a caller that knows it is the entry's last: it is served and
+/// counted but does not promote.
 ///
 /// Disk entries are wrapped in a self-validating envelope
 /// ("LSSART 1 <phase> <payload-bytes> <fnv64-hex>\n<payload>") and written
@@ -36,12 +45,16 @@ struct CacheStats {
   /// caller decodes it, decoded.
   uint64_t Hits = 0;
   uint64_t Misses = 0;     ///< get() calls not satisfied.
-  uint64_t MemoryHits = 0; ///< Hits served by the in-memory LRU.
+  uint64_t MemoryHits = 0; ///< Hits served by the memory tier.
   uint64_t DiskHits = 0;   ///< Hits that had to read the disk entry.
   uint64_t Stores = 0;     ///< put() calls.
-  uint64_t Evictions = 0;  ///< In-memory entries dropped by the LRU budget.
+  uint64_t Evictions = 0;  ///< Memory-tier entries dropped by the budget.
+  /// Evictions of entries that had no promoting hit since they were
+  /// stored or loaded: memory that held an artifact nobody reused.
+  uint64_t EvictionsUnused = 0;
   uint64_t Corrupt = 0;    ///< Disk entries rejected by validation.
   uint64_t BytesInMemory = 0;
+  uint64_t BytesInProbation = 0; ///< The part of BytesInMemory on probation.
   uint64_t TmpSwept = 0;   ///< Orphaned temp files deleted by the sweep.
   uint64_t Quarantined = 0; ///< Corrupt disk entries moved aside.
   uint64_t DiskWriteFailures = 0; ///< put() calls that failed to persist.
@@ -54,7 +67,7 @@ public:
     /// Directory for persistent entries; empty = in-memory only. Created
     /// (with parents) on first store.
     std::string DiskDir;
-    /// LRU budget for in-memory payload bytes.
+    /// Budget for in-memory payload bytes, both segments together.
     uint64_t MemoryBudgetBytes = 64ull << 20;
     /// The startup sweep only deletes orphaned temp files at least this
     /// old, so it can never race a live writer in another process that is
@@ -70,12 +83,25 @@ public:
   ArtifactCache() = default;
   explicit ArtifactCache(Options O) : Opts(std::move(O)) { sweepDiskDir(); }
 
-  /// Looks up (key, phase). On a hit fills \p Payload and returns true;
-  /// disk hits are promoted into the memory LRU. If a disk entry fails
-  /// validation, a one-line description is appended to \p Note (when
-  /// non-null) and the lookup counts as a miss.
+  /// Probation holds at most MemoryBudgetBytes / ProbationShare bytes
+  /// (unless its only entry is larger); protected holds the rest. Five is
+  /// W-TinyLFU's 80/20 protected/probation split.
+  static constexpr uint64_t ProbationShare = 5;
+
+  /// Looks up (key, phase). On a hit fills \p Payload and returns true; a
+  /// memory hit promotes the entry to the protected segment, and a disk
+  /// hit is loaded into probation. If a disk entry fails validation, a
+  /// one-line description is appended to \p Note (when non-null) and the
+  /// lookup counts as a miss.
   bool get(const std::string &Key, const std::string &Phase,
            std::string &Payload, std::string *Note = nullptr);
+
+  /// get() for a caller that knows this is the entry's last read, such as
+  /// the incremental path loading the state it is about to supersede. The
+  /// hit is counted as usual, but a memory entry keeps its segment and
+  /// position, and a disk entry is not loaded into memory.
+  bool peek(const std::string &Key, const std::string &Phase,
+            std::string &Payload, std::string *Note = nullptr);
 
   /// Decodes a payload into the caller's state; on rejection returns false
   /// and sets the reason.
@@ -106,14 +132,43 @@ public:
   bool isDegraded() const;
 
 private:
-  /// Memory, then disk. Counts and quarantines corrupt disk entries but
-  /// leaves hit/miss counting to countLookup. Lock held.
+  /// Memory, then disk; \p Promote says whether a hit counts as reuse.
+  /// Counts and quarantines corrupt disk entries but leaves hit/miss
+  /// counting to countLookup. Lock held.
   bool lookup(const std::string &Key, const std::string &Phase,
-              std::string &Payload, std::string *Note, bool &FromDisk);
+              std::string &Payload, std::string *Note, bool Promote,
+              bool &FromDisk);
   void countLookup(bool Hit, bool FromDisk);
   std::string diskPath(const std::string &Key, const std::string &Phase) const;
-  /// Inserts into the LRU and evicts down to budget. Lock held.
+
+  /// MRU-first list of map keys; each entry sits in exactly one segment.
+  using Segment = std::list<std::string>;
+  struct Entry {
+    std::string Payload;
+    Segment::iterator Pos;
+    bool Protected = false;
+    /// Had a promoting hit since it was stored or loaded.
+    bool Used = false;
+  };
+  using EntryMap = std::map<std::string, Entry>;
+
+  /// Inserts at probation's MRU end and evicts down to budget. Lock held.
   void insertMemory(const std::string &MapKey, const std::string &Payload);
+  /// Moves a memory hit to protected's MRU end, demoting protected's
+  /// oldest entries to probation while protected is over its share. Lock
+  /// held.
+  void promote(EntryMap::iterator It);
+  /// Evicts from probation's LRU end (protected's only once probation
+  /// holds nothing but \p Keep) until probation is within its cap and the
+  /// total within the budget. \p Keep, the entry just stored or promoted,
+  /// is never a victim. Lock held.
+  void evictToBudget(EntryMap::iterator Keep);
+  /// Drops an entry from its segment, the byte counts and the map. Lock
+  /// held.
+  void erase(EntryMap::iterator It);
+  uint64_t probationCap() const {
+    return Opts.MemoryBudgetBytes / ProbationShare;
+  }
   /// Deletes orphaned `*.lssart.tmp*` files (older than the sweep age)
   /// left behind by a crashed writer. Runs once at construction.
   void sweepDiskDir();
@@ -127,13 +182,8 @@ private:
   CacheStats Stats;
   unsigned ConsecutiveDiskFailures = 0;
   bool DegradedMode = false;
-  /// MRU-first list of map keys; Entries holds payload + LRU position.
-  std::list<std::string> LruOrder;
-  struct Entry {
-    std::string Payload;
-    std::list<std::string>::iterator LruIt;
-  };
-  std::map<std::string, Entry> Entries;
+  Segment Probation, Protected;
+  EntryMap Entries;
 };
 
 } // namespace driver

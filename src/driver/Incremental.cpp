@@ -234,9 +234,11 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
   }
 
   // --- Load the previous compile's netlist. ------------------------------
+  // This read and the previous solution's below are the superseded
+  // state's last: peek, so they do not promote it over reused entries.
   std::string OldElabPayload;
-  if (!Cache.get(CompilerInvocation::keyString(Old.PrevElabKey), "elab",
-                 OldElabPayload))
+  if (!Cache.peek(CompilerInvocation::keyString(Old.PrevElabKey), "elab",
+                  OldElabPayload))
     return Fallback("previous-netlist-missing");
 
   CompileResult R;
@@ -487,8 +489,8 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
   {
     std::string Payload;
     std::vector<Diagnostic> Ds;
-    if (Cache.get(CompilerInvocation::keyString(Old.PrevSolveKey), "solve",
-                  Payload)) {
+    if (Cache.peek(CompilerInvocation::keyString(Old.PrevSolveKey), "solve",
+                   Payload)) {
       PhaseTimer::Scope Phase(&C.getPhaseTimer(), "cache-load");
       if (infer::importSolution(Payload, OldNL, C.getTypeContext(), OldIS,
                                 Ds) &&

@@ -139,7 +139,9 @@ Json liberty::driver::cacheCountersJson(const CacheStats &CS) {
       .set("disk_hits", CS.DiskHits)
       .set("stores", CS.Stores)
       .set("evictions", CS.Evictions)
+      .set("evictions_unused", CS.EvictionsUnused)
       .set("bytes_in_memory", CS.BytesInMemory)
+      .set("bytes_in_probation", CS.BytesInProbation)
       .set("corrupt", CS.Corrupt)
       .set("tmp_swept", CS.TmpSwept)
       .set("quarantined", CS.Quarantined)

@@ -27,8 +27,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace liberty;
@@ -373,7 +375,7 @@ TEST(CacheService, UndecodablePayloadIsAMissWithAReason) {
 }
 
 //===----------------------------------------------------------------------===//
-// Memory-tier accounting: bytes_in_memory and the LRU eviction counter
+// The memory tier: byte accounting and the segmented LRU's policy
 //===----------------------------------------------------------------------===//
 
 TEST(CacheBudget, BytesInMemoryTracksResidentPayloads) {
@@ -414,23 +416,302 @@ TEST(CacheBudget, LruBudgetEvictsOldestAndCounts) {
   EXPECT_FALSE(Cache.get("k1", "elab", Payload));
   EXPECT_TRUE(Cache.get("k2", "elab", Payload));
 
-  // k2 (60 bytes) is resident. k3 overflows the budget and evicts it;
-  // k4 then fits alongside k3 exactly at the budget, evicting nothing.
-  Cache.put("k3", "elab", std::string(50, 'c'));
-  Cache.put("k4", "elab", std::string(50, 'd'));
+  // That hit promoted k2 (60 bytes) to the protected segment. New entries
+  // wait on probation, capped at a fifth of the budget (20 bytes): k4
+  // pushes k3 out although the total (75) is under the budget, and the
+  // reused k2 stays.
+  Cache.put("k3", "elab", std::string(15, 'c'));
+  Cache.put("k4", "elab", std::string(15, 'd'));
   S = Cache.getStats();
   EXPECT_EQ(S.Evictions, 2u);
-  EXPECT_EQ(S.BytesInMemory, 100u);
-  EXPECT_FALSE(Cache.get("k2", "elab", Payload));
-  EXPECT_TRUE(Cache.get("k3", "elab", Payload));
+  EXPECT_EQ(S.EvictionsUnused, 2u); // k1 and k3 were never hit.
+  EXPECT_EQ(S.BytesInMemory, 75u);
+  EXPECT_EQ(S.BytesInProbation, 15u);
+  EXPECT_LE(S.BytesInMemory, O.MemoryBudgetBytes);
+  EXPECT_TRUE(Cache.get("k2", "elab", Payload));
+  EXPECT_FALSE(Cache.get("k3", "elab", Payload));
   EXPECT_TRUE(Cache.get("k4", "elab", Payload));
 
   // An oversized payload still caches (the newest entry is never its own
-  // victim) and the gauge reflects the overshoot honestly.
+  // victim) and the gauge reflects the overshoot honestly: everything
+  // else goes, the protected entries last.
   Cache.put("big", "elab", std::string(500, 'e'));
   S = Cache.getStats();
   EXPECT_TRUE(Cache.get("big", "elab", Payload));
   EXPECT_EQ(S.BytesInMemory, 500u);
+  EXPECT_EQ(S.Evictions, 4u);
+  EXPECT_EQ(S.EvictionsUnused, 2u);
+}
+
+/// Stores \p N never-read payloads of \p Size bytes under fresh keys.
+void putOneUseStream(driver::ArtifactCache &Cache, int N, size_t Size) {
+  for (int I = 0; I != N; ++I)
+    Cache.put("stream" + std::to_string(I), "elab", std::string(Size, 's'));
+}
+
+TEST(CacheBudget, OneUseStreamDoesNotEvictAReusedEntry) {
+  driver::ArtifactCache::Options O;
+  O.MemoryBudgetBytes = 1000;
+  driver::ArtifactCache Cache(O);
+  std::string Payload;
+  Cache.put("hot", "elab", std::string(300, 'h'));
+  ASSERT_TRUE(Cache.get("hot", "elab", Payload));
+
+  putOneUseStream(Cache, 100, 100); // 10x the budget.
+  driver::CacheStats S = Cache.getStats();
+  EXPECT_TRUE(Cache.peek("hot", "elab", Payload));
+  EXPECT_EQ(Payload, std::string(300, 'h'));
+  // The stream cycled through probation: two entries fit its 200 bytes.
+  EXPECT_EQ(S.BytesInMemory, 300u + 200u);
+  EXPECT_EQ(S.BytesInProbation, 200u);
+  EXPECT_EQ(S.Evictions, 98u);
+  EXPECT_EQ(S.EvictionsUnused, 98u);
+}
+
+TEST(CacheBudget, NonPromotingReadLeavesEntryInProbation) {
+  driver::ArtifactCache::Options O;
+  O.MemoryBudgetBytes = 1000;
+  driver::ArtifactCache Cache(O);
+  std::string Payload;
+  Cache.put("last", "elab", std::string(150, 'l'));
+  ASSERT_TRUE(Cache.peek("last", "elab", Payload));
+  EXPECT_EQ(Payload, std::string(150, 'l'));
+  driver::CacheStats S = Cache.getStats();
+  EXPECT_EQ(S.Hits, 1u); // A peek is a counted hit...
+  EXPECT_EQ(S.MemoryHits, 1u);
+  EXPECT_EQ(S.BytesInProbation, 150u); // ...that promotes nothing.
+
+  putOneUseStream(Cache, 100, 100);
+  S = Cache.getStats();
+  EXPECT_FALSE(Cache.peek("last", "elab", Payload));
+  EXPECT_EQ(S.Evictions, 99u);
+  EXPECT_EQ(S.EvictionsUnused, 99u); // A peek is not reuse.
+  EXPECT_EQ(S.BytesInMemory, 200u);
+}
+
+TEST(CacheBudget, DiskHitEntersProbation) {
+  TempDir Dir;
+  driver::ArtifactCache::Options O;
+  O.DiskDir = Dir.Path;
+  O.MemoryBudgetBytes = 1000;
+  driver::ArtifactCache{O}.put("warm", "elab", std::string(150, 'w'));
+
+  // A fresh process: the entry is on disk only.
+  driver::ArtifactCache Cache(O);
+  std::string Payload;
+  ASSERT_TRUE(Cache.peek("warm", "elab", Payload));
+  driver::CacheStats S = Cache.getStats();
+  EXPECT_EQ(S.DiskHits, 1u);
+  EXPECT_EQ(S.BytesInMemory, 0u); // A peeked disk entry is not loaded.
+
+  ASSERT_TRUE(Cache.get("warm", "elab", Payload));
+  S = Cache.getStats();
+  EXPECT_EQ(S.DiskHits, 2u);
+  EXPECT_EQ(S.BytesInMemory, 150u);
+  EXPECT_EQ(S.BytesInProbation, 150u); // Loaded, but not yet reused.
+
+  // Unless a memory hit promotes it, a one-use stream pushes it out.
+  putOneUseStream(Cache, 10, 100);
+  ASSERT_TRUE(Cache.get("warm", "elab", Payload));
+  S = Cache.getStats();
+  EXPECT_EQ(S.DiskHits, 3u);
+  EXPECT_EQ(S.MemoryHits, 0u);
+  EXPECT_GE(S.EvictionsUnused, 1u);
+
+  // This time a memory hit promotes it, and the stream leaves it be.
+  ASSERT_TRUE(Cache.get("warm", "elab", Payload));
+  putOneUseStream(Cache, 10, 100);
+  ASSERT_TRUE(Cache.get("warm", "elab", Payload));
+  S = Cache.getStats();
+  EXPECT_EQ(S.DiskHits, 3u);
+  EXPECT_EQ(S.MemoryHits, 2u);
+}
+
+/// The memory tier's policy restated over plain vectors with linear scans,
+/// as the oracle for RandomOpsMatchReferenceModel. Each segment is
+/// MRU-first.
+class ReferenceTier {
+public:
+  explicit ReferenceTier(uint64_t Budget) : Budget(Budget) {}
+
+  void put(const std::string &Key, uint64_t Size) {
+    for (std::vector<Item> *Seg : {&Probation, &Protected})
+      for (size_t I = 0; I != Seg->size(); ++I)
+        if ((*Seg)[I].Key == Key) {
+          Seg->erase(Seg->begin() + I);
+          break;
+        }
+    Probation.insert(Probation.begin(), Item{Key, Size, false});
+    evict(Key);
+  }
+
+  bool get(const std::string &Key) {
+    for (size_t I = 0; I != Protected.size(); ++I)
+      if (Protected[I].Key == Key) {
+        Item It = Protected[I];
+        Protected.erase(Protected.begin() + I);
+        It.Used = true;
+        Protected.insert(Protected.begin(), It);
+        return true;
+      }
+    for (size_t I = 0; I != Probation.size(); ++I)
+      if (Probation[I].Key == Key) {
+        Item It = Probation[I];
+        Probation.erase(Probation.begin() + I);
+        It.Used = true;
+        Protected.insert(Protected.begin(), It);
+        while (bytes(Protected) > Budget - probationCap() &&
+               Protected.size() > 1) {
+          Probation.insert(Probation.begin(), Protected.back());
+          Protected.pop_back();
+        }
+        evict(Key);
+        return true;
+      }
+    return false;
+  }
+
+  bool peek(const std::string &Key) const {
+    for (const std::vector<Item> *Seg : {&Probation, &Protected})
+      for (const Item &It : *Seg)
+        if (It.Key == Key)
+          return true;
+    return false;
+  }
+
+  uint64_t probationCap() const { return Budget / 5; }
+  uint64_t probationBytes() const { return bytes(Probation); }
+  uint64_t totalBytes() const { return bytes(Probation) + bytes(Protected); }
+  size_t probationSize() const { return Probation.size(); }
+  uint64_t Evictions = 0, EvictionsUnused = 0;
+
+private:
+  struct Item {
+    std::string Key;
+    uint64_t Size;
+    bool Used;
+  };
+
+  static uint64_t bytes(const std::vector<Item> &Seg) {
+    uint64_t N = 0;
+    for (const Item &It : Seg)
+      N += It.Size;
+    return N;
+  }
+
+  /// Probation's oldest first, protected's oldest once probation has
+  /// nothing else to give; never \p Keep.
+  void evict(const std::string &Keep) {
+    while (probationBytes() > probationCap() || totalBytes() > Budget) {
+      std::vector<Item> *From = nullptr;
+      if (!Probation.empty() && Probation.back().Key != Keep)
+        From = &Probation;
+      else if (totalBytes() > Budget && !Protected.empty() &&
+               Protected.back().Key != Keep)
+        From = &Protected;
+      if (!From)
+        return;
+      ++Evictions;
+      if (!From->back().Used)
+        ++EvictionsUnused;
+      From->pop_back();
+    }
+  }
+
+  uint64_t Budget;
+  std::vector<Item> Probation, Protected;
+};
+
+/// Runs \p Ops random put/get/peek operations against both the cache and
+/// the reference, comparing them after each one. Returns false at the
+/// first disagreement.
+bool matchesReference(uint64_t Seed, int Ops) {
+  constexpr uint64_t Budget = 1000;
+  constexpr int NumKeys = 24;
+  std::mt19937_64 Rng(Seed);
+  driver::ArtifactCache::Options O;
+  O.MemoryBudgetBytes = Budget;
+  driver::ArtifactCache Cache(O);
+  ReferenceTier Ref(Budget);
+  std::string Payload;
+  for (int Op = 0; Op != Ops; ++Op) {
+    SCOPED_TRACE("seed " + std::to_string(Seed) + ", op " +
+                 std::to_string(Op));
+    std::string Key = std::to_string(Rng() % NumKeys);
+    switch (Rng() % 3) {
+    case 0: {
+      uint64_t Size = 1 + Rng() % (Budget / 2);
+      Cache.put(Key, "elab", std::string(Size, 'x'));
+      Ref.put(Key, Size);
+      break;
+    }
+    case 1:
+      EXPECT_EQ(Cache.get(Key, "elab", Payload), Ref.get(Key));
+      break;
+    default:
+      EXPECT_EQ(Cache.peek(Key, "elab", Payload), Ref.peek(Key));
+      break;
+    }
+    driver::CacheStats S = Cache.getStats();
+    for (int K = 0; K != NumKeys; ++K) {
+      std::string Probe = std::to_string(K);
+      EXPECT_EQ(Cache.peek(Probe, "elab", Payload), Ref.peek(Probe)) << Probe;
+    }
+    EXPECT_EQ(S.BytesInMemory, Ref.totalBytes());
+    EXPECT_EQ(S.BytesInProbation, Ref.probationBytes());
+    EXPECT_EQ(S.Evictions, Ref.Evictions);
+    EXPECT_EQ(S.EvictionsUnused, Ref.EvictionsUnused);
+    EXPECT_TRUE(S.BytesInProbation <= Ref.probationCap() ||
+                Ref.probationSize() == 1);
+    if (::testing::Test::HasFailure())
+      return false;
+  }
+  return true;
+}
+
+TEST(CacheBudget, RandomOpsMatchReferenceModel) {
+  for (uint64_t Seed = 1; Seed <= 50; ++Seed)
+    ASSERT_TRUE(matchesReference(Seed, 10000));
+}
+
+TEST(CacheBudget, ConcurrentGetPutKeepsAccounting) {
+  constexpr int NumKeys = 16;
+  driver::ArtifactCache::Options O;
+  O.MemoryBudgetBytes = 4096;
+  driver::ArtifactCache Cache(O);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != 4; ++T)
+    Threads.emplace_back([&Cache, T] {
+      std::mt19937 Rng(T + 1);
+      std::string Payload;
+      for (int Op = 0; Op != 5000; ++Op) {
+        std::string Key = std::to_string(Rng() % NumKeys);
+        switch (Rng() % 3) {
+        case 0:
+          Cache.put(Key, "elab", std::string(1 + Rng() % 1024, 'x'));
+          break;
+        case 1:
+          Cache.get(Key, "elab", Payload);
+          break;
+        default:
+          Cache.peek(Key, "elab", Payload);
+          break;
+        }
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  driver::CacheStats S = Cache.getStats();
+  uint64_t Resident = 0;
+  std::string Payload;
+  for (int K = 0; K != NumKeys; ++K)
+    if (Cache.peek(std::to_string(K), "elab", Payload))
+      Resident += Payload.size();
+  EXPECT_EQ(S.BytesInMemory, Resident);
+  EXPECT_LE(S.BytesInMemory, O.MemoryBudgetBytes);
+  EXPECT_LE(S.BytesInProbation, S.BytesInMemory);
+  EXPECT_LE(S.EvictionsUnused, S.Evictions);
 }
 
 //===----------------------------------------------------------------------===//
@@ -556,7 +837,7 @@ TEST_F(CacheSelfHeal, ConsecutiveWriteFailuresDegradeToMemoryOnly) {
   EXPECT_EQ(Cache.getStats().DiskWriteFailures, 3u);
 
   // Degraded mode is sticky: even with the disk healthy again, no new
-  // disk entries appear — but the memory LRU still serves everything.
+  // disk entries appear — but the memory tier still serves everything.
   Cache.put("d", "elab", "pd");
   EXPECT_EQ(Cache.getStats().DiskWriteFailures, 3u);
   for (const auto &E : std::filesystem::directory_iterator(Dir.Path))

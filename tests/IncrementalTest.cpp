@@ -462,6 +462,70 @@ TEST(IncrementalFallback, ErrorIntroducingEditReportsColdDiagnostics) {
 }
 
 //===----------------------------------------------------------------------===//
+// The memory tier under a recompile chain
+//===----------------------------------------------------------------------===//
+
+/// A small single-file model, compiled between the edits as the hot set.
+driver::CompilerInvocation hotInvocation() {
+  driver::CompilerInvocation Inv;
+  Inv.addSource("hot.lss", "instance g:counter_source;\n"
+                           "instance one:const_source;\n"
+                           "one.value = 1;\n"
+                           "instance a:adder;\n"
+                           "instance s:sink;\n"
+                           "g.out -> a.in1;\n"
+                           "one.out -> a.in2;\n"
+                           "a.out -> s.in;\n");
+  Inv.BuildSim = false;
+  return Inv;
+}
+
+TEST(IncrementalMemoryTier, RecompileChainLeavesSupersededStatesOnProbation) {
+  // A recompile reads the previous state's elab and solve artifacts once
+  // more, with peek. Were those reads promoting, every superseded state
+  // would fill the protected segment in turn.
+  uint64_t StateBytes = 0; // One project state: its elab, solve and dep.
+  {
+    driver::CompileService Probe;
+    ASSERT_TRUE(Probe.compile(baseInvocation()).Success);
+    StateBytes = Probe.getCache().getStats().BytesInMemory;
+  }
+  // Probation, a fifth of the budget, must hold the newest state whole
+  // for the next recompile to find it: six states make it 1.2.
+  driver::CompileService::Options O;
+  O.Cache.MemoryBudgetBytes = 6 * StateBytes;
+  driver::CompileService Svc(O);
+  ASSERT_TRUE(Svc.compile(hotInvocation()).Success);
+  ASSERT_TRUE(Svc.compile(hotInvocation()).ElabFromCache);
+  ASSERT_TRUE(Svc.compile(baseInvocation()).Success);
+
+  driver::CompilerInvocation Inv = baseInvocation();
+  for (int I = 0; I != 20; ++I) {
+    SCOPED_TRACE("edit " + std::to_string(I));
+    int Lane = I % 4;
+    std::string Text = laneSpec(Lane);
+    Text.insert(Text.rfind('}'), "  // edit " + std::to_string(I) + "\n");
+    editSource(Inv, "lane" + std::to_string(Lane) + ".lss", Text);
+    driver::CompileResult R = Svc.compileIncremental(Inv);
+    ASSERT_TRUE(R.Success);
+    EXPECT_TRUE(R.Incremental.Used)
+        << "fell back: " << R.Incremental.FallbackReason;
+    EXPECT_EQ(R.Incremental.GroupsSpliced, 3u); // The old solution was read.
+    EXPECT_TRUE(Svc.compile(hotInvocation()).ElabFromCache);
+  }
+
+  // What stays beyond probation's fifth is the hot model alone.
+  driver::CompilerInvocation Hot = hotInvocation();
+  std::string Elab, Solve;
+  ASSERT_TRUE(Svc.getCache().peek(
+      driver::CompilerInvocation::keyString(Hot.elabKey()), "elab", Elab));
+  ASSERT_TRUE(Svc.getCache().peek(
+      driver::CompilerInvocation::keyString(Hot.solveKey()), "solve", Solve));
+  EXPECT_LE(Svc.getCache().getStats().BytesInMemory,
+            O.Cache.MemoryBudgetBytes / 5 + Elab.size() + Solve.size());
+}
+
+//===----------------------------------------------------------------------===//
 // Module-span scanning (the diff layer under the matrix)
 //===----------------------------------------------------------------------===//
 
