@@ -41,11 +41,11 @@ struct Wire {
 
 /// What every context of one simulator shares: the dense wire array the
 /// port accessors index, the current cycle, and the bookkeeping that
-/// BehaviorContext::setOutput keeps. The simulator owns it.
+/// the BehaviorContext::setOutput* calls keep. The simulator owns it.
 struct WireBoard {
   std::vector<Wire> Wires;
   uint64_t Cycle = 0;
-  uint64_t NetWrites = 0;  ///< setOutput calls reaching a wire.
+  uint64_t NetWrites = 0;  ///< setOutput* calls reaching a wire.
   uint64_t NetChanges = 0; ///< Writes that changed the value or presence.
   /// Set by any write that changes a value or makes it present; a
   /// fixpoint iteration that leaves it clear has converged.
@@ -106,6 +106,16 @@ public:
   }
   void setOutput(int PortId, int Index, interp::Value &&V) {
     send(PortId, Index, std::move(V));
+  }
+  /// setOutput(PortId, Index, Value::makeInt(V)) without building the
+  /// Value: the same counts, dirty marking and port event, with the
+  /// comparison and the store made in place on the wire.
+  void setOutputInt(int PortId, int Index, int64_t V) {
+    send(PortId, Index, V);
+  }
+  /// The Bool counterpart of setOutputInt.
+  void setOutputBool(int PortId, int Index, bool V) {
+    send(PortId, Index, V);
   }
 
   /// Resolves a state name to a dense slot id (creating the slot if new);
@@ -180,6 +190,8 @@ private:
     const std::vector<int> &Nets = Ports[size_t(PortId)].Nets;
     return Index >= 0 && Index < int(Nets.size()) ? Nets[size_t(Index)] : -1;
   }
+  /// \p V is a Value, an int64_t or a bool; sameValue and store have one
+  /// overload for each.
   template <class ValueT> void send(int PortId, int Index, ValueT &&V) {
     int NetId = netOf(PortId, Index);
     if (NetId < 0)
@@ -210,6 +222,12 @@ private:
       return A.getBool() == B.getBool();
     return A.equals(B);
   }
+  static bool sameValue(const interp::Value &A, int64_t B) {
+    return A.isInt() && A.getInt() == B;
+  }
+  static bool sameValue(const interp::Value &A, bool B) {
+    return A.isBool() && A.getBool() == B;
+  }
   /// Assignment with the in-place integer and boolean stores
   /// (observationally the same as copying the value).
   template <class ValueT>
@@ -221,6 +239,8 @@ private:
     else
       Dst = std::forward<ValueT>(Src);
   }
+  static void store(interp::Value &Dst, int64_t Src) { Dst.setInt(Src); }
+  static void store(interp::Value &Dst, bool Src) { Dst.setBool(Src); }
 };
 
 /// Base class for leaf-component behaviors.

@@ -369,7 +369,7 @@ public:
   void evaluate(BehaviorContext &Ctx) override {
     int64_t V = Start + Stride * static_cast<int64_t>(Ctx.getCycle());
     for (int I = 0, W = Ctx.getWidth(Out); I != W; ++I)
-      Ctx.setOutput(Out, I, Value::makeInt(V));
+      Ctx.setOutputInt(Out, I, V);
   }
 
 private:
@@ -445,7 +445,7 @@ public:
     } else
       B = Ctx.getCycle() % 2 == 1;
     for (int I = 0, W = Ctx.getWidth(Out); I != W; ++I)
-      Ctx.setOutput(Out, I, Value::makeBool(B));
+      Ctx.setOutputBool(Out, I, B);
   }
 
 private:
@@ -572,13 +572,6 @@ private:
   std::vector<Value> Held;
 };
 
-/// Numeric add working on either int or float operands.
-static Value numericAdd(const Value &A, const Value &B) {
-  if (A.isInt() && B.isInt())
-    return Value::makeInt(A.getInt() + B.getInt());
-  return Value::makeFloat(A.getNumeric() + B.getNumeric());
-}
-
 class Adder : public LeafBehavior {
 public:
   void init(BehaviorContext &Ctx) override {
@@ -589,8 +582,13 @@ public:
   void evaluate(BehaviorContext &Ctx) override {
     const Value *A = Ctx.getInput(In1, 0);
     const Value *B = Ctx.getInput(In2, 0);
-    if (A && B)
-      Ctx.setOutput(Out, 0, numericAdd(*A, *B));
+    if (!A || !B)
+      return;
+    if (A->isInt() && B->isInt())
+      Ctx.setOutputInt(Out, 0, A->getInt() + B->getInt());
+    else
+      Ctx.setOutput(Out, 0,
+                    Value::makeFloat(A->getNumeric() + B->getNumeric()));
   }
 
 private:
@@ -605,7 +603,13 @@ public:
     APort = Ctx.bindPort("a");
     BPort = Ctx.bindPort("b");
     Out = Ctx.bindPort("out");
-    Op = paramString(Ctx, "op", "add");
+    std::string Name = paramString(Ctx, "op", "add");
+    Op = Name == "sub"   ? OpKind::Sub
+         : Name == "mul" ? OpKind::Mul
+         : Name == "div" ? OpKind::Div
+         : Name == "min" ? OpKind::Min
+         : Name == "max" ? OpKind::Max
+                         : OpKind::Add; // "add" and any unknown op.
   }
   void evaluate(BehaviorContext &Ctx) override {
     const Value *A = Ctx.getInput(APort, 0);
@@ -618,38 +622,39 @@ public:
     const Value *B = Ctx.getInput(BPort, 0);
     if (!B)
       return;
-    bool Ints = A->isInt() && B->isInt();
-    auto AsF = [](const Value &V) { return V.getNumeric(); };
-    Value R;
-    if (Op == "add")
-      R = numericAdd(*A, *B);
-    else if (Op == "sub")
-      R = Ints ? Value::makeInt(A->getInt() - B->getInt())
-               : Value::makeFloat(AsF(*A) - AsF(*B));
-    else if (Op == "mul")
-      R = Ints ? Value::makeInt(A->getInt() * B->getInt())
-               : Value::makeFloat(AsF(*A) * AsF(*B));
-    else if (Op == "div") {
-      if (Ints)
-        R = Value::makeInt(B->getInt() == 0 ? 0 : A->getInt() / B->getInt());
-      else
-        R = Value::makeFloat(AsF(*B) == 0 ? 0 : AsF(*A) / AsF(*B));
-    } else if (Op == "min")
-      R = Ints ? Value::makeInt(std::min(A->getInt(), B->getInt()))
-               : Value::makeFloat(std::min(AsF(*A), AsF(*B)));
-    else if (Op == "max")
-      R = Ints ? Value::makeInt(std::max(A->getInt(), B->getInt()))
-               : Value::makeFloat(std::max(AsF(*A), AsF(*B)));
+    if (A->isInt() && B->isInt())
+      Ctx.setOutputInt(Out, 0, apply(A->getInt(), B->getInt()));
     else
-      R = numericAdd(*A, *B);
-    Ctx.setOutput(Out, 0, R);
+      Ctx.setOutput(Out, 0,
+                    Value::makeFloat(apply(A->getNumeric(), B->getNumeric())));
   }
 
 private:
+  enum class OpKind { Add, Sub, Mul, Div, Min, Max };
+
+  /// The op on two ints or two doubles; dividing by zero gives zero.
+  template <class T> T apply(T A, T B) const {
+    switch (Op) {
+    case OpKind::Add:
+      return A + B;
+    case OpKind::Sub:
+      return A - B;
+    case OpKind::Mul:
+      return A * B;
+    case OpKind::Div:
+      return B == 0 ? 0 : A / B;
+    case OpKind::Min:
+      return std::min(A, B);
+    case OpKind::Max:
+      return std::max(A, B);
+    }
+    return A + B;
+  }
+
   int APort = -1;
   int BPort = -1;
   int Out = -1;
-  std::string Op;
+  OpKind Op = OpKind::Add;
 };
 
 class Mux : public LeafBehavior {

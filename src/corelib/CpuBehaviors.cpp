@@ -15,9 +15,8 @@
 #include "corelib/CoreLib.h"
 #include "corelib/TraceGen.h"
 
-#include <deque>
+#include <algorithm>
 #include <map>
-#include <set>
 
 using namespace liberty;
 using namespace liberty::corelib;
@@ -56,7 +55,7 @@ public:
     for (int P = 0, W = Ctx.getWidth(Addr); P != W; ++P) {
       auto PendIt = Pending.find(P);
       if (PendIt != Pending.end()) {
-        Ctx.setOutput(Ready, P, Value::makeBool(false));
+        Ctx.setOutputBool(Ready, P, false);
         continue;
       }
       const Value *A = Ctx.getInput(Addr, P);
@@ -65,13 +64,13 @@ public:
       int64_t Block = A->getInt() / 32;
       if (lookup(Block)) {
         Ctx.emitEvent("hit", *A);
-        Ctx.setOutput(Ready, P, Value::makeBool(true));
+        Ctx.setOutputBool(Ready, P, true);
         continue;
       }
       Ctx.emitEvent("miss", *A);
-      Ctx.setOutput(Ready, P, Value::makeBool(false));
+      Ctx.setOutputBool(Ready, P, false);
       if (P < Ctx.getWidth(MemAddr))
-        Ctx.setOutput(MemAddr, P, Value::makeInt(Block * 32));
+        Ctx.setOutputInt(MemAddr, P, Block * 32);
       Pending.emplace(P, PendingMiss{Block, MissLatency});
     }
   }
@@ -178,11 +177,11 @@ public:
       size_t Idx = index(PcV->getInt());
       bool Taken = Table[Idx] >= 2;
       if (P < Ctx.getWidth(Pred))
-        Ctx.setOutput(Pred, P, Value::makeBool(Taken));
+        Ctx.setOutputBool(Pred, P, Taken);
       if (BtbEnabled && Taken) {
         auto It = Btb.find(PcV->getInt());
         if (It != Btb.end() && P < Ctx.getWidth(BranchTarget))
-          Ctx.setOutput(BranchTarget, P, Value::makeInt(It->second));
+          Ctx.setOutputInt(BranchTarget, P, It->second);
       }
       LastPred[PcV->getInt()] = Taken;
     }
@@ -307,6 +306,24 @@ private:
   int Stall = -1;
 };
 
+/// A µRISC token a stage holds: the fields it schedules by, and the
+/// struct it forwards. Stages forward the token they hold, so sending it
+/// on shares its payload instead of encoding a new one.
+struct HeldToken {
+  MicroInstr MI;
+  Value Token;
+};
+
+/// Takes in a token: a canonical one is kept as it came; any other value
+/// is re-encoded once, as toValue(fromValue(V)), which is what leaves the
+/// stage.
+HeldToken holdToken(const Value &V) {
+  MicroInstr MI = TraceGen::fromValue(V);
+  if (TraceGen::isCanonical(V))
+    return {MI, V};
+  return {MI, TraceGen::toValue(MI)};
+}
+
 /// Issue window with a register scoreboard. Dispatch decisions are made
 /// from last cycle's state (fully sequential timing), so arbitrarily deep
 /// pipelines schedule without combinational cycles.
@@ -327,13 +344,12 @@ public:
 
   void evaluate(BehaviorContext &Ctx) override {
     int NumFus = Ctx.getWidth(Dispatch);
-    std::vector<bool> FuUsed(FuBusy.begin(), FuBusy.end());
-    std::vector<bool> Issued(Window.size(), false);
-    unsigned Dispatched = 0;
+    FuUsed.assign(FuBusy.begin(), FuBusy.end());
+    Issued.assign(Window.size(), false);
 
     for (size_t W = 0; W != Window.size(); ++W) {
-      const MicroInstr &MI = Window[W];
-      bool Ready = !BusyRegs.count(MI.Src1) && !BusyRegs.count(MI.Src2);
+      const MicroInstr &MI = Window[W].MI;
+      bool Ready = !busy(MI.Src1) && !busy(MI.Src2);
       if (!Ready) {
         if (InOrder)
           break;
@@ -353,23 +369,25 @@ public:
       }
       FuUsed[Fu] = true;
       Issued[W] = true;
-      Ctx.setOutput(Dispatch, Fu, TraceGen::toValue(MI));
-      ++Dispatched;
+      Ctx.setOutput(Dispatch, Fu, Window[W].Token);
     }
 
-    // Retain un-issued entries; mark issued dests busy.
-    std::deque<MicroInstr> Rest;
+    // Mark issued dests busy and close the window over the rest, in order.
+    size_t Kept = 0;
     for (size_t W = 0; W != Window.size(); ++W) {
       if (Issued[W])
-        BusyRegs.insert(Window[W].Dest);
-      else
-        Rest.push_back(Window[W]);
+        BusyRegs.push_back(Window[W].MI.Dest);
+      else {
+        if (Kept != W)
+          Window[Kept] = std::move(Window[W]);
+        ++Kept;
+      }
     }
-    Window.swap(Rest);
+    Window.erase(Window.begin() + static_cast<std::ptrdiff_t>(Kept),
+                 Window.end());
 
-    (void)Dispatched;
     bool Stall = Window.size() >= static_cast<size_t>(WindowSize);
-    Ctx.setOutput(StallPort, 0, Value::makeBool(Stall));
+    Ctx.setOutputBool(StallPort, 0, Stall);
     if (Stall)
       Ctx.emitEvent("issue_stall", Value::makeInt((int64_t)Window.size()));
   }
@@ -378,9 +396,13 @@ public:
     // Absorb completions first (frees registers for next cycle)...
     for (int F = 0, W = Ctx.getWidth(Complete); F != W; ++F)
       if (const Value *V = Ctx.getInput(Complete, F)) {
-        auto It = BusyRegs.find(TraceGen::fromValue(*V).Dest);
-        if (It != BusyRegs.end())
-          BusyRegs.erase(It); // One completion frees one in-flight dest.
+        auto It = std::find(BusyRegs.begin(), BusyRegs.end(),
+                            TraceGen::fromValue(*V).Dest);
+        if (It != BusyRegs.end()) {
+          // One completion frees one in-flight dest.
+          *It = BusyRegs.back();
+          BusyRegs.pop_back();
+        }
       }
     // ...then FU occupancy...
     FuBusy.assign(Ctx.getWidth(Dispatch), false);
@@ -394,7 +416,7 @@ public:
     // instruction is ever lost.
     for (int I = 0, W = Ctx.getWidth(Uop); I != W; ++I)
       if (const Value *V = Ctx.getInput(Uop, I))
-        Window.push_back(TraceGen::fromValue(*V));
+        Window.push_back(holdToken(*V));
   }
 
   bool readsCombinationally(const std::string &) const override {
@@ -402,11 +424,20 @@ public:
   }
 
 private:
+  bool busy(int64_t Reg) const {
+    return std::find(BusyRegs.begin(), BusyRegs.end(), Reg) != BusyRegs.end();
+  }
+
   int64_t WindowSize = 8;
   bool InOrder = true;
-  std::deque<MicroInstr> Window;
-  std::multiset<int64_t> BusyRegs;
+  std::vector<HeldToken> Window; ///< Oldest first.
+  /// Dests of dispatched, uncompleted instructions; one entry per
+  /// in-flight writer, in no particular order.
+  std::vector<int64_t> BusyRegs;
   std::vector<bool> FuBusy;
+  // evaluate()'s per-cycle scratch, kept to reuse its storage.
+  std::vector<bool> FuUsed;
+  std::vector<bool> Issued;
   int Uop = -1;
   int FuBusyPort = -1;
   int Complete = -1;
@@ -431,27 +462,27 @@ public:
     // finished entry drains first; the rest wait.
     EmittedIdx = -1;
     for (size_t I = 0; I != Pipe.size(); ++I) {
-      if (Pipe[I].second != 0)
+      if (Pipe[I].Remaining != 0)
         continue;
-      Ctx.setOutput(Done, 0, TraceGen::toValue(Pipe[I].first));
+      Ctx.setOutput(Done, 0, Pipe[I].Token);
       EmittedIdx = static_cast<int>(I);
       break;
     }
     bool B = Pipelined ? Pipe.size() >= static_cast<size_t>(Latency + 2)
                        : !Pipe.empty();
-    Ctx.setOutput(Busy, 0, Value::makeBool(B));
+    Ctx.setOutputBool(Busy, 0, B);
   }
 
   void endOfTimestep(BehaviorContext &Ctx) override {
     if (EmittedIdx >= 0)
       Pipe.erase(Pipe.begin() + EmittedIdx);
-    for (auto &[MI, Remaining] : Pipe)
-      if (Remaining > 0)
-        --Remaining;
+    for (Stage &S : Pipe)
+      if (S.Remaining > 0)
+        --S.Remaining;
     if (const Value *V = Ctx.getInput(Uop, 0)) {
-      MicroInstr MI = TraceGen::fromValue(*V);
-      int64_t Lat = std::max<int64_t>(Latency, MI.Lat);
-      Pipe.emplace_back(MI, Lat - 1);
+      HeldToken H = holdToken(*V);
+      int64_t Lat = std::max<int64_t>(Latency, H.MI.Lat);
+      Pipe.push_back({std::move(H.Token), Lat - 1});
     }
   }
 
@@ -460,10 +491,15 @@ public:
   }
 
 private:
+  struct Stage {
+    Value Token;
+    int64_t Remaining; ///< Cycles until the token may complete.
+  };
+
   int64_t Latency = 1;
   bool Pipelined = true;
   int EmittedIdx = -1;
-  std::deque<std::pair<MicroInstr, int64_t>> Pipe;
+  std::vector<Stage> Pipe; ///< Oldest first.
   int Uop = -1;
   int Done = -1;
   int Busy = -1;

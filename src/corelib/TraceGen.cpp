@@ -2,6 +2,9 @@
 
 #include "corelib/TraceGen.h"
 
+#include <iterator>
+#include <string_view>
+
 using namespace liberty;
 using namespace liberty::corelib;
 using interp::Value;
@@ -59,29 +62,48 @@ MicroInstr TraceGen::next() {
   return I;
 }
 
+namespace {
+/// toValue's field names, in its order.
+constexpr std::string_view FieldNames[] = {"pc",   "op",   "dest",
+                                           "src1", "src2", "lat"};
+} // namespace
+
 Value TraceGen::toValue(const MicroInstr &I) {
-  return Value::makeStruct({{"pc", Value::makeInt(I.Pc)},
-                            {"op", Value::makeInt(I.Op)},
-                            {"dest", Value::makeInt(I.Dest)},
-                            {"src1", Value::makeInt(I.Src1)},
-                            {"src2", Value::makeInt(I.Src2)},
-                            {"lat", Value::makeInt(I.Lat)}});
+  const int64_t Ints[] = {I.Pc, I.Op, I.Dest, I.Src1, I.Src2, I.Lat};
+  Value::FieldList Fields;
+  Fields.reserve(std::size(FieldNames));
+  for (size_t F = 0; F != std::size(FieldNames); ++F)
+    Fields.emplace_back(FieldNames[F], Value::makeInt(Ints[F]));
+  return Value::makeStruct(std::move(Fields));
+}
+
+bool TraceGen::isCanonical(const Value &V) {
+  if (!V.isStruct())
+    return false;
+  const Value::FieldList &Fields = V.getFields();
+  if (Fields.size() != std::size(FieldNames))
+    return false;
+  for (size_t F = 0; F != Fields.size(); ++F)
+    if (Fields[F].first != FieldNames[F] || !Fields[F].second.isInt())
+      return false;
+  return true;
 }
 
 MicroInstr TraceGen::fromValue(const Value &V) {
   MicroInstr I;
+  int64_t *Out[] = {&I.Pc, &I.Op, &I.Dest, &I.Src1, &I.Src2, &I.Lat};
+  if (isCanonical(V)) {
+    const Value::FieldList &Fields = V.getFields();
+    for (size_t F = 0; F != std::size(Out); ++F)
+      *Out[F] = Fields[F].second.getInt();
+    return I;
+  }
   if (!V.isStruct())
     return I;
-  auto Get = [&](const char *Name, int64_t &Out) {
-    if (const Value *F = V.getField(Name))
-      if (F->isInt())
-        Out = F->getInt();
-  };
-  Get("pc", I.Pc);
-  Get("op", I.Op);
-  Get("dest", I.Dest);
-  Get("src1", I.Src1);
-  Get("src2", I.Src2);
-  Get("lat", I.Lat);
+  // Any other struct: the first field of each name, if it is an Int.
+  for (size_t F = 0; F != std::size(Out); ++F)
+    if (const Value *Field = V.getField(std::string(FieldNames[F])))
+      if (Field->isInt())
+        *Out[F] = Field->getInt();
   return I;
 }

@@ -55,8 +55,14 @@ public:
   /// (e.g. branch directions) reproducibly.
   uint32_t rand32();
 
+  /// Encodes \p I as the canonical token: six Int fields pc, op, dest,
+  /// src1, src2, lat, in that order.
   static interp::Value toValue(const MicroInstr &I);
-  /// Decodes a token; tolerant of missing fields (returns defaults).
+  /// True if \p V has exactly toValue's layout, so toValue(fromValue(V))
+  /// equals V.
+  static bool isCanonical(const interp::Value &V);
+  /// Decodes a token: a canonical one by position, any other struct by
+  /// field name (missing or non-Int fields keep their defaults).
   static MicroInstr fromValue(const interp::Value &V);
   /// Latency of an operation class in the reference timing model.
   static int64_t latencyFor(OpClass Op);

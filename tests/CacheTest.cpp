@@ -977,9 +977,10 @@ TEST(Serializer, InstanceIdsAgreeWithSerializationOrder) {
     EXPECT_EQ(Instances.front()->Id, 0u); // Root.
     for (size_t I = 0; I != Instances.size(); ++I) {
       EXPECT_EQ(Instances[I]->Id, I);
-      if (I)
+      if (I) {
         EXPECT_LT(Instances[I]->Parent->Id, Instances[I]->Id)
             << "parents must precede children";
+      }
     }
   };
   CheckIds(*R.C->getNetlist());

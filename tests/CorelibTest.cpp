@@ -2,12 +2,15 @@
 
 #include "EngineMatrix.h"
 #include "driver/Compiler.h"
+#include "bsl/BehaviorRegistry.h"
 #include "corelib/CoreLib.h"
+#include "corelib/TraceGen.h"
 #include "types/Type.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 using namespace liberty;
 
@@ -525,6 +528,391 @@ r.retired[0] -> s.in;
   EXPECT_FALSE(Sim->hadRuntimeErrors());
   EXPECT_EQ(Sim->findState("r", "retired")->getInt(), 200)
       << "every fetched instruction must retire exactly once";
+}
+
+//===----------------------------------------------------------------------===//
+// Behaviors driven by hand: the send path and the µRISC token path
+//===----------------------------------------------------------------------===//
+
+using interp::Value;
+
+/// A BehaviorContext without a simulator. Ports are declared with the
+/// wires they use, parameters are set by the test, and delivered events
+/// are recorded.
+class HandContext : public bsl::BehaviorContext {
+public:
+  explicit HandContext(bsl::WireBoard &Board) : BehaviorContext(Board) {}
+
+  /// Declares port \p Name over the wires \p Nets and returns its id.
+  int addPort(const std::string &Name, bool IsOutput, std::vector<int> Nets) {
+    PortSlot &Slot = Ports.emplace_back();
+    Slot.Name = Name;
+    Slot.Nets = std::move(Nets);
+    Slot.IsOutput = IsOutput;
+    if (IsOutput)
+      Slot.EventName = "port:" + Name;
+    return int(Ports.size() - 1);
+  }
+
+  std::map<std::string, Value> Params;
+  std::vector<std::pair<std::string, Value>> Events;
+
+  const types::Type *getPortType(const std::string &) const override {
+    return nullptr;
+  }
+  const Value *getParam(const std::string &Name) const override {
+    auto It = Params.find(Name);
+    return It == Params.end() ? nullptr : &It->second;
+  }
+  int bindUserpoint(const std::string &) const override { return -1; }
+  Value callUserpoint(int, std::vector<Value>) override { return Value(); }
+  const std::string &getInstancePath() const override { return Path; }
+
+protected:
+  void deliverEvent(const std::string &Event, const Value &Payload) override {
+    Events.emplace_back(Event, Payload);
+  }
+
+private:
+  std::string Path = "hand";
+};
+
+/// The start of a cycle as the engines run it: every wire's presence is
+/// snapshotted and cleared.
+void beginCycle(bsl::WireBoard &Board) {
+  for (bsl::Wire &W : Board.Wires) {
+    W.PrevHas = W.Has;
+    W.Has = false;
+  }
+}
+
+void drive(bsl::WireBoard &Board, int Net, Value V) {
+  Board.Wires[size_t(Net)].V = std::move(V);
+  Board.Wires[size_t(Net)].Has = true;
+}
+
+bool sameWire(const bsl::Wire &A, const bsl::Wire &B) {
+  return A.V.getKind() == B.V.getKind() && A.V.equals(B.V) &&
+         A.Has == B.Has && A.PrevHas == B.PrevHas;
+}
+
+TEST(HandDriven, ScalarSendsMatchValueSends) {
+  // Two boards take the same sends, one through setOutputInt/Bool and one
+  // through setOutput(Value::make*), and must agree after every step.
+  struct Side {
+    bsl::WireBoard Board;
+    HandContext Ctx{Board};
+    int Out = -1;
+  };
+  Side Scalar, Boxed;
+  for (Side *S : {&Scalar, &Boxed}) {
+    S->Board.Wires.resize(1);
+    S->Out = S->Ctx.addPort("out", /*IsOutput=*/true, {0});
+  }
+  enum Kind { Int, Bool };
+  auto Send = [&](Kind K, int64_t V, int Port) {
+    for (Side *S : {&Scalar, &Boxed}) {
+      int P = Port < 0 ? Port : S->Out;
+      if (S == &Scalar && K == Int)
+        S->Ctx.setOutputInt(P, 0, V);
+      else if (S == &Scalar)
+        S->Ctx.setOutputBool(P, 0, V != 0);
+      else if (K == Int)
+        S->Ctx.setOutput(P, 0, Value::makeInt(V));
+      else
+        S->Ctx.setOutput(P, 0, Value::makeBool(V != 0));
+    }
+  };
+  auto Agree = [&](const char *Step) {
+    SCOPED_TRACE(Step);
+    EXPECT_TRUE(sameWire(Scalar.Board.Wires[0], Boxed.Board.Wires[0]));
+    EXPECT_EQ(Scalar.Board.NetWrites, Boxed.Board.NetWrites);
+    EXPECT_EQ(Scalar.Board.NetChanges, Boxed.Board.NetChanges);
+    EXPECT_EQ(Scalar.Board.Dirty, Boxed.Board.Dirty);
+    ASSERT_EQ(Scalar.Ctx.Events.size(), Boxed.Ctx.Events.size());
+    for (size_t E = 0; E != Scalar.Ctx.Events.size(); ++E) {
+      EXPECT_EQ(Scalar.Ctx.Events[E].first, Boxed.Ctx.Events[E].first);
+      EXPECT_TRUE(
+          Scalar.Ctx.Events[E].second.equals(Boxed.Ctx.Events[E].second));
+    }
+  };
+  auto NextCycle = [&] {
+    for (Side *S : {&Scalar, &Boxed}) {
+      beginCycle(S->Board);
+      S->Board.Dirty = false;
+    }
+  };
+
+  Send(Int, 7, 0);
+  Agree("first send, no previous value");
+  EXPECT_EQ(Scalar.Board.NetChanges, 1u);
+  NextCycle();
+  Send(Int, 7, 0);
+  Agree("first send of the cycle, same value as last cycle");
+  EXPECT_EQ(Scalar.Board.NetChanges, 1u);
+  EXPECT_TRUE(Scalar.Board.Dirty);
+  NextCycle();
+  Send(Int, 9, 0);
+  Agree("first send of the cycle, new value");
+  EXPECT_EQ(Scalar.Board.NetChanges, 2u);
+  for (Side *S : {&Scalar, &Boxed})
+    S->Board.Dirty = false;
+  Send(Int, 9, 0);
+  Agree("fixpoint re-send, same value");
+  EXPECT_FALSE(Scalar.Board.Dirty);
+  Send(Int, 11, 0);
+  Agree("fixpoint re-send, new value");
+  EXPECT_TRUE(Scalar.Board.Dirty);
+  Send(Bool, 1, 0);
+  Agree("Int to Bool");
+  EXPECT_TRUE(Scalar.Board.Wires[0].V.isBool());
+  NextCycle();
+  Send(Bool, 1, 0);
+  Agree("Bool, same as last cycle");
+  Send(Bool, 0, 0);
+  Agree("Bool re-send, new value");
+  NextCycle();
+  Send(Int, 0, 0); // Compares unequal to Bool false.
+  Agree("Bool to Int");
+  EXPECT_TRUE(Scalar.Board.Wires[0].V.isInt());
+  uint64_t Writes = Scalar.Board.NetWrites;
+  Send(Int, 3, -1);
+  Send(Bool, 1, -1);
+  Agree("port id -1");
+  EXPECT_EQ(Scalar.Board.NetWrites, Writes);
+  EXPECT_TRUE(Scalar.Ctx.Events.empty());
+
+  for (Side *S : {&Scalar, &Boxed})
+    S->Board.Instrumented = true;
+  NextCycle();
+  Send(Int, 1, 0);
+  Send(Int, 5, 0);
+  Send(Bool, 0, 0);
+  NextCycle();
+  Send(Bool, 0, 0);
+  Agree("instrumented");
+  ASSERT_EQ(Scalar.Ctx.Events.size(), 4u);
+  EXPECT_EQ(Scalar.Ctx.Events[0].first, "port:out");
+  EXPECT_EQ(Scalar.Ctx.Events[1].second.getInt(), 5);
+  EXPECT_FALSE(Scalar.Ctx.Events[3].second.getBool());
+}
+
+/// An issue stage with one dispatch lane feeding one fu, wired by hand:
+/// wire 0 carries uops into issue, 1 dispatch, 2 fu's done, 3 the
+/// completion issue reads (driven by the test).
+struct TokenRig {
+  bsl::WireBoard Board;
+  HandContext IssueCtx{Board}, FuCtx{Board};
+  std::unique_ptr<bsl::LeafBehavior> Issue, Fu;
+
+  explicit TokenRig(int UopWidth = 1) {
+    corelib::registerCoreBehaviors();
+    std::vector<int> UopNets;
+    for (int I = 0; I != UopWidth; ++I)
+      UopNets.push_back(4 + I);
+    Board.Wires.resize(size_t(4 + UopWidth));
+    IssueCtx.addPort("uop", false, UopNets);
+    IssueCtx.addPort("complete", false, {3});
+    IssueCtx.addPort("dispatch", true, {1});
+    FuCtx.addPort("uop", false, {1});
+    FuCtx.addPort("done", true, {2});
+    Issue = bsl::BehaviorRegistry::global().create("corelib/issue");
+    Fu = bsl::BehaviorRegistry::global().create("corelib/fu");
+    Issue->init(IssueCtx);
+    Fu->init(FuCtx);
+  }
+  /// Ends the cycle the test has driven inputs for, then starts the next.
+  void finishCycle() {
+    Issue->evaluate(IssueCtx);
+    Fu->evaluate(FuCtx);
+    Issue->endOfTimestep(IssueCtx);
+    Fu->endOfTimestep(FuCtx);
+    ++Board.Cycle;
+    beginCycle(Board);
+  }
+  const bsl::Wire &dispatch() const { return Board.Wires[1]; }
+  const bsl::Wire &done() const { return Board.Wires[2]; }
+};
+
+Value token(std::vector<std::pair<std::string, Value>> Fields) {
+  return Value::makeStruct(std::move(Fields));
+}
+
+corelib::MicroInstr decodeByName(const Value &V) {
+  corelib::MicroInstr I;
+  if (!V.isStruct())
+    return I;
+  auto Get = [&](const char *Name, int64_t &Out) {
+    if (const Value *F = V.getField(Name))
+      if (F->isInt())
+        Out = F->getInt();
+  };
+  Get("pc", I.Pc);
+  Get("op", I.Op);
+  Get("dest", I.Dest);
+  Get("src1", I.Src1);
+  Get("src2", I.Src2);
+  Get("lat", I.Lat);
+  return I;
+}
+
+void expectSameInstr(const corelib::MicroInstr &A,
+                     const corelib::MicroInstr &B) {
+  EXPECT_EQ(A.Pc, B.Pc);
+  EXPECT_EQ(A.Op, B.Op);
+  EXPECT_EQ(A.Dest, B.Dest);
+  EXPECT_EQ(A.Src1, B.Src1);
+  EXPECT_EQ(A.Src2, B.Src2);
+  EXPECT_EQ(A.Lat, B.Lat);
+}
+
+/// Byte-identical as far as a trace can tell: same kind, field names in
+/// the same order, equal values.
+void expectSameToken(const Value &A, const Value &B) {
+  ASSERT_TRUE(A.isStruct());
+  ASSERT_TRUE(B.isStruct());
+  EXPECT_TRUE(A.equals(B));
+  EXPECT_EQ(A.str(), B.str());
+}
+
+/// Tokens that are not toValue's layout, each with a case name.
+std::vector<std::pair<std::string, Value>> nonCanonicalTokens() {
+  auto I = [](int64_t N) { return Value::makeInt(N); };
+  return {
+      {"missing lat", token({{"pc", I(8)},
+                             {"op", I(1)},
+                             {"dest", I(3)},
+                             {"src1", I(4)},
+                             {"src2", I(5)}})},
+      {"extra field", token({{"pc", I(8)},
+                             {"op", I(2)},
+                             {"dest", I(3)},
+                             {"src1", I(4)},
+                             {"src2", I(5)},
+                             {"lat", I(2)},
+                             {"tag", I(99)}})},
+      {"reordered", token({{"op", I(1)},
+                           {"pc", I(8)},
+                           {"dest", I(3)},
+                           {"src1", I(4)},
+                           {"src2", I(5)},
+                           {"lat", I(3)}})},
+      {"duplicate name", token({{"pc", I(8)},
+                                {"op", I(0)},
+                                {"dest", I(3)},
+                                {"src1", I(4)},
+                                {"dest", I(9)},
+                                {"lat", I(1)}})},
+      {"non-Int field", token({{"pc", I(8)},
+                               {"op", I(0)},
+                               {"dest", I(3)},
+                               {"src1", I(4)},
+                               {"src2", I(5)},
+                               {"lat", Value::makeBool(true)}})},
+      {"plain Int", I(42)},
+  };
+}
+
+TEST(HandDriven, CanonicalTokenLeavesFuSharingItsPayload) {
+  TokenRig Rig;
+  corelib::MicroInstr MI;
+  MI.Pc = 64;
+  MI.Dest = 7;
+  MI.Src1 = 1;
+  MI.Src2 = 2;
+  MI.Lat = 3;
+  Value In = corelib::TraceGen::toValue(MI);
+  ASSERT_TRUE(corelib::TraceGen::isCanonical(In));
+  drive(Rig.Board, 4, In);
+  Rig.finishCycle(); // issue takes the token in
+  Rig.finishCycle(); // ...and dispatches it; fu takes it in
+  ASSERT_TRUE(Rig.dispatch().PrevHas);
+  EXPECT_EQ(&Rig.dispatch().V.getFields(), &In.getFields());
+  bool Done = false;
+  for (int C = 0; C != 8 && !Done; ++C) {
+    Rig.finishCycle();
+    Done = Rig.done().PrevHas;
+  }
+  ASSERT_TRUE(Done);
+  EXPECT_EQ(&Rig.done().V.getFields(), &In.getFields());
+}
+
+TEST(HandDriven, NonCanonicalTokensAreReencodedOnce) {
+  for (const auto &[Case, In] : nonCanonicalTokens()) {
+    SCOPED_TRACE(Case);
+    EXPECT_FALSE(corelib::TraceGen::isCanonical(In));
+    Value Expected =
+        corelib::TraceGen::toValue(corelib::TraceGen::fromValue(In));
+    TokenRig Rig;
+    drive(Rig.Board, 4, In);
+    Rig.finishCycle();
+    Rig.finishCycle();
+    ASSERT_TRUE(Rig.dispatch().PrevHas);
+    expectSameToken(Rig.dispatch().V, Expected);
+    bool Done = false;
+    for (int C = 0; C != 8 && !Done; ++C) {
+      Rig.finishCycle();
+      Done = Rig.done().PrevHas;
+    }
+    ASSERT_TRUE(Done);
+    expectSameToken(Rig.done().V, Expected);
+    // Re-encoded once: fu forwards issue's encoding.
+    EXPECT_EQ(&Rig.done().V.getFields(), &Rig.dispatch().V.getFields());
+  }
+}
+
+TEST(HandDriven, TwoWritersOfOneDestNeedTwoCompletions) {
+  auto Instr = [](int64_t Pc, int64_t Dest, int64_t Src1) {
+    corelib::MicroInstr MI;
+    MI.Pc = Pc;
+    MI.Dest = Dest;
+    MI.Src1 = Src1;
+    MI.Src2 = Src1;
+    return corelib::TraceGen::toValue(MI);
+  };
+  TokenRig Rig(/*UopWidth=*/3);
+  drive(Rig.Board, 4, Instr(0, 5, 1)); // Two writers of r5...
+  drive(Rig.Board, 5, Instr(4, 5, 2));
+  drive(Rig.Board, 6, Instr(8, 6, 5)); // ...and a reader.
+  Rig.finishCycle();
+  auto DispatchedPc = [&]() -> int64_t {
+    if (!Rig.dispatch().PrevHas)
+      return -1;
+    return corelib::TraceGen::fromValue(Rig.dispatch().V).Pc;
+  };
+  Rig.finishCycle();
+  EXPECT_EQ(DispatchedPc(), 0);
+  Rig.finishCycle();
+  EXPECT_EQ(DispatchedPc(), 4);
+  Rig.finishCycle();
+  EXPECT_EQ(DispatchedPc(), -1) << "r5 has two writers in flight";
+  drive(Rig.Board, 3, Instr(0, 5, 1));
+  Rig.finishCycle(); // the first completion
+  Rig.finishCycle();
+  EXPECT_EQ(DispatchedPc(), -1) << "one completion frees one writer";
+  drive(Rig.Board, 3, Instr(4, 5, 2));
+  Rig.finishCycle(); // the second completion
+  Rig.finishCycle();
+  EXPECT_EQ(DispatchedPc(), 8);
+}
+
+TEST(HandDriven, PositionalDecodeAgreesWithDecodeByName) {
+  corelib::MicroInstr MI;
+  MI.Pc = 12;
+  MI.Op = 2;
+  MI.Dest = 4;
+  MI.Src1 = 5;
+  MI.Src2 = 6;
+  MI.Lat = 2;
+  Value Canonical = corelib::TraceGen::toValue(MI);
+  EXPECT_TRUE(corelib::TraceGen::isCanonical(Canonical));
+  expectSameInstr(corelib::TraceGen::fromValue(Canonical),
+                  decodeByName(Canonical));
+  expectSameInstr(corelib::TraceGen::fromValue(Canonical), MI);
+  for (const auto &[Case, V] : nonCanonicalTokens()) {
+    SCOPED_TRACE(Case);
+    expectSameInstr(corelib::TraceGen::fromValue(V), decodeByName(V));
+  }
 }
 
 } // namespace

@@ -477,8 +477,9 @@ TEST(Daemon, QueueFullRejectsWithRetryAfter) {
   }
   EXPECT_TRUE(R.Error.empty() && R.Success) << R.Error;
   Slow.join();
-  if (SawReject)
+  if (SawReject) {
     EXPECT_GE(Server.getStats().RejectedQueueFull, 1u);
+  }
 }
 
 //===--------------------------------------------------------------------===//

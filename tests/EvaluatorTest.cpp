@@ -147,8 +147,9 @@ TEST(Evaluator, ModuleBodiesAndUserpointsAgree) {
     EXPECT_EQ(Module.Diags, Userpoint.Diags);
     // Unset results come from diagnosed errors, so the comparison above
     // covers the error wording too.
-    if (std::string(S.Expected) == "<unset>")
+    if (std::string(S.Expected) == "<unset>") {
       EXPECT_FALSE(Module.Diags.empty());
+    }
   }
 }
 
