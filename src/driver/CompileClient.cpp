@@ -34,7 +34,6 @@ bool CompileClient::connect(std::string *Err) {
   Json Hello = Json::object();
   Hello.set("type", msg::Hello)
       .set("version", uint64_t(DaemonProtocolVersion))
-      .set("minor", uint64_t(DaemonProtocolMinorVersion))
       .set("client", "lssc");
   Json Reply;
   if (!roundTrip(Hello, Reply, Err))
@@ -48,9 +47,6 @@ bool CompileClient::connect(std::string *Err) {
     close();
     return false;
   }
-  // Additive-feature negotiation: an old daemon's hello_ok has no "minor"
-  // field, which reads as 0 — recompile() then degrades to plain compile.
-  ServerMinor = uint32_t(Reply.getU64("minor"));
   return true;
 }
 
@@ -156,11 +152,6 @@ CompileClient::Result CompileClient::compile(const CompilerInvocation &Inv,
 
 CompileClient::Result CompileClient::recompile(const CompilerInvocation &Inv,
                                                uint64_t DeadlineMs) {
-  // Feature-gate on the negotiated minor: a minor-0 daemon has no
-  // `recompile` handler (it would answer bad_message), but a plain
-  // compile produces the identical result bytes — just without splicing.
-  if (ServerMinor < 1)
-    return compile(Inv, DeadlineMs);
   return request(msg::Recompile, Inv, DeadlineMs);
 }
 

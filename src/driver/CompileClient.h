@@ -89,22 +89,15 @@ public:
   /// budget (queue wait + compile; 0 = none). Blocking.
   Result compile(const CompilerInvocation &Inv, uint64_t DeadlineMs = 0);
 
-  /// Incremental recompile (`recompile`, protocol minor 1): the daemon
-  /// diffs \p Inv against its cached dependency graph and replays what it
-  /// can (docs/INCREMENTAL.md). Against a minor-0 daemon this degrades to
-  /// a plain `compile` — same result bytes, no splicing — so callers can
-  /// use it unconditionally. The Result's Incremental* fields report what
-  /// the daemon actually did.
+  /// Incremental recompile (`recompile`): the daemon diffs \p Inv against
+  /// its cached dependency graph and replays what it can
+  /// (docs/INCREMENTAL.md). The result bytes equal a plain `compile`'s; the
+  /// Result's Incremental* fields report what the daemon actually did.
   Result recompile(const CompilerInvocation &Inv, uint64_t DeadlineMs = 0);
 
   /// recompile() under the retry policy (see compileWithRetry).
   Result recompileWithRetry(const CompilerInvocation &Inv,
                             uint64_t DeadlineMs = 0);
-
-  /// The daemon's protocol minor version from the `hello_ok` reply
-  /// (0 before connect() or against a pre-negotiation daemon). The shared
-  /// feature level is min(DaemonProtocolMinorVersion, serverMinor()).
-  uint32_t serverMinor() const { return ServerMinor; }
 
   /// Compiles a batch in one round trip; Results[i] corresponds to
   /// Invs[i]. On a transport failure every result carries the error.
@@ -170,7 +163,6 @@ private:
 
   std::string Address;
   int Fd = -1;
-  uint32_t ServerMinor = 0;
   uint64_t NextId = 1;
   RetryPolicy Policy;
   ClientStats Stats;

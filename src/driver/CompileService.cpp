@@ -21,14 +21,6 @@ CompileService::CompileService(Options O)
   corelib::registerCoreBehaviors();
 }
 
-/// Copies the diagnostics emitted at index \p From onward — the slice a
-/// phase appended, excluding anything earlier (e.g. cache-corruption
-/// notes, which must not leak into stored artifacts).
-static std::vector<Diagnostic> diagsSince(Compiler &C, size_t From) {
-  const auto &All = C.getDiags().getDiagnostics();
-  return std::vector<Diagnostic>(All.begin() + From, All.end());
-}
-
 CompileResult CompileService::compile(const CompilerInvocation &Inv) {
   CompileResult R;
   R.C = std::make_unique<Compiler>();
@@ -73,7 +65,8 @@ CompileResult CompileService::compile(const CompilerInvocation &Inv) {
       std::string Payload;
       if (netlist::serializeNetlist(*C.getNetlist(), C.getLibraryModules(),
                                     C.getNumUserTypeAnnotations(),
-                                    diagsSince(C, DiagStart), Payload))
+                                    C.getDiags().getDiagnosticsSince(DiagStart),
+                                    Payload))
         Cache.put(ElabKey, "elab", Payload);
     }
   }
@@ -109,7 +102,8 @@ CompileResult CompileService::compile(const CompilerInvocation &Inv) {
     if (Opts.CacheEnabled && !C.getDiags().hasErrors() && C.getNetlist()) {
       std::string Payload;
       if (infer::exportSolution(*C.getNetlist(), C.getInferenceStats(),
-                                diagsSince(C, DiagStart), Payload))
+                                C.getDiags().getDiagnosticsSince(DiagStart),
+                                Payload))
         Cache.put(SolveKey, "solve", Payload);
     }
   }

@@ -232,13 +232,6 @@ Compiler::compileForSim(const CompilerInvocation &Inv) {
   return C;
 }
 
-std::unique_ptr<Compiler> Compiler::compileForSim(const std::string &Name,
-                                                  const std::string &Text) {
-  CompilerInvocation Inv;
-  Inv.addSource(Name, Text);
-  return compileForSim(Inv);
-}
-
 std::string Compiler::diagnosticsText() const {
   std::ostringstream OS;
   Diags.printAll(OS);

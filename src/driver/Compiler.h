@@ -109,9 +109,6 @@ public:
   /// infer → simulator. Returns null on error. Always builds the
   /// simulator (ignores Inv.BuildSim — that switch is CompileService's).
   static std::unique_ptr<Compiler> compileForSim(const CompilerInvocation &Inv);
-  /// \deprecated Shim: single source, default options.
-  static std::unique_ptr<Compiler> compileForSim(const std::string &Name,
-                                                 const std::string &Text);
 
   // Accessors.
   SourceMgr &getSourceMgr() { return SM; }

@@ -80,16 +80,4 @@ uint64_t CompilerInvocation::solveKey() const {
   return H.get();
 }
 
-uint64_t CompilerInvocation::fingerprint() const {
-  FnvHasher H;
-  H.field("solve", solveKey());
-  H.field("maxerrors", MaxErrors);
-  H.field("solve.maxsteps", Solve.MaxSteps);
-  H.field("solve.deadline", Solve.DeadlineMs);
-  H.field("sim.fixpoint", Sim.MaxFixpointIters);
-  H.field("sim.engine", uint64_t(Sim.Engine));
-  // BuildSim excluded (see header).
-  return H.get();
-}
-
 std::string CompilerInvocation::keyString(uint64_t Key) { return hex64(Key); }

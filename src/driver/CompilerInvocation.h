@@ -4,7 +4,7 @@
 /// A CompilerInvocation is the complete, self-contained description of one
 /// LSS compilation: the source texts plus every option of every phase
 /// (elaboration, type inference, simulator construction). It is a plain
-/// value — copyable, comparable by fingerprint, buildable without touching
+/// value — copyable, hashable into cache keys, buildable without touching
 /// the filesystem — and is the single currency of the driver API: every
 /// Compiler phase entry point and the CompileService batch/cache layer
 /// take one.
@@ -28,10 +28,6 @@
 ///    Solve.MaxSteps and Solve.DeadlineMs are also excluded — budgets only
 ///    decide *whether* a solve succeeds, never what the solution is, and
 ///    failed compiles are never cached.
-///  - fingerprint(): everything above plus the budgets, MaxErrors, and the
-///    simulator options; BuildSim is excluded. This is
-///    the whole-invocation identity (bench A/B labels, logs) — not a cache
-///    key itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +48,7 @@ namespace driver {
 class CompilerInvocation {
 public:
   /// One named source text. The text is read eagerly (addFile) so an
-  /// invocation never does I/O after construction — fingerprints are pure.
+  /// invocation never does I/O after construction — its keys are pure.
   struct Source {
     std::string Name;
     std::string Text;
@@ -69,8 +65,8 @@ public:
   infer::SolveOptions Solve;
   sim::Simulator::Options Sim;
   /// Whether the compile runs simulator construction at all. Excluded from
-  /// the fingerprint: it selects how much of the pipeline runs, not what
-  /// any phase produces.
+  /// every key: it selects how much of the pipeline runs, not what any
+  /// phase produces.
   bool BuildSim = true;
 
   void addSource(std::string Name, std::string Text) {
@@ -95,8 +91,6 @@ public:
   uint64_t depKey() const;
   /// Key of the inference-solution artifact. See the contract above.
   uint64_t solveKey() const;
-  /// Whole-invocation identity (excludes NumThreads/BuildSim).
-  uint64_t fingerprint() const;
 
   /// Renders a key as the 16-hex-digit form used in cache file names.
   static std::string keyString(uint64_t Key);

@@ -95,14 +95,15 @@ bool writeFull(int Fd, const char *Buf, size_t N) {
   return true;
 }
 
-} // namespace
-
-FrameStatus liberty::driver::readFrame(int Fd, std::string &Payload,
-                                       uint64_t MaxBytes) {
-  unsigned char Hdr[4];
-  ssize_t R = readFull(Fd, reinterpret_cast<char *>(Hdr), 4);
+/// Decodes a frame's 4-byte big-endian length prefix, given what the
+/// header read returned (readFull/readFullDeadline codes), and sizes
+/// \p Payload for the body. Ok means the body is to be read next.
+FrameStatus decodeFrameHeader(ssize_t R, const unsigned char *Hdr,
+                              uint64_t MaxBytes, std::string &Payload) {
   if (R == 0)
     return FrameStatus::Eof;
+  if (R == -2)
+    return FrameStatus::Timeout;
   if (R < 0)
     return FrameStatus::Error;
   uint64_t Len = (uint64_t(Hdr[0]) << 24) | (uint64_t(Hdr[1]) << 16) |
@@ -110,9 +111,22 @@ FrameStatus liberty::driver::readFrame(int Fd, std::string &Payload,
   if (Len > MaxBytes)
     return FrameStatus::TooLarge;
   Payload.resize(size_t(Len));
-  if (Len != 0 && readFull(Fd, Payload.data(), size_t(Len)) != ssize_t(Len))
-    return FrameStatus::Error;
   return FrameStatus::Ok;
+}
+
+} // namespace
+
+FrameStatus liberty::driver::readFrame(int Fd, std::string &Payload,
+                                       uint64_t MaxBytes) {
+  unsigned char Hdr[4];
+  FrameStatus S = decodeFrameHeader(
+      readFull(Fd, reinterpret_cast<char *>(Hdr), 4), Hdr, MaxBytes, Payload);
+  if (S != FrameStatus::Ok || Payload.empty())
+    return S;
+  return readFull(Fd, Payload.data(), Payload.size()) ==
+                 ssize_t(Payload.size())
+             ? FrameStatus::Ok
+             : FrameStatus::Error;
 }
 
 FrameStatus liberty::driver::readFrameDeadline(int Fd, std::string &Payload,
@@ -141,27 +155,16 @@ FrameStatus liberty::driver::readFrameDeadline(int Fd, std::string &Payload,
       R = R2 == 3 ? 4 : (R2 == 0 ? -1 : R2);
     }
   }
-  if (R == 0)
-    return FrameStatus::Eof;
-  if (R == -2)
+  FrameStatus S = decodeFrameHeader(R, Hdr, MaxBytes, Payload);
+  if (S != FrameStatus::Ok || Payload.empty())
+    return S;
+  ssize_t Body = readFullDeadline(Fd, Payload.data(), Payload.size(),
+                                  std::chrono::steady_clock::now() +
+                                      std::chrono::milliseconds(DeadlineMs));
+  if (Body == -2)
     return FrameStatus::Timeout;
-  if (R < 0)
-    return FrameStatus::Error;
-  uint64_t Len = (uint64_t(Hdr[0]) << 24) | (uint64_t(Hdr[1]) << 16) |
-                 (uint64_t(Hdr[2]) << 8) | uint64_t(Hdr[3]);
-  if (Len > MaxBytes)
-    return FrameStatus::TooLarge;
-  Payload.resize(size_t(Len));
-  if (Len != 0) {
-    ssize_t Body = readFullDeadline(Fd, Payload.data(), size_t(Len),
-                                    std::chrono::steady_clock::now() +
-                                        std::chrono::milliseconds(DeadlineMs));
-    if (Body == -2)
-      return FrameStatus::Timeout;
-    if (Body != ssize_t(Len))
-      return FrameStatus::Error;
-  }
-  return FrameStatus::Ok;
+  return Body == ssize_t(Payload.size()) ? FrameStatus::Ok
+                                         : FrameStatus::Error;
 }
 
 bool liberty::driver::writeFrame(int Fd, std::string_view Payload) {

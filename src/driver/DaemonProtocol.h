@@ -43,19 +43,12 @@
 namespace liberty {
 namespace driver {
 
-/// Bumped whenever a frame or message schema changes incompatibly. The
-/// `hello` handshake carries the client's version; the server refuses a
-/// mismatch with `version_mismatch` so old clients fail loud, not weird.
-constexpr uint32_t DaemonProtocolVersion = 1;
-
-/// Bumped when a backward-compatible message type or field is ADDED under
-/// the same major version. Negotiation is one-sided and optional: `hello`
-/// may carry a "minor" field (absent = 0) and `hello_ok` answers with the
-/// server's minor; each side treats min(mine, peer's) as the shared
-/// feature level. Minor 1 adds the `recompile` request — a client seeing
-/// a minor-0 server (an old daemon whose hello_ok has no "minor") sends
-/// plain `compile` instead.
-constexpr uint32_t DaemonProtocolMinorVersion = 1;
+/// Bumped whenever a message type or field is added, or a frame or message
+/// schema changes. The `hello` handshake carries the client's version; the
+/// server refuses a mismatch with `version_mismatch` so a peer from
+/// another build fails loud, not weird. Version 2 is the first with the
+/// `recompile` request.
+constexpr uint32_t DaemonProtocolVersion = 2;
 
 /// Frames larger than this default cap are rejected as `bad_frame`
 /// (DaemonServer::Options::MaxFrameBytes overrides).

@@ -201,14 +201,9 @@ bool DaemonServer::handleMessage(const Json &Msg, bool &HandshakeDone,
       return false; // Incompatible peer: close after the reply.
     }
     HandshakeDone = true;
-    // Minor versions are additive and negotiated one-sidedly: we answer
-    // with ours, the client uses min(client, server) to decide which
-    // requests to send. A client's absent "minor" (= 0) needs no special
-    // handling here — old clients simply never send the new requests.
     Reply = Json::object();
     Reply.set("type", msg::HelloOk)
         .set("version", uint64_t(DaemonProtocolVersion))
-        .set("minor", uint64_t(DaemonProtocolMinorVersion))
         .set("server", "lssd")
         .set("pid", uint64_t(::getpid()));
     return true;
@@ -484,7 +479,6 @@ Json DaemonServer::buildStats() const {
   Json Reply = Json::object();
   Reply.set("type", msg::StatsResult)
       .set("version", uint64_t(DaemonProtocolVersion))
-      .set("minor", uint64_t(DaemonProtocolMinorVersion))
       .set("schema_version", uint64_t(StatsSchemaVersion))
       .set("requests_served", S.RequestsServed)
       .set("compile_requests", S.CompileRequests)

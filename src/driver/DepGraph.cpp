@@ -189,7 +189,7 @@ bool liberty::driver::serializeDepGraph(const DepGraph &G, std::string &Out) {
     return S.empty() ? std::string("-") : artifactEscape(S);
   };
   std::ostringstream OS;
-  OS << "LSSDEP 1\n";
+  OS << "LSSDEP 2\n";
   OS << "prev " << hex64(G.PrevElabKey) << ' ' << hex64(G.PrevSolveKey)
      << '\n';
   OS << "capable " << (G.Capable ? 1 : 0) << '\n';
@@ -200,9 +200,6 @@ bool liberty::driver::serializeDepGraph(const DepGraph &G, std::string &Out) {
     for (const DepGraph::ModuleDep &M : S.Modules)
       OS << "m " << artifactEscape(M.Name) << ' ' << hex64(M.Hash) << '\n';
   }
-  OS << "nedge " << G.Edges.size() << '\n';
-  for (const auto &[From, To] : G.Edges)
-    OS << "e " << Opt(From) << ' ' << Opt(To) << '\n';
   OS << "ninst " << G.Instances.size() << '\n';
   for (size_t I = 0; I != G.Instances.size(); ++I) {
     const DepGraph::InstDep &D = G.Instances[I];
@@ -217,13 +214,6 @@ bool liberty::driver::serializeDepGraph(const DepGraph &G, std::string &Out) {
          << artifactEscape(C.Port) << ' ' << C.ExplicitIndex << ' '
          << C.Loc.BufferId << ' ' << C.Loc.Offset << '\n';
   }
-  OS << "nmg " << G.ModuleGroups.size() << '\n';
-  for (const auto &[Mod, Groups] : G.ModuleGroups) {
-    OS << "mg " << Opt(Mod) << ' ' << Groups.size();
-    for (unsigned Gr : Groups)
-      OS << ' ' << Gr;
-    OS << '\n';
-  }
   OS << "end\n";
   Out = OS.str();
   return true;
@@ -235,15 +225,16 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
     return false; // Injected failure: treated as a cache miss.
   Out = DepGraph();
   netlist::ArtifactReader R(Text);
-  if (!R.readHeader("LSSDEP 1"))
+  // The writer ends every body with "end\n" and nothing after it: a body
+  // cut anywhere, even just before that last newline, is not a graph.
+  if (!R.readHeader("LSSDEP 2") || Text.back() != '\n')
     return false;
 
   // State for the record-at-a-time parse: which sub-records are pending.
-  size_t SrcRemaining = 0, ModRemaining = 0;
-  size_t EdgeRemaining = 0, InstRemaining = 0, MgRemaining = 0;
+  size_t SrcRemaining = 0, ModRemaining = 0, InstRemaining = 0;
   size_t AssignRemaining = 0, ConnRemaining = 0;
   bool SawPrev = false, SawCapable = false, SawNsrc = false;
-  bool SawNedge = false, SawNinst = false, SawNmg = false;
+  bool SawNinst = false;
 
   bool SawEnd = false;
   netlist::ArtifactLineReader L;
@@ -292,25 +283,10 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
         return false;
       Out.Sources.back().Modules.push_back(std::move(M));
       --ModRemaining;
-    } else if (Kind == "nedge") {
-      uint32_t N;
-      if (SawNedge || SrcRemaining || ModRemaining || L.size() != 2 ||
-          !L.u32(1, N) || N > 1u << 24)
-        return false;
-      EdgeRemaining = N;
-      Out.Edges.reserve(N);
-      SawNedge = true;
-    } else if (Kind == "e") {
-      std::string From, To;
-      if (!EdgeRemaining || L.size() != 3 || !L.optEscaped(1, From) ||
-          !L.optEscaped(2, To))
-        return false;
-      Out.Edges.emplace_back(std::move(From), std::move(To));
-      --EdgeRemaining;
     } else if (Kind == "ninst") {
       uint32_t N;
-      if (SawNinst || EdgeRemaining || L.size() != 2 || !L.u32(1, N) ||
-          N > 1u << 26)
+      if (SawNinst || SrcRemaining || ModRemaining || L.size() != 2 ||
+          !L.u32(1, N) || N > 1u << 26)
         return false;
       InstRemaining = N;
       Out.Instances.reserve(N);
@@ -346,33 +322,11 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
         return false;
       Out.Instances.back().Conns.push_back(std::move(C));
       --ConnRemaining;
-    } else if (Kind == "nmg") {
-      uint32_t N;
-      if (SawNmg || InstRemaining || AssignRemaining || ConnRemaining ||
-          L.size() != 2 || !L.u32(1, N) || N > 1u << 20)
-        return false;
-      MgRemaining = N;
-      Out.ModuleGroups.reserve(N);
-      SawNmg = true;
-    } else if (Kind == "mg") {
-      std::string Mod;
-      uint32_t K;
-      if (!MgRemaining || L.size() < 3 || !L.optEscaped(1, Mod) ||
-          !L.u32(2, K) || L.size() != size_t(K) + 3)
-        return false;
-      std::vector<unsigned> Groups(K);
-      for (uint32_t I = 0; I != K; ++I)
-        if (!L.u32(I + 3, Groups[I]))
-          return false;
-      Out.ModuleGroups.emplace_back(std::move(Mod), std::move(Groups));
-      --MgRemaining;
     } else {
       return false;
     }
   }
 
-  return SawEnd && SawPrev && SawCapable && SawNsrc && SawNedge &&
-         SawNinst && SawNmg && !SrcRemaining && !ModRemaining &&
-         !EdgeRemaining && !InstRemaining && !AssignRemaining &&
-         !ConnRemaining && !MgRemaining;
+  return SawEnd && !R.next(L) && SawPrev && SawCapable && SawNsrc &&
+         SawNinst && !InstRemaining && !AssignRemaining && !ConnRemaining;
 }

@@ -11,11 +11,8 @@
 ///  - per source: the top-level module spans with per-module content
 ///    hashes (hash folds the span's start offset, because serialized
 ///    SourceLocs must match a cold compile byte-for-byte) and a residual
-///    hash over everything outside module bodies;
-///  - the module instantiation edges (module -> instantiated modules) and,
-///    when a solve ran, the H3 constraint groups each module's instances
-///    participated in — the paper-level "module DAG to constraint groups"
-///    spine of the incremental contract;
+///    hash over everything outside module bodies — the diff that names the
+///    dirty modules;
 ///  - per instance (dense InstanceNode::Id order): the half-open
 ///    connection/diagnostic creation windows of its body evaluation
 ///    (interp::Interpreter::BodyWindow) and the pending parameter
@@ -24,10 +21,16 @@
 ///  - the elab/solve cache keys of the compile that wrote it, so the next
 ///    compile can find the previous netlist and solution artifacts.
 ///
-/// Serialized as the "LSSDEP 1" artifact kind ("dep") in the
+/// Nothing else: the subtree to re-elaborate falls out of the replay
+/// itself, and the H3 groups to splice are matched by member-instance set
+/// against the previous solution artifact.
+///
+/// Serialized as the "LSSDEP 2" artifact kind ("dep") in the
 /// ArtifactCache, keyed by CompilerInvocation::depKey() — a
 /// content-INDEPENDENT key (source names + options, not texts), so an
-/// edited project overwrites its own dependency entry in place.
+/// edited project overwrites its own dependency entry in place. The
+/// reader accepts only that header; an older entry reads as unreadable
+/// and is overwritten by the full compile it falls back to.
 ///
 /// Like every artifact, the reader trusts nothing: malformed records make
 /// deserializeDepGraph return false (a miss), and the serialize/deserialize
@@ -44,7 +47,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace liberty {
@@ -133,21 +135,14 @@ struct DepGraph {
 
   std::vector<SourceDeps> Sources;
   std::vector<InstDep> Instances;
-  /// Module -> instantiated-module edges, deduplicated and sorted; ""
-  /// stands for the synthetic top level.
-  std::vector<std::pair<std::string, std::string>> Edges;
-  /// Module -> H3 constraint-group indices of the previous solve (sorted,
-  /// deduplicated). Present only when the writing compile had per-port
-  /// group attribution (an LSSSOL 3 solve).
-  std::vector<std::pair<std::string, std::vector<unsigned>>> ModuleGroups;
 };
 
-/// Renders \p G as an LSSDEP 1 artifact. Returns false only under fault
+/// Renders \p G as an LSSDEP 2 artifact. Returns false only under fault
 /// injection ("serialize.dep").
 bool serializeDepGraph(const DepGraph &G, std::string &Out);
 
-/// Parses an LSSDEP 1 artifact. Returns false on any malformed input (and
-/// under the "deserialize.dep" fault site).
+/// Parses an LSSDEP 2 artifact. Returns false on any malformed or truncated
+/// input, on any other header (and under the "deserialize.dep" fault site).
 bool deserializeDepGraph(const std::string &Text, DepGraph &Out);
 
 } // namespace driver

@@ -25,13 +25,6 @@
 using namespace liberty;
 using namespace liberty::driver;
 
-/// Copies the diagnostics emitted at index \p From onward (same helper as
-/// CompileService.cpp — kept static per TU to avoid a header for one line).
-static std::vector<Diagnostic> incDiagsSince(Compiler &C, size_t From) {
-  const auto &All = C.getDiags().getDiagnostics();
-  return std::vector<Diagnostic>(All.begin() + From, All.end());
-}
-
 void CompileService::recordIncremental(const IncrementalStats &S) {
   std::lock_guard<std::mutex> Lock(IncMutex);
   ++IncCounters.Requests;
@@ -72,10 +65,7 @@ void CompileService::storeDepGraph(const CompilerInvocation &Inv, Compiler &C,
         SD.Modules.push_back({Sp.Name, hashModuleSpan(S.Text, Sp)});
     } else {
       SD.Scanned = false;
-      FnvHasher H;
-      H.field("flat", 1);
-      H.str(S.Text);
-      SD.ResidualHash = H.get();
+      SD.ResidualHash = foldSourceKey(S.Text); // the flat whole-text hash
     }
     G.Sources.push_back(std::move(SD));
   }
@@ -102,7 +92,6 @@ void CompileService::storeDepGraph(const CompilerInvocation &Inv, Compiler &C,
   for (uint32_t I = 0; I != Conns.size(); ++I)
     ConnIdx[Conns[I].get()] = I;
 
-  std::set<std::pair<std::string, std::string>> EdgeSet;
   for (const auto &InstPtr : Insts) {
     const netlist::InstanceNode *N = InstPtr.get();
     DepGraph::InstDep &D = G.Instances[N->Id];
@@ -130,25 +119,6 @@ void CompileService::storeDepGraph(const CompilerInvocation &Inv, Compiler &C,
       CD.Loc = PC.Loc;
       D.Conns.push_back(std::move(CD));
     }
-    if (N->Parent)
-      EdgeSet.emplace(N->Parent->ModuleName, N->ModuleName);
-  }
-  G.Edges.assign(EdgeSet.begin(), EdgeSet.end());
-
-  const infer::NetlistInferenceStats &IS = C.getInferenceStats();
-  if (!IS.PortGroups.empty()) {
-    std::map<std::string, std::set<unsigned>> MG;
-    for (const auto &Entry : IS.PortGroups) {
-      if (Entry.second.first < 0)
-        continue;
-      unsigned InstId = Entry.first.first;
-      if (InstId < Insts.size())
-        MG[Insts[InstId]->ModuleName].insert(unsigned(Entry.second.first));
-    }
-    for (auto &Entry : MG)
-      G.ModuleGroups.emplace_back(
-          Entry.first,
-          std::vector<unsigned>(Entry.second.begin(), Entry.second.end()));
   }
 
   std::string Payload;
@@ -476,7 +446,8 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
     std::string Payload;
     if (netlist::serializeNetlist(*NL, C.getLibraryModules(),
                                   C.getNumUserTypeAnnotations(),
-                                  incDiagsSince(C, DiagStart), Payload))
+                                  C.getDiags().getDiagnosticsSince(DiagStart),
+                                  Payload))
       Cache.put(ElabKeyStr, "elab", Payload);
   }
 
@@ -577,8 +548,9 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
     }
     if (!C.getDiags().hasErrors()) {
       std::string Payload;
-      if (infer::exportSolution(*NL, C.getInferenceStats(),
-                                incDiagsSince(C, SolveDiagStart), Payload))
+      if (infer::exportSolution(
+              *NL, C.getInferenceStats(),
+              C.getDiags().getDiagnosticsSince(SolveDiagStart), Payload))
         Cache.put(CompilerInvocation::keyString(Inv.solveKey()), "solve",
                   Payload);
     }

@@ -2,8 +2,10 @@
 
 #include "interp/Evaluator.h"
 
-#include "interp/ExprEvaluator.h"
 #include "support/Casting.h"
+
+#include <cmath>
+#include <cstdlib>
 
 using namespace liberty;
 using namespace liberty::interp;
@@ -399,4 +401,254 @@ Value Evaluator::evalPortIndex(const Value &Port, int64_t,
 void Evaluator::assignInstanceMember(const Value &, const MemberExpr *,
                                      Value, SourceLoc Loc) {
   Diags.error(Loc, "invalid assignment target");
+}
+
+//===----------------------------------------------------------------------===//
+// Operators and common builtins
+//===----------------------------------------------------------------------===//
+
+static Value typeError(SourceLoc Loc, DiagnosticEngine &Diags,
+                       const std::string &Msg) {
+  Diags.error(Loc, Msg);
+  return Value();
+}
+
+Value liberty::interp::applyBinary(BinaryOp Op, const Value &A, const Value &B,
+                                   SourceLoc Loc, DiagnosticEngine &Diags) {
+  const bool BothNumeric = (A.isInt() || A.isFloat()) &&
+                           (B.isInt() || B.isFloat());
+  const bool BothInt = A.isInt() && B.isInt();
+
+  switch (Op) {
+  case BinaryOp::Add:
+    if (A.isString() && B.isString())
+      return Value::makeString(A.getString() + B.getString());
+    [[fallthrough]];
+  case BinaryOp::Sub:
+  case BinaryOp::Mul: {
+    if (!BothNumeric)
+      return typeError(Loc, Diags,
+                       "arithmetic operands must be numeric, got " + A.str() +
+                           " and " + B.str());
+    if (BothInt) {
+      int64_t X = A.getInt(), Y = B.getInt();
+      switch (Op) {
+      case BinaryOp::Add:
+        return Value::makeInt(X + Y);
+      case BinaryOp::Sub:
+        return Value::makeInt(X - Y);
+      default:
+        return Value::makeInt(X * Y);
+      }
+    }
+    double X = A.getNumeric(), Y = B.getNumeric();
+    switch (Op) {
+    case BinaryOp::Add:
+      return Value::makeFloat(X + Y);
+    case BinaryOp::Sub:
+      return Value::makeFloat(X - Y);
+    default:
+      return Value::makeFloat(X * Y);
+    }
+  }
+  case BinaryOp::Div:
+  case BinaryOp::Rem: {
+    if (!BothNumeric)
+      return typeError(Loc, Diags, "arithmetic operands must be numeric");
+    if (BothInt) {
+      int64_t Y = B.getInt();
+      if (Y == 0)
+        return typeError(Loc, Diags, "division by zero");
+      return Value::makeInt(Op == BinaryOp::Div ? A.getInt() / Y
+                                                : A.getInt() % Y);
+    }
+    double Y = B.getNumeric();
+    if (Op == BinaryOp::Rem)
+      return Value::makeFloat(std::fmod(A.getNumeric(), Y));
+    if (Y == 0.0)
+      return typeError(Loc, Diags, "division by zero");
+    return Value::makeFloat(A.getNumeric() / Y);
+  }
+  case BinaryOp::Lt:
+  case BinaryOp::Gt:
+  case BinaryOp::Le:
+  case BinaryOp::Ge: {
+    double Cmp;
+    if (BothNumeric)
+      Cmp = A.getNumeric() - B.getNumeric();
+    else if (A.isString() && B.isString())
+      Cmp = static_cast<double>(A.getString().compare(B.getString()));
+    else
+      return typeError(Loc, Diags,
+                       "comparison operands must both be numeric or string");
+    switch (Op) {
+    case BinaryOp::Lt:
+      return Value::makeBool(Cmp < 0);
+    case BinaryOp::Gt:
+      return Value::makeBool(Cmp > 0);
+    case BinaryOp::Le:
+      return Value::makeBool(Cmp <= 0);
+    default:
+      return Value::makeBool(Cmp >= 0);
+    }
+  }
+  case BinaryOp::Eq:
+  case BinaryOp::Ne: {
+    bool Equal;
+    if (BothNumeric && !BothInt)
+      Equal = A.getNumeric() == B.getNumeric();
+    else
+      Equal = A.equals(B);
+    return Value::makeBool(Op == BinaryOp::Eq ? Equal : !Equal);
+  }
+  case BinaryOp::And:
+  case BinaryOp::Or: {
+    if (!A.isBool() || !B.isBool())
+      return typeError(Loc, Diags, "logical operands must be bool");
+    return Value::makeBool(Op == BinaryOp::And
+                               ? (A.getBool() && B.getBool())
+                               : (A.getBool() || B.getBool()));
+  }
+  }
+  return Value();
+}
+
+Value liberty::interp::applyUnary(UnaryOp Op, const Value &A, SourceLoc Loc,
+                                  DiagnosticEngine &Diags) {
+  switch (Op) {
+  case UnaryOp::Neg:
+    if (A.isInt())
+      return Value::makeInt(-A.getInt());
+    if (A.isFloat())
+      return Value::makeFloat(-A.getFloat());
+    return typeError(Loc, Diags, "operand of unary '-' must be numeric");
+  case UnaryOp::Not:
+    if (A.isBool())
+      return Value::makeBool(!A.getBool());
+    return typeError(Loc, Diags, "operand of '!' must be bool");
+  }
+  return Value();
+}
+
+std::optional<Value>
+liberty::interp::applyCommonBuiltin(const std::string &Name,
+                                    const std::vector<Value> &Args,
+                                    SourceLoc Loc, DiagnosticEngine &Diags) {
+  auto RequireArgs = [&](unsigned N) {
+    if (Args.size() == N)
+      return true;
+    Diags.error(Loc, Name + "() expects " + std::to_string(N) +
+                         " argument(s), got " + std::to_string(Args.size()));
+    return false;
+  };
+
+  if (Name == "min" || Name == "max") {
+    if (!RequireArgs(2))
+      return Value();
+    const Value &A = Args[0], &B = Args[1];
+    if (A.isInt() && B.isInt()) {
+      int64_t X = A.getInt(), Y = B.getInt();
+      return Value::makeInt(Name == "min" ? std::min(X, Y) : std::max(X, Y));
+    }
+    if ((A.isInt() || A.isFloat()) && (B.isInt() || B.isFloat())) {
+      double X = A.getNumeric(), Y = B.getNumeric();
+      return Value::makeFloat(Name == "min" ? std::min(X, Y)
+                                            : std::max(X, Y));
+    }
+    Diags.error(Loc, Name + "() expects numeric arguments");
+    return Value();
+  }
+  if (Name == "abs") {
+    if (!RequireArgs(1))
+      return Value();
+    if (Args[0].isInt())
+      return Value::makeInt(std::llabs(Args[0].getInt()));
+    if (Args[0].isFloat())
+      return Value::makeFloat(std::fabs(Args[0].getFloat()));
+    Diags.error(Loc, "abs() expects a numeric argument");
+    return Value();
+  }
+  if (Name == "len") {
+    if (!RequireArgs(1))
+      return Value();
+    if (Args[0].isArray())
+      return Value::makeInt(static_cast<int64_t>(Args[0].getElems().size()));
+    if (Args[0].isString())
+      return Value::makeInt(static_cast<int64_t>(Args[0].getString().size()));
+    Diags.error(Loc, "len() expects an array or string");
+    return Value();
+  }
+  if (Name == "str") {
+    if (!RequireArgs(1))
+      return Value();
+    if (Args[0].isString())
+      return Args[0];
+    if (Args[0].isInt())
+      return Value::makeString(std::to_string(Args[0].getInt()));
+    return Value::makeString(Args[0].str());
+  }
+  if (Name == "int") {
+    if (!RequireArgs(1))
+      return Value();
+    if (Args[0].isInt())
+      return Args[0];
+    if (Args[0].isFloat())
+      return Value::makeInt(static_cast<int64_t>(Args[0].getFloat()));
+    if (Args[0].isBool())
+      return Value::makeInt(Args[0].getBool() ? 1 : 0);
+    Diags.error(Loc, "int() cannot convert " + Args[0].str());
+    return Value();
+  }
+  if (Name == "float") {
+    if (!RequireArgs(1))
+      return Value();
+    if (Args[0].isFloat())
+      return Args[0];
+    if (Args[0].isInt())
+      return Value::makeFloat(static_cast<double>(Args[0].getInt()));
+    Diags.error(Loc, "float() cannot convert " + Args[0].str());
+    return Value();
+  }
+  if (Name == "bit") {
+    // bit(x, i) — bit i of integer x.
+    if (!RequireArgs(2))
+      return Value();
+    if (!Args[0].isInt() || !Args[1].isInt() || Args[1].getInt() < 0 ||
+        Args[1].getInt() > 62) {
+      Diags.error(Loc, "bit(x, i) expects ints with 0 <= i <= 62");
+      return Value();
+    }
+    return Value::makeInt((Args[0].getInt() >> Args[1].getInt()) & 1);
+  }
+  if (Name == "array") {
+    // array(n, init) — an n-element array filled with init.
+    if (!RequireArgs(2))
+      return Value();
+    if (!Args[0].isInt() || Args[0].getInt() < 0) {
+      Diags.error(Loc, "array() size must be a non-negative int");
+      return Value();
+    }
+    std::vector<Value> Elems(static_cast<size_t>(Args[0].getInt()), Args[1]);
+    return Value::makeArray(std::move(Elems));
+  }
+  if (Name == "append") {
+    if (!RequireArgs(2))
+      return Value();
+    if (!Args[0].isArray()) {
+      Diags.error(Loc, "append() expects an array first argument");
+      return Value();
+    }
+    std::vector<Value> Elems = Args[0].getElems();
+    Elems.push_back(Args[1]);
+    return Value::makeArray(std::move(Elems));
+  }
+  return std::nullopt;
+}
+
+std::optional<bool> liberty::interp::asCondition(const Value &V, SourceLoc Loc,
+                                                 DiagnosticEngine &Diags) {
+  if (V.isBool())
+    return V.getBool();
+  Diags.error(Loc, "condition must be a bool, got " + V.str());
+  return std::nullopt;
 }

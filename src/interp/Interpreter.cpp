@@ -91,24 +91,6 @@ Interpreter::run(const std::vector<Stmt *> &TopLevel) {
   return Result;
 }
 
-netlist::InstanceNode *Interpreter::replayChild(netlist::InstanceNode *Parent,
-                                                const std::string &Name,
-                                                const std::string &ModuleName,
-                                                SourceLoc Loc) {
-  const ModuleDecl *M = lookupModule(ModuleName);
-  if (!M)
-    return nullptr; // Caller aborts the replay; a cold compile diagnoses.
-  if (++NumInstances > Opts.MaxInstances) {
-    if (!Aborted)
-      Diags.error(Loc, "instance limit exceeded");
-    Aborted = true;
-    return nullptr;
-  }
-  netlist::InstanceNode *Child = NL->createInstance(Parent, Name, M, Loc);
-  InstStack.push_back(Child);
-  return Child;
-}
-
 void Interpreter::evalBody(netlist::InstanceNode *Node,
                            const std::vector<Stmt *> &Body) {
   ProcessingOrder.push_back(Node->Path.empty() ? "<top>" : Node->Path);
@@ -372,18 +354,21 @@ void Interpreter::execInstanceDecl(const InstanceDeclStmt *S) {
     return;
   }
   netlist::InstanceNode *Child =
-      makeInstance(S->getName(), S->getModuleName(), S->getLoc());
+      makeInstance(Cur.Node, S->getName(), S->getModuleName(), S->getLoc());
   if (!Child)
     return;
   define(S->getName(), Value::makeInstanceRef(Child));
 }
 
-netlist::InstanceNode *Interpreter::makeInstance(const std::string &Name,
-                                                 const std::string &ModuleName,
-                                                 SourceLoc Loc) {
+netlist::InstanceNode *Interpreter::makeInstance(
+    netlist::InstanceNode *Parent, const std::string &Name,
+    const std::string &ModuleName, SourceLoc Loc, bool DiagnoseUnknown) {
   const ModuleDecl *M = lookupModule(ModuleName);
   if (!M) {
-    Diags.error(Loc, "unknown module '" + ModuleName + "'");
+    // A replaying caller aborts the replay; the cold compile it falls back
+    // to diagnoses.
+    if (DiagnoseUnknown)
+      Diags.error(Loc, "unknown module '" + ModuleName + "'");
     return nullptr;
   }
   if (++NumInstances > Opts.MaxInstances) {
@@ -392,7 +377,7 @@ netlist::InstanceNode *Interpreter::makeInstance(const std::string &Name,
     Aborted = true;
     return nullptr;
   }
-  netlist::InstanceNode *Child = NL->createInstance(Cur.Node, Name, M, Loc);
+  netlist::InstanceNode *Child = NL->createInstance(Parent, Name, M, Loc);
   InstStack.push_back(Child);
   return Child;
 }
@@ -565,7 +550,7 @@ Value Interpreter::evalOther(const Expr *E) {
   for (int64_t I = 0; I != Count; ++I) {
     std::string Name = NameV.getString() + "[" + std::to_string(I) + "]";
     netlist::InstanceNode *Child =
-        makeInstance(Name, N->getModuleName(), E->getLoc());
+        makeInstance(Cur.Node, Name, N->getModuleName(), E->getLoc());
     if (!Child)
       return Value();
     Refs.push_back(Value::makeInstanceRef(Child));

@@ -89,7 +89,10 @@ public:
   netlist::InstanceNode *replayChild(netlist::InstanceNode *Parent,
                                      const std::string &Name,
                                      const std::string &ModuleName,
-                                     SourceLoc Loc);
+                                     SourceLoc Loc) {
+    return makeInstance(Parent, Name, ModuleName, Loc,
+                        /*DiagnoseUnknown=*/false);
+  }
 
   /// The netlist under construction. Valid only while run() is executing —
   /// i.e. from inside a replay hook, which needs it to clone connections
@@ -163,11 +166,14 @@ private:
   void assignInstanceMember(const Value &Inst, const lss::MemberExpr *LHS,
                             Value RHS, SourceLoc Loc) override;
 
-  /// Creates one sub-instance, pushes it on the instantiation stack, and
-  /// returns it (null on error).
-  netlist::InstanceNode *makeInstance(const std::string &Name,
+  /// Creates one sub-instance of \p Parent, pushes it on the
+  /// instantiation stack, and returns it (null on error). An unknown
+  /// module is reported only when \p DiagnoseUnknown is set.
+  netlist::InstanceNode *makeInstance(netlist::InstanceNode *Parent,
+                                      const std::string &Name,
                                       const std::string &ModuleName,
-                                      SourceLoc Loc);
+                                      SourceLoc Loc,
+                                      bool DiagnoseUnknown = true);
 
   /// Creates a connection between two endpoint handles, recording pending
   /// resolutions on child endpoints (the B context).

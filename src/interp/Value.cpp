@@ -127,11 +127,6 @@ const PortHandle &Value::getPort() const {
   return Handle;
 }
 
-PortHandle &Value::getPortMutable() {
-  assert(K == Kind::Port && "not a port handle");
-  return Handle;
-}
-
 bool Value::equals(const Value &Other) const {
   if (K != Other.K)
     return false;
@@ -223,38 +218,6 @@ bool Value::conformsTo(const types::Type *Ty) const {
     return false;
   }
   return false;
-}
-
-Value Value::defaultFor(const types::Type *Ty) {
-  using types::Type;
-  switch (Ty->getKind()) {
-  case Type::Kind::Int:
-    return makeInt(0);
-  case Type::Kind::Bool:
-    return makeBool(false);
-  case Type::Kind::Float:
-    return makeFloat(0.0);
-  case Type::Kind::String:
-    return makeString("");
-  case Type::Kind::Array: {
-    std::vector<Value> Elems;
-    int64_t N = Ty->getArraySize() < 0 ? 0 : Ty->getArraySize();
-    Elems.reserve(N);
-    for (int64_t I = 0; I != N; ++I)
-      Elems.push_back(defaultFor(Ty->getElem()));
-    return makeArray(std::move(Elems));
-  }
-  case Type::Kind::Struct: {
-    FieldList Fields;
-    for (const auto &[Name, FieldTy] : Ty->getFields())
-      Fields.emplace_back(Name, defaultFor(FieldTy));
-    return makeStruct(std::move(Fields));
-  }
-  case Type::Kind::Var:
-  case Type::Kind::Disjunct:
-    return makeInt(0); // Unresolved polymorphism defaults like int.
-  }
-  return Value();
 }
 
 std::string Value::str() const {

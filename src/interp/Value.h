@@ -152,7 +152,6 @@ public:
 
   netlist::InstanceNode *getInstance() const;
   const PortHandle &getPort() const;
-  PortHandle &getPortMutable();
 
   /// Structural equality on data kinds (Unset equals Unset; InstanceRef and
   /// Port compare by identity). Structs sharing one payload are equal
@@ -161,9 +160,6 @@ public:
 
   /// True if this data value conforms to ground type \p Ty.
   bool conformsTo(const types::Type *Ty) const;
-
-  /// A default value (zero/false/empty) of ground type \p Ty.
-  static Value defaultFor(const types::Type *Ty);
 
   /// Renders the value for diagnostics and collectors.
   std::string str() const;

@@ -86,6 +86,12 @@ public:
   }
 
   const std::vector<Diagnostic> &getDiagnostics() const { return Diags; }
+  /// Copies the diagnostics from index \p From on: the slice one phase
+  /// appended, without anything earlier (e.g. cache-corruption notes,
+  /// which must not leak into stored artifacts).
+  std::vector<Diagnostic> getDiagnosticsSince(size_t From) const {
+    return std::vector<Diagnostic>(Diags.begin() + From, Diags.end());
+  }
 
   /// Returns the message of the first error, or "" if none. Convenient for
   /// tests asserting on a particular failure.

@@ -1,7 +1,7 @@
 //===- CacheTest.cpp - CompilerInvocation keys and the artifact cache ------===//
 ///
 /// Covers the driver API redesign end to end:
-///  - CompilerInvocation fingerprint/key sensitivity, including the
+///  - CompilerInvocation key sensitivity, including the
 ///    contract that Solve.NumThreads and the solver budgets never
 ///    invalidate the solve artifact;
 ///  - CompileService cold/warm compiles against a disk cache directory,
@@ -104,7 +104,6 @@ TEST(InvocationKeys, SourceTextChangesEveryKey) {
   B.Sources[0].Text += "\ninstance extra:sink;\n";
   EXPECT_NE(A.elabKey(), B.elabKey());
   EXPECT_NE(A.solveKey(), B.solveKey());
-  EXPECT_NE(A.fingerprint(), B.fingerprint());
 }
 
 TEST(InvocationKeys, SourceNameIsExcluded) {

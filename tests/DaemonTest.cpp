@@ -190,17 +190,15 @@ TEST(Daemon, HandshakeAndVersioning) {
     ASSERT_TRUE(rawRoundTrip(Fd, helloMsg(), Reply));
     EXPECT_EQ(Reply.getString("type"), "hello_ok");
     EXPECT_EQ(Reply.getU64("version"), DaemonProtocolVersion);
-    // Minor-version negotiation is additive: the server advertises its
-    // minor and old clients (whose hello has none) are still served.
-    EXPECT_EQ(Reply.getU64("minor"), DaemonProtocolMinorVersion);
     ::close(Fd);
   }
 
-  // A version mismatch is refused loudly and the connection closes.
-  {
+  // A version mismatch is refused loudly and the connection closes, for a
+  // version-1 client (from before `recompile`) as for a newer one.
+  for (uint64_t V : {uint64_t(1), uint64_t(DaemonProtocolVersion + 7)}) {
     int Fd = rawConnect(T.sock());
     Json Reply;
-    ASSERT_TRUE(rawRoundTrip(Fd, helloMsg(DaemonProtocolVersion + 7), Reply));
+    ASSERT_TRUE(rawRoundTrip(Fd, helloMsg(V), Reply));
     EXPECT_EQ(Reply.getString("type"), "error");
     EXPECT_EQ(Reply.getString("code"), "version_mismatch");
     std::string Payload;
@@ -305,7 +303,7 @@ TEST(Daemon, CompileRoundTripWarmsCache) {
 }
 
 TEST(Daemon, RecompileRoundTripSplicesThroughTheDaemon) {
-  // The `recompile` request (protocol minor 1, docs/INCREMENTAL.md): the
+  // The `recompile` request (docs/INCREMENTAL.md): the
   // first call has no dependency graph and transparently falls back to a
   // full compile (which stores one); an edited recompile then replays the
   // unchanged lane and splices its solved constraint group.
@@ -333,7 +331,6 @@ TEST(Daemon, RecompileRoundTripSplicesThroughTheDaemon) {
 
   CompileClient Client(T.sock());
   ASSERT_TRUE(Client.connect(&Err)) << Err;
-  EXPECT_EQ(Client.serverMinor(), DaemonProtocolMinorVersion);
 
   CompileClient::Result R1 = Client.recompile(project(kLaneB));
   ASSERT_TRUE(R1.Error.empty()) << R1.Error;

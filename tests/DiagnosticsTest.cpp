@@ -273,8 +273,8 @@ TEST(Diagnostics, FixpointWatchdogNamesNets) {
   // The divergent arbiter/adder loop: the watchdog diagnostic names the
   // cyclic group's instances and the oscillating nets with last values.
   SCOPED_TRACE("fixpoint_watchdog");
-  auto C = driver::Compiler::compileForSim("fixpoint_watchdog.lss",
-                                           R"(instance seed:const_source;
+  driver::CompilerInvocation Inv;
+  Inv.addSource("fixpoint_watchdog.lss", R"(instance seed:const_source;
 seed.value = 1;
 instance one:const_source;
 one.value = 1;
@@ -287,6 +287,7 @@ arb.out -> a.in1;
 one.out -> a.in2;
 a.out -> s.in;
 )");
+  auto C = driver::Compiler::compileForSim(Inv);
   ASSERT_NE(C, nullptr);
   C->getSimulator()->step(1);
   EXPECT_TRUE(C->getSimulator()->hadRuntimeErrors());

@@ -22,6 +22,7 @@
 #include "driver/Compiler.h"
 #include "driver/CompilerInvocation.h"
 #include "driver/DepGraph.h"
+#include "models/Models.h"
 #include "sim/CompiledKernel.h"
 
 #include <gtest/gtest.h>
@@ -523,6 +524,98 @@ TEST(IncrementalMemoryTier, RecompileChainLeavesSupersededStatesOnProbation) {
       driver::CompilerInvocation::keyString(Hot.solveKey()), "solve", Solve));
   EXPECT_LE(Svc.getCache().getStats().BytesInMemory,
             O.Cache.MemoryBudgetBytes / 5 + Elab.size() + Solve.size());
+}
+
+//===----------------------------------------------------------------------===//
+// The LSSDEP artifact format
+//===----------------------------------------------------------------------===//
+
+/// The dependency artifact a cold compile of \p Inv stores.
+std::string depArtifactOf(const driver::CompilerInvocation &Inv) {
+  driver::CompileService Svc;
+  EXPECT_TRUE(Svc.compile(Inv).Success);
+  std::string Payload;
+  EXPECT_TRUE(Svc.getCache().get(
+      driver::CompilerInvocation::keyString(Inv.depKey()), "dep", Payload));
+  return Payload;
+}
+
+/// \p V2 rewritten in the version-1 layout: the old header plus the empty
+/// module-edge and module-group sections that layout required.
+std::string asVersion1(std::string V2) {
+  V2.replace(0, V2.find('\n'), "LSSDEP 1");
+  V2.insert(V2.find("\nninst ") + 1, "nedge 0\n");
+  V2.insert(V2.rfind("end\n"), "nmg 0\n");
+  return V2;
+}
+
+/// Checks that \p Inv's stored graph has the current layout and that
+/// reading and rewriting it reproduces its bytes; returns them.
+std::string expectDepRoundTrip(const driver::CompilerInvocation &Inv) {
+  std::string Bytes = depArtifactOf(Inv);
+  EXPECT_EQ(Bytes.rfind("LSSDEP 2\n", 0), 0u);
+  for (const char *Gone : {"\nnedge ", "\ne ", "\nnmg ", "\nmg "})
+    EXPECT_EQ(Bytes.find(Gone), std::string::npos) << Gone;
+  driver::DepGraph G;
+  EXPECT_TRUE(driver::deserializeDepGraph(Bytes, G));
+  EXPECT_EQ(G.Sources.size(), Inv.Sources.size());
+  EXPECT_FALSE(G.Instances.empty());
+  std::string Again;
+  EXPECT_TRUE(driver::serializeDepGraph(G, Again));
+  EXPECT_EQ(Again, Bytes);
+  return Bytes;
+}
+
+TEST(DepGraphFormat, RealCompilesRoundTripByteForByte) {
+  expectDepRoundTrip(baseInvocation());
+  // Model A's graph also carries pending assignments and connections.
+  driver::CompilerInvocation ModelA;
+  ASSERT_TRUE(ModelA.addFile(models::uarchLssPath()));
+  ASSERT_TRUE(ModelA.addFile(models::modelLssPath("a")));
+  ModelA.BuildSim = false;
+  std::string Bytes = expectDepRoundTrip(ModelA);
+  EXPECT_NE(Bytes.find("\na "), std::string::npos);
+  EXPECT_NE(Bytes.find("\nc "), std::string::npos);
+}
+
+TEST(DepGraphFormat, RejectsVersion1AndEveryTruncation) {
+  const std::string Bytes = depArtifactOf(baseInvocation());
+  driver::DepGraph G;
+  ASSERT_TRUE(driver::deserializeDepGraph(Bytes, G));
+  EXPECT_FALSE(driver::deserializeDepGraph(asVersion1(Bytes), G));
+  for (size_t N = 0; N != Bytes.size(); ++N)
+    EXPECT_FALSE(driver::deserializeDepGraph(Bytes.substr(0, N), G))
+        << "accepted the first " << N << " of " << Bytes.size() << " bytes";
+}
+
+TEST(DepGraphFormat, CachedVersion1GraphIsUnreadableOnceThenReplaced) {
+  TempDir Dir;
+  driver::CompileService Svc(diskOpts(Dir));
+  driver::CompilerInvocation Inv = baseInvocation();
+  ASSERT_TRUE(Svc.compile(Inv).Success);
+  const std::string DepKey =
+      driver::CompilerInvocation::keyString(Inv.depKey());
+  std::string Bytes;
+  ASSERT_TRUE(Svc.getCache().get(DepKey, "dep", Bytes));
+  Svc.getCache().put(DepKey, "dep", asVersion1(Bytes));
+
+  std::string Lane3 = laneSpec(3);
+  Lane3.insert(Lane3.rfind('}'), "  // edit\n");
+  editSource(Inv, "lane3.lss", Lane3);
+  driver::CompileResult R = Svc.compileIncremental(Inv);
+  ASSERT_TRUE(R.Success);
+  EXPECT_FALSE(R.Incremental.Used);
+  EXPECT_EQ(R.Incremental.FallbackReason, "dependency-graph-unreadable");
+
+  // The full compile it fell back to stored a current graph in its place.
+  ASSERT_TRUE(Svc.getCache().get(DepKey, "dep", Bytes));
+  EXPECT_EQ(Bytes.rfind("LSSDEP 2\n", 0), 0u);
+  Lane3.insert(Lane3.rfind('}'), "  // edit 2\n");
+  editSource(Inv, "lane3.lss", Lane3);
+  driver::CompileResult R2 = Svc.compileIncremental(Inv);
+  ASSERT_TRUE(R2.Success);
+  EXPECT_TRUE(R2.Incremental.Used)
+      << "fell back: " << R2.Incremental.FallbackReason;
 }
 
 //===----------------------------------------------------------------------===//

@@ -128,7 +128,9 @@ instance s:sink;
 g.out -> c.in;
 c.out -> s.in;
 )";
-  auto C = driver::Compiler::compileForSim("chain.lss", Spec);
+  driver::CompilerInvocation Inv;
+  Inv.addSource("chain.lss", Spec);
+  auto C = driver::Compiler::compileForSim(Inv);
   ASSERT_NE(C, nullptr);
   C->getSimulator()->step(Cycles);
   const interp::Value *V = C->getSimulator()->peekPort(

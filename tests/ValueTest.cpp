@@ -1,6 +1,6 @@
 //===- ValueTest.cpp - Value and expression-operation tests ---------------------===//
 
-#include "interp/ExprEvaluator.h"
+#include "interp/Evaluator.h"
 #include "types/TypeContext.h"
 
 #include <gtest/gtest.h>
@@ -139,16 +139,6 @@ TEST(Value, ConformsTo) {
   const types::Type *D = TC.getDisjunct({TC.getInt(), TC.getString()});
   EXPECT_TRUE(Value::makeString("x").conformsTo(D));
   EXPECT_FALSE(Value::makeBool(true).conformsTo(D));
-}
-
-TEST(Value, DefaultFor) {
-  types::TypeContext TC;
-  EXPECT_EQ(Value::defaultFor(TC.getInt()).getInt(), 0);
-  EXPECT_EQ(Value::defaultFor(TC.getString()).getString(), "");
-  Value Arr = Value::defaultFor(TC.getArray(TC.getBool(), 3));
-  ASSERT_TRUE(Arr.isArray());
-  EXPECT_EQ(Arr.getElems().size(), 3u);
-  EXPECT_FALSE(Arr.getElems()[0].getBool());
 }
 
 TEST(Value, StrRendering) {

@@ -489,10 +489,6 @@ int runWatchFiles(const CliOptions &Opts, driver::CompileClient &Client,
                   std::ostream &Human) {
   std::signal(SIGINT, onWatchSignal);
   std::signal(SIGTERM, onWatchSignal);
-  if (Client.serverMinor() < 1)
-    std::cerr << "lssc: note: daemon predates the recompile request "
-                 "(protocol minor 0); watch mode degrades to full "
-                 "compiles\n";
 
   // mtime snapshot per input; nanosecond resolution so back-to-back edits
   // within one second are still seen.
