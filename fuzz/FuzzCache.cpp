@@ -18,7 +18,11 @@
 /// mutated netlist or dependency artifact happens to be *accepted*, the
 /// reload fixpoint must still hold: re-serializing and re-loading the
 /// accepted artifact yields identical bytes. An accept-then-diverge would
-/// let a corrupt entry poison downstream compiles, so that traps too.
+/// let a corrupt entry poison downstream compiles, so that traps too. So
+/// does a summary reader (readNetlistSummary, readSolutionSummary) that
+/// rejects, or reports other counts, statistics or diagnostics for, an
+/// artifact the full reader accepts: a warm daemon compile answers from
+/// the summary alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,7 +59,7 @@ a.out -> s.in;
 /// the graph's src, i, a, c) appears in them, so splices hit real parse
 /// paths.
 struct SeedArtifacts {
-  std::string NetlistArt;  ///< LSSNL 2.
+  std::string NetlistArt;  ///< LSSNL 3.
   std::string SolutionArt; ///< LSSSOL 3.
   std::string DepArt;      ///< LSSDEP 2.
   bool Ok = false;
@@ -87,6 +91,17 @@ const SeedArtifacts &seeds() {
   return S;
 }
 
+bool sameDiags(const std::vector<Diagnostic> &A,
+               const std::vector<Diagnostic> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I != A.size(); ++I)
+    if (A[I].Level != B[I].Level || !(A[I].Loc == B[I].Loc) ||
+        A[I].Message != B[I].Message)
+      return false;
+  return true;
+}
+
 /// Feeds \p Text to every deserializer. The solution import runs against a
 /// pristine netlist reload so its index bounds-checks are exercised with
 /// realistic instance/port counts.
@@ -95,6 +110,15 @@ void exercise(const std::string &Text) {
     types::TypeContext TC;
     netlist::SerializedCompile SC = netlist::deserializeNetlist(Text, TC);
     if (SC.NL) {
+      // Accepted input: the summary must agree with what was built.
+      netlist::NetlistSummary NS;
+      netlist::NetlistCounts Built =
+          netlist::countInstancesAndConnections(*SC.NL);
+      if (!netlist::readNetlistSummary(Text, NS) ||
+          NS.Counts.Instances != Built.Instances ||
+          NS.Counts.Connections != Built.Connections ||
+          !sameDiags(NS.Diags, SC.Diags))
+        __builtin_trap();
       // Accepted input: the reload fixpoint must hold (see file comment).
       std::string S2, S3;
       if (netlist::serializeNetlist(*SC.NL, SC.LibraryModules,
@@ -117,7 +141,23 @@ void exercise(const std::string &Text) {
       __builtin_trap(); // The pristine artifact must always load.
     infer::NetlistInferenceStats Stats;
     std::vector<Diagnostic> Diags;
-    (void)infer::importSolution(Text, *SC.NL, TC, Stats, Diags);
+    if (infer::importSolution(Text, *SC.NL, TC, Stats, Diags)) {
+      // Accepted input: the summary must report the same solve.
+      infer::SolutionSummary SS;
+      const infer::SolveStats &S = Stats.Solve;
+      if (!infer::readSolutionSummary(Text, SS) ||
+          SS.Solve.Success != S.Success || SS.Solve.HitLimit != S.HitLimit ||
+          SS.Solve.HitDeadline != S.HitDeadline ||
+          SS.Solve.UnifySteps != S.UnifySteps ||
+          SS.Solve.BranchPoints != S.BranchPoints ||
+          SS.Solve.NumConstraints != S.NumConstraints ||
+          SS.Solve.NumDisjunctive != S.NumDisjunctive ||
+          SS.Solve.NumComponents != S.NumComponents ||
+          SS.Solve.ThreadsUsed != S.ThreadsUsed ||
+          SS.Solve.NumUnsolved != S.NumUnsolved ||
+          !sameDiags(SS.Diags, Diags))
+        __builtin_trap();
+    }
   }
   {
     driver::DepGraph G, G2;

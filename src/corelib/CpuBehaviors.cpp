@@ -157,6 +157,7 @@ public:
     Entries = std::max<int64_t>(16, paramInt(Ctx, "entries", 256));
     Table.assign(static_cast<size_t>(Entries), 1); // Weakly not-taken.
     Btb.clear();
+    LastPred.clear();
     Pc = Ctx.bindPort("pc");
     Pred = Ctx.bindPort("pred");
     BranchTarget = Ctx.bindPort("branch_target");

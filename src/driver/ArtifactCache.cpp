@@ -252,12 +252,18 @@ bool ArtifactCache::get(const std::string &Key, const std::string &Phase,
   if (Hit && !Decode(Payload, Reason)) {
     Hit = false;
     if (Note)
-      *Note = "ignoring unreadable cache entry for key " + Key + " (" +
-              Phase + "): " + Reason + "; recompiling";
+      *Note = unreadableNote(Key, Phase, Reason);
   }
   std::lock_guard<std::mutex> Lock(Mu);
   countLookup(Hit, FromDisk);
   return Hit;
+}
+
+std::string ArtifactCache::unreadableNote(const std::string &Key,
+                                          const std::string &Phase,
+                                          const std::string &Reason) {
+  return "ignoring unreadable cache entry for key " + Key + " (" + Phase +
+         "): " + Reason + "; recompiling";
 }
 
 bool ArtifactCache::writeDiskEntry(const std::string &Path,

@@ -104,9 +104,10 @@ public:
             std::string &Payload, std::string *Note = nullptr);
 
   /// Decodes a payload into the caller's state; on rejection returns false
-  /// and sets the reason.
+  /// and sets the reason. The payload is the lookup's own copy: a decoder
+  /// that needs it later may move it out.
   using Decoder =
-      std::function<bool(const std::string &Payload, std::string &Reason)>;
+      std::function<bool(std::string &Payload, std::string &Reason)>;
 
   /// A lookup whose hit must also decode: the payload goes to \p Decode
   /// (outside the cache lock), and a payload Decode rejects makes the
@@ -116,6 +117,10 @@ public:
   /// caller's recompile overwrites it.
   bool get(const std::string &Key, const std::string &Phase, std::string *Note,
            const Decoder &Decode);
+  /// The note of a lookup whose payload the decoder rejected.
+  static std::string unreadableNote(const std::string &Key,
+                                    const std::string &Phase,
+                                    const std::string &Reason);
 
   /// Stores a payload under (key, phase), in memory and — when a DiskDir
   /// is configured — on disk. Disk write failures never fail the compile

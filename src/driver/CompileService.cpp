@@ -3,6 +3,7 @@
 #include "driver/CompileService.h"
 
 #include "corelib/CoreLib.h"
+#include "driver/CompileVerdict.h"
 #include "infer/Solution.h"
 #include "netlist/Serializer.h"
 #include "support/ThreadPool.h"
@@ -22,32 +23,99 @@ CompileService::CompileService(Options O)
 }
 
 CompileResult CompileService::compile(const CompilerInvocation &Inv) {
+  // A compile that never consults the cache hashes no key.
+  return runPipeline(Inv, Opts.CacheEnabled ? phaseKeys(Inv) : PhaseKeys(),
+                     nullptr, nullptr);
+}
+
+CompileVerdict CompileService::compileVerdict(const CompilerInvocation &Inv,
+                                              CompileResult *Full) {
+  auto VerdictOf = [&](CompileResult R) {
+    CompileVerdict V = CompileVerdict::of(R);
+    if (Full)
+      *Full = std::move(R);
+    return V;
+  };
+  if (!Opts.CacheEnabled || Inv.BuildSim)
+    return VerdictOf(compile(Inv));
+
+  // The same two lookups compile() makes, in the same order, decoded by
+  // the summary readers. A miss hands the lookups made so far to the full
+  // pipeline, so the cache sees exactly what compile() would have done.
+  PhaseKeys Keys = phaseKeys(Inv);
+  Lookup Elab;
+  netlist::NetlistSummary NS;
+  Elab.Hit = Cache.get(CompilerInvocation::keyString(Keys.Elab), "elab",
+                       &Elab.Note,
+                       [&](std::string &Payload, std::string &Reason) {
+                         if (!netlist::readNetlistSummary(Payload, NS,
+                                                          &Reason))
+                           return false;
+                         // Needed after all if the solution misses.
+                         Elab.Payload = std::move(Payload);
+                         return true;
+                       });
+  if (!Elab.Hit)
+    return VerdictOf(runPipeline(Inv, Keys, &Elab, nullptr));
+
+  Lookup Solve;
+  infer::SolutionSummary SS;
+  Solve.Hit = Cache.get(CompilerInvocation::keyString(Keys.Solve), "solve",
+                        &Solve.Note,
+                        [&](std::string &Payload, std::string &Reason) {
+                          return infer::readSolutionSummary(Payload, SS,
+                                                            &Reason);
+                        });
+  if (!Solve.Hit)
+    return VerdictOf(runPipeline(Inv, Keys, &Elab, &Solve));
+  return CompileVerdict::ofCached(Inv, NS, SS);
+}
+
+CompileResult CompileService::runPipeline(const CompilerInvocation &Inv,
+                                          const PhaseKeys &Keys,
+                                          Lookup *ElabLookup,
+                                          Lookup *SolveLookup) {
   CompileResult R;
   R.C = std::make_unique<Compiler>();
   Compiler &C = *R.C;
 
-  const std::string ElabKey = CompilerInvocation::keyString(Inv.elabKey());
-  const std::string SolveKey = CompilerInvocation::keyString(Inv.solveKey());
+  // One phase's cache lookup: the one handed in, or made here. A hit is
+  // decoded by \p Decode either way; a miss notes its reason.
+  auto LookupPhase = [&](uint64_t Key, const char *Phase, Lookup *Given,
+                         const ArtifactCache::Decoder &Decode) {
+    const std::string KeyStr = CompilerInvocation::keyString(Key);
+    std::string Note;
+    bool Hit;
+    if (!Given) {
+      Hit = Cache.get(KeyStr, Phase, &Note, Decode);
+    } else {
+      std::string Reason;
+      Note = Given->Note;
+      Hit = Given->Hit && Decode(Given->Payload, Reason);
+      if (Given->Hit && !Hit)
+        Note = ArtifactCache::unreadableNote(KeyStr, Phase, Reason);
+    }
+    if (!Note.empty())
+      C.getDiags().note(SourceLoc(), Note);
+    return Hit;
+  };
 
   // --- Parse + elaborate, or reload the "elab" artifact. -----------------
   bool Warm = false;
   if (Opts.CacheEnabled) {
-    std::string Note;
-    Warm = Cache.get(ElabKey, "elab", &Note,
-                     [&](const std::string &Payload, std::string &Reason) {
-                       PhaseTimer::Scope Phase(&C.getPhaseTimer(),
-                                               "cache-load");
-                       auto SC = netlist::deserializeNetlist(
-                           Payload, C.getTypeContext(), &Reason);
-                       if (!SC.NL)
-                         return false;
-                       C.registerSourcesWithoutParsing(Inv);
-                       C.adoptNetlist(std::move(SC));
-                       return true;
-                     });
+    Warm = LookupPhase(Keys.Elab, "elab", ElabLookup,
+                       [&](std::string &Payload, std::string &Reason) {
+                         PhaseTimer::Scope Phase(&C.getPhaseTimer(),
+                                                 "cache-load");
+                         auto SC = netlist::deserializeNetlist(
+                             Payload, C.getTypeContext(), &Reason);
+                         if (!SC.NL)
+                           return false;
+                         C.registerSourcesWithoutParsing(Inv);
+                         C.adoptNetlist(std::move(SC));
+                         return true;
+                       });
     R.ElabFromCache = Warm;
-    if (!Note.empty())
-      C.getDiags().note(SourceLoc(), Note);
   }
 
   size_t DiagBase = 0;
@@ -67,17 +135,16 @@ CompileResult CompileService::compile(const CompilerInvocation &Inv) {
                                     C.getNumUserTypeAnnotations(),
                                     C.getDiags().getDiagnosticsSince(DiagStart),
                                     Payload))
-        Cache.put(ElabKey, "elab", Payload);
+        Cache.put(CompilerInvocation::keyString(Keys.Elab), "elab", Payload);
     }
   }
 
   // --- Type inference, or reload the "solve" artifact. -------------------
   bool Solved = false;
   if (Opts.CacheEnabled && C.getNetlist()) {
-    std::string Note;
-    Solved = Cache.get(
-        SolveKey, "solve", &Note,
-        [&](const std::string &Payload, std::string &Reason) {
+    Solved = LookupPhase(
+        Keys.Solve, "solve", SolveLookup,
+        [&](std::string &Payload, std::string &Reason) {
           PhaseTimer::Scope Phase(&C.getPhaseTimer(), "cache-load");
           infer::NetlistInferenceStats IS;
           std::vector<Diagnostic> Ds;
@@ -85,12 +152,10 @@ CompileResult CompileService::compile(const CompilerInvocation &Inv) {
                                      C.getTypeContext(), IS, Ds, &Reason))
             return false;
           C.setInferenceStats(std::move(IS));
-          C.replayDiagnostics(Ds);
+          C.getDiags().replay(Ds);
           return true;
         });
     R.SolutionFromCache = Solved;
-    if (!Note.empty())
-      C.getDiags().note(SourceLoc(), Note);
   }
 
   if (!Solved) {
@@ -104,7 +169,8 @@ CompileResult CompileService::compile(const CompilerInvocation &Inv) {
       if (infer::exportSolution(*C.getNetlist(), C.getInferenceStats(),
                                 C.getDiags().getDiagnosticsSince(DiagStart),
                                 Payload))
-        Cache.put(SolveKey, "solve", Payload);
+        Cache.put(CompilerInvocation::keyString(Keys.Solve), "solve",
+                  Payload);
     }
   }
 
@@ -118,7 +184,7 @@ CompileResult CompileService::compile(const CompilerInvocation &Inv) {
 
   // A live (non-warm) elaboration carries everything the incremental path
   // needs next time; warm compiles no-op inside (no interpreter ran).
-  storeDepGraph(Inv, C, DiagBase);
+  storeDepGraph(Inv, Keys, C, DiagBase);
 
   R.Success = true;
   return R;

@@ -16,6 +16,10 @@
 ///    failure; corrupted entries are diagnosed (note), counted, and
 ///    recompiled over.
 ///
+/// compileVerdict answers a caller that needs only the verdict (lssd):
+/// when both entries hit, it reads the verdict from the artifacts' summary
+/// records and builds no netlist.
+///
 /// Batch compiles run on a support::ThreadPool; results are returned in
 /// input order regardless of completion order, and the shared cache means
 /// identical invocations in one batch cost one cold compile plus N-1 warm
@@ -38,6 +42,8 @@
 
 namespace liberty {
 namespace driver {
+
+struct CompileVerdict;
 
 /// What an incremental compile actually did (docs/INCREMENTAL.md). Filled
 /// by CompileService::compileIncremental; compile() leaves it default.
@@ -99,6 +105,18 @@ public:
   /// Compiles one invocation, consulting and feeding the cache.
   CompileResult compile(const CompilerInvocation &Inv);
 
+  /// CompileVerdict::of(compile(Inv)), for a caller that needs nothing but
+  /// the verdict (lssd's `compile` and `batch` requests). When the "elab"
+  /// and "solve" entries both hit, the verdict comes from the LSSNL and
+  /// LSSSOL summaries (netlist::readNetlistSummary,
+  /// infer::readSolutionSummary): no Netlist, port or Type is built. On
+  /// any miss, and whenever \p Inv builds a simulator or the cache is off,
+  /// compile() runs, after exactly the lookups it would have made itself;
+  /// its result is then moved to \p Full when that is non-null (lssd keeps
+  /// it to read the solver statistics and to free it after replying).
+  CompileVerdict compileVerdict(const CompilerInvocation &Inv,
+                                CompileResult *Full = nullptr);
+
   /// Incremental recompilation (docs/INCREMENTAL.md): diffs \p Inv's
   /// per-module content hashes against the project's cached dependency
   /// graph (LSSDEP, keyed by Inv.depKey()), re-elaborates only the dirty
@@ -137,6 +155,27 @@ public:
   const Options &getOptions() const { return Opts; }
 
 private:
+  /// The cache keys of one compile, each hashed once.
+  struct PhaseKeys {
+    uint64_t Elab = 0, Solve = 0;
+  };
+  static PhaseKeys phaseKeys(const CompilerInvocation &Inv) {
+    uint64_t Elab = Inv.elabKey();
+    return {Elab, Inv.solveKey(Elab)};
+  }
+  /// A cache lookup compileVerdict made before handing the compile over:
+  /// whether it hit, the payload of a hit, the note of a miss.
+  struct Lookup {
+    bool Hit = false;
+    std::string Payload, Note;
+  };
+  /// compile() with \p Keys, except that the "elab" and "solve" lookups
+  /// already made are passed in as \p Elab and \p Solve (null: look up
+  /// here). Keys are unused when the cache is off.
+  CompileResult runPipeline(const CompilerInvocation &Inv,
+                            const PhaseKeys &Keys, Lookup *Elab,
+                            Lookup *Solve);
+
   /// Serializes and stores the dependency-graph artifact for a compile
   /// whose elaboration ran live (compile() cold path and every successful
   /// incremental compile). \p DiagBase is the diagnostic count just before
@@ -145,8 +184,8 @@ private:
   /// pipeline ran (e.g. cache-corruption notes) and its indices line up
   /// with the diagnostics list of the LSSNL artifact stored alongside.
   /// Defined in Incremental.cpp.
-  void storeDepGraph(const CompilerInvocation &Inv, Compiler &C,
-                     size_t DiagBase);
+  void storeDepGraph(const CompilerInvocation &Inv, const PhaseKeys &Keys,
+                     Compiler &C, size_t DiagBase);
   /// Accumulates one compileIncremental outcome into the counters.
   void recordIncremental(const IncrementalStats &S);
 

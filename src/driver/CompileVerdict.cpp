@@ -3,7 +3,10 @@
 #include "driver/CompileVerdict.h"
 
 #include "driver/DaemonProtocol.h"
-#include "driver/Stats.h"
+#include "infer/Solution.h"
+#include "netlist/Serializer.h"
+
+#include <sstream>
 
 using namespace liberty;
 using namespace liberty::driver;
@@ -51,10 +54,10 @@ CompileVerdict CompileVerdict::of(const CompileResult &R) {
   V.GroupsUnsolved = Solve.NumUnsolved;
   V.Diagnostics = C.diagnosticsText();
   if (R.Success && C.getNetlist()) {
-    ModelStats MS = computeModelStats(*C.getNetlist(), C.getLibraryModules(),
-                                      C.getNumUserTypeAnnotations());
-    V.Instances = MS.TotalInstances;
-    V.Connections = MS.Connections;
+    netlist::NetlistCounts N =
+        netlist::countInstancesAndConnections(*C.getNetlist());
+    V.Instances = N.Instances;
+    V.Connections = N.Connections;
   }
   const IncrementalStats &I = R.Incremental;
   V.IncrementalAttempted = I.Attempted;
@@ -64,6 +67,30 @@ CompileVerdict CompileVerdict::of(const CompileResult &R) {
   V.ModulesReelaborated = I.ModulesReelaborated;
   V.GroupsResolved = I.GroupsResolved;
   V.GroupsSpliced = I.GroupsSpliced;
+  return V;
+}
+
+CompileVerdict CompileVerdict::ofCached(const CompilerInvocation &Inv,
+                                        const netlist::NetlistSummary &Elab,
+                                        const infer::SolutionSummary &Solve) {
+  CompileVerdict V;
+  V.Success = true;
+  V.FailedPhase = phaseInfo(Phase::None).WireName;
+  V.ExitCode = ExitSuccess;
+  V.ElabFromCache = V.SolutionFromCache = true;
+  V.GroupsUnsolved = Solve.Solve.NumUnsolved;
+  V.Instances = Elab.Counts.Instances;
+  V.Connections = Elab.Counts.Connections;
+  if (Elab.Diags.empty() && Solve.Diags.empty())
+    return V;
+  SourceMgr SM;
+  Inv.registerBuffers(SM);
+  DiagnosticEngine Diags(SM);
+  Diags.replay(Elab.Diags);
+  Diags.replay(Solve.Diags);
+  std::ostringstream OS;
+  Diags.printAll(OS);
+  V.Diagnostics = OS.str();
   return V;
 }
 

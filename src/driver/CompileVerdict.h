@@ -26,6 +26,14 @@
 #include <string_view>
 
 namespace liberty {
+
+namespace netlist {
+struct NetlistSummary;
+}
+namespace infer {
+struct SolutionSummary;
+}
+
 namespace driver {
 
 /// Documented exit codes. Scripts and the test suite key on these, so the
@@ -87,6 +95,13 @@ struct CompileVerdict {
 
   /// The verdict of \p R (whose Compiler must be present).
   static CompileVerdict of(const CompileResult &R);
+  /// What of() reports for a compile of \p Inv whose netlist and solution
+  /// both came from the cache, read from the two artifacts' summaries:
+  /// the counts, the unsolved-group count and the replayed diagnostics,
+  /// rendered against \p Inv's sources as the warm Compiler renders them.
+  static CompileVerdict ofCached(const CompilerInvocation &Inv,
+                                 const netlist::NetlistSummary &Elab,
+                                 const infer::SolutionSummary &Solve);
 
   /// The phrase of FailedPhase ("type inference").
   const char *phrase() const { return phaseInfo(FailedPhase).Phrase; }

@@ -159,10 +159,8 @@ void Compiler::registerSourcesWithoutParsing(const CompilerInvocation &Inv) {
   if (Inv.UseCoreLibrary) {
     LibraryAdded = true;
     corelib::registerCoreBehaviors();
-    SM.addBuffer("<corelib>", SharedCoreLib::get().Text);
   }
-  for (const CompilerInvocation::Source &S : Inv.Sources)
-    SM.addBuffer(S.Name, S.Text);
+  Inv.registerBuffers(SM);
 }
 
 bool Compiler::elaborate(const CompilerInvocation &Inv) {
@@ -204,18 +202,8 @@ bool Compiler::adoptNetlist(netlist::SerializedCompile SC) {
   NL = std::move(SC.NL);
   LibraryModules = std::move(SC.LibraryModules);
   NumUserAnnotations = SC.NumUserAnnotations;
-  replayDiagnostics(SC.Diags);
+  Diags.replay(SC.Diags);
   return true;
-}
-
-void Compiler::replayDiagnostics(const std::vector<Diagnostic> &Ds) {
-  for (const Diagnostic &D : Ds) {
-    if (D.Level == DiagLevel::Warning)
-      Diags.warning(D.Loc, D.Message);
-    else if (D.Level == DiagLevel::Note)
-      Diags.note(D.Loc, D.Message);
-    // Errors are never recorded in cache artifacts; drop defensively.
-  }
 }
 
 std::unique_ptr<Compiler>

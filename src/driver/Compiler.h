@@ -95,10 +95,6 @@ public:
   /// warnings/notes. Returns false if \p SC holds no netlist.
   bool adoptNetlist(netlist::SerializedCompile SC);
 
-  /// Re-emits recorded diagnostics (warnings/notes from a cached phase)
-  /// through this compile's engine.
-  void replayDiagnostics(const std::vector<Diagnostic> &Ds);
-
   /// Installs inference results recovered from the cached "solve"
   /// artifact (CompileService's solution hit path).
   void setInferenceStats(infer::NetlistInferenceStats IS) {

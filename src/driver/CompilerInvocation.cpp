@@ -5,6 +5,7 @@
 #include "corelib/CoreLib.h"
 #include "driver/DepGraph.h"
 #include "support/Hash.h"
+#include "support/SourceMgr.h"
 
 #include <fstream>
 #include <sstream>
@@ -25,19 +26,38 @@ bool CompilerInvocation::addFile(const std::string &Path, std::string *Error) {
   return true;
 }
 
+void CompilerInvocation::registerBuffers(SourceMgr &SM) const {
+  if (UseCoreLibrary)
+    SM.addBuffer("<corelib>", corelib::getCoreLibraryLss());
+  for (const Source &S : Sources)
+    SM.addBuffer(S.Name, S.Text);
+}
+
 /// Bump when any cached artifact format (LSSNL/LSSSOL/LSSART/LSSDEP) or
 /// the key contract changes: stale on-disk entries then simply miss.
 /// v2: elabKey became a Merkle fold over per-module spans, LSSSOL gained
 /// v3 records, and serialized type variables are renamed to first-use
-/// ordinals.
-static constexpr uint64_t CacheFormatVersion = 2;
+/// ordinals. v3: LSSNL 3 (the summary record), and the core library
+/// enters elabKey as its hash.
+static constexpr uint64_t CacheFormatVersion = 3;
+
+/// The core library text is a build-time constant, so it is hashed once
+/// per process rather than once per key.
+static uint64_t coreLibraryHash() {
+  static const uint64_t Hash = [] {
+    FnvHasher H;
+    H.str(corelib::getCoreLibraryLss());
+    return H.get();
+  }();
+  return Hash;
+}
 
 uint64_t CompilerInvocation::elabKey() const {
   FnvHasher H;
   H.field("fmt", CacheFormatVersion);
   H.field("corelib", UseCoreLibrary ? 1 : 0);
   if (UseCoreLibrary)
-    H.str(corelib::getCoreLibraryLss());
+    H.num(coreLibraryHash());
   H.field("sources", Sources.size());
   // Names excluded: content-addressed (see header). Each text enters as a
   // Merkle fold over its top-level module spans (driver/DepGraph), so this
@@ -70,9 +90,11 @@ uint64_t CompilerInvocation::depKey() const {
   return H.get();
 }
 
-uint64_t CompilerInvocation::solveKey() const {
+uint64_t CompilerInvocation::solveKey() const { return solveKey(elabKey()); }
+
+uint64_t CompilerInvocation::solveKey(uint64_t ElabKey) const {
   FnvHasher H;
-  H.field("elab", elabKey());
+  H.field("elab", ElabKey);
   H.field("solve.reorder", Solve.ReorderSimpleFirst ? 1 : 0);
   H.field("solve.forced", Solve.ForcedDisjunctElimination ? 1 : 0);
   H.field("solve.partition", Solve.Partition ? 1 : 0);

@@ -43,6 +43,9 @@
 #include <vector>
 
 namespace liberty {
+
+class SourceMgr;
+
 namespace driver {
 
 class CompilerInvocation {
@@ -76,6 +79,12 @@ public:
   /// \p Error is non-null, stores a one-line description.
   bool addFile(const std::string &Path, std::string *Error = nullptr);
 
+  /// Registers, without parsing, the buffers a compile of this invocation
+  /// registers and in its order: "<corelib>" when UseCoreLibrary, then
+  /// every source. Diagnostics replayed from cache artifacts carry
+  /// locations into exactly these buffers.
+  void registerBuffers(SourceMgr &SM) const;
+
   /// Key of the elaborated-netlist artifact. See the contract above.
   /// Since format v2 this is a Merkle root over per-module content hashes
   /// (driver/DepGraph): each source text enters as a fold of its top-level
@@ -91,6 +100,9 @@ public:
   uint64_t depKey() const;
   /// Key of the inference-solution artifact. See the contract above.
   uint64_t solveKey() const;
+  /// solveKey() from this invocation's elabKey(), already computed, so a
+  /// compile scans and hashes the sources once.
+  uint64_t solveKey(uint64_t ElabKey) const;
 
   /// Renders a key as the 16-hex-digit form used in cache file names.
   static std::string keyString(uint64_t Key);

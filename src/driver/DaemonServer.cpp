@@ -353,11 +353,20 @@ bool DaemonServer::submitCompile(const Json &Req, std::future<Json> &Fut,
         Inv.Solve.DeadlineMs = Remaining;
     }
 
-    CompileResult R =
-        P->Incremental ? Service.compileIncremental(Inv) : Service.compile(Inv);
+    // A `compile` needs only the verdict, which a warm cache answers from
+    // the artifacts' summaries; a `recompile` runs the incremental path.
+    // R holds a full compile until the reply is sent, so the client does
+    // not wait for its netlist to be freed.
+    CompileResult R;
+    CompileVerdict V;
+    if (P->Incremental) {
+      R = Service.compileIncremental(Inv);
+      V = CompileVerdict::of(R);
+    } else {
+      V = Service.compileVerdict(Inv, &R);
+    }
     double ServiceMs = msSince(P->AdmitTime);
 
-    CompileVerdict V = CompileVerdict::of(R);
     V.QueueMs = QueueMs;
     V.ServiceMs = ServiceMs;
     Json Res = verdictToWire(V);
@@ -369,17 +378,18 @@ bool DaemonServer::submitCompile(const Json &Req, std::future<Json> &Fut,
     {
       std::lock_guard<std::mutex> Lock(StatsMutex);
       (P->Incremental ? Stats.RecompileRequests : Stats.CompileRequests) += 1;
+      // Only a full compile degrades, so R holds it.
       if (V.Degraded && R.C->getInferenceStats().Solve.HitDeadline)
         ++Stats.DeadlineDegraded;
-      (R.ElabFromCache ? Stats.ElabCacheHits : Stats.ElabCacheMisses) += 1;
-      (R.SolutionFromCache ? Stats.SolveCacheHits : Stats.SolveCacheMisses) +=
+      (V.ElabFromCache ? Stats.ElabCacheHits : Stats.ElabCacheMisses) += 1;
+      (V.SolutionFromCache ? Stats.SolveCacheHits : Stats.SolveCacheMisses) +=
           1;
     }
     recordLatency(ServiceMs);
     if (Opts.Verbose)
       std::fprintf(stderr, "lssd: compile %s in %.2fms (queue %.2fms)%s\n",
-                   R.Success ? "ok" : "failed", ServiceMs, QueueMs,
-                   R.ElabFromCache && R.SolutionFromCache ? " [cached]" : "");
+                   V.Success ? "ok" : "failed", ServiceMs, QueueMs,
+                   V.ElabFromCache && V.SolutionFromCache ? " [cached]" : "");
     P->Done.set_value(std::move(Res));
   });
   return true;

@@ -225,9 +225,7 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
     return false; // Injected failure: treated as a cache miss.
   Out = DepGraph();
   netlist::ArtifactReader R(Text);
-  // The writer ends every body with "end\n" and nothing after it: a body
-  // cut anywhere, even just before that last newline, is not a graph.
-  if (!R.readHeader("LSSDEP 2") || Text.back() != '\n')
+  if (!R.readHeader("LSSDEP 2"))
     return false;
 
   // State for the record-at-a-time parse: which sub-records are pending.
@@ -243,7 +241,7 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
       return false;
     std::string_view Kind = L.raw(0);
 
-    if (Kind == "end") {
+    if (L.isEnd()) {
       SawEnd = true;
       break;
     }
@@ -327,6 +325,8 @@ bool liberty::driver::deserializeDepGraph(const std::string &Text,
     }
   }
 
-  return SawEnd && !R.next(L) && SawPrev && SawCapable && SawNsrc &&
+  // "end" is the last line: nothing, not even an unterminated fragment,
+  // follows it.
+  return SawEnd && R.atEnd() && SawPrev && SawCapable && SawNsrc &&
          SawNinst && !InstRemaining && !AssignRemaining && !ConnRemaining;
 }

@@ -39,7 +39,8 @@ void CompileService::recordIncremental(const IncrementalStats &S) {
   IncCounters.GroupsSpliced += S.GroupsSpliced;
 }
 
-void CompileService::storeDepGraph(const CompilerInvocation &Inv, Compiler &C,
+void CompileService::storeDepGraph(const CompilerInvocation &Inv,
+                                   const PhaseKeys &Keys, Compiler &C,
                                    size_t DiagBase) {
   if (!Opts.CacheEnabled || C.getDiags().hasErrors())
     return;
@@ -51,8 +52,8 @@ void CompileService::storeDepGraph(const CompilerInvocation &Inv, Compiler &C,
     return;
 
   DepGraph G;
-  G.PrevElabKey = Inv.elabKey();
-  G.PrevSolveKey = Inv.solveKey();
+  G.PrevElabKey = Keys.Elab;
+  G.PrevSolveKey = Keys.Solve;
 
   for (const auto &S : Inv.Sources) {
     DepGraph::SourceDeps SD;
@@ -191,12 +192,13 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
 
   // Unchanged text — or an already-seen state whose artifacts are cached —
   // is exactly what the plain warm path serves best.
-  const std::string ElabKeyStr = CompilerInvocation::keyString(Inv.elabKey());
+  const PhaseKeys Keys = phaseKeys(Inv);
+  const std::string ElabKeyStr = CompilerInvocation::keyString(Keys.Elab);
   {
     std::string Probe;
     if (Dirty.empty() || Cache.get(ElabKeyStr, "elab", Probe)) {
       Inc.FallbackReason = "already-cached";
-      CompileResult R = compile(Inv);
+      CompileResult R = runPipeline(Inv, Keys, nullptr, nullptr);
       R.Incremental = Inc;
       recordIncremental(R.Incremental);
       return R;
@@ -551,7 +553,7 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
       if (infer::exportSolution(
               *NL, C.getInferenceStats(),
               C.getDiags().getDiagnosticsSince(SolveDiagStart), Payload))
-        Cache.put(CompilerInvocation::keyString(Inv.solveKey()), "solve",
+        Cache.put(CompilerInvocation::keyString(Keys.Solve), "solve",
                   Payload);
     }
   }
@@ -572,7 +574,7 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
     return R;
   }
 
-  storeDepGraph(Inv, C, DiagStart);
+  storeDepGraph(Inv, Keys, C, DiagStart);
 
   Inc.Used = true;
   R.Incremental = Inc;

@@ -42,12 +42,14 @@ liberty::driver::computeModelStats(const netlist::Netlist &NL,
   ModelStats S;
   S.Name = std::move(Name);
   S.ExplicitTypesWithInference = NumUserAnnotations;
+  netlist::NetlistCounts Counts = netlist::countInstancesAndConnections(NL);
+  S.TotalInstances = Counts.Instances;
+  S.Connections = Counts.Connections;
 
   std::set<std::string> Modules, LeafModules, HierModules, LibUsed;
   for (const auto &Inst : NL.getInstances()) {
     if (Inst->ModuleName.empty())
       continue; // Synthetic root.
-    ++S.TotalInstances;
     const std::string &ModName = Inst->ModuleName;
     Modules.insert(ModName);
     if (Inst->isLeaf()) {
@@ -72,10 +74,6 @@ liberty::driver::computeModelStats(const netlist::Netlist &NL,
   S.DistinctLeafModules = LeafModules.size();
   S.DistinctHierarchicalModules = HierModules.size();
   S.ModulesFromLibrary = LibUsed.size();
-
-  for (const auto &Conn : NL.getConnections())
-    if (Conn->isFullyResolved())
-      ++S.Connections;
   return S;
 }
 

@@ -80,6 +80,79 @@ bool liberty::infer::exportSolution(const netlist::Netlist &NL,
   return true;
 }
 
+/// The "stats" record in \p L.
+static bool readStatsRecord(const netlist::ArtifactLineReader &L,
+                            SolveStats &S) {
+  return L.size() == 11 && L.raw(0) == "stats" && L.boolean(1, S.Success) &&
+         L.boolean(2, S.HitLimit) && L.boolean(3, S.HitDeadline) &&
+         L.u64(4, S.UnifySteps) && L.u64(5, S.BranchPoints) &&
+         L.u32(6, S.NumConstraints) && L.u32(7, S.NumDisjunctive) &&
+         L.u32(8, S.NumComponents) && L.u32(9, S.ThreadsUsed) &&
+         L.u32(10, S.NumUnsolved);
+}
+
+/// The "diag" record in \p L, its message decoded through \p Str.
+template <typename StrFn>
+static bool readDiagRecord(const netlist::ArtifactLineReader &L,
+                           const StrFn &Str, Diagnostic &D) {
+  uint64_t Level;
+  if (L.size() != 5 || !L.u64(1, Level) || Level > 1 || !L.loc(2, D.Loc) ||
+      !Str(4, D.Message))
+    return false;
+  D.Level = Level == 1 ? DiagLevel::Warning : DiagLevel::Note;
+  return true;
+}
+
+bool liberty::infer::readSolutionSummary(std::string_view Text,
+                                         SolutionSummary &Out,
+                                         std::string *Error) {
+  auto Fail = [&] {
+    if (Error && Error->empty())
+      *Error = "malformed";
+    return false;
+  };
+  if (Error)
+    Error->clear();
+  if (faultShouldFail("deserialize.solution"))
+    return Fail();
+  netlist::ArtifactReader R(Text);
+  std::vector<std::string_view> Strtab;
+  if (!R.readHeader("LSSSOL 3", Error) || !R.readRawStrtab(Strtab))
+    return Fail();
+
+  SolutionSummary S;
+  netlist::ArtifactLineReader L;
+  auto Str = [&](size_t I, std::string &Msg) {
+    uint32_t Id;
+    return L.u32(I, Id) && Id < Strtab.size() &&
+           netlist::artifactUnescape(Strtab[Id], Msg);
+  };
+  if (!R.next(L) || !readStatsRecord(L, S.Solve))
+    return Fail();
+  for (;;) {
+    if (!R.next(L) || L.size() == 0)
+      return Fail();
+    std::string_view Kind = L.raw(0);
+    if (Kind == "diag") {
+      Diagnostic D;
+      if (!readDiagRecord(L, Str, D))
+        return Fail();
+      S.Diags.push_back(std::move(D));
+    } else if (Kind == "p" || L.isEnd()) {
+      // The "p" records are skipped, but the text must still close with
+      // its "end" line, so every truncation is rejected as the full reader
+      // rejects it.
+      if (L.isEnd() ? !R.atEnd() : !R.endsWithEndLine())
+        return Fail();
+      break;
+    } else if (Kind != "nstats" && Kind != "group" && Kind != "gm") {
+      return Fail();
+    }
+  }
+  Out = std::move(S);
+  return true;
+}
+
 bool liberty::infer::importSolution(const std::string &Text,
                                     netlist::Netlist &NL,
                                     types::TypeContext &TC,
@@ -107,26 +180,21 @@ bool liberty::infer::importSolution(const std::string &Text,
   std::vector<std::pair<netlist::Port *, const types::Type *>> Resolved;
   std::map<std::string, const types::Type *> VarMap;
   const auto &Instances = NL.getInstances();
-  bool SawStats = false, SawEnd = false;
+  bool SawP = false, SawEnd = false;
 
   netlist::ArtifactLineReader L;
+  auto Str = [&](size_t I, std::string &Msg) { return L.str(I, Strtab, Msg); };
+  if (!R.next(L) || !readStatsRecord(L, Stats.Solve))
+    return Fail();
   while (R.next(L)) {
     if (L.size() == 0)
       return Fail();
     std::string_view Kind = L.raw(0);
-    if (Kind == "end") {
+    if (L.isEnd()) {
       SawEnd = true;
       break;
-    } else if (Kind == "stats") {
-      SolveStats &S = Stats.Solve;
-      if (L.size() != 11 || !L.boolean(1, S.Success) ||
-          !L.boolean(2, S.HitLimit) || !L.boolean(3, S.HitDeadline) ||
-          !L.u64(4, S.UnifySteps) || !L.u64(5, S.BranchPoints) ||
-          !L.u32(6, S.NumConstraints) || !L.u32(7, S.NumDisjunctive) ||
-          !L.u32(8, S.NumComponents) || !L.u32(9, S.ThreadsUsed) ||
-          !L.u32(10, S.NumUnsolved))
-        return Fail();
-      SawStats = true;
+    } else if (SawP && Kind != "p") {
+      return Fail(); // Only "p" records follow the first one.
     } else if (Kind == "nstats") {
       if (L.size() != 4 || !L.u32(1, Stats.NumPorts) ||
           !L.u32(2, Stats.NumPolymorphicPorts) ||
@@ -156,13 +224,11 @@ bool liberty::infer::importSolution(const std::string &Text,
       }
     } else if (Kind == "diag") {
       Diagnostic D;
-      uint64_t Level;
-      if (L.size() != 5 || !L.u64(1, Level) || Level > 1 ||
-          !L.loc(2, D.Loc) || !L.str(4, Strtab, D.Message))
+      if (!readDiagRecord(L, Str, D))
         return Fail();
-      D.Level = Level == 1 ? DiagLevel::Warning : DiagLevel::Note;
       Diags.push_back(std::move(D));
     } else if (Kind == "p") {
+      SawP = true;
       uint64_t InstIdx, PortIdx;
       unsigned GroupBiased, NumDefaulted;
       std::string TypeText;
@@ -187,7 +253,7 @@ bool liberty::infer::importSolution(const std::string &Text,
       return Fail();
     }
   }
-  if (!SawEnd || !SawStats)
+  if (!SawEnd || !R.atEnd())
     return Fail();
 
   for (auto &[P, T] : Resolved)

@@ -14,7 +14,10 @@
 /// interned into a header string table ("strtab N" + "s <%XX-escaped>"
 /// lines, first-use order) and referenced by decimal id, so a type shared
 /// by thousands of ports is stored once; ports are referenced by dense
-/// (instance, port) index into the creation-order netlist traversal. For
+/// (instance, port) index into the creation-order netlist traversal. The
+/// body opens with the "stats" record; every "diag" record precedes the
+/// first "p" record, after which come only "p" records and the closing
+/// "end" line — so readSolutionSummary stops at the first "p". For
 /// incremental recompilation (docs/INCREMENTAL.md) the artifact carries
 /// per-group member instance ids ("gm" records) and per-port group and
 /// defaulting columns on the "p" records, and it writes every per-group
@@ -34,6 +37,7 @@
 #include "support/Diagnostics.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace liberty {
@@ -61,6 +65,23 @@ bool importSolution(const std::string &Text, netlist::Netlist &NL,
                     types::TypeContext &TC, NetlistInferenceStats &StatsOut,
                     std::vector<Diagnostic> &DiagsOut,
                     std::string *Error = nullptr);
+
+/// What a compile verdict needs from an LSSSOL artifact: the "stats"
+/// record (Groups and GroupMembers stay empty) and the replayed
+/// diagnostics.
+struct SolutionSummary {
+  SolveStats Solve;
+  std::vector<Diagnostic> Diags;
+};
+
+/// Reads an LSSSOL 3 artifact up to its first "p" record and checks that
+/// the text ends with the "end" line, needing no netlist and building no
+/// type. Every artifact importSolution accepts is accepted here with the
+/// same statistics and diagnostics; like it, this honours the
+/// "deserialize.solution" fault site and reports the reason for a
+/// rejection in \p Error.
+bool readSolutionSummary(std::string_view Text, SolutionSummary &Out,
+                         std::string *Error = nullptr);
 
 } // namespace infer
 } // namespace liberty

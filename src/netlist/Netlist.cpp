@@ -149,3 +149,14 @@ void Netlist::print(std::ostream &OS) const {
   printInstance(OS, Root, 0);
   OS << Connections.size() << " connections\n";
 }
+
+NetlistCounts liberty::netlist::countInstancesAndConnections(const Netlist &NL) {
+  NetlistCounts N;
+  for (const auto &Inst : NL.getInstances())
+    if (!Inst->ModuleName.empty())
+      ++N.Instances;
+  for (const auto &Conn : NL.getConnections())
+    if (Conn->isFullyResolved())
+      ++N.Connections;
+  return N;
+}

@@ -272,6 +272,17 @@ private:
   uint32_t NumPortNodes = 0;
 };
 
+/// The two counts a compile verdict reports: instances other than the
+/// synthetic root (every instance with an empty module name is skipped),
+/// and connections whose two endpoints resolved. computeModelStats and the
+/// LSSNL summary record both count through this function, so a warm
+/// compile reads the same numbers a cold one computes.
+struct NetlistCounts {
+  uint32_t Instances = 0;
+  uint32_t Connections = 0;
+};
+NetlistCounts countInstancesAndConnections(const Netlist &NL);
+
 } // namespace netlist
 } // namespace liberty
 

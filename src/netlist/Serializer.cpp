@@ -291,6 +291,8 @@ private:
 // Serialization
 //===----------------------------------------------------------------------===//
 
+static constexpr std::string_view NetlistHeader = "LSSNL 3";
+
 static void emitLoc(std::ostringstream &OS, SourceLoc Loc) {
   OS << ' ' << Loc.BufferId << ' ' << Loc.Offset;
 }
@@ -415,7 +417,9 @@ bool liberty::netlist::serializeNetlist(
     return false; // Injected stream failure: artifact just isn't cached.
   TokenEmitter E;
   std::ostringstream OS;
+  NetlistCounts Counts = countInstancesAndConnections(NL);
   OS << "annotations " << NumUserAnnotations << '\n';
+  OS << "summary " << Counts.Instances << ' ' << Counts.Connections << '\n';
   for (const std::string &M : LibraryModules)
     OS << "libmodule " << E.tok(M) << '\n';
   for (const Diagnostic &D : Diags) {
@@ -461,7 +465,7 @@ bool liberty::netlist::serializeNetlist(
     OS << ' ' << E.type(Conn->Annotation) << '\n';
   }
   OS << "end\n";
-  Out = E.finish("LSSNL 2", OS.str());
+  Out = E.finish(NetlistHeader, OS.str());
   return true;
 }
 
@@ -488,12 +492,12 @@ bool ArtifactReader::readHeader(std::string_view Header, std::string *Error) {
   return false;
 }
 
-bool ArtifactReader::readStrtab(std::vector<std::string> &Out) {
+bool ArtifactReader::readRawStrtab(std::vector<std::string_view> &Out) {
   ArtifactLineReader L;
   uint32_t N;
   if (!next(L) || L.size() != 2 || L.raw(0) != "strtab" || !L.u32(1, N))
     return false;
-  // Each table line is at least 3 bytes, so a count beyond the input size
+  // Each table line is at least 4 bytes, so a count beyond the input size
   // is malformed (and would otherwise let a fuzzed header force a huge
   // reserve).
   if (size_t(N) > Text.size())
@@ -501,11 +505,21 @@ bool ArtifactReader::readStrtab(std::vector<std::string> &Out) {
   Out.clear();
   Out.reserve(N);
   for (uint32_t I = 0; I != N; ++I) {
-    std::string Str;
-    if (!next(L) || L.size() != 2 || L.raw(0) != "s" || !L.escaped(1, Str))
+    if (!next(L) || L.size() != 2 || L.raw(0) != "s")
       return false;
-    Out.push_back(std::move(Str));
+    Out.push_back(L.raw(1));
   }
+  return true;
+}
+
+bool ArtifactReader::readStrtab(std::vector<std::string> &Out) {
+  std::vector<std::string_view> Raw;
+  if (!readRawStrtab(Raw))
+    return false;
+  Out.assign(Raw.size(), std::string());
+  for (size_t I = 0; I != Raw.size(); ++I)
+    if (!artifactUnescape(Raw[I], Out[I]))
+      return false;
   return true;
 }
 
@@ -534,6 +548,94 @@ bool liberty::netlist::artifactDecodeValue(const std::string &Text,
   return ValueReader(Text).read(Out);
 }
 
+namespace {
+
+/// The metadata prologue of an LSSNL body, as both readers take it.
+struct Prologue {
+  unsigned NumUserAnnotations = 0;
+  NetlistCounts Counts;
+  std::vector<Diagnostic> Diags;
+};
+
+} // namespace
+
+/// Reads the prologue records (see the format contract in Serializer.h)
+/// into \p P, decoding string slots of the line in \p L through \p Str.
+/// Library module names go to \p LibModules when it is non-null and are
+/// skipped otherwise. On success \p L holds the first line after the
+/// prologue, which is not empty.
+template <typename StrFn>
+static bool readPrologue(ArtifactReader &R, ArtifactLineReader &L,
+                         const StrFn &Str, Prologue &P,
+                         std::set<std::string> *LibModules) {
+  if (!R.next(L) || L.size() != 2 || L.raw(0) != "annotations" ||
+      !L.u32(1, P.NumUserAnnotations))
+    return false;
+  if (!R.next(L) || L.size() != 3 || L.raw(0) != "summary" ||
+      !L.u32(1, P.Counts.Instances) || !L.u32(2, P.Counts.Connections))
+    return false;
+  for (;;) {
+    if (!R.next(L) || L.size() == 0)
+      return false;
+    std::string_view Kind = L.raw(0);
+    if (Kind == "libmodule") {
+      if (L.size() != 2)
+        return false;
+      if (LibModules) {
+        std::string Name;
+        if (!Str(1, Name))
+          return false;
+        LibModules->insert(std::move(Name));
+      }
+    } else if (Kind == "diag") {
+      int64_t Level;
+      Diagnostic D;
+      if (L.size() != 5 || !L.i64(1, Level) || Level < 0 || Level > 1 ||
+          !L.loc(2, D.Loc) || !Str(4, D.Message))
+        return false;
+      D.Level = Level == 1 ? DiagLevel::Warning : DiagLevel::Note;
+      P.Diags.push_back(std::move(D));
+    } else {
+      return true;
+    }
+  }
+}
+
+bool liberty::netlist::readNetlistSummary(std::string_view Text,
+                                          NetlistSummary &Out,
+                                          std::string *Error) {
+  auto Fail = [&] {
+    if (Error && Error->empty())
+      *Error = "malformed";
+    return false;
+  };
+  if (Error)
+    Error->clear();
+  if (faultShouldFail("deserialize.netlist"))
+    return Fail(); // Injected stream failure: caller recompiles.
+
+  ArtifactReader R(Text);
+  std::vector<std::string_view> Strtab;
+  if (!R.readHeader(NetlistHeader, Error) || !R.readRawStrtab(Strtab))
+    return Fail();
+  ArtifactLineReader L;
+  auto Str = [&](size_t I, std::string &S) {
+    uint32_t Id;
+    return L.u32(I, Id) && Id < Strtab.size() &&
+           artifactUnescape(Strtab[Id], S);
+  };
+  Prologue P;
+  if (!readPrologue(R, L, Str, P, nullptr))
+    return Fail();
+  // The body is skipped, but the text must still close with its "end"
+  // line, so every truncation is rejected as the full reader rejects it.
+  if (L.isEnd() ? !R.atEnd() : !R.endsWithEndLine())
+    return Fail();
+  Out.Counts = P.Counts;
+  Out.Diags = std::move(P.Diags);
+  return true;
+}
+
 SerializedCompile
 liberty::netlist::deserializeNetlist(const std::string &Text,
                                      types::TypeContext &TC,
@@ -552,13 +654,18 @@ liberty::netlist::deserializeNetlist(const std::string &Text,
 
   ArtifactReader R(Text);
   std::vector<std::string> Strtab;
-  if (!R.readHeader("LSSNL 2", Error) || !R.readStrtab(Strtab))
+  if (!R.readHeader(NetlistHeader, Error) || !R.readStrtab(Strtab))
     return Fail();
 
   auto NL = std::make_unique<Netlist>();
   InstanceNode *Cur = NL->getRoot();
   ArtifactLineReader L;
   auto Str = [&](size_t I, std::string &Out) { return L.str(I, Strtab, Out); };
+  Prologue P;
+  if (!readPrologue(R, L, Str, P, &Result.LibraryModules))
+    return Fail();
+  Result.NumUserAnnotations = P.NumUserAnnotations;
+  Result.Diags = std::move(P.Diags);
   auto Val = [&](size_t I, Value &Out) {
     std::string Enc;
     return Str(I, Enc) && ValueReader(Enc).read(Out);
@@ -583,32 +690,15 @@ liberty::netlist::deserializeNetlist(const std::string &Text,
   };
   bool SawEnd = false;
 
-  while (R.next(L)) {
+  // readPrologue left the first body line in L.
+  do {
     if (L.size() == 0)
       return Fail();
     std::string_view Kind = L.raw(0);
 
-    if (Kind == "end") {
+    if (L.isEnd()) {
       SawEnd = true;
       break;
-    } else if (Kind == "annotations") {
-      int64_t N;
-      if (!L.i64(1, N) || N < 0 || L.size() != 2)
-        return Fail();
-      Result.NumUserAnnotations = unsigned(N);
-    } else if (Kind == "libmodule") {
-      std::string Name;
-      if (!Str(1, Name) || L.size() != 2)
-        return Fail();
-      Result.LibraryModules.insert(std::move(Name));
-    } else if (Kind == "diag") {
-      int64_t Level;
-      Diagnostic D;
-      if (L.size() != 5 || !L.i64(1, Level) || Level < 0 || Level > 1 ||
-          !L.loc(2, D.Loc) || !Str(4, D.Message))
-        return Fail();
-      D.Level = Level == 1 ? DiagLevel::Warning : DiagLevel::Note;
-      Result.Diags.push_back(std::move(D));
     } else if (Kind == "i") {
       int64_t ParentIdx, NTV;
       std::string Name, ModuleName, Behavior;
@@ -711,8 +801,11 @@ liberty::netlist::deserializeNetlist(const std::string &Text,
     } else {
       return Fail();
     }
-  }
-  if (!SawEnd)
+  } while (R.next(L));
+  // "end" is the last line, and the summary record counts what was built.
+  NetlistCounts Built = countInstancesAndConnections(*NL);
+  if (!SawEnd || !R.atEnd() || Built.Instances != P.Counts.Instances ||
+      Built.Connections != P.Counts.Connections)
     return Fail();
 
   Result.NL = std::move(NL);

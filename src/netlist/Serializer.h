@@ -9,11 +9,18 @@
 /// elaboration; a warm compile deserializes and skips parse + elaboration
 /// entirely.
 ///
-/// Format contract ("LSSNL 2", the only version written or read):
+/// Format contract ("LSSNL 3", the only version written or read):
 ///  - line oriented; every string is interned into a header string table
 ///    ("strtab N" then N "s <%XX-escaped>" lines, ids 0..N-1 in first-use
 ///    order) and referenced from records by decimal id, so repeated names,
 ///    type texts, and value encodings are stored once;
+///  - the body opens with the compile metadata, in a fixed order:
+///    "annotations N", the summary record "summary <instances>
+///    <connections>" (the two counts a compile verdict reports, see
+///    countInstancesAndConnections), then the "libmodule" and "diag"
+///    records; the netlist records follow, and "end" is the last line.
+///    readNetlistSummary reads only this prologue, so a warm daemon
+///    compile answers without rebuilding the netlist;
 ///  - instances appear in creation order and reference each other (and
 ///    connections reference instances) by dense InstanceNode::Id, so
 ///    reloading reproduces the original traversal order exactly — type
@@ -25,9 +32,10 @@
 ///    table order is a pure function of record order).
 ///
 /// The deserializer trusts nothing: every record is bounds- and
-/// shape-checked, and any malformed byte makes it return null (a cache
-/// miss) rather than crash — mutated entries are a fuzz target
-/// (fuzz_cache). Any other header is rejected the same way.
+/// shape-checked, the summary record must match the netlist the records
+/// build, and any malformed byte makes it return null (a cache miss)
+/// rather than crash — mutated entries are a fuzz target (fuzz_cache).
+/// Any other header is rejected the same way.
 ///
 /// This header also holds the reading and writing layer every
 /// line-oriented artifact (LSSNL, LSSSOL, LSSDEP) shares: %XX escaping,
@@ -75,7 +83,7 @@ struct SerializedCompile {
   std::vector<Diagnostic> Diags;
 };
 
-/// Renders \p NL (plus the compile metadata) as an LSSNL 2 artifact.
+/// Renders \p NL (plus the compile metadata) as an LSSNL 3 artifact.
 /// Returns false — leaving \p Out unspecified — if the netlist holds a
 /// value that cannot round-trip (elaboration-only instance/port
 /// references); such compiles simply are not cached.
@@ -85,12 +93,28 @@ bool serializeNetlist(const Netlist &NL,
                       const std::vector<Diagnostic> &Diags,
                       std::string &Out);
 
-/// Parses an LSSNL 2 artifact. Types are rebuilt in \p TC. Returns an
+/// Parses an LSSNL 3 artifact. Types are rebuilt in \p TC. Returns an
 /// empty result (null NL) on any malformed input; \p Error, when
 /// non-null, then receives the reason (see ArtifactReader::readHeader).
 SerializedCompile deserializeNetlist(const std::string &Text,
                                      types::TypeContext &TC,
                                      std::string *Error = nullptr);
+
+/// What a compile verdict needs from an LSSNL artifact: the summary
+/// record's counts and the replayed diagnostics.
+struct NetlistSummary {
+  NetlistCounts Counts;
+  std::vector<Diagnostic> Diags;
+};
+
+/// Reads the prologue of an LSSNL 3 artifact (header, string table,
+/// metadata records) and checks that the text ends with the "end" line,
+/// building no netlist and no type. Every artifact deserializeNetlist
+/// accepts is accepted here with the same counts and diagnostics; like
+/// it, this honours the "deserialize.netlist" fault site and reports the
+/// reason for a rejection in \p Error.
+bool readNetlistSummary(std::string_view Text, NetlistSummary &Out,
+                        std::string *Error = nullptr);
 
 /// Renders a compile-time data Value as one raw (pre-escape) token — the
 /// encoding LSSNL param records use. Returns false on elaboration-only
@@ -168,6 +192,8 @@ public:
     return str(I, Table, Out);
   }
   bool isDash(size_t I) const { return I < Fields.size() && Fields[I] == "-"; }
+  /// The line is exactly "end", the line that closes every artifact body.
+  bool isEnd() const { return Fields.size() == 1 && Fields[0] == "end"; }
 
   bool i64(size_t I, int64_t &Out) const {
     if (I >= Fields.size() || Fields[I].empty())
@@ -258,16 +284,36 @@ public:
 
   /// Consumes the "strtab N" line and its N "s <%XX-escaped>" lines.
   bool readStrtab(std::vector<std::string> &Out);
+  /// readStrtab without the decoding: \p Out gets each entry's escaped
+  /// token, a view into the text, for a reader that decodes only the few
+  /// entries it uses.
+  bool readRawStrtab(std::vector<std::string_view> &Out);
+
+  /// True once every line has been read.
+  bool atEnd() const { return Pos >= Text.size(); }
+  /// Whether the text's last line, which follows at least one other
+  /// line, is "end" (ArtifactLineReader::isEnd). A summary reader, which
+  /// stops before the body, checks this instead of reading to it.
+  bool endsWithEndLine() const {
+    if (Text.empty() || Text.back() != '\n')
+      return false;
+    std::string_view Lines = Text.substr(0, Text.size() - 1);
+    size_t LastStart = Lines.rfind('\n');
+    if (LastStart == std::string_view::npos)
+      return false;
+    ArtifactLineReader L;
+    L.split(Lines.substr(LastStart + 1));
+    return L.isEnd();
+  }
 
 private:
-  /// The next '\n'-terminated line (the terminator of the last line is
-  /// optional). Returns false at the end of the text.
+  /// The next line. Every line, the last included, ends in '\n': a text
+  /// cut just before its last newline is malformed. Returns false at the
+  /// end of the text and on an unterminated line.
   bool nextLine(std::string_view &Line) {
-    if (Pos >= Text.size())
-      return false;
     size_t E = Text.find('\n', Pos);
     if (E == std::string_view::npos)
-      E = Text.size();
+      return false;
     Line = Text.substr(Pos, E - Pos);
     Pos = E + 1;
     return true;

@@ -70,6 +70,16 @@ public:
       return;
     Diags.push_back({DiagLevel::Note, Loc, std::move(Message)});
   }
+  /// Re-reports recorded warnings and notes (a cache artifact's). Errors
+  /// are never recorded in artifacts; one found here is dropped.
+  void replay(const std::vector<Diagnostic> &Ds) {
+    for (const Diagnostic &D : Ds) {
+      if (D.Level == DiagLevel::Warning)
+        warning(D.Loc, D.Message);
+      else if (D.Level == DiagLevel::Note)
+        note(D.Loc, D.Message);
+    }
+  }
 
   bool hasErrors() const { return NumErrors != 0; }
   unsigned getNumErrors() const { return NumErrors; }

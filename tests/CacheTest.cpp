@@ -10,8 +10,10 @@
 ///    the decoder rejects counting as misses, and the rule that failing
 ///    compiles are never cached;
 ///  - batch compiles: input-order results and determinism under threads;
-///  - the LSSNL/LSSSOL serializers: reload fixpoint and the byte-stability
-///    of the solution artifact across serial and parallel inference.
+///  - the LSSNL/LSSSOL serializers: reload fixpoint, the byte-stability
+///    of the solution artifact across serial and parallel inference, the
+///    summary readers agreeing with the full ones, and every truncation
+///    rejected by both.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,6 +106,7 @@ TEST(InvocationKeys, SourceTextChangesEveryKey) {
   B.Sources[0].Text += "\ninstance extra:sink;\n";
   EXPECT_NE(A.elabKey(), B.elabKey());
   EXPECT_NE(A.solveKey(), B.solveKey());
+  EXPECT_EQ(B.solveKey(B.elabKey()), B.solveKey());
 }
 
 TEST(InvocationKeys, SourceNameIsExcluded) {
@@ -363,7 +366,7 @@ TEST(CacheService, UndecodablePayloadIsAMissWithAReason) {
       R.C->getNumUserTypeAnnotations(), {}, Bytes));
   EXPECT_EQ(Bytes, ColdBytes);
   EXPECT_NE(R.C->diagnosticsText().find(
-                "unsupported format 'LSSNL 1' (expected 'LSSNL 2')"),
+                "unsupported format 'LSSNL 1' (expected 'LSSNL 3')"),
             std::string::npos)
       << R.C->diagnosticsText();
   driver::CacheStats S = Svc.getCache().getStats();
@@ -998,6 +1001,112 @@ TEST(Serializer, EmptyStringTokensRoundTrip) {
   EXPECT_EQ(Out, "");
   ASSERT_TRUE(netlist::artifactUnescape(netlist::artifactEscape("%_"), Out));
   EXPECT_EQ(Out, "%_");
+}
+
+/// Warnings from both phases, located in the core library and in the
+/// user source.
+const char *kWarningSpec = R"(
+instance f:fanout;
+instance s:sink;
+f.out -> s.in;
+instance k:const_source;
+instance t:sink;
+k.out -> t.in;
+k.value = 1;
+k.value = 2;
+)";
+
+/// The "elab" and "solve" payloads a service compile of \p Spec stores.
+static void storedArtifacts(const char *Spec, std::string &Lssnl,
+                            std::string &Lsssol) {
+  driver::CompileService Svc;
+  driver::CompilerInvocation Inv = chainInvocation(Spec);
+  ASSERT_TRUE(Svc.compile(Inv).Success);
+  ASSERT_TRUE(Svc.getCache().get(
+      driver::CompilerInvocation::keyString(Inv.elabKey()), "elab", Lssnl));
+  ASSERT_TRUE(Svc.getCache().get(
+      driver::CompilerInvocation::keyString(Inv.solveKey()), "solve",
+      Lsssol));
+}
+
+static void expectSameDiags(const std::vector<Diagnostic> &A,
+                            const std::vector<Diagnostic> &B) {
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t I = 0; I != A.size(); ++I) {
+    EXPECT_EQ(A[I].Level, B[I].Level);
+    EXPECT_TRUE(A[I].Loc == B[I].Loc);
+    EXPECT_EQ(A[I].Message, B[I].Message);
+  }
+}
+
+TEST(Serializer, SummariesMatchTheFullReaders) {
+  std::string Lssnl, Lsssol;
+  storedArtifacts(kWarningSpec, Lssnl, Lsssol);
+
+  types::TypeContext TC;
+  netlist::SerializedCompile SC = netlist::deserializeNetlist(Lssnl, TC);
+  ASSERT_NE(SC.NL, nullptr);
+  netlist::NetlistSummary NS;
+  ASSERT_TRUE(netlist::readNetlistSummary(Lssnl, NS));
+  netlist::NetlistCounts Built = netlist::countInstancesAndConnections(*SC.NL);
+  EXPECT_EQ(NS.Counts.Instances, Built.Instances);
+  EXPECT_EQ(NS.Counts.Connections, Built.Connections);
+  EXPECT_EQ(NS.Counts.Instances, 4u);
+  EXPECT_EQ(NS.Diags.size(), 1u);
+  expectSameDiags(NS.Diags, SC.Diags);
+
+  infer::NetlistInferenceStats Stats;
+  std::vector<Diagnostic> Diags;
+  ASSERT_TRUE(infer::importSolution(Lsssol, *SC.NL, TC, Stats, Diags));
+  infer::SolutionSummary SS;
+  ASSERT_TRUE(infer::readSolutionSummary(Lsssol, SS));
+  EXPECT_EQ(SS.Solve.Success, Stats.Solve.Success);
+  EXPECT_EQ(SS.Solve.NumUnsolved, Stats.Solve.NumUnsolved);
+  EXPECT_EQ(SS.Solve.UnifySteps, Stats.Solve.UnifySteps);
+  EXPECT_EQ(SS.Diags.size(), 2u);
+  expectSameDiags(SS.Diags, Diags);
+
+  // A summary record that disagrees with the netlist is not an artifact.
+  std::string Lying = Lssnl;
+  size_t At = Lying.find("\nsummary 4 ");
+  ASSERT_NE(At, std::string::npos);
+  Lying[At + 9] = '5';
+  types::TypeContext TC2;
+  EXPECT_EQ(netlist::deserializeNetlist(Lying, TC2).NL, nullptr);
+}
+
+TEST(Serializer, NetlistArtifactRejectsEveryTruncation) {
+  std::string Lssnl, Lsssol;
+  storedArtifacts(kWarningSpec, Lssnl, Lsssol);
+  netlist::NetlistSummary NS;
+  for (size_t N = 0; N != Lssnl.size(); ++N) {
+    std::string Cut = Lssnl.substr(0, N);
+    types::TypeContext TC;
+    EXPECT_EQ(netlist::deserializeNetlist(Cut, TC).NL, nullptr)
+        << "accepted the first " << N << " of " << Lssnl.size() << " bytes";
+    EXPECT_FALSE(netlist::readNetlistSummary(Cut, NS))
+        << "summary accepted the first " << N << " of " << Lssnl.size()
+        << " bytes";
+  }
+}
+
+TEST(Serializer, SolutionArtifactRejectsEveryTruncation) {
+  std::string Lssnl, Lsssol;
+  storedArtifacts(kWarningSpec, Lssnl, Lsssol);
+  types::TypeContext TC;
+  netlist::SerializedCompile SC = netlist::deserializeNetlist(Lssnl, TC);
+  ASSERT_NE(SC.NL, nullptr);
+  infer::NetlistInferenceStats Stats;
+  std::vector<Diagnostic> Diags;
+  infer::SolutionSummary SS;
+  for (size_t N = 0; N != Lsssol.size(); ++N) {
+    std::string Cut = Lsssol.substr(0, N);
+    EXPECT_FALSE(infer::importSolution(Cut, *SC.NL, TC, Stats, Diags))
+        << "accepted the first " << N << " of " << Lsssol.size() << " bytes";
+    EXPECT_FALSE(infer::readSolutionSummary(Cut, SS))
+        << "summary accepted the first " << N << " of " << Lsssol.size()
+        << " bytes";
+  }
 }
 
 TEST(Serializer, SolutionBytesAreThreadCountInvariant) {

@@ -250,6 +250,47 @@ bp.pred -> s.in;
   EXPECT_TRUE(Sim->peekPort("bp", "pred", 0)->getBool());
 }
 
+TEST(Corelib2, BranchPredictorResetForgetsPredictions) {
+  // Branches resolve 100 cycles before they are predicted (resolve_pc
+  // starts ahead of pc), so a fresh run finds no prediction to compare
+  // against. After a reset the previous run's predictions must be gone
+  // too: run, reset and run again counts what a fresh simulator counts.
+  const std::string Src = R"(
+instance pc:counter_source;
+pc.stride = 4;
+instance rpc:counter_source;
+rpc.start = 400;
+rpc.stride = 4;
+instance tk:bool_source;
+tk.pattern = "random";
+instance bp:branch_pred;
+bp.entries = 16;
+instance s:sink;
+pc.out -> bp.pc;
+rpc.out -> bp.resolve_pc;
+tk.out -> bp.resolve_taken;
+bp.pred -> s.in;
+)";
+  auto Fresh = compile(Src);
+  ASSERT_NE(Fresh, nullptr);
+  sim::Instrumentation &FreshInstr = Fresh->getSimulator()->getInstrumentation();
+  uint64_t &FreshLookups = FreshInstr.attachCounter("bp", "lookup");
+  uint64_t &FreshMispredicts = FreshInstr.attachCounter("bp", "mispredict");
+  Fresh->getSimulator()->step(200);
+
+  auto Again = compile(Src);
+  ASSERT_NE(Again, nullptr);
+  auto *Sim = Again->getSimulator();
+  Sim->step(200);
+  uint64_t &Lookups = Sim->getInstrumentation().attachCounter("bp", "lookup");
+  uint64_t &Mispredicts =
+      Sim->getInstrumentation().attachCounter("bp", "mispredict");
+  Sim->reset();
+  Sim->step(200);
+  EXPECT_EQ(Lookups, FreshLookups);
+  EXPECT_EQ(Mispredicts, FreshMispredicts);
+}
+
 TEST(Corelib2, FetchOpMixRespectsFractions) {
   auto C = compile(R"(
 instance f:fetch;

@@ -26,6 +26,7 @@
 #include "driver/CompileClient.h"
 #include "driver/DaemonServer.h"
 #include "driver/Stats.h"
+#include "models/Models.h"
 #include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
@@ -391,6 +392,135 @@ TEST(Daemon, BatchRoundTrip) {
   ASSERT_TRUE(Client.stats(S, &Err)) << Err;
   EXPECT_EQ(S.getU64("batch_requests"), 1u);
   EXPECT_EQ(S.getU64("compile_requests"), 3u);
+}
+
+/// A small overload project: adder chains whose (int | float) overloads
+/// only connectivity settles, plus a struct disjunct over free variables
+/// that the solver must search (the overload-farm benchmark's lane shape).
+std::string overloadSpec(unsigned Lanes, unsigned Depth) {
+  std::ostringstream OS;
+  for (unsigned L = 0; L != Lanes; ++L) {
+    OS << "module lane" << L << " {\n"
+       << "  instance a0:adder;\n  instance a1:adder;\n  instance k:sink;\n"
+       << "  a0.out -> a1.in1;\n  a1.out -> k.in;\n";
+    for (unsigned J = 0; J != Depth; ++J)
+      OS << "  constrain 'u" << J << " : (float | int);\n";
+    OS << "  constrain 'w : struct{";
+    for (unsigned J = 0; J != Depth; ++J)
+      OS << "f" << J << ":'u" << J << "; ";
+    OS << "g:'gv};\n  constrain 'w : (struct{";
+    for (unsigned J = 0; J != Depth; ++J)
+      OS << "f" << J << ":int; ";
+    OS << "g:int} | struct{";
+    for (unsigned J = 0; J != Depth; ++J)
+      OS << "f" << J << ":int; ";
+    OS << "g:float});\n};\ninstance m" << L << ":lane" << L << ";\n";
+  }
+  return OS.str();
+}
+
+/// Warnings from both cached phases, located in the core library and in
+/// the user source: a parameter assigned twice (elaboration) and two
+/// unconstrained polymorphic ports (inference).
+const char *kWarningSpec = R"(
+instance f:fanout;
+instance s:sink;
+f.out -> s.in;
+instance k:const_source;
+instance t:sink;
+k.out -> t.in;
+k.value = 1;
+k.value = 2;
+)";
+
+/// lssd answers a warm `compile` from the artifacts' summary records; the
+/// reply must be exactly what an in-process compile() reports, and the
+/// cache must see the same lookups and stores on both paths.
+TEST(Daemon, WarmRepliesMatchInProcessVerdicts) {
+  std::vector<CompilerInvocation> Invs;
+  for (const std::string &Id : models::modelIds()) {
+    CompilerInvocation Inv;
+    Inv.BuildSim = false;
+    ASSERT_TRUE(Inv.addFile(models::uarchLssPath()) &&
+                Inv.addFile(models::modelLssPath(Id)));
+    Invs.push_back(Inv);
+  }
+  Invs.push_back(sourceInvocation("chain.lss", delayChainSpec(300)));
+  Invs.push_back(sourceInvocation("overload.lss", overloadSpec(3, 4)));
+  Invs.push_back(sourceInvocation("warn.lss", kWarningSpec));
+  Invs.push_back(sourceInvocation("bad.lss", "instance %%% nope"));
+  // Same netlist, other solver heuristics: the "elab" entry hits and the
+  // "solve" entry misses.
+  CompilerInvocation NoReorder = Invs[2];
+  NoReorder.Solve.ReorderSimpleFirst = false;
+
+  auto Expect = [](const CompileVerdict &Want, const CompileVerdict &Got,
+                   const std::string &What) {
+    SCOPED_TRACE(What);
+    EXPECT_EQ(Got.Success, Want.Success);
+    EXPECT_EQ(Got.FailedPhase, Want.FailedPhase);
+    EXPECT_EQ(Got.ExitCode, Want.ExitCode);
+    EXPECT_EQ(Got.ElabFromCache, Want.ElabFromCache);
+    EXPECT_EQ(Got.SolutionFromCache, Want.SolutionFromCache);
+    EXPECT_EQ(Got.Degraded, Want.Degraded);
+    EXPECT_EQ(Got.GroupsUnsolved, Want.GroupsUnsolved);
+    EXPECT_EQ(Got.Diagnostics, Want.Diagnostics);
+    EXPECT_EQ(Got.Instances, Want.Instances);
+    EXPECT_EQ(Got.Connections, Want.Connections);
+    EXPECT_EQ(Got.IncrementalAttempted, Want.IncrementalAttempted);
+  };
+
+  for (bool Disk : {false, true}) {
+    SCOPED_TRACE(Disk ? "with --cache-dir" : "memory only");
+    TempArea T(Disk ? "verdict_disk" : "verdict_mem");
+    DaemonServer::Options O = serverOptions(T);
+    O.Workers = 1;
+    CompileService::Options RefOpts;
+    if (Disk)
+      RefOpts.Cache.DiskDir = T.Dir + "/ref-cache";
+    else
+      O.Service.Cache.DiskDir.clear();
+    DaemonServer Server(O);
+    std::string Err;
+    ASSERT_TRUE(Server.start(&Err)) << Err;
+    CompileClient Client(T.sock());
+    ASSERT_TRUE(Client.connect(&Err)) << Err;
+    CompileService Ref(RefOpts);
+
+    // Cold, then two warm repeats of every input, one of them in a batch.
+    for (int Round = 0; Round != 3; ++Round) {
+      for (size_t I = 0; I != Invs.size(); ++I) {
+        std::string What = "input " + std::to_string(I) + " round " +
+                           std::to_string(Round);
+        CompileClient::Result Got = Client.compile(Invs[I]);
+        ASSERT_TRUE(Got.Error.empty()) << Got.Error;
+        Expect(CompileVerdict::of(Ref.compile(Invs[I])), Got, What);
+      }
+      CompileClient::Result Got = Client.compile(NoReorder);
+      ASSERT_TRUE(Got.Error.empty()) << Got.Error;
+      Expect(CompileVerdict::of(Ref.compile(NoReorder)), Got, "no-reorder");
+    }
+    std::vector<CompileClient::Result> Batch = Client.compileBatch(Invs);
+    ASSERT_EQ(Batch.size(), Invs.size());
+    for (size_t I = 0; I != Invs.size(); ++I) {
+      ASSERT_TRUE(Batch[I].Error.empty()) << Batch[I].Error;
+      Expect(CompileVerdict::of(Ref.compile(Invs[I])), Batch[I],
+             "batch input " + std::to_string(I));
+    }
+
+    CacheStats A = Server.getStats().Cache, B = Ref.getCache().getStats();
+    EXPECT_EQ(A.Hits, B.Hits);
+    EXPECT_EQ(A.Misses, B.Misses);
+    EXPECT_EQ(A.MemoryHits, B.MemoryHits);
+    EXPECT_EQ(A.DiskHits, B.DiskHits);
+    EXPECT_EQ(A.Stores, B.Stores);
+    EXPECT_EQ(A.Evictions, B.Evictions);
+    EXPECT_EQ(A.Corrupt, B.Corrupt);
+    EXPECT_EQ(A.BytesInMemory, B.BytesInMemory);
+    EXPECT_EQ(A.BytesInProbation, B.BytesInProbation);
+    EXPECT_EQ(A.DiskWriteFailures, B.DiskWriteFailures);
+    EXPECT_GT(A.Hits, 0u);
+  }
 }
 
 TEST(Daemon, ConcurrentClientsShareOneColdCompile) {

@@ -5,7 +5,7 @@
 ///  - Netlist::freezeIds(): creation-order instance ids, contiguous
 ///    port-node numbering, PortRef::PortIdx resolution, idempotence;
 ///  - one format per artifact kind: loaders reject every header but
-///    "LSSNL 2" / "LSSSOL 3" as a miss, without crashing;
+///    "LSSNL 3" / "LSSSOL 3" as a miss, without crashing;
 ///  - byte stability: a reload reserializes to the same bytes, and the
 ///    LSSNL and LSSSOL writers are pinned literally for tiny fixed inputs
 ///    so accidental table-order or record-syntax changes are caught here,
@@ -197,14 +197,14 @@ TEST(ArtifactFormats, OtherVersionsAreRejected) {
   std::set<std::string> Lib;
   std::string Lssnl;
   ASSERT_TRUE(serializeNetlist(NL, Lib, 0, {}, Lssnl));
-  for (const char *Header : {"LSSNL 1", "LSSNL 3"}) {
+  for (const char *Header : {"LSSNL 2", "LSSNL 4"}) {
     types::TypeContext LoadTC;
     std::string Error;
     SerializedCompile SC =
         deserializeNetlist(withHeader(Lssnl, Header), LoadTC, &Error);
     EXPECT_EQ(SC.NL, nullptr) << Header;
     EXPECT_EQ(Error, std::string("unsupported format '") + Header +
-                         "' (expected 'LSSNL 2')");
+                         "' (expected 'LSSNL 3')");
   }
 
   SolvedDesign D;
@@ -253,11 +253,11 @@ TEST(LssnlFormats, RoundTripIsByteStable) {
   EXPECT_EQ(First, Second);
 }
 
-/// Literal pin of the v2 header and string table for a tiny fixed design:
-/// first-use order, "s <escaped>" lines, short record keywords. If this
-/// fails without a deliberate format-version bump, cached artifacts from
-/// the previous build would hash differently.
-TEST(LssnlFormats, V2StringTableBytesArePinned) {
+/// Literal pin of the v3 header, string table and summary record for a
+/// tiny fixed design: first-use order, "s <escaped>" lines, short record
+/// keywords. If this fails without a deliberate format-version bump,
+/// cached artifacts from the previous build would hash differently.
+TEST(LssnlFormats, V3StringTableBytesArePinned) {
   types::TypeContext TC;
   Netlist NL;
   InstanceNode *U = NL.createInstance(NL.getRoot(), "u", nullptr, SourceLoc());
@@ -270,13 +270,14 @@ TEST(LssnlFormats, V2StringTableBytesArePinned) {
   std::vector<Diagnostic> NoDiags;
   std::string Out;
   ASSERT_TRUE(serializeNetlist(NL, Lib, 0, NoDiags, Out));
-  EXPECT_EQ(Out, "LSSNL 2\n"
+  EXPECT_EQ(Out, "LSSNL 3\n"
                  "strtab 4\n"
                  "s u\n"
                  "s %_\n"
                  "s clk\n"
                  "s v\n"
                  "annotations 0\n"
+                 "summary 0 0\n"
                  "i 0 0 1 - 0 0 0\n"
                  "p 2 0 1 0 0 0 - -\n"
                  "i 0 3 1 - 0 0 0\n"

@@ -20,6 +20,9 @@
 #   6. every `bench_<name>` named in README.md or docs/*.md is a bench
 #      target (or a bench ctest entry) in bench/CMakeLists.txt, so the
 #      docs cannot point at a deleted bench.
+#   7. every artifact format version (`LSSNL N`, `LSSSOL N`, `LSSDEP N`)
+#      named in README.md or docs/*.md is the one its writer emits, so a
+#      format bump cannot leave a doc describing the old layout.
 #
 # Exits non-zero with one line per violation.
 
@@ -166,6 +169,36 @@ for Name in $(cat README.md docs/*.md |
   if ! echo "$BENCH_NAMES" | grep -qx "$Name"; then
     fail "docs name '$Name', which is not a bench in $BENCH_CMAKE"
   fi
+done
+
+# 7. Artifact versions in the docs are the ones the writers emit. Each
+# writer source must name exactly one version of its format; the only
+# other version a doc may name is the quoted example of a rejected older
+# entry in API.md ("unsupported format 'LSSNL 1' ...").
+for Pair in LSSNL:src/netlist/Serializer.cpp LSSSOL:src/infer/Solution.cpp \
+            LSSDEP:src/driver/DepGraph.cpp; do
+  Magic=${Pair%%:*}
+  Writer=${Pair#*:}
+  Emitted=$(grep -oE "\"$Magic [0-9]+" "$Writer" | sed "s/^\"$Magic //" |
+            sort -u)
+  case "$Emitted" in
+  ''|*[!0-9]*)
+    fail "$Writer does not name exactly one $Magic version ('$Emitted')"
+    continue ;;
+  esac
+  for Doc in README.md docs/*.md; do
+    [ -f "$Doc" ] || continue
+    if [ "$Doc" = docs/API.md ]; then
+      Text=$(sed "s/unsupported format '$Magic [0-9]*'//g" "$Doc")
+    else
+      Text=$(cat "$Doc")
+    fi
+    for V in $(echo "$Text" | grep -oE "$Magic [0-9]+" | sed "s/^$Magic //" |
+               sort -u); do
+      [ "$V" = "$Emitted" ] ||
+        fail "$Doc names $Magic $V, but $Writer writes $Magic $Emitted"
+    done
+  done
 done
 
 if [ "$FAILURES" -ne 0 ]; then
