@@ -27,7 +27,7 @@ bool CompileClient::connect(std::string *Err) {
       *Err = "connect to '" + Address + "': injected fault";
     return false;
   }
-  Fd = netConnect(Address, Err, Policy.ConnectTimeoutMs);
+  Fd = netConnect(Address, Err);
   if (Fd < 0)
     return false;
 

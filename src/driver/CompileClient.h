@@ -41,7 +41,6 @@ public:
     unsigned MaxAttempts = 5;   ///< Total tries (first attempt included).
     uint64_t BaseBackoffMs = 20; ///< Exponential base; doubled per retry.
     uint64_t MaxBackoffMs = 1000; ///< Backoff clamp.
-    uint64_t ConnectTimeoutMs = 2000; ///< connect() bound (0 = block).
     uint64_t ReadTimeoutMs = 0; ///< Reply deadline per round trip (0 = none).
     /// Consecutive transport failures before the circuit breaker opens.
     /// An open breaker fails every further request instantly so the

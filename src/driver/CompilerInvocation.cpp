@@ -3,7 +3,6 @@
 #include "driver/CompilerInvocation.h"
 
 #include "corelib/CoreLib.h"
-#include "driver/DepGraph.h"
 #include "support/Hash.h"
 #include "support/SourceMgr.h"
 
@@ -38,8 +37,9 @@ void CompilerInvocation::registerBuffers(SourceMgr &SM) const {
 /// v2: elabKey became a Merkle fold over per-module spans, LSSSOL gained
 /// v3 records, and serialized type variables are renamed to first-use
 /// ordinals. v3: LSSNL 3 (the summary record), and the core library
-/// enters elabKey as its hash.
-static constexpr uint64_t CacheFormatVersion = 3;
+/// enters elabKey as its hash. v4: each source text enters elabKey as one
+/// flat hash instead of a fold over its module spans.
+static constexpr uint64_t CacheFormatVersion = 4;
 
 /// The core library text is a build-time constant, so it is hashed once
 /// per process rather than once per key.
@@ -59,13 +59,11 @@ uint64_t CompilerInvocation::elabKey() const {
   if (UseCoreLibrary)
     H.num(coreLibraryHash());
   H.field("sources", Sources.size());
-  // Names excluded: content-addressed (see header). Each text enters as a
-  // Merkle fold over its top-level module spans (driver/DepGraph), so this
-  // key is a root over the per-module content hashes the incremental
-  // driver diffs — equal texts fold equal, and any byte change reaches the
-  // root through a module span or residual slice.
+  // Names excluded: content-addressed (see header). Each text is hashed
+  // once, whole: the incremental driver rescans and rehashes module spans
+  // itself, so the key needs no per-module structure.
   for (const Source &S : Sources)
-    H.num(foldSourceKey(S.Text));
+    H.str(S.Text);
   H.field("elab.maxsteps", Elab.MaxSteps);
   H.field("elab.maxinstances", Elab.MaxInstances);
   return H.get();

@@ -86,11 +86,6 @@ public:
   void registerBuffers(SourceMgr &SM) const;
 
   /// Key of the elaborated-netlist artifact. See the contract above.
-  /// Since format v2 this is a Merkle root over per-module content hashes
-  /// (driver/DepGraph): each source text enters as a fold of its top-level
-  /// module spans plus the residual text, so the key the incremental
-  /// driver diffs against is derived from the same per-module hashes it
-  /// stores in the dependency artifact.
   uint64_t elabKey() const;
   /// Key of the dependency-graph artifact (LSSDEP, docs/INCREMENTAL.md).
   /// Content-INDEPENDENT by design: hashes the source *names* (plus the

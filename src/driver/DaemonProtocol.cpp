@@ -5,12 +5,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -188,199 +185,66 @@ bool liberty::driver::writeMessage(int Fd, const Json &Msg) {
 // Socket helpers
 //===----------------------------------------------------------------------===//
 
-bool liberty::driver::isUnixAddress(const std::string &Address) {
-  if (Address.find('/') != std::string::npos)
-    return true;
-  return Address.size() > 5 &&
-         Address.compare(Address.size() - 5, 5, ".sock") == 0;
-}
-
 namespace {
-
-bool parsePort(const std::string &Address, uint16_t &Port, std::string *Err) {
-  if (Address.empty() ||
-      Address.find_first_not_of("0123456789") != std::string::npos) {
-    if (Err)
-      *Err = "invalid address '" + Address +
-             "' (expected a Unix socket path or a localhost TCP port)";
-    return false;
-  }
-  unsigned long V = std::strtoul(Address.c_str(), nullptr, 10);
-  if (V > 65535) {
-    if (Err)
-      *Err = "TCP port " + Address + " out of range";
-    return false;
-  }
-  Port = uint16_t(V);
-  return true;
-}
-
-void fillUnixAddr(const std::string &Path, sockaddr_un &SA, bool &Ok,
-                  std::string *Err) {
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(SA.sun_path)) {
-    Ok = false;
-    if (Err)
-      *Err = "Unix socket path too long: '" + Path + "'";
-    return;
-  }
-  std::memcpy(SA.sun_path, Path.c_str(), Path.size() + 1);
-  Ok = true;
-}
 
 std::string errnoString(const char *What) {
   return std::string(What) + ": " + std::strerror(errno);
 }
 
-/// connect() with an optional wall-clock bound: non-blocking connect,
-/// poll for writability, then SO_ERROR tells the truth. The fd is
-/// returned to blocking mode on success. TimeoutMs of 0 blocks.
-bool connectWithTimeout(int Fd, const sockaddr *SA, socklen_t Len,
-                        uint64_t TimeoutMs, std::string *Err,
-                        const std::string &Where) {
-  if (TimeoutMs == 0) {
-    if (::connect(Fd, SA, Len) < 0) {
-      if (Err)
-        *Err = errnoString("connect") + " to " + Where;
-      return false;
-    }
-    return true;
-  }
-  int Flags = ::fcntl(Fd, F_GETFL, 0);
-  ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
-  int RC = ::connect(Fd, SA, Len);
-  if (RC < 0 && errno != EINPROGRESS) {
+/// Opens a Unix-domain stream socket and fills \p SA with the socket path
+/// \p Path. Returns the fd, or -1 with \p Err filled (including when the
+/// path does not fit in sun_path).
+int openUnixSocket(const std::string &Path, sockaddr_un &SA,
+                   std::string *Err) {
+  std::memset(&SA, 0, sizeof(SA));
+  SA.sun_family = AF_UNIX;
+  if (Path.size() >= sizeof(SA.sun_path)) {
     if (Err)
-      *Err = errnoString("connect") + " to " + Where;
-    return false;
+      *Err = "Unix socket path too long: '" + Path + "'";
+    return -1;
   }
-  if (RC < 0) {
-    pollfd PFd = {Fd, POLLOUT, 0};
-    int PR;
-    do {
-      PR = ::poll(&PFd, 1, int(std::min<uint64_t>(TimeoutMs, 60000)));
-    } while (PR < 0 && errno == EINTR);
-    if (PR <= 0) {
-      if (Err)
-        *Err = "connect to " + Where + ": timed out after " +
-               std::to_string(TimeoutMs) + " ms";
-      return false;
-    }
-    int SoErr = 0;
-    socklen_t SoLen = sizeof(SoErr);
-    ::getsockopt(Fd, SOL_SOCKET, SO_ERROR, &SoErr, &SoLen);
-    if (SoErr != 0) {
-      if (Err)
-        *Err = "connect to " + Where + ": " + std::strerror(SoErr);
-      return false;
-    }
-  }
-  ::fcntl(Fd, F_SETFL, Flags);
-  return true;
+  std::memcpy(SA.sun_path, Path.c_str(), Path.size() + 1);
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0 && Err)
+    *Err = errnoString("socket");
+  return Fd;
 }
 
 } // namespace
 
-int liberty::driver::netListen(const std::string &Address, int *BoundPort,
-                               std::string *Err) {
-  if (isUnixAddress(Address)) {
-    sockaddr_un SA;
-    bool Ok = false;
-    fillUnixAddr(Address, SA, Ok, Err);
-    if (!Ok)
-      return -1;
-    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (Fd < 0) {
-      if (Err)
-        *Err = errnoString("socket");
-      return -1;
-    }
-    ::unlink(Address.c_str()); // Stale socket from a crashed daemon.
-    if (::bind(Fd, reinterpret_cast<sockaddr *>(&SA), sizeof(SA)) < 0 ||
-        ::listen(Fd, 64) < 0) {
-      if (Err)
-        *Err = errnoString("bind/listen") + " on '" + Address + "'";
-      ::close(Fd);
-      return -1;
-    }
-    if (BoundPort)
-      *BoundPort = -1;
-    return Fd;
-  }
-
-  uint16_t Port = 0;
-  if (!parsePort(Address, Port, Err))
+int liberty::driver::netListen(const std::string &Address, std::string *Err) {
+  sockaddr_un SA;
+  int Fd = openUnixSocket(Address, SA, Err);
+  if (Fd < 0)
     return -1;
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    if (Err)
-      *Err = errnoString("socket");
-    return -1;
-  }
-  int One = 1;
-  ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-  sockaddr_in SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sin_family = AF_INET;
-  SA.sin_addr.s_addr = htonl(INADDR_LOOPBACK); // Localhost only, by design.
-  SA.sin_port = htons(Port);
+  ::unlink(Address.c_str()); // Stale socket from a crashed daemon.
   if (::bind(Fd, reinterpret_cast<sockaddr *>(&SA), sizeof(SA)) < 0 ||
       ::listen(Fd, 64) < 0) {
     if (Err)
-      *Err = errnoString("bind/listen") + " on localhost:" + Address;
+      *Err = errnoString("bind/listen") + " on '" + Address + "'";
     ::close(Fd);
     return -1;
-  }
-  if (BoundPort) {
-    socklen_t Len = sizeof(SA);
-    *BoundPort = ::getsockname(Fd, reinterpret_cast<sockaddr *>(&SA), &Len) == 0
-                     ? ntohs(SA.sin_port)
-                     : int(Port);
   }
   return Fd;
 }
 
-int liberty::driver::netConnect(const std::string &Address, std::string *Err,
-                                uint64_t TimeoutMs) {
-  if (isUnixAddress(Address)) {
-    sockaddr_un SA;
-    bool Ok = false;
-    fillUnixAddr(Address, SA, Ok, Err);
-    if (!Ok)
-      return -1;
-    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (Fd < 0) {
-      if (Err)
-        *Err = errnoString("socket");
-      return -1;
-    }
-    if (!connectWithTimeout(Fd, reinterpret_cast<sockaddr *>(&SA), sizeof(SA),
-                            TimeoutMs, Err, "'" + Address + "'")) {
-      ::close(Fd);
-      return -1;
-    }
-    return Fd;
-  }
-
-  uint16_t Port = 0;
-  if (!parsePort(Address, Port, Err))
+int liberty::driver::netConnect(const std::string &Address, std::string *Err) {
+  sockaddr_un SA;
+  int Fd = openUnixSocket(Address, SA, Err);
+  if (Fd < 0)
     return -1;
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0) {
+  // Connect non-blocking: a Unix-domain connect completes at once or fails
+  // (EAGAIN when the listener's backlog is full), so a saturated daemon
+  // fails fast into the caller's retry loop instead of stalling it. The fd
+  // is returned to blocking mode for frame I/O.
+  int Flags = ::fcntl(Fd, F_GETFL, 0);
+  ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&SA), sizeof(SA)) < 0) {
     if (Err)
-      *Err = errnoString("socket");
-    return -1;
-  }
-  sockaddr_in SA;
-  std::memset(&SA, 0, sizeof(SA));
-  SA.sin_family = AF_INET;
-  SA.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  SA.sin_port = htons(Port);
-  if (!connectWithTimeout(Fd, reinterpret_cast<sockaddr *>(&SA), sizeof(SA),
-                          TimeoutMs, Err, "localhost:" + Address)) {
+      *Err = errnoString("connect") + " to '" + Address + "'";
     ::close(Fd);
     return -1;
   }
+  ::fcntl(Fd, F_SETFL, Flags);
   return Fd;
 }

@@ -5,7 +5,7 @@
 /// version, the canonical message-type and error-code registries, the
 /// driver::Json value every message is built from (driver/Json.h),
 /// length-prefixed frame I/O, and the socket helpers that turn an address
-/// string into a connected or listening file descriptor.
+/// path into a connected or listening file descriptor.
 ///
 /// ## Framing
 ///
@@ -18,11 +18,9 @@
 ///
 /// ## Addresses
 ///
-/// An address string is either a Unix-domain socket path (anything
-/// containing '/' or ending in ".sock") or a localhost TCP port number
-/// ("7777"; "0" binds an ephemeral port the server reports). Remote TCP is
-/// deliberately not supported: the daemon trusts its clients (they share a
-/// cache directory), so the transport stays on-machine.
+/// An address string is a Unix-domain socket path. The daemon trusts its
+/// clients (they share a cache directory), so the transport stays
+/// on-machine and no network transport is offered.
 ///
 /// The full message schemas live in docs/DAEMON.md. The registries below
 /// are the source of truth check_docs.sh lints that document against: a
@@ -127,21 +125,15 @@ bool writeMessage(int Fd, const Json &Msg);
 // Socket helpers
 //===----------------------------------------------------------------------===//
 
-/// True if \p Address names a Unix-domain socket path (contains '/' or
-/// ends with ".sock") rather than a localhost TCP port.
-bool isUnixAddress(const std::string &Address);
+/// Creates a listening socket on the Unix-domain socket path \p Address.
+/// Returns the fd, or -1 with \p Err filled. The path is unlinked first:
+/// a daemon restarting over a stale socket file must not fail to bind.
+int netListen(const std::string &Address, std::string *Err);
 
-/// Creates a listening socket for \p Address (see the address grammar at
-/// the top of this file). On success returns the fd and, for TCP, stores
-/// the bound port in \p BoundPort (useful with port 0). Returns -1 and
-/// fills \p Err on failure. Unix paths are unlinked first: a daemon
-/// restarting over a stale socket file must not fail to bind.
-int netListen(const std::string &Address, int *BoundPort, std::string *Err);
-
-/// Connects to \p Address. Returns the fd, or -1 with \p Err filled.
-/// \p TimeoutMs bounds the connect itself (0 = block indefinitely).
-int netConnect(const std::string &Address, std::string *Err,
-               uint64_t TimeoutMs = 0);
+/// Connects to the Unix-domain socket path \p Address without blocking on
+/// a full listen backlog. Returns the fd (in blocking mode), or -1 with
+/// \p Err filled.
+int netConnect(const std::string &Address, std::string *Err);
 
 } // namespace driver
 } // namespace liberty

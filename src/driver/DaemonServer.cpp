@@ -37,7 +37,7 @@ DaemonServer::~DaemonServer() {
 }
 
 bool DaemonServer::start(std::string *Err) {
-  ListenFd = netListen(Opts.Address, &BoundPort, Err);
+  ListenFd = netListen(Opts.Address, Err);
   if (ListenFd < 0)
     return false;
   Pool = std::make_unique<ThreadPool>(Opts.Workers);

@@ -88,7 +88,7 @@ struct DaemonStats {
 class DaemonServer {
 public:
   struct Options {
-    /// Unix socket path or localhost TCP port (see DaemonProtocol.h).
+    /// Unix-domain socket path to listen on (see DaemonProtocol.h).
     std::string Address;
     /// Cache configuration for the shared CompileService.
     CompileService::Options Service;
@@ -131,8 +131,6 @@ public:
 
   bool isShuttingDown() const { return Draining.load(); }
 
-  /// The bound TCP port (useful with address "0"), or -1 for Unix.
-  int port() const { return BoundPort; }
   const Options &getOptions() const { return Opts; }
 
   DaemonStats getStats() const;
@@ -162,7 +160,6 @@ private:
   CompileService Service;
   std::unique_ptr<ThreadPool> Pool;
   int ListenFd = -1;
-  int BoundPort = -1;
 
   std::atomic<bool> Draining{false};
   std::jthread AcceptThread;

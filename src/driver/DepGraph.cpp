@@ -160,23 +160,6 @@ uint64_t liberty::driver::hashResidual(const std::string &Text,
   return H.get();
 }
 
-uint64_t liberty::driver::foldSourceKey(const std::string &Text) {
-  std::vector<ModuleSpan> Spans;
-  FnvHasher H;
-  if (!scanModuleSpans(Text, Spans)) {
-    // Unscannable text: flat hash. The tag keeps the fold distinct from a
-    // scanned source that happens to hash alike.
-    H.field("flat", 1);
-    H.str(Text);
-    return H.get();
-  }
-  H.field("merkle", Spans.size());
-  for (const ModuleSpan &S : Spans)
-    H.num(hashModuleSpan(Text, S));
-  H.num(hashResidual(Text, Spans));
-  return H.get();
-}
-
 //===----------------------------------------------------------------------===//
 // LSSDEP serialization
 //===----------------------------------------------------------------------===//

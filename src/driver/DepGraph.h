@@ -78,13 +78,6 @@ uint64_t hashModuleSpan(const std::string &Text, const ModuleSpan &S);
 uint64_t hashResidual(const std::string &Text,
                       const std::vector<ModuleSpan> &Spans);
 
-/// The per-source Merkle fold CompilerInvocation::elabKey() uses: the
-/// combination of every module-span hash plus the residual hash when the
-/// source scans, or a flat whole-text hash when it does not. Equal texts
-/// always fold equal; any byte change reaches the fold through a span or
-/// residual slice.
-uint64_t foldSourceKey(const std::string &Text);
-
 struct DepGraph {
   struct ModuleDep {
     std::string Name;

@@ -65,8 +65,13 @@ void CompileService::storeDepGraph(const CompilerInvocation &Inv,
       for (const ModuleSpan &Sp : Spans)
         SD.Modules.push_back({Sp.Name, hashModuleSpan(S.Text, Sp)});
     } else {
+      // Unscannable text: a flat whole-text hash, tagged to stay distinct
+      // from a scanned source's residual hash.
       SD.Scanned = false;
-      SD.ResidualHash = foldSourceKey(S.Text); // the flat whole-text hash
+      FnvHasher H;
+      H.field("flat", 1);
+      H.str(S.Text);
+      SD.ResidualHash = H.get();
     }
     G.Sources.push_back(std::move(SD));
   }

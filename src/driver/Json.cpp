@@ -282,17 +282,22 @@ private:
         if (!parseHex4(Code))
           return false;
         // Combine a surrogate pair when one follows; a lone surrogate
-        // degrades to U+FFFD rather than producing invalid UTF-8.
+        // degrades to U+FFFD rather than producing invalid UTF-8. An
+        // escape after a lone high surrogate that is not a low surrogate
+        // is left unread: it is a character of its own.
         if (Code >= 0xD800 && Code <= 0xDBFF &&
             Text.substr(Pos, 2) == "\\u") {
+          size_t Escape = Pos;
           Pos += 2;
           unsigned Low = 0;
           if (!parseHex4(Low))
             return false;
-          if (Low >= 0xDC00 && Low <= 0xDFFF)
+          if (Low >= 0xDC00 && Low <= 0xDFFF) {
             Code = 0x10000 + ((Code - 0xD800) << 10) + (Low - 0xDC00);
-          else
+          } else {
+            Pos = Escape;
             Code = 0xFFFD;
+          }
         } else if (Code >= 0xD800 && Code <= 0xDFFF) {
           Code = 0xFFFD;
         }

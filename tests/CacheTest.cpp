@@ -33,6 +33,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace liberty;
@@ -101,12 +102,25 @@ std::string netlistText(driver::Compiler &C) {
 //===----------------------------------------------------------------------===//
 
 TEST(InvocationKeys, SourceTextChangesEveryKey) {
-  driver::CompilerInvocation A = chainInvocation();
-  driver::CompilerInvocation B = chainInvocation();
-  B.Sources[0].Text += "\ninstance extra:sink;\n";
-  EXPECT_NE(A.elabKey(), B.elabKey());
-  EXPECT_NE(A.solveKey(), B.solveKey());
-  EXPECT_EQ(B.solveKey(B.elabKey()), B.solveKey());
+  // Equal texts key equal; any byte change reaches both keys, whether it
+  // adds a top-level statement, touches only whitespace outside a module,
+  // or edits a module body.
+  const std::string Modular = "module m { instance s:sink; }\ninstance i:m;\n";
+  std::string SpanEdit = Modular;
+  SpanEdit[SpanEdit.find("sink")] = 'z'; // "zink": nonsense, but hashed
+  const std::pair<std::string, std::string> Edits[] = {
+      {kChainSpec, std::string(kChainSpec) + "\ninstance extra:sink;\n"},
+      {Modular, Modular + " "}, // residual edit
+      {Modular, SpanEdit},      // module-span edit
+  };
+  for (const auto &[Before, After] : Edits) {
+    driver::CompilerInvocation A = chainInvocation(Before.c_str());
+    driver::CompilerInvocation B = chainInvocation(After.c_str());
+    EXPECT_EQ(A.elabKey(), chainInvocation(Before.c_str()).elabKey());
+    EXPECT_NE(A.elabKey(), B.elabKey()) << After;
+    EXPECT_NE(A.solveKey(), B.solveKey()) << After;
+    EXPECT_EQ(B.solveKey(B.elabKey()), B.solveKey());
+  }
 }
 
 TEST(InvocationKeys, SourceNameIsExcluded) {

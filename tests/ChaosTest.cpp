@@ -313,7 +313,6 @@ TEST_F(ChaosDaemon, SeededFaultSchedulesEndInResultOrDiagnosedError) {
     P.BaseBackoffMs = 1;
     P.MaxBackoffMs = 5;
     P.BreakerThreshold = 4;
-    P.ConnectTimeoutMs = 2000;
     P.ReadTimeoutMs = 2000;
     P.Seed = Seed;
     Client.setRetryPolicy(P);

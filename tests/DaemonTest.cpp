@@ -35,6 +35,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -145,6 +146,31 @@ CompilerInvocation sourceInvocation(const std::string &Name,
   Inv.BuildSim = false;
   Inv.addSource(Name, Text);
   return Inv;
+}
+
+/// Length of a delay chain whose cold compile holds a worker for about
+/// 1.5 s on this build. A fixed length cannot do that: on a 4-vCPU host
+/// 2500 stages take 0.2 s in an optimized build and 17 s under
+/// ThreadSanitizer, longer than the admission tests' retry budget. Compile time grows with the square of
+/// the chain length, so one timed cold compile of a short chain calibrates
+/// it.
+int slowChainLength() {
+  static const int Length = [] {
+    constexpr int Probe = 500;
+    CompileService::Options SO;
+    SO.CacheEnabled = false;
+    CompileService Svc(SO);
+    auto T0 = std::chrono::steady_clock::now();
+    CompileResult R = Svc.compile(
+        sourceInvocation("probe.lss", delayChainSpec(Probe)));
+    double Ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - T0)
+                    .count();
+    EXPECT_TRUE(R.Success);
+    double Scale = std::sqrt(1500.0 / std::max(Ms, 0.01));
+    return std::clamp(int(Probe * Scale), Probe, 20000);
+  }();
+  return Length;
 }
 
 /// Raw-socket handshake for the protocol-level tests (CompileClient would
@@ -575,13 +601,15 @@ TEST(Daemon, QueueFullRejectsWithRetryAfter) {
   std::string Err;
   ASSERT_TRUE(Server.start(&Err)) << Err;
 
-  // Occupy the only worker with a slow elaboration.
+  // Occupy the only worker with a slow elaboration (calibrated before the
+  // clock below starts).
+  const std::string SlowSpec = delayChainSpec(slowChainLength());
   std::thread Slow([&] {
     CompileClient Client(T.sock());
     std::string CErr;
     ASSERT_TRUE(Client.connect(&CErr)) << CErr;
     CompileClient::Result R =
-        Client.compile(sourceInvocation("slow.lss", delayChainSpec(2500)));
+        Client.compile(sourceInvocation("slow.lss", SlowSpec));
     EXPECT_TRUE(R.Error.empty() && R.Success) << R.Error << R.Diagnostics;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
@@ -722,13 +750,15 @@ TEST(Daemon, QueueFullRetryEventuallySucceeds) {
   std::string Err;
   ASSERT_TRUE(Server.start(&Err)) << Err;
 
-  // Occupy the only worker with a slow elaboration.
+  // Occupy the only worker with a slow elaboration (calibrated before the
+  // clock below starts).
+  const std::string SlowSpec = delayChainSpec(slowChainLength());
   std::thread Slow([&] {
     CompileClient Client(T.sock());
     std::string CErr;
     ASSERT_TRUE(Client.connect(&CErr)) << CErr;
     CompileClient::Result R =
-        Client.compile(sourceInvocation("slow.lss", delayChainSpec(2500)));
+        Client.compile(sourceInvocation("slow.lss", SlowSpec));
     EXPECT_TRUE(R.Error.empty() && R.Success) << R.Error << R.Diagnostics;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(40));

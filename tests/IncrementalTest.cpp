@@ -670,15 +670,4 @@ TEST(ModuleSpans, ShiftedModuleReadsAsChanged) {
   EXPECT_NE(driver::hashModuleSpan(A, SA[0]), driver::hashModuleSpan(B, SB[0]));
 }
 
-TEST(ModuleSpans, FoldSourceKeyMatchesWholeTextSensitivity) {
-  // Any byte change reaches elabKey through a span or the residual.
-  const std::string A = "module m { instance s:sink; }\ninstance i:m;\n";
-  EXPECT_EQ(driver::foldSourceKey(A), driver::foldSourceKey(A));
-  EXPECT_NE(driver::foldSourceKey(A),
-            driver::foldSourceKey(A + " ")); // residual edit
-  std::string B = A;
-  B[B.find("sink")] = 'z'; // span edit ("zink" — nonsense, but hashed)
-  EXPECT_NE(driver::foldSourceKey(A), driver::foldSourceKey(B));
-}
-
 } // namespace

@@ -264,6 +264,30 @@ TEST(Json, EscapeString) {
   EXPECT_EQ(jsonEscapeString("line\nbreak\ttab"), "line\\nbreak\\ttab");
 }
 
+TEST(Json, UnicodeEscapesDecodeToUtf8) {
+  auto parsed = [](const std::string &Doc) {
+    driver::Json J;
+    std::string Err;
+    EXPECT_TRUE(driver::Json::parse(Doc, J, &Err)) << Doc << ": " << Err;
+    return J.getString("s");
+  };
+  const std::string Replacement = "\xef\xbf\xbd"; // U+FFFD
+  EXPECT_EQ(parsed(R"({"s":"\u00e9"})"), "\xc3\xa9");
+  EXPECT_EQ(parsed(R"({"s":"\ud83d\ude00"})"), "\xf0\x9f\x98\x80");
+  // A lone high surrogate degrades to U+FFFD; the escape after it is a
+  // character of its own and is kept.
+  EXPECT_EQ(parsed(R"({"s":"\ud800\u0041"})"), Replacement + "A");
+  EXPECT_EQ(parsed(R"({"s":"\ud800x"})"), Replacement + "x");
+  EXPECT_EQ(parsed(R"({"s":"\udc00"})"), Replacement);
+
+  // Control bytes are written as \u escapes and read back unchanged.
+  const std::string Control = std::string("a\x01") + "b\x1f";
+  std::string Doc = driver::Json::object().set("s", Control).dump();
+  EXPECT_NE(Doc.find("\\u0001"), std::string::npos) << Doc;
+  EXPECT_NE(Doc.find("\\u001f"), std::string::npos) << Doc;
+  EXPECT_EQ(parsed(Doc), Control);
+}
+
 /// Clears the process-wide fault schedule around each test so one test's
 /// rules can never leak into another (or into later suites).
 class FaultInjectionTest : public ::testing::Test {

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 namespace {
@@ -20,9 +21,12 @@ struct ToolResult {
   std::string Output;
 };
 
-ToolResult runTool(const std::string &Args) {
+/// Runs lssc with \p Args. \p Redirect picks the captured streams: by
+/// default stderr is merged into stdout.
+ToolResult runTool(const std::string &Args,
+                   const char *Redirect = "2>&1") {
   ToolResult R;
-  std::string Cmd = std::string(LSSC_PATH) + " " + Args + " 2>&1";
+  std::string Cmd = std::string(LSSC_PATH) + " " + Args + " " + Redirect;
   FILE *Pipe = popen(Cmd.c_str(), "r");
   if (!Pipe)
     return R;
@@ -191,15 +195,6 @@ TEST(Lssc, NoInputsRejected) {
   EXPECT_EQ(R.ExitCode, 2);
 }
 
-TEST(Lssc, WatchFilesRequiresDaemon) {
-  // The watch mode recompiles through the daemon's dependency cache;
-  // without --daemon it is a usage error, not a silent no-op.
-  ToolResult R = runTool("--watch-files " + modelArgs("c.lss"));
-  EXPECT_EQ(R.ExitCode, 2);
-  EXPECT_NE(R.Output.find("--watch-files requires --daemon"),
-            std::string::npos);
-}
-
 TEST(Lssc, IncrementalRequiresSomewhereToFindThePreviousCompile) {
   ToolResult R = runTool("--incremental " + modelArgs("c.lss"));
   EXPECT_EQ(R.ExitCode, 2);
@@ -245,6 +240,51 @@ TEST(Lssc, IncrementalCompilesThroughTheDiskCache) {
   EXPECT_NE(R2.Output.find("\"dep_cache_hit\": true"), std::string::npos);
   std::string Cleanup = "rm -rf " + std::string(Dir);
   (void)!system(Cleanup.c_str());
+}
+
+TEST(Lssc, TraceOrderPrintsTheProcessingOrder) {
+  ToolResult R = runTool("--trace-order " + modelArgs("c.lss"));
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("== instance processing order ==\n  <top>\n"),
+            std::string::npos)
+      << R.Output;
+}
+
+TEST(Lssc, TraceOrderDisablesTheCache) {
+  // The processing order exists only in a live elaboration, so
+  // --trace-order turns a requested cache off (with a note) and stores
+  // nothing in it.
+  char Dir[] = "/tmp/lssc_trace_cache_XXXXXX";
+  ASSERT_NE(mkdtemp(Dir), nullptr);
+  std::string Cache = std::string(Dir) + "/cache";
+  ToolResult R = runTool("--trace-order --cache-dir " + Cache + " " +
+                         modelArgs("c.lss"));
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  EXPECT_NE(R.Output.find("--trace-order disables the artifact cache"),
+            std::string::npos)
+      << R.Output;
+  size_t Stored = 0;
+  std::error_code EC;
+  for (std::filesystem::recursive_directory_iterator It(Cache, EC), End;
+       !EC && It != End; It.increment(EC))
+    Stored += It->is_regular_file();
+  EXPECT_EQ(Stored, 0u);
+  std::string Cleanup = "rm -rf " + std::string(Dir);
+  (void)!system(Cleanup.c_str());
+}
+
+TEST(Lssc, TimePhasesWritesATableToStderrOnly) {
+  ToolResult Plain = runTool(modelArgs("c.lss"), "2>/dev/null");
+  ToolResult Timed =
+      runTool("--time-phases " + modelArgs("c.lss"), "2>/dev/null");
+  ToolResult Err =
+      runTool("--time-phases " + modelArgs("c.lss"), "2>&1 >/dev/null");
+  EXPECT_EQ(Plain.ExitCode, 0) << Plain.Output;
+  EXPECT_EQ(Timed.ExitCode, 0) << Timed.Output;
+  EXPECT_EQ(Timed.Output, Plain.Output);
+  EXPECT_NE(Err.Output.find("== compile phases =="), std::string::npos)
+      << Err.Output;
+  EXPECT_NE(Err.Output.find("\n  total "), std::string::npos) << Err.Output;
 }
 
 TEST(Lssc, StatsJsonToStdout) {

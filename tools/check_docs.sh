@@ -23,6 +23,9 @@
 #   7. every artifact format version (`LSSNL N`, `LSSSOL N`, `LSSDEP N`)
 #      named in README.md or docs/*.md is the one its writer emits, so a
 #      format bump cannot leave a doc describing the old layout.
+#   8. every `--flag` named in README.md or docs/*.md is registered by a
+#      tool, bench, example, fuzzer or test binary, so the docs cannot
+#      describe a deleted flag.
 #
 # Exits non-zero with one line per violation.
 
@@ -89,7 +92,7 @@ else
   done
 fi
 for Flag in cache-dir no-cache batch daemon deadline-ms no-daemon-fallback \
-            sim-engine fault-inject incremental watch-files; do
+            sim-engine fault-inject incremental; do
   grep -q -- "--$Flag" tools/lssc.cpp ||
     fail "lssc usage text does not document --$Flag"
   grep -q -- "--$Flag" README.md ||
@@ -199,6 +202,23 @@ for Pair in LSSNL:src/netlist/Serializer.cpp LSSSOL:src/infer/Solution.cpp \
         fail "$Doc names $Magic $V, but $Writer writes $Magic $Emitted"
     done
   done
+done
+
+# 8. Flags named in the docs exist. A flag is registered where its name
+# is a quoted string literal on its own ("--name", "--name=" or '--name'):
+# the FlagParser tables of lssc and lssd (their shared flags live in
+# src/driver/FlagParser.cpp), the benches' and fuzzers' argv loops,
+# perfbench's argparse, and the test binaries' --regen-golden. The
+# exceptions are the build system's own flags and the generic
+# `--flag=VALUE` of the FlagParser description.
+FLAG_SOURCES="tools bench examples perfbench fuzz tests src/driver/FlagParser.cpp"
+EXTERNAL_FLAGS=" build preset target test-dir flag "
+for Flag in $(cat README.md docs/*.md |
+              grep -oE -- '(^|[^A-Za-z0-9_-])--[a-z][a-z0-9-]*' |
+              sed 's/^[^-]*--//' | sort -u); do
+  case "$EXTERNAL_FLAGS" in *" $Flag "*) continue ;; esac
+  grep -rqE -- "[\"']--$Flag[\"'=]" $FLAG_SOURCES ||
+    fail "docs name --$Flag, which no tool, bench, fuzzer or test registers"
 done
 
 if [ "$FAILURES" -ne 0 ]; then

@@ -32,8 +32,6 @@
 ///                       graph of the previous compile (with --cache-dir
 ///                       in-process, or server-side with --daemon); see
 ///                       docs/INCREMENTAL.md
-///   --watch-files       with --daemon: poll the inputs' mtimes and send
-///                       an incremental recompile per edit (watch mode)
 ///   --fault-inject SPEC arm deterministic fault injection (testing)
 ///
 /// Flag parsing is the shared driver::FlagParser table (tools/lssd.cpp
@@ -67,17 +65,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <sys/stat.h>
 
 using namespace liberty;
 
@@ -113,7 +107,7 @@ struct CliOptions {
   bool NoCache = false;
   /// File listing one .lss model per line; batch compile mode.
   std::string BatchFile;
-  /// lssd address (Unix socket path or localhost port); empty = compile
+  /// lssd address (a Unix-domain socket path); empty = compile
   /// in-process.
   std::string DaemonAddress;
   /// With --daemon: fail instead of falling back when unreachable.
@@ -127,10 +121,6 @@ struct CliOptions {
   /// graph (docs/INCREMENTAL.md). In-process this needs --cache-dir to
   /// find the previous compile; with --daemon it sends `recompile`.
   bool Incremental = false;
-  /// Watch mode: poll input mtimes, recompile through the daemon.
-  bool WatchFiles = false;
-  uint64_t WatchPollMs = 200;
-  uint64_t WatchMax = 0; ///< Stop after N recompiles (testing; 0 = never).
 };
 
 const char *const UsageSynopsis = "lssc [options] file.lss [more.lss ...]";
@@ -210,10 +200,10 @@ void registerFlags(driver::FlagParser &P, CliOptions &Opts) {
            "order; exits with the worst model's code");
   P.string("--daemon", "ADDR", &Opts.DaemonAddress,
            "compile via the lssd daemon at ADDR (a\n"
-           "Unix socket path or localhost TCP port)\n"
-           "and share its warm artifact cache; falls\n"
-           "back to an in-process compile (with a\n"
-           "note) when the daemon is unreachable");
+           "Unix-domain socket path) and share its\n"
+           "warm artifact cache; falls back to an\n"
+           "in-process compile (with a note) when\n"
+           "the daemon is unreachable");
   P.boolean("--no-daemon-fallback", &Opts.NoDaemonFallback,
             "with --daemon: exit 1 when the daemon is\n"
             "unreachable instead of falling back");
@@ -229,20 +219,6 @@ void registerFlags(driver::FlagParser &P, CliOptions &Opts) {
             "inference groups (docs/INCREMENTAL.md);\n"
             "in-process this needs --cache-dir, with\n"
             "--daemon it sends `recompile`");
-  P.boolean("--watch-files", &Opts.WatchFiles,
-            "with --daemon: stay resident, poll the\n"
-            "input files' mtimes, and send an\n"
-            "incremental `recompile` for every edit\n"
-            "(docs/INCREMENTAL.md); stop with SIGINT");
-  P.unsignedNum("--watch-poll-ms", "N", &Opts.WatchPollMs,
-                "with --watch-files: poll interval\n"
-                "(default 200)",
-                "duration", /*RequirePositive=*/true);
-  P.unsignedNum("--watch-max", "N", &Opts.WatchMax,
-                "with --watch-files: exit after N\n"
-                "recompiles (testing; 0 = run until\n"
-                "SIGINT)",
-                "count");
   P.addFaultInjectFlag(&Opts.FaultSpec);
 }
 
@@ -275,9 +251,6 @@ int parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       return reject("--no-daemon-fallback requires --daemon");
     if (Opts.DeadlineMs)
       return reject("--deadline-ms requires --daemon");
-    if (Opts.WatchFiles)
-      return reject("--watch-files requires --daemon (the watch mode "
-                    "recompiles through the lssd dependency cache)");
   } else {
     // The daemon returns a compile verdict, not artifacts: flags that need
     // the netlist/simulator in this process cannot be served remotely.
@@ -304,8 +277,6 @@ int parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       return ExitUsage;
     }
   }
-  if (Opts.WatchFiles && !Opts.BatchFile.empty())
-    return reject("--watch-files cannot be combined with --batch");
   if (Opts.Incremental && !Opts.BatchFile.empty())
     return reject("--incremental cannot be combined with --batch");
   if (Opts.Incremental && Opts.TraceOrder)
@@ -380,7 +351,7 @@ int readBatch(const CliOptions &Opts, std::vector<std::string> &Paths,
 }
 
 /// Reports one compile's verdict, local or remote, and returns its exit
-/// code. With a \p Name (--batch, --watch-files) a status line
+/// code. With a \p Name (--batch) a status line
 /// "NAME: ok (...)" or "NAME: <phase> failed" goes to \p Human; a single
 /// compile reports only a failure, as "lssc: <phase> failed" on stderr.
 /// Diagnostics and the incremental outcome go to stderr, so stdout stays
@@ -477,70 +448,6 @@ int runBatch(driver::CompileService &Svc, const CliOptions &Opts,
   return Worst;
 }
 
-volatile std::sig_atomic_t WatchInterrupted = 0;
-void onWatchSignal(int) { WatchInterrupted = 1; }
-
-/// --watch-files: stay resident, poll the input files' mtimes, and send
-/// an incremental `recompile` through the daemon for every edit
-/// (docs/INCREMENTAL.md "watch mode"). Stops on SIGINT/SIGTERM or after
-/// --watch-max recompiles; a transport failure ends the session with an
-/// operational error (there is no in-process fallback to watch with).
-int runWatchFiles(const CliOptions &Opts, driver::CompileClient &Client,
-                  std::ostream &Human) {
-  std::signal(SIGINT, onWatchSignal);
-  std::signal(SIGTERM, onWatchSignal);
-
-  // mtime snapshot per input; nanosecond resolution so back-to-back edits
-  // within one second are still seen.
-  auto stamp = [&](std::vector<std::pair<int64_t, int64_t>> &Stamps) {
-    Stamps.clear();
-    for (const std::string &Path : Opts.Inputs) {
-      struct stat St;
-      if (::stat(Path.c_str(), &St) != 0) {
-        // A file mid-save (editors rename over the target) can be briefly
-        // absent; treat the round as unchanged and re-poll.
-        return false;
-      }
-      Stamps.emplace_back(int64_t(St.st_mtim.tv_sec),
-                          int64_t(St.st_mtim.tv_nsec));
-    }
-    return true;
-  };
-
-  std::vector<std::pair<int64_t, int64_t>> Last, Now;
-  uint64_t Recompiles = 0;
-  bool First = true;
-  while (!WatchInterrupted) {
-    bool Changed = false;
-    if (stamp(Now)) {
-      Changed = First || Now != Last;
-      if (Changed)
-        Last = Now;
-    }
-    if (Changed) {
-      First = false;
-      driver::CompilerInvocation Inv = makeInvocation(Opts);
-      if (!addInputs(Inv, Opts.Inputs)) {
-        // Transient: the next poll retries (the mtime will tick again
-        // when the editor finishes writing).
-        std::cerr << "lssc: note: waiting for the next change\n";
-      } else {
-        driver::CompileClient::Result R =
-            Client.recompileWithRetry(Inv, Opts.DeadlineMs);
-        if (!R.Error.empty())
-          return reportReply("", R, Human);
-        report(Opts.Inputs.front(), R, Human);
-        ++Recompiles;
-        if (Opts.WatchMax && Recompiles >= Opts.WatchMax)
-          break;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(Opts.WatchPollMs));
-  }
-  Human << "lssc: watch ended after " << Recompiles << " recompile(s)\n";
-  return ExitSuccess;
-}
-
 /// --daemon: ship the compile(s) to a running lssd. Returns the exit code,
 /// or -1 when the daemon is unreachable (or its transport kept failing and
 /// the circuit breaker opened) and falling back in-process is allowed (the
@@ -549,9 +456,7 @@ int runDaemon(const CliOptions &Opts, std::ostream &Human) {
   driver::CompileClient Client(Opts.DaemonAddress);
   std::string Err;
   if (!Client.connect(&Err)) {
-    // Watch mode has nothing to fall back to: the whole point is the
-    // daemon's dependency cache.
-    if (Opts.WatchFiles || Opts.NoDaemonFallback) {
+    if (Opts.NoDaemonFallback) {
       std::cerr << "lssc: error: daemon at '" << Opts.DaemonAddress
                 << "' unreachable: " << Err << "\n";
       return ExitOperational;
@@ -611,9 +516,6 @@ int runDaemon(const CliOptions &Opts, std::ostream &Human) {
       Worst = std::max(Worst, reportReply(Paths[I], Results[I], Human));
     return finish(Worst);
   }
-
-  if (Opts.WatchFiles)
-    return runWatchFiles(Opts, Client, Human);
 
   driver::CompilerInvocation Inv = makeInvocation(Opts);
   if (!addInputs(Inv, Opts.Inputs))

@@ -7,9 +7,7 @@
 ///
 ///   lssd --listen ADDR [options]
 ///
-///   --listen ADDR        Unix socket path (contains '/' or ends .sock)
-///                        or localhost TCP port ("7777"; "0" = ephemeral,
-///                        the bound port is printed)
+///   --listen ADDR        Unix-domain socket path to listen on
 ///   --cache-dir DIR      persist artifacts under DIR (shared with lssc)
 ///   --workers N          compile worker threads (0 = hardware threads)
 ///   --queue-bound N      admitted-but-unstarted request cap (default 64;
@@ -57,8 +55,7 @@ const char *const UsageEpilog =
 void registerFlags(driver::FlagParser &P, driver::DaemonServer::Options &Opts,
                    std::string *FaultSpec) {
   P.string("--listen", "ADDR", &Opts.Address,
-           "Unix socket path or localhost TCP port\n"
-           "(0 = ephemeral; the bound port is printed)");
+           "Unix-domain socket path to listen on");
   P.addCacheFlags(&Opts.Service.Cache.DiskDir, /*NoCache=*/nullptr);
   P.unsignedNum("--workers", "N", &Opts.Workers,
                 "compile worker threads (0 = one per\n"
@@ -118,13 +115,8 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "lssd: cannot listen: %s\n", Err.c_str());
     return 1;
   }
-  // Announce readiness on stdout so wrappers can wait for the line (and
-  // learn the ephemeral port when --listen 0 was used).
-  if (Server.port() >= 0)
-    std::printf("lssd: ready on localhost:%d\n", Server.port());
-  else
-    std::printf("lssd: ready on %s\n",
-                Server.getOptions().Address.c_str());
+  // Announce readiness on stdout so wrappers can wait for the line.
+  std::printf("lssd: ready on %s\n", Server.getOptions().Address.c_str());
   std::fflush(stdout);
 
   std::signal(SIGINT, onSignal);
