@@ -155,45 +155,6 @@ CompileClient::Result CompileClient::recompile(const CompilerInvocation &Inv,
   return request(msg::Recompile, Inv, DeadlineMs);
 }
 
-std::vector<CompileClient::Result>
-CompileClient::compileBatch(const std::vector<CompilerInvocation> &Invs,
-                            uint64_t DeadlineMs) {
-  Json Requests = Json::array();
-  for (const CompilerInvocation &Inv : Invs)
-    Requests.push(requestBody(Inv, DeadlineMs));
-  Json Req = Json::object();
-  Req.set("type", msg::Batch)
-      .set("id", NextId++)
-      .set("requests", std::move(Requests));
-
-  std::vector<Result> Results(Invs.size());
-  Json Reply;
-  std::string Err;
-  if (!roundTrip(Req, Reply, &Err)) {
-    for (Result &R : Results)
-      R.Error = Err;
-    return Results;
-  }
-  if (Reply.getString("type") != msg::BatchResult) {
-    Result E = resultFromWire(Reply); // Carries the server error, if any.
-    if (E.Error.empty())
-      E.Error = "unexpected reply to batch";
-    for (Result &R : Results)
-      R = E;
-    return Results;
-  }
-  static const std::vector<Json> Empty;
-  const Json *Wire = Reply.get("results");
-  const std::vector<Json> &Items = Wire ? Wire->items() : Empty;
-  for (size_t I = 0; I != Results.size(); ++I) {
-    if (I < Items.size())
-      Results[I] = resultFromWire(Items[I]);
-    else
-      Results[I].Error = "batch reply truncated";
-  }
-  return Results;
-}
-
 Json CompileClient::clientStatsJson() const {
   return Json::object()
       .set("address", Address)
@@ -268,43 +229,37 @@ static bool isRetryable(const CompileClient::Result &R) {
   return R.ErrorCode.empty() || R.ErrorCode == errc::QueueFull;
 }
 
-std::vector<CompileClient::Result> CompileClient::withRetry(
-    size_t N, const std::function<std::vector<Result>()> &Send) {
-  std::vector<Result> Last(N);
+CompileClient::Result CompileClient::withRetry(const char *Type,
+                                               const CompilerInvocation &Inv,
+                                               uint64_t DeadlineMs) {
+  Result Last;
   for (unsigned Attempt = 1; Attempt <= Policy.MaxAttempts; ++Attempt) {
-    if (Stats.BreakerOpen) {
-      Last.assign(N, breakerOpenResult());
-      return Last;
-    }
+    if (Stats.BreakerOpen)
+      return breakerOpenResult();
     if (Attempt > 1) {
-      const Result *Front = Last.empty() ? nullptr : &Last.front();
       ++Stats.Retries;
-      if (Front && Front->ErrorCode == errc::QueueFull)
+      if (Last.ErrorCode == errc::QueueFull)
         ++Stats.QueueFullRetries;
       std::this_thread::sleep_for(std::chrono::milliseconds(
-          backoffMs(Attempt - 1, Front ? Front->RetryAfterMs : 0)));
+          backoffMs(Attempt - 1, Last.RetryAfterMs)));
     }
     std::string Err;
     if (!isConnected() && !connect(&Err)) {
       noteTransportFailure();
-      Result Failed;
-      Failed.Error = Err;
-      Last.assign(N, Failed);
+      Last = Result();
+      Last.Error = Err;
       continue;
     }
-    Last = Send();
-    if (Last.empty())
-      return Last;
-    const Result &Front = Last.front();
-    if (Front.Error.empty()) {
+    Last = request(Type, Inv, DeadlineMs);
+    if (Last.Error.empty()) {
       noteTransportSuccess();
       return Last;
     }
-    if (!Front.ErrorCode.empty())
+    if (!Last.ErrorCode.empty())
       noteTransportSuccess(); // The server answered; transport is fine.
     else
       noteTransportFailure();
-    if (!isRetryable(Front))
+    if (!isRetryable(Last))
       return Last;
   }
   return Last;
@@ -312,22 +267,12 @@ std::vector<CompileClient::Result> CompileClient::withRetry(
 
 CompileClient::Result CompileClient::compileWithRetry(
     const CompilerInvocation &Inv, uint64_t DeadlineMs) {
-  return withRetry(1, [&] {
-           return std::vector<Result>{compile(Inv, DeadlineMs)};
-         }).front();
+  return withRetry(msg::Compile, Inv, DeadlineMs);
 }
 
 CompileClient::Result CompileClient::recompileWithRetry(
     const CompilerInvocation &Inv, uint64_t DeadlineMs) {
-  return withRetry(1, [&] {
-           return std::vector<Result>{recompile(Inv, DeadlineMs)};
-         }).front();
-}
-
-std::vector<CompileClient::Result> CompileClient::compileBatchWithRetry(
-    const std::vector<CompilerInvocation> &Invs, uint64_t DeadlineMs) {
-  return withRetry(Invs.size(),
-                   [&] { return compileBatch(Invs, DeadlineMs); });
+  return withRetry(msg::Recompile, Inv, DeadlineMs);
 }
 
 bool CompileClient::shutdownServer(std::string *Err) {

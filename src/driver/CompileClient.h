@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Talks to a running `lssd` compile daemon: connect + version handshake,
-/// then compile/batch/stats/shutdown requests over the length-prefixed
+/// then compile/recompile/stats/shutdown requests over the length-prefixed
 /// JSON protocol (DaemonProtocol.h, specified in docs/DAEMON.md).
 ///
 /// The client ships a CompilerInvocation's sources and the wire-visible
@@ -26,16 +26,14 @@
 #include "driver/CompilerInvocation.h"
 #include "driver/DaemonProtocol.h"
 
-#include <functional>
 #include <string>
-#include <vector>
 
 namespace liberty {
 namespace driver {
 
 class CompileClient {
 public:
-  /// Knobs for compileWithRetry / compileBatchWithRetry and the transport
+  /// Knobs for compileWithRetry / recompileWithRetry and the transport
   /// deadlines. Defaults suit an interactive `lssc --daemon` call.
   struct RetryPolicy {
     unsigned MaxAttempts = 5;   ///< Total tries (first attempt included).
@@ -98,11 +96,6 @@ public:
   Result recompileWithRetry(const CompilerInvocation &Inv,
                             uint64_t DeadlineMs = 0);
 
-  /// Compiles a batch in one round trip; Results[i] corresponds to
-  /// Invs[i]. On a transport failure every result carries the error.
-  std::vector<Result> compileBatch(const std::vector<CompilerInvocation> &Invs,
-                                   uint64_t DeadlineMs = 0);
-
   /// compile() wrapped in the retry policy: reconnects on transport
   /// failure, honors `retry_after_ms` on queue_full with jittered
   /// exponential backoff, and fails fast once the circuit breaker is
@@ -110,12 +103,6 @@ public:
   /// attempt failed (or the breaker was already open).
   Result compileWithRetry(const CompilerInvocation &Inv,
                           uint64_t DeadlineMs = 0);
-
-  /// compileBatch() under the same retry policy. A batch is retried as a
-  /// unit (the daemon admits whole batches).
-  std::vector<Result>
-  compileBatchWithRetry(const std::vector<CompilerInvocation> &Invs,
-                        uint64_t DeadlineMs = 0);
 
   void setRetryPolicy(const RetryPolicy &P) { Policy = P; }
   const ClientStats &getClientStats() const { return Stats; }
@@ -143,13 +130,10 @@ private:
   /// One `compile` or `recompile` (\p Type) round trip for \p Inv.
   Result request(const char *Type, const CompilerInvocation &Inv,
                  uint64_t DeadlineMs);
-  /// The one retry loop behind every *WithRetry call: breaker check,
-  /// backoff, reconnect and retryable classification around \p Send, which
-  /// makes one attempt and returns its results. The first result speaks
-  /// for a batch (the daemon admits whole batches). \p N is how many
-  /// results a client-side failure (breaker open, no connection) fills.
-  std::vector<Result>
-  withRetry(size_t N, const std::function<std::vector<Result>()> &Send);
+  /// The one retry loop behind both *WithRetry calls: breaker check,
+  /// backoff, reconnect and retryable classification around request().
+  Result withRetry(const char *Type, const CompilerInvocation &Inv,
+                   uint64_t DeadlineMs);
   static Result resultFromWire(const Json &Msg);
 
   /// Bookkeeping after a failed/successful transport interaction; may

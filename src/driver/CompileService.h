@@ -106,9 +106,9 @@ public:
   CompileResult compile(const CompilerInvocation &Inv);
 
   /// CompileVerdict::of(compile(Inv)), for a caller that needs nothing but
-  /// the verdict (lssd's `compile` and `batch` requests). When the "elab"
-  /// and "solve" entries both hit, the verdict comes from the LSSNL and
-  /// LSSSOL summaries (netlist::readNetlistSummary,
+  /// the verdict (lssd's `compile` request). When the "elab" and "solve"
+  /// entries both hit, the verdict comes from the LSSNL and LSSSOL
+  /// summaries (netlist::readNetlistSummary,
   /// infer::readSolutionSummary): no Netlist, port or Type is built. On
   /// any miss, and whenever \p Inv builds a simulator or the cache is off,
   /// compile() runs, after exactly the lookups it would have made itself;

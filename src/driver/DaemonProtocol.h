@@ -44,9 +44,9 @@ namespace driver {
 /// Bumped whenever a message type or field is added, or a frame or message
 /// schema changes. The `hello` handshake carries the client's version; the
 /// server refuses a mismatch with `version_mismatch` so a peer from
-/// another build fails loud, not weird. Version 2 is the first with the
-/// `recompile` request.
-constexpr uint32_t DaemonProtocolVersion = 2;
+/// another build fails loud, not weird. Version 3 drops the `batch`
+/// request, so a version-2 client cannot send one.
+constexpr uint32_t DaemonProtocolVersion = 3;
 
 /// Frames larger than this default cap are rejected as `bad_frame`
 /// (DaemonServer::Options::MaxFrameBytes overrides).
@@ -61,8 +61,6 @@ constexpr uint64_t DaemonDefaultMaxFrameBytes = 64ull << 20;
   X(Compile, "compile")                                                        \
   X(Recompile, "recompile")                                                    \
   X(Result, "result")                                                          \
-  X(Batch, "batch")                                                            \
-  X(BatchResult, "batch_result")                                               \
   X(Stats, "stats")                                                            \
   X(StatsResult, "stats_result")                                               \
   X(Shutdown, "shutdown")                                                      \

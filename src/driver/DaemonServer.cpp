@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <future>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -29,7 +28,10 @@ double msSince(Clock::time_point T0) {
 
 } // namespace
 
-DaemonServer::DaemonServer(Options O) : Opts(std::move(O)), Service(Opts.Service) {}
+DaemonServer::DaemonServer(Options O)
+    : Opts(std::move(O)), Service(Opts.Service),
+      Workers(Opts.Workers ? Opts.Workers
+                           : std::max(1u, std::thread::hardware_concurrency())) {}
 
 DaemonServer::~DaemonServer() {
   requestShutdown();
@@ -40,12 +42,10 @@ bool DaemonServer::start(std::string *Err) {
   ListenFd = netListen(Opts.Address, Err);
   if (ListenFd < 0)
     return false;
-  Pool = std::make_unique<ThreadPool>(Opts.Workers);
   if (Opts.Verbose)
     std::fprintf(stderr,
                  "lssd: listening on %s (%u workers, queue bound %u)\n",
-                 Opts.Address.c_str(), Pool->getThreadCount(),
-                 Opts.QueueBound);
+                 Opts.Address.c_str(), Workers, Opts.QueueBound);
   AcceptThread = std::jthread([this] { acceptLoop(); });
   return true;
 }
@@ -61,12 +61,11 @@ void DaemonServer::wait() {
     std::lock_guard<std::mutex> Lock(ConnMutex);
     Conns.swap(ConnThreads);
   }
+  // Each admitted compile runs on its connection's thread, so joining them
+  // drains every compile.
   for (std::jthread &T : Conns)
     if (T.joinable())
       T.join();
-  // Every admitted compile was awaited by some connection thread, so the
-  // pool is quiescent; drop it so wait() leaves no worker threads behind.
-  Pool.reset();
 }
 
 void DaemonServer::acceptLoop() {
@@ -136,7 +135,7 @@ void DaemonServer::handleConnection(int Fd) {
                                 Opts.ReadDeadlineMs);
     if (FS == FrameStatus::Timeout) {
       // Slow loris: a frame started but stalled. Drop only this
-      // connection thread — workers and other connections are untouched.
+      // connection; compile slots and other connections are untouched.
       std::lock_guard<std::mutex> Lock(StatsMutex);
       ++Stats.ReadTimeouts;
       return;
@@ -156,6 +155,9 @@ void DaemonServer::handleConnection(int Fd) {
       return;
     }
 
+    // Held outlives the reply's write: the client does not wait for a full
+    // compile's netlist to be freed.
+    CompileResult Held;
     Json Msg, Reply;
     std::string ParseErr;
     bool KeepOpen = true;
@@ -164,7 +166,7 @@ void DaemonServer::handleConnection(int Fd) {
       ++Stats.ProtocolErrors;
       Reply = makeError(errc::BadMessage, "invalid JSON: " + ParseErr);
     } else {
-      KeepOpen = handleMessage(Msg, HandshakeDone, Reply);
+      KeepOpen = handleMessage(Msg, HandshakeDone, Reply, Held);
     }
     {
       std::lock_guard<std::mutex> Lock(StatsMutex);
@@ -178,7 +180,7 @@ void DaemonServer::handleConnection(int Fd) {
 }
 
 bool DaemonServer::handleMessage(const Json &Msg, bool &HandshakeDone,
-                                 Json &Reply) {
+                                 Json &Reply, CompileResult &Held) {
   auto protocolError = [&](const char *Code, std::string Why) {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Stats.ProtocolErrors;
@@ -220,15 +222,7 @@ bool DaemonServer::handleMessage(const Json &Msg, bool &HandshakeDone,
       Reply = makeError(errc::ShuttingDown, "server is draining");
       return true;
     }
-    Reply = runCompile(Msg, /*Incremental=*/Type == msg::Recompile);
-    return true;
-  }
-  if (Type == msg::Batch) {
-    if (Draining.load()) {
-      Reply = makeError(errc::ShuttingDown, "server is draining");
-      return true;
-    }
-    Reply = runBatch(Msg);
+    Reply = runCompile(Msg, /*Incremental=*/Type == msg::Recompile, Held);
     return true;
   }
   if (Type == msg::Stats) {
@@ -249,16 +243,6 @@ bool DaemonServer::handleMessage(const Json &Msg, bool &HandshakeDone,
 }
 
 namespace {
-
-/// One admitted compile: everything a pool worker needs, plus the promise
-/// the connection thread blocks on.
-struct PendingCompile {
-  CompilerInvocation Inv;
-  uint64_t DeadlineMs = 0; ///< Service budget; 0 = none.
-  bool Incremental = false; ///< `recompile`: route via compileIncremental.
-  Clock::time_point AdmitTime;
-  std::promise<Json> Done;
-};
 
 /// Builds a CompilerInvocation from a compile-request body. Returns false
 /// (with \p Why) on a malformed request.
@@ -288,7 +272,7 @@ bool invocationFromRequest(const Json &Req, CompilerInvocation &Inv,
   Inv.Solve.ReorderSimpleFirst = O->getBool("reorder", true);
   Inv.Solve.ForcedDisjunctElimination = O->getBool("forced_elimination", true);
   Inv.Solve.Partition = O->getBool("partition", true);
-  // Compile concurrency comes from the daemon's worker pool; each solve
+  // Compile concurrency comes from the daemon's compile slots; each solve
   // defaults to one thread so N clients cannot oversubscribe NxM threads.
   Inv.Solve.NumThreads = unsigned(O->getU64("jobs", 1));
   Inv.Solve.DeadlineMs = O->getU64("infer_deadline_ms", 0);
@@ -299,148 +283,95 @@ bool invocationFromRequest(const Json &Req, CompilerInvocation &Inv,
 
 } // namespace
 
-bool DaemonServer::submitCompile(const Json &Req, std::future<Json> &Fut,
-                                 Json &Immediate, bool Incremental) {
-  auto P = std::make_shared<PendingCompile>();
-  P->Incremental = Incremental;
+Json DaemonServer::runCompile(const Json &Req, bool Incremental,
+                              CompileResult &Held) {
+  CompilerInvocation Inv;
+  uint64_t DeadlineMs = 0; // Service budget; 0 = none.
   std::string Why;
-  if (!invocationFromRequest(Req, P->Inv, P->DeadlineMs, Why)) {
+  if (!invocationFromRequest(Req, Inv, DeadlineMs, Why)) {
     std::lock_guard<std::mutex> Lock(StatsMutex);
     ++Stats.ProtocolErrors;
-    Immediate = makeError(errc::BadMessage, Why);
-    return false;
+    return makeError(errc::BadMessage, Why);
   }
 
-  // --- Admission control. ------------------------------------------------
+  // --- Admission control, then a compile slot in admission order. --------
+  Clock::time_point AdmitTime;
   {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
+    std::unique_lock<std::mutex> Lock(QueueMutex);
     bool Full = Opts.QueueBound == 0
-                    ? (QueueDepth != 0 ||
-                       ActiveCompiles >= Pool->getThreadCount())
+                    ? (QueueDepth != 0 || ActiveCompiles >= Workers)
                     : QueueDepth >= Opts.QueueBound;
     if (Full) {
       std::lock_guard<std::mutex> SLock(StatsMutex);
       ++Stats.RejectedQueueFull;
-      Immediate = makeError(errc::QueueFull,
-                            "admission queue is full; retry after backoff");
-      Immediate.set("retry_after_ms", Opts.RetryAfterMs);
-      Immediate.set("id", Req.getNumber("id"));
-      return false;
+      Json E = makeError(errc::QueueFull,
+                         "admission queue is full; retry after backoff");
+      E.set("retry_after_ms", Opts.RetryAfterMs);
+      E.set("id", Req.getNumber("id"));
+      return E;
     }
     ++QueueDepth;
+    AdmitTime = Clock::now();
+    const uint64_t Ticket = NextTicket++;
+    SlotFree.wait(Lock, [&] {
+      return Ticket == NextStart && ActiveCompiles < Workers;
+    });
+    ++NextStart;
+    --QueueDepth;
+    ++ActiveCompiles;
   }
-  P->AdmitTime = Clock::now();
+  // The next ticket may find a slot free too.
+  SlotFree.notify_all();
+  double QueueMs = msSince(AdmitTime);
 
-  Fut = P->Done.get_future();
-  Pool->async([this, P] {
-    double QueueMs = msSince(P->AdmitTime);
-    {
-      std::lock_guard<std::mutex> Lock(QueueMutex);
-      --QueueDepth;
-      ++ActiveCompiles;
-    }
-
-    // Wire the remaining service budget into the PR 4 deadline machinery:
-    // an already-expired deadline becomes a 1ms inference deadline, so the
-    // solver degrades structurally (unsolved groups reported) instead of
-    // this layer inventing its own timeout result.
-    CompilerInvocation Inv = P->Inv; // Worker-local: deadline is mutated.
-    if (P->DeadlineMs != 0) {
-      uint64_t Remaining = P->DeadlineMs > uint64_t(QueueMs)
-                               ? P->DeadlineMs - uint64_t(QueueMs)
-                               : 1;
-      if (Inv.Solve.DeadlineMs == 0 || Remaining < Inv.Solve.DeadlineMs)
-        Inv.Solve.DeadlineMs = Remaining;
-    }
-
-    // A `compile` needs only the verdict, which a warm cache answers from
-    // the artifacts' summaries; a `recompile` runs the incremental path.
-    // R holds a full compile until the reply is sent, so the client does
-    // not wait for its netlist to be freed.
-    CompileResult R;
-    CompileVerdict V;
-    if (P->Incremental) {
-      R = Service.compileIncremental(Inv);
-      V = CompileVerdict::of(R);
-    } else {
-      V = Service.compileVerdict(Inv, &R);
-    }
-    double ServiceMs = msSince(P->AdmitTime);
-
-    V.QueueMs = QueueMs;
-    V.ServiceMs = ServiceMs;
-    Json Res = verdictToWire(V);
-
-    {
-      std::lock_guard<std::mutex> Lock(QueueMutex);
-      --ActiveCompiles;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      (P->Incremental ? Stats.RecompileRequests : Stats.CompileRequests) += 1;
-      // Only a full compile degrades, so R holds it.
-      if (V.Degraded && R.C->getInferenceStats().Solve.HitDeadline)
-        ++Stats.DeadlineDegraded;
-      (V.ElabFromCache ? Stats.ElabCacheHits : Stats.ElabCacheMisses) += 1;
-      (V.SolutionFromCache ? Stats.SolveCacheHits : Stats.SolveCacheMisses) +=
-          1;
-    }
-    recordLatency(ServiceMs);
-    if (Opts.Verbose)
-      std::fprintf(stderr, "lssd: compile %s in %.2fms (queue %.2fms)%s\n",
-                   V.Success ? "ok" : "failed", ServiceMs, QueueMs,
-                   V.ElabFromCache && V.SolutionFromCache ? " [cached]" : "");
-    P->Done.set_value(std::move(Res));
-  });
-  return true;
-}
-
-Json DaemonServer::runCompile(const Json &Req, bool Incremental) {
-  std::future<Json> Fut;
-  Json Immediate;
-  if (!submitCompile(Req, Fut, Immediate, Incremental))
-    return Immediate;
-  Json Res = Fut.get();
-  Res.set("id", Req.getNumber("id"));
-  return Res;
-}
-
-Json DaemonServer::runBatch(const Json &Req) {
-  const Json *Requests = Req.get("requests");
-  if (!Requests || !Requests->isArray()) {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    ++Stats.ProtocolErrors;
-    return makeError(errc::BadMessage,
-                     "batch request needs a 'requests' array");
+  // The remaining service budget caps the inference deadline. An
+  // already-expired budget becomes a 1ms inference deadline, so the solver
+  // degrades structurally (unsolved groups reported) instead of this layer
+  // inventing its own timeout result.
+  if (DeadlineMs != 0) {
+    uint64_t Remaining =
+        DeadlineMs > uint64_t(QueueMs) ? DeadlineMs - uint64_t(QueueMs) : 1;
+    if (Inv.Solve.DeadlineMs == 0 || Remaining < Inv.Solve.DeadlineMs)
+      Inv.Solve.DeadlineMs = Remaining;
   }
+
+  // A `compile` needs only the verdict, which a warm cache answers from
+  // the artifacts' summaries; a `recompile` runs the incremental path.
+  CompileVerdict V;
+  if (Incremental) {
+    Held = Service.compileIncremental(Inv);
+    V = CompileVerdict::of(Held);
+  } else {
+    V = Service.compileVerdict(Inv, &Held);
+  }
+  double ServiceMs = msSince(AdmitTime);
+
+  {
+    std::lock_guard<std::mutex> Lock(QueueMutex);
+    --ActiveCompiles;
+  }
+  SlotFree.notify_all();
+
+  V.QueueMs = QueueMs;
+  V.ServiceMs = ServiceMs;
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
-    ++Stats.BatchRequests;
+    (Incremental ? Stats.RecompileRequests : Stats.CompileRequests) += 1;
+    // Only a full compile degrades, so Held holds it.
+    if (V.Degraded && Held.C->getInferenceStats().Solve.HitDeadline)
+      ++Stats.DeadlineDegraded;
+    (V.ElabFromCache ? Stats.ElabCacheHits : Stats.ElabCacheMisses) += 1;
+    (V.SolutionFromCache ? Stats.SolveCacheHits : Stats.SolveCacheMisses) +=
+        1;
   }
-
-  // Each element goes through the same admission gate as a standalone
-  // compile — a batch cannot smuggle unbounded work past the queue bound.
-  // Results land in request order; rejected elements carry the same
-  // queue_full shape a standalone rejection would.
-  const std::vector<Json> &Elements = Requests->items();
-  std::vector<Json> Slots(Elements.size());
-  std::vector<std::pair<size_t, std::future<Json>>> Futures;
-  for (size_t I = 0; I != Elements.size(); ++I) {
-    std::future<Json> Fut;
-    if (submitCompile(Elements[I], Fut, Slots[I]))
-      Futures.emplace_back(I, std::move(Fut));
-  }
-  for (auto &[Slot, Fut] : Futures)
-    Slots[Slot] = Fut.get();
-
-  Json Results = Json::array();
-  for (Json &S : Slots)
-    Results.push(std::move(S));
-  Json Reply = Json::object();
-  Reply.set("type", msg::BatchResult)
-      .set("id", Req.getNumber("id"))
-      .set("results", std::move(Results));
-  return Reply;
+  recordLatency(ServiceMs);
+  if (Opts.Verbose)
+    std::fprintf(stderr, "lssd: compile %s in %.2fms (queue %.2fms)%s\n",
+                 V.Success ? "ok" : "failed", ServiceMs, QueueMs,
+                 V.ElabFromCache && V.SolutionFromCache ? " [cached]" : "");
+  Json Res = verdictToWire(V);
+  Res.set("id", Req.getNumber("id"));
+  return Res;
 }
 
 DaemonStats DaemonServer::getStats() const {
@@ -493,7 +424,6 @@ Json DaemonServer::buildStats() const {
       .set("requests_served", S.RequestsServed)
       .set("compile_requests", S.CompileRequests)
       .set("recompile_requests", S.RecompileRequests)
-      .set("batch_requests", S.BatchRequests)
       .set("rejected_queue_full", S.RejectedQueueFull)
       .set("deadline_degraded", S.DeadlineDegraded)
       .set("protocol_errors", S.ProtocolErrors)
@@ -501,7 +431,7 @@ Json DaemonServer::buildStats() const {
       .set("queue_depth", S.QueueDepth)
       .set("queue_bound", uint64_t(Opts.QueueBound))
       .set("active_compiles", S.ActiveCompiles)
-      .set("workers", uint64_t(Pool ? Pool->getThreadCount() : 0))
+      .set("workers", uint64_t(Workers))
       .set("draining", Draining.load())
       .set("elab_cache_hits", S.ElabCacheHits)
       .set("elab_cache_misses", S.ElabCacheMisses)

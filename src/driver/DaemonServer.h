@@ -3,24 +3,25 @@
 /// \file
 /// A long-running compile server wrapped around one CompileService: many
 /// client connections share a single warm ArtifactCache, so a fleet of
-/// `lssc --daemon` invocations (or future watch-mode/LSP loops) amortizes
-/// one cold compile per distinct invocation key.
+/// `lssc --daemon` invocations amortizes one cold compile per distinct
+/// invocation key.
 ///
 /// ## Threading model
 ///
-/// One accept thread; one handler thread per connection (a connection is a
-/// synchronous request/response stream, so per-connection concurrency is
-/// exactly one in-flight request); one shared ThreadPool of compile
-/// workers. Compiles never run on connection threads — the pool bounds
-/// compile concurrency no matter how many clients connect.
+/// One accept thread and one handler thread per connection. A connection
+/// is a synchronous request/response stream, so it has at most one request
+/// in flight, and that request's compile runs on the connection's own
+/// thread. Options::Workers compile slots bound how many compiles run at
+/// once, no matter how many clients connect.
 ///
 /// ## Admission control
 ///
-/// Between connection threads and the pool sits a bounded admission queue:
-/// at most Options::QueueBound requests may be admitted-but-not-started at
-/// once. When the queue is full the request is rejected immediately with
-/// an `error` message (code `queue_full`) carrying `retry_after_ms` —
-/// clients back off instead of piling latency onto everyone's compiles.
+/// A compile request is admitted into a bounded queue: at most
+/// Options::QueueBound requests may be admitted-but-not-started at once.
+/// When the queue is full the request is rejected immediately with an
+/// `error` message (code `queue_full`) carrying `retry_after_ms` — clients
+/// back off instead of piling latency onto everyone's compiles. Admitted
+/// requests take compile slots in admission order.
 ///
 /// ## Per-request deadlines
 ///
@@ -48,11 +49,9 @@
 
 #include "driver/CompileService.h"
 #include "driver/DaemonProtocol.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
-#include <future>
-#include <memory>
+#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -67,13 +66,12 @@ struct DaemonStats {
   uint64_t RequestsServed = 0;  ///< Frames answered (any message type).
   uint64_t CompileRequests = 0; ///< `compile` requests run (incl. failed).
   uint64_t RecompileRequests = 0; ///< `recompile` requests run.
-  uint64_t BatchRequests = 0;   ///< `batch` requests run.
   uint64_t RejectedQueueFull = 0;
   uint64_t DeadlineDegraded = 0; ///< Compiles whose deadline expired.
   uint64_t ProtocolErrors = 0;   ///< bad_frame/bad_message/version_mismatch.
   uint64_t ReadTimeouts = 0; ///< Connections dropped mid-frame (slow loris).
   uint64_t QueueDepth = 0;       ///< Admitted, not yet started (now).
-  uint64_t ActiveCompiles = 0;   ///< Running on pool workers (now).
+  uint64_t ActiveCompiles = 0;   ///< Holding a compile slot (now).
   /// Per-phase cache traffic, from each compile's CompileResult flags.
   uint64_t ElabCacheHits = 0, ElabCacheMisses = 0;
   uint64_t SolveCacheHits = 0, SolveCacheMisses = 0;
@@ -92,11 +90,11 @@ public:
     std::string Address;
     /// Cache configuration for the shared CompileService.
     CompileService::Options Service;
-    /// Compile worker threads; 0 = one per hardware thread.
+    /// Compiles that may run at once; 0 = one per hardware thread.
     unsigned Workers = 0;
     /// Admission queue bound (admitted-but-not-started requests). 0 means
-    /// no queueing at all: a request is rejected unless a worker can take
-    /// it soon (every worker busy counts as full).
+    /// no queueing at all: a request is rejected unless a compile slot is
+    /// free (every slot busy counts as full).
     unsigned QueueBound = 64;
     /// The backoff hint sent with `queue_full` rejections.
     uint64_t RetryAfterMs = 50;
@@ -104,7 +102,7 @@ public:
     uint64_t MaxFrameBytes = DaemonDefaultMaxFrameBytes;
     /// Once a frame has *started* arriving, the rest of it must land
     /// within this budget or the connection is dropped (slow-loris
-    /// protection; only the connection thread is lost, never a worker).
+    /// protection; only that connection's thread is lost).
     /// Idle connections between frames are not bounded. 0 disables.
     uint64_t ReadDeadlineMs = 10000;
     /// One line per request/lifecycle event on stderr.
@@ -139,26 +137,23 @@ private:
   void acceptLoop();
   void handleConnection(int Fd);
   /// Dispatches one parsed message; fills \p Reply. Returns false when the
-  /// connection should close after the reply (fatal protocol errors).
-  bool handleMessage(const Json &Msg, bool &HandshakeDone, Json &Reply);
-  /// Admission control + pool dispatch for one compile-request body.
-  /// Returns true and arms \p Fut when the request was admitted; returns
-  /// false with \p Immediate holding the reply (queue_full rejection or a
-  /// bad_message error) when it was not. \p Incremental routes the work
-  /// through CompileService::compileIncremental (the `recompile` request).
-  bool submitCompile(const Json &Req, std::future<Json> &Fut, Json &Immediate,
-                     bool Incremental = false);
-  /// The `compile`/`recompile` handler: submitCompile + wait.
-  Json runCompile(const Json &Req, bool Incremental = false);
-  /// The `batch` handler: every element admitted independently.
-  Json runBatch(const Json &Req);
+  /// connection should close after the reply (fatal protocol errors). A
+  /// full compile's result is moved into \p Held, which the caller frees
+  /// only after the reply is written.
+  bool handleMessage(const Json &Msg, bool &HandshakeDone, Json &Reply,
+                     CompileResult &Held);
+  /// The `compile`/`recompile` handler, run on the connection thread:
+  /// admission control (a queue_full or bad_message error is returned at
+  /// once), a wait for a compile slot in admission order, then the compile.
+  /// \p Incremental routes it through CompileService::compileIncremental.
+  Json runCompile(const Json &Req, bool Incremental, CompileResult &Held);
   Json buildStats() const;
   void recordLatency(double Ms);
   static Json makeError(const char *Code, std::string Message);
 
   Options Opts;
   CompileService Service;
-  std::unique_ptr<ThreadPool> Pool;
+  unsigned Workers; ///< Opts.Workers, with 0 resolved.
   int ListenFd = -1;
 
   std::atomic<bool> Draining{false};
@@ -166,11 +161,16 @@ private:
   std::mutex ConnMutex;
   std::vector<std::jthread> ConnThreads;
 
-  // Admission queue state (QueueMutex): QueueDepth counts admitted tasks a
-  // worker has not yet picked up; ActiveCompiles counts running ones.
+  // Admission queue state (QueueMutex): QueueDepth counts admitted
+  // requests waiting for a compile slot; ActiveCompiles counts running
+  // ones. Each admitted request draws a ticket, and slots go out in ticket
+  // order: NextStart is the ticket whose turn it is.
   mutable std::mutex QueueMutex;
+  std::condition_variable SlotFree;
   uint64_t QueueDepth = 0;
   uint64_t ActiveCompiles = 0;
+  uint64_t NextTicket = 0;
+  uint64_t NextStart = 0;
 
   mutable std::mutex StatsMutex;
   DaemonStats Stats;

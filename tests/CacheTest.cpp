@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -953,30 +954,79 @@ static bool serializeOnce(driver::Compiler &C, std::string &Out) {
                                    C.getNumUserTypeAnnotations(), {}, Out);
 }
 
-TEST(Serializer, NetlistReloadReachesFixpoint) {
-  driver::CompileService Svc;
-  driver::CompileResult R = Svc.compile(chainInvocation());
-  ASSERT_TRUE(R.Success);
-  std::string S1;
-  ASSERT_TRUE(serializeOnce(*R.C, S1));
+/// Parameters of every data kind LSSNL encodes beyond int and bool: a
+/// negative zero and a non-integral float, a string with '%', a space and
+/// a newline, an empty array, an array of arrays and a struct holding an
+/// array.
+const char *kParamKindsSpec = R"(
+module holder {
+  parameter f:float;
+  parameter nz:float;
+  parameter s:string;
+  parameter e:int[0];
+  parameter aa:int[3][2];
+  parameter st:struct{xs:int[2]; w:float;};
+};
+var st:struct{xs:int[2]; w:float;};
+st.xs = array(2, 7);
+st.w = 2.5;
+instance h:holder;
+h.f = -0.0;
+h.nz = 0.1;
+h.s = "50% off\nnow";
+h.e = array(0, 0);
+h.aa = array(2, array(3, 1));
+h.st = st;
+)";
 
-  // One reload may rename type variables (fresh ids); the second must be
-  // byte-stable.
-  types::TypeContext TC2;
-  auto SC2 = netlist::deserializeNetlist(S1, TC2);
-  ASSERT_NE(SC2.NL, nullptr);
-  std::string S2;
-  ASSERT_TRUE(netlist::serializeNetlist(*SC2.NL, SC2.LibraryModules,
-                                        SC2.NumUserAnnotations, SC2.Diags,
-                                        S2));
-  types::TypeContext TC3;
-  auto SC3 = netlist::deserializeNetlist(S2, TC3);
-  ASSERT_NE(SC3.NL, nullptr);
-  std::string S3;
-  ASSERT_TRUE(netlist::serializeNetlist(*SC3.NL, SC3.LibraryModules,
-                                        SC3.NumUserAnnotations, SC3.Diags,
-                                        S3));
-  EXPECT_EQ(S2, S3);
+TEST(Serializer, NetlistReloadReachesFixpoint) {
+  for (const char *Spec : {kChainSpec, kParamKindsSpec}) {
+    SCOPED_TRACE(Spec == kChainSpec ? "chain" : "parameter kinds");
+    driver::CompileService Svc;
+    driver::CompileResult R = Svc.compile(chainInvocation(Spec));
+    ASSERT_TRUE(R.Success) << R.C->diagnosticsText();
+    std::string S1;
+    ASSERT_TRUE(serializeOnce(*R.C, S1));
+
+    // One reload may rename type variables (fresh ids); the second must be
+    // byte-stable.
+    types::TypeContext TC2;
+    auto SC2 = netlist::deserializeNetlist(S1, TC2);
+    ASSERT_NE(SC2.NL, nullptr);
+    std::string S2;
+    ASSERT_TRUE(netlist::serializeNetlist(*SC2.NL, SC2.LibraryModules,
+                                          SC2.NumUserAnnotations, SC2.Diags,
+                                          S2));
+    types::TypeContext TC3;
+    auto SC3 = netlist::deserializeNetlist(S2, TC3);
+    ASSERT_NE(SC3.NL, nullptr);
+    std::string S3;
+    ASSERT_TRUE(netlist::serializeNetlist(*SC3.NL, SC3.LibraryModules,
+                                          SC3.NumUserAnnotations, SC3.Diags,
+                                          S3));
+    EXPECT_EQ(S2, S3);
+
+    if (Spec != kParamKindsSpec)
+      continue;
+    // The reloaded values are the elaborated ones, to the float bit.
+    const netlist::InstanceNode *Want = R.C->getNetlist()->findByPath("h");
+    const netlist::InstanceNode *Got = SC2.NL->findByPath("h");
+    ASSERT_NE(Want, nullptr);
+    ASSERT_NE(Got, nullptr);
+    ASSERT_EQ(Got->Params.size(), 6u);
+    for (const auto &[Name, V] : Want->Params) {
+      ASSERT_EQ(Got->Params.count(Name), 1u) << Name;
+      EXPECT_TRUE(Got->Params.at(Name).equals(V))
+          << Name << ": " << Got->Params.at(Name).str() << " vs " << V.str();
+    }
+    EXPECT_TRUE(std::signbit(Got->Params.at("f").getFloat()));
+    EXPECT_EQ(Got->Params.at("nz").getFloat(), 0.1);
+    EXPECT_EQ(Got->Params.at("s").getString(), "50% off\nnow");
+    EXPECT_TRUE(Got->Params.at("e").getElems().empty());
+    ASSERT_EQ(Got->Params.at("aa").getElems().size(), 2u);
+    EXPECT_EQ(Got->Params.at("aa").getElems()[1].getElems().size(), 3u);
+    EXPECT_EQ(Got->Params.at("st").str(), Want->Params.at("st").str());
+  }
 }
 
 TEST(Serializer, InstanceIdsAgreeWithSerializationOrder) {

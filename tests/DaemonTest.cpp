@@ -148,8 +148,8 @@ CompilerInvocation sourceInvocation(const std::string &Name,
   return Inv;
 }
 
-/// Length of a delay chain whose cold compile holds a worker for about
-/// 1.5 s on this build. A fixed length cannot do that: on a 4-vCPU host
+/// Length of a delay chain whose cold compile holds a compile slot for
+/// about 1.5 s on this build. A fixed length cannot do that: on a 4-vCPU host
 /// 2500 stages take 0.2 s in an optimized build and 17 s under
 /// ThreadSanitizer, longer than the admission tests' retry budget. Compile time grows with the square of
 /// the chain length, so one timed cold compile of a short chain calibrates
@@ -221,8 +221,10 @@ TEST(Daemon, HandshakeAndVersioning) {
   }
 
   // A version mismatch is refused loudly and the connection closes, for a
-  // version-1 client (from before `recompile`) as for a newer one.
-  for (uint64_t V : {uint64_t(1), uint64_t(DaemonProtocolVersion + 7)}) {
+  // version-1 client (from before `recompile`), a version-2 client (which
+  // may send `batch`) and a newer one.
+  for (uint64_t V : {uint64_t(1), uint64_t(2),
+                     uint64_t(DaemonProtocolVersion + 7)}) {
     int Fd = rawConnect(T.sock());
     Json Reply;
     ASSERT_TRUE(rawRoundTrip(Fd, helloMsg(V), Reply));
@@ -392,34 +394,6 @@ TEST(Daemon, RecompileRoundTripSplicesThroughTheDaemon) {
   EXPECT_EQ(DS.Incremental.Used, 1u);
 }
 
-TEST(Daemon, BatchRoundTrip) {
-  TempArea T("batch");
-  DaemonServer Server(serverOptions(T));
-  std::string Err;
-  ASSERT_TRUE(Server.start(&Err)) << Err;
-
-  CompileClient Client(T.sock());
-  ASSERT_TRUE(Client.connect(&Err)) << Err;
-
-  std::vector<CompilerInvocation> Invs;
-  Invs.push_back(sourceInvocation("a.lss", kSmallSpec));
-  Invs.push_back(sourceInvocation("bad.lss", "instance %%% nope"));
-  Invs.push_back(sourceInvocation("c.lss", delayChainSpec(5)));
-
-  std::vector<CompileClient::Result> Rs = Client.compileBatch(Invs);
-  ASSERT_EQ(Rs.size(), 3u);
-  EXPECT_TRUE(Rs[0].Error.empty() && Rs[0].Success) << Rs[0].Error;
-  EXPECT_TRUE(Rs[1].Error.empty()) << Rs[1].Error;
-  EXPECT_FALSE(Rs[1].Success);
-  EXPECT_EQ(Rs[1].FailedPhase, "parse");
-  EXPECT_TRUE(Rs[2].Error.empty() && Rs[2].Success) << Rs[2].Error;
-
-  Json S;
-  ASSERT_TRUE(Client.stats(S, &Err)) << Err;
-  EXPECT_EQ(S.getU64("batch_requests"), 1u);
-  EXPECT_EQ(S.getU64("compile_requests"), 3u);
-}
-
 /// A small overload project: adder chains whose (int | float) overloads
 /// only connectivity settles, plus a struct disjunct over free variables
 /// that the solver must search (the overload-farm benchmark's lane shape).
@@ -513,7 +487,7 @@ TEST(Daemon, WarmRepliesMatchInProcessVerdicts) {
     ASSERT_TRUE(Client.connect(&Err)) << Err;
     CompileService Ref(RefOpts);
 
-    // Cold, then two warm repeats of every input, one of them in a batch.
+    // Cold, then two warm repeats of every input.
     for (int Round = 0; Round != 3; ++Round) {
       for (size_t I = 0; I != Invs.size(); ++I) {
         std::string What = "input " + std::to_string(I) + " round " +
@@ -526,14 +500,6 @@ TEST(Daemon, WarmRepliesMatchInProcessVerdicts) {
       ASSERT_TRUE(Got.Error.empty()) << Got.Error;
       Expect(CompileVerdict::of(Ref.compile(NoReorder)), Got, "no-reorder");
     }
-    std::vector<CompileClient::Result> Batch = Client.compileBatch(Invs);
-    ASSERT_EQ(Batch.size(), Invs.size());
-    for (size_t I = 0; I != Invs.size(); ++I) {
-      ASSERT_TRUE(Batch[I].Error.empty()) << Batch[I].Error;
-      Expect(CompileVerdict::of(Ref.compile(Invs[I])), Batch[I],
-             "batch input " + std::to_string(I));
-    }
-
     CacheStats A = Server.getStats().Cache, B = Ref.getCache().getStats();
     EXPECT_EQ(A.Hits, B.Hits);
     EXPECT_EQ(A.Misses, B.Misses);
@@ -824,35 +790,6 @@ TEST(Daemon, BreakerTripsAfterRepeatedTransportFailures) {
   EXPECT_EQ(Client.getClientStats().TransportFailures, 3u);
 }
 
-TEST(Daemon, BatchRetriedAsAUnitOnTransportFailure) {
-  FaultInjection::reset();
-  TempArea T("batchretry");
-  DaemonServer Server(serverOptions(T));
-  std::string Err;
-  ASSERT_TRUE(Server.start(&Err)) << Err;
-
-  CompileClient Client(T.sock());
-  ASSERT_TRUE(Client.connect(&Err)) << Err;
-  CompileClient::RetryPolicy P;
-  P.MaxAttempts = 5;
-  P.BaseBackoffMs = 1;
-  P.MaxBackoffMs = 2;
-  Client.setRetryPolicy(P);
-
-  // The first send dies; the retry reconnects and the batch succeeds.
-  ASSERT_TRUE(FaultInjection::configure("client.send@1"));
-  std::vector<CompilerInvocation> Invs;
-  Invs.push_back(sourceInvocation("a.lss", kSmallSpec));
-  Invs.push_back(sourceInvocation("b.lss", delayChainSpec(5)));
-  std::vector<CompileClient::Result> Rs = Client.compileBatchWithRetry(Invs);
-  FaultInjection::reset();
-  ASSERT_EQ(Rs.size(), 2u);
-  EXPECT_TRUE(Rs[0].Error.empty() && Rs[0].Success) << Rs[0].Error;
-  EXPECT_TRUE(Rs[1].Error.empty() && Rs[1].Success) << Rs[1].Error;
-  EXPECT_GE(Client.getClientStats().Retries, 1u);
-  EXPECT_GE(Client.getClientStats().TransportFailures, 1u);
-}
-
 //===--------------------------------------------------------------------===//
 // Slow-loris read deadlines and torn frames
 //===--------------------------------------------------------------------===//
@@ -996,14 +933,16 @@ TEST(Daemon, DrainOnShutdownFinishesInFlightCompiles) {
   std::string Err;
   ASSERT_TRUE(Server.start(&Err)) << Err;
 
-  // A long compile in flight when the shutdown lands.
+  // A long compile in flight when the shutdown lands (calibrated before
+  // the clock below starts).
+  const std::string SlowSpec = delayChainSpec(slowChainLength());
   std::atomic<bool> SlowDone{false};
   std::thread Slow([&] {
     CompileClient Client(T.sock());
     std::string CErr;
     ASSERT_TRUE(Client.connect(&CErr)) << CErr;
     CompileClient::Result R =
-        Client.compile(sourceInvocation("slow.lss", delayChainSpec(2500)));
+        Client.compile(sourceInvocation("slow.lss", SlowSpec));
     EXPECT_TRUE(R.Error.empty()) << R.Error;
     EXPECT_TRUE(R.Success) << R.Diagnostics;
     SlowDone = true;
@@ -1133,7 +1072,8 @@ TEST(DaemonCli, FallbackAndItsRefusal) {
 TEST(DaemonCli, BatchReportMatchesInProcess) {
   // One good model and one parse error, compiled in-process and through
   // the daemon: the same verdicts give byte-identical reports and the
-  // worst model's exit code.
+  // worst model's exit code, also when the daemon's transport fails
+  // part-way through the list.
   TempArea T("clibatch");
   DaemonServer Server(serverOptions(T));
   std::string Err;
@@ -1153,7 +1093,20 @@ TEST(DaemonCli, BatchReportMatchesInProcess) {
       << Local.Output;
   EXPECT_NE(Local.Output.find("bad.lss: parsing failed\n"), std::string::npos)
       << Local.Output;
-  EXPECT_EQ(Server.getStats().BatchRequests, 1u);
+  // One `compile` request per listed model.
+  EXPECT_EQ(Server.getStats().CompileRequests, 2u);
+
+  // The first model's request is answered, then every send fails (hello
+  // is send 1), so the retries trip the breaker part-way through the
+  // list. lssc falls back in-process for the whole list and prints only
+  // that report.
+  ToolResult Torn = runTool("--daemon " + T.sock() +
+                                " --fault-inject 'client.send@3+' --batch " +
+                                List,
+                            "/dev/null");
+  EXPECT_EQ(Torn.ExitCode, 3) << Torn.Output;
+  EXPECT_EQ(Local.Output, Torn.Output);
+  EXPECT_EQ(Server.getStats().CompileRequests, 3u);
 }
 
 TEST(DaemonCli, StatsJsonCarriesTheClientCounters) {

@@ -370,6 +370,68 @@ TEST(IncrementalMatrix, SemicolonTerminatedModulesSpliceToo) {
   EXPECT_EQ(Inc.Solve, Cold.Solve);
 }
 
+TEST(IncrementalMatrix, CleanModuleReplaysUserpointsAndParentAssignments) {
+  // holder is clean, so its body replays: the `w.k`/`w.pick` assignments
+  // it pushes on its worker child come back from the dependency graph,
+  // and the clean worker replays the non-default userpoint it was given.
+  // Only laneB is edited.
+  auto inv = [](const char *LaneB) {
+    driver::CompilerInvocation Inv;
+    Inv.addSource("worker.lss", "module worker {\n"
+                                "  parameter k:int;\n"
+                                "  parameter pick : userpoint(x:int => int);\n"
+                                "  instance c:const_source;\n"
+                                "  instance s:sink;\n"
+                                "  c.value = k;\n"
+                                "  c.out -> s.in;\n"
+                                "}\n");
+    Inv.addSource("holder.lss", "module holder {\n"
+                                "  instance w:worker;\n"
+                                "  w.k = 3;\n"
+                                "  w.pick = \"return x + 1;\";\n"
+                                "}\n");
+    Inv.addSource("laneB.lss", LaneB);
+    Inv.addSource("top.lss", "instance x:holder;\ninstance y:laneB;\n");
+    Inv.BuildSim = false;
+    return Inv;
+  };
+  const char *Base = "module laneB {\n"
+                     "  instance a:adder;\n"
+                     "  instance k:sink;\n"
+                     "  a.out -> k.in;\n"
+                     "}\n";
+  const char *Edited = "module laneB {\n"
+                       "  instance a:adder;\n"
+                       "  instance k:sink;\n"
+                       "  instance k2:sink;\n"
+                       "  a.out -> k.in;\n"
+                       "  a.out -> k2.in;\n"
+                       "}\n";
+
+  TempDir Dir;
+  driver::CompileService Svc(diskOpts(Dir));
+  ASSERT_TRUE(Svc.compile(inv(Base)).Success);
+  driver::CompileResult R = Svc.compileIncremental(inv(Edited));
+  ASSERT_TRUE(R.Success) << R.C->diagnosticsText();
+  ASSERT_TRUE(R.Incremental.Used)
+      << "fell back: " << R.Incremental.FallbackReason;
+  const netlist::InstanceNode *W = R.C->getNetlist()->findByPath("x.w");
+  ASSERT_NE(W, nullptr);
+  ASSERT_EQ(W->Userpoints.count("pick"), 1u);
+  EXPECT_FALSE(W->Userpoints.at("pick").IsDefault);
+  EXPECT_EQ(W->Userpoints.at("pick").Code, "return x + 1;");
+
+  TempDir ColdDir;
+  driver::CompileService ColdSvc(diskOpts(ColdDir));
+  driver::CompileResult RC = ColdSvc.compile(inv(Edited));
+  ASSERT_TRUE(RC.Success);
+  EXPECT_EQ(netlistText(*R.C), netlistText(*RC.C));
+  Artifacts Inc = artifactsFor(Svc, inv(Edited));
+  Artifacts Cold = artifactsFor(ColdSvc, inv(Edited));
+  EXPECT_EQ(Inc.Elab, Cold.Elab);
+  EXPECT_EQ(Inc.Solve, Cold.Solve);
+}
+
 TEST(IncrementalFallback, FirstCompileHasNoDependencyGraph) {
   TempDir Dir;
   driver::CompileService Svc(diskOpts(Dir));

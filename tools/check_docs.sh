@@ -12,8 +12,10 @@
 #      invocation/service entry points, and the cache/batch flags appear in
 #      both the lssc usage text and the README flag table;
 #   4. the daemon protocol doc (docs/DAEMON.md) documents every message
-#      type and error code registered in src/driver/DaemonProtocol.h, so
-#      the wire-protocol spec cannot drift from the header.
+#      type and error code registered in src/driver/DaemonProtocol.h, and
+#      every `"type": "X"` it shows is registered; its `stats_result`
+#      example names exactly the fields lssd's stats reply emits, so the
+#      wire-protocol spec cannot drift from the code in either direction.
 #   5. every stats JSON field src/driver/Stats.cpp's Json section builders
 #      emit is documented in docs/API.md, and every field its stats tables
 #      list is still emitted.
@@ -99,32 +101,62 @@ for Flag in cache-dir no-cache batch daemon deadline-ms no-daemon-fallback \
     fail "README.md flag table does not document --$Flag"
 done
 
-# 4. The daemon wire-protocol doc tracks the header registries: every
-# message type in LSSD_MESSAGE_TYPES and every error code in
-# LSSD_ERROR_CODES (src/driver/DaemonProtocol.h) must appear, backtick-
-# quoted, in docs/DAEMON.md. Adding a wire name without documenting it
-# fails here.
+# 4. The daemon wire-protocol doc tracks the code, in both directions:
+#  - every message type in LSSD_MESSAGE_TYPES and every error code in
+#    LSSD_ERROR_CODES (src/driver/DaemonProtocol.h) appears, backtick-
+#    quoted, in docs/DAEMON.md, and every `"type": "X"` the doc shows is
+#    a registered message type;
+#  - the doc's `stats_result` example names exactly the fields
+#    DaemonServer::buildStats emits (its own `.set("name", ...)` calls plus
+#    the `cache` object's, from cacheCountersJson in src/driver/Stats.cpp).
+# Adding a wire name or stats field without documenting it, or leaving a
+# removed one in the doc, fails here.
 PROTO=src/driver/DaemonProtocol.h
 DAEMON=docs/DAEMON.md
+STATS_SRC=src/driver/Stats.cpp
 if [ ! -f "$DAEMON" ]; then
   fail "missing $DAEMON (lssd wire-protocol spec)"
 else
+  # The registry is an X-macro: one `X(Ident, "wire_name")` per line,
+  # backslash-continued. Pull the quoted wire names out of its extent.
+  registry() {
+    sed -n "/#define $1(X)/,/[^\\\\]\$/p" "$PROTO" |
+    grep -o '"[a-z_][a-z_]*"' | tr -d '"'
+  }
   for Macro in LSSD_MESSAGE_TYPES LSSD_ERROR_CODES; do
-    # The registry is an X-macro: one `X(Ident, "wire_name")` per line,
-    # backslash-continued. Pull the quoted wire names out of its extent.
-    sed -n "/#define $Macro(X)/,/[^\\\\]\$/p" "$PROTO" |
-    grep -o '"[a-z_][a-z_]*"' | tr -d '"' |
-    while IFS= read -r Name; do
-      if ! grep -q "\`$Name\`" "$DAEMON"; then
-        echo "check_docs: $DAEMON does not document $Macro entry '$Name'" >&2
-        touch "$ROOT/.check_docs_failed"
-      fi
+    for Name in $(registry "$Macro"); do
+      grep -q "\`$Name\`" "$DAEMON" ||
+        fail "$DAEMON does not document $Macro entry '$Name'"
     done
   done
-  if [ -e "$ROOT/.check_docs_failed" ]; then
-    rm -f "$ROOT/.check_docs_failed"
-    FAILURES=$((FAILURES + 1))
-  fi
+  TYPES=" $(registry LSSD_MESSAGE_TYPES | tr '\n' ' ') "
+  for Name in $(grep -oE '"type": *"[a-z_]+"' "$DAEMON" |
+                sed 's/.*"\([a-z_]*\)"$/\1/' | sort -u); do
+    case "$TYPES" in
+    *" $Name "*) ;;
+    *) fail "$DAEMON shows message type '$Name', which $PROTO does not register" ;;
+    esac
+  done
+  EMITTED=$({ sed -n '/^Json DaemonServer::buildStats() const {/,/^}/p' \
+                src/driver/DaemonServer.cpp
+              sed -n '/^Json liberty::driver::cacheCountersJson(/,/^}/p' \
+                "$STATS_SRC"; } |
+            grep -o '\.set("[a-z_][a-z0-9_]*"' | sed 's/^\.set("//; s/"$//' |
+            sort -u)
+  EXAMPLE=$(awk '/^### `stats` → `stats_result`/ { In = 1; next }
+                 In && /^```json/ { Block = 1; next }
+                 Block && /^```/ { exit }
+                 Block' "$DAEMON" |
+            grep -oE '"[a-z_][a-z0-9_]*":' | tr -d '":' | sort -u)
+  [ -n "$EMITTED" ] || fail "cannot find the fields DaemonServer::buildStats emits"
+  for Field in $EMITTED; do
+    echo "$EXAMPLE" | grep -qx "$Field" ||
+      fail "$DAEMON's stats_result example lacks emitted field '$Field'"
+  done
+  for Field in $EXAMPLE; do
+    echo "$EMITTED" | grep -qx "$Field" ||
+      fail "$DAEMON's stats_result example names '$Field', which lssd does not emit"
+  done
 fi
 
 # 5. The stats JSON schema stays documented, in both directions: every

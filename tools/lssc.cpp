@@ -22,6 +22,7 @@
 ///   --cache-dir DIR     reuse parse/elaborate/solve artifacts across runs
 ///   --no-cache          ignore --cache-dir (always compile cold)
 ///   --batch FILE        compile every .lss listed in FILE concurrently
+///                       (with --daemon: one request per file, in order)
 ///   --daemon ADDR       compile via a running lssd daemon (shared warm
 ///                       cache); falls back to an in-process compile when
 ///                       the daemon is unreachable
@@ -428,8 +429,8 @@ bool writeStatsJson(const std::string &Path, const driver::Json &Doc) {
 
 /// --batch FILE in-process: the listed models compiled concurrently
 /// through the service, reported in list order.
-int runBatch(driver::CompileService &Svc, const CliOptions &Opts,
-             std::ostream &Human) {
+int runLocalBatch(driver::CompileService &Svc, const CliOptions &Opts,
+                  std::ostream &Human) {
   std::vector<std::string> Paths;
   std::vector<driver::CompilerInvocation> Invs;
   if (int Exit = readBatch(Opts, Paths, Invs); Exit >= 0)
@@ -502,15 +503,16 @@ int runDaemon(const CliOptions &Opts, std::ostream &Human) {
     std::vector<driver::CompilerInvocation> Invs;
     if (int Exit = readBatch(Opts, Paths, Invs); Exit >= 0)
       return Exit;
-    std::vector<driver::CompileClient::Result> Results =
-        Client.compileBatchWithRetry(Invs, Opts.DeadlineMs);
-    // Elements the admission queue bounced get a bounded individual retry.
-    for (size_t I = 0; I != Results.size(); ++I)
-      if (Results[I].ErrorCode == "queue_full")
-        Results[I] = Client.compileWithRetry(Invs[I], Opts.DeadlineMs);
-    if (!Results.empty() && !Results.front().Error.empty() &&
-        Results.front().ErrorCode.empty())
-      return transportFailed(Results.front().Error);
+    // One request per listed model over this connection. Every reply is in
+    // hand before anything is printed, so a transport failure part-way
+    // through falls back in-process with no partial report.
+    std::vector<driver::CompileClient::Result> Results;
+    for (const driver::CompilerInvocation &Inv : Invs) {
+      Results.push_back(Client.compileWithRetry(Inv, Opts.DeadlineMs));
+      const driver::CompileClient::Result &R = Results.back();
+      if (!R.Error.empty() && R.ErrorCode.empty())
+        return transportFailed(R.Error);
+    }
     int Worst = ExitSuccess;
     for (size_t I = 0; I != Results.size(); ++I)
       Worst = std::max(Worst, reportReply(Paths[I], Results[I], Human));
@@ -577,7 +579,7 @@ int main(int Argc, char **Argv) {
   driver::CompileService Svc(SvcOpts);
 
   if (!Opts.BatchFile.empty())
-    return runBatch(Svc, Opts, Human);
+    return runLocalBatch(Svc, Opts, Human);
 
   driver::CompilerInvocation Inv = makeInvocation(Opts);
   if (!addInputs(Inv, Opts.Inputs))

@@ -9,9 +9,10 @@
 ///
 ///   --listen ADDR        Unix-domain socket path to listen on
 ///   --cache-dir DIR      persist artifacts under DIR (shared with lssc)
-///   --workers N          compile worker threads (0 = hardware threads)
+///   --workers N          compiles run at once (0 = hardware threads)
 ///   --queue-bound N      admitted-but-unstarted request cap (default 64;
-///                        0 = no queue, reject unless a worker is free)
+///                        0 = no queue, reject unless a compile slot is
+///                        free)
 ///   --retry-after-ms N   backoff hint sent with queue_full rejections
 ///   --max-frame-bytes N  reject larger request frames as bad_frame
 ///   --verbose            log one line per request to stderr
@@ -58,7 +59,7 @@ void registerFlags(driver::FlagParser &P, driver::DaemonServer::Options &Opts,
            "Unix-domain socket path to listen on");
   P.addCacheFlags(&Opts.Service.Cache.DiskDir, /*NoCache=*/nullptr);
   P.unsignedNum("--workers", "N", &Opts.Workers,
-                "compile worker threads (0 = one per\n"
+                "compiles run at once (0 = one per\n"
                 "hardware thread)",
                 "count");
   P.unsignedNum("--queue-bound", "N", &Opts.QueueBound,
