@@ -160,15 +160,18 @@ static Json inferenceJson(const infer::NetlistInferenceStats &IS) {
                     .set("wall_ms", rounded(G.WallMs, 3))
                     .set("success", G.Success)
                     .set("hit_limit", G.HitLimit)
-                    .set("hit_deadline", G.HitDeadline));
+                    .set("hit_deadline", G.HitDeadline)
+                    .set("memo_of", G.MemoOf));
   }
   return Json::object()
       .set("success", Solve.Success)
       .set("constraints", Solve.NumConstraints)
       .set("disjunctive_constraints", Solve.NumDisjunctive)
       .set("unify_steps", Solve.UnifySteps)
+      .set("unify_steps_searched", Solve.UnifyStepsSearched)
       .set("branch_points", Solve.BranchPoints)
       .set("components", Solve.NumComponents)
+      .set("groups_memoized", Solve.NumMemoized)
       .set("groups_unsolved", Solve.NumUnsolved)
       .set("threads_used", Solve.ThreadsUsed)
       .set("ports", IS.NumPorts)

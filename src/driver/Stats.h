@@ -42,7 +42,7 @@ struct IncrementalStats;
 /// changes meaning; both emitters stamp it as "schema_version" so
 /// dashboards can gate on the shape they understand. check_docs.sh lints
 /// the emitted field names against docs/API.md.
-constexpr uint32_t StatsSchemaVersion = 6;
+constexpr uint32_t StatsSchemaVersion = 7;
 
 struct ModelStats {
   std::string Name;

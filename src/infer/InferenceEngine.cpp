@@ -15,6 +15,8 @@
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <string_view>
+#include <unordered_map>
 
 using namespace liberty;
 using namespace liberty::infer;
@@ -142,6 +144,179 @@ static bool deferredItself(const std::vector<TypePair> &Deferred,
          Deferred.front().B == B;
 }
 
+namespace {
+
+/// Each non-scalar pointer of a group's key, by its number there.
+using NodeNumbers = std::unordered_map<const Type *, uint32_t>;
+
+/// The canonical form of one H3 group's residual work as its search sees
+/// it: the residual pairs in list order, every node resolved through the
+/// shared bindings, with unbound variables and non-scalar nodes numbered by
+/// first appearance. A repeated pointer is written as a back-reference to
+/// its number, so the key records node sharing as well as structure: the
+/// search compares nodes by pointer (unifyStructural's A == B,
+/// substitute's T == D, deferredItself), and two groups whose sharing
+/// differs can take different paths. Groups with equal keys therefore
+/// search identically under the renaming Nodes[k] -> Nodes'[k]; see
+/// docs/INFERENCE.md, "Solving each distinct group once".
+struct GroupShape {
+  std::string Key;
+  /// Every non-scalar pointer the key walk met, by number: unbound
+  /// variables, variables the serial phases bound (as they sit, unresolved,
+  /// in a child slot), and array, struct and disjunct nodes.
+  std::vector<const Type *> Nodes;
+};
+
+class ShapeEncoder {
+public:
+  /// \p VarNumber, indexed by variable id, receives each unbound
+  /// variable's number in the key of the (one) group it belongs to.
+  ShapeEncoder(const Unifier &U, std::vector<uint32_t> &VarNumber)
+      : U(U), VarNumber(VarNumber) {}
+
+  void begin(GroupShape &Out) {
+    S = &Out;
+    Seen.clear();
+  }
+
+  /// Appends \p T, as it sits in a pair or child slot, to the key.
+  void term(const Type *T) {
+    std::string &Key = S->Key;
+    switch (T->getKind()) {
+    case Type::Kind::Int:
+      Key.push_back('i');
+      return;
+    case Type::Kind::Bool:
+      Key.push_back('b');
+      return;
+    case Type::Kind::Float:
+      Key.push_back('f');
+      return;
+    case Type::Kind::String:
+      Key.push_back('t');
+      return;
+    default:
+      break;
+    }
+    auto [It, New] = Seen.try_emplace(T, uint32_t(S->Nodes.size()));
+    const uint32_t Number = It->second;
+    if (!New) {
+      Key.push_back('r');
+      number(Number);
+      return;
+    }
+    S->Nodes.push_back(T);
+    switch (T->getKind()) {
+    case Type::Kind::Var:
+      // A bound variable is transparent to the search, which always looks
+      // through it; it is numbered anyway because a rebuilt node copies
+      // the slot holding it (Unifier::substitute).
+      if (U.lookup(T->getVarId())) {
+        Key.push_back('w');
+        term(U.find(T));
+      } else {
+        Key.push_back('v');
+        VarNumber[T->getVarId()] = Number;
+      }
+      return;
+    case Type::Kind::Array:
+      Key.push_back('a');
+      number(uint64_t(T->getArraySize()));
+      term(T->getElem());
+      return;
+    case Type::Kind::Struct:
+      Key.push_back('s');
+      number(T->getFields().size());
+      for (const auto &[Name, FieldTy] : T->getFields()) {
+        number(Name.size());
+        Key += Name;
+        term(FieldTy);
+      }
+      return;
+    case Type::Kind::Disjunct:
+      Key.push_back('d');
+      number(T->getAlternatives().size());
+      for (const Type *Alt : T->getAlternatives())
+        term(Alt);
+      return;
+    default:
+      return; // Scalars are handled above.
+    }
+  }
+
+private:
+  /// LEB128, so the key stays a prefix-free code.
+  void number(uint64_t N) {
+    do {
+      S->Key.push_back(char((N & 0x7F) | (N > 0x7F ? 0x80 : 0)));
+      N >>= 7;
+    } while (N);
+  }
+
+  const Unifier &U;
+  std::vector<uint32_t> &VarNumber;
+  GroupShape *S = nullptr;
+  NodeNumbers Seen;
+};
+
+/// Rewrites a representative's group bindings for a sibling with an equal
+/// key: numbered pointers map position for position, scalars map to
+/// themselves, and any other node was allocated by the representative's
+/// search (a choice branch's rebuilt term) and is rebuilt, once, from its
+/// renamed children.
+class SiblingRenaming {
+public:
+  /// \p RepNumbers numbers the representative's Nodes; \p VarNumber is
+  /// the key walk's variable numbering.
+  SiblingRenaming(const NodeNumbers &RepNumbers,
+                  const std::vector<uint32_t> &VarNumber,
+                  const GroupShape &Sib, types::TypeContext &TC)
+      : RepNumbers(RepNumbers), VarNumber(VarNumber), Sib(Sib), TC(TC) {}
+
+  uint32_t var(uint32_t VarId) const {
+    return Sib.Nodes[VarNumber[VarId]]->getVarId();
+  }
+
+  const Type *term(const Type *T) {
+    if (T->isScalar())
+      return T;
+    if (auto It = RepNumbers.find(T); It != RepNumbers.end())
+      return Sib.Nodes[It->second];
+    if (auto It = Rebuilt.find(T); It != Rebuilt.end())
+      return It->second;
+    const Type *R = nullptr;
+    switch (T->getKind()) {
+    case Type::Kind::Array:
+      R = TC.getArray(term(T->getElem()), T->getArraySize());
+      break;
+    case Type::Kind::Struct: {
+      std::vector<std::pair<std::string, const Type *>> Fields;
+      Fields.reserve(T->getFields().size());
+      for (const auto &[Name, FieldTy] : T->getFields())
+        Fields.emplace_back(Name, term(FieldTy));
+      R = TC.getStruct(std::move(Fields));
+      break;
+    }
+    default:
+      // The search allocates arrays and structs only; every variable and
+      // disjunct it reaches was numbered by the key walk.
+      assert(false && "node outside the group");
+      return T;
+    }
+    Rebuilt.emplace(T, R);
+    return R;
+  }
+
+private:
+  const NodeNumbers &RepNumbers;
+  const std::vector<uint32_t> &VarNumber;
+  const GroupShape &Sib;
+  types::TypeContext &TC;
+  std::unordered_map<const Type *, const Type *> Rebuilt;
+};
+
+} // namespace
+
 bool InferenceEngine::solveList(Unifier &WU, WorkList &WL, uint32_t Head,
                                 const SolveOptions &Opts, SolveStats &Stats) {
   while (Head != WorkList::End) {
@@ -212,6 +387,7 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
     Stats.FailMessage = Msg;
     Stats.FailLoc = Loc;
     Stats.UnifySteps = U.getSteps() - StepsBefore;
+    Stats.UnifyStepsSearched = Stats.UnifySteps;
     return Stats;
   };
   auto BudgetMessage = [&Stats]() -> std::string {
@@ -322,12 +498,19 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
     }
   }
 
+  // The serial phases are done with rollbacks. Connected ports have bound
+  // their variables into chains as long as the paths they lie on, which
+  // every later find() would walk again: per group search step, per
+  // H3 group key and per port the attribution below resolves.
+  U.compressPaths();
+
   // Collect the residual (genuinely ambiguous) disjunctive constraints.
   std::vector<PendingItem> Residual(Pending.begin(), Pending.end());
 
   if (Residual.empty()) {
     Stats.Success = true;
     Stats.UnifySteps = U.getSteps() - StepsBefore;
+    Stats.UnifyStepsSearched = Stats.UnifySteps;
     return Stats;
   }
 
@@ -343,6 +526,7 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
                   Residual.front().From->Loc);
     Stats.Success = true;
     Stats.UnifySteps = U.getSteps() - StepsBefore;
+    Stats.UnifyStepsSearched = Stats.UnifySteps;
     return Stats;
   }
 
@@ -478,6 +662,33 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
   }
   Stats.GroupSpliced = Spliced;
 
+  // Reused components yield groups that are equal up to a renaming of
+  // their variables. Key every live group; the lowest-index group of each
+  // class is its representative and the only one that searches. Its
+  // siblings take its statistics and, renamed, its bindings at the join:
+  // the search is deterministic and blind to the renaming, so that is
+  // exactly what their own searches would have produced.
+  std::vector<int> MemoOf(NumGroups, -1);
+  std::vector<GroupShape> Shapes(NumGroups);
+  std::vector<uint32_t> VarNumber(TC.getNumVars());
+  {
+    ShapeEncoder Enc(U, VarNumber);
+    std::unordered_map<std::string_view, unsigned> Classes;
+    for (unsigned G = 0; G != NumGroups; ++G) {
+      if (Spliced[G])
+        continue;
+      Enc.begin(Shapes[G]);
+      for (unsigned I : Components[G]) {
+        Enc.term(Residual[I].P.A);
+        Enc.term(Residual[I].P.B);
+      }
+      // Bucketed by hash, matched by comparing the whole key.
+      auto [It, New] = Classes.try_emplace(Shapes[G].Key, G);
+      if (!New)
+        MemoOf[G] = int(It->second);
+    }
+  }
+
   // The groups touch disjoint unbound variables, so each one searches on a
   // scratch unifier seeded with the shared bindings and never contends
   // with its siblings; the shared unifier is read-only until the join.
@@ -530,14 +741,27 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
     ThreadPool Pool(std::min<unsigned>(Threads, Components.size()));
     Stats.ThreadsUsed = Pool.getThreadCount();
     for (unsigned G = 0; G != Components.size(); ++G)
-      if (!Spliced[G])
+      if (!Spliced[G] && MemoOf[G] < 0)
         Pool.async([&SolveGroup, G] { SolveGroup(G); });
+    Pool.wait();
+    // A representative stopped by the wall clock says nothing about its
+    // siblings' searches: they run their own.
+    for (unsigned G = 0; G != Components.size(); ++G)
+      if (MemoOf[G] >= 0 && Outcomes[unsigned(MemoOf[G])].Local.HitDeadline) {
+        MemoOf[G] = -1;
+        Pool.async([&SolveGroup, G] { SolveGroup(G); });
+      }
     Pool.wait();
   } else {
     Stats.ThreadsUsed = 1;
     for (unsigned G = 0; G != Components.size(); ++G) {
       if (Spliced[G])
         continue;
+      if (MemoOf[G] >= 0) {
+        if (!Outcomes[unsigned(MemoOf[G])].Local.HitDeadline)
+          continue;
+        MemoOf[G] = -1;
+      }
       SolveGroup(G);
       const GroupOutcome &Out = Outcomes[G];
       // A group that ran out of budget (or past the deadline) degrades
@@ -557,7 +781,12 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
   // A genuinely unsatisfiable group stops the merge (parallel runs may
   // have solved later groups speculatively — their results are discarded
   // so both schedules report the same totals and diagnostic).
-  uint64_t GroupSteps = 0;
+  // A memoized sibling folds its representative's outcome: the same steps,
+  // branch points and verdict, with its own provenance and renamed
+  // bindings. Its representative has a lower index, so the merge reached
+  // it first and stopped there if it was unsatisfiable.
+  uint64_t GroupSteps = 0, SearchedSteps = 0;
+  std::vector<NodeNumbers> RepNumbers(NumGroups); // Built on first use.
   for (unsigned G = 0; G != Components.size(); ++G) {
     if (Spliced[G]) {
       // Spliced group: fold the cached (cold-identical) statistics so the
@@ -567,12 +796,18 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
       GroupSteps += CachedGS[G].UnifySteps;
       Stats.BranchPoints += CachedGS[G].BranchPoints;
       Stats.Groups.push_back(CachedGS[G]);
+      Stats.Groups.back().MemoOf = -1;
       continue;
     }
-    const GroupOutcome &Out = Outcomes[G];
+    const bool Memo = MemoOf[G] >= 0;
+    const GroupOutcome &Out = Outcomes[Memo ? unsigned(MemoOf[G]) : G];
     if (!Out.Ran)
       break; // Serial early-exit: a preceding group was unsatisfiable.
     GroupSteps += Out.Steps;
+    if (Memo)
+      ++Stats.NumMemoized;
+    else
+      SearchedSteps += Out.Steps;
     Stats.BranchPoints += Out.Local.BranchPoints;
     Stats.HitLimit |= Out.Local.HitLimit;
     Stats.HitDeadline |= Out.Local.HitDeadline;
@@ -580,10 +815,11 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
     GS.NumConstraints = Components[G].size();
     GS.UnifySteps = Out.Steps;
     GS.BranchPoints = Out.Local.BranchPoints;
-    GS.WallMs = Out.WallMs;
+    GS.WallMs = Memo ? 0.0 : Out.WallMs;
     GS.Success = Out.Ok;
     GS.HitLimit = Out.Local.HitLimit;
     GS.HitDeadline = Out.Local.HitDeadline;
+    GS.MemoOf = MemoOf[G];
     if (!Out.Ok && (Out.Local.HitLimit || Out.Local.HitDeadline)) {
       // Budget exhaustion: capture the group's provenance for the
       // structured diagnostic, leave its variables free, and keep going.
@@ -607,13 +843,26 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
       Stats.FailMessage = "no consistent assignment for overloaded components";
       Stats.FailLoc = Residual[Components[G].front()].From->Loc;
       Stats.UnifySteps = (U.getSteps() - StepsBefore) + GroupSteps;
+      Stats.UnifyStepsSearched = (U.getSteps() - StepsBefore) + SearchedSteps;
       return Stats;
     }
+    if (!Memo) {
+      for (const auto &[VarId, Binding] : Out.NewBindings)
+        U.adopt(VarId, Binding);
+      continue;
+    }
+    const GroupShape &Rep = Shapes[unsigned(MemoOf[G])];
+    NodeNumbers &Numbers = RepNumbers[unsigned(MemoOf[G])];
+    if (Numbers.empty())
+      for (uint32_t K = 0; K != Rep.Nodes.size(); ++K)
+        Numbers.emplace(Rep.Nodes[K], K);
+    SiblingRenaming Rename(Numbers, VarNumber, Shapes[G], TC);
     for (const auto &[VarId, Binding] : Out.NewBindings)
-      U.adopt(VarId, Binding);
+      U.adopt(Rename.var(VarId), Rename.term(Binding));
   }
 
   Stats.UnifySteps = (U.getSteps() - StepsBefore) + GroupSteps;
+  Stats.UnifyStepsSearched = (U.getSteps() - StepsBefore) + SearchedSteps;
   if (Stats.NumUnsolved) {
     Stats.Success = false;
     Stats.FailMessage = BudgetMessage();

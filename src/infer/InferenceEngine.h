@@ -132,7 +132,9 @@ struct GroupStats {
   unsigned NumConstraints = 0;
   uint64_t UnifySteps = 0;
   uint64_t BranchPoints = 0;
-  double WallMs = 0.0; ///< Wall time of this group's search in isolation.
+  /// Wall time of this group's search in isolation; 0 for a memoized
+  /// group, which did not search.
+  double WallMs = 0.0;
   bool Success = false;
   bool HitLimit = false;    ///< Failed by exhausting the step budget.
   bool HitDeadline = false; ///< Failed by exceeding the wall-clock deadline.
@@ -144,6 +146,10 @@ struct GroupStats {
   std::vector<std::string> InstancePaths;
   unsigned NumDisjunctAlternatives = 0;
   SourceLoc FirstLoc;
+  /// The index of the group whose search this one reused (its key was
+  /// equal: the same work up to a renaming of variables), or -1 when the
+  /// group ran its own search or was spliced. Not persisted in LSSSOL.
+  int MemoOf = -1;
 };
 
 /// One port-resolution query for H3 group attribution: the port's
@@ -176,11 +182,18 @@ struct SolveStats {
   bool Success = false;
   bool HitLimit = false;
   bool HitDeadline = false; ///< The wall-clock deadline expired.
+  /// Unify steps of the whole solve, each memoized or spliced group
+  /// counted as the search it stands for.
   uint64_t UnifySteps = 0;
+  /// The part of UnifySteps this solve executed: memoized and spliced
+  /// groups contribute nothing. Not persisted in LSSSOL.
+  uint64_t UnifyStepsSearched = 0;
   uint64_t BranchPoints = 0;
   unsigned NumConstraints = 0;
   unsigned NumDisjunctive = 0;
-  unsigned NumComponents = 0; ///< H3 groups actually searched.
+  unsigned NumComponents = 0; ///< H3 groups found.
+  /// Groups that reused an earlier group's search (GroupStats::MemoOf).
+  unsigned NumMemoized = 0;
   unsigned ThreadsUsed = 1;   ///< Pool size the group search ran with.
   /// Groups left unsolved by budget/deadline exhaustion. Unlike a genuine
   /// unsatisfiability (which stops the merge at the first failed group),

@@ -5,6 +5,7 @@
 #include "types/Type.h"
 
 #include <cassert>
+#include <utility>
 
 using namespace liberty;
 using namespace liberty::infer;
@@ -23,6 +24,21 @@ void Unifier::seedFrom(const Unifier &Base) {
   Trail.clear();
   Steps = 0;
   LastFailKind = FailureKind::None;
+}
+
+void Unifier::compressPaths() {
+  for (const Type *&Binding : Bindings) {
+    if (!Binding || !Binding->isVar())
+      continue;
+    // Rewrite the whole chain as it is walked, so each variable on it is
+    // visited once however many chains pass through it.
+    const Type *End = find(Binding);
+    for (const Type *V = Binding; V != End;) {
+      const Type *&Next = Bindings[V->getVarId()];
+      V = std::exchange(Next, End);
+    }
+    Binding = End;
+  }
 }
 
 void Unifier::rollback(Checkpoint C) {
@@ -130,6 +146,9 @@ bool Unifier::unifyStructural(const Type *A, const Type *B,
   }
 
   if (A->isVar() || B->isVar()) {
+    // The variable is picked by side, never by comparing ids, so a
+    // bijective renaming of variables leaves every step the same; the H3
+    // group memo (InferenceEngine::solve) relies on it.
     const Type *Var = A->isVar() ? A : B;
     const Type *Term = A->isVar() ? B : A;
     switch (occurrence(Var->getVarId(), Term)) {

@@ -92,6 +92,12 @@ public:
   /// trail) into this unifier. \p VarId must be unbound here.
   void adopt(uint32_t VarId, const types::Type *T) { bind(VarId, T); }
 
+  /// Points every variable bound to another variable straight at the end
+  /// of its chain, so find() answers in one step; the answers themselves
+  /// do not change. Valid only when no earlier checkpoint will be rolled
+  /// back: a rollback could unbind a variable a shortcut skips.
+  void compressPaths();
+
   /// Collects the ids of unbound variables occurring in \p T (after
   /// resolving bindings) into \p Out.
   void collectUnboundVars(const types::Type *T,

@@ -46,14 +46,12 @@ void ThreadPool::wait() {
   AllDone.wait(Lock, [this] { return Outstanding == 0; });
 }
 
-size_t ThreadPool::cancelPending() {
+void ThreadPool::cancelPending() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  size_t Dropped = Queue.size();
+  Outstanding -= unsigned(Queue.size());
   Queue.clear();
-  Outstanding -= unsigned(Dropped);
-  if (Dropped && Outstanding == 0)
+  if (Outstanding == 0)
     AllDone.notify_all();
-  return Dropped;
 }
 
 void ThreadPool::workerLoop(std::stop_token Stop) {

@@ -45,14 +45,6 @@ public:
   /// Blocks until every task enqueued so far has finished executing.
   void wait();
 
-  /// Removes every queued-but-not-started task without running it and
-  /// returns how many were dropped. Tasks already executing finish
-  /// normally. The record-and-drain idiom for a mid-cycle error: record
-  /// the failure, cancelPending(), then wait() — the pool reaches a
-  /// quiescent state where each task either ran to completion before the
-  /// cancel or never started at all.
-  size_t cancelPending();
-
   unsigned getThreadCount() const { return unsigned(Workers.size()); }
 
   /// The default parallelism: hardware concurrency, never less than 1
@@ -60,6 +52,9 @@ public:
   static unsigned getHardwareParallelism();
 
 private:
+  /// The destructor's first step: removes every queued-but-not-started
+  /// task without running it. Tasks already executing finish normally.
+  void cancelPending();
   void workerLoop(std::stop_token Stop);
 
   std::mutex Mutex;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <random>
 #include <sstream>
@@ -349,6 +350,32 @@ TEST(Solver, DeadlineStopsRunawayGroup) {
   EXPECT_EQ(S.Groups.front().InstancePaths.front(), "synthetic.g0");
 }
 
+TEST(Solver, DeadlineHitIsNeverShared) {
+  // Three equal runaway groups. The first runs out of wall-clock time;
+  // that says nothing about the others' searches, so each runs its own
+  // (and, the deadline being past, stops at once) instead of taking the
+  // first one's outcome.
+  for (unsigned Threads : {1u, 4u}) {
+    TypeContext TC;
+    auto Cs = makeDisjointHardGroups(TC, 3, 18);
+    InferenceEngine E(TC);
+    SolveOptions O;
+    O.ForcedDisjunctElimination = false;
+    O.DeadlineMs = 1;
+    O.NumThreads = Threads;
+    SolveStats S = E.solve(Cs, O);
+    EXPECT_TRUE(S.HitDeadline);
+    EXPECT_EQ(S.NumUnsolved, 3u);
+    EXPECT_EQ(S.NumMemoized, 0u);
+    ASSERT_EQ(S.Groups.size(), 3u);
+    for (const GroupStats &G : S.Groups) {
+      EXPECT_TRUE(G.HitDeadline);
+      EXPECT_EQ(G.MemoOf, -1);
+    }
+    EXPECT_EQ(S.UnifyStepsSearched, S.UnifySteps);
+  }
+}
+
 TEST(Solver, FailMessageCarriesTheUnifierText) {
   TypeContext TC;
   const Type *V = TC.freshVar("a");
@@ -617,6 +644,7 @@ public:
   }
 
   std::vector<Constraint> Cs;
+  std::vector<const Type *> Vars;
 
 private:
   // mt19937_64 and a plain modulo keep the systems identical on every
@@ -653,7 +681,6 @@ private:
 
   TypeContext &TC;
   std::mt19937_64 R;
-  std::vector<const Type *> Vars;
   unsigned DensityPct = 0;
   unsigned Disjuncts = 0;
 };
@@ -779,6 +806,188 @@ TEST(SolverDifferential, RandomSystemsAgreeWithNaive) {
   EXPECT_GT(NumSat, NumSeeds / 10);
   EXPECT_GT(NumUnsat, NumSeeds / 10);
   EXPECT_LT(Skipped, NumSeeds / 20);
+}
+
+/// \p Strs with every variable id ("#12") made relative to \p Base, the
+/// first id of the copy that owns \p Count variables; an id outside that
+/// range, a variable of another copy, is kept and marked foreign.
+std::vector<std::string> relativeVarIds(const std::vector<std::string> &Strs,
+                                        uint64_t Base, uint64_t Count) {
+  std::vector<std::string> Out;
+  for (const std::string &S : Strs) {
+    std::string R;
+    for (size_t I = 0; I != S.size();) {
+      if (S[I] != '#') {
+        R += S[I++];
+        continue;
+      }
+      size_t End = I + 1;
+      while (End != S.size() && std::isdigit(static_cast<unsigned char>(S[End])))
+        ++End;
+      uint64_t Id = std::stoull(S.substr(I + 1, End - I - 1));
+      R += Id >= Base && Id - Base < Count
+               ? "#" + std::to_string(Id - Base)
+               : "#foreign" + std::to_string(Id);
+      I = End;
+    }
+    Out.push_back(std::move(R));
+  }
+  return Out;
+}
+
+/// One solve of \p Copies copies of RandomSystem(Seed) built in one
+/// TypeContext: the stats, each variable's group (copy-major order), and
+/// each copy's resolved constraint sides with its variable ids made
+/// relative to its own first one.
+struct CopiesRun {
+  SolveStats Stats;
+  std::vector<std::vector<std::string>> Resolved;
+};
+
+CopiesRun solveCopies(uint64_t Seed, unsigned Copies, unsigned Threads) {
+  TypeContext TC;
+  std::vector<RandomSystem> Systems;
+  Systems.reserve(Copies);
+  for (unsigned K = 0; K != Copies; ++K)
+    Systems.emplace_back(TC, Seed);
+  std::vector<Constraint> Cs;
+  std::vector<SpliceQuery> Queries;
+  for (const RandomSystem &Sys : Systems) {
+    Cs.insert(Cs.end(), Sys.Cs.begin(), Sys.Cs.end());
+    for (const Type *V : Sys.Vars)
+      Queries.push_back(SpliceQuery{V, 0});
+  }
+  SpliceRequest Req;
+  Req.Queries = &Queries;
+  InferenceEngine E(TC);
+  SolveOptions O;
+  O.NumThreads = Threads;
+  CopiesRun R;
+  R.Stats = E.solve(Cs, O, &Req);
+  if (R.Stats.Success)
+    for (const RandomSystem &Sys : Systems) {
+      std::vector<std::string> Sides;
+      for (const Constraint &C : Sys.Cs) {
+        Sides.push_back(E.resolve(C.A)->str());
+        Sides.push_back(E.resolve(C.B)->str());
+      }
+      R.Resolved.push_back(relativeVarIds(
+          Sides, Sys.Vars.front()->getVarId(), Sys.Vars.size()));
+    }
+  return R;
+}
+
+TEST(SolverDifferential, DuplicatedGroupsMatchSoloSolve) {
+  // Every group of copies 1 and 2 equals a group of copy 0 up to a
+  // renaming of variables, so it takes an earlier group's search instead
+  // of its own. Whatever the thread count, each copy must still report
+  // exactly the groups, steps and solution of a solve of one copy alone.
+  constexpr unsigned Copies = 3;
+  uint64_t Memoized = 0;
+  for (uint64_t Seed = 0; Seed != 10000 && !HasFailure(); ++Seed) {
+    const CopiesRun Solo = solveCopies(Seed, 1, 1);
+    const size_t NumVars = Solo.Stats.QueryGroups.size();
+    for (unsigned Threads : {1u, 4u}) {
+      const CopiesRun Dup = solveCopies(Seed, Copies, Threads);
+      const std::string What =
+          "seed " + std::to_string(Seed) + " j" + std::to_string(Threads);
+      ASSERT_EQ(Dup.Stats.Success, Solo.Stats.Success) << What;
+      if (!Solo.Stats.Success) {
+        // Copy 0 fails first, exactly as it does alone.
+        EXPECT_EQ(Dup.Stats.FailMessage, Solo.Stats.FailMessage) << What;
+        continue;
+      }
+      EXPECT_EQ(Dup.Stats.UnifySteps, Copies * Solo.Stats.UnifySteps) << What;
+      EXPECT_EQ(Dup.Stats.BranchPoints, Copies * Solo.Stats.BranchPoints)
+          << What;
+      EXPECT_EQ(Dup.Stats.NumComponents, Copies * Solo.Stats.NumComponents)
+          << What;
+      ASSERT_EQ(Dup.Stats.QueryGroups.size(), Copies * NumVars) << What;
+      for (unsigned K = 0; K != Copies; ++K) {
+        EXPECT_EQ(Dup.Resolved[K], Solo.Resolved[0]) << What << " copy " << K;
+        for (size_t V = 0; V != NumVars; ++V) {
+          const int G0 = Solo.Stats.QueryGroups[V];
+          const int G = Dup.Stats.QueryGroups[K * NumVars + V];
+          ASSERT_EQ(G < 0, G0 < 0) << What << " copy " << K;
+          if (G0 < 0)
+            continue;
+          const GroupStats &A = Solo.Stats.Groups[size_t(G0)];
+          const GroupStats &B = Dup.Stats.Groups[size_t(G)];
+          EXPECT_EQ(B.NumConstraints, A.NumConstraints) << What;
+          EXPECT_EQ(B.UnifySteps, A.UnifySteps) << What;
+          EXPECT_EQ(B.BranchPoints, A.BranchPoints) << What;
+          EXPECT_EQ(B.Success, A.Success) << What;
+          if (K != 0) {
+            EXPECT_GE(B.MemoOf, 0) << What << " copy " << K << " group " << G;
+          }
+        }
+      }
+      Memoized += Dup.Stats.NumMemoized;
+      if (Solo.Stats.NumComponents) {
+        EXPECT_LT(Dup.Stats.UnifyStepsSearched, Dup.Stats.UnifySteps) << What;
+      }
+    }
+  }
+  std::printf("duplicated random systems: %llu groups memoized\n",
+              static_cast<unsigned long long>(Memoized));
+  EXPECT_GT(Memoized, 0u);
+}
+
+TEST(SolverDifferential, NodeSharingSeparatesGroups) {
+  // v = (S | float) then v = S', with H1 and H2 off so both constraints
+  // reach the group search. When S' is S itself, unifying it with v's
+  // binding is one step (the same node); when S' is an equal but distinct
+  // node, the fields are unified too. The two groups are equal up to a
+  // renaming except for that sharing, so each must search for itself.
+  auto Build = [](TypeContext &TC, bool Shared, std::vector<Constraint> &Cs) {
+    const Type *V = TC.freshVar("v");
+    auto MakeStruct = [&TC] {
+      return TC.getStruct({{"x", TC.getInt()}, {"y", TC.getBool()}});
+    };
+    const Type *S = MakeStruct();
+    Constraint C;
+    C.A = V;
+    C.B = TC.getDisjunct({S, TC.getFloat()});
+    Cs.push_back(C);
+    C.B = Shared ? S : MakeStruct();
+    Cs.push_back(C);
+  };
+  SolveOptions O = SolveOptions::naive();
+  O.Partition = true;
+  uint64_t SoloSteps[2];
+  for (bool Shared : {true, false}) {
+    TypeContext TC;
+    std::vector<Constraint> Cs;
+    Build(TC, Shared, Cs);
+    InferenceEngine E(TC);
+    SolveStats S = E.solve(Cs, O);
+    ASSERT_TRUE(S.Success) << S.FailMessage;
+    ASSERT_EQ(S.Groups.size(), 1u);
+    SoloSteps[Shared ? 0 : 1] = S.Groups[0].UnifySteps;
+  }
+  ASSERT_NE(SoloSteps[0], SoloSteps[1]);
+  for (unsigned Threads : {1u, 4u}) {
+    TypeContext TC;
+    std::vector<Constraint> Cs;
+    Build(TC, true, Cs);
+    Build(TC, false, Cs);
+    Build(TC, true, Cs);
+    InferenceEngine E(TC);
+    O.NumThreads = Threads;
+    SolveStats S = E.solve(Cs, O);
+    ASSERT_TRUE(S.Success) << S.FailMessage;
+    ASSERT_EQ(S.Groups.size(), 3u);
+    EXPECT_EQ(S.Groups[0].UnifySteps, SoloSteps[0]);
+    EXPECT_EQ(S.Groups[0].MemoOf, -1);
+    EXPECT_EQ(S.Groups[1].UnifySteps, SoloSteps[1]);
+    EXPECT_EQ(S.Groups[1].MemoOf, -1);
+    // The third group shares like the first and is its sibling.
+    EXPECT_EQ(S.Groups[2].UnifySteps, SoloSteps[0]);
+    EXPECT_EQ(S.Groups[2].MemoOf, 0);
+    EXPECT_EQ(S.NumMemoized, 1u);
+    for (const Constraint &C : Cs)
+      EXPECT_EQ(E.resolve(C.A)->str(), "struct{x:int;y:bool;}");
+  }
 }
 
 TEST(SolverDifferential, FixedSeedRegressions) {

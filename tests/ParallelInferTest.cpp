@@ -68,6 +68,9 @@ void expectIdenticalRuns(const EngineRun &Serial, const EngineRun &Parallel,
   EXPECT_EQ(Serial.Stats.NumDisjunctive, Parallel.Stats.NumDisjunctive);
   EXPECT_EQ(Serial.Stats.NumComponents, Parallel.Stats.NumComponents);
   EXPECT_EQ(Serial.Stats.NumUnsolved, Parallel.Stats.NumUnsolved);
+  EXPECT_EQ(Serial.Stats.NumMemoized, Parallel.Stats.NumMemoized);
+  EXPECT_EQ(Serial.Stats.UnifyStepsSearched,
+            Parallel.Stats.UnifyStepsSearched);
   EXPECT_EQ(Serial.Stats.FailMessage, Parallel.Stats.FailMessage);
   ASSERT_EQ(Serial.Stats.Groups.size(), Parallel.Stats.Groups.size());
   for (size_t I = 0; I != Serial.Stats.Groups.size(); ++I) {
@@ -79,6 +82,9 @@ void expectIdenticalRuns(const EngineRun &Serial, const EngineRun &Parallel,
     EXPECT_EQ(G1.Success, GN.Success) << "group " << I;
     EXPECT_EQ(G1.HitLimit, GN.HitLimit) << "group " << I;
     EXPECT_EQ(G1.InstancePaths, GN.InstancePaths) << "group " << I;
+    EXPECT_EQ(G1.NumDisjunctAlternatives, GN.NumDisjunctAlternatives)
+        << "group " << I;
+    EXPECT_EQ(G1.MemoOf, GN.MemoOf) << "group " << I;
   }
   EXPECT_EQ(Serial.Resolved, Parallel.Resolved);
 }
@@ -301,6 +307,84 @@ TEST(ParallelInfer, BudgetExhaustedGroupMatchesSerialExactly) {
             0);
   for (unsigned Threads : {2u, 4u})
     expectIdenticalRuns(Serial, Run(Threads), "budget-exhausted group");
+}
+
+TEST(ParallelInfer, DuplicatedBudgetExhaustedGroupsEachReportThemselves) {
+  // Three copies of the pathological group: the first searches and runs
+  // out of budget, the other two take its verdict without searching. Each
+  // is still its own unsolved group, with its own instance path in the
+  // diagnostic, and the easy groups after them still commit.
+  constexpr unsigned Copies = 3;
+  auto Run = [](unsigned Threads) {
+    TypeContext TC;
+    std::vector<Constraint> Cs = makeDisjointHardGroups(TC, Copies, 14);
+    std::vector<Constraint> Easy = makeIntersectionFamily(TC, 6);
+    Cs.insert(Cs.end(), Easy.begin(), Easy.end());
+    InferenceEngine E(TC);
+    SolveOptions O;
+    O.NumThreads = Threads;
+    O.ForcedDisjunctElimination = false; // Leave residual groups for H3.
+    O.MaxSteps = 20000;
+    EngineRun R;
+    R.Stats = E.solve(Cs, O);
+    for (const Constraint &C : Cs) {
+      R.Resolved.push_back(E.resolve(C.A)->str());
+      R.Resolved.push_back(E.resolve(C.B)->str());
+    }
+    return R;
+  };
+  EngineRun Serial = Run(1);
+  ASSERT_FALSE(Serial.Stats.Success);
+  EXPECT_TRUE(Serial.Stats.HitLimit);
+  EXPECT_EQ(Serial.Stats.NumUnsolved, Copies);
+  ASSERT_EQ(Serial.Stats.Groups.size(), Copies + 6);
+  const GroupStats &First = Serial.Stats.Groups.front();
+  for (unsigned G = 0; G != Copies; ++G) {
+    const GroupStats &Hard = Serial.Stats.Groups[G];
+    EXPECT_FALSE(Hard.Success) << "copy " << G;
+    EXPECT_TRUE(Hard.HitLimit) << "copy " << G;
+    EXPECT_EQ(Hard.MemoOf, G ? 0 : -1) << "copy " << G;
+    EXPECT_EQ(Hard.UnifySteps, First.UnifySteps) << "copy " << G;
+    EXPECT_EQ(Hard.NumDisjunctAlternatives, First.NumDisjunctAlternatives);
+    EXPECT_EQ(Hard.InstancePaths,
+              std::vector<std::string>{"synthetic.g" + std::to_string(G)});
+  }
+  for (size_t G = Copies; G != Serial.Stats.Groups.size(); ++G)
+    EXPECT_TRUE(Serial.Stats.Groups[G].Success) << "easy group " << G;
+  EXPECT_EQ(Serial.Stats.NumMemoized, Copies - 1 + 5);
+  EXPECT_LT(Serial.Stats.UnifyStepsSearched, Serial.Stats.UnifySteps);
+  for (unsigned Threads : {2u, 4u})
+    expectIdenticalRuns(Serial, Run(Threads), "duplicated budget groups");
+}
+
+TEST(ParallelInfer, DuplicatedUnsatGroupStopsTheMergeAtTheFirstCopy) {
+  // Two satisfiable groups, two copies of an unsatisfiable one, then
+  // copies of the satisfiable groups. The first unsatisfiable copy is a
+  // representative; the merge stops there, at group 2, with the usual
+  // message, and nothing after it (its sibling included) is reported.
+  Generator Make = [](TypeContext &TC) {
+    std::vector<Constraint> Cs = makeDisjointHardGroups(TC, 2, 6);
+    for (unsigned Copy = 0; Copy != 2; ++Copy) {
+      std::vector<Constraint> Unsat = makeUnsatPairs(TC, 1);
+      Cs.insert(Cs.end(), Unsat.begin(), Unsat.end());
+    }
+    std::vector<Constraint> Hard = makeDisjointHardGroups(TC, 2, 6);
+    Cs.insert(Cs.end(), Hard.begin(), Hard.end());
+    return Cs;
+  };
+  EngineRun Serial = solveSynthetic(Make, 1);
+  ASSERT_FALSE(Serial.Stats.Success);
+  EXPECT_EQ(Serial.Stats.FailMessage,
+            "no consistent assignment for overloaded components");
+  EXPECT_EQ(Serial.Stats.NumComponents, 6u);
+  ASSERT_EQ(Serial.Stats.Groups.size(), 3u);
+  EXPECT_TRUE(Serial.Stats.Groups[0].Success);
+  EXPECT_EQ(Serial.Stats.Groups[1].MemoOf, 0);
+  EXPECT_FALSE(Serial.Stats.Groups[2].Success);
+  EXPECT_EQ(Serial.Stats.Groups[2].MemoOf, -1);
+  for (unsigned Threads : {2u, 4u})
+    expectIdenticalRuns(Serial, solveSynthetic(Make, Threads),
+                        "duplicated unsat group");
 }
 
 TEST(ParallelInfer, NetlistFailureReportsOneDiagnostic) {

@@ -118,43 +118,6 @@ TEST(ThreadPool, WaitWithNoWorkReturns) {
   Pool.wait(); // Must not deadlock on an empty queue.
 }
 
-TEST(ThreadPool, CancelPendingDropsQueuedTasks) {
-  // Record-and-drain: with the single worker provably parked inside the
-  // first task, every later task is still queued; cancelPending() must
-  // drop exactly those, wait() must not deadlock on the adjusted
-  // outstanding count, and the pool must stay usable afterwards.
-  ThreadPool Pool(1);
-  std::atomic<unsigned> Count{0};
-  std::atomic<bool> Go{false}, Started{false};
-  Pool.async([&] {
-    Started = true;
-    while (!Go)
-      std::this_thread::yield();
-    ++Count;
-  });
-  while (!Started)
-    std::this_thread::yield();
-  for (unsigned I = 0; I != 16; ++I)
-    Pool.async([&Count] { ++Count; });
-  EXPECT_EQ(Pool.cancelPending(), 16u);
-  Go = true;
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 1u);
-  Pool.async([&Count] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Count.load(), 2u);
-}
-
-TEST(ThreadPool, CancelPendingWithEmptyQueueIsNoop) {
-  ThreadPool Pool(2);
-  std::atomic<unsigned> Count{0};
-  Pool.async([&] { ++Count; });
-  Pool.wait();
-  EXPECT_EQ(Pool.cancelPending(), 0u);
-  Pool.wait(); // Still quiescent; must not deadlock.
-  EXPECT_EQ(Count.load(), 1u);
-}
-
 TEST(ThreadPool, DestructorDropsUnstartedTasks) {
   // Deterministic shutdown: destroying the pool while the worker is held
   // inside the first task cancels the queued tasks before waiting, so

@@ -85,6 +85,32 @@ TEST(Types, StructuralEquality) {
   EXPECT_FALSE(types::structurallyEqual(V, TC.freshVar("a")));
 }
 
+TEST(Types, StructuralEqualityOfStructs) {
+  // Distinct nodes throughout, so no comparison takes the pointer-equality
+  // shortcut and every case reaches the field loop.
+  TypeContext TC;
+  auto Pair = [&TC](const char *Second, const Type *SecondTy) {
+    return TC.getStruct({{"x", TC.getInt()}, {Second, SecondTy}});
+  };
+  const Type *S1 = Pair("y", TC.getBool());
+  EXPECT_TRUE(types::structurallyEqual(S1, Pair("y", TC.getBool())));
+  // A differing field name, and a differing type under the same name.
+  EXPECT_FALSE(types::structurallyEqual(S1, Pair("z", TC.getBool())));
+  EXPECT_FALSE(types::structurallyEqual(S1, Pair("y", TC.getFloat())));
+  // A differing field count, in both directions.
+  const Type *One = TC.getStruct({{"x", TC.getInt()}});
+  EXPECT_FALSE(types::structurallyEqual(S1, One));
+  EXPECT_FALSE(types::structurallyEqual(One, S1));
+  // A difference nested two levels down: equal outer names and counts.
+  auto Nested = [&](int64_t Extent) {
+    return Pair("y", TC.getArray(Pair("y", TC.getInt()), Extent));
+  };
+  EXPECT_TRUE(types::structurallyEqual(Nested(2), Nested(2)));
+  EXPECT_FALSE(types::structurallyEqual(Nested(2), Nested(3)));
+  const Type *Inner = Pair("y", TC.getArray(Pair("w", TC.getInt()), 2));
+  EXPECT_FALSE(types::structurallyEqual(Nested(2), Inner));
+}
+
 TEST(Types, ConvertBasics) {
   ConvertFixture F;
   EXPECT_EQ(F.convert("int"), F.TC.getInt());
