@@ -153,7 +153,6 @@ void exercise(const std::string &Text) {
           SS.Solve.NumConstraints != S.NumConstraints ||
           SS.Solve.NumDisjunctive != S.NumDisjunctive ||
           SS.Solve.NumComponents != S.NumComponents ||
-          SS.Solve.ThreadsUsed != S.ThreadsUsed ||
           SS.Solve.NumUnsolved != S.NumUnsolved ||
           !sameDiags(SS.Diags, Diags))
         __builtin_trap();

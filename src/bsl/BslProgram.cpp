@@ -4,6 +4,7 @@
 
 #include "interp/Evaluator.h"
 #include "lss/Parser.h"
+#include "lss/Resolver.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -24,6 +25,7 @@ std::unique_ptr<BslProgram> BslProgram::compile(const std::string &Code,
   P->Body = Parse.parseBslBody();
   if (Diags.getNumErrors() != ErrorsBefore)
     return nullptr;
+  resolveBody(P->Body, P->Layout);
   return P;
 }
 
@@ -41,8 +43,8 @@ public:
       : Evaluator(Diags, StepBudget), Sig(Sig), Args(Args),
         RuntimeVars(RuntimeVars), Params(Params) {}
 
-  Value run(const std::vector<Stmt *> &Body) {
-    runBody(Body);
+  Value run(const std::vector<Stmt *> &Body, const BodyLayout &Layout) {
+    runBody(Body, Layout);
     return std::move(ReturnValue);
   }
 
@@ -94,5 +96,6 @@ Value BslProgram::run(const UserpointSig *Sig, std::vector<Value> &Args,
                       StateTable &RuntimeVars,
                       const std::map<std::string, Value> &Params,
                       DiagnosticEngine &Diags) const {
-  return UserpointCall(Sig, Args, RuntimeVars, Params, Diags).run(Body);
+  return UserpointCall(Sig, Args, RuntimeVars, Params, Diags)
+      .run(Body, Layout);
 }

@@ -56,6 +56,7 @@ private:
 
   lss::ASTContext Ctx;
   std::vector<lss::Stmt *> Body;
+  lss::BodyLayout Layout;
 };
 
 } // namespace bsl

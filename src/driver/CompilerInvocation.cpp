@@ -38,7 +38,10 @@ void CompilerInvocation::registerBuffers(SourceMgr &SM) const {
 /// v3 records, and serialized type variables are renamed to first-use
 /// ordinals. v3: LSSNL 3 (the summary record), and the core library
 /// enters elabKey as its hash. v4: each source text enters elabKey as one
-/// flat hash instead of a fold over its module spans.
+/// flat hash instead of a fold over its module spans. A change that also
+/// bumps the artifact's own header (LSSSOL 4 dropped the thread count)
+/// needs no bump here: the reader rejects the old header, so a stale
+/// entry misses and is rewritten.
 static constexpr uint64_t CacheFormatVersion = 4;
 
 /// The core library text is a build-time constant, so it is hashed once

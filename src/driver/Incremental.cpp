@@ -531,11 +531,11 @@ CompileResult CompileService::compileIncremental(const CompilerInvocation &Inv) 
     const netlist::InstanceNode *O = OldInsts[OldId].get();
     if (PortIdx >= O->Ports.size() || !O->Ports[PortIdx].Resolved)
       return false;
-    auto It = OldIS.PortGroups.find({unsigned(OldId), PortIdx});
-    if (It == OldIS.PortGroups.end())
+    const infer::PortGroup *G = OldIS.findPortGroup(unsigned(OldId), PortIdx);
+    if (!G)
       return false;
     Out.Resolved = O->Ports[PortIdx].Resolved;
-    Out.NumDefaulted = It->second.second;
+    Out.NumDefaulted = G->NumDefaulted;
     return true;
   };
 

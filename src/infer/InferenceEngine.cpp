@@ -16,6 +16,7 @@
 #include <mutex>
 #include <numeric>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 
 using namespace liberty;
@@ -697,6 +698,7 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
   // and failure diagnostics bit-identical to the serial (--jobs 1) schedule.
   struct GroupOutcome {
     bool Ran = false;
+    std::thread::id Thread; ///< The thread that ran the search.
     bool Ok = false;
     SolveStats Local; ///< BranchPoints / HitLimit from this group only.
     uint64_t Steps = 0;
@@ -730,16 +732,14 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
     Out.WallMs = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - Start)
                      .count();
+    Out.Thread = std::this_thread::get_id();
     Out.Ran = true;
   };
 
   unsigned Threads =
       Opts.NumThreads ? Opts.NumThreads : ThreadPool::getHardwareParallelism();
   if (Threads > 1 && Components.size() > 1) {
-    // Pool size ignores splicing so ThreadsUsed (a reported statistic) is
-    // identical between a cold solve and an incremental one.
     ThreadPool Pool(std::min<unsigned>(Threads, Components.size()));
-    Stats.ThreadsUsed = Pool.getThreadCount();
     for (unsigned G = 0; G != Components.size(); ++G)
       if (!Spliced[G] && MemoOf[G] < 0)
         Pool.async([&SolveGroup, G] { SolveGroup(G); });
@@ -753,7 +753,6 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
       }
     Pool.wait();
   } else {
-    Stats.ThreadsUsed = 1;
     for (unsigned G = 0; G != Components.size(); ++G) {
       if (Spliced[G])
         continue;
@@ -771,6 +770,13 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
       if (!Out.Ok && !Out.Local.HitLimit && !Out.Local.HitDeadline)
         break; // Later groups stay un-run, exactly like the merge below.
     }
+  }
+  {
+    std::vector<std::thread::id> Ran;
+    for (const GroupOutcome &Out : Outcomes)
+      if (Out.Ran && std::find(Ran.begin(), Ran.end(), Out.Thread) == Ran.end())
+        Ran.push_back(Out.Thread);
+    Stats.ThreadsUsed = unsigned(Ran.size());
   }
 
   // Deterministic join: visit groups in index order, fold their statistics
@@ -890,6 +896,15 @@ liberty::infer::buildNetlistConstraints(netlist::Netlist &NL,
   // so this loop allocates nothing per constraint beyond the vector slot.
   NL.freezeIds();
   std::vector<Constraint> Cs;
+  size_t Bound = 0; // Every constraint the loops below can add.
+  for (const auto &Inst : NL.getInstances()) {
+    for (const netlist::Port &P : Inst->Ports)
+      Bound += P.Scheme ? 1 : 0;
+    Bound += Inst->ExtraConstraints.size();
+  }
+  for (const auto &Conn : NL.getConnections())
+    Bound += Conn->Annotation ? 2 : 1;
+  Cs.reserve(Bound);
   auto MakeConstraint = [](const Type *A, const Type *B, SourceLoc Loc,
                            ConstraintOriginKind Kind,
                            const netlist::InstanceNode *Inst,
@@ -973,6 +988,18 @@ static const Type *groundDefault(const Type *T, types::TypeContext &TC,
   return T;
 }
 
+const PortGroup *NetlistInferenceStats::findPortGroup(unsigned Inst,
+                                                     unsigned Port) const {
+  auto It = std::lower_bound(
+      PortGroups.begin(), PortGroups.end(), std::make_pair(Inst, Port),
+      [](const PortGroup &G, const std::pair<unsigned, unsigned> &Key) {
+        return std::make_pair(G.Inst, G.Port) < Key;
+      });
+  return It != PortGroups.end() && It->Inst == Inst && It->Port == Port
+             ? &*It
+             : nullptr;
+}
+
 NetlistInferenceStats
 liberty::infer::inferNetlistTypes(netlist::Netlist &NL, types::TypeContext &TC,
                                   DiagnosticEngine &Diags,
@@ -986,7 +1013,7 @@ liberty::infer::inferNetlistTypes(netlist::Netlist &NL, types::TypeContext &TC,
     Cs = buildNetlistConstraints(NL, TC);
   }
   // Group attribution is requested for every port variable on every solve:
-  // it is what LSSSOL v3 persists, and a cold compile must record exactly
+  // it is what LSSSOL persists, and a cold compile must record exactly
   // what a later incremental compile will need.
   std::vector<SpliceQuery> Queries;
   for (const auto &Inst : NL.getInstances())
@@ -1045,6 +1072,7 @@ liberty::infer::inferNetlistTypes(netlist::Netlist &NL, types::TypeContext &TC,
     }
     return Stats;
   }
+  PhaseTimer::Scope Resolve(Timer, "resolve");
   size_t QI = 0; // Aligned with Queries (same instance/port traversal).
   for (const auto &Inst : NL.getInstances()) {
     for (size_t PI = 0; PI != Inst->Ports.size(); ++PI) {
@@ -1095,8 +1123,8 @@ liberty::infer::inferNetlistTypes(netlist::Netlist &NL, types::TypeContext &TC,
         P.Resolved = R;
       }
       if (Group >= 0)
-        Stats.PortGroups[{unsigned(Inst->Id), unsigned(PI)}] = {Group,
-                                                                PortDefaulted};
+        Stats.PortGroups.push_back(
+            PortGroup{unsigned(Inst->Id), unsigned(PI), Group, PortDefaulted});
     }
   }
   return Stats;

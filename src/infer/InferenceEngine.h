@@ -31,7 +31,6 @@
 
 #include <chrono>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -194,7 +193,10 @@ struct SolveStats {
   unsigned NumComponents = 0; ///< H3 groups found.
   /// Groups that reused an earlier group's search (GroupStats::MemoOf).
   unsigned NumMemoized = 0;
-  unsigned ThreadsUsed = 1;   ///< Pool size the group search ran with.
+  /// Threads that ran at least one group search: 0 when no group
+  /// searched (none found, all spliced or memoized, or the solution came
+  /// from the cache), 1 for a serial solve. Not persisted in LSSSOL.
+  unsigned ThreadsUsed = 0;
   /// Groups left unsolved by budget/deadline exhaustion. Unlike a genuine
   /// unsatisfiability (which stops the merge at the first failed group),
   /// running out of budget degrades gracefully: every other group is still
@@ -258,23 +260,34 @@ private:
   bool HasDeadline = false;
 };
 
+/// The H3 group one resolved port's type depends on.
+struct PortGroup {
+  unsigned Inst = 0; ///< The instance's id.
+  unsigned Port = 0; ///< The port's index in the instance's Ports.
+  int Group = -1;
+  /// Defaulting substitutions the port's resolution made.
+  unsigned NumDefaulted = 0;
+};
+
 /// Result of running inference over a whole netlist.
 struct NetlistInferenceStats {
   SolveStats Solve;
   unsigned NumPorts = 0;
   unsigned NumPolymorphicPorts = 0; ///< Ports whose scheme had variables.
   unsigned NumDefaulted = 0; ///< Unconstrained variables defaulted to int.
-  /// Per resolved port whose resolution depends on an H3 group:
-  /// (instance id, port index) -> (group index, defaulting substitutions
-  /// its resolution made). Persisted by LSSSOL v3 so a later incremental
-  /// compile can splice the port without re-running the group search.
-  std::map<std::pair<unsigned, unsigned>, std::pair<int, unsigned>>
-      PortGroups;
+  /// One record per resolved port whose resolution depends on an H3
+  /// group, in (instance id, port index) order — the order of the
+  /// solver's queries. Persisted by LSSSOL so a later incremental compile
+  /// can splice the port without re-running the group search.
+  std::vector<PortGroup> PortGroups;
   /// Set when a splice oracle accepted a group but the cached per-port
   /// record backing it was missing; the caller must fall back to a cold
   /// solve (the netlist's resolved types are incomplete). Never set on
   /// non-incremental compiles.
   bool SpliceBroken = false;
+
+  /// The record of port \p Port of instance \p Inst, or null.
+  const PortGroup *findPortGroup(unsigned Inst, unsigned Port) const;
 };
 
 /// Cached resolution of one port in a spliced group: final (post-default)

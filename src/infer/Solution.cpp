@@ -29,8 +29,7 @@ bool liberty::infer::exportSolution(const netlist::Netlist &NL,
   OS << "stats " << (S.Success ? 1 : 0) << ' ' << (S.HitLimit ? 1 : 0) << ' '
      << (S.HitDeadline ? 1 : 0) << ' ' << S.UnifySteps << ' '
      << S.BranchPoints << ' ' << S.NumConstraints << ' ' << S.NumDisjunctive
-     << ' ' << S.NumComponents << ' ' << S.ThreadsUsed << ' ' << S.NumUnsolved
-     << '\n';
+     << ' ' << S.NumComponents << ' ' << S.NumUnsolved << '\n';
   OS << "nstats " << Stats.NumPorts << ' ' << Stats.NumPolymorphicPorts << ' '
      << Stats.NumDefaulted << '\n';
   // The per-group wall time is written as zero (the bits of 0.0): a
@@ -66,29 +65,26 @@ bool liberty::infer::exportSolution(const netlist::Netlist &NL,
       OS << "p " << I << ' ' << P << ' ' << Tab.tok(Ports[P].Resolved->str());
       // Group column is biased by one (0 = no group) so the record stays
       // unsigned; the defaulting count drives warning replay on splice.
-      auto It = Stats.PortGroups.find({unsigned(I), unsigned(P)});
-      if (It == Stats.PortGroups.end())
-        OS << " 0 0";
+      if (const PortGroup *G = Stats.findPortGroup(unsigned(I), unsigned(P)))
+        OS << ' ' << unsigned(G->Group + 1) << ' ' << G->NumDefaulted;
       else
-        OS << ' ' << unsigned(It->second.first + 1) << ' '
-           << It->second.second;
+        OS << " 0 0";
       OS << '\n';
     }
   }
   OS << "end\n";
-  Out = Tab.finish("LSSSOL 3", OS.str());
+  Out = Tab.finish("LSSSOL 4", OS.str());
   return true;
 }
 
 /// The "stats" record in \p L.
 static bool readStatsRecord(const netlist::ArtifactLineReader &L,
                             SolveStats &S) {
-  return L.size() == 11 && L.raw(0) == "stats" && L.boolean(1, S.Success) &&
+  return L.size() == 10 && L.raw(0) == "stats" && L.boolean(1, S.Success) &&
          L.boolean(2, S.HitLimit) && L.boolean(3, S.HitDeadline) &&
          L.u64(4, S.UnifySteps) && L.u64(5, S.BranchPoints) &&
          L.u32(6, S.NumConstraints) && L.u32(7, S.NumDisjunctive) &&
-         L.u32(8, S.NumComponents) && L.u32(9, S.ThreadsUsed) &&
-         L.u32(10, S.NumUnsolved);
+         L.u32(8, S.NumComponents) && L.u32(9, S.NumUnsolved);
 }
 
 /// The "diag" record in \p L, its message decoded through \p Str.
@@ -117,7 +113,7 @@ bool liberty::infer::readSolutionSummary(std::string_view Text,
     return Fail();
   netlist::ArtifactReader R(Text);
   std::vector<std::string_view> Strtab;
-  if (!R.readHeader("LSSSOL 3", Error) || !R.readRawStrtab(Strtab))
+  if (!R.readHeader("LSSSOL 4", Error) || !R.readRawStrtab(Strtab))
     return Fail();
 
   SolutionSummary S;
@@ -170,7 +166,7 @@ bool liberty::infer::importSolution(const std::string &Text,
     return Fail();
   netlist::ArtifactReader R(Text);
   std::vector<std::string> Strtab;
-  if (!R.readHeader("LSSSOL 3", Error) || !R.readStrtab(Strtab))
+  if (!R.readHeader("LSSSOL 4", Error) || !R.readStrtab(Strtab))
     return Fail();
 
   NetlistInferenceStats Stats;
@@ -181,6 +177,7 @@ bool liberty::infer::importSolution(const std::string &Text,
   std::map<std::string, const types::Type *> VarMap;
   const auto &Instances = NL.getInstances();
   bool SawP = false, SawEnd = false;
+  std::pair<uint64_t, uint64_t> LastPort;
 
   netlist::ArtifactLineReader L;
   auto Str = [&](size_t I, std::string &Msg) { return L.str(I, Strtab, Msg); };
@@ -228,7 +225,6 @@ bool liberty::infer::importSolution(const std::string &Text,
         return Fail();
       Diags.push_back(std::move(D));
     } else if (Kind == "p") {
-      SawP = true;
       uint64_t InstIdx, PortIdx;
       unsigned GroupBiased, NumDefaulted;
       std::string TypeText;
@@ -239,11 +235,20 @@ bool liberty::infer::importSolution(const std::string &Text,
       if (InstIdx >= Instances.size() ||
           PortIdx >= Instances[InstIdx]->Ports.size())
         return Fail();
+      // Ports come in increasing (instance, port) order, which keeps
+      // PortGroups sorted for findPortGroup.
+      auto Key = std::make_pair(InstIdx, PortIdx);
+      if (SawP && !(LastPort < Key))
+        return Fail();
+      LastPort = Key;
+      SawP = true;
       if (GroupBiased) {
         if (GroupBiased > Stats.Solve.Groups.size())
           return Fail();
-        Stats.PortGroups[{unsigned(InstIdx), unsigned(PortIdx)}] = {
-            int(GroupBiased) - 1, NumDefaulted};
+        Stats.PortGroups.push_back(PortGroup{unsigned(InstIdx),
+                                             unsigned(PortIdx),
+                                             int(GroupBiased) - 1,
+                                             NumDefaulted});
       }
       const types::Type *T = types::parseTypeText(TypeText, TC, VarMap);
       if (!T)

@@ -12,17 +12,11 @@ using namespace liberty::interp;
 using namespace liberty::lss;
 
 Evaluator::Evaluator(DiagnosticEngine &Diags, uint64_t MaxSteps)
-    : Diags(Diags), MaxSteps(MaxSteps) {
-  resetScopes();
-}
+    : Diags(Diags), MaxSteps(MaxSteps) {}
 
-Value *Evaluator::lookupLocal(const std::string &Name) {
-  for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-    auto Found = It->find(Name);
-    if (Found != It->end())
-      return &Found->second;
-  }
-  return nullptr;
+void Evaluator::closeScope(SlotRange R) {
+  for (unsigned I = R.Begin; I != R.End; ++I)
+    Frame[I] = Local();
 }
 
 bool Evaluator::aborted() {
@@ -33,7 +27,11 @@ bool Evaluator::aborted() {
   return Aborted;
 }
 
-bool Evaluator::runBody(const std::vector<Stmt *> &Body) {
+bool Evaluator::runBody(const std::vector<Stmt *> &Body,
+                        const BodyLayout &L) {
+  // The frame keeps its capacity from body to body.
+  Frame.assign(L.getNumSlots(), Local());
+  Layout = &L;
   for (const Stmt *S : Body) {
     if (aborted())
       return false;
@@ -72,7 +70,6 @@ Evaluator::Flow Evaluator::exec(const Stmt *S) {
   }
   case Stmt::Kind::For: {
     const auto *F = cast<ForStmt>(S);
-    Scopes.emplace_back();
     if (F->getInit())
       exec(F->getInit());
     Flow Result = Flow::Normal;
@@ -95,7 +92,7 @@ Evaluator::Flow Evaluator::exec(const Stmt *S) {
       if (F->getStep())
         exec(F->getStep());
     }
-    Scopes.pop_back();
+    closeScope(F->getScope());
     return Result;
   }
   case Stmt::Kind::While: {
@@ -116,16 +113,16 @@ Evaluator::Flow Evaluator::exec(const Stmt *S) {
     return Flow::Normal;
   }
   case Stmt::Kind::Block: {
-    Scopes.emplace_back();
+    const auto *B = cast<BlockStmt>(S);
     Flow Result = Flow::Normal;
-    for (const Stmt *Sub : cast<BlockStmt>(S)->getBody()) {
+    for (const Stmt *Sub : B->getBody()) {
       if (aborted())
         break;
       Result = exec(Sub);
       if (Result != Flow::Normal)
         break;
     }
-    Scopes.pop_back();
+    closeScope(B->getScope());
     return Result;
   }
   case Stmt::Kind::Assign:
@@ -172,7 +169,7 @@ static Value declDefault(const TypeExpr *TE) {
 }
 
 void Evaluator::execVarDecl(const VarDeclStmt *S) {
-  define(S->getName(),
+  define(S->getSlot(),
          S->getInit() ? eval(S->getInit()) : declDefault(S->getType()));
 }
 
@@ -183,7 +180,7 @@ void Evaluator::execAssign(const AssignStmt *S) {
   // local.
   if (const auto *Id = dyn_cast<IdentExpr>(S->getLHS())) {
     const std::string &Name = Id->getName();
-    if (Value *Slot = lookupLocal(Name)) {
+    if (Value *Slot = lookupLocal(Id->getSlot())) {
       if (Slot->isPort()) {
         Diags.error(S->getLoc(), "cannot assign to port '" + Name + "'");
         return;
@@ -201,8 +198,10 @@ void Evaluator::execAssign(const AssignStmt *S) {
                   "cannot assign to read-only parameter '" + Name + "'");
       return;
     }
+    // The resolver gave the name a slot in this statement's own scope,
+    // which is where the identifier's candidates start.
     if (!assignUndeclared(Name, RHS, S->getLoc()))
-      define(Name, std::move(RHS));
+      define(Id->getSlot(), std::move(RHS));
     return;
   }
 
@@ -226,10 +225,10 @@ void Evaluator::execAssign(const AssignStmt *S) {
 Value *Evaluator::resolveLValue(const Expr *E) {
   switch (E->getKind()) {
   case Expr::Kind::Ident: {
-    const std::string &Name = cast<IdentExpr>(E)->getName();
-    if (Value *V = lookupLocal(Name))
+    const auto *Id = cast<IdentExpr>(E);
+    if (Value *V = lookupLocal(Id->getSlot()))
       return V;
-    return lookupFree(Name).Var;
+    return lookupFree(Id->getName()).Var;
   }
   case Expr::Kind::Index: {
     const auto *I = cast<IndexExpr>(E);
@@ -276,9 +275,10 @@ Value Evaluator::eval(const Expr *E) {
   case Expr::Kind::BoolLit:
     return Value::makeBool(cast<BoolLitExpr>(E)->getValue());
   case Expr::Kind::Ident: {
-    const std::string &Name = cast<IdentExpr>(E)->getName();
-    if (const Value *V = lookupLocal(Name))
+    const auto *Id = cast<IdentExpr>(E);
+    if (const Value *V = lookupLocal(Id->getSlot()))
       return *V;
+    const std::string &Name = Id->getName();
     Binding B = lookupFree(Name);
     if (B.Var)
       return *B.Var;

@@ -16,6 +16,11 @@
 /// builtins; userpoints add their arguments, runtime variables, read-only
 /// parameters and `return`.
 ///
+/// Locals live in one flat frame per body, indexed by the slots name
+/// resolution (lss/Resolver.h) assigned before the body runs; a slot that
+/// nothing bound on the path taken reads as absent, exactly like a name
+/// missing from every scope.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LIBERTY_INTERP_EVALUATOR_H
@@ -26,7 +31,6 @@
 #include "support/Diagnostics.h"
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,25 +65,33 @@ protected:
   enum class Flow { Normal, Break, Continue, Return };
 
   /// \p MaxSteps bounds the statement and expression steps before
-  /// evaluation aborts (see aborted()). Starts with one empty scope.
+  /// evaluation aborts (see aborted()).
   Evaluator(DiagnosticEngine &Diags, uint64_t MaxSteps);
 
-  /// Runs the top-level statements of a body in the current scope. Stops
-  /// at a `return`, when aborted, or at a `break`/`continue` outside of any
-  /// loop, which it reports. Returns false if it stopped for either of the
-  /// last two reasons.
-  bool runBody(const std::vector<lss::Stmt *> &Body);
+  /// Runs the top-level statements of a body, resolved into \p Layout, in
+  /// a fresh frame. Stops at a `return`, when aborted, or at a
+  /// `break`/`continue` outside of any loop, which it reports. Returns
+  /// false if it stopped for either of the last two reasons.
+  bool runBody(const std::vector<lss::Stmt *> &Body,
+               const lss::BodyLayout &Layout);
 
   Flow exec(const lss::Stmt *S);
   Value eval(const lss::Expr *E);
 
-  /// Discards every local scope and opens one empty scope.
-  void resetScopes() { Scopes.assign(1, {}); }
-  void define(const std::string &Name, Value V) {
-    Scopes.back()[Name] = std::move(V);
+  /// Binds local slot \p Slot (a declaration's own slot) to \p V.
+  void define(int Slot, Value V) {
+    Local &L = Frame[size_t(Slot)];
+    L.V = std::move(V);
+    L.Bound = true;
   }
-  /// The innermost local binding of \p Name, or null.
-  Value *lookupLocal(const std::string &Name);
+  /// The innermost bound local among the candidates starting at \p Slot
+  /// (an identifier's or a declaration's slot), or null.
+  Value *lookupLocal(int Slot) {
+    for (; Slot >= 0; Slot = Layout->Outer[size_t(Slot)])
+      if (Frame[size_t(Slot)].Bound)
+        return &Frame[size_t(Slot)].V;
+    return nullptr;
+  }
 
   /// True once evaluation must stop. The core stops when the step budget
   /// is spent, reporting it once through stepBudgetExceeded().
@@ -141,7 +153,16 @@ private:
   Value *resolveLValue(const lss::Expr *E);
   Value evalCall(const lss::CallExpr *E);
 
-  std::vector<std::map<std::string, Value>> Scopes;
+  /// Unbinds the slots of a scope that is closing.
+  void closeScope(lss::SlotRange R);
+
+  struct Local {
+    Value V;
+    bool Bound = false;
+  };
+  /// The running body's locals, one per slot of its layout.
+  std::vector<Local> Frame;
+  const lss::BodyLayout *Layout = nullptr;
   /// The running top-level statement's location (for the budget report).
   SourceLoc TopLoc;
 };

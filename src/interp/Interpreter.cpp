@@ -2,6 +2,7 @@
 
 #include "interp/Interpreter.h"
 
+#include "lss/Resolver.h"
 #include "support/Casting.h"
 
 #include <algorithm>
@@ -63,28 +64,32 @@ Interpreter::run(const std::vector<Stmt *> &TopLevel) {
   // replayed bodies so an incremental compile can re-serialize a complete
   // dependency artifact afterwards.
   auto RunBody = [&](netlist::InstanceNode *Node,
-                     const std::vector<Stmt *> &Body) {
+                     const std::vector<Stmt *> &Body,
+                     const BodyLayout &Layout) {
     BodyWindow W;
     W.ConnBegin = uint32_t(NL->getConnections().size());
     W.DiagBegin = uint32_t(Diags.getDiagnostics().size());
     if (Replay && Replay(Node))
-      ProcessingOrder.push_back(Node->Path.empty() ? "<top>" : Node->Path);
+      ProcessingOrder.push_back(Node);
     else
-      evalBody(Node, Body);
+      evalBody(Node, Body, Layout);
     W.ConnEnd = uint32_t(NL->getConnections().size());
     W.DiagEnd = uint32_t(Diags.getDiagnostics().size());
     BodyWindows.emplace_back(Node, W);
   };
 
-  // The top level is the body of the synthetic root instance.
-  RunBody(NL->getRoot(), TopLevel);
+  // The top level is the body of the synthetic root instance. Module
+  // bodies were resolved when parsed; the top-level statements of all the
+  // compile's files form one body, resolved here.
+  resolveBody(TopLevel, TopLayout);
+  RunBody(NL->getRoot(), TopLevel, TopLayout);
 
   // Pop and evaluate deferred instance bodies (LIFO, Section 6.2).
   while (!InstStack.empty() && !aborted()) {
     netlist::InstanceNode *Node = InstStack.back();
     InstStack.pop_back();
     assert(Node->Module && "deferred instance without a module");
-    RunBody(Node, Node->Module->getBody());
+    RunBody(Node, Node->Module->getBody(), Node->Module->getLayout());
   }
 
   NL = nullptr;
@@ -92,16 +97,22 @@ Interpreter::run(const std::vector<Stmt *> &TopLevel) {
 }
 
 void Interpreter::evalBody(netlist::InstanceNode *Node,
-                           const std::vector<Stmt *> &Body) {
-  ProcessingOrder.push_back(Node->Path.empty() ? "<top>" : Node->Path);
+                           const std::vector<Stmt *> &Body,
+                           const BodyLayout &Layout) {
+  ProcessingOrder.push_back(Node);
 
-  Cur = BodyState();
   Cur.Node = Node;
-  resetScopes();
-  if (!runBody(Body))
+  Cur.TypeVars.assign(Layout.NumTypeVars, nullptr);
+  Cur.DeclaredParams.assign(Layout.NumParamNames, false);
+  Cur.DeclaredPorts.assign(Layout.NumPortNames, false);
+  Cur.SelfPortAutoIdx.clear();
+  Node->Ports.reserve(Layout.NumPortDecls);
+  if (!runBody(Body, Layout))
     return;
 
-  Node->NumTypeVars = Cur.VarMap.size();
+  Node->NumTypeVars = unsigned(
+      Layout.NumTypeVars -
+      std::count(Cur.TypeVars.begin(), Cur.TypeVars.end(), nullptr));
 
   // A-context leftovers: the paper's check that no assignments or
   // connections were made to non-existent parameters or ports (A = Ø).
@@ -152,14 +163,10 @@ Interpreter::Flow Interpreter::execOther(const Stmt *S) {
     return Flow::Normal;
   case Stmt::Kind::Constrain: {
     const auto *C = cast<ConstrainStmt>(S);
-    const types::Type *Var;
-    auto It = Cur.VarMap.find(C->getVarName());
-    if (It != Cur.VarMap.end()) {
-      Var = It->second;
-    } else {
-      Var = TC.freshVar(C->getVarName());
-      Cur.VarMap.emplace(C->getVarName(), Var);
-    }
+    const types::Type *&Slot = Cur.TypeVars[C->getVarIdx()];
+    if (!Slot)
+      Slot = TC.freshVar(C->getVarName());
+    const types::Type *Var = Slot;
     const types::Type *Scheme = convertType(C->getScheme());
     if (Scheme)
       Cur.Node->ExtraConstraints.emplace_back(Var, Scheme);
@@ -185,16 +192,17 @@ const types::Type *Interpreter::convertType(const TypeExpr *TE) {
       return std::nullopt;
     return V.getInt();
   };
-  return TC.convert(TE, Cur.VarMap, EvalSize, Diags);
+  return TC.convert(TE, Cur.TypeVars, EvalSize, Diags);
 }
 
 void Interpreter::execParamDecl(const ParamDeclStmt *S) {
   netlist::InstanceNode *Node = Cur.Node;
   const std::string &Name = S->getName();
-  if (!Cur.DeclaredParams.insert(Name).second) {
+  if (Cur.DeclaredParams[S->getParamIdx()]) {
     Diags.error(S->getLoc(), "redeclaration of parameter '" + Name + "'");
     return;
   }
+  Cur.DeclaredParams[S->getParamIdx()] = true;
 
   // Consult the A context for a use-site value (use-based specialization:
   // the parameter value arrives from the instantiating body).
@@ -239,7 +247,7 @@ void Interpreter::execParamDecl(const ParamDeclStmt *S) {
     }
     // The code string is also visible in the body so it can be forwarded
     // to sub-instance userpoints (Figure 12, line 10).
-    define(Name, Value::makeString(UV.Code));
+    define(S->getSlot(), Value::makeString(UV.Code));
     Node->Userpoints[Name] = std::move(UV);
     return;
   }
@@ -264,7 +272,7 @@ void Interpreter::execParamDecl(const ParamDeclStmt *S) {
                     " of parameter '" + Name + "'");
     return;
   }
-  define(Name, V);
+  define(S->getSlot(), V);
   Node->Params[Name] = std::move(V);
 }
 
@@ -292,10 +300,11 @@ static void resolveChildEndpoint(netlist::PendingConn &PC,
 void Interpreter::execPortDecl(const PortDeclStmt *S) {
   netlist::InstanceNode *Node = Cur.Node;
   const std::string &Name = S->getName();
-  if (!Cur.DeclaredPorts.insert(Name).second) {
+  if (Cur.DeclaredPorts[S->getPortIdx()]) {
     Diags.error(S->getLoc(), "redeclaration of port '" + Name + "'");
     return;
   }
+  Cur.DeclaredPorts[S->getPortIdx()] = true;
 
   netlist::Port P;
   P.Name = Name;
@@ -308,7 +317,8 @@ void Interpreter::execPortDecl(const PortDeclStmt *S) {
   // Consume the A context's recorded connections to this port, assigning
   // port-instance indices: explicit indices are honored, unindexed
   // connections get the next free slot (Section 4.2).
-  std::set<int> Used;
+  std::vector<int> &Used = Cur.UsedIdx;
+  Used.clear();
   int MaxIdx = -1;
   // First pass: explicit indices.
   for (netlist::PendingConn &PC : Node->APendingConns) {
@@ -316,23 +326,30 @@ void Interpreter::execPortDecl(const PortDeclStmt *S) {
       continue;
     // Repeating an explicit index is fan-out for an outport (one driver,
     // many readers) but multiple drivers for an inport.
-    if (!Used.insert(PC.ExplicitIndex).second && P.isInput())
+    auto It = std::lower_bound(Used.begin(), Used.end(), PC.ExplicitIndex);
+    if (It == Used.end() || *It != PC.ExplicitIndex)
+      Used.insert(It, PC.ExplicitIndex);
+    else if (P.isInput())
       Diags.warning(PC.Loc, "inport instance " + Name + "[" +
                                 std::to_string(PC.ExplicitIndex) +
                                 "] connected more than once");
     MaxIdx = std::max(MaxIdx, PC.ExplicitIndex);
     resolveChildEndpoint(PC, Node, P, PC.ExplicitIndex, Diags);
   }
-  // Second pass: inferred indices.
+  // Second pass: inferred indices, each the lowest one not yet taken.
   int Cursor = 0;
+  size_t NextUsed = 0;
   for (netlist::PendingConn &PC : Node->APendingConns) {
     if (PC.Port != Name || PC.Consumed)
       continue;
-    while (Used.count(Cursor))
-      ++Cursor;
-    Used.insert(Cursor);
+    while (NextUsed != Used.size() && Used[NextUsed] <= Cursor) {
+      if (Used[NextUsed] == Cursor)
+        ++Cursor;
+      ++NextUsed;
+    }
     MaxIdx = std::max(MaxIdx, Cursor);
     resolveChildEndpoint(PC, Node, P, Cursor, Diags);
+    ++Cursor;
   }
 
   P.Width = MaxIdx + 1;
@@ -345,11 +362,11 @@ void Interpreter::execPortDecl(const PortDeclStmt *S) {
   H.Inst = Node;
   H.Port = Name;
   H.OnSelf = true;
-  define(Name, Value::makePort(H));
+  define(S->getSlot(), Value::makePort(std::move(H)));
 }
 
 void Interpreter::execInstanceDecl(const InstanceDeclStmt *S) {
-  if (lookupLocal(S->getName())) {
+  if (lookupLocal(S->getSlot())) {
     Diags.error(S->getLoc(), "redefinition of name '" + S->getName() + "'");
     return;
   }
@@ -357,7 +374,7 @@ void Interpreter::execInstanceDecl(const InstanceDeclStmt *S) {
       makeInstance(Cur.Node, S->getName(), S->getModuleName(), S->getLoc());
   if (!Child)
     return;
-  define(S->getName(), Value::makeInstanceRef(Child));
+  define(S->getSlot(), Value::makeInstanceRef(Child));
 }
 
 netlist::InstanceNode *Interpreter::makeInstance(
@@ -483,8 +500,12 @@ void Interpreter::resolveSelfEndpoint(netlist::Connection *Conn, bool IsFrom,
     Diags.error(Loc, "own inport '" + H.Port +
                          "' cannot be the target of an internal connection");
   int Index = H.Index;
-  if (Index < 0)
-    Index = Cur.SelfPortAutoIdx[H.Port]++;
+  if (Index < 0) {
+    size_t PI = size_t(P - Cur.Node->Ports.data());
+    if (PI >= Cur.SelfPortAutoIdx.size())
+      Cur.SelfPortAutoIdx.resize(Cur.Node->Ports.size(), 0);
+    Index = Cur.SelfPortAutoIdx[PI]++;
+  }
   netlist::PortRef &Ref = IsFrom ? Conn->From : Conn->To;
   Ref.Inst = Cur.Node;
   Ref.Port = H.Port;

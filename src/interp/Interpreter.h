@@ -32,7 +32,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -116,9 +115,10 @@ public:
     return BodyWindows;
   }
 
-  /// Hierarchical paths in body-evaluation order — the pop order of the
-  /// instantiation stack, used by the semantics tests (Figure 13).
-  const std::vector<std::string> &getProcessingOrder() const {
+  /// Instances in body-evaluation order — the pop order of the
+  /// instantiation stack, used by the semantics tests (Figure 13) and
+  /// `lssc --trace-order`. The root comes first.
+  const std::vector<const netlist::InstanceNode *> &getProcessingOrder() const {
     return ProcessingOrder;
   }
 
@@ -130,19 +130,28 @@ public:
 
 private:
   /// All state for the body currently being evaluated (its locals live in
-  /// the Evaluator core's scopes).
+  /// the Evaluator core's frame). The vectors are indexed by the numbers
+  /// name resolution gave the body's names, and keep their capacity from
+  /// body to body.
   struct BodyState {
     netlist::InstanceNode *Node = nullptr;
-    /// Per-instance type-variable map shared by all the body's ports.
-    std::map<std::string, const types::Type *> VarMap;
-    std::set<std::string> DeclaredParams;
-    std::set<std::string> DeclaredPorts;
-    /// Auto-index counters for unindexed internal uses of own ports.
-    std::map<std::string, int> SelfPortAutoIdx;
+    /// Per-instance type variables shared by all the body's ports, by
+    /// VarTypeExpr::getVarIdx; null until minted.
+    std::vector<const types::Type *> TypeVars;
+    /// Declared parameter and port names, by ParamDeclStmt::getParamIdx
+    /// and PortDeclStmt::getPortIdx.
+    std::vector<bool> DeclaredParams;
+    std::vector<bool> DeclaredPorts;
+    /// Auto-index counters for unindexed internal uses of own ports, by
+    /// position in Node->Ports.
+    std::vector<int> SelfPortAutoIdx;
+    /// Scratch for execPortDecl: the explicit indices seen, sorted.
+    std::vector<int> UsedIdx;
   };
 
   void evalBody(netlist::InstanceNode *Node,
-                const std::vector<lss::Stmt *> &Body);
+                const std::vector<lss::Stmt *> &Body,
+                const lss::BodyLayout &Layout);
 
   void execParamDecl(const lss::ParamDeclStmt *S);
   void execPortDecl(const lss::PortDeclStmt *S);
@@ -200,7 +209,9 @@ private:
   BodyState Cur;
   ReplayHook Replay;
   std::vector<std::pair<netlist::InstanceNode *, BodyWindow>> BodyWindows;
-  std::vector<std::string> ProcessingOrder;
+  std::vector<const netlist::InstanceNode *> ProcessingOrder;
+  /// The resolved top-level statements of the current run().
+  lss::BodyLayout TopLayout;
   std::vector<std::string> PrintLog;
   uint64_t NumInstances = 0;
 };

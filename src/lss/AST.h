@@ -84,11 +84,15 @@ public:
       : TypeExpr(Kind::Var, Loc), Name(std::move(Name)) {}
 
   const std::string &getName() const { return Name; }
+  /// The spelling's number among the body's type variables (resolveBody).
+  unsigned getVarIdx() const { return VarIdx; }
+  void setVarIdx(unsigned I) { VarIdx = I; }
 
   static bool classof(const TypeExpr *T) { return T->getKind() == Kind::Var; }
 
 private:
   std::string Name;
+  unsigned VarIdx = 0;
 };
 
 /// An array type t[n]. The size expression may be null ("[]"), meaning the
@@ -268,11 +272,16 @@ public:
       : Expr(Kind::Ident, Loc), Name(std::move(Name)) {}
 
   const std::string &getName() const { return Name; }
+  /// The innermost local slot that may bind the name here, or -1 if no
+  /// enclosing scope binds it (see BodyLayout).
+  int getSlot() const { return Slot; }
+  void setSlot(int S) { Slot = S; }
 
   static bool classof(const Expr *E) { return E->getKind() == Kind::Ident; }
 
 private:
   std::string Name;
+  int Slot = -1;
 };
 
 /// base.field — sub-instance parameter/port access, or port attributes such
@@ -384,6 +393,11 @@ private:
 // Statements
 //===----------------------------------------------------------------------===//
 
+/// The half-open run of slots [Begin, End) that one scope's names occupy.
+struct SlotRange {
+  unsigned Begin = 0, End = 0;
+};
+
 class Stmt : public ASTNode {
 public:
   enum class Kind {
@@ -441,6 +455,12 @@ public:
   Expr *getDefault() const { return Default; }
   bool isUserpoint() const { return Sig != nullptr; }
   const UserpointSig *getUserpointSig() const { return Sig.get(); }
+  /// The local slot the name is bound in (see BodyLayout).
+  int getSlot() const { return Slot; }
+  void setSlot(int S) { Slot = S; }
+  /// The name's number among the body's parameter names.
+  unsigned getParamIdx() const { return ParamIdx; }
+  void setParamIdx(unsigned I) { ParamIdx = I; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::ParamDecl; }
 
@@ -449,6 +469,8 @@ private:
   TypeExpr *Ty;
   Expr *Default;
   std::unique_ptr<UserpointSig> Sig;
+  int Slot = -1;
+  unsigned ParamIdx = 0;
 };
 
 /// inport NAME : TYPE;  /  outport NAME : TYPE;
@@ -461,6 +483,12 @@ public:
   bool isInput() const { return IsInput; }
   const std::string &getName() const { return Name; }
   TypeExpr *getType() const { return Ty; }
+  /// The local slot the name is bound in (see BodyLayout).
+  int getSlot() const { return Slot; }
+  void setSlot(int S) { Slot = S; }
+  /// The name's number among the body's port names.
+  unsigned getPortIdx() const { return PortIdx; }
+  void setPortIdx(unsigned I) { PortIdx = I; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::PortDecl; }
 
@@ -468,6 +496,8 @@ private:
   bool IsInput;
   std::string Name;
   TypeExpr *Ty;
+  int Slot = -1;
+  unsigned PortIdx = 0;
 };
 
 /// instance NAME : MODULE;
@@ -479,6 +509,9 @@ public:
 
   const std::string &getName() const { return Name; }
   const std::string &getModuleName() const { return ModuleName; }
+  /// The local slot the name is bound in (see BodyLayout).
+  int getSlot() const { return Slot; }
+  void setSlot(int S) { Slot = S; }
 
   static bool classof(const Stmt *S) {
     return S->getKind() == Kind::InstanceDecl;
@@ -487,6 +520,7 @@ public:
 private:
   std::string Name;
   std::string ModuleName;
+  int Slot = -1;
 };
 
 /// var NAME : TYPE [= EXPR];          (elaboration-time variable)
@@ -502,6 +536,10 @@ public:
   TypeExpr *getType() const { return Ty; }
   Expr *getInit() const { return Init; }
   bool isRuntime() const { return IsRuntime; }
+  /// The local slot an elaboration-time variable is bound in (see
+  /// BodyLayout); -1 for a runtime variable.
+  int getSlot() const { return Slot; }
+  void setSlot(int S) { Slot = S; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::VarDecl; }
 
@@ -510,6 +548,7 @@ private:
   TypeExpr *Ty;
   Expr *Init;
   bool IsRuntime;
+  int Slot = -1;
 };
 
 /// event NAME;  — a declared instrumentation join point (Section 4.5).
@@ -536,12 +575,16 @@ public:
 
   const std::string &getVarName() const { return VarName; }
   TypeExpr *getScheme() const { return Scheme; }
+  /// The variable's number among the body's type variables.
+  unsigned getVarIdx() const { return VarIdx; }
+  void setVarIdx(unsigned I) { VarIdx = I; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Constrain; }
 
 private:
   std::string VarName;
   TypeExpr *Scheme;
+  unsigned VarIdx = 0;
 };
 
 class BlockStmt : public Stmt {
@@ -550,11 +593,15 @@ public:
       : Stmt(Kind::Block, Loc), Body(std::move(Body)) {}
 
   const std::vector<Stmt *> &getBody() const { return Body; }
+  /// The slots of the names this block's scope binds.
+  SlotRange getScope() const { return Scope; }
+  void setScope(SlotRange R) { Scope = R; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Block; }
 
 private:
   std::vector<Stmt *> Body;
+  SlotRange Scope;
 };
 
 class IfStmt : public Stmt {
@@ -583,6 +630,10 @@ public:
   Expr *getCond() const { return Cond; }
   Stmt *getStep() const { return Step; }
   Stmt *getBody() const { return Body; }
+  /// The slots of the names the loop's own scope binds (its header, and
+  /// its body unless that is a block).
+  SlotRange getScope() const { return Scope; }
+  void setScope(SlotRange R) { Scope = R; }
 
   static bool classof(const Stmt *S) { return S->getKind() == Kind::For; }
 
@@ -591,6 +642,7 @@ private:
   Expr *Cond;
   Stmt *Step;
   Stmt *Body;
+  SlotRange Scope;
 };
 
 class WhileStmt : public Stmt {
@@ -686,6 +738,27 @@ public:
 // Top level
 //===----------------------------------------------------------------------===//
 
+/// What name resolution (lss/Resolver.h) records for one body: a module
+/// body, the top-level statements or a userpoint body. Every name a
+/// scope of the body may bind gets one slot of a flat frame; a scope's
+/// slots are contiguous (BlockStmt/ForStmt::getScope). A use of a name (IdentExpr::getSlot) starts at
+/// the innermost slot that may bind it and follows Outer to the same name
+/// in enclosing scopes: the first slot actually bound at run time is the
+/// binding, exactly as a walk over a stack of per-scope maps finds it.
+/// The body's ports, parameters and type variables are numbered densely
+/// by first appearance.
+struct BodyLayout {
+  /// Per slot: the slot of the same name in the nearest enclosing scope
+  /// that may bind it, or -1. Its size is the frame's slot count.
+  std::vector<int> Outer;
+  unsigned NumPortNames = 0;
+  unsigned NumPortDecls = 0;
+  unsigned NumParamNames = 0;
+  unsigned NumTypeVars = 0;
+
+  unsigned getNumSlots() const { return unsigned(Outer.size()); }
+};
+
 /// module NAME { ... };
 class ModuleDecl : public ASTNode {
 public:
@@ -695,11 +768,15 @@ public:
   const std::string &getName() const { return Name; }
   const std::vector<Stmt *> &getBody() const { return Body; }
   SourceLoc getLoc() const { return Loc; }
+  /// The body's resolved names; filled by the parser, read-only after.
+  const BodyLayout &getLayout() const { return Layout; }
+  BodyLayout &getLayoutMutable() { return Layout; }
 
 private:
   std::string Name;
   std::vector<Stmt *> Body;
   SourceLoc Loc;
+  BodyLayout Layout;
 };
 
 /// A parsed LSS compilation: module declarations plus the top-level

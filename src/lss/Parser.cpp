@@ -2,6 +2,7 @@
 
 #include "lss/Parser.h"
 
+#include "lss/Resolver.h"
 #include "support/Casting.h"
 
 #include <cassert>
@@ -173,7 +174,10 @@ ModuleDecl *Parser::parseModuleDecl() {
   }
   expect(TokenKind::RBrace, "module declaration");
   consumeIf(TokenKind::Semicolon); // Trailing ';' is optional.
-  return Ctx.create<ModuleDecl>(std::move(Name), std::move(Body), Loc);
+  auto *M = Ctx.create<ModuleDecl>(std::move(Name), std::move(Body), Loc);
+  // Resolved here, before the module can be shared between compiles.
+  resolveBody(M->getBody(), M->getLayoutMutable());
+  return M;
 }
 
 Stmt *Parser::parseStmt() {

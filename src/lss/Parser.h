@@ -22,10 +22,13 @@ public:
 
   /// Parses a whole LSS file: module declarations + top-level statements.
   /// On error, diagnostics are reported and the returned SpecFile contains
-  /// whatever parsed successfully.
+  /// whatever parsed successfully. Each module body comes back resolved
+  /// (lss/Resolver.h); the top-level statements are resolved by whoever
+  /// runs them, since several files' statements form one body.
   SpecFile parseFile();
 
   /// Parses a BSL userpoint body: a bare statement list (with `return`).
+  /// The caller resolves it.
   std::vector<Stmt *> parseBslBody();
 
 private:

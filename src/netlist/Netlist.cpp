@@ -44,7 +44,6 @@ Netlist::Netlist() {
   RootNode->Path = "";
   RootNode->Id = 0;
   Root = RootNode.get();
-  PathIndex.emplace(Root->Path, Root);
   Instances.push_back(std::move(RootNode));
 }
 
@@ -74,8 +73,6 @@ InstanceNode *Netlist::createInstance(InstanceNode *Parent, std::string Name,
   Node->Loc = Loc;
   Node->Id = static_cast<uint32_t>(Instances.size());
   InstanceNode *Ptr = Node.get();
-  // First creation wins on (malformed) duplicate paths.
-  PathIndex.emplace(Ptr->Path, Ptr);
   Parent->Children.push_back(Ptr);
   Instances.push_back(std::move(Node));
   IdsFrozen = false;
@@ -91,6 +88,12 @@ Connection *Netlist::createConnection(SourceLoc Loc) {
 }
 
 InstanceNode *Netlist::findByPath(const std::string &Path) {
+  // Index the instances created since the last lookup, in creation order,
+  // so the first creation wins on (malformed) duplicate paths.
+  for (; NumPathsIndexed != Instances.size(); ++NumPathsIndexed) {
+    InstanceNode *N = Instances[NumPathsIndexed].get();
+    PathIndex.emplace(N->Path, N);
+  }
   auto It = PathIndex.find(Path);
   return It == PathIndex.end() ? nullptr : It->second;
 }

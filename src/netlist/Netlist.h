@@ -227,8 +227,9 @@ public:
   }
 
   /// Finds an instance by hierarchical path (e.g. "cpu.fetch"); returns
-  /// null if absent. O(1): backed by a path index kept up to date by
-  /// createInstance.
+  /// null if absent. O(1) amortized: backed by a path index that the
+  /// first lookup builds and later lookups extend with the instances
+  /// created since, so elaboration itself never pays for it.
   InstanceNode *findByPath(const std::string &Path);
 
   /// Freezes the dense numbering layer: assigns every port a NodeOffset
@@ -264,10 +265,12 @@ private:
   std::vector<std::unique_ptr<Connection>> Connections;
   /// Owned signatures for reloaded userpoints (see createUserpointSig).
   std::vector<std::unique_ptr<lss::UserpointSig>> OwnedSigs;
-  /// InstanceNode::Path -> instance, first creation wins on (malformed)
-  /// duplicate paths. Keys view the nodes' own Path strings, which stay
-  /// put: nodes are heap-allocated, never moved, and Path never changes.
+  /// InstanceNode::Path -> instance for the first NumPathsIndexed
+  /// instances, first creation wins on (malformed) duplicate paths. Keys
+  /// view the nodes' own Path strings, which stay put: nodes are
+  /// heap-allocated, never moved, and Path never changes.
   std::unordered_map<std::string_view, InstanceNode *> PathIndex;
+  size_t NumPathsIndexed = 0;
   bool IdsFrozen = false;
   uint32_t NumPortNodes = 0;
 };

@@ -50,7 +50,7 @@ const Type *TypeContext::freshVar(const std::string &NameHint) {
 }
 
 const Type *TypeContext::convert(const lss::TypeExpr *TE,
-                                 std::map<std::string, const Type *> &VarMap,
+                                 std::vector<const Type *> &Vars,
                                  const SizeEvaluator &EvalSize,
                                  DiagnosticEngine &Diags) {
   using lss::TypeExpr;
@@ -69,17 +69,17 @@ const Type *TypeContext::convert(const lss::TypeExpr *TE,
     return nullptr;
   }
   case TypeExpr::Kind::Var: {
-    const std::string &Name = cast<lss::VarTypeExpr>(TE)->getName();
-    auto It = VarMap.find(Name);
-    if (It != VarMap.end())
-      return It->second;
-    const Type *Fresh = freshVar(Name);
-    VarMap.emplace(Name, Fresh);
-    return Fresh;
+    const auto *V = cast<lss::VarTypeExpr>(TE);
+    if (V->getVarIdx() >= Vars.size())
+      Vars.resize(V->getVarIdx() + 1);
+    const Type *&Slot = Vars[V->getVarIdx()];
+    if (!Slot)
+      Slot = freshVar(V->getName());
+    return Slot;
   }
   case TypeExpr::Kind::Array: {
     const auto *A = cast<lss::ArrayTypeExpr>(TE);
-    const Type *Elem = convert(A->getElem(), VarMap, EvalSize, Diags);
+    const Type *Elem = convert(A->getElem(), Vars, EvalSize, Diags);
     if (!Elem)
       return nullptr;
     if (!A->getSizeExpr()) {
@@ -101,8 +101,9 @@ const Type *TypeContext::convert(const lss::TypeExpr *TE,
   case TypeExpr::Kind::Struct: {
     const auto *S = cast<lss::StructTypeExpr>(TE);
     std::vector<std::pair<std::string, const Type *>> Fields;
+    Fields.reserve(S->getFields().size());
     for (const auto &[Name, FieldTE] : S->getFields()) {
-      const Type *FieldTy = convert(FieldTE, VarMap, EvalSize, Diags);
+      const Type *FieldTy = convert(FieldTE, Vars, EvalSize, Diags);
       if (!FieldTy)
         return nullptr;
       Fields.emplace_back(Name, FieldTy);
@@ -112,8 +113,9 @@ const Type *TypeContext::convert(const lss::TypeExpr *TE,
   case TypeExpr::Kind::Disjunct: {
     const auto *D = cast<lss::DisjunctTypeExpr>(TE);
     std::vector<const Type *> Alts;
+    Alts.reserve(D->getAlternatives().size());
     for (const lss::TypeExpr *AltTE : D->getAlternatives()) {
-      const Type *Alt = convert(AltTE, VarMap, EvalSize, Diags);
+      const Type *Alt = convert(AltTE, Vars, EvalSize, Diags);
       if (!Alt)
         return nullptr;
       Alts.push_back(Alt);

@@ -12,7 +12,6 @@
 #include "types/Type.h"
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -54,12 +53,12 @@ public:
   using SizeEvaluator =
       std::function<std::optional<int64_t>(const lss::Expr *)>;
 
-  /// Converts a syntactic annotation to a semantic Type. Type-variable
-  /// spellings are resolved through \p VarMap, minting fresh variables for
-  /// unseen spellings (so all ports of one module instance share its
-  /// variables). Returns null and reports through \p Diags on error.
-  const Type *convert(const lss::TypeExpr *TE,
-                      std::map<std::string, const Type *> &VarMap,
+  /// Converts a syntactic annotation to a semantic Type. A type variable
+  /// is looked up in \p Vars by the number name resolution gave its
+  /// spelling (lss::VarTypeExpr::getVarIdx); an empty entry gets a fresh
+  /// variable, so all ports of one module instance share its variables.
+  /// Returns null and reports through \p Diags on error.
+  const Type *convert(const lss::TypeExpr *TE, std::vector<const Type *> &Vars,
                       const SizeEvaluator &EvalSize, DiagnosticEngine &Diags);
 
 private:

@@ -104,6 +104,61 @@ TEST(Bsl, LocalsShadowAndDoNotLeak) {
   EXPECT_EQ(F.RuntimeVars["x"].getInt(), 100) << "runtime var untouched";
 }
 
+TEST(Bsl, LocalsShadowArgumentsRuntimeVarsAndParams) {
+  BslFixture F;
+  F.RuntimeVars["r"] = Value::makeInt(100);
+  F.Params["p"] = Value::makeInt(7);
+  Value V = F.run(R"(
+var total:int = 0;
+{
+  var a:int = 1;
+  var r:int = 2;
+  var p:int = 3;
+  a = a + 10;
+  r = r + 10;
+  p = p + 10;
+  total = a + r + p;
+}
+return total * 1000 + a + r + p;
+)",
+                  {{"a", Value::makeInt(5)}});
+  // Inside the block: 11 + 12 + 13; after it: the argument, the runtime
+  // variable and the parameter, all untouched.
+  EXPECT_EQ(V.getInt(), 36 * 1000 + 5 + 100 + 7);
+  EXPECT_EQ(F.RuntimeVars["r"].getInt(), 100);
+  EXPECT_EQ(F.Diags.getNumErrors(), 0u);
+}
+
+TEST(Bsl, UnboundLocalFallsBackToTheEnvironment) {
+  // A local bound only on an untaken branch leaves the runtime variable
+  // visible; an assignment to its name on a taken branch writes it.
+  BslFixture F;
+  F.RuntimeVars["x"] = Value::makeInt(100);
+  EXPECT_EQ(F.run("if (false) { var x:int = 1; } return x;").getInt(), 100);
+  EXPECT_EQ(F.run("if (true) x = 1; return x;").getInt(), 1);
+  EXPECT_EQ(F.RuntimeVars["x"].getInt(), 1);
+  EXPECT_EQ(F.Diags.getNumErrors(), 0u);
+}
+
+TEST(Bsl, LoopBodiesStartWithFreshLocals) {
+  // Each pass reads y before its own block binds it, so every pass sees
+  // the runtime variable, not the local of the pass before.
+  BslFixture F;
+  F.RuntimeVars["y"] = Value::makeInt(7);
+  Value V = F.run(R"(
+var s:int = 0;
+var i:int;
+for (i = 0; i < 3; i = i + 1) {
+  s = s * 10 + y;
+  var y:int = i;
+}
+return s;
+)");
+  EXPECT_EQ(V.getInt(), 777);
+  EXPECT_TRUE(F.run("for (j = 0; j < 2; j = j + 1) { } return j;").isUnset());
+  EXPECT_EQ(F.Diags.getFirstErrorMessage(), "use of undefined name 'j'");
+}
+
 TEST(Bsl, ControlFlow) {
   BslFixture F;
   Value V = F.run(R"(

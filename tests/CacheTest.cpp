@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -276,6 +277,67 @@ TEST(CacheService, DifferentThreadCountStillHits) {
   ASSERT_TRUE(R.Success);
   EXPECT_TRUE(R.ElabFromCache);
   EXPECT_TRUE(R.SolutionFromCache);
+}
+
+/// Three overload puzzles of different depths: three distinct H3 groups,
+/// so a parallel solve spreads its searches over a pool.
+std::string overloadPuzzles() {
+  std::ostringstream OS;
+  for (unsigned Depth : {2u, 3u, 4u}) {
+    OS << "module puzzle" << Depth << " {\n";
+    for (unsigned J = 0; J != Depth; ++J)
+      OS << "  constrain 'u" << J << " : (float | int);\n";
+    OS << "  constrain 'w : struct{";
+    for (unsigned J = 0; J != Depth; ++J)
+      OS << "f" << J << ":'u" << J << "; ";
+    OS << "g:'gv};\n  constrain 'w : (";
+    for (const char *G : {"int", "float"}) {
+      OS << "struct{";
+      for (unsigned J = 0; J != Depth; ++J)
+        OS << "f" << J << ":int; ";
+      OS << "g:" << G << "}" << (G[0] == 'i' ? " | " : "");
+    }
+    OS << ");\n}\ninstance p" << Depth << ":puzzle" << Depth << ";\n";
+  }
+  return OS.str();
+}
+
+TEST(CacheService, SolveArtifactBytesIgnoreTheThreadCount) {
+  // The solve key ignores the thread count, so the artifact stored under
+  // it must not depend on it either: --jobs 1 and --jobs 4 write the same
+  // bytes under the same file name.
+  const std::string Spec = overloadPuzzles();
+  auto StoredFiles = [&](unsigned Threads) {
+    TempDir Dir;
+    driver::CompileService Svc(diskOpts(Dir));
+    driver::CompilerInvocation Inv = chainInvocation(Spec.c_str());
+    Inv.Solve.NumThreads = Threads;
+    driver::CompileResult R = Svc.compile(Inv);
+    EXPECT_TRUE(R.Success);
+    EXPECT_EQ(R.C->getInferenceStats().Solve.NumComponents, 3u);
+    EXPECT_GE(R.C->getInferenceStats().Solve.ThreadsUsed, 1u);
+    std::map<std::string, std::string> Files;
+    for (const auto &E :
+         std::filesystem::recursive_directory_iterator(Dir.Path)) {
+      if (!E.is_regular_file())
+        continue;
+      std::ifstream In(E.path(), std::ios::binary);
+      std::ostringstream Bytes;
+      Bytes << In.rdbuf();
+      Files[E.path().filename().string()] = Bytes.str();
+    }
+    return Files;
+  };
+  std::map<std::string, std::string> Serial = StoredFiles(1);
+  std::map<std::string, std::string> Parallel = StoredFiles(4);
+  ASSERT_EQ(Serial.size(), Parallel.size());
+  unsigned SolveFiles = 0;
+  for (const auto &[Name, Bytes] : Serial) {
+    ASSERT_TRUE(Parallel.count(Name)) << Name;
+    EXPECT_EQ(Bytes, Parallel[Name]) << Name;
+    SolveFiles += Name.find(".solve.") != std::string::npos;
+  }
+  EXPECT_EQ(SolveFiles, 1u);
 }
 
 TEST(CacheService, FailingCompileIsNeverCached) {

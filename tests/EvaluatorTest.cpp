@@ -101,6 +101,43 @@ const Snippet Snippets[] = {
     {"break;", "1", "<unset>"},
 };
 
+/// Name resolution: locals live in per-body slots, and which scope a name
+/// resolves to is decided by what actually ran, as with one map per scope.
+const Snippet ResolutionSnippets[] = {
+    // Shadowing in nested blocks; assignments reach the innermost binding.
+    {"var x:int = 1; { var x:int = 2; x = x + 1; }", "x", "1"},
+    {"var x:int = 1; { var x:int = 2; { x = 3; } }", "x", "1"},
+    {"var x:int = 1; if (true) { if (true) { x = 5; } }", "x", "5"},
+    {"var x:int = 1; var r:int = 0; { if (true) var x:int = 7; r = x; }",
+     "r * 10 + x", "71"},
+    // A binding on an untaken branch leaves the outer one visible.
+    {"var x:int = 1; { if (false) { var x:int = 9; } x = x + 1; }", "x", "2"},
+    {"var x:int = 1; { if (false) var x:int = 9; x = x + 1; }", "x", "2"},
+    // A local bound only on an untaken branch, then read.
+    {"if (true) z = 4;", "z", "4"},
+    {"if (false) z = 4;", "z", "<unset>"},
+    {"if (false) { z = 4; } else { y = 2; }", "y", "<unset>"},
+    // A name read before the statement that binds it in the same scope.
+    {"var r:int = 0; { r = q; var q:int = 3; }", "r", "<unset>"},
+    // Each entry of a loop body opens a fresh scope.
+    {"var s:int = 0; var i:int;"
+     "for (i = 0; i < 3; i = i + 1) { var y:int; y = y + i; s = s + y; }",
+     "s", "3"},
+    {"var s:int = 0; var i:int;"
+     "for (i = 0; i < 2; i = i + 1) { if (i == 1) { s = t; } t = 5; }",
+     "s", "<unset>"},
+    {"var n:int = 0; var s:int = 0;"
+     "while (n < 3) { n = n + 1; var t:int = n * 2; s = s + t; }",
+     "s", "12"},
+    // A for loop's header binds in the loop's own scope.
+    {"for (j = 0; j < 3; j = j + 1) { }", "j", "<unset>"},
+    {"var j:int = 7; for (j = 0; j < 3; j = j + 1) { }", "j", "3"},
+    {"var k:int = 0; for (m = 0; m < 2; m = m + 1) k = k + m + 1;", "k",
+     "3"},
+    // A redeclared var in the same scope replaces the binding.
+    {"var v:int = 1; var v:int = v + 1;", "v", "2"},
+};
+
 struct Outcome {
   std::string Result;
   std::vector<std::string> Diags;
@@ -149,6 +186,22 @@ TEST(Evaluator, ModuleBodiesAndUserpointsAgree) {
     // covers the error wording too.
     if (std::string(S.Expected) == "<unset>") {
       EXPECT_FALSE(Module.Diags.empty());
+    }
+  }
+}
+
+TEST(Evaluator, NameResolutionAgrees) {
+  for (const Snippet &S : ResolutionSnippets) {
+    SCOPED_TRACE(std::string(S.Stmts) + " => " + S.Expr);
+    Outcome Module = asModuleBody(S);
+    Outcome Userpoint = asUserpoint(S);
+    EXPECT_EQ(Module.Result, S.Expected);
+    EXPECT_EQ(Userpoint.Result, S.Expected);
+    EXPECT_EQ(Module.Diags, Userpoint.Diags);
+    if (std::string(S.Expected) == "<unset>") {
+      EXPECT_FALSE(Module.Diags.empty());
+    } else {
+      EXPECT_TRUE(Module.Diags.empty());
     }
   }
 }

@@ -523,6 +523,91 @@ TEST(Interp, RedefinitionOfInstanceNameRejected) {
   EXPECT_FALSE(E.Ok);
 }
 
+/// The error messages of \p E, in order.
+std::vector<std::string> errors(const Elab &E) {
+  std::vector<std::string> Out;
+  for (const Diagnostic &D : E.C->getDiags().getDiagnostics())
+    if (D.Level == DiagLevel::Error)
+      Out.push_back(D.Message);
+  return Out;
+}
+
+TEST(Interp, LocalsTakePrecedenceOverPortsParamsAndInstances) {
+  auto E = elaborate(R"(
+module shadowed {
+  parameter p = 1:int;
+  inport i:int;
+  instance d:delay;
+  {
+    var p:int = 5;
+    var i:int = 6;
+    var d:int = 7;
+    i = i + 1;
+    LSS_assert(p + i + d == 19, "locals shadow");
+  }
+  LSS_assert(p == 1, "parameter visible again");
+  LSS_assert(i.width == 0, "port visible again");
+  d.initial_state = 3;
+};
+instance s:shadowed;
+)");
+  EXPECT_TRUE(E.Ok) << E.C->diagnosticsText();
+  const netlist::InstanceNode *D = E.C->getNetlist()->findByPath("s.d");
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Params.at("initial_state").getInt(), 3);
+}
+
+TEST(Interp, BindingsReplaceEarlierOnesInTheSameScope) {
+  // A parameter declared after a var of its name rebinds the name, and a
+  // port name cannot be assigned once declared.
+  auto E = elaborate(R"(
+module rebound {
+  var p:int = 3;
+  parameter p = 1:int;
+  LSS_assert(p == 1, "parameter rebinds");
+  inport i:int;
+  i = 2;
+};
+instance r:rebound;
+)");
+  EXPECT_FALSE(E.Ok);
+  EXPECT_EQ(errors(E),
+            std::vector<std::string>{"cannot assign to port 'i'"});
+}
+
+TEST(Interp, RedeclarationDiagnosticsKeepTheirTextAndOrder) {
+  auto E = elaborate(R"(
+module redeclared {
+  parameter p = 1:int;
+  inport i:int;
+  instance d:delay;
+  parameter p = 2:int;
+  inport i:int;
+  instance d:delay;
+  { instance d:delay; }
+  var n:int = 0;
+  instance n:delay;
+  var k:int;
+  for (k = 0; k < 2; k = k + 1) { outport o:int; parameter q = 0:int; }
+  { var e:int = 1; }
+  instance e:delay;
+};
+instance r:redeclared;
+)");
+  EXPECT_FALSE(E.Ok);
+  EXPECT_EQ(errors(E), (std::vector<std::string>{
+                           "redeclaration of parameter 'p'",
+                           "redeclaration of port 'i'",
+                           "redefinition of name 'd'",
+                           "redefinition of name 'd'",
+                           "redefinition of name 'n'",
+                           "redeclaration of port 'o'",
+                           "redeclaration of parameter 'q'",
+                       }));
+  // The block-local e was gone when the instance e was declared.
+  EXPECT_NE(E.C->getNetlist()->findByPath("r.e"), nullptr);
+}
+
 TEST(Interp, DuplicateModuleRejected) {
   auto E = elaborate("module delay { };"); // Collides with corelib's delay.
   EXPECT_FALSE(E.Ok);

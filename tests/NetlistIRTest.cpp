@@ -5,7 +5,7 @@
 ///  - Netlist::freezeIds(): creation-order instance ids, contiguous
 ///    port-node numbering, PortRef::PortIdx resolution, idempotence;
 ///  - one format per artifact kind: loaders reject every header but
-///    "LSSNL 3" / "LSSSOL 3" as a miss, without crashing;
+///    "LSSNL 3" / "LSSSOL 4" as a miss, without crashing;
 ///  - byte stability: a reload reserializes to the same bytes, and the
 ///    LSSNL and LSSSOL writers are pinned literally for tiny fixed inputs
 ///    so accidental table-order or record-syntax changes are caught here,
@@ -171,8 +171,7 @@ struct SolvedDesign {
     Stats.NumPorts = 4;
     Stats.NumPolymorphicPorts = 1;
     Stats.NumDefaulted = 1;
-    Stats.PortGroups[{1, 1}] = {0, 1};
-    Stats.PortGroups[{2, 0}] = {0, 0};
+    Stats.PortGroups = {{1, 1, 0, 1}, {2, 0, 0, 0}};
     Diagnostic D;
     D.Level = DiagLevel::Note;
     D.Loc = SourceLoc{0, 17};
@@ -210,7 +209,7 @@ TEST(ArtifactFormats, OtherVersionsAreRejected) {
   SolvedDesign D;
   std::string Lsssol;
   ASSERT_TRUE(infer::exportSolution(D.NL, D.Stats, D.Diags, Lsssol));
-  for (const char *Header : {"LSSSOL 2", "LSSSOL 4"}) {
+  for (const char *Header : {"LSSSOL 3", "LSSSOL 5"}) {
     infer::NetlistInferenceStats Stats;
     std::vector<Diagnostic> Diags;
     std::string Error;
@@ -218,7 +217,7 @@ TEST(ArtifactFormats, OtherVersionsAreRejected) {
                                        Stats, Diags, &Error))
         << Header;
     EXPECT_EQ(Error, std::string("unsupported format '") + Header +
-                         "' (expected 'LSSSOL 3')");
+                         "' (expected 'LSSSOL 4')");
   }
   // The unedited artifacts load, and garbage is merely "malformed".
   types::TypeContext LoadTC;
@@ -285,20 +284,21 @@ TEST(LssnlFormats, V3StringTableBytesArePinned) {
                  "end\n");
 }
 
-/// Literal pin of the LSSSOL 3 writer for SolvedDesign: header and string
+/// Literal pin of the LSSSOL 4 writer for SolvedDesign: header and string
 /// table, every record kind, the zeroed group wall times, and the biased
-/// group column. A change here without a CacheFormatVersion bump would let
-/// a warm compile read a solution written by another writer.
+/// group column. A change here without a version bump (the header line,
+/// or CacheFormatVersion) would let a warm compile read a solution written
+/// by another writer.
 TEST(LsssolFormat, BytesArePinned) {
   SolvedDesign D;
   std::string Out;
   ASSERT_TRUE(infer::exportSolution(D.NL, D.Stats, D.Diags, Out));
-  EXPECT_EQ(Out, "LSSSOL 3\n"
+  EXPECT_EQ(Out, "LSSSOL 4\n"
                  "strtab 3\n"
                  "s type%20variable%20'T%20defaulted%20to%20int\n"
                  "s bool\n"
                  "s int%5B4%5D\n"
-                 "stats 1 0 0 42 3 5 1 2 1 0\n"
+                 "stats 1 0 0 42 3 5 1 2 0\n"
                  "nstats 4 1 1\n"
                  "group 3 30 2 0000000000000000 1 0 0\n"
                  "group 2 12 1 0000000000000000 1 0 0\n"

@@ -151,7 +151,11 @@ TEST(ParallelInfer, GroupStatsSumToSolveTotals) {
   // One record per variable-disjoint component, in deterministic order.
   EXPECT_EQ(Parallel.Stats.NumComponents, NumGroups);
   ASSERT_EQ(Parallel.Stats.Groups.size(), NumGroups);
-  EXPECT_GT(Parallel.Stats.ThreadsUsed, 1u);
+  // Only threads that ran a group search count. The copies of one puzzle
+  // memoize onto the first, so fewer searches ran than groups exist.
+  const unsigned Searched = NumGroups - Parallel.Stats.NumMemoized;
+  EXPECT_GE(Parallel.Stats.ThreadsUsed, 1u);
+  EXPECT_LE(Parallel.Stats.ThreadsUsed, std::min(Searched, 4u));
   EXPECT_EQ(Serial.Stats.ThreadsUsed, 1u);
 
   uint64_t GroupSteps = 0, GroupBranches = 0;
@@ -197,6 +201,17 @@ std::map<std::string, std::string> modelPortTypes(const std::string &Id,
       if (P.Resolved)
         Types[Inst->Path + "." + P.Name] = P.Resolved->str();
   return Types;
+}
+
+TEST(ParallelInfer, ThreadsUsedIsZeroWithoutGroupSearches) {
+  // H1/H2 settle a forced chain: no group searches, so no thread counts.
+  for (unsigned Threads : {1u, 4u}) {
+    EngineRun R = solveSynthetic(
+        [](TypeContext &TC) { return makeForcedChain(TC, 64); }, Threads);
+    ASSERT_TRUE(R.Stats.Success) << R.Stats.FailMessage;
+    EXPECT_EQ(R.Stats.NumComponents, 0u);
+    EXPECT_EQ(R.Stats.ThreadsUsed, 0u) << "threads=" << Threads;
+  }
 }
 
 TEST(ParallelInfer, ModelsResolveIdenticalPortTypes) {

@@ -103,9 +103,9 @@ TEST(Smoke, ProcessingOrderFollowsInstantiationStack) {
   // delays, then hole, then gen.
   const auto &Order = C.getInterpreter()->getProcessingOrder();
   ASSERT_GE(Order.size(), 4u);
-  EXPECT_EQ(Order[0], "<top>");
-  EXPECT_EQ(Order[1], "delay3");
-  EXPECT_EQ(Order[2], "delay3.delays[2]");
+  EXPECT_EQ(Order[0], C.getNetlist()->getRoot());
+  EXPECT_EQ(Order[1]->Path, "delay3");
+  EXPECT_EQ(Order[2]->Path, "delay3.delays[2]");
 }
 
 } // namespace

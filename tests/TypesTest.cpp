@@ -1,6 +1,7 @@
 //===- TypesTest.cpp - Type system and conversion tests ------------------------===//
 
 #include "lss/Parser.h"
+#include "lss/Resolver.h"
 #include "support/Casting.h"
 #include "types/TypeContext.h"
 #include "types/Type.h"
@@ -20,7 +21,10 @@ struct ConvertFixture {
   DiagnosticEngine Diags{SM};
   lss::ASTContext Ctx;
   TypeContext TC;
-  std::map<std::string, const Type *> VarMap;
+  /// Every annotation converted so far, resolved as one body so that a
+  /// spelling names the same variable across calls.
+  std::vector<lss::Stmt *> Body;
+  std::vector<const Type *> Vars;
 
   const Type *convert(const std::string &TypeSrc) {
     uint32_t Id = SM.addBuffer("t.lss", "inport p: " + TypeSrc + ";");
@@ -29,12 +33,15 @@ struct ConvertFixture {
     if (File.TopLevel.empty())
       return nullptr;
     auto *Port = static_cast<lss::PortDeclStmt *>(File.TopLevel[0]);
+    Body.push_back(Port);
+    lss::BodyLayout Layout;
+    lss::resolveBody(Body, Layout);
     auto EvalSize = [](const lss::Expr *E) -> std::optional<int64_t> {
       if (auto *I = dyn_cast<lss::IntLitExpr>(E))
         return I->getValue();
       return std::nullopt;
     };
-    return TC.convert(Port->getType(), VarMap, EvalSize, Diags);
+    return TC.convert(Port->getType(), Vars, EvalSize, Diags);
   }
 };
 

@@ -596,8 +596,9 @@ int main(int Argc, char **Argv) {
   // forced off above, making the elaboration live).
   if (Opts.TraceOrder && C.getInterpreter()) {
     std::cout << "== instance processing order ==\n";
-    for (const std::string &Path : C.getInterpreter()->getProcessingOrder())
-      std::cout << "  " << Path << "\n";
+    for (const netlist::InstanceNode *N :
+         C.getInterpreter()->getProcessingOrder())
+      std::cout << "  " << (N->Path.empty() ? "<top>" : N->Path) << "\n";
   }
 
   auto modelStats = [&] {
