@@ -5,7 +5,7 @@
 /// driver::Json value and writes it through writeRecord(), which prints
 /// it with Json::writeIndented, reads the file back with Json::parse and
 /// requires the caller's keys. A renamed or dropped field therefore fails
-/// the run (and the bench_smoke / bench_incremental_smoke ctest entries)
+/// the run (and the bench_smoke ctest entry)
 /// instead of silently changing the record's schema.
 ///
 //===----------------------------------------------------------------------===//

@@ -1,21 +1,19 @@
 //===- FuzzCache.cpp - Artifact-deserializer fuzz target ----------------------===//
 ///
 /// \file
-/// Attacks the cache's trust boundary: the LSSNL (elaborated netlist),
-/// LSSSOL (inference solution) and LSSDEP (incremental dependency graph)
-/// deserializers, which parse whatever bytes a cache directory hands
-/// back. Each input is run two ways:
+/// Attacks the cache's trust boundary: the LSSNL (elaborated netlist) and
+/// LSSSOL (inference solution) deserializers, which parse whatever bytes a
+/// cache directory hands back. Each input is run two ways:
 ///
-///   raw    — the bytes go straight into deserializeNetlist, (against a
-///            pristine reloaded netlist) importSolution, and
-///            deserializeDepGraph;
+///   raw    — the bytes go straight into deserializeNetlist and (against a
+///            pristine reloaded netlist) importSolution;
 ///   patch  — the bytes are spliced into a known-valid artifact produced
 ///            once from a fixed spec, modeling a partially corrupted cache
 ///            entry, and the result is deserialized.
 ///
 /// Malformed input must be rejected (returning null/false is the cache's
 /// "miss" path); crashes, sanitizer reports, and hangs are bugs. When a
-/// mutated netlist or dependency artifact happens to be *accepted*, the
+/// mutated netlist artifact happens to be *accepted*, the
 /// reload fixpoint must still hold: re-serializing and re-loading the
 /// accepted artifact yields identical bytes. An accept-then-diverge would
 /// let a corrupt entry poison downstream compiles, so that traps too. So
@@ -26,9 +24,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/CompileService.h"
 #include "driver/Compiler.h"
-#include "driver/DepGraph.h"
 #include "infer/Solution.h"
 #include "netlist/Serializer.h"
 #include "types/TypeContext.h"
@@ -55,13 +51,11 @@ a.out -> s.in;
 )";
 
 /// Known-valid artifacts, built once from the fixed spec. Every structural
-/// record kind (instance, port, connection, userpoint, diag, p, stats;
-/// the graph's src, i, a, c) appears in them, so splices hit real parse
-/// paths.
+/// record kind (instance, port, connection, userpoint, diag, p, stats)
+/// appears in them, so splices hit real parse paths.
 struct SeedArtifacts {
   std::string NetlistArt;  ///< LSSNL 3.
-  std::string SolutionArt; ///< LSSSOL 3.
-  std::string DepArt;      ///< LSSDEP 2.
+  std::string SolutionArt; ///< LSSSOL 5.
   bool Ok = false;
 };
 
@@ -78,14 +72,6 @@ const SeedArtifacts &seeds() {
                                      A.NetlistArt) &&
            infer::exportSolution(*C.getNetlist(), C.getInferenceStats(), {},
                                  A.SolutionArt);
-    // The dependency graph is written only by a service compile.
-    driver::CompileService Svc;
-    Inv.addSource("seed.lss", kSeedSpec);
-    Inv.BuildSim = false;
-    A.Ok = A.Ok && Svc.compile(Inv).Success &&
-           Svc.getCache().get(driver::CompilerInvocation::keyString(
-                                  Inv.depKey()),
-                              "dep", A.DepArt);
     return A;
   }();
   return S;
@@ -158,15 +144,6 @@ void exercise(const std::string &Text) {
         __builtin_trap();
     }
   }
-  {
-    driver::DepGraph G, G2;
-    std::string S2, S3;
-    if (driver::deserializeDepGraph(Text, G) &&
-        driver::serializeDepGraph(G, S2) &&
-        (!driver::deserializeDepGraph(S2, G2) ||
-         !driver::serializeDepGraph(G2, S3) || S2 != S3))
-      __builtin_trap(); // Accepted, so the reload fixpoint must hold.
-  }
 }
 
 /// Splices the fuzz bytes into a copy of \p Base at an input-derived
@@ -198,6 +175,5 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
   exercise(Raw);
   exercise(patch(seeds().NetlistArt, Data, Size));
   exercise(patch(seeds().SolutionArt, Data, Size));
-  exercise(patch(seeds().DepArt, Data, Size));
   return 0;
 }

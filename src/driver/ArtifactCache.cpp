@@ -167,14 +167,13 @@ static bool openEnvelope(const std::string &Raw, const std::string &Phase,
 
 bool ArtifactCache::lookup(const std::string &Key, const std::string &Phase,
                            std::string &Payload, std::string *Note,
-                           bool Promote, bool &FromDisk) {
+                           bool &FromDisk) {
   std::string MapKey = Key + "." + Phase;
   FromDisk = false;
   auto It = Entries.find(MapKey);
   if (It != Entries.end()) {
     Payload = It->second.Payload;
-    if (Promote)
-      promote(It);
+    promote(It);
     return true;
   }
 
@@ -191,8 +190,7 @@ bool ArtifactCache::lookup(const std::string &Key, const std::string &Phase,
     Raw.resize(Raw.size() / 2); // Simulated short read.
   std::string Reason;
   if (openEnvelope(Raw, Phase, Payload, Reason)) {
-    if (Promote)
-      insertMemory(MapKey, Payload);
+    insertMemory(MapKey, Payload);
     FromDisk = true;
     return true;
   }
@@ -224,16 +222,7 @@ bool ArtifactCache::get(const std::string &Key, const std::string &Phase,
                         std::string &Payload, std::string *Note) {
   std::lock_guard<std::mutex> Lock(Mu);
   bool FromDisk;
-  bool Hit = lookup(Key, Phase, Payload, Note, /*Promote=*/true, FromDisk);
-  countLookup(Hit, FromDisk);
-  return Hit;
-}
-
-bool ArtifactCache::peek(const std::string &Key, const std::string &Phase,
-                         std::string &Payload, std::string *Note) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  bool FromDisk;
-  bool Hit = lookup(Key, Phase, Payload, Note, /*Promote=*/false, FromDisk);
+  bool Hit = lookup(Key, Phase, Payload, Note, FromDisk);
   countLookup(Hit, FromDisk);
   return Hit;
 }
@@ -244,7 +233,7 @@ bool ArtifactCache::get(const std::string &Key, const std::string &Phase,
   bool FromDisk, Hit;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    Hit = lookup(Key, Phase, Payload, Note, /*Promote=*/true, FromDisk);
+    Hit = lookup(Key, Phase, Payload, Note, FromDisk);
   }
   // Decoding runs unlocked: concurrent warm compiles must not serialize
   // on the cache.

@@ -12,9 +12,7 @@
 /// budget, and only a memory hit promotes an entry to the protected
 /// segment. Eviction takes probation's oldest entry first, so a stream of
 /// artifacts that are never read again (every edit is a fresh key) cycles
-/// through probation without pushing out the reused ones. peek() is the
-/// read for a caller that knows it is the entry's last: it is served and
-/// counted but does not promote.
+/// through probation without pushing out the reused ones.
 ///
 /// Disk entries are wrapped in a self-validating envelope
 /// ("LSSART 1 <phase> <payload-bytes> <fnv64-hex>\n<payload>") and written
@@ -96,13 +94,6 @@ public:
   bool get(const std::string &Key, const std::string &Phase,
            std::string &Payload, std::string *Note = nullptr);
 
-  /// get() for a caller that knows this is the entry's last read, such as
-  /// the incremental path loading the state it is about to supersede. The
-  /// hit is counted as usual, but a memory entry keeps its segment and
-  /// position, and a disk entry is not loaded into memory.
-  bool peek(const std::string &Key, const std::string &Phase,
-            std::string &Payload, std::string *Note = nullptr);
-
   /// Decodes a payload into the caller's state; on rejection returns false
   /// and sets the reason. The payload is the lookup's own copy: a decoder
   /// that needs it later may move it out.
@@ -137,12 +128,11 @@ public:
   bool isDegraded() const;
 
 private:
-  /// Memory, then disk; \p Promote says whether a hit counts as reuse.
+  /// Memory, then disk; a hit promotes or loads the entry as get() says.
   /// Counts and quarantines corrupt disk entries but leaves hit/miss
   /// counting to countLookup. Lock held.
   bool lookup(const std::string &Key, const std::string &Phase,
-              std::string &Payload, std::string *Note, bool Promote,
-              bool &FromDisk);
+              std::string &Payload, std::string *Note, bool &FromDisk);
   void countLookup(bool Hit, bool FromDisk);
   std::string diskPath(const std::string &Key, const std::string &Phase) const;
 

@@ -133,26 +133,15 @@ CompileClient::Result CompileClient::resultFromWire(const Json &Msg) {
   return R;
 }
 
-CompileClient::Result CompileClient::request(const char *Type,
-                                             const CompilerInvocation &Inv,
+CompileClient::Result CompileClient::compile(const CompilerInvocation &Inv,
                                              uint64_t DeadlineMs) {
   Json Req = requestBody(Inv, DeadlineMs);
-  Req.set("type", Type).set("id", NextId++);
+  Req.set("type", msg::Compile).set("id", NextId++);
   Json Reply;
   Result R;
   if (!roundTrip(Req, Reply, &R.Error))
     return R;
   return resultFromWire(Reply);
-}
-
-CompileClient::Result CompileClient::compile(const CompilerInvocation &Inv,
-                                             uint64_t DeadlineMs) {
-  return request(msg::Compile, Inv, DeadlineMs);
-}
-
-CompileClient::Result CompileClient::recompile(const CompilerInvocation &Inv,
-                                               uint64_t DeadlineMs) {
-  return request(msg::Recompile, Inv, DeadlineMs);
 }
 
 Json CompileClient::clientStatsJson() const {
@@ -229,9 +218,8 @@ static bool isRetryable(const CompileClient::Result &R) {
   return R.ErrorCode.empty() || R.ErrorCode == errc::QueueFull;
 }
 
-CompileClient::Result CompileClient::withRetry(const char *Type,
-                                               const CompilerInvocation &Inv,
-                                               uint64_t DeadlineMs) {
+CompileClient::Result CompileClient::compileWithRetry(
+    const CompilerInvocation &Inv, uint64_t DeadlineMs) {
   Result Last;
   for (unsigned Attempt = 1; Attempt <= Policy.MaxAttempts; ++Attempt) {
     if (Stats.BreakerOpen)
@@ -250,7 +238,7 @@ CompileClient::Result CompileClient::withRetry(const char *Type,
       Last.Error = Err;
       continue;
     }
-    Last = request(Type, Inv, DeadlineMs);
+    Last = compile(Inv, DeadlineMs);
     if (Last.Error.empty()) {
       noteTransportSuccess();
       return Last;
@@ -263,16 +251,6 @@ CompileClient::Result CompileClient::withRetry(const char *Type,
       return Last;
   }
   return Last;
-}
-
-CompileClient::Result CompileClient::compileWithRetry(
-    const CompilerInvocation &Inv, uint64_t DeadlineMs) {
-  return withRetry(msg::Compile, Inv, DeadlineMs);
-}
-
-CompileClient::Result CompileClient::recompileWithRetry(
-    const CompilerInvocation &Inv, uint64_t DeadlineMs) {
-  return withRetry(msg::Recompile, Inv, DeadlineMs);
 }
 
 bool CompileClient::shutdownServer(std::string *Err) {

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Talks to a running `lssd` compile daemon: connect + version handshake,
-/// then compile/recompile/stats/shutdown requests over the length-prefixed
+/// then compile/stats/shutdown requests over the length-prefixed
 /// JSON protocol (DaemonProtocol.h, specified in docs/DAEMON.md).
 ///
 /// The client ships a CompilerInvocation's sources and the wire-visible
@@ -33,7 +33,7 @@ namespace driver {
 
 class CompileClient {
 public:
-  /// Knobs for compileWithRetry / recompileWithRetry and the transport
+  /// Knobs for compileWithRetry and the transport
   /// deadlines. Defaults suit an interactive `lssc --daemon` call.
   struct RetryPolicy {
     unsigned MaxAttempts = 5;   ///< Total tries (first attempt included).
@@ -68,6 +68,10 @@ public:
     std::string Error;      ///< Empty = a result arrived.
     std::string ErrorCode;  ///< Server `error` code (e.g. "queue_full").
     uint64_t RetryAfterMs = 0; ///< Backoff hint from queue_full.
+    bool IncrementalUsed = false;     ///< Always false; read by perfbench.
+    uint64_t ModulesReelaborated = 0; ///< Always 0; read by perfbench.
+    uint64_t GroupsResolved = 0;      ///< Always 0; read by perfbench.
+    uint64_t GroupsSpliced = 0;       ///< Always 0; read by perfbench.
   };
 
   explicit CompileClient(std::string Address) : Address(std::move(Address)) {}
@@ -86,16 +90,6 @@ public:
   /// budget (queue wait + compile; 0 = none). Blocking.
   Result compile(const CompilerInvocation &Inv, uint64_t DeadlineMs = 0);
 
-  /// Incremental recompile (`recompile`): the daemon diffs \p Inv against
-  /// its cached dependency graph and replays what it can
-  /// (docs/INCREMENTAL.md). The result bytes equal a plain `compile`'s; the
-  /// Result's Incremental* fields report what the daemon actually did.
-  Result recompile(const CompilerInvocation &Inv, uint64_t DeadlineMs = 0);
-
-  /// recompile() under the retry policy (see compileWithRetry).
-  Result recompileWithRetry(const CompilerInvocation &Inv,
-                            uint64_t DeadlineMs = 0);
-
   /// compile() wrapped in the retry policy: reconnects on transport
   /// failure, honors `retry_after_ms` on queue_full with jittered
   /// exponential backoff, and fails fast once the circuit breaker is
@@ -103,6 +97,13 @@ public:
   /// attempt failed (or the breaker was already open).
   Result compileWithRetry(const CompilerInvocation &Inv,
                           uint64_t DeadlineMs = 0);
+
+  /// compile(); perfbench's daemon_edit_loop is its last caller.
+  Result recompile(const CompilerInvocation &Inv) { return compile(Inv); }
+  /// compileWithRetry(); perfbench's daemon_edit_loop is its last caller.
+  Result recompileWithRetry(const CompilerInvocation &Inv) {
+    return compileWithRetry(Inv);
+  }
 
   void setRetryPolicy(const RetryPolicy &P) { Policy = P; }
   const ClientStats &getClientStats() const { return Stats; }
@@ -127,13 +128,6 @@ private:
   /// Sends \p Msg and reads one reply frame. Returns false on transport
   /// failure (and closes: the stream state is unknown).
   bool roundTrip(const Json &Msg, Json &Reply, std::string *Err);
-  /// One `compile` or `recompile` (\p Type) round trip for \p Inv.
-  Result request(const char *Type, const CompilerInvocation &Inv,
-                 uint64_t DeadlineMs);
-  /// The one retry loop behind both *WithRetry calls: breaker check,
-  /// backoff, reconnect and retryable classification around request().
-  Result withRetry(const char *Type, const CompilerInvocation &Inv,
-                   uint64_t DeadlineMs);
   static Result resultFromWire(const Json &Msg);
 
   /// Bookkeeping after a failed/successful transport interaction; may

@@ -118,9 +118,8 @@ CompileResult CompileService::runPipeline(const CompilerInvocation &Inv,
     R.ElabFromCache = Warm;
   }
 
-  size_t DiagBase = 0;
   if (!Warm) {
-    size_t DiagStart = DiagBase = C.getDiags().getDiagnostics().size();
+    size_t DiagStart = C.getDiags().getDiagnostics().size();
     if (!C.addSources(Inv)) {
       R.Failed = CompileResult::Phase::Parse;
       return R;
@@ -181,10 +180,6 @@ CompileResult CompileService::runPipeline(const CompilerInvocation &Inv,
     R.Failed = CompileResult::Phase::SimBuild;
     return R;
   }
-
-  // A live (non-warm) elaboration carries everything the incremental path
-  // needs next time; warm compiles no-op inside (no interpreter ran).
-  storeDepGraph(Inv, Keys, C, DiagBase);
 
   R.Success = true;
   return R;

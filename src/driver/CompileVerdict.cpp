@@ -59,14 +59,6 @@ CompileVerdict CompileVerdict::of(const CompileResult &R) {
     V.Instances = N.Instances;
     V.Connections = N.Connections;
   }
-  const IncrementalStats &I = R.Incremental;
-  V.IncrementalAttempted = I.Attempted;
-  V.IncrementalUsed = I.Used;
-  V.IncrementalFallback = I.FallbackReason;
-  V.DepCacheHit = I.DepCacheHit;
-  V.ModulesReelaborated = I.ModulesReelaborated;
-  V.GroupsResolved = I.GroupsResolved;
-  V.GroupsSpliced = I.GroupsSpliced;
   return V;
 }
 
@@ -109,15 +101,6 @@ Json liberty::driver::verdictToWire(const CompileVerdict &V) {
       .set("service_ms", V.ServiceMs);
   if (V.Success)
     Res.set("instances", V.Instances).set("connections", V.Connections);
-  if (V.IncrementalAttempted)
-    Res.set("incremental",
-            Json::object()
-                .set("used", V.IncrementalUsed)
-                .set("fallback_reason", V.IncrementalFallback)
-                .set("dep_cache_hit", V.DepCacheHit)
-                .set("modules_reelaborated", V.ModulesReelaborated)
-                .set("groups_resolved", V.GroupsResolved)
-                .set("groups_spliced", V.GroupsSpliced));
   return Res;
 }
 
@@ -135,14 +118,5 @@ CompileVerdict liberty::driver::verdictFromWire(const Json &Msg) {
   V.Connections = Msg.getU64("connections");
   V.QueueMs = Msg.getNumber("queue_ms");
   V.ServiceMs = Msg.getNumber("service_ms");
-  if (const Json *Inc = Msg.get("incremental")) {
-    V.IncrementalAttempted = true;
-    V.IncrementalUsed = Inc->getBool("used");
-    V.IncrementalFallback = Inc->getString("fallback_reason");
-    V.DepCacheHit = Inc->getBool("dep_cache_hit");
-    V.ModulesReelaborated = Inc->getU64("modules_reelaborated");
-    V.GroupsResolved = Inc->getU64("groups_resolved");
-    V.GroupsSpliced = Inc->getU64("groups_spliced");
-  }
   return V;
 }

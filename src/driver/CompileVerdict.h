@@ -84,15 +84,6 @@ struct CompileVerdict {
   uint64_t Instances = 0, Connections = 0; ///< On success.
   double QueueMs = 0, ServiceMs = 0;       ///< Daemon-side timings.
 
-  /// The compile went through compileIncremental (a `recompile`); the
-  /// Incremental* fields below say what it did.
-  bool IncrementalAttempted = false;
-  bool IncrementalUsed = false;
-  std::string IncrementalFallback;
-  bool DepCacheHit = false;
-  uint64_t ModulesReelaborated = 0;
-  uint64_t GroupsResolved = 0, GroupsSpliced = 0;
-
   /// The verdict of \p R (whose Compiler must be present).
   static CompileVerdict of(const CompileResult &R);
   /// What of() reports for a compile of \p Inv whose netlist and solution

@@ -166,8 +166,6 @@ void Compiler::registerSourcesWithoutParsing(const CompilerInvocation &Inv) {
 bool Compiler::elaborate(const CompilerInvocation &Inv) {
   PhaseTimer::Scope Phase(&Timer, "elaborate");
   Interp = std::make_unique<interp::Interpreter>(TC, Diags, Inv.Elab);
-  if (PendingReplayHook)
-    Interp->setReplayHook(std::move(PendingReplayHook));
   lss::SpecFile All;
   All.Modules = AllModules;
   Interp->addModules(All); // Duplicate module names are diagnosed here.
@@ -175,14 +173,12 @@ bool Compiler::elaborate(const CompilerInvocation &Inv) {
   return !Diags.hasErrors();
 }
 
-bool Compiler::inferTypes(const CompilerInvocation &Inv,
-                          const infer::NetlistSpliceHooks *SpliceHooks) {
+bool Compiler::inferTypes(const CompilerInvocation &Inv) {
   if (!NL) {
     Diags.error(SourceLoc(), "inferTypes called before elaborate");
     return false;
   }
-  InferStats =
-      infer::inferNetlistTypes(*NL, TC, Diags, Inv.Solve, &Timer, SpliceHooks);
+  InferStats = infer::inferNetlistTypes(*NL, TC, Diags, Inv.Solve, &Timer);
   return !Diags.hasErrors();
 }
 

@@ -66,23 +66,12 @@ public:
   /// compile. Also registers the core behaviors the simulator needs.
   void registerSourcesWithoutParsing(const CompilerInvocation &Inv);
 
-  /// Installs a replay hook for the next elaborate() call. The Compiler
-  /// constructs its Interpreter inside elaborate(), so the incremental
-  /// driver (driver/Incremental.cpp) parks the hook here and it is
-  /// transferred onto the fresh interpreter before it runs.
-  void setReplayHook(interp::Interpreter::ReplayHook H) {
-    PendingReplayHook = std::move(H);
-  }
-
   /// Runs compile-time elaboration under \p Inv's elaboration options.
   /// Returns false on any diagnosed error.
   bool elaborate(const CompilerInvocation &Inv = CompilerInvocation());
 
   /// Runs structure-based type inference under \p Inv's solver options.
-  /// \p SpliceHooks, when non-null, enables per-group solution splicing
-  /// for incremental recompilation (driver/Incremental.cpp).
-  bool inferTypes(const CompilerInvocation &Inv = CompilerInvocation(),
-                  const infer::NetlistSpliceHooks *SpliceHooks = nullptr);
+  bool inferTypes(const CompilerInvocation &Inv = CompilerInvocation());
 
   /// Builds the executable simulator under \p Inv's simulator options
   /// (elaborate + inferTypes must have succeeded). The Compiler owns the
@@ -139,7 +128,6 @@ private:
   types::TypeContext TC;
   lss::ASTContext Ctx;
   std::unique_ptr<interp::Interpreter> Interp;
-  interp::Interpreter::ReplayHook PendingReplayHook;
   std::vector<lss::ModuleDecl *> AllModules;
   std::vector<lss::Stmt *> TopLevel;
   std::unique_ptr<netlist::Netlist> NL;

@@ -32,16 +32,16 @@ void CompilerInvocation::registerBuffers(SourceMgr &SM) const {
     SM.addBuffer(S.Name, S.Text);
 }
 
-/// Bump when any cached artifact format (LSSNL/LSSSOL/LSSART/LSSDEP) or
+/// Bump when any cached artifact format (LSSNL/LSSSOL/LSSART) or
 /// the key contract changes: stale on-disk entries then simply miss.
 /// v2: elabKey became a Merkle fold over per-module spans, LSSSOL gained
 /// v3 records, and serialized type variables are renamed to first-use
 /// ordinals. v3: LSSNL 3 (the summary record), and the core library
 /// enters elabKey as its hash. v4: each source text enters elabKey as one
 /// flat hash instead of a fold over its module spans. A change that also
-/// bumps the artifact's own header (LSSSOL 4 dropped the thread count)
-/// needs no bump here: the reader rejects the old header, so a stale
-/// entry misses and is rewritten.
+/// bumps the artifact's own header (LSSSOL 4 dropped the thread count,
+/// LSSSOL 5 the H3 group records) needs no bump here: the reader rejects
+/// the old header, so a stale entry misses and is rewritten.
 static constexpr uint64_t CacheFormatVersion = 4;
 
 /// The core library text is a build-time constant, so it is hashed once
@@ -63,31 +63,11 @@ uint64_t CompilerInvocation::elabKey() const {
     H.num(coreLibraryHash());
   H.field("sources", Sources.size());
   // Names excluded: content-addressed (see header). Each text is hashed
-  // once, whole: the incremental driver rescans and rehashes module spans
-  // itself, so the key needs no per-module structure.
+  // once, whole.
   for (const Source &S : Sources)
     H.str(S.Text);
   H.field("elab.maxsteps", Elab.MaxSteps);
   H.field("elab.maxinstances", Elab.MaxInstances);
-  return H.get();
-}
-
-uint64_t CompilerInvocation::depKey() const {
-  // Content-INDEPENDENT: names and options only, so an edited project
-  // overwrites its own dependency entry in place and the next compile can
-  // find it without knowing the previous text.
-  FnvHasher H;
-  H.field("fmt", CacheFormatVersion);
-  H.field("dep", 1);
-  H.field("corelib", UseCoreLibrary ? 1 : 0);
-  H.field("sources", Sources.size());
-  for (const Source &S : Sources)
-    H.str(S.Name);
-  H.field("elab.maxsteps", Elab.MaxSteps);
-  H.field("elab.maxinstances", Elab.MaxInstances);
-  H.field("solve.reorder", Solve.ReorderSimpleFirst ? 1 : 0);
-  H.field("solve.forced", Solve.ForcedDisjunctElimination ? 1 : 0);
-  H.field("solve.partition", Solve.Partition ? 1 : 0);
   return H.get();
 }
 

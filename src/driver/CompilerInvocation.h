@@ -87,12 +87,6 @@ public:
 
   /// Key of the elaborated-netlist artifact. See the contract above.
   uint64_t elabKey() const;
-  /// Key of the dependency-graph artifact (LSSDEP, docs/INCREMENTAL.md).
-  /// Content-INDEPENDENT by design: hashes the source *names* (plus the
-  /// elaboration caps and solver heuristics), never the texts, so an
-  /// edited project maps to the same entry and compileIncremental can find
-  /// the previous compile's graph.
-  uint64_t depKey() const;
   /// Key of the inference-solution artifact. See the contract above.
   uint64_t solveKey() const;
   /// solveKey() from this invocation's elabKey(), already computed, so a

@@ -45,8 +45,9 @@ namespace driver {
 /// schema changes. The `hello` handshake carries the client's version; the
 /// server refuses a mismatch with `version_mismatch` so a peer from
 /// another build fails loud, not weird. Version 3 drops the `batch`
-/// request, so a version-2 client cannot send one.
-constexpr uint32_t DaemonProtocolVersion = 3;
+/// request and version 4 the `recompile` request, so an older client
+/// cannot send them.
+constexpr uint32_t DaemonProtocolVersion = 4;
 
 /// Frames larger than this default cap are rejected as `bad_frame`
 /// (DaemonServer::Options::MaxFrameBytes overrides).
@@ -59,7 +60,6 @@ constexpr uint64_t DaemonDefaultMaxFrameBytes = 64ull << 20;
   X(Hello, "hello")                                                            \
   X(HelloOk, "hello_ok")                                                       \
   X(Compile, "compile")                                                        \
-  X(Recompile, "recompile")                                                    \
   X(Result, "result")                                                          \
   X(Stats, "stats")                                                            \
   X(StatsResult, "stats_result")                                               \

@@ -217,12 +217,12 @@ bool DaemonServer::handleMessage(const Json &Msg, bool &HandshakeDone,
     return true;
   }
 
-  if (Type == msg::Compile || Type == msg::Recompile) {
+  if (Type == msg::Compile) {
     if (Draining.load()) {
       Reply = makeError(errc::ShuttingDown, "server is draining");
       return true;
     }
-    Reply = runCompile(Msg, /*Incremental=*/Type == msg::Recompile, Held);
+    Reply = runCompile(Msg, Held);
     return true;
   }
   if (Type == msg::Stats) {
@@ -283,8 +283,7 @@ bool invocationFromRequest(const Json &Req, CompilerInvocation &Inv,
 
 } // namespace
 
-Json DaemonServer::runCompile(const Json &Req, bool Incremental,
-                              CompileResult &Held) {
+Json DaemonServer::runCompile(const Json &Req, CompileResult &Held) {
   CompilerInvocation Inv;
   uint64_t DeadlineMs = 0; // Service budget; 0 = none.
   std::string Why;
@@ -336,14 +335,8 @@ Json DaemonServer::runCompile(const Json &Req, bool Incremental,
   }
 
   // A `compile` needs only the verdict, which a warm cache answers from
-  // the artifacts' summaries; a `recompile` runs the incremental path.
-  CompileVerdict V;
-  if (Incremental) {
-    Held = Service.compileIncremental(Inv);
-    V = CompileVerdict::of(Held);
-  } else {
-    V = Service.compileVerdict(Inv, &Held);
-  }
+  // the artifacts' summaries.
+  CompileVerdict V = Service.compileVerdict(Inv, &Held);
   double ServiceMs = msSince(AdmitTime);
 
   {
@@ -356,7 +349,7 @@ Json DaemonServer::runCompile(const Json &Req, bool Incremental,
   V.ServiceMs = ServiceMs;
   {
     std::lock_guard<std::mutex> Lock(StatsMutex);
-    (Incremental ? Stats.RecompileRequests : Stats.CompileRequests) += 1;
+    ++Stats.CompileRequests;
     // Only a full compile degrades, so Held holds it.
     if (V.Degraded && Held.C->getInferenceStats().Solve.HitDeadline)
       ++Stats.DeadlineDegraded;
@@ -398,7 +391,6 @@ DaemonStats DaemonServer::getStats() const {
     S.ActiveCompiles = ActiveCompiles;
   }
   S.Cache = const_cast<DaemonServer *>(this)->Service.getCache().getStats();
-  S.Incremental = Service.getIncrementalCounters();
   return S;
 }
 
@@ -409,21 +401,12 @@ Json DaemonServer::buildStats() const {
       .set("p50_ms", S.P50Ms)
       .set("p95_ms", S.P95Ms)
       .set("max_ms", S.MaxMs);
-  Json Incremental = Json::object();
-  Incremental.set("requests", S.Incremental.Requests)
-      .set("used", S.Incremental.Used)
-      .set("fallbacks", S.Incremental.Fallbacks)
-      .set("dep_cache_hits", S.Incremental.DepCacheHits)
-      .set("modules_reelaborated", S.Incremental.ModulesReelaborated)
-      .set("groups_resolved", S.Incremental.GroupsResolved)
-      .set("groups_spliced", S.Incremental.GroupsSpliced);
   Json Reply = Json::object();
   Reply.set("type", msg::StatsResult)
       .set("version", uint64_t(DaemonProtocolVersion))
       .set("schema_version", uint64_t(StatsSchemaVersion))
       .set("requests_served", S.RequestsServed)
       .set("compile_requests", S.CompileRequests)
-      .set("recompile_requests", S.RecompileRequests)
       .set("rejected_queue_full", S.RejectedQueueFull)
       .set("deadline_degraded", S.DeadlineDegraded)
       .set("protocol_errors", S.ProtocolErrors)
@@ -438,7 +421,6 @@ Json DaemonServer::buildStats() const {
       .set("solve_cache_hits", S.SolveCacheHits)
       .set("solve_cache_misses", S.SolveCacheMisses)
       .set("cache", cacheCountersJson(S.Cache))
-      .set("incremental", std::move(Incremental))
       .set("latency_ms", std::move(Latency));
   return Reply;
 }

@@ -65,7 +65,6 @@ namespace driver {
 struct DaemonStats {
   uint64_t RequestsServed = 0;  ///< Frames answered (any message type).
   uint64_t CompileRequests = 0; ///< `compile` requests run (incl. failed).
-  uint64_t RecompileRequests = 0; ///< `recompile` requests run.
   uint64_t RejectedQueueFull = 0;
   uint64_t DeadlineDegraded = 0; ///< Compiles whose deadline expired.
   uint64_t ProtocolErrors = 0;   ///< bad_frame/bad_message/version_mismatch.
@@ -76,9 +75,6 @@ struct DaemonStats {
   uint64_t ElabCacheHits = 0, ElabCacheMisses = 0;
   uint64_t SolveCacheHits = 0, SolveCacheMisses = 0;
   CacheStats Cache; ///< The shared ArtifactCache's own counters.
-  /// Incremental-recompilation totals across every `recompile` request
-  /// (CompileService::getIncrementalCounters; docs/INCREMENTAL.md).
-  CompileService::IncrementalCounters Incremental;
   double P50Ms = 0, P95Ms = 0, MaxMs = 0;
   uint64_t LatencySamples = 0;
 };
@@ -142,11 +138,10 @@ private:
   /// only after the reply is written.
   bool handleMessage(const Json &Msg, bool &HandshakeDone, Json &Reply,
                      CompileResult &Held);
-  /// The `compile`/`recompile` handler, run on the connection thread:
-  /// admission control (a queue_full or bad_message error is returned at
-  /// once), a wait for a compile slot in admission order, then the compile.
-  /// \p Incremental routes it through CompileService::compileIncremental.
-  Json runCompile(const Json &Req, bool Incremental, CompileResult &Held);
+  /// The `compile` handler, run on the connection thread: admission
+  /// control (a queue_full or bad_message error is returned at once), a
+  /// wait for a compile slot in admission order, then the compile.
+  Json runCompile(const Json &Req, CompileResult &Held);
   Json buildStats() const;
   void recordLatency(double Ms);
   static Json makeError(const char *Code, std::string Message);

@@ -2,7 +2,6 @@
 
 #include "driver/Stats.h"
 
-#include "driver/CompileService.h"
 #include "lss/AST.h"
 #include "netlist/Netlist.h"
 #include "sim/CompiledKernel.h"
@@ -201,21 +200,6 @@ static Json simulationJson(const sim::Simulator &Sim,
   return J;
 }
 
-static Json incrementalJson(const IncrementalStats &I) {
-  return Json::object()
-      .set("used", I.Used)
-      .set("fallback_reason", I.FallbackReason)
-      .set("dep_cache_hit", I.DepCacheHit)
-      .set("modules_total", I.ModulesTotal)
-      .set("modules_dirty", I.ModulesDirty)
-      .set("modules_reelaborated", I.ModulesReelaborated)
-      .set("instances_total", I.InstancesTotal)
-      .set("instances_spliced", I.InstancesSpliced)
-      .set("groups_total", I.GroupsTotal)
-      .set("groups_resolved", I.GroupsResolved)
-      .set("groups_spliced", I.GroupsSpliced);
-}
-
 static Json reuseJson(const ModelStats &S) {
   return Json::object()
       .set("instances", S.TotalInstances)
@@ -235,8 +219,7 @@ Json liberty::driver::statsJson(const ModelStats &S,
                                 const infer::NetlistInferenceStats &IS,
                                 const PhaseTimer &Timer, double ProcessWallMs,
                                 const sim::Simulator *Sim,
-                                const CacheReport *Cache,
-                                const IncrementalStats *Incremental) {
+                                const CacheReport *Cache) {
   Json Doc = Json::object();
   Doc.set("schema_version", StatsSchemaVersion)
       .set("model", S.Name)
@@ -251,8 +234,6 @@ Json liberty::driver::statsJson(const ModelStats &S,
     Doc.set("cache", cacheCountersJson(Cache->Stats)
                          .set("elab_from_cache", Cache->ElabFromCache)
                          .set("solution_from_cache", Cache->SolutionFromCache));
-  if (Incremental)
-    Doc.set("incremental", incrementalJson(*Incremental));
   return Doc;
 }
 

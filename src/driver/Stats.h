@@ -35,14 +35,12 @@ class Simulator;
 
 namespace driver {
 
-struct IncrementalStats;
-
 /// Version of the `lssc --stats-json` document and the daemon's
 /// `stats_result` message. Bumped whenever a field is added, removed, or
 /// changes meaning; both emitters stamp it as "schema_version" so
 /// dashboards can gate on the shape they understand. check_docs.sh lints
 /// the emitted field names against docs/API.md.
-constexpr uint32_t StatsSchemaVersion = 7;
+constexpr uint32_t StatsSchemaVersion = 8;
 
 struct ModelStats {
   std::string Name;
@@ -127,16 +125,11 @@ Json cacheCountersJson(const CacheStats &CS);
 /// engine's kernel shape and build time when one exists, and — when the
 /// timer has a `simulate` phase — the achieved rate in cycles per second.
 /// When \p Cache is non-null (the artifact cache was enabled), a `cache`
-/// section reports hit/miss counters and which phases were reloaded. When
-/// \p Incremental is non-null (the compile went through
-/// compileIncremental), an `incremental` section reports whether the
-/// dependency-tracked path was used and how much work it actually did
-/// (docs/INCREMENTAL.md).
+/// section reports hit/miss counters and which phases were reloaded.
 Json statsJson(const ModelStats &S, const infer::NetlistInferenceStats &IS,
                const PhaseTimer &Timer, double ProcessWallMs,
                const sim::Simulator *Sim = nullptr,
-               const CacheReport *Cache = nullptr,
-               const IncrementalStats *Incremental = nullptr);
+               const CacheReport *Cache = nullptr);
 
 } // namespace driver
 } // namespace liberty

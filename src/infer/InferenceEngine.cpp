@@ -368,12 +368,9 @@ bool InferenceEngine::solveList(Unifier &WU, WorkList &WL, uint32_t Head,
 }
 
 SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
-                                  const SolveOptions &Opts,
-                                  const SpliceRequest *Splice) {
+                                  const SolveOptions &Opts) {
   SolveStats Stats;
   Stats.NumConstraints = Constraints.size();
-  if (Splice && Splice->Queries)
-    Stats.QueryGroups.assign(Splice->Queries->size(), -1);
   uint64_t StepsBefore = U.getSteps();
 
   // Arm the wall-clock deadline before any work (and before group workers
@@ -502,7 +499,7 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
   // The serial phases are done with rollbacks. Connected ports have bound
   // their variables into chains as long as the paths they lie on, which
   // every later find() would walk again: per group search step, per
-  // H3 group key and per port the attribution below resolves.
+  // H3 group key and per port resolved after the solve.
   U.compressPaths();
 
   // Collect the residual (genuinely ambiguous) disjunctive constraints.
@@ -574,97 +571,11 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
     }
     Components[ComponentOf[Root]].push_back(I);
   }
-  Stats.NumComponents = Components.size();
-
-  // Group membership: the sorted, deduped instance ids each group's
-  // constraints mention (both endpoints for connection constraints). A
-  // group with a provenance-free (synthetic) constraint has no reliable
-  // member set and is never offered for splicing.
   const unsigned NumGroups = unsigned(Components.size());
-  std::vector<std::vector<unsigned>> Members(NumGroups);
-  std::vector<bool> MembersKnown(NumGroups, true);
-  for (unsigned G = 0; G != NumGroups; ++G) {
-    for (unsigned I : Components[G]) {
-      const Constraint *C = Residual[I].From;
-      if (!C->Inst) {
-        MembersKnown[G] = false;
-        continue;
-      }
-      Members[G].push_back(unsigned(C->Inst->Id));
-      if (C->Inst2)
-        Members[G].push_back(unsigned(C->Inst2->Id));
-    }
-  }
-
-  // Query attribution: which group does each queried (port) variable's
-  // resolution depend on? Groups reached from the same query are linked —
-  // they must splice or search together, because resolving that query
-  // reads bindings from all of them — and the query's own instance joins
-  // each group's member set (editing the instance must dirty the group).
-  std::vector<unsigned> GroupRep(NumGroups);
-  std::iota(GroupRep.begin(), GroupRep.end(), 0u);
-  std::function<unsigned(unsigned)> FindGroupRep = [&](unsigned X) {
-    while (GroupRep[X] != X)
-      X = GroupRep[X] = GroupRep[GroupRep[X]];
-    return X;
-  };
-  if (Splice && Splice->Queries) {
-    Stats.QueryGroups.assign(Splice->Queries->size(), -1);
-    std::vector<uint32_t> QVars;
-    for (size_t Q = 0; Q != Splice->Queries->size(); ++Q) {
-      const SpliceQuery &SQ = (*Splice->Queries)[Q];
-      if (!SQ.Var)
-        continue;
-      QVars.clear();
-      U.collectUnboundVars(SQ.Var, QVars);
-      int First = -1;
-      for (uint32_t V : QVars) {
-        if (V >= VarOwner.size() || VarOwner[V] == NoOwner)
-          continue;
-        unsigned G = ComponentOf[FindRep(VarOwner[V])];
-        if (First < 0)
-          First = int(G);
-        else if (unsigned(First) != G)
-          GroupRep[FindGroupRep(unsigned(First))] = FindGroupRep(G);
-        Members[G].push_back(SQ.InstId);
-      }
-      Stats.QueryGroups[Q] = First;
-    }
-  }
-  for (unsigned G = 0; G != NumGroups; ++G) {
-    if (!MembersKnown[G]) {
-      Members[G].clear();
-      continue;
-    }
-    std::sort(Members[G].begin(), Members[G].end());
-    Members[G].erase(std::unique(Members[G].begin(), Members[G].end()),
-                     Members[G].end());
-  }
-  Stats.GroupMembers = Members;
-
-  // Splice decision: the oracle is consulted per group; a group splices
-  // only if every group linked to it was also accepted (mixed closures
-  // search live, so a spliced group's bindings are never read).
-  std::vector<bool> Spliced(NumGroups, false);
-  std::vector<GroupStats> CachedGS(NumGroups);
-  if (Splice && Splice->Oracle) {
-    std::vector<bool> RootOk(NumGroups, true);
-    for (unsigned G = 0; G != NumGroups; ++G) {
-      bool Offered = !Members[G].empty() &&
-                     Splice->Oracle(G, Members[G], CachedGS[G]) &&
-                     CachedGS[G].Success && !CachedGS[G].HitLimit &&
-                     !CachedGS[G].HitDeadline &&
-                     CachedGS[G].NumConstraints == Components[G].size();
-      if (!Offered)
-        RootOk[FindGroupRep(G)] = false;
-    }
-    for (unsigned G = 0; G != NumGroups; ++G)
-      Spliced[G] = RootOk[FindGroupRep(G)];
-  }
-  Stats.GroupSpliced = Spliced;
+  Stats.NumComponents = NumGroups;
 
   // Reused components yield groups that are equal up to a renaming of
-  // their variables. Key every live group; the lowest-index group of each
+  // their variables. Key every group; the lowest-index group of each
   // class is its representative and the only one that searches. Its
   // siblings take its statistics and, renamed, its bindings at the join:
   // the search is deterministic and blind to the renaming, so that is
@@ -676,8 +587,6 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
     ShapeEncoder Enc(U, VarNumber);
     std::unordered_map<std::string_view, unsigned> Classes;
     for (unsigned G = 0; G != NumGroups; ++G) {
-      if (Spliced[G])
-        continue;
       Enc.begin(Shapes[G]);
       for (unsigned I : Components[G]) {
         Enc.term(Residual[I].P.A);
@@ -741,7 +650,7 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
   if (Threads > 1 && Components.size() > 1) {
     ThreadPool Pool(std::min<unsigned>(Threads, Components.size()));
     for (unsigned G = 0; G != Components.size(); ++G)
-      if (!Spliced[G] && MemoOf[G] < 0)
+      if (MemoOf[G] < 0)
         Pool.async([&SolveGroup, G] { SolveGroup(G); });
     Pool.wait();
     // A representative stopped by the wall clock says nothing about its
@@ -754,8 +663,6 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
     Pool.wait();
   } else {
     for (unsigned G = 0; G != Components.size(); ++G) {
-      if (Spliced[G])
-        continue;
       if (MemoOf[G] >= 0) {
         if (!Outcomes[unsigned(MemoOf[G])].Local.HitDeadline)
           continue;
@@ -794,17 +701,6 @@ SolveStats InferenceEngine::solve(const std::vector<Constraint> &Constraints,
   uint64_t GroupSteps = 0, SearchedSteps = 0;
   std::vector<NodeNumbers> RepNumbers(NumGroups); // Built on first use.
   for (unsigned G = 0; G != Components.size(); ++G) {
-    if (Spliced[G]) {
-      // Spliced group: fold the cached (cold-identical) statistics so the
-      // merged totals — and therefore the exported solution — are
-      // byte-identical to a cold solve. Its variables stay free in U; the
-      // cached per-port resolutions stand in for them.
-      GroupSteps += CachedGS[G].UnifySteps;
-      Stats.BranchPoints += CachedGS[G].BranchPoints;
-      Stats.Groups.push_back(CachedGS[G]);
-      Stats.Groups.back().MemoOf = -1;
-      continue;
-    }
     const bool Memo = MemoOf[G] >= 0;
     const GroupOutcome &Out = Outcomes[Memo ? unsigned(MemoOf[G]) : G];
     if (!Out.Ran)
@@ -908,15 +804,13 @@ liberty::infer::buildNetlistConstraints(netlist::Netlist &NL,
   auto MakeConstraint = [](const Type *A, const Type *B, SourceLoc Loc,
                            ConstraintOriginKind Kind,
                            const netlist::InstanceNode *Inst,
-                           int PortIdx = -1,
-                           const netlist::InstanceNode *Inst2 = nullptr) {
+                           int PortIdx = -1) {
     Constraint C;
     C.A = A;
     C.B = B;
     C.Loc = Loc;
     C.Origin = Kind;
     C.Inst = Inst;
-    C.Inst2 = Inst2;
     C.PortIdx = PortIdx;
     return C;
   };
@@ -949,11 +843,11 @@ liberty::infer::buildNetlistConstraints(netlist::Netlist &NL,
       continue;
     Cs.push_back(MakeConstraint(PF.InferVar, PT.InferVar, Conn->Loc,
                                 ConstraintOriginKind::Connection,
-                                Conn->From.Inst, -1, Conn->To.Inst));
+                                Conn->From.Inst));
     if (Conn->Annotation)
       Cs.push_back(MakeConstraint(PF.InferVar, Conn->Annotation, Conn->Loc,
                                   ConstraintOriginKind::ConnAnnotation,
-                                  Conn->From.Inst, -1, Conn->To.Inst));
+                                  Conn->From.Inst));
   }
   return Cs;
 }
@@ -988,46 +882,21 @@ static const Type *groundDefault(const Type *T, types::TypeContext &TC,
   return T;
 }
 
-const PortGroup *NetlistInferenceStats::findPortGroup(unsigned Inst,
-                                                     unsigned Port) const {
-  auto It = std::lower_bound(
-      PortGroups.begin(), PortGroups.end(), std::make_pair(Inst, Port),
-      [](const PortGroup &G, const std::pair<unsigned, unsigned> &Key) {
-        return std::make_pair(G.Inst, G.Port) < Key;
-      });
-  return It != PortGroups.end() && It->Inst == Inst && It->Port == Port
-             ? &*It
-             : nullptr;
-}
-
 NetlistInferenceStats
 liberty::infer::inferNetlistTypes(netlist::Netlist &NL, types::TypeContext &TC,
                                   DiagnosticEngine &Diags,
                                   const SolveOptions &Opts,
-                                  PhaseTimer *Timer,
-                                  const NetlistSpliceHooks *Hooks) {
+                                  PhaseTimer *Timer) {
   NetlistInferenceStats Stats;
   std::vector<Constraint> Cs;
   {
     PhaseTimer::Scope Scope(Timer, "constraint-gen");
     Cs = buildNetlistConstraints(NL, TC);
   }
-  // Group attribution is requested for every port variable on every solve:
-  // it is what LSSSOL persists, and a cold compile must record exactly
-  // what a later incremental compile will need.
-  std::vector<SpliceQuery> Queries;
-  for (const auto &Inst : NL.getInstances())
-    for (const netlist::Port &P : Inst->Ports)
-      if (P.InferVar)
-        Queries.push_back(SpliceQuery{P.InferVar, unsigned(Inst->Id)});
-  SpliceRequest Req;
-  Req.Queries = &Queries;
-  if (Hooks)
-    Req.Oracle = Hooks->Oracle;
   InferenceEngine Engine(TC);
   {
     PhaseTimer::Scope Scope(Timer, "solve");
-    Stats.Solve = Engine.solve(Cs, Opts, &Req);
+    Stats.Solve = Engine.solve(Cs, Opts);
   }
   if (Timer) {
     Timer->setCounter("constraint-gen", "constraints", Cs.size());
@@ -1073,58 +942,24 @@ liberty::infer::inferNetlistTypes(netlist::Netlist &NL, types::TypeContext &TC,
     return Stats;
   }
   PhaseTimer::Scope Resolve(Timer, "resolve");
-  size_t QI = 0; // Aligned with Queries (same instance/port traversal).
   for (const auto &Inst : NL.getInstances()) {
-    for (size_t PI = 0; PI != Inst->Ports.size(); ++PI) {
-      netlist::Port &P = Inst->Ports[PI];
+    for (netlist::Port &P : Inst->Ports) {
       if (!P.InferVar)
         continue;
-      int Group = QI < Stats.Solve.QueryGroups.size()
-                      ? Stats.Solve.QueryGroups[QI]
-                      : -1;
-      ++QI;
       ++Stats.NumPorts;
       if (P.Scheme && !P.Scheme->isGround())
         ++Stats.NumPolymorphicPorts;
-      unsigned PortDefaulted = 0;
-      bool SplicedPort = Group >= 0 &&
-                         size_t(Group) < Stats.Solve.GroupSpliced.size() &&
-                         Stats.Solve.GroupSpliced[size_t(Group)];
-      if (SplicedPort) {
-        // The port's group search was skipped: its variables are free in
-        // the unifier, so the resolution comes from the cached record —
-        // including the defaulting count and warning the cold run made.
-        PortSpliceData D;
-        if (!Hooks || !Hooks->Port ||
-            !Hooks->Port(unsigned(Inst->Id), unsigned(PI), D) || !D.Resolved) {
-          Stats.SpliceBroken = true;
-          continue;
-        }
-        P.Resolved = D.Resolved;
-        PortDefaulted = D.NumDefaulted;
-        Stats.NumDefaulted += D.NumDefaulted;
-        if (D.NumDefaulted && P.Width > 0)
+      const Type *R = Engine.resolve(P.InferVar);
+      if (!R->isGround()) {
+        unsigned Before = Stats.NumDefaulted;
+        R = groundDefault(R, TC, Stats.NumDefaulted);
+        if (Stats.NumDefaulted != Before && P.Width > 0)
           Diags.warning(P.Loc, "type of port '" + P.Name + "' on instance '" +
                                    Inst->Path +
                                    "' is unconstrained; defaulting to " +
-                                   D.Resolved->str());
-      } else {
-        const Type *R = Engine.resolve(P.InferVar);
-        if (!R->isGround()) {
-          unsigned Before = Stats.NumDefaulted;
-          R = groundDefault(R, TC, Stats.NumDefaulted);
-          PortDefaulted = Stats.NumDefaulted - Before;
-          if (PortDefaulted && P.Width > 0)
-            Diags.warning(P.Loc, "type of port '" + P.Name +
-                                     "' on instance '" + Inst->Path +
-                                     "' is unconstrained; defaulting to " +
-                                     R->str());
-        }
-        P.Resolved = R;
+                                   R->str());
       }
-      if (Group >= 0)
-        Stats.PortGroups.push_back(
-            PortGroup{unsigned(Inst->Id), unsigned(PI), Group, PortDefaulted});
+      P.Resolved = R;
     }
   }
   return Stats;

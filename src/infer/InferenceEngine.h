@@ -30,7 +30,6 @@
 #include "support/Diagnostics.h"
 
 #include <chrono>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -77,10 +76,6 @@ struct Constraint {
   /// PortAnnotation) it came from. Only read on failure paths.
   ConstraintOriginKind Origin = ConstraintOriginKind::None;
   const netlist::InstanceNode *Inst = nullptr;
-  /// Second endpoint instance for Connection/ConnAnnotation constraints
-  /// (the `->` target side). Incremental recompilation uses it to decide
-  /// which H3 groups an edited instance invalidates.
-  const netlist::InstanceNode *Inst2 = nullptr;
   int PortIdx = -1;
 
   /// Diagnostic context text: Context if pre-rendered, else built from the
@@ -147,45 +142,19 @@ struct GroupStats {
   SourceLoc FirstLoc;
   /// The index of the group whose search this one reused (its key was
   /// equal: the same work up to a renaming of variables), or -1 when the
-  /// group ran its own search or was spliced. Not persisted in LSSSOL.
+  /// group ran its own search. Not persisted in LSSSOL.
   int MemoOf = -1;
-};
-
-/// One port-resolution query for H3 group attribution: the port's
-/// inference variable plus the dense creation id of the instance it lives
-/// on. solve() records, per query, which group the query's resolution
-/// depends on, and folds the instance into that group's member set.
-struct SpliceQuery {
-  const types::Type *Var = nullptr;
-  unsigned InstId = 0;
-};
-
-/// Decides, per H3 group, whether a cached solution may be spliced in
-/// place of searching the group. Receives the group index and its sorted,
-/// deduped member instance ids; returns true — filling \p Out with the
-/// cached group statistics — to splice. Groups whose cached stats report
-/// failure or a constraint-count mismatch are searched live regardless.
-using GroupSpliceOracle = std::function<bool(
-    unsigned Group, const std::vector<unsigned> &MemberInsts,
-    GroupStats &Out)>;
-
-/// Incremental-solve request handed to InferenceEngine::solve. Queries are
-/// always allowed (attribution is cheap and what a cold compile persists);
-/// the oracle is only set on the incremental path.
-struct SpliceRequest {
-  const std::vector<SpliceQuery> *Queries = nullptr;
-  GroupSpliceOracle Oracle;
 };
 
 struct SolveStats {
   bool Success = false;
   bool HitLimit = false;
   bool HitDeadline = false; ///< The wall-clock deadline expired.
-  /// Unify steps of the whole solve, each memoized or spliced group
-  /// counted as the search it stands for.
+  /// Unify steps of the whole solve, each memoized group counted as the
+  /// search it stands for.
   uint64_t UnifySteps = 0;
-  /// The part of UnifySteps this solve executed: memoized and spliced
-  /// groups contribute nothing. Not persisted in LSSSOL.
+  /// The part of UnifySteps this solve executed: memoized groups
+  /// contribute nothing. Not persisted in LSSSOL.
   uint64_t UnifyStepsSearched = 0;
   uint64_t BranchPoints = 0;
   unsigned NumConstraints = 0;
@@ -194,8 +163,8 @@ struct SolveStats {
   /// Groups that reused an earlier group's search (GroupStats::MemoOf).
   unsigned NumMemoized = 0;
   /// Threads that ran at least one group search: 0 when no group
-  /// searched (none found, all spliced or memoized, or the solution came
-  /// from the cache), 1 for a serial solve. Not persisted in LSSSOL.
+  /// searched (none found, all memoized, or the solution came from the
+  /// cache), 1 for a serial solve. Not persisted in LSSSOL.
   unsigned ThreadsUsed = 0;
   /// Groups left unsolved by budget/deadline exhaustion. Unlike a genuine
   /// unsatisfiability (which stops the merge at the first failed group),
@@ -203,18 +172,6 @@ struct SolveStats {
   /// solved and committed, and only these groups' variables stay free.
   unsigned NumUnsolved = 0;
   std::vector<GroupStats> Groups; ///< One entry per searched H3 group.
-  /// Filled when solve() received a SpliceRequest with queries: per query,
-  /// the index of the H3 group the query's resolution depends on, or -1.
-  /// Queries whose variables span several groups get the lowest group and
-  /// the groups are linked (they splice or search together).
-  std::vector<int> QueryGroups;
-  /// Sorted, deduped instance ids each group's constraints (and attributed
-  /// query ports) mention. Empty when unknown (synthetic constraints
-  /// without instance provenance) — such groups never splice.
-  std::vector<std::vector<unsigned>> GroupMembers;
-  /// Per group: true when its search was skipped and cached statistics
-  /// were spliced in (incremental recompilation).
-  std::vector<bool> GroupSpliced;
   std::string FailMessage;
   SourceLoc FailLoc;
 };
@@ -224,12 +181,9 @@ public:
   explicit InferenceEngine(types::TypeContext &TC) : TC(TC), U(TC) {}
 
   /// Solves \p Constraints. On success the engine's unifier holds the
-  /// satisfying bindings; query them with resolve(). \p Splice, when
-  /// non-null, requests H3 group attribution for its queries and (when its
-  /// oracle is set) per-group solution splicing — see docs/INCREMENTAL.md.
+  /// satisfying bindings; query them with resolve().
   SolveStats solve(const std::vector<Constraint> &Constraints,
-                   const SolveOptions &Opts,
-                   const SpliceRequest *Splice = nullptr);
+                   const SolveOptions &Opts);
 
   /// Deep-resolves \p T through the current bindings.
   const types::Type *resolve(const types::Type *T) { return U.resolveDeep(T); }
@@ -260,51 +214,12 @@ private:
   bool HasDeadline = false;
 };
 
-/// The H3 group one resolved port's type depends on.
-struct PortGroup {
-  unsigned Inst = 0; ///< The instance's id.
-  unsigned Port = 0; ///< The port's index in the instance's Ports.
-  int Group = -1;
-  /// Defaulting substitutions the port's resolution made.
-  unsigned NumDefaulted = 0;
-};
-
 /// Result of running inference over a whole netlist.
 struct NetlistInferenceStats {
   SolveStats Solve;
   unsigned NumPorts = 0;
   unsigned NumPolymorphicPorts = 0; ///< Ports whose scheme had variables.
   unsigned NumDefaulted = 0; ///< Unconstrained variables defaulted to int.
-  /// One record per resolved port whose resolution depends on an H3
-  /// group, in (instance id, port index) order — the order of the
-  /// solver's queries. Persisted by LSSSOL so a later incremental compile
-  /// can splice the port without re-running the group search.
-  std::vector<PortGroup> PortGroups;
-  /// Set when a splice oracle accepted a group but the cached per-port
-  /// record backing it was missing; the caller must fall back to a cold
-  /// solve (the netlist's resolved types are incomplete). Never set on
-  /// non-incremental compiles.
-  bool SpliceBroken = false;
-
-  /// The record of port \p Port of instance \p Inst, or null.
-  const PortGroup *findPortGroup(unsigned Inst, unsigned Port) const;
-};
-
-/// Cached resolution of one port in a spliced group: final (post-default)
-/// type plus the defaulting-substitution count its cold resolution made.
-struct PortSpliceData {
-  const types::Type *Resolved = nullptr;
-  unsigned NumDefaulted = 0;
-};
-
-/// Incremental-solve hooks for inferNetlistTypes. Oracle gates per-group
-/// splicing; Port supplies the cached resolution for each port of a
-/// spliced group (return false if the record is missing — the run is then
-/// marked SpliceBroken).
-struct NetlistSpliceHooks {
-  GroupSpliceOracle Oracle;
-  std::function<bool(unsigned InstId, unsigned PortIdx, PortSpliceData &Out)>
-      Port;
 };
 
 /// Generates constraints from \p NL (port schemes, connections, connection
@@ -317,9 +232,7 @@ NetlistInferenceStats inferNetlistTypes(netlist::Netlist &NL,
                                         types::TypeContext &TC,
                                         DiagnosticEngine &Diags,
                                         const SolveOptions &Opts,
-                                        PhaseTimer *Timer = nullptr,
-                                        const NetlistSpliceHooks *Hooks =
-                                            nullptr);
+                                        PhaseTimer *Timer = nullptr);
 
 /// Builds (without solving) the constraint system for \p NL. Exposed so
 /// benches can measure the solver on real model constraint systems.

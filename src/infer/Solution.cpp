@@ -32,23 +32,13 @@ bool liberty::infer::exportSolution(const netlist::Netlist &NL,
      << ' ' << S.NumComponents << ' ' << S.NumUnsolved << '\n';
   OS << "nstats " << Stats.NumPorts << ' ' << Stats.NumPolymorphicPorts << ' '
      << Stats.NumDefaulted << '\n';
-  // The per-group wall time is written as zero (the bits of 0.0): a
-  // spliced incremental solve replays cached group stats, and only a
-  // time-free artifact can be byte-identical to the cold compile it
-  // splices from.
+  // The per-group wall time is written as zero (the bits of 0.0): only a
+  // time-free artifact is byte-identical across runs of the same solve.
   for (const GroupStats &G : S.Groups)
     OS << "group " << G.NumConstraints << ' ' << G.UnifySteps << ' '
        << G.BranchPoints << ' ' << hex64(0) << ' ' << (G.Success ? 1 : 0)
        << ' ' << (G.HitLimit ? 1 : 0) << ' ' << (G.HitDeadline ? 1 : 0)
        << '\n';
-  for (size_t G = 0; G != S.GroupMembers.size(); ++G) {
-    if (S.GroupMembers[G].empty())
-      continue;
-    OS << "gm " << G << ' ' << S.GroupMembers[G].size();
-    for (unsigned Id : S.GroupMembers[G])
-      OS << ' ' << Id;
-    OS << '\n';
-  }
   for (const Diagnostic &D : Diags) {
     if (D.Level == DiagLevel::Error)
       return false; // Failed solves are never cached.
@@ -62,18 +52,12 @@ bool liberty::infer::exportSolution(const netlist::Netlist &NL,
     for (size_t P = 0; P != Ports.size(); ++P) {
       if (!Ports[P].Resolved)
         continue;
-      OS << "p " << I << ' ' << P << ' ' << Tab.tok(Ports[P].Resolved->str());
-      // Group column is biased by one (0 = no group) so the record stays
-      // unsigned; the defaulting count drives warning replay on splice.
-      if (const PortGroup *G = Stats.findPortGroup(unsigned(I), unsigned(P)))
-        OS << ' ' << unsigned(G->Group + 1) << ' ' << G->NumDefaulted;
-      else
-        OS << " 0 0";
-      OS << '\n';
+      OS << "p " << I << ' ' << P << ' ' << Tab.tok(Ports[P].Resolved->str())
+         << '\n';
     }
   }
   OS << "end\n";
-  Out = Tab.finish("LSSSOL 4", OS.str());
+  Out = Tab.finish("LSSSOL 5", OS.str());
   return true;
 }
 
@@ -113,7 +97,7 @@ bool liberty::infer::readSolutionSummary(std::string_view Text,
     return Fail();
   netlist::ArtifactReader R(Text);
   std::vector<std::string_view> Strtab;
-  if (!R.readHeader("LSSSOL 4", Error) || !R.readRawStrtab(Strtab))
+  if (!R.readHeader("LSSSOL 5", Error) || !R.readRawStrtab(Strtab))
     return Fail();
 
   SolutionSummary S;
@@ -141,7 +125,7 @@ bool liberty::infer::readSolutionSummary(std::string_view Text,
       if (L.isEnd() ? !R.atEnd() : !R.endsWithEndLine())
         return Fail();
       break;
-    } else if (Kind != "nstats" && Kind != "group" && Kind != "gm") {
+    } else if (Kind != "nstats" && Kind != "group") {
       return Fail();
     }
   }
@@ -166,7 +150,7 @@ bool liberty::infer::importSolution(const std::string &Text,
     return Fail();
   netlist::ArtifactReader R(Text);
   std::vector<std::string> Strtab;
-  if (!R.readHeader("LSSSOL 4", Error) || !R.readStrtab(Strtab))
+  if (!R.readHeader("LSSSOL 5", Error) || !R.readStrtab(Strtab))
     return Fail();
 
   NetlistInferenceStats Stats;
@@ -205,20 +189,6 @@ bool liberty::infer::importSolution(const std::string &Text,
           !L.boolean(6, G.HitLimit) || !L.boolean(7, G.HitDeadline))
         return Fail();
       Stats.Solve.Groups.push_back(G);
-    } else if (Kind == "gm") {
-      unsigned G, N;
-      if (L.size() < 3 || !L.u32(1, G) || !L.u32(2, N) ||
-          L.size() != size_t(N) + 3 || G >= Stats.Solve.Groups.size())
-        return Fail();
-      if (Stats.Solve.GroupMembers.size() < Stats.Solve.Groups.size())
-        Stats.Solve.GroupMembers.resize(Stats.Solve.Groups.size());
-      std::vector<unsigned> &Ids = Stats.Solve.GroupMembers[G];
-      for (unsigned I = 0; I != N; ++I) {
-        unsigned Id;
-        if (!L.u32(3 + I, Id) || Id >= Instances.size())
-          return Fail();
-        Ids.push_back(Id);
-      }
     } else if (Kind == "diag") {
       Diagnostic D;
       if (!readDiagRecord(L, Str, D))
@@ -226,30 +196,19 @@ bool liberty::infer::importSolution(const std::string &Text,
       Diags.push_back(std::move(D));
     } else if (Kind == "p") {
       uint64_t InstIdx, PortIdx;
-      unsigned GroupBiased, NumDefaulted;
       std::string TypeText;
-      if (L.size() != 6 || !L.u64(1, InstIdx) || !L.u64(2, PortIdx) ||
-          !L.str(3, Strtab, TypeText) || !L.u32(4, GroupBiased) ||
-          !L.u32(5, NumDefaulted))
+      if (L.size() != 4 || !L.u64(1, InstIdx) || !L.u64(2, PortIdx) ||
+          !L.str(3, Strtab, TypeText))
         return Fail();
       if (InstIdx >= Instances.size() ||
           PortIdx >= Instances[InstIdx]->Ports.size())
         return Fail();
-      // Ports come in increasing (instance, port) order, which keeps
-      // PortGroups sorted for findPortGroup.
+      // Ports come in increasing (instance, port) order.
       auto Key = std::make_pair(InstIdx, PortIdx);
       if (SawP && !(LastPort < Key))
         return Fail();
       LastPort = Key;
       SawP = true;
-      if (GroupBiased) {
-        if (GroupBiased > Stats.Solve.Groups.size())
-          return Fail();
-        Stats.PortGroups.push_back(PortGroup{unsigned(InstIdx),
-                                             unsigned(PortIdx),
-                                             int(GroupBiased) - 1,
-                                             NumDefaulted});
-      }
       const types::Type *T = types::parseTypeText(TypeText, TC, VarMap);
       if (!T)
         return Fail();

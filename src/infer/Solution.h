@@ -9,7 +9,7 @@
 /// solver entirely, while still reporting the cold run's statistics and
 /// diagnostics verbatim.
 ///
-/// Format contract ("LSSSOL 4", the only version written or read): line
+/// Format contract ("LSSSOL 5", the only version written or read): line
 /// oriented; every string (diagnostic messages, resolved type texts) is
 /// interned into a header string table ("strtab N" + "s <%XX-escaped>"
 /// lines, first-use order) and referenced by decimal id, so a type shared
@@ -18,13 +18,9 @@
 /// increasing order. The body opens with the "stats" record; every "diag"
 /// record precedes the first "p" record, after which come only "p"
 /// records and the closing "end" line — so readSolutionSummary stops at
-/// the first "p". Nothing that depends on the thread count is recorded
-/// (the solve key does not include it). For
-/// incremental recompilation (docs/INCREMENTAL.md) the artifact carries
-/// per-group member instance ids ("gm" records) and per-port group and
-/// defaulting columns on the "p" records, and it writes every per-group
-/// wall time as zero, so an incrementally spliced solution is
-/// byte-identical to a cold one. Because serial and parallel solves
+/// the first "p". Nothing that depends on the thread count or the clock is
+/// recorded (the solve key does not include them): every per-group wall
+/// time is written as zero. Because serial and parallel solves
 /// produce bit-identical bindings (SolveOptions::NumThreads contract), the
 /// exported artifact is byte-identical across --jobs settings — a
 /// regression test diffs the two. Any other header is rejected (a cache
@@ -51,13 +47,13 @@ class Netlist;
 namespace infer {
 
 /// Renders the resolved port types of \p NL plus \p Stats and the
-/// inference-phase diagnostics \p Diags as an LSSSOL 4 artifact. Returns
+/// inference-phase diagnostics \p Diags as an LSSSOL 5 artifact. Returns
 /// false if \p Diags contains an error (failed solves are never cached).
 bool exportSolution(const netlist::Netlist &NL,
                     const NetlistInferenceStats &Stats,
                     const std::vector<Diagnostic> &Diags, std::string &Out);
 
-/// Parses an LSSSOL 4 artifact and writes each recorded resolved type back
+/// Parses an LSSSOL 5 artifact and writes each recorded resolved type back
 /// into \p NL's ports. Types are rebuilt in \p TC; statistics and replayed
 /// diagnostics land in \p StatsOut / \p DiagsOut. Returns false — leaving
 /// the netlist's resolved types unspecified — on any malformed input or
@@ -69,14 +65,13 @@ bool importSolution(const std::string &Text, netlist::Netlist &NL,
                     std::string *Error = nullptr);
 
 /// What a compile verdict needs from an LSSSOL artifact: the "stats"
-/// record (Groups and GroupMembers stay empty) and the replayed
-/// diagnostics.
+/// record (Groups stays empty) and the replayed diagnostics.
 struct SolutionSummary {
   SolveStats Solve;
   std::vector<Diagnostic> Diags;
 };
 
-/// Reads an LSSSOL 4 artifact up to its first "p" record and checks that
+/// Reads an LSSSOL 5 artifact up to its first "p" record and checks that
 /// the text ends with the "end" line, needing no netlist and building no
 /// type. Every artifact importSolution accepts is accepted here with the
 /// same statistics and diagnostics; like it, this honours the

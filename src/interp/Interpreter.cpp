@@ -56,40 +56,20 @@ Interpreter::run(const std::vector<Stmt *> &TopLevel) {
   auto Result = std::make_unique<netlist::Netlist>();
   NL = Result.get();
   InstStack.clear();
-  BodyWindows.clear();
   ProcessingOrder.clear();
-
-  // Evaluates (or replays) one body, recording its connection/diagnostic
-  // creation window. Windows are recorded uniformly for evaluated and
-  // replayed bodies so an incremental compile can re-serialize a complete
-  // dependency artifact afterwards.
-  auto RunBody = [&](netlist::InstanceNode *Node,
-                     const std::vector<Stmt *> &Body,
-                     const BodyLayout &Layout) {
-    BodyWindow W;
-    W.ConnBegin = uint32_t(NL->getConnections().size());
-    W.DiagBegin = uint32_t(Diags.getDiagnostics().size());
-    if (Replay && Replay(Node))
-      ProcessingOrder.push_back(Node);
-    else
-      evalBody(Node, Body, Layout);
-    W.ConnEnd = uint32_t(NL->getConnections().size());
-    W.DiagEnd = uint32_t(Diags.getDiagnostics().size());
-    BodyWindows.emplace_back(Node, W);
-  };
 
   // The top level is the body of the synthetic root instance. Module
   // bodies were resolved when parsed; the top-level statements of all the
   // compile's files form one body, resolved here.
   resolveBody(TopLevel, TopLayout);
-  RunBody(NL->getRoot(), TopLevel, TopLayout);
+  evalBody(NL->getRoot(), TopLevel, TopLayout);
 
   // Pop and evaluate deferred instance bodies (LIFO, Section 6.2).
   while (!InstStack.empty() && !aborted()) {
     netlist::InstanceNode *Node = InstStack.back();
     InstStack.pop_back();
     assert(Node->Module && "deferred instance without a module");
-    RunBody(Node, Node->Module->getBody(), Node->Module->getLayout());
+    evalBody(Node, Node->Module->getBody(), Node->Module->getLayout());
   }
 
   NL = nullptr;
@@ -379,13 +359,10 @@ void Interpreter::execInstanceDecl(const InstanceDeclStmt *S) {
 
 netlist::InstanceNode *Interpreter::makeInstance(
     netlist::InstanceNode *Parent, const std::string &Name,
-    const std::string &ModuleName, SourceLoc Loc, bool DiagnoseUnknown) {
+    const std::string &ModuleName, SourceLoc Loc) {
   const ModuleDecl *M = lookupModule(ModuleName);
   if (!M) {
-    // A replaying caller aborts the replay; the cold compile it falls back
-    // to diagnoses.
-    if (DiagnoseUnknown)
-      Diags.error(Loc, "unknown module '" + ModuleName + "'");
+    Diags.error(Loc, "unknown module '" + ModuleName + "'");
     return nullptr;
   }
   if (++NumInstances > Opts.MaxInstances) {

@@ -29,7 +29,6 @@
 #include "support/Diagnostics.h"
 #include "types/TypeContext.h"
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -67,53 +66,6 @@ public:
   /// Elaborates \p TopLevel (the system description S0) into a netlist.
   /// Always returns a netlist; callers must check Diags.hasErrors().
   std::unique_ptr<netlist::Netlist> run(const std::vector<lss::Stmt *> &TopLevel);
-
-  /// Replay support for incremental recompilation (docs/INCREMENTAL.md).
-  /// When set, run() consults the hook before evaluating each body (the
-  /// synthetic root included). Returning true means the hook reproduced the
-  /// body's effects (params, ports, connections, child shells) from a
-  /// cached netlist, so the interpreter skips evaluating it; returning
-  /// false evaluates the body normally. Child instances the hook creates
-  /// via replayChild() defer their own bodies through the normal
-  /// instantiation stack, so clean and dirty subtrees interleave on the
-  /// exact schedule a cold elaboration would use.
-  using ReplayHook = std::function<bool(netlist::InstanceNode *)>;
-  void setReplayHook(ReplayHook H) { Replay = std::move(H); }
-
-  /// Creates a child shell under \p Parent exactly as an `instance`
-  /// statement would (module lookup, instance cap, LIFO stack push).
-  /// Returns null — without diagnosing — if the module is unknown (the
-  /// caller falls back to a full recompile) and with the usual diagnostic
-  /// if the instance cap tripped. Only meaningful inside a replay hook.
-  netlist::InstanceNode *replayChild(netlist::InstanceNode *Parent,
-                                     const std::string &Name,
-                                     const std::string &ModuleName,
-                                     SourceLoc Loc) {
-    return makeInstance(Parent, Name, ModuleName, Loc,
-                        /*DiagnoseUnknown=*/false);
-  }
-
-  /// The netlist under construction. Valid only while run() is executing —
-  /// i.e. from inside a replay hook, which needs it to clone connections
-  /// and re-own userpoint signatures.
-  netlist::Netlist *getNetlistUnderConstruction() { return NL; }
-
-  /// Creation-index window of one evaluated (or replayed) body: the
-  /// half-open ranges of connections created and diagnostics emitted while
-  /// it ran, as indices into the netlist's connection list and the
-  /// diagnostic engine's list. Bodies run one at a time, so each body's
-  /// connections (and its children, via the instance list) form contiguous
-  /// creation-order spans — the invariant incremental splicing relies on.
-  struct BodyWindow {
-    uint32_t ConnBegin = 0, ConnEnd = 0;
-    uint32_t DiagBegin = 0, DiagEnd = 0;
-  };
-  /// One (instance, window) entry per body run() evaluated, in evaluation
-  /// order (root first).
-  const std::vector<std::pair<netlist::InstanceNode *, BodyWindow>> &
-  getBodyWindows() const {
-    return BodyWindows;
-  }
 
   /// Instances in body-evaluation order — the pop order of the
   /// instantiation stack, used by the semantics tests (Figure 13) and
@@ -176,13 +128,11 @@ private:
                             Value RHS, SourceLoc Loc) override;
 
   /// Creates one sub-instance of \p Parent, pushes it on the
-  /// instantiation stack, and returns it (null on error). An unknown
-  /// module is reported only when \p DiagnoseUnknown is set.
+  /// instantiation stack, and returns it (null on error).
   netlist::InstanceNode *makeInstance(netlist::InstanceNode *Parent,
                                       const std::string &Name,
                                       const std::string &ModuleName,
-                                      SourceLoc Loc,
-                                      bool DiagnoseUnknown = true);
+                                      SourceLoc Loc);
 
   /// Creates a connection between two endpoint handles, recording pending
   /// resolutions on child endpoints (the B context).
@@ -207,8 +157,6 @@ private:
   netlist::Netlist *NL = nullptr;
   std::vector<netlist::InstanceNode *> InstStack;
   BodyState Cur;
-  ReplayHook Replay;
-  std::vector<std::pair<netlist::InstanceNode *, BodyWindow>> BodyWindows;
   std::vector<const netlist::InstanceNode *> ProcessingOrder;
   /// The resolved top-level statements of the current run().
   lss::BodyLayout TopLayout;

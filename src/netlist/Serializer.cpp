@@ -101,7 +101,10 @@ bool liberty::netlist::artifactUnescape(std::string_view S,
 // Value encoding
 //===----------------------------------------------------------------------===//
 
-bool liberty::netlist::artifactEncodeValue(const Value &V, std::string &Out) {
+/// Renders a compile-time data Value as one raw (pre-escape) token — the
+/// encoding LSSNL param records use. Returns false on elaboration-only
+/// kinds (InstanceRef, Port), which cannot round-trip.
+static bool artifactEncodeValue(const Value &V, std::string &Out) {
   switch (V.getKind()) {
   case Value::Kind::Unset:
     Out += 'u';
@@ -305,13 +308,11 @@ namespace {
 /// "<hint>#<seq>" where <hint> is the source-level name (the VarName up to
 /// its first '#') and <seq> is an artifact-wide first-use counter. The
 /// in-memory VarId is a process-global allocation counter, so it drifts
-/// between compiles that mint a different number of variables beforehand —
-/// notably an incremental recompile, which deserializes the previous
-/// netlist into the same TypeContext before elaborating. First-use order,
-/// by contrast, is a pure function of the netlist's record order, so the
-/// emitted bytes are identical whenever the structures are (and the reload
-/// fixpoint becomes structural: parseTypeText re-mints variables in
-/// exactly this order).
+/// between compiles that mint a different number of variables beforehand.
+/// First-use order, by contrast, is a pure function of the netlist's record
+/// order, so the emitted bytes are identical whenever the structures are
+/// (and the reload fixpoint becomes structural: parseTypeText re-mints
+/// variables in exactly this order).
 struct TokenEmitter : ArtifactStrTableBuilder {
   std::string type(const types::Type *T) {
     return T ? tok(renderType(T)) : std::string("-");
@@ -470,7 +471,7 @@ bool liberty::netlist::serializeNetlist(
 }
 
 //===----------------------------------------------------------------------===//
-// Shared artifact layer (LSSNL, LSSSOL, LSSDEP)
+// Shared artifact layer (LSSNL, LSSSOL)
 //===----------------------------------------------------------------------===//
 
 bool ArtifactReader::readHeader(std::string_view Header, std::string *Error) {
@@ -542,11 +543,6 @@ std::string ArtifactStrTableBuilder::finish(std::string_view Header,
 //===----------------------------------------------------------------------===//
 // Deserialization
 //===----------------------------------------------------------------------===//
-
-bool liberty::netlist::artifactDecodeValue(const std::string &Text,
-                                           interp::Value &Out) {
-  return ValueReader(Text).read(Out);
-}
 
 namespace {
 

@@ -38,7 +38,7 @@
 /// Any other header is rejected the same way.
 ///
 /// This header also holds the reading and writing layer every
-/// line-oriented artifact (LSSNL, LSSSOL, LSSDEP) shares: %XX escaping,
+/// line-oriented artifact (LSSNL, LSSSOL) shares: %XX escaping,
 /// the line iterator with its header and string-table readers, the field
 /// decoder, and the string-table writer.
 ///
@@ -116,21 +116,9 @@ struct NetlistSummary {
 bool readNetlistSummary(std::string_view Text, NetlistSummary &Out,
                         std::string *Error = nullptr);
 
-/// Renders a compile-time data Value as one raw (pre-escape) token — the
-/// encoding LSSNL param records use. Returns false on elaboration-only
-/// kinds (InstanceRef, Port), which cannot round-trip. Exposed for the
-/// LSSDEP dependency artifact (driver/DepGraph), which persists pending
-/// parameter assignments.
-bool artifactEncodeValue(const interp::Value &V, std::string &Out);
-
-/// Parses a token produced by artifactEncodeValue. Returns false on any
-/// malformed input.
-bool artifactDecodeValue(const std::string &Text, interp::Value &Out);
-
 /// %XX escaping shared by the artifact writers: escapes '%', whitespace,
 /// and every byte that is structural in an artifact line, so any string
-/// round-trips as a single space-free token. Exposed for the LSSDEP
-/// artifact (driver/DepGraph) and tests.
+/// round-trips as a single space-free token. Exposed for tests.
 std::string artifactEscape(const std::string &S);
 /// Inverse of artifactEscape; returns false on a malformed escape.
 bool artifactUnescape(std::string_view S, std::string &Out);
@@ -161,18 +149,6 @@ public:
   size_t size() const { return Fields.size(); }
   std::string_view raw(size_t I) const { return Fields[I]; }
 
-  /// A %XX-escaped string written in place (LSSDEP records, table lines).
-  bool escaped(size_t I, std::string &Out) const {
-    return I < Fields.size() && artifactUnescape(Fields[I], Out);
-  }
-  /// "-" decodes as the empty string (absent optional field).
-  bool optEscaped(size_t I, std::string &Out) const {
-    if (isDash(I)) {
-      Out.clear();
-      return true;
-    }
-    return escaped(I, Out);
-  }
   /// A decimal id into \p Table (LSSNL and LSSSOL string slots).
   bool str(size_t I, const std::vector<std::string> &Table,
            std::string &Out) const {

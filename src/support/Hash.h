@@ -2,11 +2,10 @@
 ///
 /// \file
 /// The one FNV-1a 64 implementation and the one 16-digit hex codec. Cache
-/// keys (driver/CompilerInvocation), per-module content hashes
-/// (driver/DepGraph), LSSART envelope checksums (driver/ArtifactCache),
-/// fault-injection rule streams, and the float/hash fields of the artifact
-/// formats all go through these, so every persisted byte shares one
-/// definition.
+/// keys (driver/CompilerInvocation), LSSART envelope checksums
+/// (driver/ArtifactCache), fault-injection rule streams, and the float/hash
+/// fields of the artifact formats all go through these, so every persisted
+/// byte shares one definition.
 ///
 //===----------------------------------------------------------------------===//
 

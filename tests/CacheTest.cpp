@@ -193,7 +193,7 @@ TEST(CacheService, ColdThenWarmHitsAndMatches) {
     driver::CacheStats S = Svc.getCache().getStats();
     EXPECT_EQ(S.Hits, 0u);
     EXPECT_EQ(S.Misses, 2u);
-    EXPECT_EQ(S.Stores, 3u); // elab, solve, dep
+    EXPECT_EQ(S.Stores, 2u); // elab, solve
     ColdPrint = netlistText(*R.C);
   }
   {
@@ -259,7 +259,7 @@ TEST(CacheService, EditedSourceMisses) {
   ASSERT_TRUE(R.Success);
   EXPECT_FALSE(R.ElabFromCache);
   EXPECT_FALSE(R.SolutionFromCache);
-  EXPECT_EQ(Svc.getCache().getStats().Stores, 6u); // 2 x (elab, solve, dep)
+  EXPECT_EQ(Svc.getCache().getStats().Stores, 4u); // 2 x (elab, solve)
 }
 
 TEST(CacheService, DifferentThreadCountStillHits) {
@@ -374,7 +374,7 @@ TEST(CacheService, CorruptedEntriesAreDiagnosedAndRecompiled) {
     std::ofstream(E.path()) << "garbage, definitely not an artifact\n";
     ++Stomped;
   }
-  ASSERT_EQ(Stomped, 3u); // elab, solve, dep
+  ASSERT_EQ(Stomped, 2u); // elab, solve
   {
     driver::CompileService Svc(diskOpts(Dir));
     driver::CompileResult R = Svc.compile(chainInvocation());
@@ -538,34 +538,13 @@ TEST(CacheBudget, OneUseStreamDoesNotEvictAReusedEntry) {
 
   putOneUseStream(Cache, 100, 100); // 10x the budget.
   driver::CacheStats S = Cache.getStats();
-  EXPECT_TRUE(Cache.peek("hot", "elab", Payload));
+  EXPECT_TRUE(Cache.get("hot", "elab", Payload));
   EXPECT_EQ(Payload, std::string(300, 'h'));
   // The stream cycled through probation: two entries fit its 200 bytes.
   EXPECT_EQ(S.BytesInMemory, 300u + 200u);
   EXPECT_EQ(S.BytesInProbation, 200u);
   EXPECT_EQ(S.Evictions, 98u);
   EXPECT_EQ(S.EvictionsUnused, 98u);
-}
-
-TEST(CacheBudget, NonPromotingReadLeavesEntryInProbation) {
-  driver::ArtifactCache::Options O;
-  O.MemoryBudgetBytes = 1000;
-  driver::ArtifactCache Cache(O);
-  std::string Payload;
-  Cache.put("last", "elab", std::string(150, 'l'));
-  ASSERT_TRUE(Cache.peek("last", "elab", Payload));
-  EXPECT_EQ(Payload, std::string(150, 'l'));
-  driver::CacheStats S = Cache.getStats();
-  EXPECT_EQ(S.Hits, 1u); // A peek is a counted hit...
-  EXPECT_EQ(S.MemoryHits, 1u);
-  EXPECT_EQ(S.BytesInProbation, 150u); // ...that promotes nothing.
-
-  putOneUseStream(Cache, 100, 100);
-  S = Cache.getStats();
-  EXPECT_FALSE(Cache.peek("last", "elab", Payload));
-  EXPECT_EQ(S.Evictions, 99u);
-  EXPECT_EQ(S.EvictionsUnused, 99u); // A peek is not reuse.
-  EXPECT_EQ(S.BytesInMemory, 200u);
 }
 
 TEST(CacheBudget, DiskHitEntersProbation) {
@@ -578,14 +557,9 @@ TEST(CacheBudget, DiskHitEntersProbation) {
   // A fresh process: the entry is on disk only.
   driver::ArtifactCache Cache(O);
   std::string Payload;
-  ASSERT_TRUE(Cache.peek("warm", "elab", Payload));
+  ASSERT_TRUE(Cache.get("warm", "elab", Payload));
   driver::CacheStats S = Cache.getStats();
   EXPECT_EQ(S.DiskHits, 1u);
-  EXPECT_EQ(S.BytesInMemory, 0u); // A peeked disk entry is not loaded.
-
-  ASSERT_TRUE(Cache.get("warm", "elab", Payload));
-  S = Cache.getStats();
-  EXPECT_EQ(S.DiskHits, 2u);
   EXPECT_EQ(S.BytesInMemory, 150u);
   EXPECT_EQ(S.BytesInProbation, 150u); // Loaded, but not yet reused.
 
@@ -593,7 +567,7 @@ TEST(CacheBudget, DiskHitEntersProbation) {
   putOneUseStream(Cache, 10, 100);
   ASSERT_TRUE(Cache.get("warm", "elab", Payload));
   S = Cache.getStats();
-  EXPECT_EQ(S.DiskHits, 3u);
+  EXPECT_EQ(S.DiskHits, 2u);
   EXPECT_EQ(S.MemoryHits, 0u);
   EXPECT_GE(S.EvictionsUnused, 1u);
 
@@ -602,7 +576,7 @@ TEST(CacheBudget, DiskHitEntersProbation) {
   putOneUseStream(Cache, 10, 100);
   ASSERT_TRUE(Cache.get("warm", "elab", Payload));
   S = Cache.getStats();
-  EXPECT_EQ(S.DiskHits, 3u);
+  EXPECT_EQ(S.DiskHits, 2u);
   EXPECT_EQ(S.MemoryHits, 2u);
 }
 
@@ -650,14 +624,6 @@ public:
     return false;
   }
 
-  bool peek(const std::string &Key) const {
-    for (const std::vector<Item> *Seg : {&Probation, &Protected})
-      for (const Item &It : *Seg)
-        if (It.Key == Key)
-          return true;
-    return false;
-  }
-
   uint64_t probationCap() const { return Budget / 5; }
   uint64_t probationBytes() const { return bytes(Probation); }
   uint64_t totalBytes() const { return bytes(Probation) + bytes(Protected); }
@@ -701,9 +667,9 @@ private:
   std::vector<Item> Probation, Protected;
 };
 
-/// Runs \p Ops random put/get/peek operations against both the cache and
-/// the reference, comparing them after each one. Returns false at the
-/// first disagreement.
+/// Runs \p Ops random put/get operations against both the cache and the
+/// reference, comparing them after each one, then looks up every key in
+/// both. Returns false at the first disagreement.
 bool matchesReference(uint64_t Seed, int Ops) {
   constexpr uint64_t Budget = 1000;
   constexpr int NumKeys = 24;
@@ -717,25 +683,14 @@ bool matchesReference(uint64_t Seed, int Ops) {
     SCOPED_TRACE("seed " + std::to_string(Seed) + ", op " +
                  std::to_string(Op));
     std::string Key = std::to_string(Rng() % NumKeys);
-    switch (Rng() % 3) {
-    case 0: {
+    if (Rng() % 2 == 0) {
       uint64_t Size = 1 + Rng() % (Budget / 2);
       Cache.put(Key, "elab", std::string(Size, 'x'));
       Ref.put(Key, Size);
-      break;
-    }
-    case 1:
+    } else {
       EXPECT_EQ(Cache.get(Key, "elab", Payload), Ref.get(Key));
-      break;
-    default:
-      EXPECT_EQ(Cache.peek(Key, "elab", Payload), Ref.peek(Key));
-      break;
     }
     driver::CacheStats S = Cache.getStats();
-    for (int K = 0; K != NumKeys; ++K) {
-      std::string Probe = std::to_string(K);
-      EXPECT_EQ(Cache.peek(Probe, "elab", Payload), Ref.peek(Probe)) << Probe;
-    }
     EXPECT_EQ(S.BytesInMemory, Ref.totalBytes());
     EXPECT_EQ(S.BytesInProbation, Ref.probationBytes());
     EXPECT_EQ(S.Evictions, Ref.Evictions);
@@ -745,7 +700,11 @@ bool matchesReference(uint64_t Seed, int Ops) {
     if (::testing::Test::HasFailure())
       return false;
   }
-  return true;
+  for (int K = 0; K != NumKeys; ++K) {
+    std::string Probe = std::to_string(K);
+    EXPECT_EQ(Cache.get(Probe, "elab", Payload), Ref.get(Probe)) << Probe;
+  }
+  return !::testing::Test::HasFailure();
 }
 
 TEST(CacheBudget, RandomOpsMatchReferenceModel) {
@@ -765,32 +724,26 @@ TEST(CacheBudget, ConcurrentGetPutKeepsAccounting) {
       std::string Payload;
       for (int Op = 0; Op != 5000; ++Op) {
         std::string Key = std::to_string(Rng() % NumKeys);
-        switch (Rng() % 3) {
-        case 0:
+        if (Rng() % 2 == 0)
           Cache.put(Key, "elab", std::string(1 + Rng() % 1024, 'x'));
-          break;
-        case 1:
+        else
           Cache.get(Key, "elab", Payload);
-          break;
-        default:
-          Cache.peek(Key, "elab", Payload);
-          break;
-        }
       }
     });
   for (std::thread &T : Threads)
     T.join();
 
   driver::CacheStats S = Cache.getStats();
-  uint64_t Resident = 0;
-  std::string Payload;
-  for (int K = 0; K != NumKeys; ++K)
-    if (Cache.peek(std::to_string(K), "elab", Payload))
-      Resident += Payload.size();
-  EXPECT_EQ(S.BytesInMemory, Resident);
   EXPECT_LE(S.BytesInMemory, O.MemoryBudgetBytes);
   EXPECT_LE(S.BytesInProbation, S.BytesInMemory);
   EXPECT_LE(S.EvictionsUnused, S.Evictions);
+  // Overwriting every key with one byte leaves exactly those bytes
+  // resident, all on probation, only if the byte accounting stayed exact.
+  for (int K = 0; K != NumKeys; ++K)
+    Cache.put(std::to_string(K), "elab", "x");
+  S = Cache.getStats();
+  EXPECT_EQ(S.BytesInMemory, uint64_t(NumKeys));
+  EXPECT_EQ(S.BytesInProbation, uint64_t(NumKeys));
 }
 
 //===----------------------------------------------------------------------===//

@@ -100,23 +100,6 @@ std::string netlistText(driver::Compiler &C) {
 
 /// Filename -> bytes for every *published* artifact in \p Dir (temp and
 /// quarantined files excluded: they are recovery residue, not results).
-/// True when a raw artifact file's "LSSART 1 <kind> <len> <hash>" envelope
-/// is self-consistent (the payload is exactly <len> bytes). The cache
-/// performs this check — plus the hash — on every read and quarantines
-/// torn entries; tests use it to recognize entries no compile has read yet.
-bool artifactEnvelopeIntact(const std::string &Bytes) {
-  size_t NL = Bytes.find('\n');
-  if (NL == std::string::npos)
-    return false;
-  std::istringstream Header(Bytes.substr(0, NL));
-  std::string Magic, Kind, Hash;
-  unsigned Ver = 0;
-  size_t Len = 0;
-  if (!(Header >> Magic >> Ver >> Kind >> Len >> Hash) || Magic != "LSSART")
-    return false;
-  return Bytes.size() - NL - 1 == Len;
-}
-
 std::map<std::string, std::string> artifactBytes(const std::string &Dir) {
   std::map<std::string, std::string> Out;
   for (const auto &E : std::filesystem::directory_iterator(Dir)) {
@@ -263,24 +246,6 @@ TEST_F(ChaosBatch, SeededFaultSchedulesNeverBreakCompiles) {
     }
     std::map<std::string, std::string> Got = artifactBytes(Dir.Path);
     std::map<std::string, std::string> Want = artifactBytes(Control.Path);
-    // The dependency side-table (LSSDEP) is written only by live
-    // elaborations and read only by incremental recompiles, so unlike
-    // elab/solve entries nothing here ever reads it back: a torn publish
-    // stays on disk (quarantined at first incremental read) and a missing
-    // entry stays missing (warm recoveries cannot regenerate it). Both
-    // states only disable incremental recompilation. Entries that ARE
-    // intact must still match the never-faulted control byte for byte.
-    for (auto It = Want.begin(); It != Want.end();) {
-      auto GIt = Got.find(It->first);
-      if (It->first.find(".dep.") != std::string::npos &&
-          (GIt == Got.end() || !artifactEnvelopeIntact(GIt->second))) {
-        if (GIt != Got.end())
-          Got.erase(GIt);
-        It = Want.erase(It);
-      } else {
-        ++It;
-      }
-    }
     EXPECT_EQ(Got, Want);
   }
 }
@@ -360,7 +325,7 @@ TEST_F(ChaosRecovery, TornWritesRecoverToColdIdenticalArtifacts) {
     ASSERT_TRUE(Svc.compile(invocationFor("chain.lss", kChainSpec)).Success);
   }
   std::map<std::string, std::string> Want = artifactBytes(Control.Path);
-  ASSERT_EQ(Want.size(), 3u); // One elab + one solve + one dep artifact.
+  ASSERT_EQ(Want.size(), 2u); // One elab + one solve artifact.
 
   // Chaos: every publish of this first compile is torn at the final name.
   TempDir Dir;
@@ -455,70 +420,6 @@ TEST_F(FaultReplay, TornRename) {
   EXPECT_EQ(Svc.getCache().getStats().Quarantined, 1u);
   EXPECT_NE(R.C->diagnosticsText().find("ignoring corrupted cache entry"),
             std::string::npos);
-}
-
-/// Dep-serialize family: the dependency-graph artifact fails to render
-/// during a cold compile. The compile itself must be unaffected — the
-/// graph is a pure accelerator — and its absence only costs the next
-/// compileIncremental its fast path, persistently (warm fallbacks run no
-/// interpreter, so nothing can rewrite the graph until a cold compile).
-TEST_F(FaultReplay, DepSerialize) {
-  const CleanPrints &Clean = cleanPrints();
-  TempDir Dir;
-  driver::CompileService::Options O;
-  O.Cache.DiskDir = Dir.Path;
-  driver::CompileService Svc(O);
-
-  ASSERT_TRUE(FaultInjection::configure("serialize.dep"));
-  driver::CompileResult R = Svc.compile(invocationFor("chain.lss", kChainSpec));
-  FaultInjection::reset();
-  ASSERT_TRUE(R.Success);
-  EXPECT_EQ(netlistText(*R.C), Clean.Chain);
-  EXPECT_EQ(artifactBytes(Dir.Path).size(), 2u); // elab + solve, no dep.
-
-  // Incremental recompilation degrades to the plain warm path, twice —
-  // the miss is stable, never an error.
-  for (int I = 0; I != 2; ++I) {
-    driver::CompileResult RI =
-        Svc.compileIncremental(invocationFor("chain.lss", kChainSpec));
-    ASSERT_TRUE(RI.Success);
-    EXPECT_FALSE(RI.Incremental.Used);
-    EXPECT_EQ(RI.Incremental.FallbackReason, "no-dependency-graph");
-    EXPECT_TRUE(RI.ElabFromCache && RI.SolutionFromCache);
-    EXPECT_EQ(netlistText(*RI.C), Clean.Chain);
-  }
-  EXPECT_EQ(Svc.getIncrementalCounters().Fallbacks, 2u);
-}
-
-/// Dep-deserialize family: the stored dependency graph cannot be parsed
-/// back. compileIncremental must fall back to the (warm) full pipeline
-/// with identical results, and recover by itself once reads succeed.
-TEST_F(FaultReplay, DepDeserialize) {
-  const CleanPrints &Clean = cleanPrints();
-  TempDir Dir;
-  driver::CompileService::Options O;
-  O.Cache.DiskDir = Dir.Path;
-  driver::CompileService Svc(O);
-  ASSERT_TRUE(Svc.compile(invocationFor("chain.lss", kChainSpec)).Success);
-
-  ASSERT_TRUE(FaultInjection::configure("deserialize.dep"));
-  driver::CompileResult R =
-      Svc.compileIncremental(invocationFor("chain.lss", kChainSpec));
-  FaultInjection::reset();
-  ASSERT_TRUE(R.Success);
-  EXPECT_FALSE(R.Incremental.Used);
-  EXPECT_FALSE(R.Incremental.DepCacheHit);
-  EXPECT_EQ(R.Incremental.FallbackReason, "dependency-graph-unreadable");
-  EXPECT_TRUE(R.ElabFromCache && R.SolutionFromCache);
-  EXPECT_EQ(netlistText(*R.C), Clean.Chain);
-
-  // With the fault cleared the same entry reads fine again: the unchanged
-  // project short-circuits on its dependency graph.
-  driver::CompileResult R2 =
-      Svc.compileIncremental(invocationFor("chain.lss", kChainSpec));
-  ASSERT_TRUE(R2.Success);
-  EXPECT_TRUE(R2.Incremental.DepCacheHit);
-  EXPECT_EQ(R2.Incremental.FallbackReason, "already-cached");
 }
 
 /// Truncated-frame family: the daemon's reply never arrives (the frame

@@ -2,7 +2,8 @@
 ///
 /// End-to-end coverage of the compile daemon:
 ///  - version handshake (hello/hello_ok, version_mismatch closes, other
-///    messages before hello are refused);
+///    messages before hello are refused), and CompileClient::recompile as
+///    a plain `compile`;
 ///  - compile round trips through CompileClient, with the second compile of
 ///    the same key served from the daemon's warm cache, and a hot round
 ///    trip at least 2x faster than a cold compile of a 400-stage chain;
@@ -331,67 +332,54 @@ TEST(Daemon, CompileRoundTripWarmsCache) {
                                << " ms";
 }
 
-TEST(Daemon, RecompileRoundTripSplicesThroughTheDaemon) {
-  // The `recompile` request (docs/INCREMENTAL.md): the
-  // first call has no dependency graph and transparently falls back to a
-  // full compile (which stores one); an edited recompile then replays the
-  // unchanged lane and splices its solved constraint group.
-  const char *kLaneA = "module laneA {\n  instance a:adder;\n"
-                       "  instance k:sink;\n  a.out -> k.in;\n}\n";
-  const char *kLaneB = "module laneB {\n  instance a:adder;\n"
-                       "  instance k:sink;\n  a.out -> k.in;\n}\n";
-  const char *kLaneBEdited = "module laneB {\n  instance a:adder;\n"
-                             "  instance k:sink;\n  instance k2:sink;\n"
-                             "  a.out -> k.in;\n  a.out -> k2.in;\n}\n";
-  const char *kTop = "instance x:laneA;\ninstance y:laneB;\n";
-  auto project = [&](const char *LaneB) {
-    CompilerInvocation Inv;
-    Inv.BuildSim = false;
-    Inv.addSource("laneA.lss", kLaneA);
-    Inv.addSource("laneB.lss", LaneB);
-    Inv.addSource("top.lss", kTop);
-    return Inv;
-  };
-
+TEST(Daemon, RecompileIsACompileAndProtocol3IsRefused) {
+  // Protocol 4 has no `recompile` message: CompileClient::recompile sends
+  // a plain `compile`, so its reply is the verdict a compile gets in the
+  // same cache state, and a protocol-3 client, which may send
+  // `recompile`, is refused at the handshake.
   TempArea T("recompile");
   DaemonServer Server(serverOptions(T));
   std::string Err;
   ASSERT_TRUE(Server.start(&Err)) << Err;
 
+  {
+    int Fd = rawConnect(T.sock());
+    Json Reply;
+    ASSERT_TRUE(rawRoundTrip(Fd, helloMsg(3), Reply));
+    EXPECT_EQ(Reply.getString("type"), "error");
+    EXPECT_EQ(Reply.getString("code"), "version_mismatch");
+    ::close(Fd);
+  }
+
   CompileClient Client(T.sock());
   ASSERT_TRUE(Client.connect(&Err)) << Err;
+  for (const CompilerInvocation &Inv :
+       {sourceInvocation("small.lss", kSmallSpec),
+        sourceInvocation("bad.lss", "instance %%% nope")}) {
+    SCOPED_TRACE(Inv.Sources.front().Name);
+    CompileClient::Result Cold = Client.compile(Inv);
+    CompileClient::Result Got = Client.recompile(Inv);
+    CompileClient::Result Want = Client.compile(Inv);
+    ASSERT_TRUE(Cold.Error.empty() && Got.Error.empty() && Want.Error.empty())
+        << Cold.Error << Got.Error << Want.Error;
+    EXPECT_EQ(Got.Success, Want.Success);
+    EXPECT_EQ(Got.FailedPhase, Want.FailedPhase);
+    EXPECT_EQ(Got.ExitCode, Want.ExitCode);
+    EXPECT_EQ(Got.ElabFromCache, Want.ElabFromCache);
+    EXPECT_EQ(Got.SolutionFromCache, Want.SolutionFromCache);
+    EXPECT_EQ(Got.Diagnostics, Want.Diagnostics);
+    EXPECT_EQ(Got.Instances, Want.Instances);
+    EXPECT_EQ(Got.Connections, Want.Connections);
+    EXPECT_FALSE(Got.IncrementalUsed);
+    EXPECT_EQ(Got.ModulesReelaborated + Got.GroupsResolved + Got.GroupsSpliced,
+              0u);
+  }
 
-  CompileClient::Result R1 = Client.recompile(project(kLaneB));
-  ASSERT_TRUE(R1.Error.empty()) << R1.Error;
-  EXPECT_TRUE(R1.Success) << R1.Diagnostics;
-  EXPECT_FALSE(R1.IncrementalUsed);
-  EXPECT_EQ(R1.IncrementalFallback, "no-dependency-graph");
-
-  CompileClient::Result R2 = Client.recompile(project(kLaneBEdited));
-  ASSERT_TRUE(R2.Error.empty()) << R2.Error;
-  EXPECT_TRUE(R2.Success) << R2.Diagnostics;
-  EXPECT_TRUE(R2.IncrementalUsed) << R2.IncrementalFallback;
-  EXPECT_EQ(R2.ModulesReelaborated, 3u); // laneB, adder, sink.
-  EXPECT_EQ(R2.GroupsResolved, 1u);      // laneB's group.
-  EXPECT_EQ(R2.GroupsSpliced, 1u);       // laneA's group, replayed.
-
-  // The recompile traffic is accounted separately and the incremental
-  // totals surface in both the stats message and DaemonStats.
   Json S;
   ASSERT_TRUE(Client.stats(S, &Err)) << Err;
-  EXPECT_EQ(S.getU64("recompile_requests"), 2u);
-  EXPECT_EQ(S.getU64("compile_requests"), 0u);
-  ASSERT_NE(S.get("incremental"), nullptr);
-  EXPECT_EQ(S.get("incremental")->getU64("requests"), 2u);
-  EXPECT_EQ(S.get("incremental")->getU64("used"), 1u);
-  EXPECT_EQ(S.get("incremental")->getU64("fallbacks"), 1u);
-  EXPECT_EQ(S.get("incremental")->getU64("groups_spliced"), 1u);
-  EXPECT_GE(S.getU64("schema_version"), 2u);
-
-  DaemonStats DS = Server.getStats();
-  EXPECT_EQ(DS.RecompileRequests, 2u);
-  EXPECT_EQ(DS.Incremental.Requests, 2u);
-  EXPECT_EQ(DS.Incremental.Used, 1u);
+  EXPECT_EQ(S.getU64("compile_requests"), 6u);
+  EXPECT_EQ(S.get("recompile_requests"), nullptr);
+  EXPECT_EQ(S.get("incremental"), nullptr);
 }
 
 /// A small overload project: adder chains whose (int | float) overloads
@@ -467,7 +455,6 @@ TEST(Daemon, WarmRepliesMatchInProcessVerdicts) {
     EXPECT_EQ(Got.Diagnostics, Want.Diagnostics);
     EXPECT_EQ(Got.Instances, Want.Instances);
     EXPECT_EQ(Got.Connections, Want.Connections);
-    EXPECT_EQ(Got.IncrementalAttempted, Want.IncrementalAttempted);
   };
 
   for (bool Disk : {false, true}) {
@@ -550,7 +537,7 @@ TEST(Daemon, ConcurrentClientsShareOneColdCompile) {
   EXPECT_EQ(DS.CompileRequests, N);
   EXPECT_EQ(DS.ElabCacheMisses, 1u);
   EXPECT_EQ(DS.ElabCacheHits, N - 1);
-  EXPECT_EQ(DS.Cache.Stores, 3u); // One elab + one solution + one dep graph.
+  EXPECT_EQ(DS.Cache.Stores, 2u); // One elab + one solution.
 }
 
 //===--------------------------------------------------------------------===//

@@ -5,7 +5,7 @@
 ///  - Netlist::freezeIds(): creation-order instance ids, contiguous
 ///    port-node numbering, PortRef::PortIdx resolution, idempotence;
 ///  - one format per artifact kind: loaders reject every header but
-///    "LSSNL 3" / "LSSSOL 4" as a miss, without crashing;
+///    "LSSNL 3" / "LSSSOL 5" as a miss, without crashing;
 ///  - byte stability: a reload reserializes to the same bytes, and the
 ///    LSSNL and LSSSOL writers are pinned literally for tiny fixed inputs
 ///    so accidental table-order or record-syntax changes are caught here,
@@ -167,11 +167,9 @@ struct SolvedDesign {
     G1.WallMs = 0.25;
     G1.Success = true;
     S.Groups = {G0, G1};
-    S.GroupMembers = {{1, 2}, {}};
     Stats.NumPorts = 4;
     Stats.NumPolymorphicPorts = 1;
     Stats.NumDefaulted = 1;
-    Stats.PortGroups = {{1, 1, 0, 1}, {2, 0, 0, 0}};
     Diagnostic D;
     D.Level = DiagLevel::Note;
     D.Loc = SourceLoc{0, 17};
@@ -209,7 +207,7 @@ TEST(ArtifactFormats, OtherVersionsAreRejected) {
   SolvedDesign D;
   std::string Lsssol;
   ASSERT_TRUE(infer::exportSolution(D.NL, D.Stats, D.Diags, Lsssol));
-  for (const char *Header : {"LSSSOL 3", "LSSSOL 5"}) {
+  for (const char *Header : {"LSSSOL 4", "LSSSOL 6"}) {
     infer::NetlistInferenceStats Stats;
     std::vector<Diagnostic> Diags;
     std::string Error;
@@ -217,7 +215,7 @@ TEST(ArtifactFormats, OtherVersionsAreRejected) {
                                        Stats, Diags, &Error))
         << Header;
     EXPECT_EQ(Error, std::string("unsupported format '") + Header +
-                         "' (expected 'LSSSOL 4')");
+                         "' (expected 'LSSSOL 5')");
   }
   // The unedited artifacts load, and garbage is merely "malformed".
   types::TypeContext LoadTC;
@@ -284,16 +282,15 @@ TEST(LssnlFormats, V3StringTableBytesArePinned) {
                  "end\n");
 }
 
-/// Literal pin of the LSSSOL 4 writer for SolvedDesign: header and string
-/// table, every record kind, the zeroed group wall times, and the biased
-/// group column. A change here without a version bump (the header line,
+/// Literal pin of the LSSSOL 5 writer for SolvedDesign: header and string
+/// table, every record kind, and the zeroed group wall times. A change here without a version bump (the header line,
 /// or CacheFormatVersion) would let a warm compile read a solution written
 /// by another writer.
 TEST(LsssolFormat, BytesArePinned) {
   SolvedDesign D;
   std::string Out;
   ASSERT_TRUE(infer::exportSolution(D.NL, D.Stats, D.Diags, Out));
-  EXPECT_EQ(Out, "LSSSOL 4\n"
+  EXPECT_EQ(Out, "LSSSOL 5\n"
                  "strtab 3\n"
                  "s type%20variable%20'T%20defaulted%20to%20int\n"
                  "s bool\n"
@@ -302,11 +299,10 @@ TEST(LsssolFormat, BytesArePinned) {
                  "nstats 4 1 1\n"
                  "group 3 30 2 0000000000000000 1 0 0\n"
                  "group 2 12 1 0000000000000000 1 0 0\n"
-                 "gm 0 2 1 2\n"
                  "diag 0 0 17 0\n"
-                 "p 1 0 1 0 0\n"
-                 "p 1 1 2 1 1\n"
-                 "p 2 0 2 1 0\n"
+                 "p 1 0 1\n"
+                 "p 1 1 2\n"
+                 "p 2 0 2\n"
                  "end\n");
 
   // The pinned bytes reload: same records, same reserialization.

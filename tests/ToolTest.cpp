@@ -195,13 +195,6 @@ TEST(Lssc, NoInputsRejected) {
   EXPECT_EQ(R.ExitCode, 2);
 }
 
-TEST(Lssc, IncrementalRequiresSomewhereToFindThePreviousCompile) {
-  ToolResult R = runTool("--incremental " + modelArgs("c.lss"));
-  EXPECT_EQ(R.ExitCode, 2);
-  EXPECT_NE(R.Output.find("--incremental requires --cache-dir"),
-            std::string::npos);
-}
-
 TEST(Lssc, SimEngineSelectsInterpOrCompiled) {
   ToolResult R = runTool("--run 5 " + modelArgs("c.lss"));
   EXPECT_EQ(R.ExitCode, 0) << R.Output;
@@ -215,31 +208,6 @@ TEST(Lssc, SimEngineSelectsInterpOrCompiled) {
       << R.Output;
   R = runTool("--run 5 --sim-engine bogus " + modelArgs("c.lss"));
   EXPECT_EQ(R.ExitCode, 2) << R.Output;
-}
-
-TEST(Lssc, IncrementalCompilesThroughTheDiskCache) {
-  // Two runs in one cache dir: the first has no dependency graph yet (and
-  // says so), the second replays as already-cached. Both succeed and the
-  // incremental section lands in --stats-json.
-  char Dir[] = "/tmp/lssc_inc_cli_XXXXXX";
-  ASSERT_NE(mkdtemp(Dir), nullptr);
-  std::string Cache = std::string(Dir) + "/cache";
-  ToolResult R1 = runTool("--incremental --cache-dir " + Cache + " " +
-                          modelArgs("c.lss"));
-  EXPECT_EQ(R1.ExitCode, 0) << R1.Output;
-  EXPECT_NE(R1.Output.find("full compile (no-dependency-graph)"),
-            std::string::npos)
-      << R1.Output;
-  ToolResult R2 = runTool("--incremental --cache-dir " + Cache +
-                          " --stats-json - " + modelArgs("c.lss"));
-  EXPECT_EQ(R2.ExitCode, 0) << R2.Output;
-  EXPECT_NE(R2.Output.find("full compile (already-cached)"),
-            std::string::npos)
-      << R2.Output;
-  EXPECT_NE(R2.Output.find("\"incremental\": {"), std::string::npos);
-  EXPECT_NE(R2.Output.find("\"dep_cache_hit\": true"), std::string::npos);
-  std::string Cleanup = "rm -rf " + std::string(Dir);
-  (void)!system(Cleanup.c_str());
 }
 
 TEST(Lssc, TraceOrderPrintsTheProcessingOrder) {

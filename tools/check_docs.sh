@@ -22,9 +22,12 @@
 #   6. every `bench_<name>` named in README.md or docs/*.md is a bench
 #      target (or a bench ctest entry) in bench/CMakeLists.txt, so the
 #      docs cannot point at a deleted bench.
-#   7. every artifact format version (`LSSNL N`, `LSSSOL N`, `LSSDEP N`)
-#      named in README.md or docs/*.md is the one its writer emits, so a
-#      format bump cannot leave a doc describing the old layout.
+#   7. every artifact format version (`LSSNL N`, `LSSSOL N`) named in
+#      README.md or docs/*.md is the one its writer emits, so a format
+#      bump cannot leave a doc describing the old layout; and every
+#      artifact under fuzz/corpus/ or fuzz/regressions/ opens with the
+#      current header, so the fuzz replays keep reaching the record
+#      parsers behind it.
 #   8. every `--flag` named in README.md or docs/*.md is registered by a
 #      tool, bench, example, fuzzer or test binary, so the docs cannot
 #      describe a deleted flag.
@@ -94,7 +97,7 @@ else
   done
 fi
 for Flag in cache-dir no-cache batch daemon deadline-ms no-daemon-fallback \
-            sim-engine fault-inject incremental; do
+            sim-engine fault-inject; do
   grep -q -- "--$Flag" tools/lssc.cpp ||
     fail "lssc usage text does not document --$Flag"
   grep -q -- "--$Flag" README.md ||
@@ -206,12 +209,11 @@ for Name in $(cat README.md docs/*.md |
   fi
 done
 
-# 7. Artifact versions in the docs are the ones the writers emit. Each
-# writer source must name exactly one version of its format; the only
-# other version a doc may name is the quoted example of a rejected older
-# entry in API.md ("unsupported format 'LSSNL 1' ...").
-for Pair in LSSNL:src/netlist/Serializer.cpp LSSSOL:src/infer/Solution.cpp \
-            LSSDEP:src/driver/DepGraph.cpp; do
+# 7. Artifact versions in the docs and the fuzz inputs are the ones the
+# writers emit. Each writer source must name exactly one version of its
+# format; the only other version a doc may name is the quoted example of
+# a rejected older entry in API.md ("unsupported format 'LSSNL 1' ...").
+for Pair in LSSNL:src/netlist/Serializer.cpp LSSSOL:src/infer/Solution.cpp; do
   Magic=${Pair%%:*}
   Writer=${Pair#*:}
   Emitted=$(grep -oE "\"$Magic [0-9]+" "$Writer" | sed "s/^\"$Magic //" |
@@ -221,6 +223,7 @@ for Pair in LSSNL:src/netlist/Serializer.cpp LSSSOL:src/infer/Solution.cpp \
     fail "$Writer does not name exactly one $Magic version ('$Emitted')"
     continue ;;
   esac
+  eval "CURRENT_$Magic=\$Emitted"
   for Doc in README.md docs/*.md; do
     [ -f "$Doc" ] || continue
     if [ "$Doc" = docs/API.md ]; then
@@ -234,6 +237,21 @@ for Pair in LSSNL:src/netlist/Serializer.cpp LSSSOL:src/infer/Solution.cpp \
         fail "$Doc names $Magic $V, but $Writer writes $Magic $Emitted"
     done
   done
+done
+
+# An artifact header is "LSS<KIND> <N>" alone on the first line; every one
+# in the fuzz inputs must be the current header of a format with a writer.
+for File in fuzz/corpus/* fuzz/regressions/*; do
+  [ -f "$File" ] || continue
+  Header=$(head -n 1 "$File")
+  echo "$Header" | grep -qE '^LSS[A-Z]+ [0-9]+$' || continue
+  Magic=${Header%% *}
+  case "$Magic" in
+  LSSNL|LSSSOL) eval "Want=\"$Magic \${CURRENT_$Magic:-}\"" ;;
+  *) Want="" ;;
+  esac
+  [ "$Header" = "$Want" ] ||
+    fail "$File opens with '$Header', but the current header is '${Want:-none: no $Magic writer}'"
 done
 
 # 8. Flags named in the docs exist. A flag is registered where its name

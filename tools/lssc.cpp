@@ -29,10 +29,6 @@
 ///   --no-daemon-fallback  with --daemon: exit 1 instead of falling back
 ///   --deadline-ms N     with --daemon: per-request service budget (queue
 ///                       wait + compile); expiry degrades inference
-///   --incremental       recompile incrementally against the dependency
-///                       graph of the previous compile (with --cache-dir
-///                       in-process, or server-side with --daemon); see
-///                       docs/INCREMENTAL.md
 ///   --fault-inject SPEC arm deterministic fault injection (testing)
 ///
 /// Flag parsing is the shared driver::FlagParser table (tools/lssd.cpp
@@ -118,10 +114,6 @@ struct CliOptions {
   /// Fault-injection schedule (see support/FaultInjection.h); also
   /// settable via the LSS_FAULT environment variable.
   std::string FaultSpec;
-  /// Incremental recompilation against the previous compile's dependency
-  /// graph (docs/INCREMENTAL.md). In-process this needs --cache-dir to
-  /// find the previous compile; with --daemon it sends `recompile`.
-  bool Incremental = false;
 };
 
 const char *const UsageSynopsis = "lssc [options] file.lss [more.lss ...]";
@@ -213,13 +205,6 @@ void registerFlags(driver::FlagParser &P, CliOptions &Opts) {
                 "request (queue wait + compile); on expiry\n"
                 "inference degrades rather than hangs",
                 "duration", /*RequirePositive=*/true);
-  P.boolean("--incremental", &Opts.Incremental,
-            "recompile against the previous compile's\n"
-            "dependency graph, re-elaborating only\n"
-            "dirty modules and re-solving only their\n"
-            "inference groups (docs/INCREMENTAL.md);\n"
-            "in-process this needs --cache-dir, with\n"
-            "--daemon it sends `recompile`");
   P.addFaultInjectFlag(&Opts.FaultSpec);
 }
 
@@ -278,15 +263,6 @@ int parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       return ExitUsage;
     }
   }
-  if (Opts.Incremental && !Opts.BatchFile.empty())
-    return reject("--incremental cannot be combined with --batch");
-  if (Opts.Incremental && Opts.TraceOrder)
-    return reject("--incremental cannot be combined with --trace-order "
-                  "(which disables the artifact cache)");
-  if (Opts.Incremental && Opts.DaemonAddress.empty() && Opts.CacheDir.empty())
-    return reject("--incremental requires --cache-dir (or --daemon): the "
-                  "previous compile's dependency graph lives in the "
-                  "artifact cache");
   return -1;
 }
 
@@ -355,23 +331,10 @@ int readBatch(const CliOptions &Opts, std::vector<std::string> &Paths,
 /// code. With a \p Name (--batch) a status line
 /// "NAME: ok (...)" or "NAME: <phase> failed" goes to \p Human; a single
 /// compile reports only a failure, as "lssc: <phase> failed" on stderr.
-/// Diagnostics and the incremental outcome go to stderr, so stdout stays
-/// byte-identical to a plain compile (check_cache_stability.sh observes
-/// that contract).
+/// Diagnostics go to stderr, so stdout stays byte-identical to a plain
+/// compile (check_cache_stability.sh observes that contract).
 int report(const std::string &Name, const driver::CompileVerdict &V,
            std::ostream &Human) {
-  if (V.IncrementalAttempted) {
-    std::cerr << "lssc: incremental: ";
-    if (V.IncrementalUsed)
-      std::cerr << "re-elaborated " << V.ModulesReelaborated
-                << " modules, re-solved " << V.GroupsResolved
-                << " groups, spliced " << V.GroupsSpliced << "\n";
-    else
-      std::cerr << "full compile ("
-                << (V.IncrementalFallback.empty() ? "unknown"
-                                                  : V.IncrementalFallback)
-                << ")\n";
-  }
   if (!Name.empty()) {
     Human << Name << ": ";
     if (V.Success) {
@@ -523,8 +486,7 @@ int runDaemon(const CliOptions &Opts, std::ostream &Human) {
   if (!addInputs(Inv, Opts.Inputs))
     return ExitOperational;
   driver::CompileClient::Result R =
-      Opts.Incremental ? Client.recompileWithRetry(Inv, Opts.DeadlineMs)
-                       : Client.compileWithRetry(Inv, Opts.DeadlineMs);
+      Client.compileWithRetry(Inv, Opts.DeadlineMs);
   if (R.ErrorCode == "queue_full") {
     std::cerr << "lssc: daemon at '" << Opts.DaemonAddress
               << "' is overloaded (queue full after retries)\n";
@@ -584,8 +546,7 @@ int main(int Argc, char **Argv) {
   driver::CompilerInvocation Inv = makeInvocation(Opts);
   if (!addInputs(Inv, Opts.Inputs))
     return ExitOperational;
-  driver::CompileResult R =
-      Opts.Incremental ? Svc.compileIncremental(Inv) : Svc.compile(Inv);
+  driver::CompileResult R = Svc.compile(Inv);
   int Exit = report("", driver::CompileVerdict::of(R), Human);
   driver::Compiler &C = *R.C;
   using Phase = driver::CompileResult::Phase;
@@ -621,8 +582,7 @@ int main(int Argc, char **Argv) {
         Opts.StatsJsonPath,
         driver::statsJson(modelStats(), C.getInferenceStats(),
                           C.getPhaseTimer(), WallMs, C.getSimulator(),
-                          CacheOn ? &Cache : nullptr,
-                          Opts.Incremental ? &R.Incremental : nullptr));
+                          CacheOn ? &Cache : nullptr));
   };
 
   if (R.Failed == Phase::Infer) {
