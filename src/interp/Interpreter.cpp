@@ -87,7 +87,9 @@ void Interpreter::evalBody(netlist::InstanceNode *Node,
   Cur.DeclaredPorts.assign(Layout.NumPortNames, false);
   Cur.SelfPortAutoIdx.clear();
   Node->Ports.reserve(Layout.NumPortDecls);
-  if (!runBody(Body, Layout))
+  bool Completed = runBody(Body, Layout);
+  handOutChildConns();
+  if (!Completed)
     return;
 
   Node->NumTypeVars = unsigned(
@@ -455,10 +457,30 @@ void Interpreter::makeConnection(const PortHandle &From, const PortHandle &To,
     PC.Port = H.Port;
     PC.ExplicitIndex = H.Index;
     PC.Loc = Loc;
-    H.Inst->APendingConns.push_back(std::move(PC));
+    Cur.ChildConns.emplace_back(H.Inst, std::move(PC));
   };
   HandleEndpoint(From, /*IsFrom=*/true);
   HandleEndpoint(To, /*IsFrom=*/false);
+}
+
+void Interpreter::handOutChildConns() {
+  auto &Conns = Cur.ChildConns;
+  auto ById = [](const auto &A, const auto &B) {
+    return A.first->Id < B.first->Id;
+  };
+  // Bodies usually connect their children in creation order.
+  if (!std::is_sorted(Conns.begin(), Conns.end(), ById))
+    std::stable_sort(Conns.begin(), Conns.end(), ById);
+  for (size_t I = 0; I != Conns.size();) {
+    netlist::InstanceNode *Inst = Conns[I].first;
+    size_t End = I;
+    while (End != Conns.size() && Conns[End].first == Inst)
+      ++End;
+    Inst->APendingConns.reserve(Inst->APendingConns.size() + (End - I));
+    for (; I != End; ++I)
+      Inst->APendingConns.push_back(std::move(Conns[I].second));
+  }
+  Conns.clear();
 }
 
 void Interpreter::resolveSelfEndpoint(netlist::Connection *Conn, bool IsFrom,

@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace liberty {
@@ -99,6 +100,10 @@ private:
     std::vector<int> SelfPortAutoIdx;
     /// Scratch for execPortDecl: the explicit indices seen, sorted.
     std::vector<int> UsedIdx;
+    /// The body's connections to sub-instance ports, in order, until the
+    /// body ends and hands each instance its own (handOutChildConns).
+    std::vector<std::pair<netlist::InstanceNode *, netlist::PendingConn>>
+        ChildConns;
   };
 
   void evalBody(netlist::InstanceNode *Node,
@@ -138,6 +143,11 @@ private:
   /// resolutions on child endpoints (the B context).
   void makeConnection(const PortHandle &From, const PortHandle &To,
                       const lss::TypeExpr *Annotation, SourceLoc Loc);
+
+  /// Appends the current body's ChildConns to the instances' APendingConns,
+  /// keeping each instance's in connection order. Each list grows once,
+  /// to its final size.
+  void handOutChildConns();
 
   /// Resolves one endpoint that refers to the current module's own port.
   void resolveSelfEndpoint(netlist::Connection *Conn, bool IsFrom,

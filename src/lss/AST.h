@@ -21,6 +21,8 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,7 +33,7 @@ class Expr;
 class Stmt;
 
 /// Root of the AST class hierarchy; exists only so the ASTContext arena can
-/// own heterogeneous nodes.
+/// destroy heterogeneous nodes.
 class ASTNode {
 public:
   virtual ~ASTNode();
@@ -80,8 +82,8 @@ private:
 /// A type variable, e.g. 'a. The spelling excludes the leading quote.
 class VarTypeExpr : public TypeExpr {
 public:
-  VarTypeExpr(std::string Name, SourceLoc Loc)
-      : TypeExpr(Kind::Var, Loc), Name(std::move(Name)) {}
+  VarTypeExpr(std::string_view Name, SourceLoc Loc)
+      : TypeExpr(Kind::Var, Loc), Name(Name) {}
 
   const std::string &getName() const { return Name; }
   /// The spelling's number among the body's type variables (resolveBody).
@@ -240,8 +242,8 @@ private:
 
 class StringLitExpr : public Expr {
 public:
-  StringLitExpr(std::string Value, SourceLoc Loc)
-      : Expr(Kind::StringLit, Loc), Value(std::move(Value)) {}
+  StringLitExpr(std::string_view Value, SourceLoc Loc)
+      : Expr(Kind::StringLit, Loc), Value(Value) {}
 
   const std::string &getValue() const { return Value; }
 
@@ -268,8 +270,8 @@ private:
 
 class IdentExpr : public Expr {
 public:
-  IdentExpr(std::string Name, SourceLoc Loc)
-      : Expr(Kind::Ident, Loc), Name(std::move(Name)) {}
+  IdentExpr(std::string_view Name, SourceLoc Loc)
+      : Expr(Kind::Ident, Loc), Name(Name) {}
 
   const std::string &getName() const { return Name; }
   /// The innermost local slot that may bind the name here, or -1 if no
@@ -288,8 +290,8 @@ private:
 /// as `in.width`.
 class MemberExpr : public Expr {
 public:
-  MemberExpr(Expr *Base, std::string Member, SourceLoc Loc)
-      : Expr(Kind::Member, Loc), Base(Base), Member(std::move(Member)) {}
+  MemberExpr(Expr *Base, std::string_view Member, SourceLoc Loc)
+      : Expr(Kind::Member, Loc), Base(Base), Member(Member) {}
 
   Expr *getBase() const { return Base; }
   const std::string &getMember() const { return Member; }
@@ -320,9 +322,8 @@ private:
 /// callee(arg, ...) — builtins such as LSS_connect_bus and the BSL library.
 class CallExpr : public Expr {
 public:
-  CallExpr(std::string Callee, std::vector<Expr *> Args, SourceLoc Loc)
-      : Expr(Kind::Call, Loc), Callee(std::move(Callee)),
-        Args(std::move(Args)) {}
+  CallExpr(std::string_view Callee, std::vector<Expr *> Args, SourceLoc Loc)
+      : Expr(Kind::Call, Loc), Callee(Callee), Args(std::move(Args)) {}
 
   const std::string &getCallee() const { return Callee; }
   const std::vector<Expr *> &getArgs() const { return Args; }
@@ -338,10 +339,10 @@ private:
 /// (Figure 8, line 8).
 class NewInstanceArrayExpr : public Expr {
 public:
-  NewInstanceArrayExpr(Expr *SizeExpr, std::string ModuleName, Expr *NameExpr,
-                       SourceLoc Loc)
+  NewInstanceArrayExpr(Expr *SizeExpr, std::string_view ModuleName,
+                       Expr *NameExpr, SourceLoc Loc)
       : Expr(Kind::NewInstanceArray, Loc), SizeExpr(SizeExpr),
-        ModuleName(std::move(ModuleName)), NameExpr(NameExpr) {}
+        ModuleName(ModuleName), NameExpr(NameExpr) {}
 
   Expr *getSizeExpr() const { return SizeExpr; }
   const std::string &getModuleName() const { return ModuleName; }
@@ -445,10 +446,10 @@ struct UserpointSig {
 /// parameter NAME : userpoint(... => t) [= "bsl code"];
 class ParamDeclStmt : public Stmt {
 public:
-  ParamDeclStmt(std::string Name, TypeExpr *Ty, Expr *Default,
+  ParamDeclStmt(std::string_view Name, TypeExpr *Ty, Expr *Default,
                 std::unique_ptr<UserpointSig> Sig, SourceLoc Loc)
-      : Stmt(Kind::ParamDecl, Loc), Name(std::move(Name)), Ty(Ty),
-        Default(Default), Sig(std::move(Sig)) {}
+      : Stmt(Kind::ParamDecl, Loc), Name(Name), Ty(Ty), Default(Default),
+        Sig(std::move(Sig)) {}
 
   const std::string &getName() const { return Name; }
   TypeExpr *getType() const { return Ty; }
@@ -476,9 +477,9 @@ private:
 /// inport NAME : TYPE;  /  outport NAME : TYPE;
 class PortDeclStmt : public Stmt {
 public:
-  PortDeclStmt(bool IsInput, std::string Name, TypeExpr *Ty, SourceLoc Loc)
-      : Stmt(Kind::PortDecl, Loc), IsInput(IsInput), Name(std::move(Name)),
-        Ty(Ty) {}
+  PortDeclStmt(bool IsInput, std::string_view Name, TypeExpr *Ty,
+               SourceLoc Loc)
+      : Stmt(Kind::PortDecl, Loc), IsInput(IsInput), Name(Name), Ty(Ty) {}
 
   bool isInput() const { return IsInput; }
   const std::string &getName() const { return Name; }
@@ -503,9 +504,9 @@ private:
 /// instance NAME : MODULE;
 class InstanceDeclStmt : public Stmt {
 public:
-  InstanceDeclStmt(std::string Name, std::string ModuleName, SourceLoc Loc)
-      : Stmt(Kind::InstanceDecl, Loc), Name(std::move(Name)),
-        ModuleName(std::move(ModuleName)) {}
+  InstanceDeclStmt(std::string_view Name, std::string_view ModuleName,
+                   SourceLoc Loc)
+      : Stmt(Kind::InstanceDecl, Loc), Name(Name), ModuleName(ModuleName) {}
 
   const std::string &getName() const { return Name; }
   const std::string &getModuleName() const { return ModuleName; }
@@ -527,9 +528,9 @@ private:
 /// runtime var NAME : TYPE [= EXPR];  (simulation-time state, Section 4.3)
 class VarDeclStmt : public Stmt {
 public:
-  VarDeclStmt(std::string Name, TypeExpr *Ty, Expr *Init, bool IsRuntime,
+  VarDeclStmt(std::string_view Name, TypeExpr *Ty, Expr *Init, bool IsRuntime,
               SourceLoc Loc)
-      : Stmt(Kind::VarDecl, Loc), Name(std::move(Name)), Ty(Ty), Init(Init),
+      : Stmt(Kind::VarDecl, Loc), Name(Name), Ty(Ty), Init(Init),
         IsRuntime(IsRuntime) {}
 
   const std::string &getName() const { return Name; }
@@ -554,8 +555,8 @@ private:
 /// event NAME;  — a declared instrumentation join point (Section 4.5).
 class EventDeclStmt : public Stmt {
 public:
-  EventDeclStmt(std::string Name, SourceLoc Loc)
-      : Stmt(Kind::EventDecl, Loc), Name(std::move(Name)) {}
+  EventDeclStmt(std::string_view Name, SourceLoc Loc)
+      : Stmt(Kind::EventDecl, Loc), Name(Name) {}
 
   const std::string &getName() const { return Name; }
 
@@ -569,9 +570,8 @@ private:
 /// a type variable to a disjunctive scheme (component overloading).
 class ConstrainStmt : public Stmt {
 public:
-  ConstrainStmt(std::string VarName, TypeExpr *Scheme, SourceLoc Loc)
-      : Stmt(Kind::Constrain, Loc), VarName(std::move(VarName)),
-        Scheme(Scheme) {}
+  ConstrainStmt(std::string_view VarName, TypeExpr *Scheme, SourceLoc Loc)
+      : Stmt(Kind::Constrain, Loc), VarName(VarName), Scheme(Scheme) {}
 
   const std::string &getVarName() const { return VarName; }
   TypeExpr *getScheme() const { return Scheme; }
@@ -762,8 +762,8 @@ struct BodyLayout {
 /// module NAME { ... };
 class ModuleDecl : public ASTNode {
 public:
-  ModuleDecl(std::string Name, std::vector<Stmt *> Body, SourceLoc Loc)
-      : Name(std::move(Name)), Body(std::move(Body)), Loc(Loc) {}
+  ModuleDecl(std::string_view Name, std::vector<Stmt *> Body, SourceLoc Loc)
+      : Name(Name), Body(std::move(Body)), Loc(Loc) {}
 
   const std::string &getName() const { return Name; }
   const std::vector<Stmt *> &getBody() const { return Body; }
@@ -786,18 +786,37 @@ struct SpecFile {
   std::vector<Stmt *> TopLevel;
 };
 
-/// Arena owning every AST node of a compilation.
+/// Arena owning every AST node of a compilation. Nodes are bump-allocated
+/// in blocks, so a node costs no heap allocation of its own; the context
+/// runs every node's destructor, newest first, and frees the blocks when
+/// it is destroyed. A node's own strings and vectors are ordinary members:
+/// names are copied out of the source when parsed, so the AST does not
+/// depend on the buffer text or the lexer.
 class ASTContext {
 public:
+  ASTContext() = default;
+  ASTContext(const ASTContext &) = delete;
+  ASTContext &operator=(const ASTContext &) = delete;
+  ~ASTContext();
+
   template <typename T, typename... Args> T *create(Args &&...As) {
-    auto Node = std::make_unique<T>(std::forward<Args>(As)...);
-    T *Ptr = Node.get();
-    Nodes.push_back(std::move(Node));
-    return Ptr;
+    static_assert(std::is_base_of_v<ASTNode, T>, "only AST nodes");
+    T *Node = new (allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(As)...);
+    Nodes.push_back(Node);
+    return Node;
   }
 
 private:
-  std::vector<std::unique_ptr<ASTNode>> Nodes;
+  void *allocate(size_t Size, size_t Align);
+
+  std::vector<std::unique_ptr<char[]>> Blocks;
+  char *Cur = nullptr;
+  char *End = nullptr;
+  /// Size of the next block; doubles up to a cap (AST.cpp).
+  size_t NextBlockSize = 1024;
+  /// Every node, in creation order, for the destructor.
+  std::vector<ASTNode *> Nodes;
 };
 
 } // namespace lss

@@ -2,10 +2,11 @@
 
 #include "lss/Lexer.h"
 
+#include <array>
 #include <cassert>
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
-#include <unordered_map>
+#include <iterator>
 
 using namespace liberty;
 using namespace liberty::lss;
@@ -140,37 +141,118 @@ const char *liberty::lss::tokenKindName(TokenKind Kind) {
   return "unknown";
 }
 
-static const std::unordered_map<std::string, TokenKind> &keywordTable() {
-  static const std::unordered_map<std::string, TokenKind> Table = {
-      {"module", TokenKind::KwModule},
-      {"parameter", TokenKind::KwParameter},
-      {"inport", TokenKind::KwInport},
-      {"outport", TokenKind::KwOutport},
-      {"instance", TokenKind::KwInstance},
-      {"var", TokenKind::KwVar},
-      {"runtime", TokenKind::KwRuntime},
-      {"event", TokenKind::KwEvent},
-      {"userpoint", TokenKind::KwUserpoint},
-      {"constrain", TokenKind::KwConstrain},
-      {"if", TokenKind::KwIf},
-      {"else", TokenKind::KwElse},
-      {"for", TokenKind::KwFor},
-      {"while", TokenKind::KwWhile},
-      {"new", TokenKind::KwNew},
-      {"return", TokenKind::KwReturn},
-      {"break", TokenKind::KwBreak},
-      {"continue", TokenKind::KwContinue},
-      {"struct", TokenKind::KwStruct},
-      {"enum", TokenKind::KwEnum},
-      {"ref", TokenKind::KwRef},
-      {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},
-      {"int", TokenKind::KwInt},
-      {"bool", TokenKind::KwBool},
-      {"float", TokenKind::KwFloat},
-      {"string", TokenKind::KwString},
-  };
-  return Table;
+namespace {
+
+struct Keyword {
+  std::string_view Text;
+  TokenKind Kind;
+};
+
+} // namespace
+
+/// The keywords, sorted by length and then by first character, so the
+/// candidates for one (length, first character) key are adjacent.
+static constexpr Keyword Keywords[] = {
+    {"if", TokenKind::KwIf},
+    {"for", TokenKind::KwFor},
+    {"int", TokenKind::KwInt},
+    {"new", TokenKind::KwNew},
+    {"ref", TokenKind::KwRef},
+    {"var", TokenKind::KwVar},
+    {"bool", TokenKind::KwBool},
+    {"else", TokenKind::KwElse},
+    {"enum", TokenKind::KwEnum},
+    {"true", TokenKind::KwTrue},
+    {"break", TokenKind::KwBreak},
+    {"event", TokenKind::KwEvent},
+    {"false", TokenKind::KwFalse},
+    {"float", TokenKind::KwFloat},
+    {"while", TokenKind::KwWhile},
+    {"inport", TokenKind::KwInport},
+    {"module", TokenKind::KwModule},
+    {"return", TokenKind::KwReturn},
+    {"string", TokenKind::KwString},
+    {"struct", TokenKind::KwStruct},
+    {"outport", TokenKind::KwOutport},
+    {"runtime", TokenKind::KwRuntime},
+    {"continue", TokenKind::KwContinue},
+    {"instance", TokenKind::KwInstance},
+    {"constrain", TokenKind::KwConstrain},
+    {"parameter", TokenKind::KwParameter},
+    {"userpoint", TokenKind::KwUserpoint},
+};
+static constexpr size_t NumKeywords = std::size(Keywords);
+static constexpr size_t MaxKeywordLength = 9;
+
+static constexpr bool keywordsAreSorted() {
+  for (size_t I = 1; I != NumKeywords; ++I) {
+    std::string_view A = Keywords[I - 1].Text, B = Keywords[I].Text;
+    if (A.size() > B.size() || (A.size() == B.size() && A[0] > B[0]))
+      return false;
+    if (B.size() > MaxKeywordLength || B[0] < 'a' || B[0] > 'z')
+      return false;
+  }
+  return true;
+}
+static_assert(keywordsAreSorted(), "keyword lookup needs the sort order");
+
+/// KeywordStart[N][C - 'a'] is the index of the first keyword of length N
+/// that starts with C, or NumKeywords if there is none.
+static constexpr auto KeywordStart = [] {
+  std::array<std::array<uint8_t, 26>, MaxKeywordLength + 1> Start{};
+  for (auto &Row : Start)
+    Row.fill(uint8_t(NumKeywords));
+  for (size_t I = NumKeywords; I-- != 0;)
+    Start[Keywords[I].Text.size()][Keywords[I].Text[0] - 'a'] = uint8_t(I);
+  return Start;
+}();
+
+/// The keyword \p Word spells, or Identifier. Builds no string and hashes
+/// nothing: the length and first character pick at most two candidates.
+static TokenKind classifyWord(std::string_view Word) {
+  if (Word.size() > MaxKeywordLength || Word[0] < 'a' || Word[0] > 'z')
+    return TokenKind::Identifier;
+  for (size_t I = KeywordStart[Word.size()][Word[0] - 'a']; I != NumKeywords;
+       ++I) {
+    const Keyword &K = Keywords[I];
+    if (K.Text.size() != Word.size() || K.Text[0] != Word[0])
+      break;
+    if (K.Text == Word)
+      return K.Kind;
+  }
+  return TokenKind::Identifier;
+}
+
+namespace {
+
+/// Character classes of the lexer, over ASCII only: a byte of 128 or
+/// more is in none of them, as under the "C" locale.
+enum CharClass : uint8_t {
+  IdentHead = 1, ///< [A-Za-z_]
+  IdentTail = 2, ///< [A-Za-z0-9_]
+  Digit = 4,     ///< [0-9]
+  HexDigit = 8,  ///< [0-9A-Fa-f]
+};
+
+} // namespace
+
+static constexpr auto CharClasses = [] {
+  std::array<uint8_t, 256> Classes{};
+  for (int C = 0; C != 256; ++C) {
+    bool Lower = C >= 'a' && C <= 'z', Upper = C >= 'A' && C <= 'Z';
+    bool Dec = C >= '0' && C <= '9';
+    if (Lower || Upper || C == '_')
+      Classes[C] |= IdentHead | IdentTail;
+    if (Dec)
+      Classes[C] |= IdentTail | Digit;
+    if (Dec || (C >= 'a' && C <= 'f') || (C >= 'A' && C <= 'F'))
+      Classes[C] |= HexDigit;
+  }
+  return Classes;
+}();
+
+static bool isIn(char C, CharClass Class) {
+  return CharClasses[static_cast<unsigned char>(C)] & Class;
 }
 
 Lexer::Lexer(uint32_t BufferId, DiagnosticEngine &Diags)
@@ -221,67 +303,89 @@ void Lexer::skipTrivia() {
   }
 }
 
-Token Lexer::makeToken(TokenKind Kind, SourceLoc Loc, std::string Spelling) {
+Token Lexer::makeToken(TokenKind Kind, SourceLoc Loc,
+                       std::string_view Spelling) {
   Token T;
   T.Kind = Kind;
   T.Loc = Loc;
-  T.Spelling = std::move(Spelling);
+  T.Spelling = Spelling;
   return T;
 }
 
 Token Lexer::lexIdentifierOrKeyword(SourceLoc Loc) {
   uint32_t Start = Pos;
-  while (Pos < Text.size() && (std::isalnum((unsigned char)peek()) ||
-                               peek() == '_'))
+  while (Pos < Text.size() && isIn(Text[Pos], IdentTail))
     ++Pos;
-  std::string Spelling = Text.substr(Start, Pos - Start);
-  auto It = keywordTable().find(Spelling);
-  if (It != keywordTable().end())
-    return makeToken(It->second, Loc, std::move(Spelling));
-  return makeToken(TokenKind::Identifier, Loc, std::move(Spelling));
+  std::string_view Spelling = Text.substr(Start, Pos - Start);
+  return makeToken(classifyWord(Spelling), Loc, Spelling);
 }
 
 Token Lexer::lexNumber(SourceLoc Loc) {
   uint32_t Start = Pos;
-  bool IsHex = false;
+  int Base = 10;
   if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-    IsHex = true;
+    Base = 16;
     Pos += 2;
-    while (std::isxdigit((unsigned char)peek()))
+    while (isIn(peek(), HexDigit))
       ++Pos;
   } else {
-    while (std::isdigit((unsigned char)peek()))
+    while (isIn(peek(), Digit))
       ++Pos;
   }
   bool IsFloat = false;
-  if (!IsHex && peek() == '.' && std::isdigit((unsigned char)peek(1))) {
+  if (Base == 10 && peek() == '.' && isIn(peek(1), Digit)) {
     IsFloat = true;
     ++Pos;
-    while (std::isdigit((unsigned char)peek()))
+    while (isIn(peek(), Digit))
       ++Pos;
     if (peek() == 'e' || peek() == 'E') {
       ++Pos;
       if (peek() == '+' || peek() == '-')
         ++Pos;
-      while (std::isdigit((unsigned char)peek()))
+      while (isIn(peek(), Digit))
         ++Pos;
     }
   }
-  std::string Spelling = Text.substr(Start, Pos - Start);
   Token T = makeToken(IsFloat ? TokenKind::FloatLiteral
                               : TokenKind::IntLiteral,
-                      Loc, Spelling);
-  if (IsFloat)
-    T.FloatValue = std::strtod(Spelling.c_str(), nullptr);
-  else
-    T.IntValue = std::strtoll(Spelling.c_str(), nullptr, IsHex ? 16 : 10);
+                      Loc, Text.substr(Start, Pos - Start));
+  if (IsFloat) {
+    // The buffer is a NUL-terminated std::string, and strtod stops no
+    // later than the spelling does (it takes an exponent only with
+    // digits), so it reads the spelling in place.
+    T.FloatValue = std::strtod(Text.data() + Start, nullptr);
+    return T;
+  }
+  const char *First = Text.data() + Start + (Base == 16 ? 2 : 0);
+  const char *Last = Text.data() + Pos;
+  if (First == Last) {
+    Diags.error(Loc, "expected hex digits after '0x'");
+    return T;
+  }
+  auto [End, Ec] = std::from_chars(First, Last, T.IntValue, Base);
+  if (Ec == std::errc::result_out_of_range) {
+    T.IntValue = 0;
+    Diags.error(Loc, "integer literal out of range");
+  }
+  assert((Ec != std::errc() || End == Last) && "lexed digits must parse");
   return T;
 }
 
 Token Lexer::lexString(SourceLoc Loc) {
   assert(peek() == '"');
   ++Pos;
-  std::string Value;
+  // A literal without escapes is its own spelling; only one with escapes
+  // is decoded, into storage this lexer owns.
+  uint32_t Start = Pos;
+  while (Pos < Text.size() && Text[Pos] != '"' && Text[Pos] != '\\')
+    ++Pos;
+  if (Pos < Text.size() && Text[Pos] == '"') {
+    ++Pos;
+    return makeToken(TokenKind::StringLiteral, Loc,
+                     Text.substr(Start, Pos - 1 - Start));
+  }
+  std::string &Value =
+      Decoded.emplace_front(Text.substr(Start, Pos - Start));
   while (Pos < Text.size() && peek() != '"') {
     char C = advance();
     if (C != '\\') {
@@ -316,19 +420,18 @@ Token Lexer::lexString(SourceLoc Loc) {
     return makeToken(TokenKind::Error, Loc, Value);
   }
   ++Pos; // Closing quote.
-  return makeToken(TokenKind::StringLiteral, Loc, std::move(Value));
+  return makeToken(TokenKind::StringLiteral, Loc, Value);
 }
 
 Token Lexer::lexTypeVar(SourceLoc Loc) {
   assert(peek() == '\'');
   ++Pos;
-  if (!std::isalpha((unsigned char)peek()) && peek() != '_') {
+  if (!isIn(peek(), IdentHead)) {
     Diags.error(Loc, "expected identifier after ' in type variable");
     return makeToken(TokenKind::Error, Loc, "'");
   }
   uint32_t Start = Pos;
-  while (Pos < Text.size() &&
-         (std::isalnum((unsigned char)peek()) || peek() == '_'))
+  while (Pos < Text.size() && isIn(Text[Pos], IdentTail))
     ++Pos;
   return makeToken(TokenKind::TypeVar, Loc, Text.substr(Start, Pos - Start));
 }
@@ -340,9 +443,9 @@ Token Lexer::lex() {
     return makeToken(TokenKind::Eof, Loc, "");
 
   char C = peek();
-  if (std::isalpha((unsigned char)C) || C == '_')
+  if (isIn(C, IdentHead))
     return lexIdentifierOrKeyword(Loc);
-  if (std::isdigit((unsigned char)C))
+  if (isIn(C, Digit))
     return lexNumber(Loc);
   if (C == '"')
     return lexString(Loc);
@@ -413,5 +516,5 @@ Token Lexer::lex() {
     break;
   }
   Diags.error(Loc, std::string("unexpected character '") + C + "'");
-  return makeToken(TokenKind::Error, Loc, std::string(1, C));
+  return makeToken(TokenKind::Error, Loc, Text.substr(Pos - 1, 1));
 }

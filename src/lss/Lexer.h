@@ -13,6 +13,10 @@
 #include "lss/Token.h"
 #include "support/Diagnostics.h"
 
+#include <forward_list>
+#include <string>
+#include <string_view>
+
 namespace liberty {
 namespace lss {
 
@@ -23,7 +27,8 @@ public:
   Lexer(uint32_t BufferId, DiagnosticEngine &Diags);
 
   /// Returns the next token, advancing the lexer. Returns an Eof token at
-  /// the end of input forever after.
+  /// the end of input forever after. The token's spelling stays valid
+  /// while the buffer and this lexer live (see Token).
   Token lex();
 
 private:
@@ -33,7 +38,7 @@ private:
   bool match(char Expected);
   void skipTrivia();
 
-  Token makeToken(TokenKind Kind, SourceLoc Loc, std::string Spelling);
+  Token makeToken(TokenKind Kind, SourceLoc Loc, std::string_view Spelling);
   Token lexIdentifierOrKeyword(SourceLoc Loc);
   Token lexNumber(SourceLoc Loc);
   Token lexString(SourceLoc Loc);
@@ -41,8 +46,11 @@ private:
 
   uint32_t BufferId;
   DiagnosticEngine &Diags;
-  const std::string &Text;
+  std::string_view Text;
   uint32_t Pos = 0;
+  /// Decoded text of the string literals that had escapes; a list, so a
+  /// spelling that views one never moves.
+  std::forward_list<std::string> Decoded;
 };
 
 } // namespace lss

@@ -158,7 +158,7 @@ ModuleDecl *Parser::parseModuleDecl() {
     skipToRecoveryPoint();
     return nullptr;
   }
-  std::string Name = cur().Spelling;
+  std::string_view Name = cur().Spelling;
   consume();
   if (!expect(TokenKind::LBrace, "module declaration")) {
     skipToRecoveryPoint();
@@ -174,7 +174,7 @@ ModuleDecl *Parser::parseModuleDecl() {
   }
   expect(TokenKind::RBrace, "module declaration");
   consumeIf(TokenKind::Semicolon); // Trailing ';' is optional.
-  auto *M = Ctx.create<ModuleDecl>(std::move(Name), std::move(Body), Loc);
+  auto *M = Ctx.create<ModuleDecl>(Name, std::move(Body), Loc);
   // Resolved here, before the module can be shared between compiles.
   resolveBody(M->getBody(), M->getLayoutMutable());
   return M;
@@ -247,7 +247,7 @@ Stmt *Parser::parseParamDecl() {
     skipToRecoveryPoint();
     return nullptr;
   }
-  std::string Name = cur().Spelling;
+  std::string_view Name = cur().Spelling;
   consume();
 
   TypeExpr *Ty = nullptr;
@@ -286,8 +286,7 @@ Stmt *Parser::parseParamDecl() {
     return nullptr;
   }
   expect(TokenKind::Semicolon, "parameter declaration");
-  return Ctx.create<ParamDeclStmt>(std::move(Name), Ty, Default,
-                                   std::move(Sig), Loc);
+  return Ctx.create<ParamDeclStmt>(Name, Ty, Default, std::move(Sig), Loc);
 }
 
 std::unique_ptr<UserpointSig> Parser::parseUserpointSig() {
@@ -302,14 +301,14 @@ std::unique_ptr<UserpointSig> Parser::parseUserpointSig() {
         Diags.error(cur().Loc, "expected argument name in userpoint signature");
         return nullptr;
       }
-      std::string ArgName = cur().Spelling;
+      std::string_view ArgName = cur().Spelling;
       consume();
       if (!expect(TokenKind::Colon, "userpoint signature"))
         return nullptr;
       TypeExpr *ArgTy = parseTypeExpr();
       if (!ArgTy)
         return nullptr;
-      Sig->Args.emplace_back(std::move(ArgName), ArgTy);
+      Sig->Args.emplace_back(ArgName, ArgTy);
       if (!consumeIf(TokenKind::Comma))
         break;
     }
@@ -332,7 +331,7 @@ Stmt *Parser::parsePortDecl(bool IsInput) {
     skipToRecoveryPoint();
     return nullptr;
   }
-  std::string Name = cur().Spelling;
+  std::string_view Name = cur().Spelling;
   consume();
   if (!expect(TokenKind::Colon, "port declaration")) {
     skipToRecoveryPoint();
@@ -344,7 +343,7 @@ Stmt *Parser::parsePortDecl(bool IsInput) {
     return nullptr;
   }
   expect(TokenKind::Semicolon, "port declaration");
-  return Ctx.create<PortDeclStmt>(IsInput, std::move(Name), Ty, Loc);
+  return Ctx.create<PortDeclStmt>(IsInput, Name, Ty, Loc);
 }
 
 Stmt *Parser::parseInstanceDecl() {
@@ -356,7 +355,7 @@ Stmt *Parser::parseInstanceDecl() {
     skipToRecoveryPoint();
     return nullptr;
   }
-  std::string Name = cur().Spelling;
+  std::string_view Name = cur().Spelling;
   consume();
   if (!expect(TokenKind::Colon, "instance declaration")) {
     skipToRecoveryPoint();
@@ -367,11 +366,10 @@ Stmt *Parser::parseInstanceDecl() {
     skipToRecoveryPoint();
     return nullptr;
   }
-  std::string ModuleName = cur().Spelling;
+  std::string_view ModuleName = cur().Spelling;
   consume();
   expect(TokenKind::Semicolon, "instance declaration");
-  return Ctx.create<InstanceDeclStmt>(std::move(Name), std::move(ModuleName),
-                                      Loc);
+  return Ctx.create<InstanceDeclStmt>(Name, ModuleName, Loc);
 }
 
 Stmt *Parser::parseVarDecl(bool IsRuntime) {
@@ -381,7 +379,7 @@ Stmt *Parser::parseVarDecl(bool IsRuntime) {
     skipToRecoveryPoint();
     return nullptr;
   }
-  std::string Name = cur().Spelling;
+  std::string_view Name = cur().Spelling;
   consume();
   if (!expect(TokenKind::Colon, "variable declaration")) {
     skipToRecoveryPoint();
@@ -401,7 +399,7 @@ Stmt *Parser::parseVarDecl(bool IsRuntime) {
     }
   }
   expect(TokenKind::Semicolon, "variable declaration");
-  return Ctx.create<VarDeclStmt>(std::move(Name), Ty, Init, IsRuntime, Loc);
+  return Ctx.create<VarDeclStmt>(Name, Ty, Init, IsRuntime, Loc);
 }
 
 Stmt *Parser::parseEventDecl() {
@@ -413,10 +411,10 @@ Stmt *Parser::parseEventDecl() {
     skipToRecoveryPoint();
     return nullptr;
   }
-  std::string Name = cur().Spelling;
+  std::string_view Name = cur().Spelling;
   consume();
   expect(TokenKind::Semicolon, "event declaration");
-  return Ctx.create<EventDeclStmt>(std::move(Name), Loc);
+  return Ctx.create<EventDeclStmt>(Name, Loc);
 }
 
 Stmt *Parser::parseConstrain() {
@@ -428,7 +426,7 @@ Stmt *Parser::parseConstrain() {
     skipToRecoveryPoint();
     return nullptr;
   }
-  std::string VarName = cur().Spelling;
+  std::string_view VarName = cur().Spelling;
   consume();
   if (!expect(TokenKind::Colon, "constrain statement")) {
     skipToRecoveryPoint();
@@ -440,7 +438,7 @@ Stmt *Parser::parseConstrain() {
     return nullptr;
   }
   expect(TokenKind::Semicolon, "constrain statement");
-  return Ctx.create<ConstrainStmt>(std::move(VarName), Scheme, Loc);
+  return Ctx.create<ConstrainStmt>(VarName, Scheme, Loc);
 }
 
 Stmt *Parser::parseIf() {
@@ -728,9 +726,9 @@ Expr *Parser::parsePostfix() {
         Diags.error(cur().Loc, "expected member name after '.'");
         return nullptr;
       }
-      std::string Member = cur().Spelling;
+      std::string_view Member = cur().Spelling;
       consume();
-      E = Ctx.create<MemberExpr>(E, std::move(Member), Loc);
+      E = Ctx.create<MemberExpr>(E, Member, Loc);
       continue;
     }
     if (cur().is(TokenKind::LBracket)) {
@@ -760,9 +758,9 @@ Expr *Parser::parsePrimary() {
     return Ctx.create<FloatLitExpr>(V, Loc);
   }
   case TokenKind::StringLiteral: {
-    std::string V = cur().Spelling;
+    std::string_view V = cur().Spelling;
     consume();
-    return Ctx.create<StringLitExpr>(std::move(V), Loc);
+    return Ctx.create<StringLitExpr>(V, Loc);
   }
   case TokenKind::KwTrue:
     consume();
@@ -771,7 +769,7 @@ Expr *Parser::parsePrimary() {
     consume();
     return Ctx.create<BoolLitExpr>(false, Loc);
   case TokenKind::Identifier: {
-    std::string Name = cur().Spelling;
+    std::string_view Name = cur().Spelling;
     consume();
     if (cur().is(TokenKind::LParen)) {
       consume();
@@ -788,9 +786,9 @@ Expr *Parser::parsePrimary() {
       }
       if (!expect(TokenKind::RParen, "call expression"))
         return nullptr;
-      return Ctx.create<CallExpr>(std::move(Name), std::move(Args), Loc);
+      return Ctx.create<CallExpr>(Name, std::move(Args), Loc);
     }
-    return Ctx.create<IdentExpr>(std::move(Name), Loc);
+    return Ctx.create<IdentExpr>(Name, Loc);
   }
   case TokenKind::LParen: {
     consume();
@@ -804,18 +802,17 @@ Expr *Parser::parsePrimary() {
   case TokenKind::KwBool:
   case TokenKind::KwString: {
     // Conversion calls spell the type keyword: int(x), float(x), str-like.
-    std::string Name = cur().is(TokenKind::KwInt)     ? "int"
-                       : cur().is(TokenKind::KwFloat) ? "float"
-                       : cur().is(TokenKind::KwBool)  ? "bool"
-                                                      : "string";
+    std::string_view Name = cur().is(TokenKind::KwInt)     ? "int"
+                            : cur().is(TokenKind::KwFloat) ? "float"
+                            : cur().is(TokenKind::KwBool)  ? "bool"
+                                                           : "string";
     consume();
     if (!expect(TokenKind::LParen, "conversion call"))
       return nullptr;
     Expr *Arg = parseExpr();
     if (!Arg || !expect(TokenKind::RParen, "conversion call"))
       return nullptr;
-    return Ctx.create<CallExpr>(std::move(Name), std::vector<Expr *>{Arg},
-                                Loc);
+    return Ctx.create<CallExpr>(Name, std::vector<Expr *>{Arg}, Loc);
   }
   case TokenKind::KwNew: {
     consume();
@@ -832,15 +829,14 @@ Expr *Parser::parsePrimary() {
       Diags.error(cur().Loc, "expected module name in new-instance expression");
       return nullptr;
     }
-    std::string ModuleName = cur().Spelling;
+    std::string_view ModuleName = cur().Spelling;
     consume();
     if (!expect(TokenKind::Comma, "new-instance expression"))
       return nullptr;
     Expr *NameExpr = parseExpr();
     if (!NameExpr || !expect(TokenKind::RParen, "new-instance expression"))
       return nullptr;
-    return Ctx.create<NewInstanceArrayExpr>(Size, std::move(ModuleName),
-                                            NameExpr, Loc);
+    return Ctx.create<NewInstanceArrayExpr>(Size, ModuleName, NameExpr, Loc);
   }
   default:
     Diags.error(Loc, std::string("expected expression, found ") +
@@ -910,9 +906,9 @@ TypeExpr *Parser::parseTypeAtom() {
     consume();
     return Ctx.create<BasicTypeExpr>(BasicTypeExpr::Basic::String, Loc);
   case TokenKind::TypeVar: {
-    std::string Name = cur().Spelling;
+    std::string_view Name = cur().Spelling;
     consume();
-    return Ctx.create<VarTypeExpr>(std::move(Name), Loc);
+    return Ctx.create<VarTypeExpr>(Name, Loc);
   }
   case TokenKind::KwStruct: {
     consume();
@@ -924,14 +920,14 @@ TypeExpr *Parser::parseTypeAtom() {
         Diags.error(cur().Loc, "expected field name in struct type");
         return nullptr;
       }
-      std::string FieldName = cur().Spelling;
+      std::string_view FieldName = cur().Spelling;
       consume();
       if (!expect(TokenKind::Colon, "struct type"))
         return nullptr;
       TypeExpr *FieldTy = parseTypeExpr();
       if (!FieldTy)
         return nullptr;
-      Fields.emplace_back(std::move(FieldName), FieldTy);
+      Fields.emplace_back(FieldName, FieldTy);
       if (!consumeIf(TokenKind::Semicolon))
         break;
     }

@@ -17,7 +17,9 @@ namespace lss {
 
 class Parser {
 public:
-  /// Parses buffer \p BufferId into \p Ctx. AST nodes live as long as Ctx.
+  /// Parses buffer \p BufferId into \p Ctx. AST nodes live as long as Ctx
+  /// and own their names: the token spellings they are copied from view
+  /// the buffer and this parser's lexer, and never outlive the parse.
   Parser(uint32_t BufferId, ASTContext &Ctx, DiagnosticEngine &Diags);
 
   /// Parses a whole LSS file: module declarations + top-level statements.

@@ -14,7 +14,8 @@
 #include "support/SourceMgr.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace liberty {
 namespace lss {
@@ -92,17 +93,23 @@ enum class TokenKind {
 /// Returns a human-readable name for \p Kind, used in parse diagnostics.
 const char *tokenKindName(TokenKind Kind);
 
-/// One lexed token. \c Spelling carries the text for identifiers and
-/// literals (string literals are stored unescaped).
+/// One lexed token; trivially copyable. \c Spelling carries the text for
+/// identifiers and literals. It views the buffer text, except for a string
+/// literal with escapes, whose decoded text lives in the Lexer. So a
+/// spelling is valid only while both the SourceMgr buffer and the Lexer
+/// are: whatever outlives the parse (the AST) copies it.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
   SourceLoc Loc;
-  std::string Spelling;
+  std::string_view Spelling;
   int64_t IntValue = 0;
   double FloatValue = 0.0;
 
   bool is(TokenKind K) const { return Kind == K; }
 };
+
+static_assert(std::is_trivially_copyable_v<Token>,
+              "the parser copies a token per consume");
 
 } // namespace lss
 } // namespace liberty

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 using namespace liberty;
 
@@ -12,9 +13,11 @@ uint32_t SourceMgr::addBuffer(std::string Name, std::string Text) {
   B.Name = std::move(Name);
   B.Text = std::move(Text);
   B.LineStarts.push_back(0);
-  for (uint32_t I = 0, E = B.Text.size(); I != E; ++I)
-    if (B.Text[I] == '\n')
-      B.LineStarts.push_back(I + 1);
+  const char *Begin = B.Text.data(), *End = Begin + B.Text.size();
+  for (const char *P = Begin; const void *NL = std::memchr(P, '\n', End - P);) {
+    P = static_cast<const char *>(NL) + 1;
+    B.LineStarts.push_back(uint32_t(P - Begin));
+  }
   Buffers.push_back(std::move(B));
   return Buffers.size(); // Ids are 1-based.
 }

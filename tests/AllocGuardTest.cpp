@@ -1,12 +1,18 @@
-//===- AllocGuardTest.cpp - Elaboration allocation budget -----------------===//
+//===- AllocGuardTest.cpp - Parse and elaboration allocation budgets ------===//
 ///
 /// Elaboration resolves names to slots (lss/Resolver.h) and keeps per-body
 /// state in vectors indexed by them, so a module instance costs a handful
 /// of heap allocations: its node, its port vector, its connections and
 /// the types it mints. This test counts every global operator new while
-/// a generated lane of 1,000 adders elaborates, and fails above 10
+/// a generated lane of 1,000 adders elaborates, and fails above 9
 /// allocations per instance, so a return to per-name map or set nodes
-/// (about 24 per instance) fails.
+/// (about 24 per instance) or to pending-connection lists that grow one
+/// entry at a time (about 10) fails.
+///
+/// The front end allocates per file, not per token or node: spellings
+/// borrow the buffer text and nodes live in the ASTContext's blocks. The
+/// parse of the same lane must stay under 20 allocations per 1,000
+/// tokens; a string per token or a heap node per node makes hundreds.
 ///
 /// The counting operator new replaces the global one for this binary
 /// only. The sanitizer builds replace it themselves, so CMake leaves this
@@ -15,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Compiler.h"
+#include "lss/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -82,7 +89,33 @@ TEST(AllocGuard, ElaborationAllocatesFewTimesPerInstance) {
   const double PerInstance = double(NumAllocs) / double(Instances);
   std::cout << NumAllocs << " allocations for " << Instances
             << " instances: " << PerInstance << " per instance\n";
-  EXPECT_LE(PerInstance, 10.0);
+  EXPECT_LE(PerInstance, 9.0);
+}
+
+TEST(AllocGuard, ParsingAllocatesFewTimesPerThousandTokens) {
+  SourceMgr SM;
+  DiagnosticEngine Diags(SM);
+  uint32_t Id = SM.addBuffer("lane.lss", laneSource(1000));
+  uint64_t Tokens = 0;
+  for (lss::Lexer L(Id, Diags); !L.lex().is(lss::TokenKind::Eof);)
+    ++Tokens;
+
+  lss::ASTContext Ctx;
+  NumAllocs = 0;
+  Counting = true;
+  lss::SpecFile File;
+  {
+    lss::Parser P(Id, Ctx, Diags);
+    File = P.parseFile();
+  }
+  Counting = false;
+  ASSERT_FALSE(Diags.hasErrors());
+  ASSERT_EQ(File.Modules.size(), 1u);
+
+  const double PerThousand = 1000.0 * double(NumAllocs) / double(Tokens);
+  std::cout << NumAllocs << " allocations for " << Tokens
+            << " tokens: " << PerThousand << " per 1,000 tokens\n";
+  EXPECT_LE(PerThousand, 20.0);
 }
 
 } // namespace

@@ -324,6 +324,45 @@ TEST(Parser, BslBodyWithReturn) {
   EXPECT_TRUE(isa<ReturnStmt>(Body[2]));
 }
 
+TEST(Parser, AstOutlivesParserAndLexer) {
+  // Tokens borrow their spellings from the buffer and the lexer; the AST
+  // copies them. Parse, destroy the parser (and its lexer, which held the
+  // decoded escaped literal) and the source buffer, then read the AST.
+  ASTContext Ctx;
+  SpecFile File;
+  {
+    SourceMgr SM;
+    DiagnosticEngine Diags(SM);
+    uint32_t Id = SM.addBuffer(
+        "names.lss",
+        "module a_rather_long_module_name {\n"
+        "  parameter a_rather_long_parameter_name:int;\n"
+        "  var s:string = \"tab\\there \\\"quoted\\\" and long enough\";\n"
+        "};\n"
+        "instance inst_with_long_name:a_rather_long_module_name;\n"
+        "inst_with_long_name.a_rather_long_parameter_name = 3;\n");
+    Parser P(Id, Ctx, Diags);
+    File = P.parseFile();
+    ASSERT_FALSE(Diags.hasErrors());
+  }
+  ASSERT_EQ(File.Modules.size(), 1u);
+  const ModuleDecl *M = File.Modules[0];
+  EXPECT_EQ(M->getName(), "a_rather_long_module_name");
+  ASSERT_EQ(M->getBody().size(), 2u);
+  EXPECT_EQ(cast<ParamDeclStmt>(M->getBody()[0])->getName(),
+            "a_rather_long_parameter_name");
+  const auto *V = cast<VarDeclStmt>(M->getBody()[1]);
+  ASSERT_TRUE(V->getInit());
+  EXPECT_EQ(cast<StringLitExpr>(V->getInit())->getValue(),
+            "tab\there \"quoted\" and long enough");
+  ASSERT_EQ(File.TopLevel.size(), 2u);
+  const auto *I = cast<InstanceDeclStmt>(File.TopLevel[0]);
+  EXPECT_EQ(I->getName(), "inst_with_long_name");
+  EXPECT_EQ(I->getModuleName(), "a_rather_long_module_name");
+  EXPECT_EQ(printStmt(File.TopLevel[1]),
+            "inst_with_long_name.a_rather_long_parameter_name = 3;\n");
+}
+
 TEST(Parser, StmtPrintRoundTrip) {
   auto R = parse("module m { parameter n:int; inport in:'a; };");
   ASSERT_FALSE(R->Diags.hasErrors());

@@ -31,6 +31,11 @@
 #   8. every `--flag` named in README.md or docs/*.md is registered by a
 #      tool, bench, example, fuzzer or test binary, so the docs cannot
 #      describe a deleted flag.
+#   9. the versions the docs state are the code's: docs/API.md's
+#      "currently **N**" is StatsSchemaVersion (src/driver/Stats.h),
+#      docs/DAEMON.md's is DaemonProtocolVersion
+#      (src/driver/DaemonProtocol.h), and so is every `"version": N` in a
+#      DAEMON.md example.
 #
 # Exits non-zero with one line per violation.
 
@@ -269,6 +274,41 @@ for Flag in $(cat README.md docs/*.md |
   case "$EXTERNAL_FLAGS" in *" $Flag "*) continue ;; esac
   grep -rqE -- "[\"']--$Flag[\"'=]" $FLAG_SOURCES ||
     fail "docs name --$Flag, which no tool, bench, fuzzer or test registers"
+done
+
+# 9. Stated versions match the constants. "currently **N**" may wrap
+# across a line break, so each doc is read as one line.
+version_constant() {
+  sed -n "s/^constexpr uint32_t $1 = \([0-9][0-9]*\);.*/\1/p" "$2"
+}
+stated_current() {
+  tr '\n' ' ' < "$1" | grep -oE 'currently +\*\*[0-9]+\*\*' |
+  grep -oE '[0-9]+'
+}
+for Triple in "$API:StatsSchemaVersion:src/driver/Stats.h" \
+              "$DAEMON:DaemonProtocolVersion:$PROTO"; do
+  Doc=${Triple%%:*}
+  Rest=${Triple#*:}
+  Name=${Rest%%:*}
+  Header=${Rest#*:}
+  [ -f "$Doc" ] || continue
+  Want=$(version_constant "$Name" "$Header")
+  if [ -z "$Want" ]; then
+    fail "cannot find $Name in $Header"
+    continue
+  fi
+  Stated=$(stated_current "$Doc")
+  [ -n "$Stated" ] || fail "$Doc does not state $Name as 'currently **N**'"
+  for V in $Stated; do
+    [ "$V" = "$Want" ] ||
+      fail "$Doc says $Name is currently $V, but $Header has $Want"
+  done
+  if [ "$Name" = DaemonProtocolVersion ]; then
+    for V in $(grep -oE '"version": *[0-9]+' "$Doc" | grep -oE '[0-9]+$'); do
+      [ "$V" = "$Want" ] ||
+        fail "$Doc shows \"version\": $V in an example, but $Header has $Want"
+    done
+  fi
 done
 
 if [ "$FAILURES" -ne 0 ]; then
